@@ -15,7 +15,7 @@ from .calendars import DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError
 from .history import HistoryWindow, shape_matrix
 from .predictor import KernelSpec, kernel_value
-from .segments import DistanceSpec, LoadSegment, distance, rescale_day
+from .segments import DistanceSpec, LoadSegment, distances, rescale_day
 
 
 def predict_persistence(history: HistoryWindow, target_group: DayGroup) -> LoadSegment:
@@ -38,7 +38,7 @@ def conditional_kernel_weights(
     if L < 2:
         raise InsufficientHistoryError("conditional kernel needs at least 2 days")
     last = shapes[-1]
-    dists = np.array([distance(shapes[r - 1], last, dist) for r in range(1, L)])
+    dists = distances(shapes[:-1], last, dist)
     mass = kernel_value(dists / kernel.bandwidth, kernel.kind)
     weights = np.zeros(L)
     if mass.sum() == 0.0:

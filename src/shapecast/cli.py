@@ -12,6 +12,7 @@ import configparser
 import datetime as dt
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .ingest import (
     segmentize,
 )
 from .predictor import (
+    KernelKind,
     KernelSpec,
     PredictorConfig,
     default_bandwidth_grid,
@@ -34,8 +36,8 @@ from .predictor import (
     prediction_to_json,
     select_bandwidth,
 )
-from .reference import DeltaRule, ReferenceConfig
-from .segments import DistanceSpec, TimeGrid
+from .reference import DeltaRule, DeltaRuleKind, ReferenceConfig, ReferenceMode
+from .segments import DistanceKind, DistanceSpec, TimeGrid
 from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 
 
@@ -59,8 +61,51 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
     if path:
         if not os.path.exists(path):
             raise SystemExit(f"error: config file {path} not found")
-        parser.read(path)
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            raise SystemExit(f"error: config file {path}: {exc}") from None
     return parser
+
+
+def parse_bandwidth(text: str) -> str | float:
+    """'auto' or a positive number: the --bandwidth flag and the INI value."""
+    if text == "auto":
+        return text
+    try:
+        value = float(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bandwidth must be 'auto' or a positive number, got {text!r}"
+    )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be a positive integer")
+    return value
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+def _ini_value(ini: configparser.ConfigParser, section: str, key: str, parse, default):
+    """`parse` applied to an INI value, or `default` when it is absent.
+
+    A value that does not parse is a usage error (exit 2).
+    """
+    if not ini.has_option(section, key):
+        return default
+    raw = ini.get(section, key)
+    try:
+        return parse(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise SystemExit(f"error: config [{section}] {key} = {raw!r}: {exc}") from None
 
 
 def build_predictor_config(
@@ -71,24 +116,26 @@ def build_predictor_config(
     Returns the config plus a flag saying whether the bandwidth should be
     selected from the data ('auto').
     """
-    ref_sec = ini["reference"] if ini.has_section("reference") else {}
-    ker_sec = ini["kernel"] if ini.has_section("kernel") else {}
-    dist_sec = ini["distance"] if ini.has_section("distance") else {}
-
-    mode = getattr(args, "mode", None) or ref_sec.get("mode", "argmin")
-    n_l_g1 = int(ref_sec.get("n_l_g1", 14))
-    n_l_default = int(ref_sec.get("n_l_default", 28))
-    delta_kind = ref_sec.get("delta_rule", "min")
-    delta_value = ref_sec.get("delta_value")
-    delta_rule = DeltaRule(delta_kind, float(delta_value) if delta_value else None)
+    mode = getattr(args, "mode", None) or _ini_value(
+        ini, "reference", "mode", ReferenceMode, "argmin"
+    )
+    n_l_g1 = _ini_value(ini, "reference", "n_l_g1", _positive_int, 14)
+    n_l_default = _ini_value(ini, "reference", "n_l_default", _positive_int, 28)
+    delta_kind = _ini_value(ini, "reference", "delta_rule", DeltaRuleKind, "min")
+    delta_value = _ini_value(ini, "reference", "delta_value", _optional_float, None)
+    delta_rule = DeltaRule(delta_kind, delta_value)
     n_l_by_group = {g: n_l_default for g in DayGroup}
     n_l_by_group[DayGroup.G1] = n_l_g1
 
-    dist_kind = getattr(args, "distance", None) or dist_sec.get("kind", "euclidean")
-    kernel_kind = getattr(args, "kernel", None) or ker_sec.get("kind", "gaussian")
-    bandwidth = getattr(args, "bandwidth", None) or ker_sec.get("bandwidth", "auto")
-    if bandwidth != "auto":
-        bandwidth = float(bandwidth)
+    dist_kind = getattr(args, "distance", None) or _ini_value(
+        ini, "distance", "kind", DistanceKind, "euclidean"
+    )
+    kernel_kind = getattr(args, "kernel", None) or _ini_value(
+        ini, "kernel", "kind", KernelKind, "gaussian"
+    )
+    bandwidth = getattr(args, "bandwidth", None) or _ini_value(
+        ini, "kernel", "bandwidth", parse_bandwidth, "auto"
+    )
 
     reference = ReferenceConfig(
         n_L_by_group=n_l_by_group,
@@ -114,10 +161,7 @@ def _resolve_bandwidth(history: HistoryWindow, cfg: PredictorConfig, auto: bool,
     validation_days = min(validation_days, max(1, len(history) - 31))
     grid = default_bandwidth_grid(history, cfg.shape_distance)
     h, _ = select_bandwidth(history, cfg, grid, validation_days)
-    return PredictorConfig(
-        cfg.reference, KernelSpec(cfg.kernel.kind, h), cfg.shape_distance,
-        cfg.same_group_only, cfg.rescale,
-    )
+    return replace(cfg, kernel=replace(cfg.kernel, bandwidth=h))
 
 
 def cmd_ingest(args) -> int:
@@ -294,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cfg_flags(p):
         p.add_argument("--config", help="INI config file")
         p.add_argument("--kernel", choices=["gaussian", "epanechnikov", "uniform"])
-        p.add_argument("--bandwidth", help="positive number or 'auto'")
+        p.add_argument(
+            "--bandwidth", type=parse_bandwidth, help="positive number or 'auto'"
+        )
         p.add_argument("--mode", choices=["argmin", "threshold"])
         p.add_argument(
             "--distance", choices=["euclidean", "mean-absolute", "max-absolute"]

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .calendars import CalendarMeta, annotate_calendar
-from .errors import ShapecastError
+from .errors import IngestError, ShapecastError
 from .segments import LoadSegment, TemperatureSegment, TimeGrid
 
 
@@ -69,9 +70,20 @@ class HistoryWindow:
 
 def shape_matrix(window: HistoryWindow) -> np.ndarray:
     """L x P matrix of shape-form (max-rescaled) load values, history order."""
-    from .segments import rescale_day
+    loads = load_matrix(window)
+    if not len(loads):
+        return loads
+    peaks = loads.max(axis=1, keepdims=True)
+    if np.any(peaks <= 0):
+        raise ShapecastError("cannot rescale a segment with nonpositive maximum")
+    return loads / peaks
 
-    return np.array([rescale_day(r.load).values for r in window.records])
+
+def load_matrix(window: HistoryWindow) -> np.ndarray:
+    """L x P matrix of raw load values (megawatts), history order."""
+    if not window.records:
+        return np.empty((0, 0))
+    return np.array([r.load.values for r in window.records])
 
 
 def record_to_dict(record: DailyRecord) -> dict:
@@ -117,13 +129,32 @@ def write_history_jsonl(path, window: HistoryWindow) -> None:
         fh.write(history_jsonl_text(window))
 
 
+@contextmanager
+def _located(path, lineno: int):
+    """Report any parse or schema error inside the block at `path:lineno`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise IngestError(f"{path}:{lineno}: missing key {exc}") from None
+    except (ValueError, TypeError, ShapecastError) as exc:
+        raise IngestError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_history_jsonl(path) -> HistoryWindow:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [
+            (n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()
+        ]
     if not lines:
         raise ShapecastError(f"{path}: empty history file")
-    header = json.loads(lines[0])
-    if "grid" not in header:
-        raise ShapecastError(f"{path}: missing grid header line")
-    grid = TimeGrid(tuple(header["grid"]))
-    return HistoryWindow(tuple(record_from_dict(json.loads(ln), grid) for ln in lines[1:]))
+    lineno, text = lines[0]
+    with _located(path, lineno):
+        header = json.loads(text)
+        if not isinstance(header, dict) or "grid" not in header:
+            raise ShapecastError("missing grid header line")
+        grid = TimeGrid(tuple(header["grid"]))
+    records = []
+    for lineno, text in lines[1:]:
+        with _located(path, lineno):
+            records.append(record_from_dict(json.loads(text), grid))
+    return HistoryWindow(tuple(records))

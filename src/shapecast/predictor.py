@@ -12,16 +12,16 @@ from __future__ import annotations
 import datetime as dt
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .calendars import CalendarMeta, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
-from .history import HistoryWindow, shape_matrix
+from .history import HistoryWindow, load_matrix, shape_matrix
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
-from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distance
+from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
 
 
 class KernelKind(str, Enum):
@@ -84,18 +84,42 @@ def compute_weights(
     shapes = np.atleast_2d(np.asarray(shapes, dtype=float))
     if shapes.shape[0] < 1:
         raise InsufficientHistoryError("need at least one history segment")
-    dists = np.array([distance(row, reference, dist) for row in shapes])
+    return _kernel_weights(distances(shapes, reference, dist), kernel)
+
+
+def _kernel_weights(
+    dists: np.ndarray, kernel: KernelSpec, in_group: np.ndarray | None = None
+) -> np.ndarray:
+    """Normalized kernel weights from the distance row of the history shapes.
+
+    A compact kernel at a tiny bandwidth can kill all mass; the weight then
+    falls back, with a warning, to the nearest shape. With `in_group` (1.0
+    for days of the target group, 0.0 otherwise) the weights are restricted
+    to that group and renormalized.
+    """
     mass = kernel_value(dists / kernel.bandwidth, kernel.kind)
     total = mass.sum()
     if total == 0.0:
         warnings.warn(
             "no segment within bandwidth; falling back to the nearest segment",
-            stacklevel=2,
+            stacklevel=3,
         )
         weights = np.zeros(len(dists))
         weights[int(np.argmin(dists))] = 1.0
+    else:
+        weights = mass / total
+    if in_group is None:
         return weights
-    return mass / total
+    masked = weights * in_group
+    if masked.sum() == 0.0:
+        raise EmptyCandidateError(
+            "same_group_only left no weight mass in the target group"
+        )
+    return masked / masked.sum()
+
+
+def _group_mask(records, group: DayGroup) -> np.ndarray:
+    return np.array([r.meta.group is group for r in records], dtype=float)
 
 
 def predict_shape(shapes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -149,23 +173,15 @@ def predict_day(
     reference = select_reference(
         candidates, temp_forecast, cfg.reference, rescale=cfg.rescale
     )
-    if cfg.rescale:
-        shapes = shape_matrix(history)
-    else:
-        shapes = np.array([r.load.values for r in history.records])
-    weights = compute_weights(
-        shapes, reference.reference.values, cfg.kernel, cfg.shape_distance
+    shapes = shape_matrix(history) if cfg.rescale else load_matrix(history)
+    in_group = (
+        _group_mask(history.records, target.group) if cfg.same_group_only else None
     )
-    if cfg.same_group_only:
-        in_group = np.array(
-            [r.meta.group is target.group for r in history.records], dtype=float
-        )
-        masked = weights * in_group
-        if masked.sum() == 0.0:
-            raise EmptyCandidateError(
-                "same_group_only left no weight mass in the target group"
-            )
-        weights = masked / masked.sum()
+    weights = _kernel_weights(
+        distances(shapes, reference.reference.values, cfg.shape_distance),
+        cfg.kernel,
+        in_group,
+    )
     shape_values = predict_shape(shapes, weights)
     shape_seg = LoadSegment(history.grid, shape_values, scale=None)
     scaled = None
@@ -192,18 +208,27 @@ def default_bandwidth_grid(
     span: tuple[float, float] = (0.01, 10.0),
     max_pairs: int = 2000,
 ) -> np.ndarray:
-    """Log-spaced bandwidth grid anchored at the median pairwise shape distance."""
+    """Log-spaced bandwidth grid anchored at the median pairwise shape distance.
+
+    The median runs over all pairs of history days, or over `max_pairs` of
+    them drawn with a fixed seed.
+    """
     shapes = shape_matrix(history)
     L = shapes.shape[0]
     if L < 2:
         raise InsufficientHistoryError("need at least two days for a bandwidth grid")
-    rng = np.random.default_rng(0)
-    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
-    if len(pairs) > max_pairs:
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in sorted(idx)]
-    dists = [distance(shapes[i], shapes[j], dist) for i, j in pairs]
-    med = float(np.median(dists))
+    n_pairs = L * (L - 1) // 2
+    if n_pairs > max_pairs:
+        rng = np.random.default_rng(0)
+        picked = np.sort(rng.choice(n_pairs, size=max_pairs, replace=False))
+    else:
+        picked = np.arange(n_pairs)
+    # pairs (i, j), i < j, are numbered row by row; row i starts at starts[i]
+    rows = np.arange(L - 1)
+    starts = rows * (L - 1) - rows * (rows - 1) // 2
+    i = np.searchsorted(starts, picked, side="right") - 1
+    j = i + 1 + (picked - starts[i])
+    med = float(np.median(distances(shapes[i], shapes[j], dist)))
     if med <= 0:
         med = 1e-6
     return med * np.logspace(np.log10(span[0]), np.log10(span[1]), n)
@@ -220,43 +245,51 @@ def select_bandwidth(
     For each bandwidth, each of the last `validation_days` days is predicted
     from strictly prior data, with the realized temperature standing in for
     the forecast; mean relative absolute error decides, ties go to the
-    smaller bandwidth.
+    smaller bandwidth. The reference and its distance row do not depend on
+    the bandwidth, so each validation day computes them once and then scores
+    every bandwidth; the results equal one `predict_day` per (h, day).
     """
     from .metrics import score_day
 
-    h_grid = [float(h) for h in h_grid]
+    h_grid = sorted(float(h) for h in h_grid)
     if not h_grid:
         raise ShapecastError("bandwidth grid is empty")
     if len(history) <= validation_days + 1:
         raise InsufficientHistoryError(
             f"need more than {validation_days + 1} days of history"
         )
+    kernels = [replace(cfg.kernel, bandwidth=h) for h in h_grid]
     records = history.records
-    risks = []
-    for h in sorted(h_grid):
-        kernel = KernelSpec(cfg.kernel.kind, h)
-        day_cfg = PredictorConfig(
-            cfg.reference, kernel, cfg.shape_distance, cfg.same_group_only, cfg.rescale
-        )
-        errs = []
-        for i in range(len(records) - validation_days, len(records)):
-            target = records[i]
-            if target.temperature is None:
-                raise ShapecastError(
-                    f"{target.meta.date.isoformat()}: no realized temperature to "
-                    "stand in for the forecast"
-                )
-            prior = HistoryWindow(records[:i])
-            pred = predict_day(
-                prior,
-                target.meta,
-                target.temperature,
-                next_day_max=float(np.max(target.load.values)),
-                cfg=day_cfg,
+    # the last day is only ever a target, so its row is never needed
+    prefix = HistoryWindow(records[:-1])
+    all_shapes = shape_matrix(prefix) if cfg.rescale else load_matrix(prefix)
+    errs = [[] for _ in kernels]
+    for i in range(len(records) - validation_days, len(records)):
+        target = records[i]
+        if target.temperature is None:
+            raise ShapecastError(
+                f"{target.meta.date.isoformat()}: no realized temperature to "
+                "stand in for the forecast"
             )
-            rmae, _, _ = score_day(pred.scaled, target.load)
-            errs.append(rmae)
-        risks.append((h, float(np.mean(errs))))
+        prior = HistoryWindow(records[:i])
+        candidates = _candidates_with_fallback(prior, target.meta.group, cfg.reference)
+        reference = select_reference(
+            candidates, target.temperature, cfg.reference, rescale=cfg.rescale
+        )
+        shapes = all_shapes[:i]
+        dists = distances(shapes, reference.reference.values, cfg.shape_distance)
+        in_group = (
+            _group_mask(prior.records, target.meta.group)
+            if cfg.same_group_only
+            else None
+        )
+        next_day_max = float(np.max(target.load.values))
+        for kernel, day_errs in zip(kernels, errs):
+            weights = _kernel_weights(dists, kernel, in_group)
+            scaled = predict_shape(shapes, weights) * next_day_max
+            rmae, _, _ = score_day(LoadSegment(history.grid, scaled), target.load)
+            day_errs.append(rmae)
+    risks = [(h, float(np.mean(e))) for h, e in zip(h_grid, errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks
 

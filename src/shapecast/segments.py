@@ -160,24 +160,52 @@ class DistanceSpec:
         return DistanceSpec(self.kind, tuple(indices))
 
 
+def _subset_index(spec: DistanceSpec, n: int) -> list[int] | None:
+    if spec.point_subset is None:
+        return None
+    if spec.point_subset[-1] >= n:
+        raise GridMismatchError(
+            f"point_subset index {spec.point_subset[-1]} out of bounds for length {n}"
+        )
+    return list(spec.point_subset)
+
+
+def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """Metric of each difference vector along the last axis."""
+    if kind is DistanceKind.EUCLIDEAN:
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    if kind is DistanceKind.MEAN_ABSOLUTE:
+        return np.mean(np.abs(diff), axis=-1)
+    return np.max(np.abs(diff), axis=-1)
+
+
 def distance(a, b, spec: DistanceSpec = DistanceSpec()) -> float:
     """Distance between two equal-length vectors under `spec`."""
     a = _as_vector(a)
     b = _as_vector(b, a.shape[0])
-    if spec.point_subset is not None:
-        if spec.point_subset[-1] >= a.shape[0]:
-            raise GridMismatchError(
-                f"point_subset index {spec.point_subset[-1]} out of bounds for "
-                f"length {a.shape[0]}"
-            )
-        idx = list(spec.point_subset)
+    idx = _subset_index(spec, a.shape[0])
+    if idx is not None:
         a, b = a[idx], b[idx]
-    diff = a - b
-    if spec.kind is DistanceKind.EUCLIDEAN:
-        return float(np.sqrt(np.sum(diff * diff)))
-    if spec.kind is DistanceKind.MEAN_ABSOLUTE:
-        return float(np.mean(np.abs(diff)))
-    return float(np.max(np.abs(diff)))
+    return float(_reduce(a - b, spec.kind))
+
+
+def distances(M, v, spec: DistanceSpec = DistanceSpec()) -> np.ndarray:
+    """Distance of every row of the L x P matrix `M` to `v` under `spec`.
+
+    `v` is one length-P vector, or an L x P matrix whose rows pair up with
+    those of `M`. Row r equals `distance(M[r], v[r] or v, spec)` bit for bit.
+    """
+    # C order keeps each row's sum pairwise, exactly as `distance` sums a vector
+    M = np.ascontiguousarray(M, dtype=float)
+    if M.ndim != 2:
+        raise GridMismatchError(f"expected 2-d matrix, got shape {M.shape}")
+    v = np.ascontiguousarray(v, dtype=float)
+    if v.shape not in ((M.shape[1],), M.shape):
+        raise GridMismatchError(f"cannot pair shape {v.shape} with matrix {M.shape}")
+    idx = _subset_index(spec, M.shape[1])
+    if idx is not None:
+        M, v = np.take(M, idx, axis=1), np.take(v, idx, axis=-1)
+    return _reduce(M - v, spec.kind)
 
 
 def rescale_day(seg: LoadSegment) -> LoadSegment:

@@ -187,6 +187,71 @@ class TestPredict:
         assert "not found" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-0.5", "nan", ""])
+    def test_bad_bandwidth_flag_is_usage_error(self, raw_files, history_file,
+                                               value, capsys):
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "predict", "--history", str(history_file), "--date", date,
+                "--temp-forecast", str(raw_files / "forecast.csv"),
+                f"--bandwidth={value}",
+            ])
+        assert exc.value.code == 2
+        assert "bandwidth must be 'auto' or a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line", [
+        ("kernel", "bandwidth = abc"),
+        ("kernel", "bandwidth = -1"),
+        ("kernel", "kind = triangular"),
+        ("reference", "n_l_g1 = two"),
+        ("reference", "n_l_default = 0"),
+        ("reference", "n_l_default = 2.5"),
+        ("reference", "mode = nearest"),
+        ("reference", "delta_value = high"),
+        ("distance", "kind = cosine"),
+    ])
+    def test_bad_ini_value_is_usage_error(self, raw_files, history_file, tmp_path,
+                                          section, line, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{section}]\n{line}\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--config", str(ini),
+        ])
+        assert code == 2
+        key = line.split(" = ")[0]
+        assert f"config [{section}] {key}" in capsys.readouterr().err
+
+    def test_malformed_ini_is_usage_error(self, raw_files, history_file, tmp_path,
+                                          capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("bandwidth = 0.5\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--config", str(ini),
+        ])
+        assert code == 2
+        assert "section header" in capsys.readouterr().err
+
+    def test_bad_history_line_is_domain_error(self, raw_files, history_file, tmp_path,
+                                              capsys):
+        lines = history_file.read_text().splitlines()
+        lines[3] = lines[3][:-5]
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(broken), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"), "--bandwidth", "0.3",
+        ])
+        assert code == 1
+        assert f"{broken}:4: " in capsys.readouterr().err
+
 class TestBacktest:
     def test_sampled_run_writes_reports(self, history_file, tmp_path, capsys):
         out_dir = tmp_path / "bt"

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from shapecast.predictor import (
     prediction_to_dict,
     select_bandwidth,
 )
-from shapecast.reference import ReferenceConfig
-from shapecast.segments import DistanceSpec, TemperatureSegment, TimeGrid
+from shapecast.metrics import score_day
+from shapecast.reference import DeltaRule, ReferenceConfig
+from shapecast.segments import DistanceSpec, TemperatureSegment, TimeGrid, distance
 
 MONDAY = dt.date(2010, 6, 7)
 
@@ -337,6 +339,131 @@ class TestSelectBandwidth:
         assert len(grid_h) == 25
         assert grid_h[0] < grid_h[-1]
         assert np.all(np.diff(grid_h) > 0)
+
+
+def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
+    """Reference CV: one full predict_day per (bandwidth, validation day)."""
+    risks = []
+    records = history.records
+    for h in sorted(float(h) for h in h_grid):
+        day_cfg = PredictorConfig(
+            cfg.reference, KernelSpec(cfg.kernel.kind, h), cfg.shape_distance,
+            cfg.same_group_only, cfg.rescale,
+        )
+        errs = []
+        for i in range(len(records) - validation_days, len(records)):
+            target = records[i]
+            pred = predict_day(
+                HistoryWindow(records[:i]), target.meta, target.temperature,
+                next_day_max=float(np.max(target.load.values)), cfg=day_cfg,
+            )
+            errs.append(score_day(pred.scaled, target.load)[0])
+        risks.append((h, float(np.mean(errs))))
+    best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
+    return best_h, risks
+
+
+def seed_default_bandwidth_grid(history, dist=DistanceSpec(), n=25,
+                                span=(0.01, 10.0), max_pairs=2000):
+    """Reference grid: sample from the explicit list of all (i, j) pairs."""
+    shapes = shape_matrix(history)
+    L = shapes.shape[0]
+    rng = np.random.default_rng(0)
+    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    if len(pairs) > max_pairs:
+        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+        pairs = [pairs[i] for i in sorted(idx)]
+    med = float(np.median([distance(shapes[i], shapes[j], dist) for i, j in pairs]))
+    if med <= 0:
+        med = 1e-6
+    return med * np.logspace(np.log10(span[0]), np.log10(span[1]), n)
+
+
+# threshold mode averages several candidates, so the reference is no history
+# row and a compact kernel at a tiny bandwidth leaves every shape massless
+THRESHOLD = ReferenceConfig(mode="threshold", delta_rule=DeltaRule("quantile", 0.9))
+
+CV_CONFIGS = {
+    "gaussian": PredictorConfig(),
+    "gaussian-threshold": PredictorConfig(reference=THRESHOLD),
+    "epanechnikov-threshold": PredictorConfig(
+        reference=THRESHOLD, kernel=KernelSpec(KernelKind.EPANECHNIKOV)
+    ),
+    "uniform-threshold": PredictorConfig(
+        reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM)
+    ),
+    "mean-absolute": PredictorConfig(
+        reference=ReferenceConfig(temp_distance=DistanceSpec("mean-absolute")),
+        shape_distance=DistanceSpec("mean-absolute"),
+    ),
+    "max-absolute": PredictorConfig(
+        reference=THRESHOLD, shape_distance=DistanceSpec("max-absolute")
+    ),
+    "no-rescale": PredictorConfig(rescale=False),
+    "no-rescale-uniform": PredictorConfig(
+        reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM), rescale=False
+    ),
+    "same-group-only": PredictorConfig(same_group_only=True),
+    "same-group-only-epanechnikov": PredictorConfig(
+        kernel=KernelSpec(KernelKind.EPANECHNIKOV), same_group_only=True
+    ),
+}
+
+
+class TestSelectBandwidthOracle:
+    @pytest.mark.parametrize("name", sorted(CV_CONFIGS))
+    def test_equals_per_bandwidth_pipelines(self, name, grid24):
+        cfg = CV_CONFIGS[name]
+        history = random_history(grid24, np.random.default_rng(53), 60)
+        h_grid = list(default_bandwidth_grid(history, cfg.shape_distance)) + [1e-9, 3.0]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            expected = seed_select_bandwidth(history, cfg, h_grid, validation_days=15)
+        with warnings.catch_warnings(record=True) as seen_new:
+            warnings.simplefilter("always")
+            got = select_bandwidth(history, cfg, h_grid, validation_days=15)
+        assert got == expected
+
+        def fallbacks(ws):
+            return sum("no segment within bandwidth" in str(w.message) for w in ws)
+
+        # the nearest-segment fallback fires in both or in neither
+        assert (fallbacks(seen) > 0) == (fallbacks(seen_new) > 0)
+        if "threshold" in name or name == "no-rescale-uniform":
+            assert fallbacks(seen_new) > 0
+
+    def test_same_group_error_matches(self, grid24):
+        # a one-hot fallback on an out-of-group day leaves no in-group mass
+        cfg = PredictorConfig(
+            reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM),
+            same_group_only=True,
+        )
+        history = random_history(grid24, np.random.default_rng(59), 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ShapecastError) as seed_err:
+                seed_select_bandwidth(history, cfg, [1e-9], validation_days=15)
+            with pytest.raises(ShapecastError) as new_err:
+                select_bandwidth(history, cfg, [1e-9], validation_days=15)
+        assert type(new_err.value) is type(seed_err.value)
+        assert str(new_err.value) == str(seed_err.value)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "mean-absolute", "max-absolute"])
+    @pytest.mark.parametrize("length, max_pairs", [(2, 2000), (12, 2000), (80, 2000),
+                                                   (30, 50), (30, 435), (30, 434)])
+    def test_default_grid_equals_pair_list(self, grid24, kind, length, max_pairs):
+        history = random_history(grid24, np.random.default_rng(length), length)
+        dist = DistanceSpec(kind)
+        expected = seed_default_bandwidth_grid(history, dist, max_pairs=max_pairs)
+        got = default_bandwidth_grid(history, dist, max_pairs=max_pairs)
+        assert np.array_equal(got, expected)
+
+    def test_default_grid_needs_two_days(self, grid24):
+        history = random_history(grid24, np.random.default_rng(1), 1)
+        with pytest.raises(InsufficientHistoryError):
+            default_bandwidth_grid(history)
+        with pytest.raises(InsufficientHistoryError):
+            default_bandwidth_grid(HistoryWindow(()))
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,6 +10,7 @@ from shapecast.segments import (
     TemperatureSegment,
     TimeGrid,
     distance,
+    distances,
     rescale_day,
     unscale,
 )
@@ -103,6 +104,41 @@ class TestDistance:
         b = [x + 1.0 for x in a]
         scaled = distance([c * x for x in a], [c * x for x in b])
         assert scaled == pytest.approx(abs(c) * distance(a, b), rel=1e-9, abs=1e-9)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("subset", [None, (0,), (1, 5, 6), tuple(range(0, 96, 3))])
+    @pytest.mark.parametrize("P", [7, 24, 96])
+    def test_rows_equal_distance_bit_for_bit(self, kind, subset, P):
+        rng = np.random.default_rng(P)
+        spec = DistanceSpec(kind, tuple(i for i in subset if i < P) if subset else None)
+        M = rng.random((40, P)) * 500.0
+        v = rng.random(P) * 500.0
+        expected = np.array([distance(row, v, spec) for row in M])
+        assert np.array_equal(distances(M, v, spec), expected)
+        V = rng.random((40, P))
+        paired = np.array([distance(a, b, spec) for a, b in zip(M, V)])
+        assert np.array_equal(distances(M, V, spec), paired)
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_subset_out_of_bounds(self, kind):
+        spec = DistanceSpec(kind, (1, 4))
+        with pytest.raises(GridMismatchError):
+            distances(np.zeros((3, 4)), np.zeros(4), spec)
+        with pytest.raises(GridMismatchError):
+            distance(np.zeros(4), np.zeros(4), spec)
+
+    def test_grid_length_mismatch(self):
+        with pytest.raises(GridMismatchError):
+            distances(np.zeros((3, 4)), np.zeros(5))
+        with pytest.raises(GridMismatchError):
+            distances(np.zeros((3, 4)), np.zeros((2, 4)))
+        with pytest.raises(GridMismatchError):
+            distances(np.zeros(4), np.zeros(4))
+
+    def test_empty_matrix(self):
+        assert distances(np.empty((0, 4)), np.zeros(4)).shape == (0,)
 
 
 class TestRescale:
