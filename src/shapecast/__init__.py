@@ -22,7 +22,6 @@ from .segments import (
     TimeGrid,
     distance,
     rescale_day,
-    unscale,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "TimeGrid",
     "distance",
     "rescale_day",
-    "unscale",
 ]

@@ -13,7 +13,7 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import ShapecastError
 from .history import DailyRecord, HistoryWindow
 from .metrics import DayScore, score_day
 from .predictor import PredictorConfig, config_snapshot, predict_day
-from .segments import LoadSegment, unscale
+from .segments import LoadSegment
 
 
 @dataclass
@@ -54,7 +54,7 @@ def _predict_ssp(prior: HistoryWindow, target: DailyRecord, cfg: PredictorConfig
 
 def _predict_persistence(prior, target, cfg):
     shape = predict_persistence(prior, target.meta.group)
-    return unscale(shape, float(np.max(target.load.values))).values
+    return shape.values * float(np.max(target.load.values))
 
 
 def _predict_conditional_kernel(prior, target, cfg):
@@ -150,14 +150,7 @@ def emit_report(report: BacktestReport, format: str = "csv") -> str:
             "config": report.config,
             "summary": report.summary,
             "scores": [
-                {
-                    "date": s.date.isoformat(),
-                    "method": s.method,
-                    "rmae": s.rmae,
-                    "maxdiff": s.maxdiff,
-                    "mindiff": s.mindiff,
-                }
-                for s in report.scores
+                dict(asdict(s), date=s.date.isoformat()) for s in report.scores
             ],
         }
         return json.dumps(doc, sort_keys=True, indent=2)

@@ -7,14 +7,12 @@ shape and knows nothing about the target day's group or temperature.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .calendars import DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError
-from .history import HistoryWindow, shape_matrix
-from .predictor import KernelSpec, kernel_value
+from .history import HistoryWindow
+from .predictor import KernelSpec, _kernel_weights
 from .segments import DistanceSpec, LoadSegment, distances, rescale_day
 
 
@@ -34,20 +32,10 @@ def conditional_kernel_weights(
     The first segment has no predecessor and always gets weight zero.
     """
     shapes = np.atleast_2d(np.asarray(shapes, dtype=float))
-    L = shapes.shape[0]
-    if L < 2:
+    if shapes.shape[0] < 2:
         raise InsufficientHistoryError("conditional kernel needs at least 2 days")
-    last = shapes[-1]
-    dists = distances(shapes[:-1], last, dist)
-    mass = kernel_value(dists / kernel.bandwidth, kernel.kind)
-    weights = np.zeros(L)
-    if mass.sum() == 0.0:
-        warnings.warn(
-            "no predecessor within bandwidth; using the nearest one", stacklevel=2
-        )
-        weights[int(np.argmin(dists)) + 1] = 1.0
-        return weights
-    weights[1:] = mass / mass.sum()
+    weights = np.zeros(shapes.shape[0])
+    weights[1:] = _kernel_weights(distances(shapes[:-1], shapes[-1], dist), kernel)
     return weights
 
 
@@ -57,6 +45,6 @@ def predict_conditional_kernel(
     dist: DistanceSpec = DistanceSpec(),
 ) -> LoadSegment:
     """Weighted average of successors of days similar to the last observed day."""
-    shapes = shape_matrix(history)
+    shapes = history.shapes
     weights = conditional_kernel_weights(shapes, kernel, dist)
     return LoadSegment(history.grid, weights @ shapes)

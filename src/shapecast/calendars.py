@@ -51,15 +51,20 @@ def annotate_calendar(date: dt.date, holiday_set=frozenset()) -> CalendarMeta:
     return CalendarMeta(date, WEEKDAY_NAMES[wd], is_holiday, group)
 
 
-def parse_holiday_file(text: str) -> frozenset[dt.date]:
-    """One ISO date per line; blank lines and '#' comments allowed."""
-    holidays = set()
+def parse_date_lines(text: str, source: str) -> list[dt.date]:
+    """One ISO date per line, in file order; blank lines and '#' comments allowed."""
+    dates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            holidays.add(dt.date.fromisoformat(line))
+            dates.append(dt.date.fromisoformat(line))
         except ValueError as exc:
-            raise IngestError(f"holiday file line {lineno}: bad date {line!r}") from exc
-    return frozenset(holidays)
+            raise IngestError(f"{source} line {lineno}: bad date {line!r}") from exc
+    return dates
+
+
+def parse_holiday_file(text: str) -> frozenset[dt.date]:
+    """One ISO date per line; blank lines and '#' comments allowed."""
+    return frozenset(parse_date_lines(text, "holiday file"))

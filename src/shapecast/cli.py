@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import datetime as dt
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from .backtest import backtest, emit_day_curves, emit_report
-from .calendars import DayGroup, parse_holiday_file
+from .calendars import DayGroup, annotate_calendar, parse_date_lines, parse_holiday_file
 from .errors import ShapecastError
 from .history import HistoryWindow, history_jsonl_text, read_history_jsonl
 from .ingest import (
@@ -48,12 +50,22 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_text(path: str) -> str:
+@contextmanager
+def _input_file(path: str):
+    """An unreadable or non-UTF-8 input file is an I/O error (exit 2)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        yield
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SystemExit(
+            f"error: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
+def _read_text(path: str) -> str:
+    with _input_file(path), open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_ini(path: str | None) -> configparser.ConfigParser:
@@ -62,7 +74,8 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
         if not os.path.exists(path):
             raise SystemExit(f"error: config file {path} not found")
         try:
-            parser.read(path)
+            with _input_file(path):
+                parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise SystemExit(f"error: config file {path}: {exc}") from None
     return parser
@@ -90,6 +103,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _length_list(text: str) -> list[int]:
+    """Comma list of positive integers, at least one: the --lengths flag."""
+    lengths = [_positive_int(x) for x in text.split(",") if x.strip()]
+    if not lengths:
+        raise ValueError("need at least one length")
+    return lengths
+
+
 def _optional_float(text: str) -> float | None:
     return float(text) if text else None
 
@@ -101,10 +122,10 @@ def _ini_value(ini: configparser.ConfigParser, section: str, key: str, parse, de
     """
     if not ini.has_option(section, key):
         return default
-    raw = ini.get(section, key)
+    raw = ini.get(section, key, raw=True)
     try:
-        return parse(raw)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+        return parse(ini.get(section, key))
+    except (configparser.Error, ValueError, argparse.ArgumentTypeError) as exc:
         raise SystemExit(f"error: config [{section}] {key} = {raw!r}: {exc}") from None
 
 
@@ -150,8 +171,7 @@ def build_predictor_config(
         shape_distance=DistanceSpec(dist_kind),
         same_group_only=bool(getattr(args, "same_group_only", False)),
     )
-    cfg_auto_bandwidth = bandwidth == "auto"
-    return cfg, cfg_auto_bandwidth
+    return cfg, bandwidth == "auto"
 
 
 def _resolve_bandwidth(history: HistoryWindow, cfg: PredictorConfig, auto: bool,
@@ -175,14 +195,7 @@ def cmd_ingest(args) -> int:
         window = attach_temperature_history(
             window, parse_temperature_history(_read_text(args.temps))
         )
-    if len(window):
-        _atomic_write(args.out, history_jsonl_text(window))
-    else:
-        import json
-
-        _atomic_write(
-            args.out, json.dumps({"grid": list(grid.labels)}, sort_keys=True) + "\n"
-        )
+    _atomic_write(args.out, history_jsonl_text(window, grid))
 
     for line in report.summary_lines():
         print(line)
@@ -198,11 +211,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    history = read_history_jsonl(args.history)
+    with _input_file(args.history):
+        history = read_history_jsonl(args.history)
     if not len(history):
         raise ShapecastError("history file contains no usable days")
-    date = dt.date.fromisoformat(args.date)
-    if date <= history.records[0].meta.date:
+    date = args.date
+    if date <= history.dates[0]:
         raise ShapecastError(
             f"target date {date.isoformat()} is not after the history start"
         )
@@ -216,8 +230,6 @@ def cmd_predict(args) -> int:
     holidays = (
         parse_holiday_file(_read_text(args.holidays)) if args.holidays else frozenset()
     )
-    from .calendars import annotate_calendar
-
     meta = annotate_calendar(date, holidays)
     pred = predict_day(prior, meta, forecasts[date], args.next_day_max, cfg)
     text = prediction_to_json(pred, include_weights=args.include_weights) + "\n"
@@ -230,18 +242,7 @@ def cmd_predict(args) -> int:
 
 def _backtest_dates(args, history: HistoryWindow) -> list[dt.date]:
     if args.dates_file:
-        dates = []
-        for lineno, raw in enumerate(_read_text(args.dates_file).splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                dates.append(dt.date.fromisoformat(line))
-            except ValueError:
-                raise ShapecastError(
-                    f"dates file line {lineno}: bad date {line!r}"
-                ) from None
-        return dates
+        return parse_date_lines(_read_text(args.dates_file), "dates file")
     eligible = [
         r.meta.date
         for i, r in enumerate(history.records)
@@ -257,7 +258,8 @@ def _backtest_dates(args, history: HistoryWindow) -> list[dt.date]:
 
 
 def cmd_backtest(args) -> int:
-    history = read_history_jsonl(args.history)
+    with _input_file(args.history):
+        history = read_history_jsonl(args.history)
     dates = _backtest_dates(args, history)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     ini = _load_ini(args.config)
@@ -281,7 +283,7 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",") if x.strip()]
+    lengths = args.lengths
     grid = TimeGrid.equidistant(args.points_per_day)
     noiseless = args.sigma == 0
     template = SyntheticSpec(
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict one day")
     p_predict.add_argument("--history", required=True)
-    p_predict.add_argument("--date", required=True)
+    p_predict.add_argument("--date", required=True, type=dt.date.fromisoformat)
     p_predict.add_argument("--temp-forecast", required=True)
     p_predict.add_argument("--next-day-max", type=float)
     p_predict.add_argument("--holidays")
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_backtest = sub.add_parser("backtest", help="walk-forward evaluation")
     p_backtest.add_argument("--history", required=True)
     p_backtest.add_argument("--dates-file")
-    p_backtest.add_argument("--sample", type=int, default=30)
+    p_backtest.add_argument("--sample", type=_positive_int, default=30)
     p_backtest.add_argument("--seed", type=int, default=0)
     p_backtest.add_argument("--min-history", type=int, default=60)
     p_backtest.add_argument(
@@ -372,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_backtest.set_defaults(func=cmd_backtest)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo consistency experiment")
-    p_sim.add_argument("--lengths", default="64,128,256,512")
+    p_sim.add_argument("--lengths", type=_length_list, default="64,128,256,512")
     p_sim.add_argument("--replications", type=int, default=50)
     p_sim.add_argument("--sigma", type=float, default=0.05)
     p_sim.add_argument("--jitter", type=float, default=0.5)
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ShapecastError as exc:
+    except (ShapecastError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +35,18 @@ class DailyRecord:
 
 @dataclass(frozen=True)
 class HistoryWindow:
-    """Ascending, duplicate-free list of usable (non-rejected) daily records."""
+    """Ascending, duplicate-free list of usable (non-rejected) daily records.
+
+    The window owns its column arrays: `dates`, `loads` (L x P megawatts) and
+    `shapes` (L x P, each row divided by its maximum). Each is built at most
+    once and is read-only; `prefix(n)` slices them instead of rebuilding.
+    """
 
     records: tuple[DailyRecord, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-        dates = [r.meta.date for r in self.records]
+        dates = self.dates
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ShapecastError("history records must be strictly ascending by date")
         if any(r.quality is Quality.REJECTED for r in self.records):
@@ -57,33 +64,57 @@ class HistoryWindow:
             raise ShapecastError("empty history has no grid")
         return self.records[0].load.grid
 
+    @cached_property
+    def dates(self) -> tuple[dt.date, ...]:
+        """Record dates, ascending; `before` and `by_date` bisect them."""
+        return tuple(r.meta.date for r in self.records)
+
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """L x P matrix of raw load values (megawatts), history order."""
+        if not self.records:
+            return _read_only(np.empty((0, 0)))
+        return _read_only(np.array([r.load.values for r in self.records]))
+
+    @cached_property
+    def shapes(self) -> np.ndarray:
+        """L x P matrix of shape-form (max-rescaled) load values, history order."""
+        loads = self.loads
+        if not len(loads):
+            return loads
+        peaks = loads.max(axis=1, keepdims=True)
+        if np.any(peaks <= 0):
+            raise ShapecastError("cannot rescale a segment with nonpositive maximum")
+        return _read_only(loads / peaks)
+
+    def prefix(self, n: int) -> "HistoryWindow":
+        """The first `n` records; a prefix of a valid window needs no checks.
+
+        The prefix slices this window's arrays: `loads` always, `dates` and
+        `shapes` when they are already built.
+        """
+        window = object.__new__(HistoryWindow)
+        object.__setattr__(window, "records", self.records[:n])
+        window.__dict__["loads"] = self.loads[:n]
+        for name in ("dates", "shapes"):
+            if name in self.__dict__:
+                window.__dict__[name] = self.__dict__[name][:n]
+        return window
+
     def before(self, date: dt.date) -> "HistoryWindow":
         """Records strictly before `date`."""
-        return HistoryWindow(tuple(r for r in self.records if r.meta.date < date))
+        return self.prefix(bisect_left(self.dates, date))
 
     def by_date(self, date: dt.date) -> DailyRecord:
-        for r in self.records:
-            if r.meta.date == date:
-                return r
-        raise ShapecastError(f"no record for {date.isoformat()}")
+        i = bisect_left(self.dates, date)
+        if i == len(self.dates) or self.dates[i] != date:
+            raise ShapecastError(f"no record for {date.isoformat()}")
+        return self.records[i]
 
 
-def shape_matrix(window: HistoryWindow) -> np.ndarray:
-    """L x P matrix of shape-form (max-rescaled) load values, history order."""
-    loads = load_matrix(window)
-    if not len(loads):
-        return loads
-    peaks = loads.max(axis=1, keepdims=True)
-    if np.any(peaks <= 0):
-        raise ShapecastError("cannot rescale a segment with nonpositive maximum")
-    return loads / peaks
-
-
-def load_matrix(window: HistoryWindow) -> np.ndarray:
-    """L x P matrix of raw load values (megawatts), history order."""
-    if not window.records:
-        return np.empty((0, 0))
-    return np.array([r.load.values for r in window.records])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def record_to_dict(record: DailyRecord) -> dict:
@@ -117,9 +148,13 @@ def record_from_dict(d: dict, grid: TimeGrid) -> DailyRecord:
     return DailyRecord(meta, load, temperature, Quality(d["quality"]))
 
 
-def history_jsonl_text(window: HistoryWindow) -> str:
-    """First line carries the grid labels; one record per following line."""
-    lines = [json.dumps({"grid": list(window.grid.labels)}, sort_keys=True)]
+def history_jsonl_text(window: HistoryWindow, grid: TimeGrid | None = None) -> str:
+    """First line carries the grid labels; one record per following line.
+
+    `grid` is written for an empty window, which has no grid of its own.
+    """
+    grid = grid or window.grid
+    lines = [json.dumps({"grid": list(grid.labels)}, sort_keys=True)]
     lines += [json.dumps(record_to_dict(r), sort_keys=True) for r in window.records]
     return "\n".join(lines) + "\n"
 

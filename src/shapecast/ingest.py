@@ -49,12 +49,15 @@ class GapReport:
         return lines
 
 
-def _parse_timeseries_csv(stream, value_column: str) -> list[tuple[dt.datetime, float]]:
+def _csv_reader(stream):
+    """CSV reader over text, UTF-8 bytes or an open text stream."""
     if isinstance(stream, bytes):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+        stream = stream.decode("utf-8")
+    return csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+
+
+def _parse_timeseries_csv(stream, value_column: str) -> list[tuple[dt.datetime, float]]:
+    reader = _csv_reader(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -163,12 +166,12 @@ def segmentize(
         return HistoryWindow(()), report
     first, last = min(by_day), max(by_day)
     kept: list[DailyRecord] = []
-    date = first
-    while date <= last:
+    # counting days, not stepping a date, so that 9999-12-31 has no successor
+    for offset in range((last - first).days + 1):
+        date = first + dt.timedelta(days=offset)
         minute_values = by_day.get(date, {})
         if not minute_values:
             report.issues.append(DayIssue(date, "rejected", "no readings", readings=0))
-            date += dt.timedelta(days=1)
             continue
         try:
             values, filled, resampled = _lay_out_day(minute_values, grid, max_gap)
@@ -176,7 +179,6 @@ def segmentize(
             report.issues.append(
                 DayIssue(date, "rejected", str(exc), readings=len(minute_values))
             )
-            date += dt.timedelta(days=1)
             continue
         if resampled:
             quality = Quality.GAP_FILLED
@@ -204,7 +206,6 @@ def segmentize(
             quality = Quality.COMPLETE
         meta = annotate_calendar(date, holiday_set)
         kept.append(DailyRecord(meta, LoadSegment(grid, values), None, quality))
-        date += dt.timedelta(days=1)
     return HistoryWindow(tuple(kept)), report
 
 
@@ -240,11 +241,7 @@ def forecast_mask_indices(grid: TimeGrid) -> tuple[int, ...]:
 
 def parse_temperature_forecast(stream, grid: TimeGrid) -> dict[dt.date, TemperatureSegment]:
     """CSV with header `date,t0800,t1200,t1600,t2000` -> masked segments."""
-    if isinstance(stream, bytes):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    reader = _csv_reader(stream)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:

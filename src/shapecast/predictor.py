@@ -12,14 +12,15 @@ from __future__ import annotations
 import datetime as dt
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .calendars import CalendarMeta, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
-from .history import HistoryWindow, load_matrix, shape_matrix
+from .history import HistoryWindow
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
 from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
 
@@ -133,30 +134,32 @@ def predict_shape(shapes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weights @ shapes
 
 
-def _candidates_with_fallback(
-    history: HistoryWindow, target_group: DayGroup, cfg: ReferenceConfig
+def _matrix(history: HistoryWindow, cfg: PredictorConfig) -> np.ndarray:
+    """The rows the weights run on: shapes, or raw loads with rescale=False."""
+    return history.shapes if cfg.rescale else history.loads
+
+
+def _stage(
+    history: HistoryWindow,
+    group: DayGroup,
+    temp_forecast: TemperatureSegment,
+    cfg: PredictorConfig,
 ):
-    n_l = cfg.n_L(target_group)
-    try:
-        candidates = candidate_set(history, target_group, n_l)
-    except EmptyCandidateError:
-        candidates = []
-    if (
-        target_group is DayGroup.HOLIDAY
-        and cfg.holiday_fallback
-        and len(candidates) < 2
-    ):
-        # holidays behave most like Sundays; widen the pool with G4 days
-        n_l = max(n_l, cfg.n_L(DayGroup.G4))
-        tail = history.records[-n_l:]
-        candidates = [
-            r for r in tail if r.meta.group in (DayGroup.HOLIDAY, DayGroup.G4)
-        ]
-    if not candidates:
-        raise EmptyCandidateError(
-            f"no usable candidate for group {target_group.value}"
-        )
-    return candidates
+    """The bandwidth-independent part of `predict_day`.
+
+    Candidates -> reference -> matrix -> distance row -> group mask; returns
+    (reference, matrix, distance row, group mask or None).
+    """
+    if not len(history):
+        raise InsufficientHistoryError("cannot predict from an empty history")
+    candidates = candidate_set(history, group, cfg.reference)
+    reference = select_reference(
+        candidates, temp_forecast, cfg.reference, rescale=cfg.rescale
+    )
+    matrix = _matrix(history, cfg)
+    dists = distances(matrix, reference.reference.values, cfg.shape_distance)
+    in_group = _group_mask(history.records, group) if cfg.same_group_only else None
+    return reference, matrix, dists, in_group
 
 
 def predict_day(
@@ -167,22 +170,11 @@ def predict_day(
     cfg: PredictorConfig = PredictorConfig(),
 ) -> Prediction:
     """Full pipeline: candidates -> reference -> weights -> shape (-> megawatts)."""
-    if not len(history):
-        raise InsufficientHistoryError("cannot predict from an empty history")
-    candidates = _candidates_with_fallback(history, target.group, cfg.reference)
-    reference = select_reference(
-        candidates, temp_forecast, cfg.reference, rescale=cfg.rescale
+    reference, matrix, dists, in_group = _stage(
+        history, target.group, temp_forecast, cfg
     )
-    shapes = shape_matrix(history) if cfg.rescale else load_matrix(history)
-    in_group = (
-        _group_mask(history.records, target.group) if cfg.same_group_only else None
-    )
-    weights = _kernel_weights(
-        distances(shapes, reference.reference.values, cfg.shape_distance),
-        cfg.kernel,
-        in_group,
-    )
-    shape_values = predict_shape(shapes, weights)
+    weights = _kernel_weights(dists, cfg.kernel, in_group)
+    shape_values = predict_shape(matrix, weights)
     shape_seg = LoadSegment(history.grid, shape_values, scale=None)
     scaled = None
     if next_day_max is not None:
@@ -213,7 +205,7 @@ def default_bandwidth_grid(
     The median runs over all pairs of history days, or over `max_pairs` of
     them drawn with a fixed seed.
     """
-    shapes = shape_matrix(history)
+    shapes = history.shapes
     L = shapes.shape[0]
     if L < 2:
         raise InsufficientHistoryError("need at least two days for a bandwidth grid")
@@ -259,34 +251,25 @@ def select_bandwidth(
             f"need more than {validation_days + 1} days of history"
         )
     kernels = [replace(cfg.kernel, bandwidth=h) for h in h_grid]
-    records = history.records
-    # the last day is only ever a target, so its row is never needed
-    prefix = HistoryWindow(records[:-1])
-    all_shapes = shape_matrix(prefix) if cfg.rescale else load_matrix(prefix)
+    # the last day is only ever a target, so the matrix is built once without
+    # it; every prefix below slices that one matrix
+    base = history.prefix(len(history) - 1)
+    _matrix(base, cfg)
     errs = [[] for _ in kernels]
-    for i in range(len(records) - validation_days, len(records)):
-        target = records[i]
+    for i in range(len(history) - validation_days, len(history)):
+        target = history.records[i]
         if target.temperature is None:
             raise ShapecastError(
                 f"{target.meta.date.isoformat()}: no realized temperature to "
                 "stand in for the forecast"
             )
-        prior = HistoryWindow(records[:i])
-        candidates = _candidates_with_fallback(prior, target.meta.group, cfg.reference)
-        reference = select_reference(
-            candidates, target.temperature, cfg.reference, rescale=cfg.rescale
-        )
-        shapes = all_shapes[:i]
-        dists = distances(shapes, reference.reference.values, cfg.shape_distance)
-        in_group = (
-            _group_mask(prior.records, target.meta.group)
-            if cfg.same_group_only
-            else None
+        _, matrix, dists, in_group = _stage(
+            base.prefix(i), target.meta.group, target.temperature, cfg
         )
         next_day_max = float(np.max(target.load.values))
         for kernel, day_errs in zip(kernels, errs):
             weights = _kernel_weights(dists, kernel, in_group)
-            scaled = predict_shape(shapes, weights) * next_day_max
+            scaled = predict_shape(matrix, weights) * next_day_max
             rmae, _, _ = score_day(LoadSegment(history.grid, scaled), target.load)
             day_errs.append(rmae)
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid, errs)]
@@ -308,34 +291,17 @@ def prediction_to_dict(pred: Prediction, include_weights: bool = False) -> dict:
     return d
 
 
-def config_snapshot(cfg: PredictorConfig) -> dict:
-    ref = cfg.reference
-    return {
-        "reference": {
-            "n_L_by_group": {g.value: n for g, n in ref.n_L_by_group.items()},
-            "mode": ref.mode.value,
-            "delta_rule": {
-                "kind": ref.delta_rule.kind.value,
-                "value": ref.delta_rule.value,
-            },
-            "temp_distance": {
-                "kind": ref.temp_distance.kind.value,
-                "point_subset": list(ref.temp_distance.point_subset)
-                if ref.temp_distance.point_subset
-                else None,
-            },
-            "holiday_fallback": ref.holiday_fallback,
-        },
-        "kernel": {"kind": cfg.kernel.kind.value, "bandwidth": cfg.kernel.bandwidth},
-        "shape_distance": {
-            "kind": cfg.shape_distance.kind.value,
-            "point_subset": list(cfg.shape_distance.point_subset)
-            if cfg.shape_distance.point_subset
-            else None,
-        },
-        "same_group_only": cfg.same_group_only,
-        "rescale": cfg.rescale,
-    }
+def config_snapshot(cfg) -> dict:
+    """Plain-JSON form of a config: dataclass fields, Enum values, lists."""
+    if is_dataclass(cfg):
+        return {f.name: config_snapshot(getattr(cfg, f.name)) for f in fields(cfg)}
+    if isinstance(cfg, Enum):
+        return cfg.value
+    if isinstance(cfg, Mapping):
+        return {config_snapshot(k): config_snapshot(v) for k, v in cfg.items()}
+    if isinstance(cfg, tuple):
+        return [config_snapshot(v) for v in cfg]
+    return cfg
 
 
 def prediction_to_json(pred: Prediction, include_weights: bool = False) -> str:

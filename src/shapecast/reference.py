@@ -10,7 +10,6 @@ exact ties) contributes.
 from __future__ import annotations
 
 import datetime as dt
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -89,17 +88,25 @@ class ReferenceResult:
 
 
 def candidate_set(
-    history: HistoryWindow, target_group: DayGroup, n_L: int
+    history: HistoryWindow, group: DayGroup, cfg: ReferenceConfig
 ) -> list[DailyRecord]:
-    """Same-group days among the last `n_L` records, oldest first."""
-    if not len(history):
-        raise EmptyCandidateError("history is empty")
-    tail = history.records[-n_L:]
-    candidates = [r for r in tail if r.meta.group is target_group]
+    """Days of `group` among the last n_L records, oldest first.
+
+    A holiday with fewer than two such days widens the pool with the G4 days
+    of the lookback (holidays behave most like Sundays) when
+    `cfg.holiday_fallback` is set.
+    """
+    n_l = cfg.n_L(group)
+    candidates = [r for r in history.records[-n_l:] if r.meta.group is group]
+    if group is DayGroup.HOLIDAY and cfg.holiday_fallback and len(candidates) < 2:
+        n_l = max(n_l, cfg.n_L(DayGroup.G4))
+        candidates = [
+            r
+            for r in history.records[-n_l:]
+            if r.meta.group in (DayGroup.HOLIDAY, DayGroup.G4)
+        ]
     if not candidates:
-        raise EmptyCandidateError(
-            f"no {target_group.value} day among the last {len(tail)} records"
-        )
+        raise EmptyCandidateError(f"no usable candidate for group {group.value}")
     return candidates
 
 
@@ -107,7 +114,6 @@ def select_reference(
     candidates,
     temp_forecast: TemperatureSegment,
     cfg: ReferenceConfig,
-    temp_overrides: dict[dt.date, TemperatureSegment] | None = None,
     rescale: bool = True,
 ) -> ReferenceResult:
     """Pick the closest-temperature candidates and average their shapes.
@@ -126,7 +132,7 @@ def select_reference(
 
     usable, dists = [], {}
     for rec in candidates:
-        temp = (temp_overrides or {}).get(rec.meta.date, rec.temperature)
+        temp = rec.temperature
         if temp is None or not temp.covers(mask):
             warnings.warn(
                 f"dropping candidate {rec.meta.date.isoformat()}: no temperature "
@@ -165,31 +171,4 @@ def select_reference(
         c_star=tuple(r.meta.date for r in chosen),
         temp_distances=dists,
         delta=delta,
-    )
-
-
-@dataclass(frozen=True)
-class DeltaScheduleDiagnostic:
-    """Quantities the consistency experiment logs per prediction."""
-
-    L: int
-    n_L: int
-    delta: float
-    c_star_size: int
-    product: float
-    degenerate: bool
-
-
-def delta_schedule_check(
-    L: int, n_L: int, delta: float, c_star_size: int
-) -> DeltaScheduleDiagnostic:
-    """Report |C*|, delta and their product; flags degenerate combinations."""
-    degenerate = c_star_size == 0 or delta == 0 or math.isnan(delta)
-    return DeltaScheduleDiagnostic(
-        L=L,
-        n_L=n_L,
-        delta=delta,
-        c_star_size=c_star_size,
-        product=c_star_size * delta,
-        degenerate=degenerate,
     )

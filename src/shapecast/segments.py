@@ -19,7 +19,7 @@ def _label_to_minutes(label: str) -> int:
     try:
         hh, mm = label.split(":")
         minutes = int(hh) * 60 + int(mm)
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise ShapecastError(f"bad grid label {label!r}, expected HH:MM") from exc
     if not 0 <= minutes < 24 * 60:
         raise ShapecastError(f"grid label {label!r} outside the day")
@@ -68,10 +68,6 @@ class TimeGrid:
         labels = tuple(f"{m // 60:02d}:{m % 60:02d}" for m in range(0, 24 * 60, step))
         return cls(labels)
 
-    @classmethod
-    def quarter_hourly(cls) -> "TimeGrid":
-        return cls.equidistant(96)
-
 
 def _as_vector(values, n: int | None = None) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -101,10 +97,6 @@ class LoadSegment:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @property
-    def is_shape(self) -> bool:
-        return bool(np.max(self.values) == 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +206,3 @@ def rescale_day(seg: LoadSegment) -> LoadSegment:
     if m <= 0:
         raise ShapecastError("cannot rescale a segment with nonpositive maximum")
     return LoadSegment(seg.grid, seg.values / m, scale=m)
-
-
-def unscale(seg: LoadSegment, provided_max: float) -> LoadSegment:
-    """Multiply a shape-form segment back to megawatts by a provided maximum."""
-    if provided_max <= 0:
-        raise ShapecastError("provided_max must be positive")
-    if not seg.is_shape:
-        raise ShapecastError("unscale expects a shape-form segment (max == 1)")
-    return LoadSegment(seg.grid, seg.values * provided_max, scale=float(provided_max))

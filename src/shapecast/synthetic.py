@@ -15,7 +15,7 @@ import csv
 import datetime as dt
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def consistency_experiment(
                 seed = tuple(base_seed) + (L, rep, attempt)
                 spec = replace(template, length=L + 1, seed=seed, start=start)
                 window, truths = generate(spec)
-                history = HistoryWindow(window.records[:L])
+                history = window.prefix(L)
                 target_rec = window.records[L]
                 truth = truths[L]
                 try:
@@ -248,38 +248,6 @@ def consistency_experiment(
 def experiment_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["L", "replication", "err_pred", "err_ref", "err_pred_ref", "h", "n_L", "c_star_size"]
-    )
-    for r in rows:
-        writer.writerow(
-            [
-                r.L,
-                r.replication,
-                repr(r.err_pred),
-                repr(r.err_ref),
-                repr(r.err_pred_ref),
-                repr(r.h),
-                r.n_L,
-                r.c_star_size,
-            ]
-        )
+    writer.writerow([f.name for f in fields(ExperimentRow)])
+    writer.writerows(astuple(r) for r in rows)
     return buf.getvalue()
-
-
-def experiment_table(rows) -> dict[int, dict[str, float]]:
-    """Per-length mean/sd of the prediction and reference errors."""
-    table: dict[int, dict[str, float]] = {}
-    for L in sorted({r.L for r in rows}):
-        sub = [r for r in rows if r.L == L]
-        preds = np.array([r.err_pred for r in sub])
-        refs = np.array([r.err_ref for r in sub])
-        gaps = np.array([r.err_pred_ref for r in sub])
-        table[L] = {
-            "mean_err_pred": float(preds.mean()),
-            "sd_err_pred": float(preds.std(ddof=1)) if len(preds) > 1 else 0.0,
-            "median_err_pred": float(np.median(preds)),
-            "mean_err_ref": float(refs.mean()),
-            "mean_err_pred_ref": float(gaps.mean()),
-        }
-    return table

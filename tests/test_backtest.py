@@ -15,6 +15,7 @@ from shapecast.errors import ShapecastError
 from shapecast.history import DailyRecord, HistoryWindow
 from shapecast.metrics import DayScore
 from shapecast.predictor import PredictorConfig
+from shapecast.segments import rescale_day
 
 MONDAY = dt.date(2010, 6, 7)
 ALL_METHODS = ["ssp", "persistence", "conditional-kernel"]
@@ -99,6 +100,17 @@ class TestBacktest:
         dates = [r.meta.date for r in history.records[-7:]]
         report = backtest(history, dates, ["persistence"])
         assert report.summary["persistence"]["mean_rmae"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_persistence_is_shape_times_actual_max(self, grid4):
+        # the megawatt curve is the same-group shape times the realized maximum
+        history = backtest_history(grid4)
+        target = history.records[-1]
+        last_same = next(r for r in reversed(history.records[:-1])
+                         if r.meta.group is target.meta.group)
+        report = backtest(history, [target.meta.date], ["persistence"])
+        expected = rescale_day(last_same.load).values * float(np.max(target.load.values))
+        curve = report.curves[target.meta.date].predicted["persistence"]
+        assert curve.tobytes() == expected.tobytes()
 
 
 class TestSummarize:

@@ -12,7 +12,6 @@ from shapecast.baselines import (
 )
 from shapecast.calendars import DayGroup
 from shapecast.errors import EmptyCandidateError, InsufficientHistoryError
-from shapecast.history import shape_matrix
 from shapecast.predictor import KernelKind, KernelSpec
 from shapecast.segments import rescale_day
 
@@ -46,7 +45,7 @@ class TestPersistence:
     def test_output_is_shape(self, grid4):
         history = make_history(grid4, MONDAY, [[100.0, 400.0, 200.0, 100.0]])
         shape = predict_persistence(history, DayGroup.G1)
-        assert shape.is_shape
+        assert np.max(shape.values) == 1.0
         np.testing.assert_array_equal(shape.values, [0.25, 1.0, 0.5, 0.25])
 
 
@@ -104,7 +103,7 @@ class TestConditionalKernelPredict:
         pred = predict_conditional_kernel(
             history, KernelSpec(KernelKind.GAUSSIAN, 0.4)
         )
-        shapes = shape_matrix(history)
+        shapes = history.shapes
         assert np.all(pred.values >= shapes.min(axis=0) - 1e-12)
         assert np.all(pred.values <= shapes.max(axis=0) + 1e-12)
 
@@ -112,7 +111,7 @@ class TestConditionalKernelPredict:
         history = random_history(grid4, np.random.default_rng(7), 5)
         h = 0.6
         pred = predict_conditional_kernel(history, KernelSpec(KernelKind.GAUSSIAN, h))
-        shapes = shape_matrix(history)
+        shapes = history.shapes
         last = shapes[-1]
         mass = [0.0]
         for r in range(1, 5):

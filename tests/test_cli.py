@@ -210,6 +210,8 @@ class TestPredict:
         ("reference", "mode = nearest"),
         ("reference", "delta_value = high"),
         ("distance", "kind = cosine"),
+        ("kernel", "kind = 5%"),
+        ("reference", "mode = %(missing)s"),
     ])
     def test_bad_ini_value_is_usage_error(self, raw_files, history_file, tmp_path,
                                           section, line, capsys):
@@ -237,6 +239,20 @@ class TestPredict:
         ])
         assert code == 2
         assert "section header" in capsys.readouterr().err
+
+    def test_unsplittable_csv_is_domain_error(self, history_file, tmp_path, capsys):
+        # a field beyond the csv module's size limit makes it raise csv.Error
+        forecast = tmp_path / "forecast.csv"
+        forecast.write_text(
+            'date,t0800,t1200,t1600,t2000\n"' + "x" * 200_000 + '",1,2,3,4\n'
+        )
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(forecast), "--bandwidth", "0.3",
+        ])
+        assert code == 1
+        assert "field larger than field limit" in capsys.readouterr().err
 
     def test_bad_history_line_is_domain_error(self, raw_files, history_file, tmp_path,
                                               capsys):
@@ -353,3 +369,57 @@ class TestParser:
             main(["--help"])
         assert exc.value.code == 0
         assert "ingest" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+         "--date", "garbage"],
+        ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+         "--date", "2010-02-30"],
+        ["simulate", "--lengths", "abc"],
+        ["simulate", "--lengths", ""],
+        ["simulate", "--lengths", " , "],
+        ["simulate", "--lengths", "64,-128"],
+        ["backtest", "--history", "{history}", "--out-dir", "{out}", "--sample", "-1"],
+        ["backtest", "--history", "{history}", "--out-dir", "{out}", "--sample", "0"],
+    ])
+    def test_bad_flag_value_is_usage_error(self, raw_files, history_file, tmp_path,
+                                           argv, capsys):
+        paths = dict(history=history_file, forecast=raw_files / "forecast.csv",
+                     out=tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "kind", ["history", "load", "temps", "forecast", "holidays", "config", "dates"]
+    )
+    def test_names_the_file_and_exits_2(self, raw_files, history_file, tmp_path,
+                                        kind, capsys):
+        config = tmp_path / "good.ini"
+        config.write_text("[kernel]\nkind = gaussian\n")
+        files = dict(
+            history=history_file, load=raw_files / "load.csv",
+            temps=raw_files / "temps.csv", forecast=raw_files / "forecast.csv",
+            holidays=raw_files / "holidays.txt", config=config,
+        )
+        bad = tmp_path / f"{kind}.bin"
+        bad.write_bytes(b"2010-01-01\n\xff\xfe\x00\n")
+        files[kind] = bad
+        if kind in ("load", "temps"):
+            argv = ["ingest", "--load", files["load"], "--temps", files["temps"],
+                    "--holidays", files["holidays"], "--out", tmp_path / "h.jsonl"]
+        elif kind == "dates":
+            argv = ["backtest", "--history", files["history"], "--dates-file", bad,
+                    "--out-dir", tmp_path / "bt"]
+        else:
+            argv = ["predict", "--history", files["history"],
+                    "--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+                    "--temp-forecast", files["forecast"], "--holidays", files["holidays"],
+                    "--config", files["config"], "--bandwidth", "0.3"]
+        assert main([str(arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} is not UTF-8 text" in err
+        assert "Traceback" not in err

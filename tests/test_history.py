@@ -10,7 +10,6 @@ from shapecast.history import (
     HistoryWindow,
     Quality,
     read_history_jsonl,
-    shape_matrix,
     write_history_jsonl,
 )
 from shapecast.segments import TimeGrid, rescale_day
@@ -45,7 +44,7 @@ def test_shape_matrix_rows_are_shapes(grid4):
     window = make_history(
         grid4, dt.date(2010, 1, 4), [[1.0, 2.0, 4.0, 2.0], [10.0, 5.0, 20.0, 40.0]]
     )
-    m = shape_matrix(window)
+    m = window.shapes
     np.testing.assert_array_equal(m[0], [0.25, 0.5, 1.0, 0.5])
     assert np.max(m, axis=1).tolist() == [1.0, 1.0]
 
@@ -54,7 +53,7 @@ def test_shape_matrix_equals_rescaled_rows(grid24):
     rng = np.random.default_rng(5)
     window = make_history(grid24, dt.date(2010, 1, 4), 1.0 + 900.0 * rng.random((30, 24)))
     expected = np.array([rescale_day(r.load).values for r in window.records])
-    assert np.array_equal(shape_matrix(window), expected)
+    assert np.array_equal(window.shapes, expected)
 
 
 def test_shape_matrix_rejects_nonpositive_maximum(grid4):
@@ -62,11 +61,94 @@ def test_shape_matrix_rejects_nonpositive_maximum(grid4):
         grid4, dt.date(2010, 1, 4), [[1.0, 2.0, 4.0, 2.0], [0.0, 0.0, 0.0, 0.0]]
     )
     with pytest.raises(ShapecastError, match="nonpositive maximum"):
-        shape_matrix(window)
+        window.shapes
 
 
 def test_shape_matrix_of_empty_window():
-    assert shape_matrix(HistoryWindow(())).shape[0] == 0
+    assert HistoryWindow(()).shapes.shape[0] == 0
+
+
+START = dt.date(2010, 1, 4)  # a Monday
+
+
+@pytest.fixture
+def gapped(grid24):
+    """Six days from START with day 2 left out, as ingest leaves a rejected day."""
+    rng = np.random.default_rng(8)
+    window = make_history(grid24, START, 1.0 + 900.0 * rng.random((6, 24)))
+    return HistoryWindow(window.records[:2] + window.records[3:])
+
+
+def day(n):
+    return START + dt.timedelta(days=n)
+
+
+class TestPrefix:
+    @pytest.mark.parametrize("date, n", [
+        (day(-1), 0),  # before the first day
+        (day(0), 0),
+        (day(1), 1),
+        (day(2), 2),  # inside the gap
+        (day(3), 2),
+        (day(5), 4),  # the last day
+        (day(9), 5),  # after the last day
+    ])
+    def test_before_edges(self, gapped, date, n):
+        prior = gapped.before(date)
+        assert prior.records == gapped.records[:n]
+        assert prior.dates == gapped.dates[:n]
+        assert prior.loads.shape == (n, 24)
+
+    @pytest.mark.parametrize("date", [day(-1), day(2), day(6)])
+    def test_by_date_missing_raises(self, gapped, date):
+        with pytest.raises(ShapecastError, match=date.isoformat()):
+            gapped.by_date(date)
+
+    def test_by_date_finds_every_day(self, gapped):
+        for rec in gapped.records:
+            assert gapped.by_date(rec.meta.date) is rec
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, 9])
+    def test_prefix_length_clamps(self, gapped, n):
+        assert len(gapped.prefix(n)) == min(n, len(gapped))
+
+    @pytest.mark.parametrize("built_first", [False, True])
+    def test_prefix_arrays_equal_fresh_window(self, gapped, built_first):
+        if built_first:
+            gapped.shapes
+        for i in range(len(gapped) + 1):
+            fresh = HistoryWindow(gapped.records[:i])
+            prefix = gapped.prefix(i)
+            assert prefix.shapes.tobytes() == fresh.shapes.tobytes()
+            assert prefix.loads.tobytes() == fresh.loads.tobytes()
+            assert prefix.dates == fresh.dates
+
+    def test_prefix_shares_parent_arrays(self, gapped):
+        shapes = gapped.shapes
+        prefix = gapped.prefix(3).prefix(2)
+        assert np.shares_memory(prefix.shapes, shapes)
+        assert np.shares_memory(prefix.loads, gapped.loads)
+
+    def test_arrays_built_once(self, gapped):
+        assert gapped.shapes is gapped.shapes
+        assert gapped.loads is gapped.loads
+        assert gapped.dates is gapped.dates
+
+    @pytest.mark.parametrize("name", ["loads", "shapes"])
+    def test_arrays_read_only(self, gapped, name):
+        for window in (gapped, gapped.prefix(3)):
+            array = getattr(window, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        assert isinstance(gapped.dates, tuple)
+
+    def test_prefix_skips_days_after_it(self, grid4):
+        # a nonpositive day after the prefix does not spoil the prefix's shapes
+        window = make_history(
+            grid4, START, [[1.0, 2.0, 4.0, 2.0], [0.0, 0.0, 0.0, 0.0]]
+        )
+        np.testing.assert_array_equal(window.prefix(1).shapes, [[0.25, 0.5, 1.0, 0.5]])
 
 
 class TestJsonlRoundtrip:

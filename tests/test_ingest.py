@@ -68,6 +68,14 @@ class TestSegmentize:
         rows = [r for i, r in enumerate(rows) if i not in drop]
         return parse_load_file(csv_text(rows))
 
+    def test_last_representable_day(self):
+        last = dt.date.max
+        rows = day_rows(last - dt.timedelta(days=2), range(100, 124), self.grid)
+        rows += day_rows(last, range(100, 124), self.grid)
+        window, report = segmentize(parse_load_file(csv_text(rows)), self.grid)
+        assert window.dates == (last - dt.timedelta(days=2), last)
+        assert report.rejected_dates == [last - dt.timedelta(days=1)]
+
     def test_clean_day_complete(self):
         window, report = segmentize(self.parse_day(range(100, 124)), self.grid)
         assert len(window) == 1
@@ -165,7 +173,7 @@ class TestSegmentize:
 
 class TestTemperatureForecast:
     def setup_method(self):
-        self.grid = TimeGrid.quarter_hourly()
+        self.grid = TimeGrid.equidistant(96)
 
     def test_row_maps_to_masked_segment(self):
         text = "date,t0800,t1200,t1600,t2000\n2010-06-09,24.0,29.5,30.1,26.2\n"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_history, random_history
 from shapecast.calendars import annotate_calendar
 from shapecast.errors import InsufficientHistoryError, ShapecastError
-from shapecast.history import HistoryWindow, shape_matrix
+from shapecast.history import HistoryWindow
 from shapecast.predictor import (
     KernelKind,
     KernelSpec,
@@ -366,7 +366,7 @@ def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
 def seed_default_bandwidth_grid(history, dist=DistanceSpec(), n=25,
                                 span=(0.01, 10.0), max_pairs=2000):
     """Reference grid: sample from the explicit list of all (i, j) pairs."""
-    shapes = shape_matrix(history)
+    shapes = history.shapes
     L = shapes.shape[0]
     rng = np.random.default_rng(0)
     pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]

@@ -12,7 +12,6 @@ from shapecast.reference import (
     ReferenceConfig,
     ReferenceMode,
     candidate_set,
-    delta_schedule_check,
     select_reference,
 )
 from shapecast.segments import TemperatureSegment, TimeGrid, rescale_day
@@ -27,10 +26,14 @@ def standard_history(grid, days, rng=None):
     return make_history(grid, MONDAY, loads, temps)
 
 
+def lookback(n_L):
+    return ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup})
+
+
 class TestCandidateSet:
     def test_g1_in_14_trailing_days(self, grid4):
         history = standard_history(grid4, 14)
-        candidates = candidate_set(history, DayGroup.G1, 14)
+        candidates = candidate_set(history, DayGroup.G1, lookback(14))
         # two full weeks hold 4 G1 weekdays each
         assert len(candidates) == 8
         assert all(c.meta.group is DayGroup.G1 for c in candidates)
@@ -39,17 +42,17 @@ class TestCandidateSet:
 
     def test_g2_in_28_trailing_days(self, grid4):
         history = standard_history(grid4, 28)
-        candidates = candidate_set(history, DayGroup.G2, 28)
+        candidates = candidate_set(history, DayGroup.G2, lookback(28))
         assert len(candidates) == 4
 
     def test_short_history_without_group(self, grid4):
         history = standard_history(grid4, 3)  # Mon-Wed, no Saturday
         with pytest.raises(EmptyCandidateError):
-            candidate_set(history, DayGroup.G3, 14)
+            candidate_set(history, DayGroup.G3, lookback(14))
 
     def test_window_limits_lookback(self, grid4):
         history = standard_history(grid4, 28)
-        recent = candidate_set(history, DayGroup.G1, 7)
+        recent = candidate_set(history, DayGroup.G1, lookback(7))
         assert len(recent) == 4
         assert all(c.meta.date >= MONDAY + dt.timedelta(days=21) for c in recent)
 
@@ -198,16 +201,3 @@ class TestSelectReference:
         forecast = temp_segment(self.grid, [20.0] * 4)
         with pytest.raises(EmptyCandidateError):
             select_reference([], forecast, self.cfg)
-
-
-class TestDeltaScheduleCheck:
-    def test_arithmetic(self):
-        diag = delta_schedule_check(100, 14, 0.5, 3)
-        assert (diag.c_star_size, diag.delta, diag.product) == (3, 0.5, 1.5)
-        assert not diag.degenerate
-
-    def test_empty_c_star_degenerate(self):
-        assert delta_schedule_check(100, 14, 0.5, 0).degenerate
-
-    def test_zero_delta_degenerate(self):
-        assert delta_schedule_check(100, 14, 0.0, 3).degenerate

@@ -12,7 +12,6 @@ from shapecast.segments import (
     distance,
     distances,
     rescale_day,
-    unscale,
 )
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -22,8 +21,13 @@ vectors = st.integers(2, 12).flatmap(
 
 
 class TestTimeGrid:
+    @pytest.mark.parametrize("labels", [(0, 60), ("00:00", None)])
+    def test_rejects_non_string_labels(self, labels):
+        with pytest.raises(ShapecastError, match="bad grid label"):
+            TimeGrid(labels)
+
     def test_quarter_hourly(self):
-        grid = TimeGrid.quarter_hourly()
+        grid = TimeGrid.equidistant(96)
         assert grid.points_per_day == 96
         assert grid.labels[0] == "00:00"
         assert grid.labels[-1] == "23:45"
@@ -165,9 +169,9 @@ class TestRescale:
         for _ in range(50):
             raw = LoadSegment(grid24, 1e-3 + rng.random(24) * 700)
             shaped = rescale_day(raw)
-            back = unscale(shaped, shaped.scale)
+            back = shaped.values * shaped.scale
             # one division and one multiplication each cost at most an ulp
-            np.testing.assert_allclose(back.values, raw.values, rtol=1e-15)
+            np.testing.assert_allclose(back, raw.values, rtol=1e-15)
 
     def test_all_zero_rejected(self, grid4):
         with pytest.raises(ShapecastError):
@@ -176,26 +180,6 @@ class TestRescale:
     def test_negative_values_rejected(self, grid4):
         with pytest.raises(ShapecastError):
             LoadSegment(grid4, [1.0, -2.0, 3.0, 4.0])
-
-
-class TestUnscale:
-    def test_direct_multiplication(self):
-        grid2 = TimeGrid(("00:00", "12:00"))
-        seg = unscale(LoadSegment(grid2, [0.5, 1.0]), 600.0)
-        assert np.array_equal(seg.values, [300.0, 600.0])
-        assert seg.scale == 600.0
-
-    def test_constant_shape(self, grid4):
-        seg = unscale(LoadSegment(grid4, [1.0] * 4), 42.0)
-        assert np.array_equal(seg.values, [42.0] * 4)
-
-    def test_nonpositive_max_rejected(self, grid4):
-        with pytest.raises(ShapecastError):
-            unscale(LoadSegment(grid4, [0.5, 1.0, 0.5, 0.5]), 0.0)
-
-    def test_non_shape_rejected(self, grid4):
-        with pytest.raises(ShapecastError):
-            unscale(LoadSegment(grid4, [10.0, 20.0, 5.0, 2.0]), 100.0)
 
 
 class TestTemperatureSegment:

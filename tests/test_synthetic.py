@@ -17,7 +17,6 @@ from shapecast.synthetic import (
     default_shape_functions,
     default_temperature_pool,
     experiment_csv,
-    experiment_table,
     generate,
 )
 from shapecast.segments import TimeGrid
@@ -193,15 +192,3 @@ class TestSerialization:
         lines = text.splitlines()
         assert lines[0] == "L,replication,err_pred,err_ref,err_pred_ref,h,n_L,c_star_size"
         assert lines[1] == "32,0,0.1,0.05,0.08,0.3,11,2"
-
-    def test_table_aggregates(self):
-        rows = [
-            ExperimentRow(32, 0, 0.2, 0.1, 0.05, 0.3, 11, 1),
-            ExperimentRow(32, 1, 0.4, 0.3, 0.15, 0.3, 11, 1),
-            ExperimentRow(64, 0, 0.1, 0.1, 0.02, 0.26, 16, 1),
-        ]
-        table = experiment_table(rows)
-        assert table[32]["mean_err_pred"] == pytest.approx(0.3)
-        assert table[32]["median_err_pred"] == pytest.approx(0.3)
-        assert table[32]["mean_err_ref"] == pytest.approx(0.2)
-        assert table[64]["sd_err_pred"] == 0.0
