@@ -19,9 +19,9 @@ import numpy as np
 
 from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
-from .history import DailyRecord, HistoryWindow
+from .history import HistoryWindow
 from .metrics import DayScore, score_day
-from .predictor import PredictorConfig, config_snapshot, predict_day
+from .predictor import PredictorConfig, config_snapshot, predict_day, stand_in
 from .segments import LoadSegment
 
 
@@ -41,31 +41,18 @@ class BacktestReport:
     protocol: str = "perfect-temperature"
 
 
-def _predict_ssp(prior: HistoryWindow, target: DailyRecord, cfg: PredictorConfig):
-    pred = predict_day(
-        prior,
-        target.meta,
-        target.temperature,
-        next_day_max=float(np.max(target.load.values)),
-        cfg=cfg,
-    )
-    return pred.scaled.values
-
-
-def _predict_persistence(prior, target, cfg):
-    shape = predict_persistence(prior, target.meta.group)
-    return shape.values * float(np.max(target.load.values))
-
-
-def _predict_conditional_kernel(prior, target, cfg):
-    shape = predict_conditional_kernel(prior, cfg.kernel, cfg.shape_distance)
-    return shape.values * float(np.max(target.load.values))
-
-
+# A method maps (prior history, target calendar, forecast, config) to the
+# target's shape; it never sees the target's load.
 METHODS = {
-    "ssp": _predict_ssp,
-    "persistence": _predict_persistence,
-    "conditional-kernel": _predict_conditional_kernel,
+    "ssp": lambda prior, meta, forecast, cfg: (
+        predict_day(prior, meta, forecast, cfg=cfg).shape.values
+    ),
+    "persistence": lambda prior, meta, forecast, cfg: (
+        predict_persistence(prior, meta.group).values
+    ),
+    "conditional-kernel": lambda prior, meta, forecast, cfg: (
+        predict_conditional_kernel(prior, cfg.kernel, cfg.shape_distance).values
+    ),
 }
 
 
@@ -74,9 +61,11 @@ def backtest(
     dates,
     methods,
     cfg: PredictorConfig = PredictorConfig(),
-    keep_curves: bool = True,
 ) -> BacktestReport:
-    """Score every (date, method) pair; prior-only data enters each prediction."""
+    """Score every (date, method) pair; prior-only data enters each prediction.
+
+    Each method's shape is scaled by the day's realized maximum (`stand_in`).
+    """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ShapecastError(f"unknown methods: {unknown}; pick from {sorted(METHODS)}")
@@ -84,22 +73,17 @@ def backtest(
     curves: dict[dt.date, DayCurves] = {}
     for date in dates:
         target = history.by_date(date)
-        if target.temperature is None:
-            raise ShapecastError(
-                f"{date.isoformat()}: no realized temperature for the forecast stand-in"
-            )
+        forecast, day_max = stand_in(target)
         prior = history.before(date)
         if not len(prior):
             raise ShapecastError(f"{date.isoformat()}: no prior history")
-        day_curves = DayCurves(actual=target.load.values)
+        day_curves = curves[date] = DayCurves(actual=target.load.values)
         for method in methods:
-            predicted_values = METHODS[method](prior, target, cfg)
+            predicted_values = METHODS[method](prior, target.meta, forecast, cfg) * day_max
             predicted = LoadSegment(history.grid, predicted_values)
             rmae, maxdiff, mindiff = score_day(predicted, target.load)
             scores.append(DayScore(date, method, rmae, maxdiff, mindiff))
             day_curves.predicted[method] = predicted_values
-        if keep_curves:
-            curves[date] = day_curves
     return BacktestReport(
         scores=scores,
         summary=summarize(scores, list(methods)),
@@ -155,18 +139,6 @@ def emit_report(report: BacktestReport, format: str = "csv") -> str:
         }
         return json.dumps(doc, sort_keys=True, indent=2)
     raise ShapecastError(f"unknown report format {format!r}")
-
-
-def parse_report_csv(text: str) -> list[DayScore]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["date", "method", "rmae", "maxdiff", "mindiff"]:
-        raise ShapecastError(f"bad report header {header!r}")
-    return [
-        DayScore(dt.date.fromisoformat(r[0]), r[1], float(r[2]), float(r[3]), float(r[4]))
-        for r in reader
-        if r
-    ]
 
 
 def emit_day_curves(report: BacktestReport) -> dict[str, str]:

@@ -15,6 +15,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .calendars import DayGroup, annotate_calendar, parse_date_lines, parse_holi
 from .errors import ShapecastError
 from .history import HistoryWindow, history_jsonl_text, read_history_jsonl
 from .ingest import (
-    attach_temperature_history,
     parse_load_file,
     parse_temperature_forecast,
     parse_temperature_history,
@@ -40,7 +40,12 @@ from .predictor import (
 )
 from .reference import DeltaRule, DeltaRuleKind, ReferenceConfig, ReferenceMode
 from .segments import DistanceKind, DistanceSpec, TimeGrid
-from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
+from .synthetic import (
+    SyntheticSpec,
+    consistency_experiment,
+    default_h_schedule,
+    experiment_csv,
+)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -100,6 +105,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError("must be a positive integer")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be a nonnegative integer")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # NaN fails too
+        raise ValueError("must be a nonnegative number")
     return value
 
 
@@ -188,13 +207,10 @@ def cmd_ingest(args) -> int:
     grid = TimeGrid.equidistant(args.points_per_day)
     holidays = parse_holiday_file(_read_text(args.holidays)) if args.holidays else frozenset()
     records = parse_load_file(_read_text(args.load))
+    temps = parse_temperature_history(_read_text(args.temps)) if args.temps else ()
     window, report = segmentize(
-        records, grid, max_gap=args.max_gap, holiday_set=holidays
+        records, grid, temps=temps, max_gap=args.max_gap, holiday_set=holidays
     )
-    if args.temps:
-        window = attach_temperature_history(
-            window, parse_temperature_history(_read_text(args.temps))
-        )
     _atomic_write(args.out, history_jsonl_text(window, grid))
 
     for line in report.summary_lines():
@@ -242,7 +258,10 @@ def cmd_predict(args) -> int:
 
 def _backtest_dates(args, history: HistoryWindow) -> list[dt.date]:
     if args.dates_file:
-        return parse_date_lines(_read_text(args.dates_file), "dates file")
+        dates = parse_date_lines(_read_text(args.dates_file), "dates file")
+        if not dates:
+            raise ShapecastError(f"dates file {args.dates_file} lists no dates")
+        return dates
     eligible = [
         r.meta.date
         for i, r in enumerate(history.records)
@@ -303,9 +322,7 @@ def cmd_simulate(args) -> int:
             kernel_kind="epanechnikov",
         )
     else:
-        experiment_kwargs = dict(
-            h_of_L=lambda L: args.h_coef * L ** (-1.0 / 5.0),
-        )
+        experiment_kwargs = dict(h_of_L=partial(default_h_schedule, coef=args.h_coef))
     rows = consistency_experiment(
         template,
         lengths,
@@ -364,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_backtest.add_argument("--history", required=True)
     p_backtest.add_argument("--dates-file")
     p_backtest.add_argument("--sample", type=_positive_int, default=30)
-    p_backtest.add_argument("--seed", type=int, default=0)
+    p_backtest.add_argument("--seed", type=_nonnegative_int, default=0)
     p_backtest.add_argument("--min-history", type=int, default=60)
     p_backtest.add_argument(
         "--methods", default="ssp,persistence,conditional-kernel"
@@ -376,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo consistency experiment")
     p_sim.add_argument("--lengths", type=_length_list, default="64,128,256,512")
     p_sim.add_argument("--replications", type=int, default=50)
-    p_sim.add_argument("--sigma", type=float, default=0.05)
-    p_sim.add_argument("--jitter", type=float, default=0.5)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--sigma", type=_nonnegative_float, default=0.05)
+    p_sim.add_argument("--jitter", type=_nonnegative_float, default=0.5)
+    p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sim.add_argument("--h-coef", type=float, default=0.6)
     p_sim.add_argument("--points-per-day", type=int, default=24)
     p_sim.add_argument("--out")

@@ -13,8 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from .calendars import CalendarMeta, annotate_calendar
-from .errors import IngestError, ShapecastError
-from .segments import LoadSegment, TemperatureSegment, TimeGrid
+from .errors import GridMismatchError, IngestError, ShapecastError
+from .segments import LoadSegment, TemperatureSegment, TimeGrid, read_only
 
 
 class Quality(str, Enum):
@@ -73,8 +73,8 @@ class HistoryWindow:
     def loads(self) -> np.ndarray:
         """L x P matrix of raw load values (megawatts), history order."""
         if not self.records:
-            return _read_only(np.empty((0, 0)))
-        return _read_only(np.array([r.load.values for r in self.records]))
+            return read_only(np.empty((0, 0)))
+        return read_only(np.array([r.load.values for r in self.records]))
 
     @cached_property
     def shapes(self) -> np.ndarray:
@@ -85,7 +85,7 @@ class HistoryWindow:
         peaks = loads.max(axis=1, keepdims=True)
         if np.any(peaks <= 0):
             raise ShapecastError("cannot rescale a segment with nonpositive maximum")
-        return _read_only(loads / peaks)
+        return read_only(loads / peaks)
 
     def prefix(self, n: int) -> "HistoryWindow":
         """The first `n` records; a prefix of a valid window needs no checks.
@@ -110,11 +110,6 @@ class HistoryWindow:
         if i == len(self.dates) or self.dates[i] != date:
             raise ShapecastError(f"no record for {date.isoformat()}")
         return self.records[i]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def record_to_dict(record: DailyRecord) -> dict:
@@ -142,9 +137,12 @@ def record_from_dict(d: dict, grid: TimeGrid) -> DailyRecord:
     temperature = None
     if d.get("temp_c") is not None:
         raw = d["temp_c"]
-        mask = tuple(i for i, v in enumerate(raw) if v is not None)
-        values = np.array([v if v is not None else np.nan for v in raw])
-        temperature = TemperatureSegment(grid, values, mask)
+        if len(raw) != grid.points_per_day:
+            raise GridMismatchError(
+                f"expected length {grid.points_per_day}, got {len(raw)}"
+            )
+        mask = [i for i, v in enumerate(raw) if v is not None]
+        temperature = TemperatureSegment.on_mask(grid, mask, [raw[i] for i in mask])
     return DailyRecord(meta, load, temperature, Quality(d["quality"]))
 
 

@@ -1,9 +1,11 @@
 """Raw file parsing and daily segmentation with an explicit gap policy.
 
-Load readings arrive as a flat (timestamp, value) CSV. Each calendar day is
-laid onto the configured grid; short gaps are linearly interpolated and the
-day marked gap-filled, longer gaps reject the whole day. Every fill and every
-rejection ends up in the gap report.
+Load and temperature readings arrive as flat (timestamp, value) CSVs. One
+walk over the calendar days lays each day's load onto the configured grid;
+short gaps are linearly interpolated and the day marked gap-filled, longer
+gaps reject the whole day. Every fill and every rejection ends up in the gap
+report. The same walk masks each kept day's temperature to the grid minutes
+read that day.
 """
 
 from __future__ import annotations
@@ -49,39 +51,43 @@ class GapReport:
         return lines
 
 
-def _csv_reader(stream):
-    """CSV reader over text, UTF-8 bytes or an open text stream."""
+def _csv_rows(stream, header: list[str], name: str = "file"):
+    """(line number, row) for every data row of a CSV with the given header.
+
+    `stream` is text, UTF-8 bytes or an open text stream. Blank lines are
+    skipped; every other row must have one field per header column.
+    """
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
-    return csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
-
-
-def _parse_timeseries_csv(stream, value_column: str) -> list[tuple[dt.datetime, float]]:
-    reader = _csv_reader(stream)
+    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
     try:
-        header = next(reader)
+        found = [h.strip() for h in next(reader)]
     except StopIteration:
-        raise IngestError("empty file, expected a header row") from None
-    header = [h.strip() for h in header]
-    if header != ["timestamp", value_column]:
-        raise IngestError(
-            f"bad header {header!r}, expected ['timestamp', '{value_column}']"
-        )
-    records = []
+        raise IngestError(f"empty {name}, expected a header row") from None
+    if found != header:
+        raise IngestError(f"bad header {found!r}, expected {header}")
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != 2:
-            raise IngestError(f"line {lineno}: expected 2 columns, got {len(row)}")
+        if len(row) != len(header):
+            raise IngestError(
+                f"line {lineno}: expected {len(header)} columns, got {len(row)}"
+            )
+        yield lineno, row
+
+
+def _parse_timeseries_csv(stream, value_column: str) -> list[tuple[dt.datetime, float]]:
+    records = []
+    for lineno, (stamp, text) in _csv_rows(stream, ["timestamp", value_column]):
         try:
-            ts = dt.datetime.fromisoformat(row[0].strip())
+            ts = dt.datetime.fromisoformat(stamp.strip())
         except ValueError:
-            raise IngestError(f"line {lineno}: bad timestamp {row[0]!r}") from None
+            raise IngestError(f"line {lineno}: bad timestamp {stamp!r}") from None
         try:
-            value = float(row[1])
+            value = float(text)
         except ValueError:
             raise IngestError(
-                f"line {lineno}: non-numeric {value_column} {row[1]!r}"
+                f"line {lineno}: non-numeric {value_column} {text!r}"
             ) from None
         records.append((ts, value))
     return records
@@ -119,119 +125,93 @@ def _max_missing_run(present: np.ndarray) -> int:
     return longest
 
 
-def _lay_out_day(minute_values: dict[int, float], grid: TimeGrid, max_gap: int):
-    """Return (values, filled_indices, resampled) or raise ValueError on reject."""
-    grid_minutes = grid.minutes
-    on_grid = set(grid_minutes.tolist()) >= set(minute_values)
-    if not on_grid:
+def _lay_out_day(minute_values: dict[int, float], grid_minutes: list[int],
+                 max_gap: int):
+    """Lay one day's readings onto the grid.
+
+    Returns (values, kind, detail, filled indices); `values` is None for a
+    rejected day and `kind` is None for a complete one.
+    """
+    n = len(minute_values)
+    if not n:
+        return None, "rejected", "no readings", []
+    if not set(grid_minutes) >= set(minute_values):
         # off-grid cadence (e.g. DST-shifted readings): resample in absolute time
         mins = np.array(sorted(minute_values))
         vals = np.array([minute_values[m] for m in mins])
         step = grid_minutes[1] - grid_minutes[0]
-        if len(mins) < 2 or np.max(np.diff(mins)) > (max_gap + 1) * step:
-            raise ValueError(f"off-grid readings with a gap beyond {max_gap} points")
+        if n < 2 or np.max(np.diff(mins)) > (max_gap + 1) * step:
+            detail = f"off-grid readings with a gap beyond {max_gap} points"
+            return None, "rejected", detail, []
         values = np.interp(grid_minutes, mins, vals)
-        return values, list(range(len(grid_minutes))), True
+        detail = f"{n} off-grid readings resampled onto the grid"
+        return values, "resampled", detail, list(range(len(grid_minutes)))
     present = np.array([m in minute_values for m in grid_minutes])
     n_missing = int(np.sum(~present))
     if n_missing == 0:
-        values = np.array([minute_values[m] for m in grid_minutes])
-        return values, [], False
+        return np.array([minute_values[m] for m in grid_minutes]), None, "", []
     if _max_missing_run(present) > max_gap:
-        raise ValueError(
-            f"{n_missing} missing points with a run beyond max_gap={max_gap}"
-        )
+        detail = f"{n_missing} missing points with a run beyond max_gap={max_gap}"
+        return None, "rejected", detail, []
     known_idx = np.flatnonzero(present)
     known_vals = np.array([minute_values[grid_minutes[i]] for i in known_idx])
     values = np.interp(np.arange(len(grid_minutes)), known_idx, known_vals)
-    return values, np.flatnonzero(~present).tolist(), False
+    filled = np.flatnonzero(~present).tolist()
+    return values, "gap-filled", f"interpolated {len(filled)} missing points", filled
+
+
+def _temperature(minute_values: dict[int, float], grid: TimeGrid,
+                 grid_minutes: list[int]):
+    """The day's temperature, masked to the grid minutes read; None if none are."""
+    mask = [i for i, m in enumerate(grid_minutes) if m in minute_values]
+    if not mask:
+        return None
+    values = [minute_values[grid_minutes[i]] for i in mask]
+    return TemperatureSegment.on_mask(grid, mask, values)
 
 
 def segmentize(
     records,
     grid: TimeGrid,
     *,
+    temps=(),
     max_gap: int = 4,
     holiday_set=frozenset(),
 ) -> tuple[HistoryWindow, GapReport]:
-    """Fold flat readings into one daily record per calendar day.
+    """Fold flat load and temperature readings into one record per calendar day.
 
-    Days inside the covered date range with no readings at all, and days whose
-    gaps exceed `max_gap` consecutive grid points, are rejected and listed in
-    the report; everything else becomes a complete or gap-filled record.
+    Days inside the covered date range with no load readings at all, and days
+    whose gaps exceed `max_gap` consecutive grid points, are rejected and
+    listed in the report; everything else becomes a complete or gap-filled
+    record. A kept day's temperature is masked to the grid minutes read that
+    day; temperature readings on other days or off the grid are ignored.
     """
     by_day = _group_by_day(records)
+    temps_by_day = _group_by_day(temps)
     report = GapReport()
     if not by_day:
         return HistoryWindow(()), report
+    grid_minutes = grid.minutes.tolist()
     first, last = min(by_day), max(by_day)
     kept: list[DailyRecord] = []
     # counting days, not stepping a date, so that 9999-12-31 has no successor
     for offset in range((last - first).days + 1):
         date = first + dt.timedelta(days=offset)
         minute_values = by_day.get(date, {})
-        if not minute_values:
-            report.issues.append(DayIssue(date, "rejected", "no readings", readings=0))
+        values, kind, detail, filled = _lay_out_day(minute_values, grid_minutes, max_gap)
+        if kind is not None:
+            report.issues.append(
+                DayIssue(date, kind, detail, filled, readings=len(minute_values))
+            )
+        if values is None:
             continue
-        try:
-            values, filled, resampled = _lay_out_day(minute_values, grid, max_gap)
-        except ValueError as exc:
-            report.issues.append(
-                DayIssue(date, "rejected", str(exc), readings=len(minute_values))
-            )
-            continue
-        if resampled:
-            quality = Quality.GAP_FILLED
-            report.issues.append(
-                DayIssue(
-                    date,
-                    "resampled",
-                    f"{len(minute_values)} off-grid readings resampled onto the grid",
-                    filled_points=filled,
-                    readings=len(minute_values),
-                )
-            )
-        elif filled:
-            quality = Quality.GAP_FILLED
-            report.issues.append(
-                DayIssue(
-                    date,
-                    "gap-filled",
-                    f"interpolated {len(filled)} missing points",
-                    filled_points=filled,
-                    readings=len(minute_values),
-                )
-            )
-        else:
-            quality = Quality.COMPLETE
-        meta = annotate_calendar(date, holiday_set)
-        kept.append(DailyRecord(meta, LoadSegment(grid, values), None, quality))
+        kept.append(DailyRecord(
+            annotate_calendar(date, holiday_set),
+            LoadSegment(grid, values),
+            _temperature(temps_by_day.get(date, {}), grid, grid_minutes),
+            Quality.COMPLETE if kind is None else Quality.GAP_FILLED,
+        ))
     return HistoryWindow(tuple(kept)), report
-
-
-def attach_temperature_history(window: HistoryWindow, records) -> HistoryWindow:
-    """Attach per-day temperature segments built from flat (timestamp, temp) rows.
-
-    The mask of each segment is whatever subset of grid points was observed;
-    days without any reading keep temperature = None.
-    """
-    by_day = _group_by_day(records)
-    grid_minutes = window.grid.minutes if len(window) else None
-    out = []
-    for rec in window.records:
-        minute_values = by_day.get(rec.meta.date)
-        temp = rec.temperature
-        if minute_values:
-            mask = tuple(
-                i for i, m in enumerate(grid_minutes) if int(m) in minute_values
-            )
-            if mask:
-                values = np.full(len(grid_minutes), np.nan)
-                for i in mask:
-                    values[i] = minute_values[int(grid_minutes[i])]
-                temp = TemperatureSegment(window.grid, values, mask)
-        out.append(DailyRecord(rec.meta, rec.load, temp, rec.quality))
-    return HistoryWindow(tuple(out))
 
 
 def forecast_mask_indices(grid: TimeGrid) -> tuple[int, ...]:
@@ -241,21 +221,10 @@ def forecast_mask_indices(grid: TimeGrid) -> tuple[int, ...]:
 
 def parse_temperature_forecast(stream, grid: TimeGrid) -> dict[dt.date, TemperatureSegment]:
     """CSV with header `date,t0800,t1200,t1600,t2000` -> masked segments."""
-    reader = _csv_reader(stream)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise IngestError("empty forecast file, expected a header row") from None
-    expected = ["date", "t0800", "t1200", "t1600", "t2000"]
-    if header != expected:
-        raise IngestError(f"bad header {header!r}, expected {expected}")
     mask = forecast_mask_indices(grid)
     forecasts: dict[dt.date, TemperatureSegment] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise IngestError(f"line {lineno}: expected 5 columns, got {len(row)}")
+    header = ["date", "t0800", "t1200", "t1600", "t2000"]
+    for lineno, row in _csv_rows(stream, header, "forecast file"):
         try:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError:
@@ -266,8 +235,5 @@ def parse_temperature_forecast(stream, grid: TimeGrid) -> dict[dt.date, Temperat
             temps = [float(v) for v in row[1:]]
         except ValueError:
             raise IngestError(f"line {lineno}: non-numeric temperature") from None
-        values = np.full(grid.points_per_day, np.nan)
-        for i, v in zip(mask, temps):
-            values[i] = v
-        forecasts[date] = TemperatureSegment(grid, values, mask)
+        forecasts[date] = TemperatureSegment.on_mask(grid, mask, temps)
     return forecasts

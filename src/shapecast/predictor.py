@@ -20,7 +20,7 @@ import numpy as np
 
 from .calendars import CalendarMeta, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
-from .history import HistoryWindow
+from .history import DailyRecord, HistoryWindow
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
 from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
 
@@ -193,6 +193,21 @@ def predict_day(
     )
 
 
+def stand_in(target: DailyRecord) -> tuple[TemperatureSegment, float]:
+    """(forecast, next-day maximum) for predicting a past day: its realized values.
+
+    CV and the backtest have no archived forecasts, so the day's realized
+    temperature stands in for the forecast and its realized maximum for the
+    provided next-day maximum.
+    """
+    if target.temperature is None:
+        raise ShapecastError(
+            f"{target.meta.date.isoformat()}: no realized temperature to "
+            "stand in for the forecast"
+        )
+    return target.temperature, float(np.max(target.load.values))
+
+
 def default_bandwidth_grid(
     history: HistoryWindow,
     dist: DistanceSpec = DistanceSpec(),
@@ -235,11 +250,11 @@ def select_bandwidth(
     """One-day-ahead empirical risk over the trailing validation window.
 
     For each bandwidth, each of the last `validation_days` days is predicted
-    from strictly prior data, with the realized temperature standing in for
-    the forecast; mean relative absolute error decides, ties go to the
-    smaller bandwidth. The reference and its distance row do not depend on
-    the bandwidth, so each validation day computes them once and then scores
-    every bandwidth; the results equal one `predict_day` per (h, day).
+    from strictly prior data with its `stand_in` forecast and maximum; mean
+    relative absolute error decides, ties go to the smaller bandwidth. The
+    reference and its distance row do not depend on the bandwidth, so each
+    validation day computes them once and then scores every bandwidth; the
+    results equal one `predict_day` per (h, day).
     """
     from .metrics import score_day
 
@@ -258,15 +273,10 @@ def select_bandwidth(
     errs = [[] for _ in kernels]
     for i in range(len(history) - validation_days, len(history)):
         target = history.records[i]
-        if target.temperature is None:
-            raise ShapecastError(
-                f"{target.meta.date.isoformat()}: no realized temperature to "
-                "stand in for the forecast"
-            )
+        forecast, next_day_max = stand_in(target)
         _, matrix, dists, in_group = _stage(
-            base.prefix(i), target.meta.group, target.temperature, cfg
+            base.prefix(i), target.meta.group, forecast, cfg
         )
-        next_day_max = float(np.max(target.load.values))
         for kernel, day_errs in zip(kernels, errs):
             weights = _kernel_weights(dists, kernel, in_group)
             scaled = predict_shape(matrix, weights) * next_day_max

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +36,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if len(self.labels) < 2:
             raise ShapecastError("grid needs at least 2 points")
-        mins = [_label_to_minutes(lb) for lb in self.labels]
-        steps = np.diff(mins)
+        steps = np.diff(self.minutes)
         if np.any(steps <= 0):
             raise ShapecastError("grid labels must be strictly increasing")
         if len(set(steps.tolist())) != 1:
@@ -46,10 +46,10 @@ class TimeGrid:
     def points_per_day(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def minutes(self) -> np.ndarray:
-        """Minutes since midnight for every grid point."""
-        return np.array([_label_to_minutes(lb) for lb in self.labels])
+        """Minutes since midnight for every grid point; built once, read-only."""
+        return read_only(np.array([_label_to_minutes(lb) for lb in self.labels]))
 
     def index_of(self, label: str) -> int:
         try:
@@ -67,6 +67,12 @@ class TimeGrid:
         step = 24 * 60 // points_per_day
         labels = tuple(f"{m // 60:02d}:{m % 60:02d}" for m in range(0, 24 * 60, step))
         return cls(labels)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a` itself, marked read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def _as_vector(values, n: int | None = None) -> np.ndarray:
@@ -94,9 +100,7 @@ class LoadSegment:
             raise ShapecastError("load values must be nonnegative")
         if self.scale is not None and not self.scale > 0:
             raise ShapecastError("scale must be positive")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", read_only(arr.copy()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +120,16 @@ class TemperatureSegment:
             raise ShapecastError("temperature mask index out of bounds")
         if not np.all(np.isfinite(arr[list(mask)])):
             raise ShapecastError("temperature values must be finite on the mask")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", read_only(arr.copy()))
         object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def on_mask(cls, grid: TimeGrid, mask, values) -> "TemperatureSegment":
+        """Segment holding `values` at the grid indices `mask`, NaN elsewhere."""
+        full = np.full(grid.points_per_day, np.nan)
+        # an index off the grid is clipped here and then rejected by the mask check
+        full.put(mask, values, mode="clip")
+        return cls(grid, full, mask)
 
     def covers(self, indices) -> bool:
         return set(indices) <= set(self.mask)

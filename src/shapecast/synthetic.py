@@ -15,7 +15,7 @@ import csv
 import datetime as dt
 import io
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .reference import ReferenceConfig
 from .segments import DistanceSpec, LoadSegment, TemperatureSegment, TimeGrid, distance
 
 _VALUE_FLOOR = 1e-9
+_RETRIES = 5  # fresh seeds tried per replication after a degenerate candidate set
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,15 @@ class SyntheticSpec:
     jitter_sigma: float = 0.5
     seed: object = 0  # int or tuple of ints feeding the master seed sequence
     start: dt.date = dt.date(2007, 1, 1)  # a Monday
-    shape_functions: tuple = field(default_factory=default_shape_functions)
-    temperature_pool: tuple | None = None
     profile_mode: str = "random"  # "random" | "cycle"
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ShapecastError("length must be >= 1")
-        if self.noise_sigma < 0 or self.jitter_sigma < 0:
+        if not (self.noise_sigma >= 0 and self.jitter_sigma >= 0):  # NaN fails too
             raise ShapecastError("sigmas must be nonnegative")
         if self.profile_mode not in ("random", "cycle"):
             raise ShapecastError("profile_mode must be 'random' or 'cycle'")
-        if self.temperature_pool is None:
-            object.__setattr__(
-                self, "temperature_pool", default_temperature_pool(self.grid)
-            )
-
-    def shape_for(self, group: DayGroup) -> ShapeFunction:
-        for sf in self.shape_functions:
-            if group in sf.groups:
-                return sf
-        raise ShapecastError(f"no shape function covers group {group.value}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,8 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, list[DayTruth]]:
     P = spec.grid.points_per_day
     full_mask = tuple(range(P))
     records, truths = [], []
-    pool = spec.temperature_pool
+    pool = default_temperature_pool(spec.grid)
+    shape_of = {g: sf for sf in default_shape_functions() for g in sf.groups}
     for n in range(spec.length):
         rng = _day_rng(spec.seed, n)
         date = spec.start + dt.timedelta(days=n)
@@ -130,7 +120,7 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, list[DayTruth]]:
         temps = pool[profile_index].copy()
         if spec.jitter_sigma > 0:
             temps = temps + spec.jitter_sigma * rng.standard_normal(P)
-        sf = spec.shape_for(meta.group)
+        sf = shape_of[meta.group]
         clean = sf(temps)
         values = clean
         if spec.noise_sigma > 0:
@@ -172,8 +162,6 @@ def consistency_experiment(
     h_of_L=None,
     n_L_of_L=None,
     kernel_kind: KernelKind = KernelKind.GAUSSIAN,
-    mode: str = "argmin",
-    max_retries: int = 5,
 ) -> list[ExperimentRow]:
     """Predict day L+1 over growing L and record prediction/reference errors.
 
@@ -199,9 +187,7 @@ def consistency_experiment(
         n_L = int(n_L_of_L(L))
         # the model lives on the raw scale, so the lab skips daily-max rescaling
         cfg = PredictorConfig(
-            reference=ReferenceConfig(
-                n_L_by_group={g: n_L for g in DayGroup}, mode=mode
-            ),
+            reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
             kernel=KernelSpec(kernel_kind, h),
             rescale=False,
         )
@@ -209,7 +195,7 @@ def consistency_experiment(
         offset = (-L) % 7
         start = template.start + dt.timedelta(days=offset)
         for rep in range(replications):
-            for attempt in range(max_retries + 1):
+            for attempt in range(_RETRIES + 1):
                 seed = tuple(base_seed) + (L, rep, attempt)
                 spec = replace(template, length=L + 1, seed=seed, start=start)
                 window, truths = generate(spec)
@@ -240,7 +226,7 @@ def consistency_experiment(
             else:
                 raise ShapecastError(
                     f"L={L} rep={rep}: degenerate candidate sets after "
-                    f"{max_retries} retries"
+                    f"{_RETRIES} retries"
                 )
     return rows
 

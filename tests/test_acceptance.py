@@ -180,7 +180,7 @@ def test_06_beats_baselines():
             dates = sorted(
                 pool[i] for i in picker.choice(len(pool), size=30, replace=False)
             )
-            report = backtest(window, dates, methods, cfg, keep_curves=False)
+            report = backtest(window, dates, methods, cfg)
             medians = {m: report.summary[m]["median_rmae"] for m in methods}
             if medians["ssp"] < medians["persistence"] and (
                 medians["ssp"] < medians["conditional-kernel"]

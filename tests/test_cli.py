@@ -309,6 +309,16 @@ class TestBacktest:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_empty_dates_file(self, history_file, tmp_path, capsys):
+        dates = tmp_path / "dates.txt"
+        dates.write_text("# nothing chosen\n")
+        code = main([
+            "backtest", "--history", str(history_file),
+            "--dates-file", str(dates), "--out-dir", str(tmp_path / "bt"),
+        ])
+        assert code == 1
+        assert "lists no dates" in capsys.readouterr().err
+
     def test_sample_larger_than_eligible(self, history_file, tmp_path, capsys):
         code = main([
             "backtest", "--history", str(history_file),
@@ -381,6 +391,12 @@ class TestParser:
         ["simulate", "--lengths", "64,-128"],
         ["backtest", "--history", "{history}", "--out-dir", "{out}", "--sample", "-1"],
         ["backtest", "--history", "{history}", "--out-dir", "{out}", "--sample", "0"],
+        ["backtest", "--history", "{history}", "--out-dir", "{out}", "--seed", "-1"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--sigma", "nan"],
+        ["simulate", "--sigma", "-0.1"],
+        ["simulate", "--jitter", "nan"],
+        ["simulate", "--jitter", "-1"],
     ])
     def test_bad_flag_value_is_usage_error(self, raw_files, history_file, tmp_path,
                                            argv, capsys):

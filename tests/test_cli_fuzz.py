@@ -1,11 +1,12 @@
 """Fuzzed input files through `cli.main`: every run ends in exit code 0, 1 or 2.
 
 Each example starts from a small valid set of inputs for `predict` (history,
-temperature forecast, holiday file, INI config) and damages one of them: a
-field of a JSON record set to an arbitrary JSON value, an INI key set to
-arbitrary text, a line replaced, dropped or truncated, a character swapped,
-a stray non-UTF-8 byte, or the whole file replaced by noise. Whatever the
-damage, `main` must return an exit code and let no exception escape.
+temperature forecast, holiday file, INI config) or for `backtest` (history,
+dates file, INI config) and damages one of them: a field of a JSON record set
+to an arbitrary JSON value, an INI key set to arbitrary text, a line
+replaced, dropped or truncated, a character swapped, a stray non-UTF-8 byte,
+or the whole file replaced by noise. Whatever the damage, `main` must return
+an exit code and let no exception escape.
 """
 
 import datetime as dt
@@ -25,6 +26,7 @@ GRID = TimeGrid.equidistant(24)
 START = dt.date(2010, 3, 1)
 DAYS = 40
 TARGET = START + dt.timedelta(days=DAYS)
+BACKTEST_DATES = [START + dt.timedelta(days=d) for d in (34, 36, 39)]
 
 
 INI = {
@@ -52,10 +54,14 @@ def _valid_inputs() -> dict[str, str]:
         f"{TARGET.isoformat()},18.0,22.0,21.0,17.0\n",
         "holidays.txt": f"# holidays\n{START.isoformat()}\n",
         "config.ini": _ini_text(INI),
+        "dates.txt": "# backtest days\n"
+        + "".join(f"{d.isoformat()}\n" for d in BACKTEST_DATES),
     }
 
 
 VALID = _valid_inputs()
+PREDICT_FILES = ["config.ini", "forecast.csv", "history.jsonl", "holidays.txt"]
+BACKTEST_FILES = ["config.ini", "dates.txt", "history.jsonl"]
 
 text = st.text(st.characters(exclude_categories=("Cs",)), max_size=40)
 json_values = st.recursive(
@@ -125,24 +131,54 @@ def _predict(root: Path) -> int:
     ])
 
 
-def _run(files: dict[str, bytes]) -> int:
+def _backtest(root: Path) -> int:
+    return main([
+        "backtest", "--history", str(root / "history.jsonl"),
+        "--dates-file", str(root / "dates.txt"),
+        "--config", str(root / "config.ini"),
+        "--out-dir", str(root / "bt"),
+    ])
+
+
+def _run(files: dict[str, bytes], command=_predict) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, data in files.items():
             (root / name).write_bytes(data)
-        return _predict(root)
+        return command(root)
+
+
+def _damaged_case(names):
+    """(file name, damaged bytes) for one of `names`."""
+    return st.sampled_from(names).flatmap(
+        lambda name: st.tuples(st.just(name), damaged(name))
+    )
+
+
+def _files_with(case) -> dict[str, bytes]:
+    """The valid files, with the damaged one in place."""
+    name, data = case
+    files = {n: content.encode() for n, content in VALID.items()}
+    files[name] = data
+    return files
 
 
 def test_valid_inputs_predict():
     assert _run({name: content.encode() for name, content in VALID.items()}) == 0
 
 
+def test_valid_inputs_backtest():
+    files = {name: content.encode() for name, content in VALID.items()}
+    assert _run(files, _backtest) == 0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(VALID)).flatmap(
-    lambda name: st.tuples(st.just(name), damaged(name))
-))
+@given(_damaged_case(PREDICT_FILES))
 def test_damaged_input_exits_cleanly(case):
-    name, data = case
-    files = {n: content.encode() for n, content in VALID.items()}
-    files[name] = data
-    assert _run(files) in (0, 1, 2)
+    assert _run(_files_with(case)) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_damaged_case(BACKTEST_FILES))
+def test_damaged_backtest_input_exits_cleanly(case):
+    assert _run(_files_with(case), _backtest) in (0, 1, 2)

@@ -6,7 +6,6 @@ import pytest
 from shapecast.errors import IngestError
 from shapecast.history import Quality
 from shapecast.ingest import (
-    attach_temperature_history,
     forecast_mask_indices,
     parse_load_file,
     parse_temperature_forecast,
@@ -210,19 +209,130 @@ class TestTemperatureForecast:
             parse_temperature_forecast(text, self.grid)
 
 
+class TestParserRows:
+    """The three CSV parsers share one row reader and its error messages."""
+
+    GRID = TimeGrid.equidistant(96)
+    PARSERS = {
+        "load": (parse_load_file, "timestamp,load_mw", "2010-06-07T00:00,512.5"),
+        "temps": (parse_temperature_history, "timestamp,temp_c",
+                  "2010-06-07T00:00,21.5"),
+        "forecast": (lambda text: parse_temperature_forecast(text, TestParserRows.GRID),
+                     "date,t0800,t1200,t1600,t2000", "2010-06-09,24.0,29.5,30.1,26.2"),
+    }
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("load", "", "empty file, expected a header row"),
+        ("temps", "", "empty file, expected a header row"),
+        ("forecast", "", "empty forecast file, expected a header row"),
+        ("load", "time,load\n",
+         "bad header ['time', 'load'], expected ['timestamp', 'load_mw']"),
+        ("temps", " timestamp , load_mw\n",
+         "bad header ['timestamp', 'load_mw'], expected ['timestamp', 'temp_c']"),
+        ("forecast", "date,humidity\n",
+         "bad header ['date', 'humidity'], expected "
+         "['date', 't0800', 't1200', 't1600', 't2000']"),
+        ("load", "timestamp,load_mw\n2010-06-07T00:00,1\n2010-06-07T01:00,1,2\n",
+         "line 3: expected 2 columns, got 3"),
+        ("temps", "timestamp,temp_c\n\n2010-06-07T00:00\n",
+         "line 3: expected 2 columns, got 1"),
+        ("forecast", "date,t0800,t1200,t1600,t2000\n2010-06-09,24,29,30\n",
+         "line 2: expected 5 columns, got 4"),
+    ])
+    def test_error_messages(self, kind, text, message):
+        parse = self.PARSERS[kind][0]
+        with pytest.raises(IngestError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", ["load", "temps", "forecast"])
+    def test_blank_lines_skipped(self, kind):
+        parse, header, row = self.PARSERS[kind]
+        plain = parse(f"{header}\n{row}\n")
+        padded = parse(f"{header}\n\n{row}\n  \n\n")
+        assert len(plain) == 1
+        if kind == "forecast":
+            [(date, seg)] = plain.items()
+            np.testing.assert_array_equal(padded[date].values, seg.values)
+        else:
+            assert padded == plain
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(IngestError, match="^line 4: bad timestamp"):
+            parse_load_file("timestamp,load_mw\n\n2010-06-07T00:00,1\nnoon,2\n")
+
+
 class TestAttachTemperatures:
+    """`segmentize(..., temps=...)` masks each kept day's temperature."""
+
+    def setup_method(self):
+        self.grid = TimeGrid.equidistant(24)
+        self.date = dt.date(2010, 6, 7)
+
+    def load(self, *dates):
+        rows = [r for d in dates for r in day_rows(d, range(100, 124), self.grid)]
+        return parse_load_file(csv_text(rows))
+
+    def temps(self, rows):
+        return parse_temperature_history(csv_text(rows, header="timestamp,temp_c"))
+
     def test_partial_day_mask(self):
-        grid = TimeGrid.equidistant(24)
-        date = dt.date(2010, 6, 7)
-        window, _ = segmentize(
-            parse_load_file(csv_text(day_rows(date, range(24), grid))), grid
-        )
-        temp_rows = day_rows(date, [20.0 + i for i in range(24)], grid)[:6]
-        temps = parse_temperature_history(
-            csv_text(temp_rows, header="timestamp,temp_c")
-        )
-        window = attach_temperature_history(window, temps)
+        temp_rows = day_rows(self.date, [20.0 + i for i in range(24)], self.grid)[:6]
+        window, _ = segmentize(self.load(self.date), self.grid,
+                               temps=self.temps(temp_rows))
         seg = window.records[0].temperature
         assert seg is not None
         assert seg.mask == tuple(range(6))
         np.testing.assert_array_equal(seg.values[:6], [20.0 + i for i in range(6)])
+        assert np.all(np.isnan(seg.values[6:]))
+
+    def test_day_without_temperatures_keeps_none(self):
+        window, _ = segmentize(self.load(self.date), self.grid)
+        assert window.records[0].temperature is None
+
+    def test_temperatures_on_rejected_day_ignored(self):
+        missing = self.date + dt.timedelta(days=1)
+        last = self.date + dt.timedelta(days=2)
+        temp_rows = [r for d in (self.date, missing, last)
+                     for r in day_rows(d, [20.0] * 24, self.grid)]
+        window, report = segmentize(self.load(self.date, last), self.grid,
+                                    temps=self.temps(temp_rows))
+        assert window.dates == (self.date, last)
+        assert report.rejected_dates == [missing]
+        assert all(r.temperature.mask == tuple(range(24)) for r in window.records)
+
+    def test_temperature_only_day_adds_no_record(self):
+        later = self.date + dt.timedelta(days=5)
+        temp_rows = day_rows(later, [20.0] * 24, self.grid)
+        window, report = segmentize(self.load(self.date), self.grid,
+                                    temps=self.temps(temp_rows))
+        assert window.dates == (self.date,)
+        assert window.records[0].temperature is None
+        assert not report.issues
+
+    def test_off_grid_minutes_ignored(self):
+        stamp = self.date.isoformat()
+        temp_rows = [f"{stamp}T03:00,18.5", f"{stamp}T03:30,19.0", f"{stamp}T07:10,22.0"]
+        window, _ = segmentize(self.load(self.date), self.grid,
+                               temps=self.temps(temp_rows))
+        seg = window.records[0].temperature
+        assert seg.mask == (3,)
+        assert seg.values[3] == 18.5
+
+    def test_only_off_grid_minutes_give_no_temperature(self):
+        temp_rows = [f"{self.date.isoformat()}T03:30,19.0"]
+        window, _ = segmentize(self.load(self.date), self.grid,
+                               temps=self.temps(temp_rows))
+        assert window.records[0].temperature is None
+
+    def test_conflicting_temperature_duplicate_raises(self):
+        stamp = self.date.isoformat()
+        temps = self.temps([f"{stamp}T03:00,18.5", f"{stamp}T03:00,19.0"])
+        with pytest.raises(IngestError, match="conflicting"):
+            segmentize(self.load(self.date), self.grid, temps=temps)
+
+    def test_conflicting_temperature_duplicate_without_load_rows(self):
+        stamp = self.date.isoformat()
+        temps = self.temps([f"{stamp}T03:00,18.5", f"{stamp}T03:00,19.0"])
+        with pytest.raises(IngestError, match="conflicting"):
+            segmentize(parse_load_file("timestamp,load_mw\n"), self.grid, temps=temps)

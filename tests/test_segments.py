@@ -49,6 +49,21 @@ class TestTimeGrid:
         with pytest.raises(ShapecastError):
             TimeGrid.equidistant(7)
 
+    def test_minutes_built_once_and_read_only(self, monkeypatch):
+        import shapecast.segments as segments
+
+        grid = TimeGrid.equidistant(96)
+        assert grid == TimeGrid.equidistant(96)
+        calls = []
+        monkeypatch.setattr(segments, "_label_to_minutes",
+                            lambda label: calls.append(label) or 0)
+        assert grid.minutes is grid.minutes
+        assert not calls
+        assert grid.minutes[:3].tolist() == [0, 15, 30]
+        assert not grid.minutes.flags.writeable
+        with pytest.raises(ValueError):
+            grid.minutes[0] = 5
+
 
 class TestDistance:
     def test_identity(self):
@@ -190,6 +205,15 @@ class TestTemperatureSegment:
     def test_empty_mask(self, grid4):
         with pytest.raises(ShapecastError):
             TemperatureSegment(grid4, [1.0, 2.0, 3.0, 4.0], ())
+
+    def test_on_mask_fills_nan_elsewhere(self, grid4):
+        seg = TemperatureSegment.on_mask(grid4, [3, 1], [30.0, 10.0])
+        assert seg.mask == (1, 3)
+        np.testing.assert_array_equal(seg.values, [np.nan, 10.0, np.nan, 30.0])
+
+    def test_on_mask_index_out_of_bounds(self, grid4):
+        with pytest.raises(ShapecastError, match="out of bounds"):
+            TemperatureSegment.on_mask(grid4, [1, 4], [10.0, 20.0])
 
     def test_nan_allowed_off_mask(self, grid4):
         seg = TemperatureSegment(grid4, [np.nan, 20.0, np.nan, np.nan], (1,))

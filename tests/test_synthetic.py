@@ -98,6 +98,13 @@ class TestGenerate:
         with pytest.raises(ShapecastError):
             SyntheticSpec(GRID, 10, profile_mode="shuffled")
 
+    @pytest.mark.parametrize("sigmas", [dict(noise_sigma=math.nan),
+                                        dict(jitter_sigma=math.nan),
+                                        dict(jitter_sigma=-1.0)])
+    def test_nan_or_negative_sigma_rejected(self, sigmas):
+        with pytest.raises(ShapecastError, match="sigmas must be nonnegative"):
+            SyntheticSpec(GRID, 10, **sigmas)
+
 
 class TestDefaults:
     def test_temperature_pool_distinct_and_in_range(self):
