@@ -22,8 +22,6 @@ class DayGroup(str, Enum):
     HOLIDAY = "HOLIDAY"
 
 
-WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
-
 _GROUP_BY_WEEKDAY = {
     0: DayGroup.G1,
     1: DayGroup.G1,
@@ -38,17 +36,15 @@ _GROUP_BY_WEEKDAY = {
 @dataclass(frozen=True)
 class CalendarMeta:
     date: dt.date
-    weekday: str
     is_holiday: bool
     group: DayGroup
 
 
 def annotate_calendar(date: dt.date, holiday_set=frozenset()) -> CalendarMeta:
-    """Resolve weekday and day group for a date; holidays override the group."""
-    wd = date.weekday()
+    """Resolve the day group of a date from its weekday; holidays override it."""
     is_holiday = date in holiday_set
-    group = DayGroup.HOLIDAY if is_holiday else _GROUP_BY_WEEKDAY[wd]
-    return CalendarMeta(date, WEEKDAY_NAMES[wd], is_holiday, group)
+    group = DayGroup.HOLIDAY if is_holiday else _GROUP_BY_WEEKDAY[date.weekday()]
+    return CalendarMeta(date, is_holiday, group)
 
 
 def parse_date_lines(text: str, source: str) -> list[dt.date]:

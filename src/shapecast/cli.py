@@ -156,7 +156,7 @@ def build_predictor_config(
     Returns the config plus a flag saying whether the bandwidth should be
     selected from the data ('auto').
     """
-    mode = getattr(args, "mode", None) or _ini_value(
+    mode = args.mode or _ini_value(
         ini, "reference", "mode", ReferenceMode, "argmin"
     )
     n_l_g1 = _ini_value(ini, "reference", "n_l_g1", _positive_int, 14)
@@ -167,13 +167,13 @@ def build_predictor_config(
     n_l_by_group = {g: n_l_default for g in DayGroup}
     n_l_by_group[DayGroup.G1] = n_l_g1
 
-    dist_kind = getattr(args, "distance", None) or _ini_value(
+    dist_kind = args.distance or _ini_value(
         ini, "distance", "kind", DistanceKind, "euclidean"
     )
-    kernel_kind = getattr(args, "kernel", None) or _ini_value(
+    kernel_kind = args.kernel or _ini_value(
         ini, "kernel", "kind", KernelKind, "gaussian"
     )
-    bandwidth = getattr(args, "bandwidth", None) or _ini_value(
+    bandwidth = args.bandwidth or _ini_value(
         ini, "kernel", "bandwidth", parse_bandwidth, "auto"
     )
 
@@ -188,16 +188,16 @@ def build_predictor_config(
         reference=reference,
         kernel=kernel,
         shape_distance=DistanceSpec(dist_kind),
-        same_group_only=bool(getattr(args, "same_group_only", False)),
+        same_group_only=args.same_group_only,
     )
     return cfg, bandwidth == "auto"
 
 
-def _resolve_bandwidth(history: HistoryWindow, cfg: PredictorConfig, auto: bool,
-                       validation_days: int = 30) -> PredictorConfig:
+def _resolve_bandwidth(history: HistoryWindow, cfg: PredictorConfig,
+                       auto: bool) -> PredictorConfig:
     if not auto:
         return cfg
-    validation_days = min(validation_days, max(1, len(history) - 31))
+    validation_days = min(30, max(1, len(history) - 31))
     grid = default_bandwidth_grid(history, cfg.shape_distance)
     h, _ = select_bandwidth(history, cfg, grid, validation_days)
     return replace(cfg, kernel=replace(cfg.kernel, bandwidth=h))
@@ -349,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--temps", help="temperature CSV (timestamp,temp_c)")
     p_ingest.add_argument("--holidays", help="holiday file, one ISO date per line")
     p_ingest.add_argument("--out", required=True, help="output history JSONL")
-    p_ingest.add_argument("--max-gap", type=int, default=4)
+    p_ingest.add_argument("--max-gap", type=_nonnegative_int, default=4)
     p_ingest.add_argument("--points-per-day", type=int, default=96)
-    p_ingest.add_argument("--max-rejected", type=int, default=None)
+    p_ingest.add_argument("--max-rejected", type=_nonnegative_int, default=None)
     p_ingest.set_defaults(func=cmd_ingest)
 
     def add_cfg_flags(p):
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_backtest.add_argument("--dates-file")
     p_backtest.add_argument("--sample", type=_positive_int, default=30)
     p_backtest.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_backtest.add_argument("--min-history", type=int, default=60)
+    p_backtest.add_argument("--min-history", type=_nonnegative_int, default=60)
     p_backtest.add_argument(
         "--methods", default="ssp,persistence,conditional-kernel"
     )
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo consistency experiment")
     p_sim.add_argument("--lengths", type=_length_list, default="64,128,256,512")
-    p_sim.add_argument("--replications", type=int, default=50)
+    p_sim.add_argument("--replications", type=_positive_int, default=50)
     p_sim.add_argument("--sigma", type=_nonnegative_float, default=0.05)
     p_sim.add_argument("--jitter", type=_nonnegative_float, default=0.5)
     p_sim.add_argument("--seed", type=_nonnegative_int, default=0)

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .calendars import CalendarMeta, annotate_calendar
-from .errors import GridMismatchError, IngestError, ShapecastError
+from .errors import IngestError, ShapecastError
 from .segments import LoadSegment, TemperatureSegment, TimeGrid, read_only
 
 
@@ -121,11 +121,8 @@ def record_to_dict(record: DailyRecord) -> dict:
         "load_mw": record.load.values.tolist(),
     }
     if record.temperature is not None:
-        mask = set(record.temperature.mask)
-        d["temp_c"] = [
-            float(v) if i in mask else None
-            for i, v in enumerate(record.temperature.values)
-        ]
+        # NaN, the one value unequal to itself, marks an unobserved point
+        d["temp_c"] = [None if v != v else v for v in record.temperature.values.tolist()]
     return d
 
 
@@ -137,12 +134,10 @@ def record_from_dict(d: dict, grid: TimeGrid) -> DailyRecord:
     temperature = None
     if d.get("temp_c") is not None:
         raw = d["temp_c"]
-        if len(raw) != grid.points_per_day:
-            raise GridMismatchError(
-                f"expected length {grid.points_per_day}, got {len(raw)}"
-            )
-        mask = [i for i, v in enumerate(raw) if v is not None]
-        temperature = TemperatureSegment.on_mask(grid, mask, [raw[i] for i in mask])
+        temperature = TemperatureSegment(grid, np.array(raw, dtype=float))
+        # null is the only unobserved mark; numpy would also read the text "nan"
+        if np.count_nonzero(np.isnan(temperature.values)) != raw.count(None):
+            raise ShapecastError("temp_c marks unobserved points with null only")
     return DailyRecord(meta, load, temperature, Quality(d["quality"]))
 
 
@@ -157,11 +152,6 @@ def history_jsonl_text(window: HistoryWindow, grid: TimeGrid | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
-def write_history_jsonl(path, window: HistoryWindow) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(history_jsonl_text(window))
-
-
 @contextmanager
 def _located(path, lineno: int):
     """Report any parse or schema error inside the block at `path:lineno`."""
@@ -169,8 +159,13 @@ def _located(path, lineno: int):
         yield
     except KeyError as exc:
         raise IngestError(f"{path}:{lineno}: missing key {exc}") from None
-    except (ValueError, TypeError, ShapecastError) as exc:
+    except (ValueError, TypeError, OverflowError, ShapecastError) as exc:
         raise IngestError(f"{path}:{lineno}: {exc}") from None
+
+
+def _refuse_constant(name: str):
+    """NaN marks an unobserved temperature, so a file may not spell one out."""
+    raise ValueError(f"non-finite number {name}")
 
 
 def read_history_jsonl(path) -> HistoryWindow:
@@ -189,5 +184,6 @@ def read_history_jsonl(path) -> HistoryWindow:
     records = []
     for lineno, text in lines[1:]:
         with _located(path, lineno):
-            records.append(record_from_dict(json.loads(text), grid))
+            record = json.loads(text, parse_constant=_refuse_constant)
+            records.append(record_from_dict(record, grid))
     return HistoryWindow(tuple(records))

@@ -4,8 +4,8 @@ Load and temperature readings arrive as flat (timestamp, value) CSVs. One
 walk over the calendar days lays each day's load onto the configured grid;
 short gaps are linearly interpolated and the day marked gap-filled, longer
 gaps reject the whole day. Every fill and every rejection ends up in the gap
-report. The same walk masks each kept day's temperature to the grid minutes
-read that day.
+report. The same walk lays out each kept day's temperature: the reading at
+each grid minute, NaN where none was read.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .calendars import annotate_calendar
 from .errors import IngestError
 from .history import DailyRecord, HistoryWindow, Quality
-from .segments import LoadSegment, TemperatureSegment, TimeGrid
+from .segments import TEMPERATURE_LIMIT_C, LoadSegment, TemperatureSegment, TimeGrid
 
 FORECAST_LABELS = ("08:00", "12:00", "16:00", "20:00")
 
@@ -76,20 +77,27 @@ def _csv_rows(stream, header: list[str], name: str = "file"):
         yield lineno, row
 
 
-def _parse_timeseries_csv(stream, value_column: str) -> list[tuple[dt.datetime, float]]:
+def _reading(text: str, lineno: int, what: str, limit: float = math.inf) -> float:
+    """`text` as a finite number within ±`limit`; NaN would mean "not read"."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise IngestError(f"line {lineno}: non-numeric {what} {text!r}") from None
+    if not math.isfinite(value):
+        raise IngestError(f"line {lineno}: non-finite {what} {text!r}")
+    if abs(value) > limit:
+        raise IngestError(f"line {lineno}: {what} {text!r} beyond ±{limit:g}")
+    return value
+
+
+def _parse_timeseries_csv(stream, value_column: str, limit: float = math.inf):
     records = []
     for lineno, (stamp, text) in _csv_rows(stream, ["timestamp", value_column]):
         try:
             ts = dt.datetime.fromisoformat(stamp.strip())
         except ValueError:
             raise IngestError(f"line {lineno}: bad timestamp {stamp!r}") from None
-        try:
-            value = float(text)
-        except ValueError:
-            raise IngestError(
-                f"line {lineno}: non-numeric {value_column} {text!r}"
-            ) from None
-        records.append((ts, value))
+        records.append((ts, _reading(text, lineno, value_column, limit)))
     return records
 
 
@@ -100,7 +108,7 @@ def parse_load_file(stream) -> list[tuple[dt.datetime, float]]:
 
 def parse_temperature_history(stream) -> list[tuple[dt.datetime, float]]:
     """CSV with header `timestamp,temp_c`, same cadence as the load file."""
-    return _parse_timeseries_csv(stream, "temp_c")
+    return _parse_timeseries_csv(stream, "temp_c", TEMPERATURE_LIMIT_C)
 
 
 def _group_by_day(records):
@@ -162,12 +170,11 @@ def _lay_out_day(minute_values: dict[int, float], grid_minutes: list[int],
 
 def _temperature(minute_values: dict[int, float], grid: TimeGrid,
                  grid_minutes: list[int]):
-    """The day's temperature, masked to the grid minutes read; None if none are."""
-    mask = [i for i, m in enumerate(grid_minutes) if m in minute_values]
-    if not mask:
+    """The day's reading at each grid minute, NaN where none; None if none is."""
+    values = np.array([minute_values.get(m, np.nan) for m in grid_minutes])
+    if np.all(np.isnan(values)):
         return None
-    values = [minute_values[grid_minutes[i]] for i in mask]
-    return TemperatureSegment.on_mask(grid, mask, values)
+    return TemperatureSegment(grid, values)
 
 
 def segmentize(
@@ -183,7 +190,7 @@ def segmentize(
     Days inside the covered date range with no load readings at all, and days
     whose gaps exceed `max_gap` consecutive grid points, are rejected and
     listed in the report; everything else becomes a complete or gap-filled
-    record. A kept day's temperature is masked to the grid minutes read that
+    record. A kept day's temperature is NaN at the grid minutes not read that
     day; temperature readings on other days or off the grid are ignored.
     """
     by_day = _group_by_day(records)
@@ -220,8 +227,8 @@ def forecast_mask_indices(grid: TimeGrid) -> tuple[int, ...]:
 
 
 def parse_temperature_forecast(stream, grid: TimeGrid) -> dict[dt.date, TemperatureSegment]:
-    """CSV with header `date,t0800,t1200,t1600,t2000` -> masked segments."""
-    mask = forecast_mask_indices(grid)
+    """CSV with header `date,t0800,t1200,t1600,t2000` -> segments, NaN elsewhere."""
+    mask = list(forecast_mask_indices(grid))
     forecasts: dict[dt.date, TemperatureSegment] = {}
     header = ["date", "t0800", "t1200", "t1600", "t2000"]
     for lineno, row in _csv_rows(stream, header, "forecast file"):
@@ -231,9 +238,9 @@ def parse_temperature_forecast(stream, grid: TimeGrid) -> dict[dt.date, Temperat
             raise IngestError(f"line {lineno}: bad date {row[0]!r}") from None
         if date in forecasts:
             raise IngestError(f"line {lineno}: duplicate date {date.isoformat()}")
-        try:
-            temps = [float(v) for v in row[1:]]
-        except ValueError:
-            raise IngestError(f"line {lineno}: non-numeric temperature") from None
-        forecasts[date] = TemperatureSegment.on_mask(grid, mask, temps)
+        values = np.full(grid.points_per_day, np.nan)
+        values[mask] = [
+            _reading(v, lineno, "temperature", TEMPERATURE_LIMIT_C) for v in row[1:]
+        ]
+        forecasts[date] = TemperatureSegment(grid, values)
     return forecasts

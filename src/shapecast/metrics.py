@@ -39,5 +39,7 @@ def score_day(predicted: LoadSegment, actual: LoadSegment) -> tuple[float, float
     if np.any(a <= 0):
         raise ShapecastError("actual values must be strictly positive for RMAE")
     diff = p - a
-    rmae = float(np.mean(np.abs(diff) / a))
+    # an actual near zero may push the relative error past any float: it is inf
+    with np.errstate(over="ignore"):
+        rmae = float(np.mean(np.abs(diff) / a))
     return rmae, float(np.max(diff)), float(np.min(diff))

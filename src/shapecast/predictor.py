@@ -175,14 +175,12 @@ def predict_day(
     )
     weights = _kernel_weights(dists, cfg.kernel, in_group)
     shape_values = predict_shape(matrix, weights)
-    shape_seg = LoadSegment(history.grid, shape_values, scale=None)
+    shape_seg = LoadSegment(history.grid, shape_values)
     scaled = None
     if next_day_max is not None:
         if next_day_max <= 0:
             raise ShapecastError("next_day_max must be positive")
-        scaled = LoadSegment(
-            history.grid, shape_values * next_day_max, scale=float(next_day_max)
-        )
+        scaled = LoadSegment(history.grid, shape_values * next_day_max)
     return Prediction(
         target_date=target.date,
         shape=shape_seg,

@@ -123,17 +123,17 @@ def select_reference(
     """
     if not candidates:
         raise EmptyCandidateError("no candidates to select a reference from")
-    mask = set(temp_forecast.mask)
+    mask = list(temp_forecast.mask)
     if cfg.temp_distance.point_subset is not None:
-        mask &= set(cfg.temp_distance.point_subset)
+        mask = sorted(set(mask) & set(cfg.temp_distance.point_subset))
         if not mask:
             raise ShapecastError("forecast mask and configured subset are disjoint")
-    spec = cfg.temp_distance.restricted_to(sorted(mask))
+    spec = DistanceSpec(cfg.temp_distance.kind, mask)
 
     usable, dists = [], {}
     for rec in candidates:
         temp = rec.temperature
-        if temp is None or not temp.covers(mask):
+        if temp is None or np.any(np.isnan(temp.values[mask])):
             warnings.warn(
                 f"dropping candidate {rec.meta.date.isoformat()}: no temperature "
                 "data on the comparison mask",

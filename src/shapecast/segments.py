@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import GridMismatchError, ShapecastError
 
+TEMPERATURE_LIMIT_C = 1000.0  # larger readings are input errors; huge ones overflow distances
+
 
 def _label_to_minutes(label: str) -> int:
     try:
@@ -86,11 +88,10 @@ def _as_vector(values, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LoadSegment:
-    """One day's load on a grid; optionally shape form with the max recorded."""
+    """One day's load on a grid, in megawatts or in shape form."""
 
     grid: TimeGrid
     values: np.ndarray
-    scale: float | None = None
 
     def __post_init__(self) -> None:
         arr = _as_vector(self.values, self.grid.points_per_day)
@@ -98,41 +99,29 @@ class LoadSegment:
             raise ShapecastError("load values must be finite")
         if np.any(arr < 0):
             raise ShapecastError("load values must be nonnegative")
-        if self.scale is not None and not self.scale > 0:
-            raise ShapecastError("scale must be positive")
         object.__setattr__(self, "values", read_only(arr.copy()))
 
 
 @dataclass(frozen=True, eq=False)
 class TemperatureSegment:
-    """One day's temperature on a grid, valid only on `mask` (grid indices)."""
+    """One day's temperature on a grid; NaN marks a point not observed."""
 
     grid: TimeGrid
     values: np.ndarray
-    mask: tuple[int, ...]
 
     def __post_init__(self) -> None:
         arr = _as_vector(self.values, self.grid.points_per_day)
-        mask = tuple(sorted(set(int(i) for i in self.mask)))
-        if not mask:
+        if np.all(np.isnan(arr)):
             raise ShapecastError("temperature mask must be nonempty")
-        if mask[0] < 0 or mask[-1] >= self.grid.points_per_day:
-            raise ShapecastError("temperature mask index out of bounds")
-        if not np.all(np.isfinite(arr[list(mask)])):
-            raise ShapecastError("temperature values must be finite on the mask")
+        if not np.nanmax(np.abs(arr)) <= TEMPERATURE_LIMIT_C:
+            raise ShapecastError("temperature values must be finite on the mask, "
+                                 f"within ±{TEMPERATURE_LIMIT_C:g} °C")
         object.__setattr__(self, "values", read_only(arr.copy()))
-        object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def on_mask(cls, grid: TimeGrid, mask, values) -> "TemperatureSegment":
-        """Segment holding `values` at the grid indices `mask`, NaN elsewhere."""
-        full = np.full(grid.points_per_day, np.nan)
-        # an index off the grid is clipped here and then rejected by the mask check
-        full.put(mask, values, mode="clip")
-        return cls(grid, full, mask)
-
-    def covers(self, indices) -> bool:
-        return set(indices) <= set(self.mask)
+    @property
+    def mask(self) -> tuple[int, ...]:
+        """Grid indices of the observed points, ascending."""
+        return tuple(np.flatnonzero(~np.isnan(self.values)).tolist())
 
 
 class DistanceKind(str, Enum):
@@ -157,9 +146,6 @@ class DistanceSpec:
             if subset[0] < 0:
                 raise ShapecastError("point_subset indices must be nonnegative")
             object.__setattr__(self, "point_subset", subset)
-
-    def restricted_to(self, indices) -> "DistanceSpec":
-        return DistanceSpec(self.kind, tuple(indices))
 
 
 def _subset_index(spec: DistanceSpec, n: int) -> list[int] | None:
@@ -211,8 +197,8 @@ def distances(M, v, spec: DistanceSpec = DistanceSpec()) -> np.ndarray:
 
 
 def rescale_day(seg: LoadSegment) -> LoadSegment:
-    """Divide a raw segment by its daily maximum; the max is kept as `scale`."""
+    """Divide a raw segment by its daily maximum."""
     m = float(np.max(seg.values))
     if m <= 0:
         raise ShapecastError("cannot rescale a segment with nonpositive maximum")
-    return LoadSegment(seg.grid, seg.values / m, scale=m)
+    return LoadSegment(seg.grid, seg.values / m)

@@ -105,7 +105,6 @@ def _day_rng(seed, day_index: int) -> np.random.Generator:
 def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, list[DayTruth]]:
     """Deterministic sample path plus the per-day ground truth."""
     P = spec.grid.points_per_day
-    full_mask = tuple(range(P))
     records, truths = [], []
     pool = default_temperature_pool(spec.grid)
     shape_of = {g: sf for sf in default_shape_functions() for g in sf.groups}
@@ -126,7 +125,7 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, list[DayTruth]]:
         if spec.noise_sigma > 0:
             values = clean + spec.noise_sigma * rng.standard_normal(P)
         values = np.maximum(values, _VALUE_FLOOR)
-        temperature = TemperatureSegment(spec.grid, temps, full_mask)
+        temperature = TemperatureSegment(spec.grid, temps)
         records.append(
             DailyRecord(meta, LoadSegment(spec.grid, values), temperature, Quality.COMPLETE)
         )

@@ -23,15 +23,11 @@ def make_record(
     date: dt.date,
     load,
     temp=None,
-    temp_mask=None,
     holiday=False,
 ) -> DailyRecord:
     holiday_set = {date} if holiday else frozenset()
     meta = annotate_calendar(date, holiday_set)
-    temperature = None
-    if temp is not None:
-        mask = temp_mask if temp_mask is not None else tuple(range(grid.points_per_day))
-        temperature = TemperatureSegment(grid, temp, mask)
+    temperature = None if temp is None else TemperatureSegment(grid, temp)
     return DailyRecord(meta, LoadSegment(grid, load), temperature, Quality.COMPLETE)
 
 

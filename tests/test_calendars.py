@@ -4,6 +4,8 @@ import pytest
 
 from shapecast.calendars import DayGroup, annotate_calendar, parse_holiday_file
 from shapecast.errors import IngestError
+from shapecast.history import record_from_dict
+from shapecast.segments import TimeGrid
 
 # one week starting Monday 2010-06-07
 WEEK = {
@@ -20,8 +22,8 @@ WEEK = {
 @pytest.mark.parametrize("date,expected", WEEK.items())
 def test_weekday_groups(date, expected):
     weekday, group = expected
+    assert date.strftime("%a") == weekday  # the table is labelled right
     meta = annotate_calendar(date)
-    assert meta.weekday == weekday
     assert meta.group is group
     assert not meta.is_holiday
 
@@ -38,8 +40,13 @@ def test_saturday_not_holiday_is_g3():
 
 
 def test_weekday_computed_not_trusted():
-    # 12 Jan 2010 was a Tuesday regardless of how it may be labelled elsewhere
-    assert annotate_calendar(dt.date(2010, 1, 12)).weekday == "Tue"
+    # 12 Jan 2010 was a Tuesday, so a G1 day whatever a history file says
+    record = record_from_dict(
+        {"date": "2010-01-12", "group": "G4", "quality": "complete",
+         "load_mw": [1.0, 2.0, 3.0, 4.0]},
+        TimeGrid.equidistant(4),
+    )
+    assert record.meta.group is DayGroup.G1
 
 
 class TestHolidayFile:

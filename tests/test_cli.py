@@ -104,6 +104,33 @@ class TestIngest:
         assert code == 1
         assert "max-rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, stamp, value", [
+        ("load", "2010-03-01T05:00", "nan"),
+        ("load", "2010-03-03T05:00", "1e400"),
+        ("temps", "2010-03-01T05:30", "inf"),  # off the hourly grid
+        ("temps", "2010-03-02T05:00", "-inf"),  # the day without load, rejected
+    ])
+    def test_non_finite_reading_names_its_line(self, tmp_path, kind, stamp, value,
+                                                capsys):
+        rows = {"load": ["timestamp,load_mw"], "temps": ["timestamp,temp_c"]}
+        for day in (START, START + dt.timedelta(days=2)):
+            for p in range(24):
+                rows["load"].append(f"{day.isoformat()}T{p:02d}:00,{100 + p}")
+                rows["temps"].append(f"{day.isoformat()}T{p:02d}:00,{10 + p}")
+        rows[kind].append(f"{stamp},{value}")
+        for name, lines in rows.items():
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "h.jsonl"
+        code = main([
+            "ingest", "--load", str(tmp_path / "load.csv"),
+            "--temps", str(tmp_path / "temps.csv"), "--out", str(out),
+            "--points-per-day", "24",
+        ])
+        assert code == 1
+        column = rows[kind][0].split(",")[1]
+        assert f"line 50: non-finite {column} '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main([
             "ingest", "--load", str(tmp_path / "nope.csv"),
@@ -268,6 +295,25 @@ class TestPredict:
         assert code == 1
         assert f"{broken}:4: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "backtest"])
+    def test_overflowing_history_number_is_domain_error(self, raw_files, history_file,
+                                                        tmp_path, command, capsys):
+        lines = history_file.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["temp_c"][5] = 10**400  # valid JSON, too large for a float
+        lines[3] = json.dumps(record)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        if command == "predict":
+            argv = ["--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+                    "--temp-forecast", str(raw_files / "forecast.csv")]
+        else:
+            argv = ["--out-dir", str(tmp_path / "bt")]
+        code = main([command, "--history", str(broken), "--bandwidth", "0.3"] + argv)
+        assert code == 1
+        assert f"{broken}:4: int too large" in capsys.readouterr().err
+
+
 class TestBacktest:
     def test_sampled_run_writes_reports(self, history_file, tmp_path, capsys):
         out_dir = tmp_path / "bt"
@@ -397,11 +443,16 @@ class TestParser:
         ["simulate", "--sigma", "-0.1"],
         ["simulate", "--jitter", "nan"],
         ["simulate", "--jitter", "-1"],
+        ["ingest", "--load", "{load}", "--out", "{out}", "--max-gap", "-1"],
+        ["ingest", "--load", "{load}", "--out", "{out}", "--max-rejected", "-1"],
+        ["backtest", "--history", "{history}", "--out-dir", "{out}",
+         "--min-history", "-1"],
+        ["simulate", "--replications", "0"],
     ])
     def test_bad_flag_value_is_usage_error(self, raw_files, history_file, tmp_path,
                                            argv, capsys):
         paths = dict(history=history_file, forecast=raw_files / "forecast.csv",
-                     out=tmp_path / "out")
+                     load=raw_files / "load.csv", out=tmp_path / "out")
         with pytest.raises(SystemExit) as exc:
             main([arg.format(**paths) for arg in argv])
         assert exc.value.code == 2

@@ -3,10 +3,11 @@
 Each example starts from a small valid set of inputs for `predict` (history,
 temperature forecast, holiday file, INI config) or for `backtest` (history,
 dates file, INI config) and damages one of them: a field of a JSON record set
-to an arbitrary JSON value, an INI key set to arbitrary text, a line
-replaced, dropped or truncated, a character swapped, a stray non-UTF-8 byte,
-or the whole file replaced by noise. Whatever the damage, `main` must return
-an exit code and let no exception escape.
+to an arbitrary JSON value, one load or temperature value of a record set to
+a JSON leaf (null, NaN, an infinity, a huge integer, ...), an INI key set to
+arbitrary text, a line replaced, dropped or truncated, a character swapped, a
+stray non-UTF-8 byte, or the whole file replaced by noise. Whatever the
+damage, `main` must return an exit code and let no exception escape.
 """
 
 import datetime as dt
@@ -64,6 +65,9 @@ PREDICT_FILES = ["config.ini", "forecast.csv", "history.jsonl", "holidays.txt"]
 BACKTEST_FILES = ["config.ini", "dates.txt", "history.jsonl"]
 
 text = st.text(st.characters(exclude_categories=("Cs",)), max_size=40)
+# floats include NaN and the infinities, which json.dumps writes as literals
+leaves = (st.none() | st.booleans() | st.floats() | text
+          | st.integers(-10**400, 10**400))
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | text,
     lambda inner: st.lists(inner, max_size=4)
@@ -80,12 +84,12 @@ def _line_replaced(content: str, i: int, replacement: list[str]) -> str:
 
 
 @st.composite
-def damaged(draw, name: str) -> bytes:
-    """The valid `name` file with one kind of damage, as bytes."""
+def damaged(draw, name: str, kind: str | None = None) -> bytes:
+    """The valid `name` file with one kind of damage (drawn if not given)."""
     content = VALID[name]
     kinds = ["line", "drop", "truncate", "char", "byte", "noise"]
-    kinds += {"history.jsonl": ["json"], "config.ini": ["ini"]}.get(name, [])
-    kind = draw(st.sampled_from(kinds))
+    kinds += {"history.jsonl": ["json", "element"], "config.ini": ["ini"]}.get(name, [])
+    kind = kind or draw(st.sampled_from(kinds))
     i = draw(st.integers(0, 10_000))
     if kind == "noise":
         return draw(st.binary(max_size=80))
@@ -93,6 +97,13 @@ def damaged(draw, name: str) -> bytes:
         lines = content.splitlines()
         record = json.loads(lines[i % len(lines)])
         record[draw(st.sampled_from(RECORD_KEYS) | text)] = draw(json_values)
+        content = _line_replaced(content, i, [json.dumps(record)])
+    elif kind == "element":
+        lines = content.splitlines()
+        i = 1 + i % (len(lines) - 1)  # a record, not the grid header
+        record = json.loads(lines[i])
+        values = record[draw(st.sampled_from(["load_mw", "temp_c"]))]
+        values[draw(st.integers(0, len(values) - 1))] = draw(leaves)
         content = _line_replaced(content, i, [json.dumps(record)])
     elif kind == "ini":
         sections = {s: dict(values) for s, values in INI.items()}
@@ -182,3 +193,9 @@ def test_damaged_input_exits_cleanly(case):
 @given(_damaged_case(BACKTEST_FILES))
 def test_damaged_backtest_input_exits_cleanly(case):
     assert _run(_files_with(case), _backtest) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(damaged("history.jsonl", "element"), st.sampled_from([_predict, _backtest]))
+def test_damaged_history_value_exits_cleanly(data, command):
+    assert _run(_files_with(("history.jsonl", data)), command) in (0, 1, 2)

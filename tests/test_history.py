@@ -9,8 +9,8 @@ from shapecast.history import (
     DailyRecord,
     HistoryWindow,
     Quality,
+    history_jsonl_text,
     read_history_jsonl,
-    write_history_jsonl,
 )
 from shapecast.segments import TimeGrid, rescale_day
 
@@ -151,6 +151,10 @@ class TestPrefix:
         np.testing.assert_array_equal(window.prefix(1).shapes, [[0.25, 0.5, 1.0, 0.5]])
 
 
+def write_history(path, window: HistoryWindow) -> None:
+    path.write_text(history_jsonl_text(window), encoding="utf-8")
+
+
 class TestJsonlRoundtrip:
     def test_roundtrip_exact(self, tmp_path, grid24):
         rng = np.random.default_rng(11)
@@ -158,33 +162,33 @@ class TestJsonlRoundtrip:
         temps = 10.0 + 20.0 * rng.random((6, 24))
         window = make_history(grid24, dt.date(2010, 5, 3), loads, temps)
         path = tmp_path / "history.jsonl"
-        write_history_jsonl(path, window)
+        write_history(path, window)
         back = read_history_jsonl(path)
         assert len(back) == len(window)
         for a, b in zip(window.records, back.records):
             assert a.meta == b.meta
             np.testing.assert_array_equal(a.load.values, b.load.values)
-            np.testing.assert_array_equal(
-                a.temperature.values[list(a.temperature.mask)],
-                b.temperature.values[list(b.temperature.mask)],
-            )
-            assert a.temperature.mask == b.temperature.mask
+            np.testing.assert_array_equal(a.temperature.values, b.temperature.values)
             assert a.quality is b.quality
 
     def test_partial_temperature_mask(self, tmp_path, grid4):
         rec = make_record(
             grid4, dt.date(2010, 5, 3), [1.0, 2.0, 3.0, 4.0],
-            temp=[np.nan, 21.0, np.nan, 24.0], temp_mask=(1, 3),
+            temp=[np.nan, 21.0, np.nan, 24.0],
         )
         path = tmp_path / "h.jsonl"
-        write_history_jsonl(path, HistoryWindow((rec,)))
+        write_history(path, HistoryWindow((rec,)))
+        assert '"temp_c": [null, 21.0, null, 24.0]' in path.read_text()
         back = read_history_jsonl(path)
         assert back.records[0].temperature.mask == (1, 3)
+        np.testing.assert_array_equal(
+            back.records[0].temperature.values, [np.nan, 21.0, np.nan, 24.0]
+        )
 
     def test_holiday_flag_survives(self, tmp_path, grid4):
         rec = make_record(grid4, dt.date(2010, 1, 1), [1.0, 2.0, 3.0, 4.0], holiday=True)
         path = tmp_path / "h.jsonl"
-        write_history_jsonl(path, HistoryWindow((rec,)))
+        write_history(path, HistoryWindow((rec,)))
         back = read_history_jsonl(path)
         assert back.records[0].meta.group.value == "HOLIDAY"
 
@@ -193,6 +197,9 @@ class TestJsonlRoundtrip:
         path.write_text('{"date": "2010-01-01"}\n')
         with pytest.raises(ShapecastError, match="grid"):
             read_history_jsonl(path)
+
+
+RECORD = '{"date": "2010-01-05", "quality": "complete", "load_mw": [1, 2, 3, 4]}'
 
 
 class TestJsonlErrors:
@@ -223,6 +230,17 @@ class TestJsonlErrors:
             ('{"date": "2010-01-05", "quality": "complete", "load_mw": [1, 2]}',
              "length"),
             ('[1, 2]', "list indices"),
+            ('{"date": "2010-01-05", "quality": "complete", "load_mw": [1, NaN, 3, 4]}',
+             "non-finite number NaN"),
+            (f'{RECORD[:-1]}, "temp_c": [1, Infinity, 3, 4]}}', "non-finite number Infinity"),
+            (f'{RECORD[:-1]}, "temp_c": [1, 2, -Infinity, null]}}',
+             "non-finite number -Infinity"),
+            (f'{RECORD[:-1]}, "temp_c": [null, "nan", 3, 4]}}', "null only"),
+            (f'{RECORD[:-1]}, "temp_c": [1e200, 2, 3, 4]}}', "within ±1000"),
+            (f'{RECORD[:-1]}, "temp_c": [1, 2]}}', "expected length 4, got 2"),
+            (f'{RECORD[:-1]}, "temp_c": [[1], [2], [3], [4]]}}', "1-d vector"),
+            (RECORD.replace("[1, 2, 3, 4]", f"[1, 2, 3, {10**400}]"), "too large"),
+            (f'{RECORD[:-1]}, "temp_c": [null, {10**400}, 3, 4]}}', "too large"),
         ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, line, message):

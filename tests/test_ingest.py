@@ -257,6 +257,24 @@ class TestParserRows:
         else:
             assert padded == plain
 
+    @pytest.mark.parametrize("kind, column", [
+        ("load", "load_mw"), ("temps", "temp_c"), ("forecast", "temperature"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_reading_names_line(self, kind, column, value):
+        parse, header, row = self.PARSERS[kind]
+        bad = row.rsplit(",", 1)[0] + "," + value
+        with pytest.raises(IngestError) as exc:
+            parse(f"{header}\n\n{bad}\n")
+        assert str(exc.value) == f"line 3: non-finite {column} '{value}'"
+
+    @pytest.mark.parametrize("kind", ["temps", "forecast"])
+    def test_temperature_beyond_limit_names_line(self, kind):
+        parse, header, row = self.PARSERS[kind]
+        with pytest.raises(IngestError, match=r"^line 2: .* '1e200' beyond ±1000$"):
+            parse(f"{header}\n{row.rsplit(',', 1)[0]},1e200\n")
+        assert len(parse(f"{header}\n{row.rsplit(',', 1)[0]},-1000\n")) == 1
+
     def test_line_numbers_count_blank_lines(self):
         with pytest.raises(IngestError, match="^line 4: bad timestamp"):
             parse_load_file("timestamp,load_mw\n\n2010-06-07T00:00,1\nnoon,2\n")

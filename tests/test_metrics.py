@@ -11,8 +11,8 @@ from shapecast.segments import LoadSegment, TimeGrid
 GRID = TimeGrid.equidistant(4)
 
 
-def seg(values, scale=None):
-    return LoadSegment(GRID, np.asarray(values, dtype=float), scale=scale)
+def seg(values):
+    return LoadSegment(GRID, np.asarray(values, dtype=float))
 
 
 class TestScoreDay:
@@ -43,6 +43,10 @@ class TestScoreDay:
     def test_zero_actual_rejected(self):
         with pytest.raises(ShapecastError):
             score_day(seg([0.5] * 4), seg([0.5, 0.0, 0.5, 0.5]))
+
+    def test_actual_near_zero_scores_infinite(self):
+        rmae, _, _ = score_day(seg([0.5] * 4), seg([0.5, 5e-324, 0.5, 0.5]))
+        assert rmae == np.inf
 
     def test_grid_mismatch_rejected(self):
         other = LoadSegment(TimeGrid.equidistant(2), np.array([0.5, 1.0]))

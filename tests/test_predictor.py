@@ -150,7 +150,7 @@ class TestPredictShape:
 
 
 def full_mask_forecast(grid, values):
-    return TemperatureSegment(grid, values, tuple(range(grid.points_per_day)))
+    return TemperatureSegment(grid, values)
 
 
 def brute_force_ssp(records, target_group, forecast_values, forecast_mask,

@@ -57,9 +57,8 @@ class TestCandidateSet:
         assert all(c.meta.date >= MONDAY + dt.timedelta(days=21) for c in recent)
 
 
-def temp_segment(grid, values, mask=None):
-    mask = mask if mask is not None else tuple(range(grid.points_per_day))
-    return TemperatureSegment(grid, values, mask)
+def temp_segment(grid, values):
+    return TemperatureSegment(grid, values)
 
 
 class TestSelectReference:
@@ -193,7 +192,7 @@ class TestSelectReference:
     def test_distance_restricted_to_forecast_mask(self):
         # candidate differs wildly off-mask; only masked points count
         cand = self.record(0, [100.0] * 4, [20.0, 999.0, 20.0, -50.0])
-        forecast = temp_segment(self.grid, [20.0, np.nan, 20.0, np.nan], mask=(0, 2))
+        forecast = temp_segment(self.grid, [20.0, np.nan, 20.0, np.nan])
         result = select_reference([cand], forecast, self.cfg)
         assert result.temp_distances[cand.meta.date] == 0.0
 

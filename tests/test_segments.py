@@ -165,13 +165,11 @@ class TestRescale:
         grid3 = TimeGrid(("00:00", "08:00", "16:00"))
         seg = rescale_day(LoadSegment(grid3, [100.0, 200.0, 400.0]))
         assert np.array_equal(seg.values, [0.25, 0.5, 1.0])
-        assert seg.scale == 400.0
 
     def test_constant_day(self):
         grid3 = TimeGrid(("00:00", "08:00", "16:00"))
         seg = rescale_day(LoadSegment(grid3, [5.0, 5.0, 5.0]))
         assert np.array_equal(seg.values, [1.0, 1.0, 1.0])
-        assert seg.scale == 5.0
 
     def test_max_exactly_one(self, grid24):
         rng = np.random.default_rng(3)
@@ -184,7 +182,7 @@ class TestRescale:
         for _ in range(50):
             raw = LoadSegment(grid24, 1e-3 + rng.random(24) * 700)
             shaped = rescale_day(raw)
-            back = shaped.values * shaped.scale
+            back = shaped.values * np.max(raw.values)
             # one division and one multiplication each cost at most an ulp
             np.testing.assert_allclose(back, raw.values, rtol=1e-15)
 
@@ -198,24 +196,25 @@ class TestRescale:
 
 
 class TestTemperatureSegment:
-    def test_mask_bounds(self, grid4):
-        with pytest.raises(ShapecastError):
-            TemperatureSegment(grid4, [1.0, 2.0, 3.0, 4.0], (9,))
-
     def test_empty_mask(self, grid4):
-        with pytest.raises(ShapecastError):
-            TemperatureSegment(grid4, [1.0, 2.0, 3.0, 4.0], ())
+        with pytest.raises(ShapecastError, match="mask must be nonempty"):
+            TemperatureSegment(grid4, [np.nan] * 4)
 
-    def test_on_mask_fills_nan_elsewhere(self, grid4):
-        seg = TemperatureSegment.on_mask(grid4, [3, 1], [30.0, 10.0])
+    def test_nan_allowed_off_mask(self, grid4):
+        # the mask is derived: the indices of the non-NaN values, ascending
+        seg = TemperatureSegment(grid4, [np.nan, 10.0, np.nan, 30.0])
         assert seg.mask == (1, 3)
         np.testing.assert_array_equal(seg.values, [np.nan, 10.0, np.nan, 30.0])
 
-    def test_on_mask_index_out_of_bounds(self, grid4):
-        with pytest.raises(ShapecastError, match="out of bounds"):
-            TemperatureSegment.on_mask(grid4, [1, 4], [10.0, 20.0])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1000.5, -1e200])
+    def test_infinite_or_absurd_values_rejected(self, grid4, bad):
+        with pytest.raises(ShapecastError, match="finite on the mask"):
+            TemperatureSegment(grid4, [20.0, bad, np.nan, 21.0])
 
-    def test_nan_allowed_off_mask(self, grid4):
-        seg = TemperatureSegment(grid4, [np.nan, 20.0, np.nan, np.nan], (1,))
-        assert seg.covers((1,))
-        assert not seg.covers((0, 1))
+    def test_values_are_a_read_only_copy(self, grid4):
+        raw = np.array([20.0, np.nan, 22.0, 23.0])
+        seg = TemperatureSegment(grid4, raw)
+        raw[0] = 99.0
+        assert seg.values[0] == 20.0
+        with pytest.raises(ValueError):
+            seg.values[0] = 1.0

@@ -64,7 +64,7 @@ class TestGenerate:
 
     def test_start_is_monday_by_default(self):
         window, _ = generate(SyntheticSpec(GRID, 1))
-        assert window.records[0].meta.weekday == "Mon"
+        assert window.records[0].meta.date.weekday() == 0
 
     def test_cycle_mode_visits_pool_in_order(self):
         _, truths = generate(SyntheticSpec(GRID, 12, profile_mode="cycle", seed=0))
