@@ -21,7 +21,6 @@ from .segments import (
     TemperatureSegment,
     TimeGrid,
     distance,
-    rescale_day,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "TemperatureSegment",
     "TimeGrid",
     "distance",
-    "rescale_day",
 ]

@@ -72,16 +72,17 @@ def backtest(
     scores: list[DayScore] = []
     curves: dict[dt.date, DayCurves] = {}
     for date in dates:
-        target = history.by_date(date)
-        forecast, day_max = stand_in(target)
-        prior = history.before(date)
-        if not len(prior):
+        i = history.row(date)
+        forecast, day_max = stand_in(history, i)
+        if not i:
             raise ShapecastError(f"{date.isoformat()}: no prior history")
-        day_curves = curves[date] = DayCurves(actual=target.load.values)
+        prior, meta = history.prefix(i), history.meta(i)
+        actual = LoadSegment(history.grid, history.loads[i])
+        day_curves = curves[date] = DayCurves(actual=actual.values)
         for method in methods:
-            predicted_values = METHODS[method](prior, target.meta, forecast, cfg) * day_max
+            predicted_values = METHODS[method](prior, meta, forecast, cfg) * day_max
             predicted = LoadSegment(history.grid, predicted_values)
-            rmae, maxdiff, mindiff = score_day(predicted, target.load)
+            rmae, maxdiff, mindiff = score_day(predicted, actual)
             scores.append(DayScore(date, method, rmae, maxdiff, mindiff))
             day_curves.predicted[method] = predicted_values
     return BacktestReport(

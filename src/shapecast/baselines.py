@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calendars import DayGroup
+from .calendars import GROUPS, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError
 from .history import HistoryWindow
 from .predictor import KernelSpec, _kernel_weights
-from .segments import DistanceSpec, LoadSegment, distances, rescale_day
+from .segments import DistanceSpec, LoadSegment, distances
 
 
 def predict_persistence(history: HistoryWindow, target_group: DayGroup) -> LoadSegment:
     """Shape of the most recent day in the target group."""
-    for rec in reversed(history.records):
-        if rec.meta.group is target_group:
-            return rescale_day(rec.load)
-    raise EmptyCandidateError(f"no {target_group.value} day in history")
+    rows = np.flatnonzero(history.group == GROUPS.index(target_group))
+    if not len(rows):
+        raise EmptyCandidateError(f"no {target_group.value} day in history")
+    return LoadSegment(history.grid, history.shape(rows[-1]))
 
 
 def conditional_kernel_weights(

@@ -11,6 +11,8 @@ import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import IngestError
 
 
@@ -22,15 +24,10 @@ class DayGroup(str, Enum):
     HOLIDAY = "HOLIDAY"
 
 
-_GROUP_BY_WEEKDAY = {
-    0: DayGroup.G1,
-    1: DayGroup.G1,
-    2: DayGroup.G2,
-    3: DayGroup.G1,
-    4: DayGroup.G1,
-    5: DayGroup.G3,
-    6: DayGroup.G4,
-}
+GROUPS = tuple(DayGroup)  # a day's group code is its group's index here
+_GROUP_BY_WEEKDAY = (DayGroup.G1, DayGroup.G1, DayGroup.G2, DayGroup.G1,  # Mon-Thu
+                     DayGroup.G1, DayGroup.G3, DayGroup.G4)  # Fri-Sun
+_CODE_BY_WEEKDAY = np.array([GROUPS.index(g) for g in _GROUP_BY_WEEKDAY])
 
 
 @dataclass(frozen=True)
@@ -40,6 +37,13 @@ class CalendarMeta:
     group: DayGroup
 
 
+def group_codes(dates, is_holiday) -> np.ndarray:
+    """Group code of every date: its weekday's group, HOLIDAY where `is_holiday`."""
+    # 1970-01-01, day 0 of datetime64[D], was a Thursday (weekday 3)
+    weekdays = (np.array(dates, dtype="datetime64[D]").astype(np.int64) + 3) % 7
+    return np.where(is_holiday, GROUPS.index(DayGroup.HOLIDAY), _CODE_BY_WEEKDAY[weekdays])
+
+
 def annotate_calendar(date: dt.date, holiday_set=frozenset()) -> CalendarMeta:
     """Resolve the day group of a date from its weekday; holidays override it."""
     is_holiday = date in holiday_set
@@ -47,17 +51,24 @@ def annotate_calendar(date: dt.date, holiday_set=frozenset()) -> CalendarMeta:
     return CalendarMeta(date, is_holiday, group)
 
 
-def parse_date_lines(text: str, source: str) -> list[dt.date]:
-    """One ISO date per line, in file order; blank lines and '#' comments allowed."""
-    dates = []
+def parse_date_lines(text: str, source: str, unique: bool = False) -> list[dt.date]:
+    """One ISO date per line, in file order; blank lines and '#' comments allowed.
+
+    With `unique`, a date listed twice is an error naming its second line.
+    """
+    dates, seen = [], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            dates.append(dt.date.fromisoformat(line))
+            date = dt.date.fromisoformat(line)
         except ValueError as exc:
             raise IngestError(f"{source} line {lineno}: bad date {line!r}") from exc
+        if unique and date in seen:
+            raise IngestError(f"{source} line {lineno}: duplicate date {date.isoformat()}")
+        seen.add(date)
+        dates.append(date)
     return dates
 
 

@@ -211,7 +211,7 @@ def cmd_ingest(args) -> int:
     window, report = segmentize(
         records, grid, temps=temps, max_gap=args.max_gap, holiday_set=holidays
     )
-    _atomic_write(args.out, history_jsonl_text(window, grid))
+    _atomic_write(args.out, history_jsonl_text(window))
 
     for line in report.summary_lines():
         print(line)
@@ -258,15 +258,12 @@ def cmd_predict(args) -> int:
 
 def _backtest_dates(args, history: HistoryWindow) -> list[dt.date]:
     if args.dates_file:
-        dates = parse_date_lines(_read_text(args.dates_file), "dates file")
+        dates = parse_date_lines(_read_text(args.dates_file), "dates file", unique=True)
         if not dates:
             raise ShapecastError(f"dates file {args.dates_file} lists no dates")
         return dates
-    eligible = [
-        r.meta.date
-        for i, r in enumerate(history.records)
-        if i >= args.min_history and r.temperature is not None
-    ]
+    observed = ~np.isnan(history.temps[args.min_history:]).all(axis=1)
+    eligible = [history.dates[args.min_history + i] for i in np.flatnonzero(observed)]
     if len(eligible) < args.sample:
         raise ShapecastError(
             f"only {len(eligible)} eligible days for --sample {args.sample}"

@@ -1,4 +1,4 @@
-"""Daily records, the ordered history window, and its JSON-lines persistence."""
+"""The history as day-by-day columns, daily-record views, and JSON-lines persistence."""
 
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .calendars import CalendarMeta, annotate_calendar
-from .errors import IngestError, ShapecastError
-from .segments import LoadSegment, TemperatureSegment, TimeGrid, read_only
+from .calendars import GROUPS, CalendarMeta, group_codes
+from .errors import GridMismatchError, IngestError, ShapecastError
+from .segments import TEMPERATURE_LIMIT_C, LoadSegment, TemperatureSegment, TimeGrid
+from .segments import _as_vector, read_only
 
 
 class Quality(str, Enum):
@@ -33,122 +34,158 @@ class DailyRecord:
     quality: Quality = Quality.COMPLETE
 
 
-@dataclass(frozen=True)
-class HistoryWindow:
-    """Ascending, duplicate-free list of usable (non-rejected) daily records.
+# the per-day columns a prefix slices; `shapes` and `records` only once built
+_COLUMNS = (
+    "dates", "is_holiday", "quality", "loads", "temps", "group", "shapes", "records"
+)
+_NONPOSITIVE = "cannot rescale a segment with nonpositive maximum"
+_REFUSED = (
+    "load values must be finite",
+    "load values must be nonnegative",
+    f"temperature values must be finite on the mask, within ±{TEMPERATURE_LIMIT_C:g} °C",
+)
 
-    The window owns its column arrays: `dates`, `loads` (L x P megawatts) and
-    `shapes` (L x P, each row divided by its maximum). Each is built at most
-    once and is read-only; `prefix(n)` slices them instead of rebuilding.
+
+def _first_bad_row(loads: np.ndarray, temps: np.ndarray) -> tuple[int, str] | None:
+    """(row, reason) for the first day a window refuses, or None."""
+    bad = np.array([~np.isfinite(loads), loads < 0, np.abs(temps) > TEMPERATURE_LIMIT_C])
+    rows = np.flatnonzero(bad.any(axis=(0, 2)))
+    if not len(rows):
+        return None
+    return int(rows[0]), _REFUSED[int(np.argmax(bad[:, rows[0]].any(axis=1)))]
+
+
+@dataclass(frozen=True, eq=False)
+class HistoryWindow:
+    """Ascending, duplicate-free usable (non-rejected) days, held as columns.
+
+    Row i of every column is one day: `dates`, `is_holiday`, `group` (an index
+    into `calendars.GROUPS`), `quality`, `loads` (L x P megawatts) and `temps`
+    (L x P Celsius, NaN where unobserved; a day without temperature is an
+    all-NaN row). The window keeps the float arrays it is given, uncopied,
+    and makes them read-only. `shapes` is built on first use; `prefix(n)`
+    slices every column, and every prefix shares the whole window's `shapes`
+    matrix. `records` and `by_date` build `DailyRecord` views only when asked.
     """
 
-    records: tuple[DailyRecord, ...]
+    grid: TimeGrid
+    dates: tuple[dt.date, ...]
+    loads: np.ndarray
+    temps: np.ndarray
+    is_holiday: np.ndarray | None = None  # None: no holidays
+    quality: tuple[Quality, ...] | None = None  # None: every day complete
+
+    _root = None  # for a prefix, the window whose shapes matrix it slices
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        dates = self.dates
-        if any(b <= a for a, b in zip(dates, dates[1:])):
+        n, P = len(self.dates), self.grid.points_per_day
+        holiday = np.zeros(n) if self.is_holiday is None else self.is_holiday
+        quality = (Quality.COMPLETE,) * n if self.quality is None else self.quality
+        self.__dict__.update(
+            dates=tuple(self.dates),
+            loads=read_only(np.asarray(self.loads, dtype=float)),
+            temps=read_only(np.asarray(self.temps, dtype=float)),
+            is_holiday=read_only(np.array(holiday, dtype=bool)),
+            quality=tuple(quality),
+        )
+        if (self.loads.shape != (n, P) or self.temps.shape != (n, P)
+                or self.is_holiday.shape != (n,) or len(self.quality) != n):
+            raise GridMismatchError(f"every column needs {n} days of {P} points")
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ShapecastError("history records must be strictly ascending by date")
-        if any(r.quality is Quality.REJECTED for r in self.records):
+        if Quality.REJECTED in self.quality:
             raise ShapecastError("rejected records are excluded from history")
+        bad = _first_bad_row(self.loads, self.temps)
+        if bad is not None:
+            raise ShapecastError(bad[1])
+        # a day's group follows from its date and holiday flag, so it is no argument
+        self.__dict__["group"] = read_only(group_codes(self.dates, self.is_holiday))
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def grid(self) -> TimeGrid:
-        if not self.records:
-            raise ShapecastError("empty history has no grid")
-        return self.records[0].load.grid
+        return len(self.dates)
 
     @cached_property
-    def dates(self) -> tuple[dt.date, ...]:
-        """Record dates, ascending; `before` and `by_date` bisect them."""
-        return tuple(r.meta.date for r in self.records)
-
-    @cached_property
-    def loads(self) -> np.ndarray:
-        """L x P matrix of raw load values (megawatts), history order."""
-        if not self.records:
-            return read_only(np.empty((0, 0)))
-        return read_only(np.array([r.load.values for r in self.records]))
+    def _shape_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each load row over its maximum or zero, whether that maximum is positive)."""
+        peaks = self.loads.max(axis=1, keepdims=True)
+        ok = peaks > 0
+        rows = np.divide(self.loads, peaks, out=np.zeros_like(self.loads), where=ok)
+        return read_only(rows), ok[:, 0]
 
     @cached_property
     def shapes(self) -> np.ndarray:
         """L x P matrix of shape-form (max-rescaled) load values, history order."""
-        loads = self.loads
-        if not len(loads):
-            return loads
-        peaks = loads.max(axis=1, keepdims=True)
-        if np.any(peaks <= 0):
-            raise ShapecastError("cannot rescale a segment with nonpositive maximum")
-        return read_only(loads / peaks)
+        # a nonpositive row fails only the windows that hold it
+        rows, ok = (self if self._root is None else self._root)._shape_rows
+        if not ok[:len(self)].all():
+            raise ShapecastError(_NONPOSITIVE)
+        return rows[:len(self)]
+
+    def shape(self, i: int) -> np.ndarray:
+        """Day i's load over its maximum, without building `shapes`."""
+        load = self.loads[i]
+        peak = load.max()
+        if peak <= 0:
+            raise ShapecastError(_NONPOSITIVE)
+        return load / peak
 
     def prefix(self, n: int) -> "HistoryWindow":
-        """The first `n` records; a prefix of a valid window needs no checks.
-
-        The prefix slices this window's arrays: `loads` always, `dates` and
-        `shapes` when they are already built.
-        """
+        """The first `n` days; a prefix of a valid window needs no checks."""
         window = object.__new__(HistoryWindow)
-        object.__setattr__(window, "records", self.records[:n])
-        window.__dict__["loads"] = self.loads[:n]
-        for name in ("dates", "shapes"):
-            if name in self.__dict__:
-                window.__dict__[name] = self.__dict__[name][:n]
+        window.__dict__.update(
+            {name: self.__dict__[name][:n] for name in _COLUMNS if name in self.__dict__},
+            grid=self.grid,
+            _root=self if self._root is None else self._root,
+        )
         return window
 
     def before(self, date: dt.date) -> "HistoryWindow":
-        """Records strictly before `date`."""
+        """Days strictly before `date`."""
         return self.prefix(bisect_left(self.dates, date))
 
-    def by_date(self, date: dt.date) -> DailyRecord:
+    def row(self, date: dt.date) -> int:
+        """Index of the day `date`."""
         i = bisect_left(self.dates, date)
         if i == len(self.dates) or self.dates[i] != date:
             raise ShapecastError(f"no record for {date.isoformat()}")
-        return self.records[i]
+        return i
+
+    def meta(self, i: int) -> CalendarMeta:
+        return CalendarMeta(self.dates[i], bool(self.is_holiday[i]), GROUPS[self.group[i]])
+
+    def _record(self, i: int) -> DailyRecord:
+        temps = self.temps[i]
+        temperature = None
+        if not np.isnan(temps).all():
+            temperature = TemperatureSegment(self.grid, temps)
+        load = LoadSegment(self.grid, self.loads[i])
+        return DailyRecord(self.meta(i), load, temperature, self.quality[i])
+
+    @cached_property
+    def records(self) -> tuple[DailyRecord, ...]:
+        """Every day as a `DailyRecord` view, built on first use."""
+        return tuple(map(self._record, range(len(self))))
+
+    def by_date(self, date: dt.date) -> DailyRecord:
+        return self._record(self.row(date))
 
 
-def record_to_dict(record: DailyRecord) -> dict:
-    d = {
-        "date": record.meta.date.isoformat(),
-        "is_holiday": record.meta.is_holiday,
-        "group": record.meta.group.value,
-        "quality": record.quality.value,
-        "load_mw": record.load.values.tolist(),
-    }
-    if record.temperature is not None:
-        # NaN, the one value unequal to itself, marks an unobserved point
-        d["temp_c"] = [None if v != v else v for v in record.temperature.values.tolist()]
-    return d
-
-
-def record_from_dict(d: dict, grid: TimeGrid) -> DailyRecord:
-    date = dt.date.fromisoformat(d["date"])
-    holiday_set = {date} if d.get("is_holiday") else frozenset()
-    meta = annotate_calendar(date, holiday_set)
-    load = LoadSegment(grid, d["load_mw"])
-    temperature = None
-    if d.get("temp_c") is not None:
-        raw = d["temp_c"]
-        temperature = TemperatureSegment(grid, np.array(raw, dtype=float))
-        # null is the only unobserved mark; numpy would also read the text "nan"
-        if np.count_nonzero(np.isnan(temperature.values)) != raw.count(None):
-            raise ShapecastError("temp_c marks unobserved points with null only")
-    return DailyRecord(meta, load, temperature, Quality(d["quality"]))
-
-
-def history_jsonl_text(window: HistoryWindow, grid: TimeGrid | None = None) -> str:
-    """First line carries the grid labels; one record per following line.
-
-    `grid` is written for an empty window, which has no grid of its own.
-    """
-    grid = grid or window.grid
-    lines = [json.dumps({"grid": list(grid.labels)}, sort_keys=True)]
-    lines += [json.dumps(record_to_dict(r), sort_keys=True) for r in window.records]
+def history_jsonl_text(window: HistoryWindow) -> str:
+    """First line carries the grid labels; one day per following line."""
+    lines = [json.dumps({"grid": list(window.grid.labels)}, sort_keys=True)]
+    observed = ~np.isnan(window.temps).all(axis=1)
+    for i, date in enumerate(window.dates):
+        d = {
+            "date": date.isoformat(),
+            "is_holiday": bool(window.is_holiday[i]),
+            "group": GROUPS[window.group[i]].value,
+            "quality": window.quality[i].value,
+            "load_mw": window.loads[i].tolist(),
+        }
+        if observed[i]:
+            # NaN, the one value unequal to itself, marks an unobserved point
+            d["temp_c"] = [None if v != v else v for v in window.temps[i].tolist()]
+        lines.append(json.dumps(d, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -168,7 +205,29 @@ def _refuse_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
+def _refuse_bad_row(path, records, loads: np.ndarray, temps: np.ndarray) -> None:
+    """Name the line of the first row a window would refuse."""
+    bad = _first_bad_row(loads, temps)
+    if bad is not None:
+        raise IngestError(f"{path}:{records[bad[0]][0]}: {bad[1]}")
+
+
+_NUMBER = frozenset({int, float})  # bool is neither, though it subclasses int
+_NUMBER_OR_NULL = _NUMBER | {type(None)}
+
+
+def _numbers(values, key: str, P: int, kinds=_NUMBER) -> list:
+    """`values` if it is a list of P JSON numbers (or nulls, where `kinds` has them)."""
+    if type(values) is list and len(values) == P and kinds.issuperset(map(type, values)):
+        return values
+    _as_vector(values, P)  # a wrong nesting or length fails here, naming its shape
+    bad = next(v for v in values if type(v) not in kinds)
+    nulls = ", null only for an unobserved point" if type(None) in kinds else ""
+    raise ValueError(f"{key} holds {json.dumps(bad)}: numbers only{nulls}")
+
+
 def read_history_jsonl(path) -> HistoryWindow:
+    """The window a history file holds; every error names `path:line`."""
     with open(path, encoding="utf-8") as fh:
         lines = [
             (n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()
@@ -181,9 +240,26 @@ def read_history_jsonl(path) -> HistoryWindow:
         if not isinstance(header, dict) or "grid" not in header:
             raise ShapecastError("missing grid header line")
         grid = TimeGrid(tuple(header["grid"]))
-    records = []
-    for lineno, text in lines[1:]:
-        with _located(path, lineno):
-            record = json.loads(text, parse_constant=_refuse_constant)
-            records.append(record_from_dict(record, grid))
-    return HistoryWindow(tuple(records))
+    records = lines[1:]
+    P = grid.points_per_day
+    dates, holidays, quality = [], [], []
+    # a row not yet filled is zero load, no temperature: nothing to refuse
+    loads, temps = np.zeros((len(records), P)), np.full((len(records), P), np.nan)
+    for k, (lineno, text) in enumerate(records):
+        try:
+            with _located(path, lineno):
+                d = json.loads(text, parse_constant=_refuse_constant)
+                dates.append(dt.date.fromisoformat(d["date"]))
+                holidays.append(bool(d.get("is_holiday")))
+                loads[k] = _numbers(d["load_mw"], "load_mw", P)
+                temp = d.get("temp_c")
+                if temp is not None:
+                    temps[k] = _numbers(temp, "temp_c", P, _NUMBER_OR_NULL)  # null: NaN
+                    if temp.count(None) == P:
+                        raise ShapecastError("temperature mask must be nonempty")
+                quality.append(Quality(d["quality"]))
+        except IngestError:  # a bad value on this line or an earlier one comes first
+            _refuse_bad_row(path, records, loads[:k + 1], temps[:k + 1])
+            raise
+    _refuse_bad_row(path, records, loads, temps)
+    return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))

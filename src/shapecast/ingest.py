@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calendars import annotate_calendar
 from .errors import IngestError
-from .history import DailyRecord, HistoryWindow, Quality
-from .segments import TEMPERATURE_LIMIT_C, LoadSegment, TemperatureSegment, TimeGrid
+from .history import HistoryWindow, Quality
+from .segments import TEMPERATURE_LIMIT_C, TemperatureSegment, TimeGrid
 
 FORECAST_LABELS = ("08:00", "12:00", "16:00", "20:00")
 
@@ -168,15 +167,6 @@ def _lay_out_day(minute_values: dict[int, float], grid_minutes: list[int],
     return values, "gap-filled", f"interpolated {len(filled)} missing points", filled
 
 
-def _temperature(minute_values: dict[int, float], grid: TimeGrid,
-                 grid_minutes: list[int]):
-    """The day's reading at each grid minute, NaN where none; None if none is."""
-    values = np.array([minute_values.get(m, np.nan) for m in grid_minutes])
-    if np.all(np.isnan(values)):
-        return None
-    return TemperatureSegment(grid, values)
-
-
 def segmentize(
     records,
     grid: TimeGrid,
@@ -196,13 +186,15 @@ def segmentize(
     by_day = _group_by_day(records)
     temps_by_day = _group_by_day(temps)
     report = GapReport()
-    if not by_day:
-        return HistoryWindow(()), report
     grid_minutes = grid.minutes.tolist()
-    first, last = min(by_day), max(by_day)
-    kept: list[DailyRecord] = []
+    # a kept day has load readings, so there are at most len(by_day) of them
+    dates, quality = [], []
+    load_rows = np.empty((len(by_day), len(grid_minutes)))
+    temp_rows = np.full((len(by_day), len(grid_minutes)), np.nan)
+    first = min(by_day, default=None)
+    span = (max(by_day) - first).days + 1 if by_day else 0
     # counting days, not stepping a date, so that 9999-12-31 has no successor
-    for offset in range((last - first).days + 1):
+    for offset in range(span):
         date = first + dt.timedelta(days=offset)
         minute_values = by_day.get(date, {})
         values, kind, detail, filled = _lay_out_day(minute_values, grid_minutes, max_gap)
@@ -212,13 +204,15 @@ def segmentize(
             )
         if values is None:
             continue
-        kept.append(DailyRecord(
-            annotate_calendar(date, holiday_set),
-            LoadSegment(grid, values),
-            _temperature(temps_by_day.get(date, {}), grid, grid_minutes),
-            Quality.COMPLETE if kind is None else Quality.GAP_FILLED,
-        ))
-    return HistoryWindow(tuple(kept)), report
+        load_rows[len(dates)] = values
+        day_temps = temps_by_day.get(date, {})
+        temp_rows[len(dates)] = [day_temps.get(m, np.nan) for m in grid_minutes]
+        dates.append(date)
+        quality.append(Quality.COMPLETE if kind is None else Quality.GAP_FILLED)
+    n, holidays = len(dates), [date in holiday_set for date in dates]
+    window = HistoryWindow(grid, tuple(dates), load_rows[:n], temp_rows[:n], holidays,
+                           tuple(quality))
+    return window, report
 
 
 def forecast_mask_indices(grid: TimeGrid) -> tuple[int, ...]:

@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .calendars import CalendarMeta, DayGroup
+from .calendars import GROUPS, CalendarMeta, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
-from .history import DailyRecord, HistoryWindow
+from .history import HistoryWindow
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
 from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
 
@@ -94,9 +94,9 @@ def _kernel_weights(
     """Normalized kernel weights from the distance row of the history shapes.
 
     A compact kernel at a tiny bandwidth can kill all mass; the weight then
-    falls back, with a warning, to the nearest shape. With `in_group` (1.0
-    for days of the target group, 0.0 otherwise) the weights are restricted
-    to that group and renormalized.
+    falls back, with a warning, to the nearest shape. With `in_group` (True
+    for days of the target group) the weights are restricted to that group
+    and renormalized.
     """
     mass = kernel_value(dists / kernel.bandwidth, kernel.kind)
     total = mass.sum()
@@ -119,10 +119,6 @@ def _kernel_weights(
     return masked / masked.sum()
 
 
-def _group_mask(records, group: DayGroup) -> np.ndarray:
-    return np.array([r.meta.group is group for r in records], dtype=float)
-
-
 def predict_shape(shapes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Coordinate-wise convex combination of history shapes."""
     shapes = np.atleast_2d(np.asarray(shapes, dtype=float))
@@ -132,11 +128,6 @@ def predict_shape(shapes: np.ndarray, weights: np.ndarray) -> np.ndarray:
             f"{shapes.shape[0]} shapes but {weights.shape[0]} weights"
         )
     return weights @ shapes
-
-
-def _matrix(history: HistoryWindow, cfg: PredictorConfig) -> np.ndarray:
-    """The rows the weights run on: shapes, or raw loads with rescale=False."""
-    return history.shapes if cfg.rescale else history.loads
 
 
 def _stage(
@@ -154,11 +145,11 @@ def _stage(
         raise InsufficientHistoryError("cannot predict from an empty history")
     candidates = candidate_set(history, group, cfg.reference)
     reference = select_reference(
-        candidates, temp_forecast, cfg.reference, rescale=cfg.rescale
+        history, candidates, temp_forecast, cfg.reference, rescale=cfg.rescale
     )
-    matrix = _matrix(history, cfg)
+    matrix = history.shapes if cfg.rescale else history.loads
     dists = distances(matrix, reference.reference.values, cfg.shape_distance)
-    in_group = _group_mask(history.records, group) if cfg.same_group_only else None
+    in_group = history.group == GROUPS.index(group) if cfg.same_group_only else None
     return reference, matrix, dists, in_group
 
 
@@ -191,19 +182,20 @@ def predict_day(
     )
 
 
-def stand_in(target: DailyRecord) -> tuple[TemperatureSegment, float]:
-    """(forecast, next-day maximum) for predicting a past day: its realized values.
+def stand_in(history: HistoryWindow, i: int) -> tuple[TemperatureSegment, float]:
+    """(forecast, next-day maximum) for predicting day i: its realized values.
 
     CV and the backtest have no archived forecasts, so the day's realized
     temperature stands in for the forecast and its realized maximum for the
     provided next-day maximum.
     """
-    if target.temperature is None:
+    if np.isnan(history.temps[i]).all():
         raise ShapecastError(
-            f"{target.meta.date.isoformat()}: no realized temperature to "
+            f"{history.dates[i].isoformat()}: no realized temperature to "
             "stand in for the forecast"
         )
-    return target.temperature, float(np.max(target.load.values))
+    forecast = TemperatureSegment(history.grid, history.temps[i])
+    return forecast, float(np.max(history.loads[i]))
 
 
 def default_bandwidth_grid(
@@ -264,21 +256,17 @@ def select_bandwidth(
             f"need more than {validation_days + 1} days of history"
         )
     kernels = [replace(cfg.kernel, bandwidth=h) for h in h_grid]
-    # the last day is only ever a target, so the matrix is built once without
-    # it; every prefix below slices that one matrix
-    base = history.prefix(len(history) - 1)
-    _matrix(base, cfg)
     errs = [[] for _ in kernels]
     for i in range(len(history) - validation_days, len(history)):
-        target = history.records[i]
-        forecast, next_day_max = stand_in(target)
+        forecast, next_day_max = stand_in(history, i)
         _, matrix, dists, in_group = _stage(
-            base.prefix(i), target.meta.group, forecast, cfg
+            history.prefix(i), GROUPS[history.group[i]], forecast, cfg
         )
+        actual = LoadSegment(history.grid, history.loads[i])
         for kernel, day_errs in zip(kernels, errs):
             weights = _kernel_weights(dists, kernel, in_group)
             scaled = predict_shape(matrix, weights) * next_day_max
-            rmae, _, _ = score_day(LoadSegment(history.grid, scaled), target.load)
+            rmae, _, _ = score_day(LoadSegment(history.grid, scaled), actual)
             day_errs.append(rmae)
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid, errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))

@@ -17,10 +17,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .calendars import DayGroup
+from .calendars import GROUPS, DayGroup
 from .errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
-from .history import DailyRecord, HistoryWindow
-from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distance, rescale_day
+from .history import HistoryWindow
+from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
 
 
 class ReferenceMode(str, Enum):
@@ -89,39 +89,40 @@ class ReferenceResult:
 
 def candidate_set(
     history: HistoryWindow, group: DayGroup, cfg: ReferenceConfig
-) -> list[DailyRecord]:
-    """Days of `group` among the last n_L records, oldest first.
+) -> np.ndarray:
+    """Row indices of the `group` days among the last n_L days, oldest first.
 
     A holiday with fewer than two such days widens the pool with the G4 days
     of the lookback (holidays behave most like Sundays) when
     `cfg.holiday_fallback` is set.
     """
+    codes = [GROUPS.index(group)]
     n_l = cfg.n_L(group)
-    candidates = [r for r in history.records[-n_l:] if r.meta.group is group]
-    if group is DayGroup.HOLIDAY and cfg.holiday_fallback and len(candidates) < 2:
-        n_l = max(n_l, cfg.n_L(DayGroup.G4))
-        candidates = [
-            r
-            for r in history.records[-n_l:]
-            if r.meta.group in (DayGroup.HOLIDAY, DayGroup.G4)
-        ]
-    if not candidates:
+    start = max(len(history) - n_l, 0)
+    rows = start + np.flatnonzero(np.isin(history.group[start:], codes))
+    if group is DayGroup.HOLIDAY and cfg.holiday_fallback and len(rows) < 2:
+        codes.append(GROUPS.index(DayGroup.G4))
+        start = max(len(history) - max(n_l, cfg.n_L(DayGroup.G4)), 0)
+        rows = start + np.flatnonzero(np.isin(history.group[start:], codes))
+    if not len(rows):
         raise EmptyCandidateError(f"no usable candidate for group {group.value}")
-    return candidates
+    return rows
 
 
 def select_reference(
-    candidates,
+    history: HistoryWindow,
+    candidates: np.ndarray,
     temp_forecast: TemperatureSegment,
     cfg: ReferenceConfig,
     rescale: bool = True,
 ) -> ReferenceResult:
-    """Pick the closest-temperature candidates and average their shapes.
+    """Pick the closest-temperature candidate rows and average their shapes.
 
     With rescale=False the raw (megawatt-scale) curves are averaged instead of
     their daily-max rescaled shapes.
     """
-    if not candidates:
+    candidates = np.asarray(candidates, dtype=int)
+    if not len(candidates):
         raise EmptyCandidateError("no candidates to select a reference from")
     mask = list(temp_forecast.mask)
     if cfg.temp_distance.point_subset is not None:
@@ -130,24 +131,21 @@ def select_reference(
             raise ShapecastError("forecast mask and configured subset are disjoint")
     spec = DistanceSpec(cfg.temp_distance.kind, mask)
 
-    usable, dists = [], {}
-    for rec in candidates:
-        temp = rec.temperature
-        if temp is None or np.any(np.isnan(temp.values[mask])):
-            warnings.warn(
-                f"dropping candidate {rec.meta.date.isoformat()}: no temperature "
-                "data on the comparison mask",
-                stacklevel=2,
-            )
-            continue
-        usable.append(rec)
-        dists[rec.meta.date] = distance(temp.values, temp_forecast.values, spec)
-    if not usable:
+    observed = ~np.isnan(history.temps[np.ix_(candidates, mask)]).any(axis=1)
+    for i in candidates[~observed]:
+        warnings.warn(
+            f"dropping candidate {history.dates[i].isoformat()}: no temperature "
+            "data on the comparison mask",
+            stacklevel=2,
+        )
+    usable = candidates[observed]
+    if not len(usable):
         raise MissingTemperatureError(
             "every candidate lacks temperature data on the comparison mask"
         )
+    dists = distances(history.temps[usable], temp_forecast.values, spec)
 
-    d_min = min(dists.values())
+    d_min = float(dists.min())
     if cfg.mode is ReferenceMode.ARGMIN:
         delta = d_min
     else:
@@ -155,20 +153,16 @@ def select_reference(
         if rule.kind is DeltaRuleKind.MIN:
             delta = d_min
         elif rule.kind is DeltaRuleKind.QUANTILE:
-            delta = float(np.quantile(list(dists.values()), rule.value))
+            delta = float(np.quantile(dists, rule.value))
         else:
             # the threshold may never undercut the minimum distance
             delta = max(float(rule.value), d_min)
 
-    chosen = [r for r in usable if dists[r.meta.date] <= delta]
-    if rescale:
-        shapes = np.array([rescale_day(r.load).values for r in chosen])
-    else:
-        shapes = np.array([r.load.values for r in chosen])
-    reference = LoadSegment(chosen[0].load.grid, shapes.mean(axis=0))
+    chosen = usable[dists <= delta]
+    matrix = history.shapes if rescale else history.loads
     return ReferenceResult(
-        reference=reference,
-        c_star=tuple(r.meta.date for r in chosen),
-        temp_distances=dists,
+        reference=LoadSegment(history.grid, matrix[chosen].mean(axis=0)),
+        c_star=tuple(history.dates[i] for i in chosen),
+        temp_distances={history.dates[i]: d for i, d in zip(usable, dists.tolist())},
         delta=delta,
     )

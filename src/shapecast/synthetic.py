@@ -19,12 +19,12 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .calendars import DayGroup, annotate_calendar
+from .calendars import GROUPS, DayGroup, group_codes
 from .errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
-from .history import DailyRecord, HistoryWindow, Quality
+from .history import HistoryWindow
 from .predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
 from .reference import ReferenceConfig
-from .segments import DistanceSpec, LoadSegment, TemperatureSegment, TimeGrid, distance
+from .segments import DistanceSpec, TemperatureSegment, TimeGrid, distance
 
 _VALUE_FLOOR = 1e-9
 _RETRIES = 5  # fresh seeds tried per replication after a degenerate candidate set
@@ -93,7 +93,6 @@ class DayTruth:
     shape_ident: str
     profile_index: int
     clean: np.ndarray  # noiseless load values
-    temperature: TemperatureSegment
 
 
 def _day_rng(seed, day_index: int) -> np.random.Generator:
@@ -105,32 +104,29 @@ def _day_rng(seed, day_index: int) -> np.random.Generator:
 def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, list[DayTruth]]:
     """Deterministic sample path plus the per-day ground truth."""
     P = spec.grid.points_per_day
-    records, truths = [], []
+    dates = tuple(spec.start + dt.timedelta(days=n) for n in range(spec.length))
+    codes = group_codes(dates, False)
+    loads, temps = np.empty((spec.length, P)), np.empty((spec.length, P))
+    truths = []
     pool = default_temperature_pool(spec.grid)
     shape_of = {g: sf for sf in default_shape_functions() for g in sf.groups}
-    for n in range(spec.length):
+    for n, date in enumerate(dates):
         rng = _day_rng(spec.seed, n)
-        date = spec.start + dt.timedelta(days=n)
-        meta = annotate_calendar(date)
         if spec.profile_mode == "cycle":
             profile_index = n % len(pool)
         else:
             profile_index = int(rng.integers(len(pool)))
-        temps = pool[profile_index].copy()
+        temps[n] = pool[profile_index]
         if spec.jitter_sigma > 0:
-            temps = temps + spec.jitter_sigma * rng.standard_normal(P)
-        sf = shape_of[meta.group]
-        clean = sf(temps)
+            temps[n] += spec.jitter_sigma * rng.standard_normal(P)
+        sf = shape_of[GROUPS[codes[n]]]
+        clean = sf(temps[n])
         values = clean
         if spec.noise_sigma > 0:
             values = clean + spec.noise_sigma * rng.standard_normal(P)
-        values = np.maximum(values, _VALUE_FLOOR)
-        temperature = TemperatureSegment(spec.grid, temps)
-        records.append(
-            DailyRecord(meta, LoadSegment(spec.grid, values), temperature, Quality.COMPLETE)
-        )
-        truths.append(DayTruth(date, sf.ident, profile_index, clean, temperature))
-    return HistoryWindow(tuple(records)), truths
+        loads[n] = np.maximum(values, _VALUE_FLOOR)
+        truths.append(DayTruth(date, sf.ident, profile_index, clean))
+    return HistoryWindow(spec.grid, dates, loads, temps), truths
 
 
 @dataclass(frozen=True)
@@ -198,13 +194,10 @@ def consistency_experiment(
                 seed = tuple(base_seed) + (L, rep, attempt)
                 spec = replace(template, length=L + 1, seed=seed, start=start)
                 window, truths = generate(spec)
-                history = window.prefix(L)
-                target_rec = window.records[L]
                 truth = truths[L]
+                forecast = TemperatureSegment(spec.grid, window.temps[L])
                 try:
-                    pred = predict_day(
-                        history, target_rec.meta, truth.temperature, cfg=cfg
-                    )
+                    pred = predict_day(window.prefix(L), window.meta(L), forecast, cfg=cfg)
                 except (EmptyCandidateError, MissingTemperatureError):
                     continue
                 predicted = pred.shape.values

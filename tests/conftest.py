@@ -32,11 +32,42 @@ def make_record(
 
 
 def make_history(grid: TimeGrid, start: dt.date, loads, temps=None) -> HistoryWindow:
-    records = []
-    for i, load in enumerate(loads):
-        temp = temps[i] if temps is not None else None
-        records.append(make_record(grid, start + dt.timedelta(days=i), load, temp))
-    return HistoryWindow(tuple(records))
+    """Consecutive days from `start`; no temperature where `temps` is None."""
+    loads = np.asarray(loads, dtype=float)
+    dates = tuple(start + dt.timedelta(days=i) for i in range(len(loads)))
+    temps = np.full(loads.shape, np.nan) if temps is None else temps
+    return HistoryWindow(grid, dates, loads, temps)
+
+
+def window_of(records, grid: TimeGrid | None = None) -> HistoryWindow:
+    """The window whose `records` view equals `records`.
+
+    `grid` is needed only when `records` is empty.
+    """
+    records = list(records)
+    grid = grid or records[0].load.grid
+    unobserved = np.full(grid.points_per_day, np.nan)
+    return HistoryWindow(
+        grid,
+        tuple(r.meta.date for r in records),
+        np.array([r.load.values for r in records]).reshape(-1, grid.points_per_day),
+        np.array([unobserved if r.temperature is None else r.temperature.values
+                  for r in records]).reshape(-1, grid.points_per_day),
+        [r.meta.is_holiday for r in records],
+        tuple(r.quality for r in records),
+    )
+
+
+def assert_same_record(a: DailyRecord, b: DailyRecord) -> None:
+    """Field-for-field equality; segments compare by their values' bytes."""
+    assert a.meta == b.meta
+    assert a.quality is b.quality
+    assert a.load.grid == b.load.grid
+    assert a.load.values.tobytes() == b.load.values.tobytes()
+    assert (a.temperature is None) == (b.temperature is None)
+    if a.temperature is not None:
+        assert a.temperature.grid == b.temperature.grid
+        assert a.temperature.values.tobytes() == b.temperature.values.tobytes()
 
 
 def random_history(grid: TimeGrid, rng: np.random.Generator, length: int,

@@ -11,12 +11,11 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from conftest import random_history
+from conftest import random_history, window_of
 from shapecast.backtest import backtest
 from shapecast.calendars import DayGroup, annotate_calendar
 from shapecast.cli import main
 from shapecast.errors import EmptyCandidateError
-from shapecast.history import HistoryWindow
 from shapecast.metrics import score_day
 from shapecast.predictor import (
     KernelKind,
@@ -118,11 +117,10 @@ def test_03_noiseless_exact_recovery():
                 profile_mode="cycle", seed=(0, rep),
             )
             window, truths = generate(spec)
-            history = HistoryWindow(window.records[:L])
+            history = window_of(window.records[:L])
             truth = truths[L]
-            pred = predict_day(
-                history, window.records[L].meta, truth.temperature, cfg=cfg
-            )
+            target = window.records[L]
+            pred = predict_day(history, target.meta, target.temperature, cfg=cfg)
             rmae = float(
                 np.mean(np.abs(pred.shape.values - truth.clean) / truth.clean)
             )

@@ -5,8 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_history, random_history
+from conftest import make_history, make_record, random_history, window_of
 from shapecast.backtest import (
+    METHODS,
     backtest,
     emit_day_curves,
     emit_report,
@@ -16,7 +17,6 @@ from shapecast.errors import ShapecastError
 from shapecast.history import DailyRecord, HistoryWindow
 from shapecast.metrics import DayScore
 from shapecast.predictor import PredictorConfig, select_bandwidth
-from shapecast.segments import rescale_day
 
 MONDAY = dt.date(2010, 6, 7)
 ALL_METHODS = ["ssp", "persistence", "conditional-kernel"]
@@ -46,13 +46,11 @@ class TestBacktest:
             backtest(history, [history.records[0].meta.date], ["persistence"])
 
     def test_missing_temperature_rejected(self, grid4):
-        from conftest import make_record
-
         recs = list(backtest_history(grid4, days=30).records)
         bare = make_record(
             grid4, recs[-1].meta.date + dt.timedelta(days=1), [1.0, 2.0, 3.0, 2.0]
         )
-        history = HistoryWindow(tuple(recs) + (bare,))
+        history = window_of(tuple(recs) + (bare,))
         with pytest.raises(ShapecastError, match="no realized temperature") as in_backtest:
             backtest(history, [bare.meta.date], ["ssp"])
         # bandwidth CV uses the same stand-in, so it fails with the same error
@@ -76,7 +74,7 @@ class TestBacktest:
                 tampered.append(DailyRecord(rec.meta, load, rec.temperature, rec.quality))
             else:
                 tampered.append(rec)
-        report_tampered = backtest(HistoryWindow(tuple(tampered)), [target_date],
+        report_tampered = backtest(window_of(tampered), [target_date],
                                    ALL_METHODS)
         for a, b in zip(report_full.scores, report_tampered.scores):
             assert a == b
@@ -108,9 +106,49 @@ class TestBacktest:
         last_same = next(r for r in reversed(history.records[:-1])
                          if r.meta.group is target.meta.group)
         report = backtest(history, [target.meta.date], ["persistence"])
-        expected = rescale_day(last_same.load).values * float(np.max(target.load.values))
+        last_load = last_same.load.values
+        expected = last_load / last_load.max() * float(np.max(target.load.values))
         curve = report.curves[target.meta.date].predicted["persistence"]
         assert curve.tobytes() == expected.tobytes()
+
+
+def never_built(window):
+    pytest.fail("the shapes matrix was built")
+
+
+class TestSharedShapes:
+    """Every date's prior window is a prefix of one history and shares its shapes."""
+
+    def test_prefixes_share_one_shapes_matrix(self, grid4, monkeypatch):
+        history = backtest_history(grid4)
+        priors = []
+
+        def spy(prior, meta, forecast, cfg, ssp=METHODS["ssp"]):
+            priors.append(prior)
+            return ssp(prior, meta, forecast, cfg)
+
+        monkeypatch.setitem(METHODS, "ssp", spy)
+        backtest(history, history.dates[-3:], ["ssp", "conditional-kernel"])
+        assert [len(p) for p in priors] == [37, 38, 39]
+        for a, b in zip(priors, priors[1:]):
+            assert np.shares_memory(a.shapes, b.shapes)
+            assert np.array_equal(a.shapes, b.shapes[:len(a)])
+
+    def test_nonpositive_day_after_last_date(self, grid4):
+        history = backtest_history(grid4)
+        loads = np.array(history.loads)
+        loads[-1] = 0.0
+        spoiled = make_history(grid4, history.dates[0], loads, history.temps)
+        dates = history.dates[-4:-1]
+        report = backtest(spoiled, dates, ALL_METHODS)
+        assert report.scores == backtest(history, dates, ALL_METHODS).scores
+
+    def test_persistence_never_builds_shapes(self, grid4, monkeypatch):
+        history = backtest_history(grid4)
+        expected = backtest(history, history.dates[-3:], ["persistence"])
+        monkeypatch.setattr(HistoryWindow, "shapes", property(never_built))
+        report = backtest(history, history.dates[-3:], ["persistence"])
+        assert report.scores == expected.scores
 
 
 class TestSummarize:

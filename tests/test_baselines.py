@@ -13,7 +13,6 @@ from shapecast.baselines import (
 from shapecast.calendars import DayGroup
 from shapecast.errors import EmptyCandidateError, InsufficientHistoryError
 from shapecast.predictor import KernelKind, KernelSpec
-from shapecast.segments import rescale_day
 
 MONDAY = dt.date(2010, 6, 7)
 
@@ -26,16 +25,17 @@ class TestPersistence:
             key=lambda r: r.meta.date,
         )
         shape = predict_persistence(history, DayGroup.G3)
-        np.testing.assert_array_equal(shape.values, rescale_day(latest.load).values)
+        np.testing.assert_array_equal(
+            shape.values, latest.load.values / latest.load.values.max()
+        )
 
     def test_weekday_pool_prefers_friday(self, grid4):
         loads = [[100.0 + i, 200.0, 300.0 + i, 150.0] for i in range(7)]
         history = make_history(grid4, MONDAY, loads)
         shape = predict_persistence(history, DayGroup.G1)
         # Mon/Tue/Thu/Fri share the pool; Friday is its most recent member
-        np.testing.assert_array_equal(
-            shape.values, rescale_day(history.records[4].load).values
-        )
+        friday = history.records[4].load.values
+        np.testing.assert_array_equal(shape.values, friday / friday.max())
 
     def test_no_same_group_day(self, grid4):
         history = make_history(grid4, MONDAY, [[1.0, 2.0, 3.0, 4.0]] * 2)  # Mon, Tue

@@ -1,11 +1,18 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
-from shapecast.calendars import DayGroup, annotate_calendar, parse_holiday_file
+from shapecast.calendars import (
+    GROUPS,
+    DayGroup,
+    annotate_calendar,
+    group_codes,
+    parse_date_lines,
+    parse_holiday_file,
+)
 from shapecast.errors import IngestError
-from shapecast.history import record_from_dict
-from shapecast.segments import TimeGrid
+from shapecast.history import read_history_jsonl
 
 # one week starting Monday 2010-06-07
 WEEK = {
@@ -39,14 +46,43 @@ def test_saturday_not_holiday_is_g3():
     assert annotate_calendar(dt.date(2010, 6, 12)).group is DayGroup.G3
 
 
-def test_weekday_computed_not_trusted():
+def test_weekday_computed_not_trusted(tmp_path):
     # 12 Jan 2010 was a Tuesday, so a G1 day whatever a history file says
-    record = record_from_dict(
-        {"date": "2010-01-12", "group": "G4", "quality": "complete",
-         "load_mw": [1.0, 2.0, 3.0, 4.0]},
-        TimeGrid.equidistant(4),
+    path = tmp_path / "h.jsonl"
+    path.write_text(
+        '{"grid": ["00:00", "06:00", "12:00", "18:00"]}\n'
+        '{"date": "2010-01-12", "group": "G4", "quality": "complete", '
+        '"load_mw": [1.0, 2.0, 3.0, 4.0]}\n'
     )
+    record = read_history_jsonl(path).records[0]
     assert record.meta.group is DayGroup.G1
+
+
+@pytest.mark.parametrize("start", [
+    dt.date(1, 1, 1), dt.date(1969, 12, 25), dt.date(2010, 6, 7), dt.date(9999, 12, 1),
+])
+def test_group_codes_match_annotate_calendar(start):
+    dates = [start + dt.timedelta(days=n) for n in range(30)]
+    holidays = {dates[3], dates[10], dates[29]}
+    codes = group_codes(dates, [d in holidays for d in dates])
+    assert [GROUPS[c] for c in codes] == [annotate_calendar(d, holidays).group
+                                          for d in dates]
+
+
+def test_group_codes_of_no_dates():
+    assert group_codes((), np.zeros(0, dtype=bool)).shape == (0,)
+
+
+class TestDateLines:
+    def test_duplicates_allowed_by_default(self):
+        assert parse_date_lines("2010-01-01\n2010-01-01\n", "f") == [
+            dt.date(2010, 1, 1)
+        ] * 2
+
+    def test_unique_names_the_second_line(self):
+        with pytest.raises(IngestError, match="^f line 4: duplicate date 2010-01-01$"):
+            parse_date_lines("2010-01-01\n2010-01-02\n# again\n2010-01-01\n", "f",
+                             unique=True)
 
 
 class TestHolidayFile:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shapecast.cli import main
-from shapecast.history import read_history_jsonl
+from shapecast.history import HistoryWindow, read_history_jsonl
 from shapecast.segments import TimeGrid
 
 GRID = TimeGrid.equidistant(24)
@@ -354,6 +354,35 @@ class TestBacktest:
         ])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_duplicate_date_refused(self, history_file, tmp_path, capsys):
+        day = (START + dt.timedelta(days=70)).isoformat()
+        dates = tmp_path / "dates.txt"
+        dates.write_text(f"{day}\n# the same day again\n{day}\n")
+        out_dir = tmp_path / "bt"
+        code = main([
+            "backtest", "--history", str(history_file), "--dates-file", str(dates),
+            "--out-dir", str(out_dir), "--bandwidth", "0.3",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: dates file line 3: duplicate date {day}\n"
+        assert not out_dir.exists()
+
+    def test_persistence_run_never_builds_shapes(self, history_file, tmp_path,
+                                                 monkeypatch):
+        def never_built(window):
+            pytest.fail("the shapes matrix was built")
+
+        monkeypatch.setattr(HistoryWindow, "shapes", property(never_built))
+        dates = tmp_path / "dates.txt"
+        dates.write_text(f"{(START + dt.timedelta(days=70)).isoformat()}\n")
+        code = main([
+            "backtest", "--history", str(history_file), "--dates-file", str(dates),
+            "--out-dir", str(tmp_path / "bt"), "--bandwidth", "0.3",
+            "--methods", "persistence",
+        ])
+        assert code == 0
 
     def test_empty_dates_file(self, history_file, tmp_path, capsys):
         dates = tmp_path / "dates.txt"

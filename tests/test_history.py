@@ -1,10 +1,12 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
 
-from conftest import make_history, make_record
-from shapecast.errors import ShapecastError
+from conftest import assert_same_record, make_history, make_record, window_of
+from shapecast.calendars import GROUPS, annotate_calendar
+from shapecast.errors import GridMismatchError, ShapecastError
 from shapecast.history import (
     DailyRecord,
     HistoryWindow,
@@ -12,7 +14,7 @@ from shapecast.history import (
     history_jsonl_text,
     read_history_jsonl,
 )
-from shapecast.segments import TimeGrid, rescale_day
+from shapecast.segments import LoadSegment, TemperatureSegment
 
 
 def test_records_must_ascend(grid4):
@@ -20,16 +22,16 @@ def test_records_must_ascend(grid4):
     r1 = make_record(grid4, d, [1.0, 2.0, 3.0, 4.0])
     r2 = make_record(grid4, d + dt.timedelta(days=1), [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ShapecastError):
-        HistoryWindow((r2, r1))
+        window_of((r2, r1))
     with pytest.raises(ShapecastError):
-        HistoryWindow((r1, r1))
+        window_of((r1, r1))
 
 
 def test_rejected_records_excluded(grid4):
     rec = make_record(grid4, dt.date(2010, 1, 4), [1.0, 2.0, 3.0, 4.0])
     bad = DailyRecord(rec.meta, rec.load, None, Quality.REJECTED)
     with pytest.raises(ShapecastError):
-        HistoryWindow((bad,))
+        window_of((bad,))
 
 
 def test_before_slices_strictly(grid4):
@@ -37,7 +39,7 @@ def test_before_slices_strictly(grid4):
     window = make_history(grid4, start, [[1.0, 2.0, 3.0, 4.0]] * 5)
     prior = window.before(start + dt.timedelta(days=2))
     assert len(prior) == 2
-    assert all(r.meta.date < start + dt.timedelta(days=2) for r in prior)
+    assert all(r.meta.date < start + dt.timedelta(days=2) for r in prior.records)
 
 
 def test_shape_matrix_rows_are_shapes(grid4):
@@ -52,7 +54,7 @@ def test_shape_matrix_rows_are_shapes(grid4):
 def test_shape_matrix_equals_rescaled_rows(grid24):
     rng = np.random.default_rng(5)
     window = make_history(grid24, dt.date(2010, 1, 4), 1.0 + 900.0 * rng.random((30, 24)))
-    expected = np.array([rescale_day(r.load).values for r in window.records])
+    expected = np.array([r.load.values / r.load.values.max() for r in window.records])
     assert np.array_equal(window.shapes, expected)
 
 
@@ -64,8 +66,8 @@ def test_shape_matrix_rejects_nonpositive_maximum(grid4):
         window.shapes
 
 
-def test_shape_matrix_of_empty_window():
-    assert HistoryWindow(()).shapes.shape[0] == 0
+def test_shape_matrix_of_empty_window(grid4):
+    assert window_of((), grid4).shapes.shape[0] == 0
 
 
 START = dt.date(2010, 1, 4)  # a Monday
@@ -76,7 +78,7 @@ def gapped(grid24):
     """Six days from START with day 2 left out, as ingest leaves a rejected day."""
     rng = np.random.default_rng(8)
     window = make_history(grid24, START, 1.0 + 900.0 * rng.random((6, 24)))
-    return HistoryWindow(window.records[:2] + window.records[3:])
+    return window_of(window.records[:2] + window.records[3:])
 
 
 def day(n):
@@ -95,7 +97,9 @@ class TestPrefix:
     ])
     def test_before_edges(self, gapped, date, n):
         prior = gapped.before(date)
-        assert prior.records == gapped.records[:n]
+        assert len(prior.records) == len(gapped.records[:n])
+        for a, b in zip(prior.records, gapped.records[:n]):
+            assert_same_record(a, b)
         assert prior.dates == gapped.dates[:n]
         assert prior.loads.shape == (n, 24)
 
@@ -106,7 +110,7 @@ class TestPrefix:
 
     def test_by_date_finds_every_day(self, gapped):
         for rec in gapped.records:
-            assert gapped.by_date(rec.meta.date) is rec
+            assert_same_record(gapped.by_date(rec.meta.date), rec)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5, 9])
     def test_prefix_length_clamps(self, gapped, n):
@@ -117,7 +121,7 @@ class TestPrefix:
         if built_first:
             gapped.shapes
         for i in range(len(gapped) + 1):
-            fresh = HistoryWindow(gapped.records[:i])
+            fresh = window_of(gapped.records[:i], gapped.grid)
             prefix = gapped.prefix(i)
             assert prefix.shapes.tobytes() == fresh.shapes.tobytes()
             assert prefix.loads.tobytes() == fresh.loads.tobytes()
@@ -177,7 +181,7 @@ class TestJsonlRoundtrip:
             temp=[np.nan, 21.0, np.nan, 24.0],
         )
         path = tmp_path / "h.jsonl"
-        write_history(path, HistoryWindow((rec,)))
+        write_history(path, window_of((rec,)))
         assert '"temp_c": [null, 21.0, null, 24.0]' in path.read_text()
         back = read_history_jsonl(path)
         assert back.records[0].temperature.mask == (1, 3)
@@ -188,7 +192,7 @@ class TestJsonlRoundtrip:
     def test_holiday_flag_survives(self, tmp_path, grid4):
         rec = make_record(grid4, dt.date(2010, 1, 1), [1.0, 2.0, 3.0, 4.0], holiday=True)
         path = tmp_path / "h.jsonl"
-        write_history(path, HistoryWindow((rec,)))
+        write_history(path, window_of((rec,)))
         back = read_history_jsonl(path)
         assert back.records[0].meta.group.value == "HOLIDAY"
 
@@ -200,6 +204,7 @@ class TestJsonlRoundtrip:
 
 
 RECORD = '{"date": "2010-01-05", "quality": "complete", "load_mw": [1, 2, 3, 4]}'
+NEXT = RECORD.replace("2010-01-05", "2010-01-06")
 
 
 class TestJsonlErrors:
@@ -241,6 +246,18 @@ class TestJsonlErrors:
             (f'{RECORD[:-1]}, "temp_c": [[1], [2], [3], [4]]}}', "1-d vector"),
             (RECORD.replace("[1, 2, 3, 4]", f"[1, 2, 3, {10**400}]"), "too large"),
             (f'{RECORD[:-1]}, "temp_c": [null, {10**400}, 3, 4]}}', "too large"),
+            (RECORD.replace("[1, 2, 3, 4]", '["1.5", true, " 3", 4]'),
+             'load_mw holds "1.5": numbers only$'),
+            (RECORD.replace("[1, 2, 3, 4]", "[1, true, 3, 4]"), "load_mw holds true"),
+            (RECORD.replace("[1, 2, 3, 4]", "[1, 2, null, 4]"), "load_mw holds null"),
+            (f'{RECORD[:-1]}, "temp_c": ["20", false, null, 4]}}',
+             'temp_c holds "20": numbers only, null only for an unobserved point$'),
+            (f'{RECORD[:-1]}, "temp_c": [20, false, null, 4]}}', "temp_c holds false"),
+            (f'{RECORD[:-1]}, "temp_c": [null, null, null, null]}}',
+             "temperature mask must be nonempty"),
+            (RECORD.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]"),
+             "load values must be nonnegative"),
+            (f'{RECORD[:-1]}, "temp_c": [20, 1e400, null, 4]}}', "within ±1000"),
         ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, line, message):
@@ -250,9 +267,198 @@ class TestJsonlErrors:
         # the bad record is on line 4: header, good record, blank line
         assert str(exc.value).startswith(f"{path}:4: ")
 
+    @pytest.mark.parametrize("later", [
+        '{"date": "2010-01-06", "quality"',
+        NEXT.replace("[1, 2, 3, 4]", '["1", 2, 3, 4]'),
+        NEXT.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, later):
+        # line 4's value is refused before line 5 is looked at, however it fails
+        first = RECORD.replace("[1, 2, 3, 4]", "[1, 2, -3, 4]")
+        path = self.write(tmp_path, first + "\n" + later)
+        with pytest.raises(ShapecastError) as exc:
+            read_history_jsonl(path)
+        assert str(exc.value) == f"{path}:4: load values must be nonnegative"
+
+    def test_value_before_quality_on_one_line(self, tmp_path):
+        line = RECORD.replace("[1, 2, 3, 4]", "[1, 2, -3, 4]")
+        line = line.replace('"complete"', '"bad"')
+        path = self.write(tmp_path, line)
+        with pytest.raises(ShapecastError, match="^.*:4: load values must be nonnegative$"):
+            read_history_jsonl(path)
+
     def test_bad_header_names_line_one(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text("{grid}\n")
         with pytest.raises(ShapecastError) as exc:
             read_history_jsonl(path)
         assert str(exc.value).startswith(f"{path}:1: ")
+
+
+MIXED_DATES = (day(0), day(1), day(2), day(4))  # Mon, Tue, Wed, Fri; Thursday left out
+
+
+@pytest.fixture
+def mixed(grid4):
+    """A holiday, a gap-filled day, a partial temperature and a day without one."""
+    nan = np.nan
+    return HistoryWindow(
+        grid4,
+        MIXED_DATES,
+        [[1.0, 2.0, 4.0, 2.0], [10.0, 5.0, 20.0, 40.0], [3.0, 3.0, 6.0, 1.5],
+         [7.0, 8.0, 9.0, 10.0]],
+        [[20.0, 21.0, 22.0, 23.0], [nan, 21.0, nan, 24.0], [-5.0, 0.0, 5.0, 999.0],
+         [nan, nan, nan, nan]],
+        [False, False, True, False],
+        (Quality.COMPLETE, Quality.GAP_FILLED, Quality.COMPLETE, Quality.COMPLETE),
+    )
+
+
+def expected_mixed(grid4):
+    """The records the `mixed` window holds, built one by one."""
+    nan = np.nan
+    temps = ([20.0, 21.0, 22.0, 23.0], [nan, 21.0, nan, 24.0], [-5.0, 0.0, 5.0, 999.0],
+             None)
+    loads = ([1.0, 2.0, 4.0, 2.0], [10.0, 5.0, 20.0, 40.0], [3.0, 3.0, 6.0, 1.5],
+             [7.0, 8.0, 9.0, 10.0])
+    quality = (Quality.COMPLETE, Quality.GAP_FILLED, Quality.COMPLETE, Quality.COMPLETE)
+    return [
+        DailyRecord(
+            annotate_calendar(date, {day(2)}),
+            LoadSegment(grid4, load),
+            None if temp is None else TemperatureSegment(grid4, temp),
+            q,
+        )
+        for date, load, temp, q in zip(MIXED_DATES, loads, temps, quality)
+    ]
+
+
+def assert_same_columns(a: HistoryWindow, b: HistoryWindow) -> None:
+    assert a.grid == b.grid
+    assert a.dates == b.dates
+    assert a.quality == b.quality
+    for name in ("is_holiday", "group", "loads", "temps"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+
+
+class TestColumns:
+    def test_records_view_equals_day_by_day_records(self, mixed, grid4):
+        expected = expected_mixed(grid4)
+        assert len(mixed.records) == len(expected)
+        for got, want in zip(mixed.records, expected):
+            assert_same_record(got, want)
+        assert [GROUPS[g] for g in mixed.group] == [r.meta.group for r in expected]
+
+    def test_day_without_temperature_is_an_all_nan_row(self, mixed):
+        assert np.isnan(mixed.temps[3]).all()
+        assert mixed.records[3].temperature is None
+        assert mixed.records[1].temperature.mask == (1, 3)
+
+    def test_jsonl_roundtrip_byte_for_byte(self, mixed, tmp_path):
+        path = tmp_path / "h.jsonl"
+        write_history(path, mixed)
+        back = read_history_jsonl(path)
+        assert history_jsonl_text(back) == path.read_text(encoding="utf-8")
+        assert_same_columns(back, mixed)
+        for got, want in zip(back.records, mixed.records):
+            assert_same_record(got, want)
+
+    def test_jsonl_temperature_keys(self, mixed):
+        lines = [json.loads(line) for line in history_jsonl_text(mixed).splitlines()[1:]]
+        assert lines[1]["temp_c"] == [None, 21.0, None, 24.0]
+        assert "temp_c" not in lines[3]
+        assert [d["group"] for d in lines] == ["G1", "G1", "HOLIDAY", "G1"]
+        assert [d["quality"] for d in lines] == [
+            "complete", "gap-filled", "complete", "complete"
+        ]
+
+    @pytest.mark.parametrize("built", [(), ("shapes", "records")])
+    def test_prefix_slices_every_column(self, mixed, built):
+        for name in built:
+            getattr(mixed, name)
+        for n in range(len(mixed) + 1):
+            prefix = mixed.prefix(n)
+            assert len(prefix) == n
+            assert prefix.grid == mixed.grid
+            assert prefix.dates == mixed.dates[:n]
+            assert prefix.quality == mixed.quality[:n]
+            for name in ("is_holiday", "group", "loads", "temps", "shapes"):
+                got, whole = getattr(prefix, name), getattr(mixed, name)
+                assert got.tobytes() == whole[:n].tobytes(), name
+                assert np.shares_memory(got, whole) or not n, name
+            for got, want in zip(prefix.records, mixed.records[:n]):
+                assert_same_record(got, want)
+
+    def test_before_and_by_date_slice_every_column(self, mixed):
+        for i, date in enumerate(mixed.dates):
+            assert_same_columns(mixed.before(date), mixed.prefix(i))
+            assert_same_record(mixed.by_date(date), mixed.records[i])
+            assert mixed.row(date) == i
+        assert_same_columns(mixed.before(day(3)), mixed.prefix(3))
+
+    def test_prefixes_share_one_shapes_matrix(self, mixed):
+        # neither the window's nor any prefix's shapes are built beforehand
+        short, longer = mixed.prefix(2), mixed.prefix(3)
+        assert np.shares_memory(short.shapes, longer.shapes)
+        assert np.shares_memory(short.shapes, mixed.shapes)
+        assert short.shapes.tobytes() == mixed.shapes[:2].tobytes()
+
+    def test_nonpositive_day_fails_only_windows_holding_it(self, grid4):
+        window = make_history(
+            grid4, START, [[1.0, 2.0, 4.0, 2.0], [1.0, 1.0, 1.0, 2.0], [0.0] * 4]
+        )
+        short = window.prefix(2)
+        with pytest.raises(ShapecastError, match="nonpositive maximum"):
+            window.shapes
+        np.testing.assert_array_equal(short.shapes[1], [0.5, 0.5, 0.5, 1.0])
+        with pytest.raises(ShapecastError, match="nonpositive maximum"):
+            window.shape(2)
+
+
+class TestConstructor:
+    def build(self, grid4, loads=((1.0, 2.0, 3.0, 4.0),), temps=None, **kwargs):
+        """A one-day window, `START`."""
+        temps = np.full((len(loads), 4), np.nan) if temps is None else temps
+        return HistoryWindow(grid4, (START,), loads, temps, **kwargs)
+
+    def test_defaults(self, grid4):
+        window = self.build(grid4)
+        assert window.quality == (Quality.COMPLETE,)
+        assert window.is_holiday.tolist() == [False]
+
+    def test_keeps_and_freezes_its_arrays(self, grid4):
+        loads = np.array([[1.0, 2.0, 3.0, 4.0]])
+        window = self.build(grid4, loads)
+        assert window.loads is loads
+        with pytest.raises(ValueError):
+            loads[0, 0] = 9.0
+        for name in ("loads", "temps", "is_holiday", "group"):
+            assert not getattr(window, name).flags.writeable, name
+
+    @pytest.mark.parametrize("kwargs", [
+        {"loads": [[1.0, 2.0, 3.0]]},
+        {"loads": [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]},
+        {"temps": [[1.0, 2.0]]},
+        {"is_holiday": [False, True]},
+        {"quality": ()},
+    ])
+    def test_column_shapes_checked(self, grid4, kwargs):
+        with pytest.raises(GridMismatchError, match="every column needs 1 days of 4"):
+            self.build(grid4, **kwargs)
+
+    @pytest.mark.parametrize("loads, temps, message", [
+        ([[1.0, -1.0, 3.0, 4.0]], None, "load values must be nonnegative"),
+        ([[1.0, np.inf, 3.0, 4.0]], None, "load values must be finite"),
+        ([[1.0, np.nan, 3.0, 4.0]], None, "load values must be finite"),
+        ([[1.0, 2.0, 3.0, 4.0]], [[np.nan, 1001.0, 0.0, 0.0]], "within ±1000 °C"),
+        ([[1.0, 2.0, 3.0, 4.0]], [[-np.inf, 0.0, 0.0, 0.0]], "within ±1000 °C"),
+    ])
+    def test_rows_checked(self, grid4, loads, temps, message):
+        with pytest.raises(ShapecastError, match=message):
+            self.build(grid4, loads, temps)
+
+    def test_rejected_day_refused(self, grid4):
+        with pytest.raises(ShapecastError, match="rejected"):
+            self.build(grid4, quality=(Quality.REJECTED,))

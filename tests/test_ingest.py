@@ -1,10 +1,13 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
 
+from conftest import assert_same_record
+from shapecast.calendars import annotate_calendar
 from shapecast.errors import IngestError
-from shapecast.history import Quality
+from shapecast.history import DailyRecord, Quality, history_jsonl_text
 from shapecast.ingest import (
     forecast_mask_indices,
     parse_load_file,
@@ -12,7 +15,7 @@ from shapecast.ingest import (
     parse_temperature_history,
     segmentize,
 )
-from shapecast.segments import TimeGrid
+from shapecast.segments import LoadSegment, TemperatureSegment, TimeGrid
 
 
 def day_rows(date, values, grid):
@@ -354,3 +357,60 @@ class TestAttachTemperatures:
         temps = self.temps([f"{stamp}T03:00,18.5", f"{stamp}T03:00,19.0"])
         with pytest.raises(IngestError, match="conflicting"):
             segmentize(parse_load_file("timestamp,load_mw\n"), self.grid, temps=temps)
+
+
+class TestColumns:
+    """`segmentize` fills one row per kept day, as the day-by-day records were."""
+
+    def test_records_view_equals_day_by_day_records(self):
+        grid = TimeGrid.equidistant(4)
+        monday = dt.date(2010, 6, 7)
+        days = [monday + dt.timedelta(days=n) for n in range(5)]
+        load_rows = day_rows(days[0], [1.0, 2.0, 3.0, 4.0], grid)
+        gapped = day_rows(days[1], [4.0, 6.0, 8.0, 2.0], grid)
+        load_rows += gapped[:1] + gapped[2:]  # one missing point: gap-filled
+        load_rows += day_rows(days[2], [5.0, 5.0, 6.0, 7.0], grid)  # a holiday
+        # days[3] has no load readings: rejected
+        load_rows += day_rows(days[4], [9.0, 8.0, 7.0, 6.0], grid)  # no temperature
+        temp_rows = day_rows(days[0], [10.0, 11.0, 12.0, 13.0], grid)
+        temp_rows += day_rows(days[1], [20.0, 21.0, 22.0, 23.0], grid)[2:]  # partial
+        temp_rows += day_rows(days[2], [-1.0, 0.0, 1.0, 2.0], grid)
+        temp_rows += day_rows(days[3], [5.0] * 4, grid)
+        window, report = segmentize(
+            parse_load_file(csv_text(load_rows)), grid,
+            temps=parse_temperature_history(csv_text(temp_rows, header="timestamp,temp_c")),
+            holiday_set={days[2]},
+        )
+        assert report.rejected_dates == [days[3]]
+        nan = np.nan
+        expected = [
+            (days[0], [1.0, 2.0, 3.0, 4.0], [10.0, 11.0, 12.0, 13.0], Quality.COMPLETE),
+            (days[1], [4.0, 6.0, 8.0, 2.0], [nan, nan, 22.0, 23.0], Quality.GAP_FILLED),
+            (days[2], [5.0, 5.0, 6.0, 7.0], [-1.0, 0.0, 1.0, 2.0], Quality.COMPLETE),
+            (days[4], [9.0, 8.0, 7.0, 6.0], None, Quality.COMPLETE),
+        ]
+        assert len(window.records) == len(expected)
+        for got, (date, load, temp, quality) in zip(window.records, expected):
+            want = DailyRecord(
+                annotate_calendar(date, {days[2]}),
+                LoadSegment(grid, load),
+                None if temp is None else TemperatureSegment(grid, temp),
+                quality,
+            )
+            assert_same_record(got, want)
+        # the day without temperature is an all-NaN row and writes no temp_c key
+        assert np.isnan(window.temps[3]).all()
+        lines = [json.loads(ln) for ln in history_jsonl_text(window).splitlines()[1:]]
+        assert [("temp_c" in d) for d in lines] == [True, True, True, False]
+        assert lines[1]["temp_c"] == [None, None, 22.0, 23.0]
+        assert lines[2]["group"] == "HOLIDAY" and lines[2]["is_holiday"] is True
+
+    def test_kept_rows_fit_the_days_with_readings(self):
+        # a long span with readings on two days keeps two rows, not one per day
+        grid = TimeGrid.equidistant(4)
+        first, last = dt.date(2010, 1, 1), dt.date(2010, 12, 31)
+        rows = day_rows(first, [1.0] * 4, grid) + day_rows(last, [2.0] * 4, grid)
+        window, report = segmentize(parse_load_file(csv_text(rows)), grid)
+        assert window.dates == (first, last)
+        assert window.loads.shape == window.temps.shape == (2, 4)
+        assert len(report.rejected_dates) == 363

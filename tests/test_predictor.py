@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_history, random_history
+from conftest import make_history, random_history, window_of
 from shapecast.calendars import annotate_calendar
 from shapecast.errors import InsufficientHistoryError, ShapecastError
-from shapecast.history import HistoryWindow
 from shapecast.predictor import (
     KernelKind,
     KernelSpec,
@@ -261,7 +260,7 @@ class TestPredictDay:
     def test_empty_history_rejected(self, grid4):
         target = annotate_calendar(MONDAY)
         with pytest.raises(InsufficientHistoryError):
-            predict_day(HistoryWindow(()), target,
+            predict_day(window_of((), grid4), target,
                         full_mask_forecast(grid4, [20.0] * 4))
 
     def test_holiday_fallback_uses_sundays(self, grid4):
@@ -354,7 +353,7 @@ def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
         for i in range(len(records) - validation_days, len(records)):
             target = records[i]
             pred = predict_day(
-                HistoryWindow(records[:i]), target.meta, target.temperature,
+                window_of(records[:i]), target.meta, target.temperature,
                 next_day_max=float(np.max(target.load.values)), cfg=day_cfg,
             )
             errs.append(score_day(pred.scaled, target.load)[0])
@@ -463,7 +462,7 @@ class TestSelectBandwidthOracle:
         with pytest.raises(InsufficientHistoryError):
             default_bandwidth_grid(history)
         with pytest.raises(InsufficientHistoryError):
-            default_bandwidth_grid(HistoryWindow(()))
+            default_bandwidth_grid(window_of((), grid24))
 
 
 @settings(max_examples=30, deadline=None)

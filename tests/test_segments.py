@@ -1,7 +1,10 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import make_history
 from shapecast.errors import GridMismatchError, ShapecastError
 from shapecast.segments import (
     DistanceKind,
@@ -11,7 +14,6 @@ from shapecast.segments import (
     TimeGrid,
     distance,
     distances,
-    rescale_day,
 )
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -160,35 +162,47 @@ class TestDistances:
         assert distances(np.empty((0, 4)), np.zeros(4)).shape == (0,)
 
 
+def one_day(grid, load):
+    """A one-day window; its shape is the day's load over its maximum."""
+    return make_history(grid, dt.date(2010, 6, 7), [load])
+
+
 class TestRescale:
+    """Rows of the history's shapes, and `shape(i)` for a single row."""
+
     def test_direct_division(self, grid4):
         grid3 = TimeGrid(("00:00", "08:00", "16:00"))
-        seg = rescale_day(LoadSegment(grid3, [100.0, 200.0, 400.0]))
-        assert np.array_equal(seg.values, [0.25, 0.5, 1.0])
+        window = one_day(grid3, [100.0, 200.0, 400.0])
+        assert np.array_equal(window.shape(0), [0.25, 0.5, 1.0])
+        assert np.array_equal(window.shapes[0], [0.25, 0.5, 1.0])
 
     def test_constant_day(self):
         grid3 = TimeGrid(("00:00", "08:00", "16:00"))
-        seg = rescale_day(LoadSegment(grid3, [5.0, 5.0, 5.0]))
-        assert np.array_equal(seg.values, [1.0, 1.0, 1.0])
+        window = one_day(grid3, [5.0, 5.0, 5.0])
+        assert np.array_equal(window.shape(0), [1.0, 1.0, 1.0])
 
     def test_max_exactly_one(self, grid24):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            seg = rescale_day(LoadSegment(grid24, 1e-3 + rng.random(24) * 700))
-            assert np.max(seg.values) == 1.0
+            window = one_day(grid24, 1e-3 + rng.random(24) * 700)
+            assert np.max(window.shape(0)) == 1.0
+            assert window.shape(0).tobytes() == window.shapes[0].tobytes()
 
     def test_roundtrip(self, grid24):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            raw = LoadSegment(grid24, 1e-3 + rng.random(24) * 700)
-            shaped = rescale_day(raw)
-            back = shaped.values * np.max(raw.values)
+            raw = 1e-3 + rng.random(24) * 700
+            shaped = one_day(grid24, raw).shape(0)
+            back = shaped * np.max(raw)
             # one division and one multiplication each cost at most an ulp
-            np.testing.assert_allclose(back, raw.values, rtol=1e-15)
+            np.testing.assert_allclose(back, raw, rtol=1e-15)
 
     def test_all_zero_rejected(self, grid4):
+        window = one_day(grid4, [0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ShapecastError):
-            rescale_day(LoadSegment(grid4, [0.0, 0.0, 0.0, 0.0]))
+            window.shape(0)
+        with pytest.raises(ShapecastError):
+            window.shapes
 
     def test_negative_values_rejected(self, grid4):
         with pytest.raises(ShapecastError):

@@ -1,16 +1,21 @@
 import datetime as dt
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from shapecast.calendars import DayGroup
+from conftest import assert_same_record
+from shapecast.calendars import DayGroup, annotate_calendar
 from shapecast.errors import ShapecastError
+from shapecast.history import DailyRecord, Quality
 from shapecast.predictor import KernelKind
+from shapecast.segments import LoadSegment, TemperatureSegment
 from shapecast.synthetic import (
     DayTruth,
     ExperimentRow,
     SyntheticSpec,
+    _day_rng,
     consistency_experiment,
     default_h_schedule,
     default_n_L_schedule,
@@ -24,7 +29,56 @@ from shapecast.segments import TimeGrid
 GRID = TimeGrid.equidistant(24)
 
 
+def day_by_day_generate(spec):
+    """Reference generator: one calendar annotation and one record per day."""
+    P = spec.grid.points_per_day
+    pool = default_temperature_pool(spec.grid)
+    shape_of = {g: sf for sf in default_shape_functions() for g in sf.groups}
+    records, truths = [], []
+    for n in range(spec.length):
+        rng = _day_rng(spec.seed, n)
+        meta = annotate_calendar(spec.start + dt.timedelta(days=n))
+        if spec.profile_mode == "cycle":
+            profile_index = n % len(pool)
+        else:
+            profile_index = int(rng.integers(len(pool)))
+        temps = pool[profile_index].copy()
+        if spec.jitter_sigma > 0:
+            temps = temps + spec.jitter_sigma * rng.standard_normal(P)
+        sf = shape_of[meta.group]
+        clean = sf(temps)
+        values = clean
+        if spec.noise_sigma > 0:
+            values = clean + spec.noise_sigma * rng.standard_normal(P)
+        values = np.maximum(values, 1e-9)
+        records.append(DailyRecord(meta, LoadSegment(spec.grid, values),
+                                   TemperatureSegment(spec.grid, temps), Quality.COMPLETE))
+        truths.append((meta.date, sf.ident, profile_index, clean.tobytes()))
+    return records, truths
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(GRID, 30, seed=7),
+        SyntheticSpec(GRID, 17, seed=(2, 5), start=dt.date(2010, 6, 10)),
+        SyntheticSpec(GRID, 12, noise_sigma=0.0, jitter_sigma=0.0, profile_mode="cycle"),
+        SyntheticSpec(GRID, 9, noise_sigma=0.0, seed=3),
+    ])
+    def test_rows_equal_day_by_day_records(self, spec):
+        window, truths = generate(spec)
+        records, expected_truths = day_by_day_generate(spec)
+        assert len(window.records) == len(records)
+        for got, want in zip(window.records, records):
+            assert_same_record(got, want)
+        assert [
+            (t.date, t.shape_ident, t.profile_index, t.clean.tobytes()) for t in truths
+        ] == expected_truths
+
+    def test_truth_carries_no_temperature(self):
+        assert [f.name for f in fields(DayTruth)] == [
+            "date", "shape_ident", "profile_index", "clean"
+        ]
+
     def test_deterministic_given_seed(self):
         spec = SyntheticSpec(GRID, 30, seed=7)
         w1, t1 = generate(spec)
