@@ -25,9 +25,10 @@ class DayGroup(str, Enum):
 
 
 GROUPS = tuple(DayGroup)  # a day's group code is its group's index here
-_GROUP_BY_WEEKDAY = (DayGroup.G1, DayGroup.G1, DayGroup.G2, DayGroup.G1,  # Mon-Thu
-                     DayGroup.G1, DayGroup.G3, DayGroup.G4)  # Fri-Sun
-_CODE_BY_WEEKDAY = np.array([GROUPS.index(g) for g in _GROUP_BY_WEEKDAY])
+_CODE_BY_WEEKDAY = np.array([GROUPS.index(g) for g in (
+    DayGroup.G1, DayGroup.G1, DayGroup.G2, DayGroup.G1,  # Mon-Thu
+    DayGroup.G1, DayGroup.G3, DayGroup.G4,  # Fri-Sun
+)])
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,14 @@ class CalendarMeta:
 
 def group_codes(dates, is_holiday) -> np.ndarray:
     """Group code of every date: its weekday's group, HOLIDAY where `is_holiday`."""
-    # 1970-01-01, day 0 of datetime64[D], was a Thursday (weekday 3)
-    weekdays = (np.array(dates, dtype="datetime64[D]").astype(np.int64) + 3) % 7
+    weekdays = np.array([d.weekday() for d in dates], dtype=int)
     return np.where(is_holiday, GROUPS.index(DayGroup.HOLIDAY), _CODE_BY_WEEKDAY[weekdays])
 
 
 def annotate_calendar(date: dt.date, holiday_set=frozenset()) -> CalendarMeta:
     """Resolve the day group of a date from its weekday; holidays override it."""
     is_holiday = date in holiday_set
-    group = DayGroup.HOLIDAY if is_holiday else _GROUP_BY_WEEKDAY[date.weekday()]
-    return CalendarMeta(date, is_holiday, group)
+    return CalendarMeta(date, is_holiday, GROUPS[group_codes([date], is_holiday)[0]])
 
 
 def parse_date_lines(text: str, source: str, unique: bool = False) -> list[dt.date]:

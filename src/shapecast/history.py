@@ -39,20 +39,26 @@ _COLUMNS = (
     "dates", "is_holiday", "quality", "loads", "temps", "group", "shapes", "records"
 )
 _NONPOSITIVE = "cannot rescale a segment with nonpositive maximum"
-_REFUSED = (
-    "load values must be finite",
-    "load values must be nonnegative",
-    f"temperature values must be finite on the mask, within ±{TEMPERATURE_LIMIT_C:g} °C",
-)
 
 
-def _first_bad_row(loads: np.ndarray, temps: np.ndarray) -> tuple[int, str] | None:
-    """(row, reason) for the first day a window refuses, or None."""
-    bad = np.array([~np.isfinite(loads), loads < 0, np.abs(temps) > TEMPERATURE_LIMIT_C])
-    rows = np.flatnonzero(bad.any(axis=(0, 2)))
-    if not len(rows):
-        return None
-    return int(rows[0]), _REFUSED[int(np.argmax(bad[:, rows[0]].any(axis=1)))]
+def _owned(a) -> np.ndarray:
+    """`a` as a read-only float matrix: itself if it owns its data, else a copy."""
+    a = np.asarray(a, dtype=float)
+    # a view's base would stay writable, so only an owner is kept uncopied
+    return read_only(a if a.base is None and a.flags.c_contiguous else a.copy())
+
+
+def _refuse_bad_day(grid: TimeGrid, loads: np.ndarray, temps: np.ndarray) -> None:
+    """Raise the segment error of the first day a window refuses, with its `row`."""
+    bad = ~np.isfinite(loads) | (loads < 0) | (np.abs(temps) > TEMPERATURE_LIMIT_C)
+    rows = np.flatnonzero(bad.any(axis=1))
+    if len(rows):
+        try:
+            LoadSegment(grid, loads[rows[0]])
+            TemperatureSegment(grid, temps[rows[0]])
+        except ShapecastError as exc:
+            exc.row = int(rows[0])
+            raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +68,11 @@ class HistoryWindow:
     Row i of every column is one day: `dates`, `is_holiday`, `group` (an index
     into `calendars.GROUPS`), `quality`, `loads` (L x P megawatts) and `temps`
     (L x P Celsius, NaN where unobserved; a day without temperature is an
-    all-NaN row). The window keeps the float arrays it is given, uncopied,
-    and makes them read-only. `shapes` is built on first use; `prefix(n)`
-    slices every column, and every prefix shares the whole window's `shapes`
-    matrix. `records` and `by_date` build `DailyRecord` views only when asked.
+    all-NaN row). The window keeps a float array it is given uncopied only
+    when that array owns its data, and makes it read-only. `shapes` is built
+    on first use; `prefix(n)` slices every column, and every prefix shares the
+    whole window's `shapes` matrix. `records` and `by_date` build
+    `DailyRecord` views only when asked.
     """
 
     grid: TimeGrid
@@ -83,21 +90,19 @@ class HistoryWindow:
         quality = (Quality.COMPLETE,) * n if self.quality is None else self.quality
         self.__dict__.update(
             dates=tuple(self.dates),
-            loads=read_only(np.asarray(self.loads, dtype=float)),
-            temps=read_only(np.asarray(self.temps, dtype=float)),
+            loads=_owned(self.loads),
+            temps=_owned(self.temps),
             is_holiday=read_only(np.array(holiday, dtype=bool)),
             quality=tuple(quality),
         )
         if (self.loads.shape != (n, P) or self.temps.shape != (n, P)
                 or self.is_holiday.shape != (n,) or len(self.quality) != n):
             raise GridMismatchError(f"every column needs {n} days of {P} points")
+        _refuse_bad_day(self.grid, self.loads, self.temps)
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ShapecastError("history records must be strictly ascending by date")
         if Quality.REJECTED in self.quality:
             raise ShapecastError("rejected records are excluded from history")
-        bad = _first_bad_row(self.loads, self.temps)
-        if bad is not None:
-            raise ShapecastError(bad[1])
         # a day's group follows from its date and holiday flag, so it is no argument
         self.__dict__["group"] = read_only(group_codes(self.dates, self.is_holiday))
 
@@ -205,13 +210,6 @@ def _refuse_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _refuse_bad_row(path, records, loads: np.ndarray, temps: np.ndarray) -> None:
-    """Name the line of the first row a window would refuse."""
-    bad = _first_bad_row(loads, temps)
-    if bad is not None:
-        raise IngestError(f"{path}:{records[bad[0]][0]}: {bad[1]}")
-
-
 _NUMBER = frozenset({int, float})  # bool is neither, though it subclasses int
 _NUMBER_OR_NULL = _NUMBER | {type(None)}
 
@@ -245,6 +243,7 @@ def read_history_jsonl(path) -> HistoryWindow:
     dates, holidays, quality = [], [], []
     # a row not yet filled is zero load, no temperature: nothing to refuse
     loads, temps = np.zeros((len(records), P)), np.full((len(records), P), np.nan)
+    failure = None
     for k, (lineno, text) in enumerate(records):
         try:
             with _located(path, lineno):
@@ -258,8 +257,16 @@ def read_history_jsonl(path) -> HistoryWindow:
                     if temp.count(None) == P:
                         raise ShapecastError("temperature mask must be nonempty")
                 quality.append(Quality(d["quality"]))
-        except IngestError:  # a bad value on this line or an earlier one comes first
-            _refuse_bad_row(path, records, loads[:k + 1], temps[:k + 1])
+        except IngestError as exc:
+            failure = exc
+            break
+    try:
+        if failure is None:
+            return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))
+        # a bad value on this line or an earlier one comes first
+        _refuse_bad_day(grid, loads, temps)
+    except ShapecastError as exc:
+        if not hasattr(exc, "row"):
             raise
-    _refuse_bad_row(path, records, loads, temps)
-    return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))
+        raise IngestError(f"{path}:{records[exc.row][0]}: {exc}") from None
+    raise failure

@@ -148,6 +148,16 @@ class DistanceSpec:
             object.__setattr__(self, "point_subset", subset)
 
 
+def _subset_index(spec: DistanceSpec, n: int) -> list[int] | None:
+    if spec.point_subset is None:
+        return None
+    if spec.point_subset[-1] >= n:
+        raise GridMismatchError(
+            f"point_subset index {spec.point_subset[-1]} out of bounds for length {n}"
+        )
+    return list(spec.point_subset)
+
+
 def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
     """Metric of each difference vector along the last axis."""
     if kind is DistanceKind.EUCLIDEAN:
@@ -160,7 +170,11 @@ def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
 def distance(a, b, spec: DistanceSpec = DistanceSpec()) -> float:
     """Distance between two equal-length vectors under `spec`."""
     a = _as_vector(a)
-    return float(distances(a[None], _as_vector(b, a.shape[0]), spec)[0])
+    b = _as_vector(b, a.shape[0])
+    idx = _subset_index(spec, a.shape[0])
+    if idx is not None:
+        a, b = a[idx], b[idx]
+    return float(_reduce(a - b, spec.kind))
 
 
 def distances(M, v, spec: DistanceSpec = DistanceSpec()) -> np.ndarray:
@@ -169,19 +183,15 @@ def distances(M, v, spec: DistanceSpec = DistanceSpec()) -> np.ndarray:
     `v` is one length-P vector, or an L x P matrix whose rows pair up with
     those of `M`. Row r equals `distance(M[r], v[r] or v, spec)` bit for bit.
     """
-    # C order keeps each row's sum pairwise, exactly as numpy sums a lone vector
+    # C order keeps each row's sum pairwise, exactly as `distance` sums a vector
     M = np.ascontiguousarray(M, dtype=float)
     if M.ndim != 2:
         raise GridMismatchError(f"expected 2-d matrix, got shape {M.shape}")
     v = np.ascontiguousarray(v, dtype=float)
     if v.shape not in ((M.shape[1],), M.shape):
         raise GridMismatchError(f"cannot pair shape {v.shape} with matrix {M.shape}")
-    subset = spec.point_subset
-    if subset is not None:
-        if subset[-1] >= M.shape[1]:
-            raise GridMismatchError(
-                f"point_subset index {subset[-1]} out of bounds for length {M.shape[1]}"
-            )
-        M, v = np.take(M, subset, axis=1), np.take(v, subset, axis=-1)
+    idx = _subset_index(spec, M.shape[1])
+    if idx is not None:
+        M, v = np.take(M, idx, axis=1), np.take(v, idx, axis=-1)
     return _reduce(M - v, spec.kind)
 

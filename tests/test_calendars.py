@@ -64,9 +64,12 @@ def test_weekday_computed_not_trusted(tmp_path):
 def test_group_codes_match_annotate_calendar(start):
     dates = [start + dt.timedelta(days=n) for n in range(30)]
     holidays = {dates[3], dates[10], dates[29]}
+    by_weekday = "G1 G1 G2 G1 G1 G3 G4".split()  # Monday first
+    expected = [DayGroup.HOLIDAY if d in holidays else DayGroup(by_weekday[d.weekday()])
+                for d in dates]
     codes = group_codes(dates, [d in holidays for d in dates])
-    assert [GROUPS[c] for c in codes] == [annotate_calendar(d, holidays).group
-                                          for d in dates]
+    assert [GROUPS[c] for c in codes] == expected
+    assert [annotate_calendar(d, holidays).group for d in dates] == expected
 
 
 def test_group_codes_of_no_dates():

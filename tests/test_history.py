@@ -280,6 +280,16 @@ class TestJsonlErrors:
             read_history_jsonl(path)
         assert str(exc.value) == f"{path}:4: load values must be nonnegative"
 
+    @pytest.mark.parametrize("quality", ["complete", "rejected"])
+    def test_bad_value_before_window_checks(self, tmp_path, quality):
+        # the window's date-order and rejected-day checks come after its values'
+        line = RECORD.replace("[1, 2, 3, 4]", "[1, 2, -3, 4]")
+        later = RECORD.replace("complete", quality)  # 2010-01-05 again
+        path = self.write(tmp_path, line + "\n" + later)
+        with pytest.raises(ShapecastError) as exc:
+            read_history_jsonl(path)
+        assert str(exc.value) == f"{path}:4: load values must be nonnegative"
+
     def test_value_before_quality_on_one_line(self, tmp_path):
         line = RECORD.replace("[1, 2, 3, 4]", "[1, 2, -3, 4]")
         line = line.replace('"complete"', '"bad"')
@@ -436,6 +446,21 @@ class TestConstructor:
             loads[0, 0] = 9.0
         for name in ("loads", "temps", "is_holiday", "group"):
             assert not getattr(window, name).flags.writeable, name
+
+    def test_copies_a_view(self, grid4):
+        base = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        window = self.build(grid4, base[:1], np.full((2, 4), np.nan)[:1])
+        assert not np.shares_memory(window.loads, base)
+        base[0, 0] = -1.0  # the caller's array stays writable, the window unchanged
+        assert window.loads.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+        np.testing.assert_array_equal(window.shapes, [[0.25, 0.5, 0.75, 1.0]])
+
+    def test_bad_day_error_names_its_row(self, grid4):
+        loads = [[1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 3.0, 4.0], [-1.0, 2.0, 3.0, 4.0]]
+        dates = tuple(START + dt.timedelta(days=i) for i in range(3))
+        with pytest.raises(ShapecastError, match="nonnegative") as info:
+            HistoryWindow(grid4, dates, loads, np.full((3, 4), np.nan))
+        assert info.value.row == 1
 
     @pytest.mark.parametrize("kwargs", [
         {"loads": [[1.0, 2.0, 3.0]]},
