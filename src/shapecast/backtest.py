@@ -22,7 +22,6 @@ from .errors import ShapecastError
 from .history import HistoryWindow
 from .metrics import DayScore, score_day
 from .predictor import PredictorConfig, config_snapshot, predict_day, stand_in
-from .segments import LoadSegment
 
 
 @dataclass
@@ -77,19 +76,19 @@ def backtest(
         if not i:
             raise ShapecastError(f"{date.isoformat()}: no prior history")
         prior, meta = history.prefix(i), history.meta(i)
-        actual = LoadSegment(history.grid, history.loads[i])
-        day_curves = curves[date] = DayCurves(actual=actual.values)
+        actual = history.loads[i]
+        day_curves = curves[date] = DayCurves(actual=actual)
         for method in methods:
-            predicted_values = METHODS[method](prior, meta, forecast, cfg) * day_max
-            predicted = LoadSegment(history.grid, predicted_values)
-            rmae, maxdiff, mindiff = score_day(predicted, actual)
+            predicted = METHODS[method](prior, meta, forecast, cfg) * day_max
+            # Python floats: repr of a numpy float would change the report
+            rmae, maxdiff, mindiff = map(float, score_day(predicted, actual))
             scores.append(DayScore(date, method, rmae, maxdiff, mindiff))
-            day_curves.predicted[method] = predicted_values
+            day_curves.predicted[method] = predicted
     return BacktestReport(
         scores=scores,
         summary=summarize(scores, list(methods)),
         config=config_snapshot(cfg),
-        grid_labels=history.grid.labels if len(history) else (),
+        grid_labels=history.grid.labels,
         curves=curves,
     )
 

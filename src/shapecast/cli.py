@@ -280,8 +280,7 @@ def cmd_backtest(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     ini = _load_ini(args.config)
     cfg, auto = build_predictor_config(args, ini)
-    if dates:
-        cfg = _resolve_bandwidth(history.before(min(dates)), cfg, auto)
+    cfg = _resolve_bandwidth(history.before(min(dates)), cfg, auto)
     report = backtest(history, dates, methods, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(os.path.join(args.out_dir, "report.csv"), emit_report(report, "csv"))

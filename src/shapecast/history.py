@@ -61,6 +61,13 @@ def _refuse_bad_day(grid: TimeGrid, loads: np.ndarray, temps: np.ndarray) -> Non
             raise
 
 
+def _refuse_row(row: int, message: str):
+    """Raise `message` as the error of the day at `row`."""
+    exc = ShapecastError(message)
+    exc.row = row
+    raise exc
+
+
 @dataclass(frozen=True, eq=False)
 class HistoryWindow:
     """Ascending, duplicate-free usable (non-rejected) days, held as columns.
@@ -99,10 +106,12 @@ class HistoryWindow:
                 or self.is_holiday.shape != (n,) or len(self.quality) != n):
             raise GridMismatchError(f"every column needs {n} days of {P} points")
         _refuse_bad_day(self.grid, self.loads, self.temps)
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ShapecastError("history records must be strictly ascending by date")
+        for n in range(1, len(self.dates)):
+            if self.dates[n] <= self.dates[n - 1]:
+                _refuse_row(n, "history records must be strictly ascending by date")
         if Quality.REJECTED in self.quality:
-            raise ShapecastError("rejected records are excluded from history")
+            _refuse_row(self.quality.index(Quality.REJECTED),
+                        "rejected records are excluded from history")
         # a day's group follows from its date and holiday flag, so it is no argument
         self.__dict__["group"] = read_only(group_codes(self.dates, self.is_holiday))
 

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, ShapecastError
-from .segments import LoadSegment
+from .errors import ShapecastError
 
 
 @dataclass(frozen=True)
@@ -26,20 +25,19 @@ class DayScore:
             raise ShapecastError("mindiff cannot exceed maxdiff")
 
 
-def score_day(predicted: LoadSegment, actual: LoadSegment) -> tuple[float, float, float]:
-    """(rmae, maxdiff, mindiff) of a megawatt prediction against the actual day.
+def score_day(predicted, actual) -> tuple:
+    """(rmae, maxdiff, mindiff) of megawatt predictions against the actual day.
 
+    `predicted` is one curve or a matrix of curves, one per row; every score
+    reduces along the last axis, so a matrix yields one score per row.
     maxdiff and mindiff are signed extremes of predicted minus actual, so a
     uniformly high forecast yields a positive mindiff.
     """
-    if predicted.grid != actual.grid:
-        raise GridMismatchError("predicted and actual segments on different grids")
-    a = actual.values
-    p = predicted.values
+    a = np.asarray(actual, dtype=float)
     if np.any(a <= 0):
         raise ShapecastError("actual values must be strictly positive for RMAE")
-    diff = p - a
+    diff = np.asarray(predicted, dtype=float) - a
     # an actual near zero may push the relative error past any float: it is inf
     with np.errstate(over="ignore"):
-        rmae = float(np.mean(np.abs(diff) / a))
-    return rmae, float(np.max(diff)), float(np.min(diff))
+        rmae = np.mean(np.abs(diff) / a, axis=-1)
+    return rmae, np.max(diff, axis=-1), np.min(diff, axis=-1)

@@ -21,6 +21,7 @@ import numpy as np
 from .calendars import GROUPS, CalendarMeta, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
 from .history import HistoryWindow
+from .metrics import score_day
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
 from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
 
@@ -243,11 +244,10 @@ def select_bandwidth(
     from strictly prior data with its `stand_in` forecast and maximum; mean
     relative absolute error decides, ties go to the smaller bandwidth. The
     reference and its distance row do not depend on the bandwidth, so each
-    validation day computes them once and then scores every bandwidth; the
-    results equal one `predict_day` per (h, day).
+    validation day computes them once and then scores every bandwidth's
+    prediction in one `score_day` call; the results equal one `predict_day`
+    per (h, day).
     """
-    from .metrics import score_day
-
     h_grid = sorted(float(h) for h in h_grid)
     if not h_grid:
         raise ShapecastError("bandwidth grid is empty")
@@ -256,18 +256,18 @@ def select_bandwidth(
             f"need more than {validation_days + 1} days of history"
         )
     kernels = [replace(cfg.kernel, bandwidth=h) for h in h_grid]
-    errs = [[] for _ in kernels]
-    for i in range(len(history) - validation_days, len(history)):
+    # one contiguous row per bandwidth: a column mean would sum in another order
+    errs = np.empty((len(h_grid), validation_days))
+    for k, i in enumerate(range(len(history) - validation_days, len(history))):
         forecast, next_day_max = stand_in(history, i)
         _, matrix, dists, in_group = _stage(
             history.prefix(i), GROUPS[history.group[i]], forecast, cfg
         )
-        actual = LoadSegment(history.grid, history.loads[i])
-        for kernel, day_errs in zip(kernels, errs):
-            weights = _kernel_weights(dists, kernel, in_group)
-            scaled = predict_shape(matrix, weights) * next_day_max
-            rmae, _, _ = score_day(LoadSegment(history.grid, scaled), actual)
-            day_errs.append(rmae)
+        shapes = np.empty((len(kernels), history.grid.points_per_day))
+        # no comprehension: its frame would move the fallback warning's stacklevel
+        for j, kernel in enumerate(kernels):
+            shapes[j] = predict_shape(matrix, _kernel_weights(dists, kernel, in_group))
+        errs[:, k] = score_day(shapes * next_day_max, history.loads[i])[0]
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid, errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks

@@ -30,30 +30,20 @@ _VALUE_FLOOR = 1e-9
 _RETRIES = 5  # fresh seeds tried per replication after a degenerate candidate set
 
 
-@dataclass(frozen=True)
-class ShapeFunction:
-    """Pointwise temperature-to-load map used by one set of day groups."""
-
-    ident: str
-    fn: object  # callable: np.ndarray of Celsius -> np.ndarray of load
-    groups: frozenset
-
-    def __call__(self, temps: np.ndarray) -> np.ndarray:
-        return np.clip(self.fn(np.asarray(temps, dtype=float)), _VALUE_FLOOR, 1.0)
+def _f1(u: np.ndarray) -> np.ndarray:
+    return 0.5 + 0.4 * np.sin(np.pi * u / 40.0) + 0.1 * u / 40.0
 
 
-def default_shape_functions() -> tuple[ShapeFunction, ...]:
-    f1 = ShapeFunction(
-        "f1",
-        lambda u: 0.5 + 0.4 * np.sin(np.pi * u / 40.0) + 0.1 * u / 40.0,
-        frozenset({DayGroup.G1, DayGroup.G2, DayGroup.HOLIDAY}),
-    )
-    f2 = ShapeFunction(
-        "f2",
-        lambda u: 0.6 + 0.3 * np.cos(np.pi * u / 40.0),
-        frozenset({DayGroup.G3, DayGroup.G4}),
-    )
-    return (f1, f2)
+def _f2(u: np.ndarray) -> np.ndarray:
+    return 0.6 + 0.3 * np.cos(np.pi * u / 40.0)
+
+
+# each group's pointwise temperature-to-load map, which `generate` clips to
+# [1e-9, 1]: weekdays and holidays share one, Saturdays and Sundays the other
+SHAPE_FUNCTIONS = {
+    DayGroup.G1: _f1, DayGroup.G2: _f1, DayGroup.HOLIDAY: _f1,
+    DayGroup.G3: _f2, DayGroup.G4: _f2,
+}
 
 
 def default_temperature_pool(grid: TimeGrid, size: int = 5) -> tuple[np.ndarray, ...]:
@@ -87,46 +77,40 @@ class SyntheticSpec:
             raise ShapecastError("profile_mode must be 'random' or 'cycle'")
 
 
-@dataclass(frozen=True)
-class DayTruth:
-    date: dt.date
-    shape_ident: str
-    profile_index: int
-    clean: np.ndarray  # noiseless load values
-
-
 def _day_rng(seed, day_index: int) -> np.random.Generator:
     entropy = seed if isinstance(seed, (tuple, list)) else (seed,)
     ss = np.random.SeedSequence(entropy=list(entropy), spawn_key=(day_index,))
     return np.random.default_rng(ss)
 
 
-def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, list[DayTruth]]:
-    """Deterministic sample path plus the per-day ground truth."""
-    P = spec.grid.points_per_day
-    dates = tuple(spec.start + dt.timedelta(days=n) for n in range(spec.length))
-    codes = group_codes(dates, False)
-    loads, temps = np.empty((spec.length, P)), np.empty((spec.length, P))
-    truths = []
-    pool = default_temperature_pool(spec.grid)
-    shape_of = {g: sf for sf in default_shape_functions() for g in sf.groups}
-    for n, date in enumerate(dates):
+def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
+    """Deterministic sample path plus its L x P noiseless loads.
+
+    Each day's generator draws, in order, the profile index (random mode),
+    the temperature jitter and the load noise, each only when it is used;
+    the model then runs on whole arrays.
+    """
+    L, P = spec.length, spec.grid.points_per_day
+    dates = tuple(spec.start + dt.timedelta(days=n) for n in range(L))
+    pool = np.array(default_temperature_pool(spec.grid))
+    profile = np.arange(L) % len(pool)
+    jitter, noise = np.zeros((L, P)), np.zeros((L, P))
+    for n in range(L):
         rng = _day_rng(spec.seed, n)
-        if spec.profile_mode == "cycle":
-            profile_index = n % len(pool)
-        else:
-            profile_index = int(rng.integers(len(pool)))
-        temps[n] = pool[profile_index]
+        if spec.profile_mode == "random":
+            profile[n] = rng.integers(len(pool))
         if spec.jitter_sigma > 0:
-            temps[n] += spec.jitter_sigma * rng.standard_normal(P)
-        sf = shape_of[GROUPS[codes[n]]]
-        clean = sf(temps[n])
-        values = clean
+            jitter[n] = rng.standard_normal(P)
         if spec.noise_sigma > 0:
-            values = clean + spec.noise_sigma * rng.standard_normal(P)
-        loads[n] = np.maximum(values, _VALUE_FLOOR)
-        truths.append(DayTruth(date, sf.ident, profile_index, clean))
-    return HistoryWindow(spec.grid, dates, loads, temps), truths
+            noise[n] = rng.standard_normal(P)
+    temps = pool[profile] + spec.jitter_sigma * jitter
+    codes = group_codes(dates, False)
+    clean = np.empty((L, P))
+    for code, group in enumerate(GROUPS):
+        rows = codes == code
+        clean[rows] = np.clip(SHAPE_FUNCTIONS[group](temps[rows]), _VALUE_FLOOR, 1.0)
+    loads = np.maximum(clean + spec.noise_sigma * noise, _VALUE_FLOOR)
+    return HistoryWindow(spec.grid, dates, loads, temps), clean
 
 
 @dataclass(frozen=True)
@@ -193,8 +177,7 @@ def consistency_experiment(
             for attempt in range(_RETRIES + 1):
                 seed = tuple(base_seed) + (L, rep, attempt)
                 spec = replace(template, length=L + 1, seed=seed, start=start)
-                window, truths = generate(spec)
-                truth = truths[L]
+                window, clean = generate(spec)
                 forecast = TemperatureSegment(spec.grid, window.temps[L])
                 try:
                     pred = predict_day(window.prefix(L), window.meta(L), forecast, cfg=cfg)
@@ -206,8 +189,8 @@ def consistency_experiment(
                     ExperimentRow(
                         L=L,
                         replication=rep,
-                        err_pred=distance(predicted, truth.clean, dist),
-                        err_ref=distance(ref_values, truth.clean, dist),
+                        err_pred=distance(predicted, clean[L], dist),
+                        err_ref=distance(ref_values, clean[L], dist),
                         err_pred_ref=distance(predicted, ref_values, dist),
                         h=h,
                         n_L=n_L,

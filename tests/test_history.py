@@ -290,6 +290,19 @@ class TestJsonlErrors:
             read_history_jsonl(path)
         assert str(exc.value) == f"{path}:4: load values must be nonnegative"
 
+    @pytest.mark.parametrize("lines, message", [
+        ([NEXT, RECORD], "history records must be strictly ascending by date"),
+        ([RECORD, RECORD], "history records must be strictly ascending by date"),
+        ([RECORD, NEXT.replace("complete", "rejected")],
+         "rejected records are excluded from history"),
+    ])
+    def test_window_check_names_its_line(self, tmp_path, lines, message):
+        # the second of the two lines (line 5) is the one the window refuses
+        path = self.write(tmp_path, "\n".join(lines))
+        with pytest.raises(ShapecastError) as exc:
+            read_history_jsonl(path)
+        assert str(exc.value) == f"{path}:5: {message}"
+
     def test_value_before_quality_on_one_line(self, tmp_path):
         line = RECORD.replace("[1, 2, 3, 4]", "[1, 2, -3, 4]")
         line = line.replace('"complete"', '"bad"')

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from shapecast.errors import ShapecastError
 from shapecast.metrics import DayScore, score_day
-from shapecast.segments import LoadSegment, TimeGrid
-
-GRID = TimeGrid.equidistant(4)
 
 
 def seg(values):
-    return LoadSegment(GRID, np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 class TestScoreDay:
@@ -48,11 +45,6 @@ class TestScoreDay:
         rmae, _, _ = score_day(seg([0.5] * 4), seg([0.5, 5e-324, 0.5, 0.5]))
         assert rmae == np.inf
 
-    def test_grid_mismatch_rejected(self):
-        other = LoadSegment(TimeGrid.equidistant(2), np.array([0.5, 1.0]))
-        with pytest.raises(ShapecastError):
-            score_day(seg([0.5] * 4), other)
-
     def test_scale_invariance_of_rmae(self):
         rng = np.random.default_rng(11)
         a = 0.1 + rng.random(4)
@@ -60,6 +52,21 @@ class TestScoreDay:
         r1, _, _ = score_day(seg(p), seg(a))
         r2, _, _ = score_day(seg(10 * p), seg(10 * a))
         assert r1 == pytest.approx(r2, rel=1e-12)
+
+    @pytest.mark.parametrize("P", [4, 24, 96])
+    def test_matrix_rows_equal_vector_calls(self, P):
+        rng = np.random.default_rng(P)
+        actual = 0.05 + rng.random(P)
+        actual[2] = 5e-324
+        predicted = 0.05 + rng.random((7, P))
+        predicted[:, 2] = actual[2]  # no error where the actual is near zero ...
+        predicted[3, 2] = 0.5  # ... except in row 3, whose rmae is inf
+        scores = score_day(predicted, actual)
+        assert scores[0][3] == np.inf
+        assert np.isfinite(np.delete(scores[0], 3)).all()
+        for r, row in enumerate(predicted):
+            for got, want in zip(scores, score_day(row, actual)):
+                assert got[r].tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -21,7 +21,6 @@ from shapecast.predictor import (
     prediction_to_dict,
     select_bandwidth,
 )
-from shapecast.metrics import score_day
 from shapecast.reference import DeltaRule, ReferenceConfig
 from shapecast.segments import DistanceSpec, TemperatureSegment, TimeGrid, distance
 
@@ -356,7 +355,8 @@ def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
                 window_of(records[:i]), target.meta, target.temperature,
                 next_day_max=float(np.max(target.load.values)), cfg=day_cfg,
             )
-            errs.append(score_day(pred.scaled, target.load)[0])
+            actual = target.load.values
+            errs.append(float(np.mean(np.abs(pred.scaled.values - actual) / actual)))
         risks.append((h, float(np.mean(errs))))
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks
@@ -428,6 +428,9 @@ class TestSelectBandwidthOracle:
 
         # the nearest-segment fallback fires in both or in neither
         assert (fallbacks(seen) > 0) == (fallbacks(seen_new) > 0)
+        # and, in both, it names the caller's file
+        assert all(w.filename == __file__ for w in seen + seen_new
+                   if "no segment within bandwidth" in str(w.message))
         if "threshold" in name or name == "no-rescale-uniform":
             assert fallbacks(seen_new) > 0
 

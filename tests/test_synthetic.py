@@ -1,6 +1,5 @@
 import datetime as dt
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,14 +11,13 @@ from shapecast.history import DailyRecord, Quality
 from shapecast.predictor import KernelKind
 from shapecast.segments import LoadSegment, TemperatureSegment
 from shapecast.synthetic import (
-    DayTruth,
+    SHAPE_FUNCTIONS,
     ExperimentRow,
     SyntheticSpec,
     _day_rng,
     consistency_experiment,
     default_h_schedule,
     default_n_L_schedule,
-    default_shape_functions,
     default_temperature_pool,
     experiment_csv,
     generate,
@@ -33,8 +31,7 @@ def day_by_day_generate(spec):
     """Reference generator: one calendar annotation and one record per day."""
     P = spec.grid.points_per_day
     pool = default_temperature_pool(spec.grid)
-    shape_of = {g: sf for sf in default_shape_functions() for g in sf.groups}
-    records, truths = [], []
+    records, cleans = [], []
     for n in range(spec.length):
         rng = _day_rng(spec.seed, n)
         meta = annotate_calendar(spec.start + dt.timedelta(days=n))
@@ -45,16 +42,15 @@ def day_by_day_generate(spec):
         temps = pool[profile_index].copy()
         if spec.jitter_sigma > 0:
             temps = temps + spec.jitter_sigma * rng.standard_normal(P)
-        sf = shape_of[meta.group]
-        clean = sf(temps)
+        clean = np.clip(SHAPE_FUNCTIONS[meta.group](temps), 1e-9, 1.0)
         values = clean
         if spec.noise_sigma > 0:
             values = clean + spec.noise_sigma * rng.standard_normal(P)
         values = np.maximum(values, 1e-9)
         records.append(DailyRecord(meta, LoadSegment(spec.grid, values),
                                    TemperatureSegment(spec.grid, temps), Quality.COMPLETE))
-        truths.append((meta.date, sf.ident, profile_index, clean.tobytes()))
-    return records, truths
+        cleans.append(clean.tobytes())
+    return records, cleans
 
 
 class TestGenerate:
@@ -63,30 +59,26 @@ class TestGenerate:
         SyntheticSpec(GRID, 17, seed=(2, 5), start=dt.date(2010, 6, 10)),
         SyntheticSpec(GRID, 12, noise_sigma=0.0, jitter_sigma=0.0, profile_mode="cycle"),
         SyntheticSpec(GRID, 9, noise_sigma=0.0, seed=3),
+        SyntheticSpec(GRID, 11, jitter_sigma=0.0, seed=4),
+        SyntheticSpec(GRID, 13, profile_mode="cycle", seed=(6, 1)),
     ])
     def test_rows_equal_day_by_day_records(self, spec):
-        window, truths = generate(spec)
-        records, expected_truths = day_by_day_generate(spec)
+        window, clean = generate(spec)
+        records, expected_cleans = day_by_day_generate(spec)
         assert len(window.records) == len(records)
         for got, want in zip(window.records, records):
             assert_same_record(got, want)
-        assert [
-            (t.date, t.shape_ident, t.profile_index, t.clean.tobytes()) for t in truths
-        ] == expected_truths
-
-    def test_truth_carries_no_temperature(self):
-        assert [f.name for f in fields(DayTruth)] == [
-            "date", "shape_ident", "profile_index", "clean"
-        ]
+        assert clean.shape == (spec.length, spec.grid.points_per_day)
+        assert [row.tobytes() for row in clean] == expected_cleans
 
     def test_deterministic_given_seed(self):
         spec = SyntheticSpec(GRID, 30, seed=7)
-        w1, t1 = generate(spec)
-        w2, t2 = generate(spec)
+        w1, c1 = generate(spec)
+        w2, c2 = generate(spec)
         for a, b in zip(w1.records, w2.records):
             np.testing.assert_array_equal(a.load.values, b.load.values)
             np.testing.assert_array_equal(a.temperature.values, b.temperature.values)
-        assert [t.profile_index for t in t1] == [t.profile_index for t in t2]
+        np.testing.assert_array_equal(c1, c2)
 
     def test_seeds_differ(self):
         w1, _ = generate(SyntheticSpec(GRID, 10, seed=0))
@@ -105,40 +97,46 @@ class TestGenerate:
 
     def test_noiseless_matches_clean_truth(self):
         spec = SyntheticSpec(GRID, 14, noise_sigma=0.0, seed=5)
-        window, truths = generate(spec)
-        for rec, truth in zip(window.records, truths):
-            np.testing.assert_array_equal(rec.load.values, truth.clean)
+        window, clean = generate(spec)
+        for rec, truth in zip(window.records, clean):
+            np.testing.assert_array_equal(rec.load.values, truth)
 
     def test_group_routing_of_shape_functions(self):
-        _, truths = generate(SyntheticSpec(GRID, 14, seed=1))
-        for truth in truths:
-            weekday = truth.date.weekday()
-            expected = "f2" if weekday in (5, 6) else "f1"
-            assert truth.shape_ident == expected
+        window, clean = generate(SyntheticSpec(GRID, 14, seed=1))
+        weekday_fn, weekend_fn = SHAPE_FUNCTIONS[DayGroup.G1], SHAPE_FUNCTIONS[DayGroup.G4]
+        assert weekday_fn is not weekend_fn
+        for date, temps, truth in zip(window.dates, window.temps, clean):
+            expected = weekend_fn if date.weekday() in (5, 6) else weekday_fn
+            assert truth.tobytes() == np.clip(expected(temps), 1e-9, 1.0).tobytes()
 
     def test_start_is_monday_by_default(self):
         window, _ = generate(SyntheticSpec(GRID, 1))
         assert window.records[0].meta.date.weekday() == 0
 
     def test_cycle_mode_visits_pool_in_order(self):
-        _, truths = generate(SyntheticSpec(GRID, 12, profile_mode="cycle", seed=0))
-        assert [t.profile_index for t in truths] == [i % 5 for i in range(12)]
+        window, _ = generate(SyntheticSpec(GRID, 12, profile_mode="cycle", seed=0))
+        pool = np.array(default_temperature_pool(GRID))
+        # the jitter (sd 0.5) keeps each day far nearer its profile than any other
+        nearest = [
+            int(np.argmin(np.linalg.norm(pool - temps, axis=1))) for temps in window.temps
+        ]
+        assert nearest == [i % 5 for i in range(12)]
 
     def test_values_positive_and_bounded_truth(self):
-        window, truths = generate(SyntheticSpec(GRID, 40, seed=9))
+        window, clean = generate(SyntheticSpec(GRID, 40, seed=9))
         for rec in window.records:
             assert np.all(rec.load.values > 0)
-        for t in truths:
-            assert np.all(t.clean > 0)
-            assert np.all(t.clean <= 1.0)
+        for t in clean:
+            assert np.all(t > 0)
+            assert np.all(t <= 1.0)
 
     def test_noise_moments(self):
         # long horizon: residual sd concentrates near sigma, mean near zero
         sigma = 0.05
         spec = SyntheticSpec(GRID, 1000, noise_sigma=sigma, seed=17)
-        window, truths = generate(spec)
+        window, clean = generate(spec)
         resid = np.concatenate(
-            [rec.load.values - t.clean for rec, t in zip(window.records, truths)]
+            [rec.load.values - t for rec, t in zip(window.records, clean)]
         )
         n = resid.size
         assert 0.045 <= resid.std() <= 0.055
@@ -172,9 +170,7 @@ class TestDefaults:
                 assert not np.allclose(pool[i], pool[j])
 
     def test_shape_functions_cover_all_groups(self):
-        fns = default_shape_functions()
-        covered = frozenset().union(*(f.groups for f in fns))
-        assert covered == frozenset(DayGroup)
+        assert frozenset(SHAPE_FUNCTIONS) == frozenset(DayGroup)
 
     def test_h_schedule_decreases(self):
         hs = [default_h_schedule(L) for L in (32, 64, 128, 256)]
