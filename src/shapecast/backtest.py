@@ -53,6 +53,15 @@ METHODS = {
         predict_conditional_kernel(prior, cfg.kernel, cfg.shape_distance).values
     ),
 }
+# the methods that read the kernel bandwidth, so only they need it selected
+BANDWIDTH_METHODS = frozenset({"ssp", "conditional-kernel"})
+
+
+def check_methods(methods) -> None:
+    """Refuse any name that is not a key of `METHODS`."""
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ShapecastError(f"unknown methods: {unknown}; pick from {sorted(METHODS)}")
 
 
 def backtest(
@@ -65,9 +74,7 @@ def backtest(
 
     Each method's shape is scaled by the day's realized maximum (`stand_in`).
     """
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ShapecastError(f"unknown methods: {unknown}; pick from {sorted(METHODS)}")
+    check_methods(methods)
     scores: list[DayScore] = []
     curves: dict[dt.date, DayCurves] = {}
     for date in dates:

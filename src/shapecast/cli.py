@@ -19,7 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .backtest import backtest, emit_day_curves, emit_report
+from .backtest import BANDWIDTH_METHODS, backtest, check_methods
+from .backtest import emit_day_curves, emit_report
 from .calendars import DayGroup, annotate_calendar, parse_date_lines, parse_holiday_file
 from .errors import ShapecastError
 from .history import HistoryWindow, history_jsonl_text, read_history_jsonl
@@ -278,8 +279,11 @@ def cmd_backtest(args) -> int:
         history = read_history_jsonl(args.history)
     dates = _backtest_dates(args, history)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    check_methods(methods)
     ini = _load_ini(args.config)
     cfg, auto = build_predictor_config(args, ini)
+    # a run of bandwidth-free methods keeps the unused default bandwidth
+    auto = auto and not BANDWIDTH_METHODS.isdisjoint(methods)
     cfg = _resolve_bandwidth(history.before(min(dates)), cfg, auto)
     report = backtest(history, dates, methods, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -319,12 +323,7 @@ def cmd_simulate(args) -> int:
         )
     else:
         experiment_kwargs = dict(h_of_L=partial(default_h_schedule, coef=args.h_coef))
-    rows = consistency_experiment(
-        template,
-        lengths,
-        args.replications,
-        **experiment_kwargs,
-    )
+    rows = consistency_experiment(template, lengths, args.replications, **experiment_kwargs)
     text = experiment_csv(rows)
     if args.out:
         _atomic_write(args.out, text)
@@ -352,14 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cfg_flags(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--kernel", choices=["gaussian", "epanechnikov", "uniform"])
+        p.add_argument("--kernel", choices=[k.value for k in KernelKind])
         p.add_argument(
             "--bandwidth", type=parse_bandwidth, help="positive number or 'auto'"
         )
-        p.add_argument("--mode", choices=["argmin", "threshold"])
-        p.add_argument(
-            "--distance", choices=["euclidean", "mean-absolute", "max-absolute"]
-        )
+        p.add_argument("--mode", choices=[m.value for m in ReferenceMode])
+        p.add_argument("--distance", choices=[d.value for d in DistanceKind])
         p.add_argument("--same-group-only", action="store_true")
 
     p_predict = sub.add_parser("predict", help="predict one day")

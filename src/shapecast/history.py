@@ -34,11 +34,9 @@ class DailyRecord:
     quality: Quality = Quality.COMPLETE
 
 
-# the per-day columns a prefix slices; `shapes` and `records` only once built
-_COLUMNS = (
-    "dates", "is_holiday", "quality", "loads", "temps", "group", "shapes", "records"
-)
-_NONPOSITIVE = "cannot rescale a segment with nonpositive maximum"
+# the per-day columns a prefix slices
+_COLUMNS = ("dates", "is_holiday", "quality", "loads", "temps", "group")
+_NONPOSITIVE = "{}: cannot rescale a segment with nonpositive maximum"
 
 
 def _owned(a) -> np.ndarray:
@@ -78,8 +76,8 @@ class HistoryWindow:
     all-NaN row). The window keeps a float array it is given uncopied only
     when that array owns its data, and makes it read-only. `shapes` is built
     on first use; `prefix(n)` slices every column, and every prefix shares the
-    whole window's `shapes` matrix. `records` and `by_date` build
-    `DailyRecord` views only when asked.
+    whole window's `shapes` matrix. `records` builds `DailyRecord` views only
+    when asked.
     """
 
     grid: TimeGrid
@@ -132,22 +130,22 @@ class HistoryWindow:
         # a nonpositive row fails only the windows that hold it
         rows, ok = (self if self._root is None else self._root)._shape_rows
         if not ok[:len(self)].all():
-            raise ShapecastError(_NONPOSITIVE)
+            # the root's first nonpositive day, which this window holds
+            raise ShapecastError(_NONPOSITIVE.format(self.dates[np.argmin(ok)]))
         return rows[:len(self)]
 
     def shape(self, i: int) -> np.ndarray:
         """Day i's load over its maximum, without building `shapes`."""
-        load = self.loads[i]
-        peak = load.max()
+        peak = self.loads[i].max()
         if peak <= 0:
-            raise ShapecastError(_NONPOSITIVE)
-        return load / peak
+            raise ShapecastError(_NONPOSITIVE.format(self.dates[i]))
+        return self.loads[i] / peak
 
     def prefix(self, n: int) -> "HistoryWindow":
         """The first `n` days; a prefix of a valid window needs no checks."""
         window = object.__new__(HistoryWindow)
         window.__dict__.update(
-            {name: self.__dict__[name][:n] for name in _COLUMNS if name in self.__dict__},
+            {name: self.__dict__[name][:n] for name in _COLUMNS},
             grid=self.grid,
             _root=self if self._root is None else self._root,
         )
@@ -179,9 +177,6 @@ class HistoryWindow:
     def records(self) -> tuple[DailyRecord, ...]:
         """Every day as a `DailyRecord` view, built on first use."""
         return tuple(map(self._record, range(len(self))))
-
-    def by_date(self, date: dt.date) -> DailyRecord:
-        return self._record(self.row(date))
 
 
 def history_jsonl_text(window: HistoryWindow) -> str:

@@ -51,15 +51,13 @@ class GapReport:
         return lines
 
 
-def _csv_rows(stream, header: list[str], name: str = "file"):
-    """(line number, row) for every data row of a CSV with the given header.
+def _csv_rows(text: str, header: list[str], name: str = "file"):
+    """(line number, row) for every data row of CSV `text` with the given header.
 
-    `stream` is text, UTF-8 bytes or an open text stream. Blank lines are
-    skipped; every other row must have one field per header column.
+    Blank lines are skipped; every other row must have one field per header
+    column.
     """
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    reader = csv.reader(io.StringIO(stream) if isinstance(stream, str) else stream)
+    reader = csv.reader(io.StringIO(text))
     try:
         found = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -76,7 +74,8 @@ def _csv_rows(stream, header: list[str], name: str = "file"):
         yield lineno, row
 
 
-def _reading(text: str, lineno: int, what: str, limit: float = math.inf) -> float:
+def _reading(text: str, lineno: int, what: str, limit: float = math.inf,
+             signed: bool = True) -> float:
     """`text` as a finite number within ±`limit`; NaN would mean "not read"."""
     try:
         value = float(text)
@@ -86,28 +85,31 @@ def _reading(text: str, lineno: int, what: str, limit: float = math.inf) -> floa
         raise IngestError(f"line {lineno}: non-finite {what} {text!r}")
     if abs(value) > limit:
         raise IngestError(f"line {lineno}: {what} {text!r} beyond ±{limit:g}")
+    if value < 0 and not signed:
+        raise IngestError(f"line {lineno}: negative {what} {text!r}")
     return value
 
 
-def _parse_timeseries_csv(stream, value_column: str, limit: float = math.inf):
+def _parse_timeseries_csv(text: str, value_column: str, limit: float = math.inf,
+                          signed: bool = True):
     records = []
-    for lineno, (stamp, text) in _csv_rows(stream, ["timestamp", value_column]):
+    for lineno, (stamp, value) in _csv_rows(text, ["timestamp", value_column]):
         try:
             ts = dt.datetime.fromisoformat(stamp.strip())
         except ValueError:
             raise IngestError(f"line {lineno}: bad timestamp {stamp!r}") from None
-        records.append((ts, _reading(text, lineno, value_column, limit)))
+        records.append((ts, _reading(value, lineno, value_column, limit, signed)))
     return records
 
 
-def parse_load_file(stream) -> list[tuple[dt.datetime, float]]:
+def parse_load_file(text: str) -> list[tuple[dt.datetime, float]]:
     """CSV with header `timestamp,load_mw`; errors name the offending line."""
-    return _parse_timeseries_csv(stream, "load_mw")
+    return _parse_timeseries_csv(text, "load_mw", signed=False)
 
 
-def parse_temperature_history(stream) -> list[tuple[dt.datetime, float]]:
+def parse_temperature_history(text: str) -> list[tuple[dt.datetime, float]]:
     """CSV with header `timestamp,temp_c`, same cadence as the load file."""
-    return _parse_timeseries_csv(stream, "temp_c", TEMPERATURE_LIMIT_C)
+    return _parse_timeseries_csv(text, "temp_c", TEMPERATURE_LIMIT_C)
 
 
 def _group_by_day(records):
@@ -124,46 +126,38 @@ def _group_by_day(records):
     return by_day
 
 
-def _max_missing_run(present: np.ndarray) -> int:
-    longest = run = 0
-    for ok in present:
-        run = 0 if ok else run + 1
-        longest = max(longest, run)
-    return longest
-
-
 def _lay_out_day(minute_values: dict[int, float], grid_minutes: list[int],
                  max_gap: int):
     """Lay one day's readings onto the grid.
 
+    One gap rule judges every day: from the grid point before the day's first
+    to the grid point after its last, no stretch between consecutive readings
+    may span more than `max_gap + 1` grid steps. On-grid readings are
+    interpolated by grid index, off-grid ones (e.g. DST-shifted) in minutes.
     Returns (values, kind, detail, filled indices); `values` is None for a
     rejected day and `kind` is None for a complete one.
     """
-    n = len(minute_values)
+    n, P = len(minute_values), len(grid_minutes)
     if not n:
         return None, "rejected", "no readings", []
-    if not set(grid_minutes) >= set(minute_values):
-        # off-grid cadence (e.g. DST-shifted readings): resample in absolute time
-        mins = np.array(sorted(minute_values))
-        vals = np.array([minute_values[m] for m in mins])
-        step = grid_minutes[1] - grid_minutes[0]
-        if n < 2 or np.max(np.diff(mins)) > (max_gap + 1) * step:
-            detail = f"off-grid readings with a gap beyond {max_gap} points"
-            return None, "rejected", detail, []
-        values = np.interp(grid_minutes, mins, vals)
-        detail = f"{n} off-grid readings resampled onto the grid"
-        return values, "resampled", detail, list(range(len(grid_minutes)))
-    present = np.array([m in minute_values for m in grid_minutes])
-    n_missing = int(np.sum(~present))
-    if n_missing == 0:
-        return np.array([minute_values[m] for m in grid_minutes]), None, "", []
-    if _max_missing_run(present) > max_gap:
-        detail = f"{n_missing} missing points with a run beyond max_gap={max_gap}"
+    mins = sorted(minute_values)
+    vals = [minute_values[m] for m in mins]
+    step = grid_minutes[1] - grid_minutes[0]
+    on_grid = set(grid_minutes) >= set(mins)
+    # integer minutes: dividing by the step first misjudges exact boundaries
+    bounds = [grid_minutes[0] - step, *mins, grid_minutes[-1] + step]
+    if max(b - a for a, b in zip(bounds, bounds[1:])) > (max_gap + 1) * step:
+        detail = (f"{P - n} missing points with a run beyond max_gap={max_gap}" if on_grid
+                  else f"off-grid readings with a gap beyond {max_gap} points")
         return None, "rejected", detail, []
-    known_idx = np.flatnonzero(present)
-    known_vals = np.array([minute_values[grid_minutes[i]] for i in known_idx])
-    values = np.interp(np.arange(len(grid_minutes)), known_idx, known_vals)
-    filled = np.flatnonzero(~present).tolist()
+    if not on_grid:
+        detail = f"{n} off-grid readings resampled onto the grid"
+        return np.interp(grid_minutes, mins, vals), "resampled", detail, list(range(P))
+    if n == P:
+        return np.array(vals), None, "", []
+    known = [(m - grid_minutes[0]) // step for m in mins]
+    filled = sorted(set(range(P)).difference(known))
+    values = np.interp(np.arange(P), known, vals)
     return values, "gap-filled", f"interpolated {len(filled)} missing points", filled
 
 
@@ -220,12 +214,12 @@ def forecast_mask_indices(grid: TimeGrid) -> tuple[int, ...]:
     return tuple(grid.index_of(lb) for lb in FORECAST_LABELS)
 
 
-def parse_temperature_forecast(stream, grid: TimeGrid) -> dict[dt.date, TemperatureSegment]:
+def parse_temperature_forecast(text: str, grid: TimeGrid) -> dict[dt.date, TemperatureSegment]:
     """CSV with header `date,t0800,t1200,t1600,t2000` -> segments, NaN elsewhere."""
     mask = list(forecast_mask_indices(grid))
     forecasts: dict[dt.date, TemperatureSegment] = {}
     header = ["date", "t0800", "t1200", "t1600", "t2000"]
-    for lineno, row in _csv_rows(stream, header, "forecast file"):
+    for lineno, row in _csv_rows(text, header, "forecast file"):
         try:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError:

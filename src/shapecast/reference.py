@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
 
@@ -124,14 +124,14 @@ def select_reference(
     candidates = np.asarray(candidates, dtype=int)
     if not len(candidates):
         raise EmptyCandidateError("no candidates to select a reference from")
-    mask = list(temp_forecast.mask)
+    subset = set(temp_forecast.mask)
     if cfg.temp_distance.point_subset is not None:
-        mask = sorted(set(mask) & set(cfg.temp_distance.point_subset))
-        if not mask:
+        subset &= set(cfg.temp_distance.point_subset)
+        if not subset:
             raise ShapecastError("forecast mask and configured subset are disjoint")
-    spec = DistanceSpec(cfg.temp_distance.kind, mask)
+    spec = replace(cfg.temp_distance, point_subset=subset)
 
-    observed = ~np.isnan(history.temps[np.ix_(candidates, mask)]).any(axis=1)
+    observed = ~np.isnan(history.temps[np.ix_(candidates, spec.point_subset)]).any(axis=1)
     for i in candidates[~observed]:
         warnings.warn(
             f"dropping candidate {history.dates[i].isoformat()}: no temperature "

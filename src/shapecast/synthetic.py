@@ -20,14 +20,13 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .calendars import GROUPS, DayGroup, group_codes
-from .errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
+from .errors import EmptyCandidateError, ShapecastError
 from .history import HistoryWindow
 from .predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
 from .reference import ReferenceConfig
 from .segments import DistanceSpec, TemperatureSegment, TimeGrid, distance
 
 _VALUE_FLOOR = 1e-9
-_RETRIES = 5  # fresh seeds tried per replication after a degenerate candidate set
 
 
 def _f1(u: np.ndarray) -> np.ndarray:
@@ -147,9 +146,8 @@ def consistency_experiment(
     Smoothing parameters shrink and widen with L through the supplied
     schedules. The start date is shifted per length so the predicted day
     always falls on the same weekday; otherwise the candidate pool size would
-    jump with the target's group rather than with L. Replications with
-    degenerate candidate sets are retried with a fresh seed a bounded number
-    of times.
+    jump with the target's group rather than with L. A length whose lookback
+    holds no day of the target's group fails the run, whatever the seed.
     """
     lengths = [int(L) for L in lengths]
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -174,35 +172,28 @@ def consistency_experiment(
         offset = (-L) % 7
         start = template.start + dt.timedelta(days=offset)
         for rep in range(replications):
-            for attempt in range(_RETRIES + 1):
-                seed = tuple(base_seed) + (L, rep, attempt)
-                spec = replace(template, length=L + 1, seed=seed, start=start)
-                window, clean = generate(spec)
-                forecast = TemperatureSegment(spec.grid, window.temps[L])
-                try:
-                    pred = predict_day(window.prefix(L), window.meta(L), forecast, cfg=cfg)
-                except (EmptyCandidateError, MissingTemperatureError):
-                    continue
-                predicted = pred.shape.values
-                ref_values = pred.reference.reference.values
-                rows.append(
-                    ExperimentRow(
-                        L=L,
-                        replication=rep,
-                        err_pred=distance(predicted, clean[L], dist),
-                        err_ref=distance(ref_values, clean[L], dist),
-                        err_pred_ref=distance(predicted, ref_values, dist),
-                        h=h,
-                        n_L=n_L,
-                        c_star_size=len(pred.reference.c_star),
-                    )
+            # the trailing 0 keeps the seeds every existing row was drawn with
+            spec = replace(template, length=L + 1, seed=(*base_seed, L, rep, 0), start=start)
+            window, clean = generate(spec)
+            forecast = TemperatureSegment(spec.grid, window.temps[L])
+            try:
+                pred = predict_day(window.prefix(L), window.meta(L), forecast, cfg=cfg)
+            except EmptyCandidateError as exc:
+                raise ShapecastError(f"L={L}: {exc}") from None
+            predicted = pred.shape.values
+            ref_values = pred.reference.reference.values
+            rows.append(
+                ExperimentRow(
+                    L=L,
+                    replication=rep,
+                    err_pred=distance(predicted, clean[L], dist),
+                    err_ref=distance(ref_values, clean[L], dist),
+                    err_pred_ref=distance(predicted, ref_values, dist),
+                    h=h,
+                    n_L=n_L,
+                    c_star_size=len(pred.reference.c_star),
                 )
-                break
-            else:
-                raise ShapecastError(
-                    f"L={L} rep={rep}: degenerate candidate sets after "
-                    f"{_RETRIES} retries"
-                )
+            )
     return rows
 
 

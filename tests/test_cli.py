@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from shapecast import synthetic
 from shapecast.cli import main
 from shapecast.history import HistoryWindow, read_history_jsonl
 from shapecast.segments import TimeGrid
@@ -62,7 +63,7 @@ class TestIngest:
         window = read_history_jsonl(history_file)
         assert len(window) == DAYS
         assert window.grid.labels == GRID.labels
-        holiday = window.by_date(dt.date(2010, 4, 5))
+        holiday = window.records[window.row(dt.date(2010, 4, 5))]
         assert holiday.meta.group.value == "HOLIDAY"
 
     def test_rerun_byte_identical(self, raw_files, history_file, tmp_path):
@@ -129,6 +130,17 @@ class TestIngest:
         assert code == 1
         column = rows[kind][0].split(",")[1]
         assert f"line 50: non-finite {column} '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_load_names_its_line(self, raw_files, tmp_path, capsys):
+        lines = (raw_files / "load.csv").read_text().splitlines()
+        lines[3] = lines[3].split(",")[0] + ",-3"
+        (tmp_path / "load.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "h.jsonl"
+        code = main(["ingest", "--load", str(tmp_path / "load.csv"), "--out", str(out),
+                     "--points-per-day", "24"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 4: negative load_mw '-3'\n"
         assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
@@ -313,6 +325,30 @@ class TestPredict:
         assert code == 1
         assert f"{broken}:4: int too large" in capsys.readouterr().err
 
+    def test_zero_load_day_is_named(self, raw_files, tmp_path, capsys):
+        zero_day = (START + dt.timedelta(days=9)).isoformat()
+        lines = [
+            ln.split(",")[0] + ",0" if ln.startswith(zero_day) else ln
+            for ln in (raw_files / "load.csv").read_text().splitlines()
+        ]
+        (tmp_path / "load.csv").write_text("\n".join(lines) + "\n")
+        history = tmp_path / "h.jsonl"
+        assert main([
+            "ingest", "--load", str(tmp_path / "load.csv"),
+            "--temps", str(raw_files / "temps.csv"), "--out", str(history),
+            "--points-per-day", "24",
+        ]) == 0
+        assert f"kept {DAYS} days, rejected 0" in capsys.readouterr().out
+        code = main([
+            "predict", "--history", str(history),
+            "--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {zero_day}: cannot rescale a segment with nonpositive maximum\n"
+        )
+
 
 class TestBacktest:
     def test_sampled_run_writes_reports(self, history_file, tmp_path, capsys):
@@ -384,6 +420,32 @@ class TestBacktest:
         ])
         assert code == 0
 
+    def test_persistence_run_selects_no_bandwidth(self, history_file, tmp_path):
+        # one prior day is too few for bandwidth CV, and persistence needs no more
+        dates = tmp_path / "dates.txt"
+        dates.write_text(f"{(START + dt.timedelta(days=1)).isoformat()}\n")
+        out_dir = tmp_path / "bt"
+        code = main([
+            "backtest", "--history", str(history_file), "--dates-file", str(dates),
+            "--out-dir", str(out_dir), "--methods", "persistence",
+        ])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["kernel"]["bandwidth"] == 1.0
+
+    def test_unknown_method_refused_before_bandwidth_cv(self, history_file, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_cv(*args):
+            pytest.fail("bandwidth CV ran")
+
+        monkeypatch.setattr("shapecast.cli.select_bandwidth", no_cv)
+        code = main([
+            "backtest", "--history", str(history_file), "--sample", "2",
+            "--out-dir", str(tmp_path / "bt"), "--methods", "ssp,bogus",
+        ])
+        assert code == 1
+        assert "unknown methods: ['bogus']" in capsys.readouterr().err
+
     def test_empty_dates_file(self, history_file, tmp_path, capsys):
         dates = tmp_path / "dates.txt"
         dates.write_text("# nothing chosen\n")
@@ -426,6 +488,19 @@ class TestSimulate:
         for row in rows:
             err_pred = float(row.split(",")[2])
             assert err_pred <= 1e-12
+
+    def test_empty_lookback_fails_at_once(self, capsys, monkeypatch):
+        calls, generate = [], synthetic.generate
+
+        def counted(spec):
+            calls.append(spec.seed)
+            return generate(spec)
+
+        monkeypatch.setattr(synthetic, "generate", counted)
+        code = main(["simulate", "--lengths", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: L=1: no usable candidate for group G1\n"
+        assert calls == [(0, 1, 0, 0)]
 
     def test_rerun_byte_identical(self, tmp_path):
         args = [

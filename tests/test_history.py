@@ -104,13 +104,13 @@ class TestPrefix:
         assert prior.loads.shape == (n, 24)
 
     @pytest.mark.parametrize("date", [day(-1), day(2), day(6)])
-    def test_by_date_missing_raises(self, gapped, date):
+    def test_row_missing_raises(self, gapped, date):
         with pytest.raises(ShapecastError, match=date.isoformat()):
-            gapped.by_date(date)
+            gapped.row(date)
 
-    def test_by_date_finds_every_day(self, gapped):
+    def test_row_finds_every_day(self, gapped):
         for rec in gapped.records:
-            assert_same_record(gapped.by_date(rec.meta.date), rec)
+            assert_same_record(gapped.records[gapped.row(rec.meta.date)], rec)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5, 9])
     def test_prefix_length_clamps(self, gapped, n):
@@ -414,10 +414,10 @@ class TestColumns:
             for got, want in zip(prefix.records, mixed.records[:n]):
                 assert_same_record(got, want)
 
-    def test_before_and_by_date_slice_every_column(self, mixed):
+    def test_before_and_row_slice_every_column(self, mixed):
         for i, date in enumerate(mixed.dates):
             assert_same_columns(mixed.before(date), mixed.prefix(i))
-            assert_same_record(mixed.by_date(date), mixed.records[i])
+            assert_same_record(mixed.records[mixed.row(date)], mixed.records[i])
             assert mixed.row(date) == i
         assert_same_columns(mixed.before(day(3)), mixed.prefix(3))
 

@@ -55,10 +55,6 @@ class TestParseLoadFile:
         with pytest.raises(IngestError):
             parse_load_file("")
 
-    def test_bytes_input(self):
-        records = parse_load_file(b"timestamp,load_mw\n2010-06-07T06:00,4.25\n")
-        assert records[0][1] == 4.25
-
 
 class TestSegmentize:
     def setup_method(self):
@@ -173,6 +169,83 @@ class TestSegmentize:
         assert not report.issues
 
 
+def stamp_rows(date, minute_values):
+    return [f"{date.isoformat()}T{m // 60:02d}:{m % 60:02d},{v}"
+            for m, v in minute_values.items()]
+
+
+def longest_missing_run(present) -> int:
+    """The longest run of consecutive missing grid points, edges included."""
+    longest = run = 0
+    for ok in present:
+        run = 0 if ok else run + 1
+        longest = max(longest, run)
+    return longest
+
+
+class TestGapRule:
+    """One rule judges on-grid and off-grid days alike."""
+
+    DATE = dt.date(2010, 6, 7)
+    GRID = TimeGrid.equidistant(24)
+
+    def lay_out(self, minute_values, max_gap, grid=GRID):
+        records = parse_load_file(csv_text(stamp_rows(self.DATE, minute_values)))
+        return segmentize(records, grid, max_gap=max_gap)
+
+    def test_off_grid_long_leading_stretch_rejected(self):
+        # 12:30 to 23:30: the grid points 00:00 to 12:00 precede every reading
+        window, report = self.lay_out({h * 60 + 30: 100 + h for h in range(12, 24)}, 4)
+        assert len(window) == 0
+        [issue] = report.issues
+        assert (issue.kind, issue.detail) == (
+            "rejected", "off-grid readings with a gap beyond 4 points")
+
+    def test_off_grid_long_trailing_stretch_rejected(self):
+        window, report = self.lay_out({h * 60 + 30: 100 + h for h in range(11)}, 4)
+        assert len(window) == 0
+        assert report.rejected_dates == [self.DATE]
+
+    def test_off_grid_gap_of_exactly_max_gap_plus_one_steps_kept(self):
+        # 05:31 to 10:31 spans exactly 5 steps; 631/60 - 331/60 exceeds 5 in floats
+        minutes = [31 + 60 * k for k in range(24) if not 5 < k < 10]
+        assert 331 in minutes and 631 in minutes and 391 not in minutes
+        window, report = self.lay_out({m: 100.0 for m in minutes}, 4)
+        assert len(window) == 1
+        assert report.issues[0].kind == "resampled"
+        minutes.remove(631)
+        minutes.append(632)
+        window, report = self.lay_out({m: 100.0 for m in minutes}, 4)
+        assert report.rejected_dates == [self.DATE]
+
+    def test_max_gap_zero_rejects_off_grid_day(self):
+        # grid point 00:00 precedes the 00:30 reading by more than one step
+        window, report = self.lay_out({h * 60 + 30: 100 + h for h in range(24)}, 0)
+        assert report.rejected_dates == [self.DATE]
+        window, report = self.lay_out({h * 60 + 30: 100 + h for h in range(24)}, 1)
+        assert report.issues[0].kind == "resampled"
+
+    @pytest.mark.parametrize("max_gap, kept", [(2, False), (3, True)])
+    def test_single_off_grid_reading_judged_by_both_edges(self, max_gap, kept):
+        # 6-hour steps: 12:30 lies 3 1/12 steps after 18:00 the day before
+        window, report = self.lay_out({750: 42.0}, max_gap, TimeGrid.equidistant(4))
+        assert len(window) == kept
+        if kept:
+            np.testing.assert_array_equal(window.loads[0], [42.0] * 4)
+
+    def test_on_grid_days_follow_the_longest_missing_run(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            P = int(rng.choice([4, 8, 24, 48, 96]))
+            grid, max_gap = TimeGrid.equidistant(P), int(rng.integers(0, 8))
+            present = rng.random(P) < rng.uniform(0.3, 1.0)
+            if not present.any():
+                continue
+            minute_values = {int(m): 1.0 + i for i, m in enumerate(grid.minutes[present])}
+            window, report = self.lay_out(minute_values, max_gap, grid)
+            assert len(window) == (longest_missing_run(present) <= max_gap)
+
+
 class TestTemperatureForecast:
     def setup_method(self):
         self.grid = TimeGrid.equidistant(96)
@@ -277,6 +350,12 @@ class TestParserRows:
         with pytest.raises(IngestError, match=r"^line 2: .* '1e200' beyond ±1000$"):
             parse(f"{header}\n{row.rsplit(',', 1)[0]},1e200\n")
         assert len(parse(f"{header}\n{row.rsplit(',', 1)[0]},-1000\n")) == 1
+
+    def test_negative_load_names_line(self):
+        with pytest.raises(IngestError) as exc:
+            parse_load_file("timestamp,load_mw\n2010-06-07T11:00,4\n2010-06-07T12:00,-3\n")
+        assert str(exc.value) == "line 3: negative load_mw '-3'"
+        assert parse_temperature_history("timestamp,temp_c\n2010-06-07T12:00,-3\n")
 
     def test_line_numbers_count_blank_lines(self):
         with pytest.raises(IngestError, match="^line 4: bad timestamp"):
