@@ -58,7 +58,9 @@ BANDWIDTH_METHODS = frozenset({"ssp", "conditional-kernel"})
 
 
 def check_methods(methods) -> None:
-    """Refuse any name that is not a key of `METHODS`."""
+    """Refuse an empty list and any name that is not a key of `METHODS`."""
+    if not methods:
+        raise ShapecastError(f"no methods given; pick from {sorted(METHODS)}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ShapecastError(f"unknown methods: {unknown}; pick from {sorted(METHODS)}")

@@ -88,18 +88,15 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
 
 
 def parse_bandwidth(text: str) -> str | float:
-    """'auto' or a positive number: the --bandwidth flag and the INI value."""
+    """'auto' or a positive finite number: the --bandwidth flag and the INI value."""
     if text == "auto":
         return text
     try:
-        value = float(text)
-        if value > 0:
-            return value
+        return _positive_float(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"bandwidth must be 'auto' or a positive number, got {text!r}"
-    )
+        raise argparse.ArgumentTypeError(
+            f"bandwidth must be 'auto' or a positive number, got {text!r}"
+        ) from None
 
 
 def _positive_int(text: str) -> int:
@@ -120,6 +117,13 @@ def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not value >= 0:  # NaN fails too
         raise ValueError("must be a nonnegative number")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < np.inf:  # NaN fails too
+        raise ValueError("must be a positive finite number")
     return value
 
 
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma", type=_nonnegative_float, default=0.05)
     p_sim.add_argument("--jitter", type=_nonnegative_float, default=0.5)
     p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_sim.add_argument("--h-coef", type=float, default=0.6)
+    p_sim.add_argument("--h-coef", type=_positive_float, default=0.6)
     p_sim.add_argument("--points-per-day", type=int, default=24)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)

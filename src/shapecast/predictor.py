@@ -49,8 +49,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", KernelKind(self.kind))
-        if not self.bandwidth > 0:
-            raise ShapecastError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ShapecastError("bandwidth must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Days are drawn from a group-dependent shape model: each day's load is a fixed
 pointwise function of its temperature curve, chosen by the day's calendar
 group, plus i.i.d. Gaussian noise. Temperatures come from a small pool of
 profiles with optional per-day jitter, which makes noiseless exact-recovery
-constructions possible. The experiment predicts day L+1 from length-L
-histories at growing L and records how far the prediction (and the reference
-segment) land from the clean shape.
+constructions possible. The experiment predicts the last day of each sample
+path from the L days before it at growing L and records how far the
+prediction (and the reference segment) land from the clean shape.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import EmptyCandidateError, ShapecastError
 from .history import HistoryWindow
 from .predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
 from .reference import ReferenceConfig
-from .segments import DistanceSpec, TemperatureSegment, TimeGrid, distance
+from .segments import TemperatureSegment, TimeGrid, distance
 
 _VALUE_FLOOR = 1e-9
 
@@ -45,16 +45,11 @@ SHAPE_FUNCTIONS = {
 }
 
 
-def default_temperature_pool(grid: TimeGrid, size: int = 5) -> tuple[np.ndarray, ...]:
-    """Smooth, clearly distinct daily temperature profiles in roughly 8-36 C."""
+def default_temperature_pool(grid: TimeGrid) -> np.ndarray:
+    """Five smooth, clearly distinct daily temperature profiles (rows) in roughly 8-36 C."""
     x = np.linspace(0.0, 1.0, grid.points_per_day, endpoint=False)
-    pool = []
-    for k in range(size):
-        mean = 12.0 + 5.0 * k
-        amp = 4.0 + 0.8 * k
-        phase = 0.15 * k
-        pool.append(mean + amp * np.sin(2.0 * np.pi * (x - 0.3 - phase)))
-    return tuple(pool)
+    k = np.arange(5.0)[:, None]
+    return (12.0 + 5.0 * k) + (4.0 + 0.8 * k) * np.sin(2.0 * np.pi * (x - 0.3 - 0.15 * k))
 
 
 @dataclass(frozen=True)
@@ -63,45 +58,42 @@ class SyntheticSpec:
     length: int
     noise_sigma: float = 0.05
     jitter_sigma: float = 0.5
-    seed: object = 0  # int or tuple of ints feeding the master seed sequence
+    seed: object = 0  # int or tuple of ints, held as the seed sequence's entropy tuple
     start: dt.date = dt.date(2007, 1, 1)  # a Monday
     profile_mode: str = "random"  # "random" | "cycle"
 
     def __post_init__(self) -> None:
+        seed = tuple(self.seed) if isinstance(self.seed, (tuple, list)) else (self.seed,)
+        object.__setattr__(self, "seed", seed)
         if self.length < 1:
             raise ShapecastError("length must be >= 1")
+        if self.length > (dt.date.max - self.start).days + 1:
+            raise ShapecastError(f"length {self.length} from {self.start} runs past {dt.date.max}")
         if not (self.noise_sigma >= 0 and self.jitter_sigma >= 0):  # NaN fails too
             raise ShapecastError("sigmas must be nonnegative")
         if self.profile_mode not in ("random", "cycle"):
             raise ShapecastError("profile_mode must be 'random' or 'cycle'")
 
 
-def _day_rng(seed, day_index: int) -> np.random.Generator:
-    entropy = seed if isinstance(seed, (tuple, list)) else (seed,)
-    ss = np.random.SeedSequence(entropy=list(entropy), spawn_key=(day_index,))
-    return np.random.default_rng(ss)
-
-
 def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
     """Deterministic sample path plus its L x P noiseless loads.
 
-    Each day's generator draws, in order, the profile index (random mode),
-    the temperature jitter and the load noise, each only when it is used;
-    the model then runs on whole arrays.
+    The seed spawns one stream per random quantity: the profile indices
+    (random mode), the temperature jitter and the load noise, each drawn as
+    one array and only when it is used. Day n's draws therefore depend neither
+    on the length nor on the other sigma: a longer path extends a shorter one.
     """
     L, P = spec.length, spec.grid.points_per_day
     dates = tuple(spec.start + dt.timedelta(days=n) for n in range(L))
-    pool = np.array(default_temperature_pool(spec.grid))
-    profile = np.arange(L) % len(pool)
-    jitter, noise = np.zeros((L, P)), np.zeros((L, P))
-    for n in range(L):
-        rng = _day_rng(spec.seed, n)
-        if spec.profile_mode == "random":
-            profile[n] = rng.integers(len(pool))
-        if spec.jitter_sigma > 0:
-            jitter[n] = rng.standard_normal(P)
-        if spec.noise_sigma > 0:
-            noise[n] = rng.standard_normal(P)
+    pool = default_temperature_pool(spec.grid)
+    streams = np.random.SeedSequence(spec.seed).spawn(3)
+    profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
+    if spec.profile_mode == "random":
+        profile = profile_rng.integers(len(pool), size=L)
+    else:
+        profile = np.arange(L) % len(pool)
+    jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
+    noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
     temps = pool[profile] + spec.jitter_sigma * jitter
     codes = group_codes(dates, False)
     clean = np.empty((L, P))
@@ -141,13 +133,14 @@ def consistency_experiment(
     n_L_of_L=None,
     kernel_kind: KernelKind = KernelKind.GAUSSIAN,
 ) -> list[ExperimentRow]:
-    """Predict day L+1 over growing L and record prediction/reference errors.
+    """Predict one target day from the L days before it, over growing L.
 
-    Smoothing parameters shrink and widen with L through the supplied
-    schedules. The start date is shifted per length so the predicted day
-    always falls on the same weekday; otherwise the candidate pool size would
-    jump with the target's group rather than with L. A length whose lookback
-    holds no day of the target's group fails the run, whatever the seed.
+    Replication r draws one path of max(L) + 1 days with seed (*seed, r), and
+    every L predicts its last day, on the template's starting weekday, from
+    the L days before it: the lengths share target and noise (common random
+    numbers), so the decay over L is measured on paired samples. Smoothing
+    parameters follow the supplied schedules. A length whose lookback holds no
+    day of the target's group fails the run, whatever the seed.
     """
     lengths = [int(L) for L in lengths]
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -156,28 +149,27 @@ def consistency_experiment(
         raise ShapecastError("need at least one replication")
     h_of_L = h_of_L or default_h_schedule
     n_L_of_L = n_L_of_L or default_n_L_schedule
-    dist = DistanceSpec()
-    base_seed = template.seed if isinstance(template.seed, (tuple, list)) else (template.seed,)
-    rows = []
+    T = lengths[-1]
+    path = replace(template, length=T + 1, start=template.start + dt.timedelta(days=(-T) % 7))
+    configs = []
     for L in lengths:
-        h = float(h_of_L(L))
         n_L = int(n_L_of_L(L))
         # the model lives on the raw scale, so the lab skips daily-max rescaling
         cfg = PredictorConfig(
             reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
-            kernel=KernelSpec(kernel_kind, h),
+            kernel=KernelSpec(kernel_kind, float(h_of_L(L))),
             rescale=False,
         )
-        # keep the predicted day on the template's starting weekday
-        offset = (-L) % 7
-        start = template.start + dt.timedelta(days=offset)
-        for rep in range(replications):
-            # the trailing 0 keeps the seeds every existing row was drawn with
-            spec = replace(template, length=L + 1, seed=(*base_seed, L, rep, 0), start=start)
-            window, clean = generate(spec)
-            forecast = TemperatureSegment(spec.grid, window.temps[L])
+        configs.append((L, n_L, cfg))
+    rows = []
+    for rep in range(replications):
+        window, clean = generate(replace(path, seed=(*template.seed, rep)))
+        forecast = TemperatureSegment(path.grid, window.temps[T])
+        for L, n_L, cfg in configs:
+            prior = HistoryWindow(path.grid, window.dates[T - L:T],
+                                  window.loads[T - L:T], window.temps[T - L:T])
             try:
-                pred = predict_day(window.prefix(L), window.meta(L), forecast, cfg=cfg)
+                pred = predict_day(prior, window.meta(T), forecast, cfg=cfg)
             except EmptyCandidateError as exc:
                 raise ShapecastError(f"L={L}: {exc}") from None
             predicted = pred.shape.values
@@ -186,15 +178,15 @@ def consistency_experiment(
                 ExperimentRow(
                     L=L,
                     replication=rep,
-                    err_pred=distance(predicted, clean[L], dist),
-                    err_ref=distance(ref_values, clean[L], dist),
-                    err_pred_ref=distance(predicted, ref_values, dist),
-                    h=h,
+                    err_pred=distance(predicted, clean[T]),
+                    err_ref=distance(ref_values, clean[T]),
+                    err_pred_ref=distance(predicted, ref_values),
+                    h=cfg.kernel.bandwidth,
                     n_L=n_L,
                     c_star_size=len(pred.reference.c_star),
                 )
             )
-    return rows
+    return sorted(rows, key=lambda row: row.L)  # (L, replication) order
 
 
 def experiment_csv(rows) -> str:

@@ -242,6 +242,7 @@ class TestPredict:
     @pytest.mark.parametrize("section, line", [
         ("kernel", "bandwidth = abc"),
         ("kernel", "bandwidth = -1"),
+        ("kernel", "bandwidth = inf"),
         ("kernel", "kind = triangular"),
         ("reference", "n_l_g1 = two"),
         ("reference", "n_l_default = 0"),
@@ -446,6 +447,21 @@ class TestBacktest:
         assert code == 1
         assert "unknown methods: ['bogus']" in capsys.readouterr().err
 
+    def test_empty_method_list_refused_before_anything_runs(self, history_file, tmp_path,
+                                                             capsys, monkeypatch):
+        def no_cv(*args):
+            pytest.fail("bandwidth CV ran")
+
+        monkeypatch.setattr("shapecast.cli.select_bandwidth", no_cv)
+        out_dir = tmp_path / "bt"
+        code = main([
+            "backtest", "--history", str(history_file), "--sample", "2",
+            "--out-dir", str(out_dir), "--methods", ",",
+        ])
+        assert code == 1
+        assert "no methods given" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_empty_dates_file(self, history_file, tmp_path, capsys):
         dates = tmp_path / "dates.txt"
         dates.write_text("# nothing chosen\n")
@@ -500,7 +516,32 @@ class TestSimulate:
         code = main(["simulate", "--lengths", "1"])
         assert code == 1
         assert capsys.readouterr().err == "error: L=1: no usable candidate for group G1\n"
-        assert calls == [(0, 1, 0, 0)]
+        assert calls == [(0, 0)]
+
+    def test_defaults_draw_one_path_per_replication(self, capsys, monkeypatch):
+        calls, generate = [], synthetic.generate
+
+        def counted(spec):
+            calls.append(spec.seed)
+            return generate(spec)
+
+        monkeypatch.setattr(synthetic, "generate", counted)
+        assert main(["simulate"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 50
+        assert calls == [(0, rep) for rep in range(50)]
+
+    def test_path_past_the_last_date_is_a_domain_error(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(synthetic, "generate", calls.append)
+        code = main([
+            "simulate", "--lengths", "3000000", "--replications", "1",
+            "--points-per-day", "2",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: length 3000001 from 2007-01-01 runs past 9999-12-31\n"
+        )
+        assert calls == []
 
     def test_rerun_byte_identical(self, tmp_path):
         args = [
@@ -552,6 +593,12 @@ class TestParser:
         ["backtest", "--history", "{history}", "--out-dir", "{out}",
          "--min-history", "-1"],
         ["simulate", "--replications", "0"],
+        ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+         "--date", "2010-05-19", "--bandwidth", "inf"],
+        ["simulate", "--h-coef", "inf"],
+        ["simulate", "--h-coef", "nan"],
+        ["simulate", "--h-coef", "0"],
+        ["simulate", "--h-coef", "-1"],
     ])
     def test_bad_flag_value_is_usage_error(self, raw_files, history_file, tmp_path,
                                            argv, capsys):

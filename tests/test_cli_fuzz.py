@@ -7,10 +7,14 @@ to an arbitrary JSON value, one load or temperature value of a record set to
 a JSON leaf (null, NaN, an infinity, a huge integer, ...), an INI key set to
 arbitrary text, a line replaced, dropped or truncated, a character swapped, a
 stray non-UTF-8 byte, or the whole file replaced by noise. Whatever the
-damage, `main` must return an exit code and let no exception escape.
+damage, `main` must return an exit code and let no exception escape. The
+`simulate` flags are fuzzed the same way, with lengths kept small so that
+every example stays cheap.
 """
 
+import contextlib
 import datetime as dt
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -199,3 +203,25 @@ def test_damaged_backtest_input_exits_cleanly(case):
 @given(damaged("history.jsonl", "element"), st.sampled_from([_predict, _backtest]))
 def test_damaged_history_value_exits_cleanly(data, command):
     assert _run(_files_with(("history.jsonl", data)), command) in (0, 1, 2)
+
+
+# small lengths only: a path past the last representable date has its own test
+small_lengths = st.integers(1, 128)
+length_lists = (
+    st.lists(small_lengths, min_size=1, max_size=4, unique=True).map(sorted)
+    | st.lists(small_lengths | st.sampled_from(["", "0", "-3", "1e3", "abc"]),
+               min_size=1, max_size=4)
+).map(lambda items: ",".join(map(str, items)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(length_lists, st.sampled_from(["1", "2"]), st.sampled_from([2, 7, 12, 24]))
+def test_simulate_flags_exit_cleanly(lengths, replications, points_per_day):
+    argv = ["simulate", "--lengths", lengths, "--replications", replications,
+            "--points-per-day", str(points_per_day)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse refuses a bad flag value this way
+        code = exc.code
+    assert code in (0, 1, 2)

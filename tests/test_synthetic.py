@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_record
+from shapecast import synthetic
 from shapecast.calendars import DayGroup, annotate_calendar
 from shapecast.errors import ShapecastError
 from shapecast.history import DailyRecord, Quality
@@ -14,7 +15,6 @@ from shapecast.synthetic import (
     SHAPE_FUNCTIONS,
     ExperimentRow,
     SyntheticSpec,
-    _day_rng,
     consistency_experiment,
     default_h_schedule,
     default_n_L_schedule,
@@ -28,24 +28,29 @@ GRID = TimeGrid.equidistant(24)
 
 
 def day_by_day_generate(spec):
-    """Reference generator: one calendar annotation and one record per day."""
+    """Reference generator: one calendar annotation and one record per day.
+
+    Each day takes its profile index, jitter and noise one at a time from the
+    seed's three streams (profile, jitter, noise).
+    """
     P = spec.grid.points_per_day
     pool = default_temperature_pool(spec.grid)
+    streams = np.random.SeedSequence(spec.seed).spawn(3)
+    profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
     records, cleans = [], []
     for n in range(spec.length):
-        rng = _day_rng(spec.seed, n)
         meta = annotate_calendar(spec.start + dt.timedelta(days=n))
         if spec.profile_mode == "cycle":
             profile_index = n % len(pool)
         else:
-            profile_index = int(rng.integers(len(pool)))
+            profile_index = int(profile_rng.integers(len(pool)))
         temps = pool[profile_index].copy()
         if spec.jitter_sigma > 0:
-            temps = temps + spec.jitter_sigma * rng.standard_normal(P)
+            temps = temps + spec.jitter_sigma * jitter_rng.standard_normal(P)
         clean = np.clip(SHAPE_FUNCTIONS[meta.group](temps), 1e-9, 1.0)
         values = clean
         if spec.noise_sigma > 0:
-            values = clean + spec.noise_sigma * rng.standard_normal(P)
+            values = clean + spec.noise_sigma * noise_rng.standard_normal(P)
         values = np.maximum(values, 1e-9)
         records.append(DailyRecord(meta, LoadSegment(spec.grid, values),
                                    TemperatureSegment(spec.grid, temps), Quality.COMPLETE))
@@ -94,6 +99,13 @@ class TestGenerate:
         w_long, _ = generate(SyntheticSpec(GRID, 20, seed=3))
         for a, b in zip(w_short.records, w_long.records[:10]):
             np.testing.assert_array_equal(a.load.values, b.load.values)
+
+    def test_noise_independent_of_jitter(self):
+        # one stream per quantity: changing the jitter leaves the noise alone
+        w1, c1 = generate(SyntheticSpec(GRID, 30, jitter_sigma=0.5, seed=8))
+        w2, c2 = generate(SyntheticSpec(GRID, 30, jitter_sigma=0.0, seed=8))
+        assert not np.array_equal(c1, c2)
+        np.testing.assert_allclose(w1.loads - c1, w2.loads - c2, rtol=0, atol=1e-12)
 
     def test_noiseless_matches_clean_truth(self):
         spec = SyntheticSpec(GRID, 14, noise_sigma=0.0, seed=5)
@@ -149,6 +161,17 @@ class TestGenerate:
             SyntheticSpec(GRID, 10, noise_sigma=-0.1)
         with pytest.raises(ShapecastError):
             SyntheticSpec(GRID, 10, profile_mode="shuffled")
+
+    def test_path_must_end_by_the_last_date(self):
+        start = dt.date(9999, 12, 25)
+        window, _ = generate(SyntheticSpec(GRID, 7, start=start))
+        assert window.dates[-1] == dt.date.max
+        with pytest.raises(ShapecastError, match="length 8 from 9999-12-25 runs past"):
+            SyntheticSpec(GRID, 8, start=start)
+
+    def test_seed_held_as_entropy_tuple(self):
+        assert SyntheticSpec(GRID, 1, seed=4).seed == (4,)
+        assert SyntheticSpec(GRID, 1, seed=[4, 2]).seed == (4, 2)
 
     @pytest.mark.parametrize("sigmas", [dict(noise_sigma=math.nan),
                                         dict(jitter_sigma=math.nan),
@@ -231,14 +254,31 @@ class TestConsistencyExperiment:
         with pytest.raises(ShapecastError):
             consistency_experiment(template, [32], replications=0)
 
-    def test_target_weekday_fixed_across_lengths(self):
-        # the per-length start shift keeps day L+1 on the template's weekday
-        template = SyntheticSpec(GRID, 1, seed=0)
-        for L in (32, 64, 128):
-            offset = (-L) % 7
-            start = template.start + dt.timedelta(days=offset)
-            target = start + dt.timedelta(days=L)
+    def test_every_length_predicts_the_last_day_of_one_path(self, monkeypatch):
+        calls, predict_day = [], synthetic.predict_day
+
+        def recorded(history, meta, forecast, cfg):
+            calls.append((history, meta.date))
+            return predict_day(history, meta, forecast, cfg=cfg)
+
+        monkeypatch.setattr(synthetic, "predict_day", recorded)
+        template = SyntheticSpec(GRID, 1, seed=0, start=dt.date(2010, 6, 10))  # a Thursday
+        lengths = [32, 45, 64]
+        consistency_experiment(template, lengths, replications=3)
+        assert len(calls) == 3 * len(lengths)
+        for rep in range(3):
+            priors = calls[rep * len(lengths):(rep + 1) * len(lengths)]
+            targets = {target for _, target in priors}
+            assert len(targets) == 1
+            (target,) = targets
             assert target.weekday() == template.start.weekday()
+            for L, (history, _) in zip(lengths, priors):
+                assert len(history) == L
+                assert history.dates[-1] == target - dt.timedelta(days=1)
+            for (short, _), (long, _) in zip(priors, priors[1:]):
+                n = len(short)
+                assert short.dates == long.dates[-n:]
+                assert short.loads.tobytes() == long.loads[-n:].tobytes()
 
 
 class TestSerialization:
