@@ -76,6 +76,11 @@ class TestComputeWeights:
         w = compute_weights(shapes, ref, KernelSpec(KernelKind.GAUSSIAN, 1e9))
         assert np.max(np.abs(w - 0.1)) < 1e-6
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_bandwidth_must_be_positive_and_finite(self, h):
+        with pytest.raises(ShapecastError, match="bandwidth must be positive and finite"):
+            KernelSpec(KernelKind.GAUSSIAN, h)
+
     def test_tiny_bandwidth_concentrates_on_nearest(self):
         shapes = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         ref = np.array([0.45, 0.45])
