@@ -15,7 +15,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -34,19 +33,13 @@ from .predictor import (
     KernelKind,
     KernelSpec,
     PredictorConfig,
-    default_bandwidth_grid,
     predict_day,
     prediction_to_json,
     select_bandwidth,
 )
-from .reference import DeltaRule, DeltaRuleKind, ReferenceConfig, ReferenceMode
+from .reference import DEFAULT_N_L, DeltaRule, DeltaRuleKind, ReferenceConfig, ReferenceMode
 from .segments import DistanceKind, DistanceSpec, TimeGrid
-from .synthetic import (
-    SyntheticSpec,
-    consistency_experiment,
-    default_h_schedule,
-    experiment_csv,
-)
+from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -115,8 +108,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if not value >= 0:  # NaN fails too
-        raise ValueError("must be a nonnegative number")
+    if not 0 <= value < np.inf:  # NaN fails too
+        raise ValueError("must be a nonnegative finite number")
     return value
 
 
@@ -135,8 +128,8 @@ def _length_list(text: str) -> list[int]:
     return lengths
 
 
-def _optional_float(text: str) -> float | None:
-    return float(text) if text else None
+def _optional_nonnegative_float(text: str) -> float | None:
+    return _nonnegative_float(text) if text else None
 
 
 def _ini_value(ini: configparser.ConfigParser, section: str, key: str, parse, default):
@@ -164,10 +157,16 @@ def build_predictor_config(
     mode = args.mode or _ini_value(
         ini, "reference", "mode", ReferenceMode, "argmin"
     )
-    n_l_g1 = _ini_value(ini, "reference", "n_l_g1", _positive_int, 14)
-    n_l_default = _ini_value(ini, "reference", "n_l_default", _positive_int, 28)
+    n_l_g1 = _ini_value(
+        ini, "reference", "n_l_g1", _positive_int, DEFAULT_N_L[DayGroup.G1]
+    )
+    n_l_default = _ini_value(
+        ini, "reference", "n_l_default", _positive_int, DEFAULT_N_L[DayGroup.G2]
+    )
     delta_kind = _ini_value(ini, "reference", "delta_rule", DeltaRuleKind, "min")
-    delta_value = _ini_value(ini, "reference", "delta_value", _optional_float, None)
+    delta_value = _ini_value(
+        ini, "reference", "delta_value", _optional_nonnegative_float, None
+    )
     delta_rule = DeltaRule(delta_kind, delta_value)
     n_l_by_group = {g: n_l_default for g in DayGroup}
     n_l_by_group[DayGroup.G1] = n_l_g1
@@ -202,9 +201,7 @@ def _resolve_bandwidth(history: HistoryWindow, cfg: PredictorConfig,
                        auto: bool) -> PredictorConfig:
     if not auto:
         return cfg
-    validation_days = min(30, max(1, len(history) - 31))
-    grid = default_bandwidth_grid(history, cfg.shape_distance)
-    h, _ = select_bandwidth(history, cfg, grid, validation_days)
+    h, _ = select_bandwidth(history, cfg)
     return replace(cfg, kernel=replace(cfg.kernel, bandwidth=h))
 
 
@@ -306,28 +303,16 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    lengths = args.lengths
-    grid = TimeGrid.equidistant(args.points_per_day)
-    noiseless = args.sigma == 0
     template = SyntheticSpec(
-        grid=grid,
-        length=max(lengths) + 1,
+        grid=TimeGrid.equidistant(args.points_per_day),
+        length=max(args.lengths) + 1,
         noise_sigma=args.sigma,
-        jitter_sigma=0.0 if noiseless else args.jitter,
+        jitter_sigma=args.jitter,
         seed=args.seed,
-        profile_mode="cycle" if noiseless else "random",
     )
-    if noiseless:
-        # exact-recovery setup: a compact kernel at a tiny bandwidth keeps
-        # weight on exact shape matches only, and every past day is eligible
-        experiment_kwargs = dict(
-            h_of_L=lambda L: 1e-6,
-            n_L_of_L=lambda L: L,
-            kernel_kind="epanechnikov",
-        )
-    else:
-        experiment_kwargs = dict(h_of_L=partial(default_h_schedule, coef=args.h_coef))
-    rows = consistency_experiment(template, lengths, args.replications, **experiment_kwargs)
+    rows = consistency_experiment(
+        template, args.lengths, args.replications, h_coef=args.h_coef
+    )
     text = experiment_csv(rows)
     if args.out:
         _atomic_write(args.out, text)
@@ -367,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--history", required=True)
     p_predict.add_argument("--date", required=True, type=dt.date.fromisoformat)
     p_predict.add_argument("--temp-forecast", required=True)
-    p_predict.add_argument("--next-day-max", type=float)
+    p_predict.add_argument("--next-day-max", type=_positive_float)
     p_predict.add_argument("--holidays")
     p_predict.add_argument("--out")
     p_predict.add_argument("--include-weights", action="store_true")

@@ -99,7 +99,8 @@ def _kernel_weights(
     for days of the target group) the weights are restricted to that group
     and renormalized.
     """
-    mass = kernel_value(dists / kernel.bandwidth, kernel.kind)
+    with np.errstate(over="ignore"):  # an overflowed u is inf, where every kernel is 0
+        mass = kernel_value(dists / kernel.bandwidth, kernel.kind)
     total = mass.sum()
     if total == 0.0:
         warnings.warn(
@@ -199,26 +200,33 @@ def stand_in(history: HistoryWindow, i: int) -> tuple[TemperatureSegment, float]
     return forecast, float(np.max(history.loads[i]))
 
 
+# the bandwidth grid: GRID_POINTS log-spaced multiples, GRID_SPAN apart, of the
+# median shape distance over all pairs of history days or GRID_MAX_PAIRS of them
+GRID_POINTS = 25
+GRID_SPAN = (0.01, 10.0)
+GRID_MAX_PAIRS = 2000
+# CV predicts the trailing CV_DAYS days, fewer when the history is short, so
+# that the first of them keeps CV_MIN_TRAIN days before it (down to one day)
+CV_DAYS = 30
+CV_MIN_TRAIN = 31
+
+
 def default_bandwidth_grid(
-    history: HistoryWindow,
-    dist: DistanceSpec = DistanceSpec(),
-    n: int = 25,
-    span: tuple[float, float] = (0.01, 10.0),
-    max_pairs: int = 2000,
+    history: HistoryWindow, dist: DistanceSpec = DistanceSpec()
 ) -> np.ndarray:
     """Log-spaced bandwidth grid anchored at the median pairwise shape distance.
 
-    The median runs over all pairs of history days, or over `max_pairs` of
-    them drawn with a fixed seed.
+    The median runs over all pairs of history days, or over `GRID_MAX_PAIRS`
+    of them drawn with a fixed seed.
     """
     shapes = history.shapes
     L = shapes.shape[0]
     if L < 2:
         raise InsufficientHistoryError("need at least two days for a bandwidth grid")
     n_pairs = L * (L - 1) // 2
-    if n_pairs > max_pairs:
+    if n_pairs > GRID_MAX_PAIRS:
         rng = np.random.default_rng(0)
-        picked = np.sort(rng.choice(n_pairs, size=max_pairs, replace=False))
+        picked = np.sort(rng.choice(n_pairs, size=GRID_MAX_PAIRS, replace=False))
     else:
         picked = np.arange(n_pairs)
     # pairs (i, j), i < j, are numbered row by row; row i starts at starts[i]
@@ -229,28 +237,25 @@ def default_bandwidth_grid(
     med = float(np.median(distances(shapes[i], shapes[j], dist)))
     if med <= 0:
         med = 1e-6
-    return med * np.logspace(np.log10(span[0]), np.log10(span[1]), n)
+    return med * np.logspace(np.log10(GRID_SPAN[0]), np.log10(GRID_SPAN[1]), GRID_POINTS)
 
 
 def select_bandwidth(
-    history: HistoryWindow,
-    cfg: PredictorConfig,
-    h_grid,
-    validation_days: int = 30,
+    history: HistoryWindow, cfg: PredictorConfig
 ) -> tuple[float, list[tuple[float, float]]]:
-    """One-day-ahead empirical risk over the trailing validation window.
+    """One-day-ahead empirical risk of each `default_bandwidth_grid` bandwidth.
 
-    For each bandwidth, each of the last `validation_days` days is predicted
-    from strictly prior data with its `stand_in` forecast and maximum; mean
-    relative absolute error decides, ties go to the smaller bandwidth. The
-    reference and its distance row do not depend on the bandwidth, so each
-    validation day computes them once and then scores every bandwidth's
-    prediction in one `score_day` call; the results equal one `predict_day`
-    per (h, day).
+    Each day of the validation window (the trailing `CV_DAYS` days, or
+    len - `CV_MIN_TRAIN` days, at least one, on a shorter history) is
+    predicted from strictly prior data with its `stand_in` forecast and
+    maximum; mean relative absolute error decides, ties go to the smaller
+    bandwidth. The reference and its distance row do not depend on the
+    bandwidth, so each validation day computes them once and then scores
+    every bandwidth's prediction in one `score_day` call; the results equal
+    one `predict_day` per (h, day).
     """
-    h_grid = sorted(float(h) for h in h_grid)
-    if not h_grid:
-        raise ShapecastError("bandwidth grid is empty")
+    h_grid = default_bandwidth_grid(history, cfg.shape_distance).tolist()
+    validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
     if len(history) <= validation_days + 1:
         raise InsufficientHistoryError(
             f"need more than {validation_days + 1} days of history"

@@ -76,7 +76,7 @@ class ReferenceConfig:
         object.__setattr__(self, "n_L_by_group", MappingProxyType(n_l))
 
     def n_L(self, group: DayGroup) -> int:
-        return self.n_L_by_group.get(group, 28)
+        return self.n_L_by_group.get(group, DEFAULT_N_L[group])
 
 
 @dataclass(frozen=True)

@@ -94,13 +94,15 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
         profile = np.arange(L) % len(pool)
     jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
     noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
-    temps = pool[profile] + spec.jitter_sigma * jitter
     codes = group_codes(dates, False)
     clean = np.empty((L, P))
-    for code, group in enumerate(GROUPS):
-        rows = codes == code
-        clean[rows] = np.clip(SHAPE_FUNCTIONS[group](temps[rows]), _VALUE_FLOOR, 1.0)
-    loads = np.maximum(clean + spec.noise_sigma * noise, _VALUE_FLOOR)
+    # a huge sigma overflows to inf or nan here; the window below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        temps = pool[profile] + spec.jitter_sigma * jitter
+        for code, group in enumerate(GROUPS):
+            rows = codes == code
+            clean[rows] = np.clip(SHAPE_FUNCTIONS[group](temps[rows]), _VALUE_FLOOR, 1.0)
+        loads = np.maximum(clean + spec.noise_sigma * noise, _VALUE_FLOOR)
     return HistoryWindow(spec.grid, dates, loads, temps), clean
 
 
@@ -125,39 +127,42 @@ def default_n_L_schedule(L: int) -> int:
 
 
 def consistency_experiment(
-    template: SyntheticSpec,
-    lengths,
-    replications: int,
-    *,
-    h_of_L=None,
-    n_L_of_L=None,
-    kernel_kind: KernelKind = KernelKind.GAUSSIAN,
+    template: SyntheticSpec, lengths, replications: int, *, h_coef: float = 0.6
 ) -> list[ExperimentRow]:
     """Predict one target day from the L days before it, over growing L.
 
     Replication r draws one path of max(L) + 1 days with seed (*seed, r), and
     every L predicts its last day, on the template's starting weekday, from
     the L days before it: the lengths share target and noise (common random
-    numbers), so the decay over L is measured on paired samples. Smoothing
-    parameters follow the supplied schedules. A length whose lookback holds no
-    day of the target's group fails the run, whatever the seed.
+    numbers), so the decay over L is measured on paired samples. A Gaussian
+    kernel at `default_h_schedule(L, h_coef)` weighs `default_n_L_schedule(L)`
+    candidates. A noiseless template is the exact-recovery setup instead:
+    zero jitter and cycling profiles, and an Epanechnikov kernel at h = 1e-6
+    with every past day a candidate, which keeps weight on exact shape
+    matches only. A length whose lookback holds no day of the target's group
+    fails the run, whatever the seed.
     """
     lengths = [int(L) for L in lengths]
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ShapecastError("lengths must be strictly increasing")
     if replications < 1:
         raise ShapecastError("need at least one replication")
-    h_of_L = h_of_L or default_h_schedule
-    n_L_of_L = n_L_of_L or default_n_L_schedule
+    noiseless = template.noise_sigma == 0
+    if noiseless:
+        template = replace(template, jitter_sigma=0.0, profile_mode="cycle")
     T = lengths[-1]
     path = replace(template, length=T + 1, start=template.start + dt.timedelta(days=(-T) % 7))
     configs = []
     for L in lengths:
-        n_L = int(n_L_of_L(L))
+        if noiseless:
+            n_L, kernel = L, KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)
+        else:
+            n_L = default_n_L_schedule(L)
+            kernel = KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef))
         # the model lives on the raw scale, so the lab skips daily-max rescaling
         cfg = PredictorConfig(
             reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
-            kernel=KernelSpec(kernel_kind, float(h_of_L(L))),
+            kernel=kernel,
             rescale=False,
         )
         configs.append((L, n_L, cfg))

@@ -54,8 +54,9 @@ class TestBacktest:
         with pytest.raises(ShapecastError, match="no realized temperature") as in_backtest:
             backtest(history, [bare.meta.date], ["ssp"])
         # bandwidth CV uses the same stand-in, so it fails with the same error
+        # (31 days: a one-day validation window, the bare day)
         with pytest.raises(ShapecastError) as in_cv:
-            select_bandwidth(history, PredictorConfig(), [0.3], validation_days=1)
+            select_bandwidth(history, PredictorConfig())
         assert str(in_backtest.value) == str(in_cv.value) == (
             f"{bare.meta.date.isoformat()}: no realized temperature to stand in "
             "for the forecast"

@@ -249,6 +249,9 @@ class TestPredict:
         ("reference", "n_l_default = 2.5"),
         ("reference", "mode = nearest"),
         ("reference", "delta_value = high"),
+        ("reference", "delta_value = inf"),
+        ("reference", "delta_value = nan"),
+        ("reference", "delta_value = -0.5"),
         ("distance", "kind = cosine"),
         ("kernel", "kind = 5%"),
         ("reference", "mode = %(missing)s"),
@@ -266,6 +269,33 @@ class TestPredict:
         assert code == 2
         key = line.split(" = ")[0]
         assert f"config [{section}] {key}" in capsys.readouterr().err
+
+    def test_tiny_bandwidth_predicts(self, raw_files, history_file, capsys):
+        # u = d / h overflows to inf, where the kernel is 0: no RuntimeWarning
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"), "--bandwidth", "1e-300",
+        ])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["shape"]) == 24
+
+    def test_compact_kernel_tiny_bandwidth_falls_back(self, raw_files, history_file,
+                                                      tmp_path, capsys):
+        # a threshold-mode reference matches no history shape exactly
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[reference]\nmode = threshold\n"
+                       "delta_rule = quantile\ndelta_value = 0.9\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        with pytest.warns(UserWarning, match="falling back to the nearest segment"):
+            code = main([
+                "predict", "--history", str(history_file), "--date", date,
+                "--temp-forecast", str(raw_files / "forecast.csv"),
+                "--config", str(ini), "--kernel", "epanechnikov",
+                "--bandwidth", "1e-300",
+            ])
+        assert code == 0
+        assert max(json.loads(capsys.readouterr().out)["shape"]) == 1.0
 
     def test_malformed_ini_is_usage_error(self, raw_files, history_file, tmp_path,
                                           capsys):
@@ -505,6 +535,33 @@ class TestSimulate:
             err_pred = float(row.split(",")[2])
             assert err_pred <= 1e-12
 
+    def test_sigma_zero_is_the_labs_exact_recovery_setup(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        code = main([
+            "simulate", "--lengths", "20,40", "--replications", "3",
+            "--sigma", "0", "--jitter", "2", "--out", str(out),
+        ])
+        assert code == 0
+        template = synthetic.SyntheticSpec(GRID, 1, noise_sigma=0.0, seed=0)
+        rows = synthetic.consistency_experiment(template, [20, 40], 3)
+        assert out.read_text() == synthetic.experiment_csv(rows)
+
+    @pytest.mark.parametrize("h_coef", ["1e-300", "1e-320"])
+    def test_tiny_h_coef_runs(self, h_coef, capsys):
+        code = main([
+            "simulate", "--lengths", "20,40", "--replications", "1", "--h-coef", h_coef,
+        ])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--jitter"])
+    def test_huge_sigma_is_refused_by_the_window(self, flag, capsys):
+        code = main([
+            "simulate", "--lengths", "20,40", "--replications", "1", flag, "1e308",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: load values must be finite\n"
+
     def test_empty_lookback_fails_at_once(self, capsys, monkeypatch):
         calls, generate = [], synthetic.generate
 
@@ -588,6 +645,16 @@ class TestParser:
         ["simulate", "--sigma", "-0.1"],
         ["simulate", "--jitter", "nan"],
         ["simulate", "--jitter", "-1"],
+        ["simulate", "--sigma", "inf"],
+        ["simulate", "--jitter", "inf"],
+        ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+         "--date", "2010-05-19", "--next-day-max", "nan"],
+        ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+         "--date", "2010-05-19", "--next-day-max", "inf"],
+        ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+         "--date", "2010-05-19", "--next-day-max", "0"],
+        ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+         "--date", "2010-05-19", "--next-day-max", "-1"],
         ["ingest", "--load", "{load}", "--out", "{out}", "--max-gap", "-1"],
         ["ingest", "--load", "{load}", "--out", "{out}", "--max-rejected", "-1"],
         ["backtest", "--history", "{history}", "--out-dir", "{out}",

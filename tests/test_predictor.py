@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_history, random_history, window_of
+from shapecast import predictor
 from shapecast.calendars import annotate_calendar
 from shapecast.errors import InsufficientHistoryError, ShapecastError
 from shapecast.predictor import (
@@ -302,46 +303,60 @@ class TestSelectBandwidth:
             temps.append([20.0] * grid.points_per_day)
         return make_history(grid, MONDAY, loads, temps)
 
-    def test_single_value_grid(self, grid4):
-        history = self.make_noiseless_history(grid4)
-        h, risks = select_bandwidth(history, PredictorConfig(), [0.37],
-                                    validation_days=5)
+    def test_single_value_grid(self, grid4, monkeypatch):
+        history = self.make_noiseless_history(grid4, days=36)
+        use_grid(monkeypatch, [0.37])
+        h, risks = select_bandwidth(history, PredictorConfig())
         assert h == 0.37
         assert len(risks) == 1
 
-    def test_noiseless_ties_resolve_to_smallest(self, grid4):
-        history = self.make_noiseless_history(grid4)
-        h, risks = select_bandwidth(history, PredictorConfig(), [0.5, 0.1, 2.0],
-                                    validation_days=5)
+    def test_noiseless_ties_resolve_to_smallest(self, grid4, monkeypatch):
+        history = self.make_noiseless_history(grid4, days=36)
+        use_grid(monkeypatch, [0.5, 0.1, 2.0])
+        h, risks = select_bandwidth(history, PredictorConfig())
         assert h == 0.1
         assert all(r == pytest.approx(0.0, abs=1e-12) for _, r in risks)
 
-    def test_argmin_of_risks(self, grid4):
+    def test_argmin_of_risks(self, grid4, monkeypatch):
         rng = np.random.default_rng(43)
-        history = random_history(grid4, rng, 40)
-        _, risks = select_bandwidth(history, PredictorConfig(), [0.05, 0.5, 5.0],
-                                    validation_days=5)
+        history = random_history(grid4, rng, 36)
+        use_grid(monkeypatch, [0.05, 0.5, 5.0])
+        _, risks = select_bandwidth(history, PredictorConfig())
         best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
-        h, _ = select_bandwidth(history, PredictorConfig(), [0.05, 0.5, 5.0],
-                                validation_days=5)
+        h, _ = select_bandwidth(history, PredictorConfig())
         assert h == best_h
 
-    def test_empty_grid_rejected(self, grid4):
-        history = self.make_noiseless_history(grid4)
-        with pytest.raises(ShapecastError):
-            select_bandwidth(history, PredictorConfig(), [])
-
     def test_insufficient_history(self, grid4):
-        history = self.make_noiseless_history(grid4, days=10)
-        with pytest.raises(InsufficientHistoryError):
-            select_bandwidth(history, PredictorConfig(), [0.5], validation_days=30)
+        history = self.make_noiseless_history(grid4, days=2)
+        with pytest.raises(InsufficientHistoryError, match="need more than 2 days"):
+            select_bandwidth(history, PredictorConfig())
 
     def test_default_grid_spans_median(self, grid4):
         history = random_history(grid4, np.random.default_rng(47), 30)
-        grid_h = default_bandwidth_grid(history, n=25)
+        grid_h = default_bandwidth_grid(history)
         assert len(grid_h) == 25
         assert grid_h[0] < grid_h[-1]
         assert np.all(np.diff(grid_h) > 0)
+
+    @pytest.mark.parametrize("days, window", [(61, 30), (60, 29), (46, 15), (32, 1),
+                                              (3, 1)])
+    def test_validation_window(self, grid4, monkeypatch, days, window):
+        # one stand-in per validation day
+        calls, real = [], predictor.stand_in
+        monkeypatch.setattr(predictor, "stand_in",
+                            lambda history, i: calls.append(i) or real(history, i))
+        # from a Sunday, so that even the 3-day history's last day, a Tuesday,
+        # has a same-group day before it
+        history = random_history(grid4, np.random.default_rng(days), days,
+                                 start=dt.date(2010, 3, 7))
+        select_bandwidth(history, PredictorConfig())
+        assert calls == list(range(days - window, days))
+
+
+def use_grid(monkeypatch, h_grid):
+    """Make `select_bandwidth` score `h_grid` instead of the default grid."""
+    monkeypatch.setattr(predictor, "default_bandwidth_grid",
+                        lambda history, dist: np.asarray(h_grid, dtype=float))
 
 
 def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
@@ -367,20 +382,19 @@ def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
     return best_h, risks
 
 
-def seed_default_bandwidth_grid(history, dist=DistanceSpec(), n=25,
-                                span=(0.01, 10.0), max_pairs=2000):
-    """Reference grid: sample from the explicit list of all (i, j) pairs."""
+def seed_default_bandwidth_grid(history, dist):
+    """Reference grid: sample 2,000 pairs from the explicit list of all (i, j)."""
     shapes = history.shapes
     L = shapes.shape[0]
     rng = np.random.default_rng(0)
     pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
-    if len(pairs) > max_pairs:
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+    if len(pairs) > 2000:
+        idx = rng.choice(len(pairs), size=2000, replace=False)
         pairs = [pairs[i] for i in sorted(idx)]
     med = float(np.median([distance(shapes[i], shapes[j], dist) for i, j in pairs]))
     if med <= 0:
         med = 1e-6
-    return med * np.logspace(np.log10(span[0]), np.log10(span[1]), n)
+    return med * np.logspace(np.log10(0.01), np.log10(10.0), 25)
 
 
 # threshold mode averages several candidates, so the reference is no history
@@ -416,16 +430,18 @@ CV_CONFIGS = {
 
 class TestSelectBandwidthOracle:
     @pytest.mark.parametrize("name", sorted(CV_CONFIGS))
-    def test_equals_per_bandwidth_pipelines(self, name, grid24):
+    def test_equals_per_bandwidth_pipelines(self, name, grid24, monkeypatch):
         cfg = CV_CONFIGS[name]
-        history = random_history(grid24, np.random.default_rng(53), 60)
-        h_grid = list(default_bandwidth_grid(history, cfg.shape_distance)) + [1e-9, 3.0]
+        # 46 days: a 15-day validation window
+        history = random_history(grid24, np.random.default_rng(53), 46)
+        h_grid = sorted([*default_bandwidth_grid(history, cfg.shape_distance), 1e-9, 3.0])
+        use_grid(monkeypatch, h_grid)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             expected = seed_select_bandwidth(history, cfg, h_grid, validation_days=15)
         with warnings.catch_warnings(record=True) as seen_new:
             warnings.simplefilter("always")
-            got = select_bandwidth(history, cfg, h_grid, validation_days=15)
+            got = select_bandwidth(history, cfg)
         assert got == expected
 
         def fallbacks(ws):
@@ -439,30 +455,32 @@ class TestSelectBandwidthOracle:
         if "threshold" in name or name == "no-rescale-uniform":
             assert fallbacks(seen_new) > 0
 
-    def test_same_group_error_matches(self, grid24):
+    def test_same_group_error_matches(self, grid24, monkeypatch):
         # a one-hot fallback on an out-of-group day leaves no in-group mass
         cfg = PredictorConfig(
             reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM),
             same_group_only=True,
         )
-        history = random_history(grid24, np.random.default_rng(59), 60)
+        # seed 60: on this 46-day history the case arises in the 15-day window
+        history = random_history(grid24, np.random.default_rng(60), 46)
+        use_grid(monkeypatch, [1e-9])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ShapecastError) as seed_err:
                 seed_select_bandwidth(history, cfg, [1e-9], validation_days=15)
             with pytest.raises(ShapecastError) as new_err:
-                select_bandwidth(history, cfg, [1e-9], validation_days=15)
+                select_bandwidth(history, cfg)
         assert type(new_err.value) is type(seed_err.value)
         assert str(new_err.value) == str(seed_err.value)
 
     @pytest.mark.parametrize("kind", ["euclidean", "mean-absolute", "max-absolute"])
-    @pytest.mark.parametrize("length, max_pairs", [(2, 2000), (12, 2000), (80, 2000),
-                                                   (30, 50), (30, 435), (30, 434)])
-    def test_default_grid_equals_pair_list(self, grid24, kind, length, max_pairs):
+    # 63 days make 1,953 pairs, all of them used; 64 and 80 days are sampled
+    @pytest.mark.parametrize("length", [2, 12, 63, 64, 80])
+    def test_default_grid_equals_pair_list(self, grid24, kind, length):
         history = random_history(grid24, np.random.default_rng(length), length)
         dist = DistanceSpec(kind)
-        expected = seed_default_bandwidth_grid(history, dist, max_pairs=max_pairs)
-        got = default_bandwidth_grid(history, dist, max_pairs=max_pairs)
+        expected = seed_default_bandwidth_grid(history, dist)
+        got = default_bandwidth_grid(history, dist)
         assert np.array_equal(got, expected)
 
     def test_default_grid_needs_two_days(self, grid24):

@@ -9,7 +9,6 @@ from shapecast import synthetic
 from shapecast.calendars import DayGroup, annotate_calendar
 from shapecast.errors import ShapecastError
 from shapecast.history import DailyRecord, Quality
-from shapecast.predictor import KernelKind
 from shapecast.segments import LoadSegment, TemperatureSegment
 from shapecast.synthetic import (
     SHAPE_FUNCTIONS,
@@ -230,19 +229,11 @@ class TestConsistencyExperiment:
         assert self.run_small() == self.run_small()
 
     def test_noiseless_exact_recovery(self):
-        # zero noise, zero jitter, cycling profiles: day L+1's temperature has
-        # exact matches in history, so the prediction recovers the clean curve
-        template = SyntheticSpec(
-            GRID, 1, noise_sigma=0.0, jitter_sigma=0.0, profile_mode="cycle", seed=0
-        )
-        rows = consistency_experiment(
-            template,
-            [50],
-            replications=3,
-            h_of_L=lambda L: 1e-6,
-            n_L_of_L=lambda L: L,
-            kernel_kind=KernelKind.EPANECHNIKOV,
-        )
+        # zero noise turns off jitter and cycles the profiles: day L+1's
+        # temperature has exact matches in history, so the prediction
+        # recovers the clean curve
+        template = SyntheticSpec(GRID, 1, noise_sigma=0.0, seed=0)
+        rows = consistency_experiment(template, [50], replications=3)
         for r in rows:
             assert r.err_pred <= 1e-12
             assert r.err_ref <= 1e-12
