@@ -120,6 +120,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _points_per_day(text: str) -> int:
+    """A grid size that divides the day: the --points-per-day flag."""
+    try:
+        return TimeGrid.equidistant(int(text)).points_per_day
+    except ShapecastError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _length_list(text: str) -> list[int]:
     """Comma list of positive integers, at least one: the --lengths flag."""
     lengths = [_positive_int(x) for x in text.split(",") if x.strip()]
@@ -209,7 +217,7 @@ def cmd_ingest(args) -> int:
     grid = TimeGrid.equidistant(args.points_per_day)
     holidays = parse_holiday_file(_read_text(args.holidays)) if args.holidays else frozenset()
     records = parse_load_file(_read_text(args.load))
-    temps = parse_temperature_history(_read_text(args.temps)) if args.temps else ()
+    temps = parse_temperature_history(_read_text(args.temps)) if args.temps else None
     window, report = segmentize(
         records, grid, temps=temps, max_gap=args.max_gap, holiday_set=holidays
     )
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--holidays", help="holiday file, one ISO date per line")
     p_ingest.add_argument("--out", required=True, help="output history JSONL")
     p_ingest.add_argument("--max-gap", type=_nonnegative_int, default=4)
-    p_ingest.add_argument("--points-per-day", type=int, default=96)
+    p_ingest.add_argument("--points-per-day", type=_points_per_day, default=96)
     p_ingest.add_argument("--max-rejected", type=_nonnegative_int, default=None)
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--jitter", type=_nonnegative_float, default=0.5)
     p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sim.add_argument("--h-coef", type=_positive_float, default=0.6)
-    p_sim.add_argument("--points-per-day", type=int, default=24)
+    p_sim.add_argument("--points-per-day", type=_points_per_day, default=24)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -1,11 +1,15 @@
 """Raw file parsing and daily segmentation with an explicit gap policy.
 
-Load and temperature readings arrive as flat (timestamp, value) CSVs. One
-walk over the calendar days lays each day's load onto the configured grid;
-short gaps are linearly interpolated and the day marked gap-filled, longer
-gaps reject the whole day. Every fill and every rejection ends up in the gap
-report. The same walk lays out each kept day's temperature: the reading at
-each grid minute, NaN where none was read.
+Load and temperature readings arrive as flat (timestamp, value) CSVs. Each
+file is parsed into three columns, day ordinal, minute of day and value,
+with no Python object per reading: numpy reads the canonical stamps and the
+values, and only other stamps and bad rows are read one at a time.
+`segmentize` sorts the readings by day and minute once. A day read at exactly
+the grid minutes is one row as read; every other day is laid onto the grid,
+where short gaps are linearly interpolated and the day marked gap-filled,
+and longer gaps reject the whole day. Every fill and every rejection ends up
+in the gap report. A kept day's temperature is the reading at each grid
+minute, NaN where none was read.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -51,27 +56,52 @@ class GapReport:
         return lines
 
 
-def _csv_rows(text: str, header: list[str], name: str = "file"):
-    """(line number, row) for every data row of CSV `text` with the given header.
+def _rows(text: str, header: list[str], name: str = "file"):
+    """(line numbers, columns, error) of the data rows of CSV `text`.
 
     Blank lines are skipped; every other row must have one field per header
-    column.
+    column. The rows end before the first that does not, and `error` is what
+    reading it raised, or None: the caller raises it after the rows before
+    it, so that errors come in line order. The body is split at newlines and
+    commas; text that `csv.reader` would read otherwise (a quote, a CR or
+    NUL, an overlong field, a row of another width) is left to `csv.reader`.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        found = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise IngestError(f"empty {name}, expected a header row") from None
+    if not text:
+        raise IngestError(f"empty {name}, expected a header row")
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))  # csv's line breaks; splitlines() has more
+    lines, width = text.split("\n"), len(header)
+    commas = np.bincount(np.searchsorted(ends, np.flatnonzero(raw == ord(","))),
+                         minlength=len(lines))
+    keep = commas == width - 1
+    keep[0] = False
+    split = not ('"' in text or "\r" in text or "\0" in text
+                 or np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit()
+                 or any(commas[i] or lines[i].strip() for i in np.flatnonzero(~keep[1:]) + 1))
+    if split:
+        head = lines[0].split(",") if lines[0] else []
+    else:
+        reader = csv.reader(io.StringIO(text))
+        head = next(reader)
+    found = [h.strip() for h in head]
     if found != header:
         raise IngestError(f"bad header {found!r}, expected {header}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise IngestError(
-                f"line {lineno}: expected {len(header)} columns, got {len(row)}"
-            )
-        yield lineno, row
+    if split:
+        fields = ",".join(compress(lines, keep.tolist())).split(",") if keep.any() else []
+        return np.flatnonzero(keep) + 1, [fields[k::width] for k in range(width)], None
+    linenos, rows, error = [], [], None
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                error = IngestError(f"line {lineno}: expected {width} columns, got {len(row)}")
+                break
+            linenos.append(lineno)
+            rows.append(row)
+    except csv.Error as exc:
+        error = exc
+    return linenos, [list(col) for col in zip(*rows)] or [[] for _ in header], error
 
 
 def _reading(text: str, lineno: int, what: str, limit: float = math.inf,
@@ -90,58 +120,130 @@ def _reading(text: str, lineno: int, what: str, limit: float = math.inf,
     return value
 
 
+@dataclass(frozen=True, eq=False)
+class Readings:
+    """Timestamped readings in file order, as columns.
+
+    `days` holds date ordinals and `minutes` the minute of the day, seconds
+    and UTC offsets dropped. `exact` maps a row to its timestamp where
+    `datetime.fromisoformat` read it.
+    """
+
+    days: np.ndarray
+    minutes: np.ndarray
+    values: np.ndarray
+    exact: dict[int, dt.datetime]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def isoformat(self, i: int) -> str:
+        """Row `i`'s timestamp as `datetime.isoformat` writes it."""
+        ts = self.exact.get(i) or (dt.datetime.fromordinal(int(self.days[i]))
+                                   + dt.timedelta(minutes=int(self.minutes[i])))
+        return ts.isoformat()
+
+
+_TEMPLATE = np.frombuffer(b"0000-00-00T00:00", np.uint8)
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+
+
+def _stamps(col: list[str]):
+    """Day ordinals and minutes of day where numpy reads the stamp, day 0 elsewhere.
+
+    numpy parses `YYYY-MM-DDTHH:MM`, or a space for the T; every other stamp
+    is left to `datetime.fromisoformat`, whose accepted set depends on the
+    Python version, and so is every canonical one if numpy refuses one.
+    """
+    n = len(col)
+    days, minutes = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    short = np.fromiter(map(len, col), int, n) == 16
+    chars = "".join(col if short.all() else compress(col, short.tolist()))
+    b = np.frombuffer(chars.encode("latin-1", "replace"), "S16")
+    u = b.view(np.uint8).reshape(-1, 16)
+    # in uint8, a byte below "0" wraps past 9
+    match = np.where(_TEMPLATE == ord("0"), u - _TEMPLATE <= 9, u == _TEMPLATE)
+    match[:, 10] |= u[:, 10] == ord(" ")
+    ok = match.all(axis=1)
+    try:
+        stamps = b[ok].astype("M8[m]").astype(np.int64)
+    except ValueError:  # an impossible date or time
+        return days, minutes
+    rows = np.flatnonzero(short)[ok]
+    days[rows], minutes[rows] = stamps // 1440 + _EPOCH, stamps % 1440
+    return days, minutes
+
+
 def _parse_timeseries_csv(text: str, value_column: str, limit: float = math.inf,
-                          signed: bool = True):
-    records = []
-    for lineno, (stamp, value) in _csv_rows(text, ["timestamp", value_column]):
+                          signed: bool = True) -> Readings:
+    linenos, (stamps, texts), error = _rows(text, ["timestamp", value_column])
+    days, minutes = _stamps(stamps)
+    try:
+        values = np.array(texts, dtype=float)
+    except ValueError:  # then every row is read one by one below
+        values = np.full(len(texts), np.nan)
+    # numpy reads year 0, which no date has, as a day below 1
+    ok = (days > 0) & np.isfinite(values) & (np.abs(values) <= limit)
+    if not signed:
+        ok &= values >= 0
+    exact = {}
+    # rows numpy did not read or that fail a check, in file order: the first bad one raises
+    for i in np.flatnonzero(~ok).tolist():
         try:
-            ts = dt.datetime.fromisoformat(stamp.strip())
+            ts = exact[i] = dt.datetime.fromisoformat(stamps[i].strip())
         except ValueError:
-            raise IngestError(f"line {lineno}: bad timestamp {stamp!r}") from None
-        records.append((ts, _reading(value, lineno, value_column, limit, signed)))
-    return records
+            raise IngestError(f"line {linenos[i]}: bad timestamp {stamps[i]!r}") from None
+        days[i], minutes[i] = ts.toordinal(), ts.hour * 60 + ts.minute
+        values[i] = _reading(texts[i], linenos[i], value_column, limit, signed)
+    if error is not None:
+        raise error
+    return Readings(days, minutes, values, exact)
 
 
-def parse_load_file(text: str) -> list[tuple[dt.datetime, float]]:
+def parse_load_file(text: str) -> Readings:
     """CSV with header `timestamp,load_mw`; errors name the offending line."""
     return _parse_timeseries_csv(text, "load_mw", signed=False)
 
 
-def parse_temperature_history(text: str) -> list[tuple[dt.datetime, float]]:
+def parse_temperature_history(text: str) -> Readings:
     """CSV with header `timestamp,temp_c`, same cadence as the load file."""
     return _parse_timeseries_csv(text, "temp_c", TEMPERATURE_LIMIT_C)
 
 
-def _group_by_day(records):
-    by_day: dict[dt.date, dict[int, float]] = {}
-    for ts, value in records:
-        minute = ts.hour * 60 + ts.minute
-        day = by_day.setdefault(ts.date(), {})
-        if minute in day and day[minute] != value:
-            raise IngestError(
-                f"duplicate timestamp {ts.isoformat()} with conflicting values "
-                f"{day[minute]} vs {value}"
-            )
-        day[minute] = value
-    return by_day
+def _by_minute(readings: Readings):
+    """(days, minutes, values) sorted by day and minute, one reading per minute.
+
+    Of equal duplicates the last in file order is kept. The first reading in
+    file order that differs from an earlier one of its minute raises.
+    """
+    key = readings.days * 1440 + readings.minutes
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], readings.values[order]
+    same = key[1:] == key[:-1]
+    clash = np.flatnonzero(same & (values[1:] != values[:-1])) + 1
+    if len(clash):
+        j = clash[np.argmin(order[clash])]
+        raise IngestError(
+            f"duplicate timestamp {readings.isoformat(int(order[j]))} with conflicting values "
+            f"{float(values[j - 1])} vs {float(values[j])}"
+        )
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = ~same
+    return key[last] // 1440, key[last] % 1440, values[last]
 
 
-def _lay_out_day(minute_values: dict[int, float], grid_minutes: list[int],
+def _lay_out_day(mins: list[int], vals: list[float], grid_minutes: list[int],
                  max_gap: int):
-    """Lay one day's readings onto the grid.
+    """Lay one day's readings, by ascending minute and not the whole grid, onto it.
 
     One gap rule judges every day: from the grid point before the day's first
     to the grid point after its last, no stretch between consecutive readings
     may span more than `max_gap + 1` grid steps. On-grid readings are
     interpolated by grid index, off-grid ones (e.g. DST-shifted) in minutes.
     Returns (values, kind, detail, filled indices); `values` is None for a
-    rejected day and `kind` is None for a complete one.
+    rejected day.
     """
-    n, P = len(minute_values), len(grid_minutes)
-    if not n:
-        return None, "rejected", "no readings", []
-    mins = sorted(minute_values)
-    vals = [minute_values[m] for m in mins]
+    n, P = len(mins), len(grid_minutes)
     step = grid_minutes[1] - grid_minutes[0]
     on_grid = set(grid_minutes) >= set(mins)
     # integer minutes: dividing by the step first misjudges exact boundaries
@@ -153,8 +255,6 @@ def _lay_out_day(minute_values: dict[int, float], grid_minutes: list[int],
     if not on_grid:
         detail = f"{n} off-grid readings resampled onto the grid"
         return np.interp(grid_minutes, mins, vals), "resampled", detail, list(range(P))
-    if n == P:
-        return np.array(vals), None, "", []
     known = [(m - grid_minutes[0]) // step for m in mins]
     filled = sorted(set(range(P)).difference(known))
     values = np.interp(np.arange(P), known, vals)
@@ -162,10 +262,10 @@ def _lay_out_day(minute_values: dict[int, float], grid_minutes: list[int],
 
 
 def segmentize(
-    records,
+    records: Readings,
     grid: TimeGrid,
     *,
-    temps=(),
+    temps: Readings | None = None,
     max_gap: int = 4,
     holiday_set=frozenset(),
 ) -> tuple[HistoryWindow, GapReport]:
@@ -177,35 +277,40 @@ def segmentize(
     record. A kept day's temperature is NaN at the grid minutes not read that
     day; temperature readings on other days or off the grid are ignored.
     """
-    by_day = _group_by_day(records)
-    temps_by_day = _group_by_day(temps)
-    report = GapReport()
-    grid_minutes = grid.minutes.tolist()
-    # a kept day has load readings, so there are at most len(by_day) of them
-    dates, quality = [], []
-    load_rows = np.empty((len(by_day), len(grid_minutes)))
-    temp_rows = np.full((len(by_day), len(grid_minutes)), np.nan)
-    first = min(by_day, default=None)
-    span = (max(by_day) - first).days + 1 if by_day else 0
-    # counting days, not stepping a date, so that 9999-12-31 has no successor
-    for offset in range(span):
-        date = first + dt.timedelta(days=offset)
-        minute_values = by_day.get(date, {})
-        values, kind, detail, filled = _lay_out_day(minute_values, grid_minutes, max_gap)
-        if kind is not None:
-            report.issues.append(
-                DayIssue(date, kind, detail, filled, readings=len(minute_values))
-            )
-        if values is None:
+    days, minutes, values = _by_minute(records)
+    temp_days, temp_minutes, temp_values = (_by_minute(temps) if temps
+                                            else (np.zeros(0, dtype=np.int64),) * 3)
+    P, grid_minutes = grid.points_per_day, grid.minutes.tolist()
+    slot = np.full(24 * 60, -1)
+    slot[grid.minutes] = np.arange(P)
+    ordinals, starts, counts = np.unique(days, return_index=True, return_counts=True)
+    # a day read at exactly the grid minutes is its row as read; max_gap < 0 rejects it
+    keep = (counts == P) & (np.add.reduceat(slot[minutes] >= 0, starts) == P) & (max_gap >= 0)
+    complete, report = keep.copy(), GapReport()
+    rows = np.empty((len(ordinals), P))
+    rows[keep] = values[np.repeat(keep, counts)].reshape(-1, P)
+    index = {ordinal: k for k, ordinal in enumerate(ordinals.tolist())}
+    span = np.arange(ordinals[0], ordinals[-1] + 1) if len(ordinals) else ordinals
+    # the other days and the days without readings, in date order
+    for ordinal in np.union1d(np.setdiff1d(span, ordinals), ordinals[~keep]).tolist():
+        date, k = dt.date.fromordinal(ordinal), index.get(ordinal)
+        if k is None:
+            report.issues.append(DayIssue(date, "rejected", "no readings"))
             continue
-        load_rows[len(dates)] = values
-        day_temps = temps_by_day.get(date, {})
-        temp_rows[len(dates)] = [day_temps.get(m, np.nan) for m in grid_minutes]
-        dates.append(date)
-        quality.append(Quality.COMPLETE if kind is None else Quality.GAP_FILLED)
-    n, holidays = len(dates), [date in holiday_set for date in dates]
-    window = HistoryWindow(grid, tuple(dates), load_rows[:n], temp_rows[:n], holidays,
-                           tuple(quality))
+        day = slice(starts[k], starts[k] + counts[k])
+        laid, kind, detail, filled = _lay_out_day(
+            minutes[day].tolist(), values[day].tolist(), grid_minutes, max_gap)
+        report.issues.append(DayIssue(date, kind, detail, filled, int(counts[k])))
+        if laid is not None:
+            rows[k], keep[k] = laid, True
+    kept = ordinals[keep]
+    temp_rows = np.full((len(kept), P), np.nan)
+    hit = np.isin(temp_days, kept) & (slot[temp_minutes] >= 0)
+    temp_rows[np.searchsorted(kept, temp_days[hit]), slot[temp_minutes[hit]]] = temp_values[hit]
+    dates = tuple(map(dt.date.fromordinal, kept.tolist()))
+    quality = [Quality.COMPLETE if c else Quality.GAP_FILLED for c in complete[keep]]
+    window = HistoryWindow(grid, dates, rows[keep], temp_rows,
+                           [date in holiday_set for date in dates], quality)
     return window, report
 
 
@@ -219,16 +324,19 @@ def parse_temperature_forecast(text: str, grid: TimeGrid) -> dict[dt.date, Tempe
     mask = list(forecast_mask_indices(grid))
     forecasts: dict[dt.date, TemperatureSegment] = {}
     header = ["date", "t0800", "t1200", "t1600", "t2000"]
-    for lineno, row in _csv_rows(text, header, "forecast file"):
+    linenos, (dates, *columns), error = _rows(text, header, "forecast file")
+    for lineno, stamp, *texts in zip(linenos, dates, *columns):
         try:
-            date = dt.date.fromisoformat(row[0].strip())
+            date = dt.date.fromisoformat(stamp.strip())
         except ValueError:
-            raise IngestError(f"line {lineno}: bad date {row[0]!r}") from None
+            raise IngestError(f"line {lineno}: bad date {stamp!r}") from None
         if date in forecasts:
             raise IngestError(f"line {lineno}: duplicate date {date.isoformat()}")
         values = np.full(grid.points_per_day, np.nan)
         values[mask] = [
-            _reading(v, lineno, "temperature", TEMPERATURE_LIMIT_C) for v in row[1:]
+            _reading(v, lineno, "temperature", TEMPERATURE_LIMIT_C) for v in texts
         ]
         forecasts[date] = TemperatureSegment(grid, values)
+    if error is not None:
+        raise error
     return forecasts

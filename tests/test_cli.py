@@ -676,6 +676,22 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["ingest", "--load", "{load}", "--out", "{out}"],
+        ["simulate", "--out", "{out}"],
+    ])
+    @pytest.mark.parametrize("points", ["0", "-4", "7", "1441"])
+    def test_points_per_day_that_does_not_divide_the_day(self, raw_files, tmp_path,
+                                                         command, points, capsys):
+        paths = dict(load=raw_files / "load.csv", out=tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in command] + ["--points-per-day", points])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument --points-per-day: points_per_day={points} must divide "
+            "the 1440-minute day\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestNonUtf8Input:
     @pytest.mark.parametrize(

@@ -1,21 +1,28 @@
+import csv
 import datetime as dt
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_record
 from shapecast.calendars import annotate_calendar
+from shapecast.cli import main
 from shapecast.errors import IngestError
 from shapecast.history import DailyRecord, Quality, history_jsonl_text
 from shapecast.ingest import (
+    _by_minute,
+    _reading,
     forecast_mask_indices,
     parse_load_file,
     parse_temperature_forecast,
     parse_temperature_history,
     segmentize,
 )
-from shapecast.segments import LoadSegment, TemperatureSegment, TimeGrid
+from shapecast.segments import TEMPERATURE_LIMIT_C, LoadSegment, TemperatureSegment, TimeGrid
 
 
 def day_rows(date, values, grid):
@@ -30,13 +37,20 @@ def csv_text(rows, header="timestamp,load_mw"):
     return header + "\n" + "\n".join(rows) + "\n"
 
 
+def pairs(readings):
+    """The readings as (datetime, value) pairs, seconds and offsets dropped."""
+    return [(dt.datetime.fromordinal(d) + dt.timedelta(minutes=m), v)
+            for d, m, v in zip(readings.days.tolist(), readings.minutes.tolist(),
+                               readings.values.tolist())]
+
+
 class TestParseLoadFile:
     def test_single_row(self):
         records = parse_load_file("timestamp,load_mw\n2010-06-07T00:00,512.5\n")
-        assert records == [(dt.datetime(2010, 6, 7, 0, 0), 512.5)]
+        assert pairs(records) == [(dt.datetime(2010, 6, 7, 0, 0), 512.5)]
 
     def test_empty_body(self):
-        assert parse_load_file("timestamp,load_mw\n") == []
+        assert pairs(parse_load_file("timestamp,load_mw\n")) == []
 
     def test_non_numeric_load_names_line(self):
         text = "timestamp,load_mw\n2010-06-07T00:00,500\n2010-06-07T00:15,abc\n"
@@ -105,6 +119,11 @@ class TestSegmentize:
         assert len(window) == 0
         assert report.rejected_dates == [self.date]
 
+    def test_negative_max_gap_rejects_even_a_complete_day(self):
+        window, report = segmentize(self.parse_day(range(1, 25)), self.grid, max_gap=-1)
+        assert len(window) == 0
+        assert report.rejected_dates == [self.date]
+
     def test_duplicate_conflicting_values(self):
         rows = day_rows(self.date, [1.0] * 24, self.grid)
         rows.append(f"{self.date.isoformat()}T00:00,99.0")
@@ -164,7 +183,7 @@ class TestSegmentize:
         assert window.records[0].meta.group.value == "HOLIDAY"
 
     def test_empty_input(self):
-        window, report = segmentize([], self.grid)
+        window, report = segmentize(parse_load_file("timestamp,load_mw\n"), self.grid)
         assert len(window) == 0
         assert not report.issues
 
@@ -331,7 +350,7 @@ class TestParserRows:
             [(date, seg)] = plain.items()
             np.testing.assert_array_equal(padded[date].values, seg.values)
         else:
-            assert padded == plain
+            assert pairs(padded) == pairs(plain)
 
     @pytest.mark.parametrize("kind, column", [
         ("load", "load_mw"), ("temps", "temp_c"), ("forecast", "temperature"),
@@ -493,3 +512,267 @@ class TestColumns:
         assert window.dates == (first, last)
         assert window.loads.shape == window.temps.shape == (2, 4)
         assert len(report.rejected_dates) == 363
+
+
+def run_ingest(tmp_path, capsys, load, temps=None):
+    """(exit code, stderr) of `shapecast ingest` on CSV texts, 24 points a day."""
+    (tmp_path / "load.csv").write_text(load)
+    argv = ["ingest", "--load", str(tmp_path / "load.csv"),
+            "--out", str(tmp_path / "history.jsonl"), "--points-per-day", "24"]
+    if temps is not None:
+        (tmp_path / "temps.csv").write_text(temps)
+        argv += ["--temps", str(tmp_path / "temps.csv")]
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestErrorPrecedence:
+    """Parse errors come before duplicates, load before temps, whatever the day."""
+
+    LOAD_BAD = "timestamp,load_mw\n2010-06-07T00:00,1\n2010-06-07T01:00,-3\n"
+    LOAD_DUP = "timestamp,load_mw\n2010-06-07T00:00,1\n2010-06-07T00:00,2\n"
+    LOAD_OK = "timestamp,load_mw\n2010-06-07T00:00,1\n"
+    TEMPS_BAD = "timestamp,temp_c\n2010-06-07T00:00,abc\n"
+    # on a day without load
+    TEMPS_DUP = "timestamp,temp_c\n2010-06-09T05:00,20\n2010-06-09T05:00,21.5\n"
+
+    @pytest.mark.parametrize("load, temps, message", [
+        (LOAD_BAD, TEMPS_BAD, "line 3: negative load_mw '-3'"),
+        (LOAD_DUP, TEMPS_BAD, "line 2: non-numeric temp_c 'abc'"),
+        (LOAD_DUP, TEMPS_DUP, "duplicate timestamp 2010-06-07T00:00:00 with conflicting "
+                              "values 1.0 vs 2.0"),
+        (LOAD_OK, TEMPS_DUP, "duplicate timestamp 2010-06-09T05:00:00 with conflicting "
+                             "values 20.0 vs 21.5"),
+    ])
+    def test_first_error_wins(self, tmp_path, capsys, load, temps, message):
+        assert run_ingest(tmp_path, capsys, load, temps) == (1, f"error: {message}\n")
+
+    def test_errors_come_in_line_order(self):
+        # a bad value before a bad stamp, a bad stamp before a malformed row
+        with pytest.raises(IngestError, match="^line 2: non-numeric load_mw 'x'$"):
+            parse_load_file("timestamp,load_mw\n2010-06-07T00:00,x\nnoon,1\n")
+        with pytest.raises(IngestError, match="^line 3: bad timestamp 'noon'$"):
+            parse_load_file("timestamp,load_mw\n2010-06-07T00:00,1\nnoon,1\n1,2,3\n")
+        with pytest.raises(IngestError, match="^line 2: bad timestamp 'noon'$"):
+            parse_load_file("timestamp,load_mw\nnoon,x\n")
+        with pytest.raises(IngestError, match="^line 3: expected 2 columns, got 3$"):
+            parse_load_file("timestamp,load_mw\n2010-06-07T00:00,1\n1,2,3\nnoon,1\n")
+
+    def test_csv_error_after_the_rows_before_it(self):
+        huge = "1" * (csv.field_size_limit() + 1)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse_load_file(f"timestamp,load_mw\n2010-06-07T00:00,{huge}\n")
+        with pytest.raises(IngestError, match="^line 2: bad timestamp 'noon'$"):
+            parse_load_file(f"timestamp,load_mw\nnoon,1\n2010-06-07T00:00,{huge}\n")
+
+
+class TestDuplicates:
+    """The conflict reported is the first in file order, named as it was read."""
+
+    def conflict(self, *rows):
+        with pytest.raises(IngestError) as exc:
+            _by_minute(parse_load_file(csv_text(rows)))
+        return str(exc.value)
+
+    def test_first_conflict_in_file_order_not_in_date_order(self):
+        assert self.conflict(
+            "2010-06-08T00:00,1", "2010-06-08T00:00,2",
+            "2010-06-07T00:00,5", "2010-06-07T00:00,6",
+        ) == "duplicate timestamp 2010-06-08T00:00:00 with conflicting values 1.0 vs 2.0"
+
+    def test_later_reading_against_the_latest_equal_one(self):
+        # 0 and -0 are equal, so -0 is what the conflicting 5 meets
+        assert self.conflict(
+            "2010-06-07T03:00,0", "2010-06-07T03:00,-0", "2010-06-07T03:00,5",
+            "2010-06-07T03:00,7",
+        ) == "duplicate timestamp 2010-06-07T03:00:00 with conflicting values -0.0 vs 5.0"
+
+    def test_equal_duplicates_keep_the_last(self):
+        days, minutes, values = _by_minute(parse_load_file(csv_text(
+            ["2010-06-07T01:00,0", "2010-06-07T00:00,4", "2010-06-07T01:00,-0"])))
+        assert minutes.tolist() == [0, 60]
+        assert values.tolist() == [4.0, 0.0] and math.copysign(1, values[1]) == -1
+
+
+class TestStampsBeyondTheMinute:
+    """Seconds and UTC offsets are dropped: the stamp lands on its wall-clock minute.
+
+    This pins today's behaviour, not a wanted one: two sub-minute readings can
+    meet as duplicates, and stamps from two offsets can collide.
+    """
+
+    def test_seconds_land_on_their_minute(self):
+        rows = ["2010-06-07T00:00:30,7", "2010-06-07T00:00:45,7"]
+        records = parse_load_file(csv_text(rows))
+        assert pairs(records) == [(dt.datetime(2010, 6, 7), 7.0)] * 2
+        days, minutes, values = _by_minute(records)
+        assert (minutes.tolist(), values.tolist()) == ([0], [7.0])
+        with pytest.raises(IngestError, match="^duplicate timestamp 2010-06-07T00:00:45 "
+                                              "with conflicting values 7.0 vs 8.0$"):
+            _by_minute(parse_load_file(csv_text(["2010-06-07T00:00:30,7",
+                                                 "2010-06-07T00:00:45,8"])))
+
+    def test_offset_dropped(self):
+        records = parse_load_file(csv_text(["2010-06-07T01:00+02:00,7"]))
+        assert pairs(records) == [(dt.datetime(2010, 6, 7, 1), 7.0)]
+        with pytest.raises(IngestError, match="^duplicate timestamp 2010-06-07T01:00:00"
+                                              r"\+00:00 with conflicting values"):
+            _by_minute(parse_load_file(csv_text(["2010-06-07T01:00+02:00,7",
+                                                 "2010-06-07T01:00Z,8"])))
+
+
+# The per-row parser the columnar one replaced, kept as the reference.
+
+def oracle_rows(text, header, name="file"):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        found = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise IngestError(f"empty {name}, expected a header row") from None
+    if found != header:
+        raise IngestError(f"bad header {found!r}, expected {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise IngestError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+        yield lineno, row
+
+
+def oracle_parse(text, column, limit=math.inf, signed=True):
+    records = []
+    for lineno, (stamp, value) in oracle_rows(text, ["timestamp", column]):
+        try:
+            ts = dt.datetime.fromisoformat(stamp.strip())
+        except ValueError:
+            raise IngestError(f"line {lineno}: bad timestamp {stamp!r}") from None
+        records.append((ts, _reading(value, lineno, column, limit, signed)))
+    return records
+
+
+def oracle_by_minute(records):
+    by_day = {}
+    for ts, value in records:
+        minute = ts.hour * 60 + ts.minute
+        day = by_day.setdefault(ts.date(), {})
+        if minute in day and day[minute] != value:
+            raise IngestError(
+                f"duplicate timestamp {ts.isoformat()} with conflicting values "
+                f"{day[minute]} vs {value}"
+            )
+        day[minute] = value
+    return sorted((d.toordinal(), m, v) for d, day in by_day.items() for m, v in day.items())
+
+
+def oracle_forecast(text, grid):
+    forecasts = {}
+    mask = list(forecast_mask_indices(grid))
+    for lineno, row in oracle_rows(text, ["date", "t0800", "t1200", "t1600", "t2000"],
+                                   "forecast file"):
+        try:
+            date = dt.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise IngestError(f"line {lineno}: bad date {row[0]!r}") from None
+        if date in forecasts:
+            raise IngestError(f"line {lineno}: duplicate date {date.isoformat()}")
+        values = np.full(grid.points_per_day, np.nan)
+        values[mask] = [_reading(v, lineno, "temperature", TEMPERATURE_LIMIT_C)
+                        for v in row[1:]]
+        forecasts[date] = values
+    return forecasts
+
+
+def outcome(call):
+    """(result, None), or (None, (error type, message))."""
+    try:
+        return call(), None
+    except (IngestError, csv.Error) as exc:
+        return None, (type(exc), str(exc))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()  # tells -0.0 from 0.0
+
+
+STAMPS = [
+    "2010-06-07T00:00", "2010-06-07 00:00", "2010-06-07t00:00", "2010-06-07x00:00",
+    "2010-06-07T00:00:30", "2010-06-07T00:00:45", "2010-06-07T00:00:00.5",
+    "2010-06-07T01:00+02:00", "2010-06-07T01:00", "2010-06-07T01:00Z",
+    "0000-01-01T00:00", "0001-01-01T00:00", "9999-12-31T23:59", "2010-06-07T24:00",
+    "2010-06-07T23:60", "2010-02-29T00:00", "2012-02-29T12:15", "2010-04-31T00:00",
+    "2010-13-01T00:00", "2010-00-01T00:00", "2010-06-00T00:00", "20100607T0000",
+    "2010-06-07T0000", "2010-06-07", "2010-06-07T00", " 2010-06-07T00:00 ",
+    "2010-06-07T00:00\x0b", "２010-06-07T00:00", "2010-06-07T00:0\ud800", "", "noon",
+]
+VALUES = ["1", "1.0", "2", "0", "-0", "-0.0", " 3 ", "1_0", "1__0", "nan", "inf", "-inf",
+          "1e400", "-3", "abc", "", "1e200", "-1e200", "1000", "-1000", "1000.5",
+          "1\x0b", "\x1c2", "2\u2028", "0x10"]
+DATE_TEXTS = ["2010-06-09", "2010-06-10", "2010-6-9", "20100609", "2010-02-30", " 2010-06-09"]
+
+
+def canonical(ts, sep, tail):
+    return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}{sep}{ts.hour:02d}:{ts.minute:02d}"
+            + tail)
+
+
+stamps = st.one_of(
+    st.sampled_from(STAMPS),
+    st.builds(canonical, st.datetimes(dt.datetime(1, 1, 1), dt.datetime(9999, 12, 31)),
+              st.sampled_from(["T", " ", "t"]), st.sampled_from(["", "", ":30", "+02:00"])),
+    st.text("0123456789-: T", min_size=16, max_size=16),
+)
+values = st.sampled_from(VALUES) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+FORMS = {
+    "plain": "{0},{1}", "quoted": '"{0}",{1}', "quoted comma": '"{0},{1}"',
+    "trailing comma": "{0},{1},", "one field": "{0}", "blank": "", "spaces": "  ",
+    "nul": "{0}\x00,{1}", "cr": "{0},{1}\r",
+}
+rows = st.builds(lambda form, stamp, value: FORMS[form].format(stamp, value),
+                 st.sampled_from(["plain"] * 12 + list(FORMS)), stamps, values)
+
+
+def body(rows, trailing_newline):
+    return "\n".join(rows) + ("\n" if trailing_newline else "")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(rows, max_size=8), st.booleans())
+def test_parsers_match_the_per_row_oracle(lines, trailing_newline):
+    for parse, column, limit, signed in [
+        (parse_load_file, "load_mw", math.inf, False),
+        (parse_temperature_history, "temp_c", TEMPERATURE_LIMIT_C, True),
+    ]:
+        text = f"timestamp,{column}\n" + body(lines, trailing_newline)
+        want, want_error = outcome(lambda: oracle_parse(text, column, limit, signed))
+        got, got_error = outcome(lambda: parse(text))
+        assert got_error == want_error
+        if want is None:
+            continue
+        assert got.days.tolist() == [ts.toordinal() for ts, _ in want]
+        assert got.minutes.tolist() == [ts.hour * 60 + ts.minute for ts, _ in want]
+        assert bits(got.values) == bits([v for _, v in want])
+        assert [got.isoformat(i) for i in range(len(got))] == [ts.isoformat() for ts, _ in want]
+        grouped, group_error = outcome(lambda: oracle_by_minute(want))
+        columns, columns_error = outcome(lambda: _by_minute(got))
+        assert columns_error == group_error
+        if grouped is not None:
+            days, minutes, kept = columns
+            assert list(zip(days.tolist(), minutes.tolist())) == [g[:2] for g in grouped]
+            assert bits(kept) == bits([g[2] for g in grouped])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.builds(lambda form, date, value: FORMS[form].format(date, ",".join(value)),
+                          st.sampled_from(["plain"] * 12 + list(FORMS)),
+                          st.sampled_from(DATE_TEXTS), st.lists(values, min_size=4, max_size=4)),
+                max_size=5),
+       st.booleans())
+def test_forecast_parser_matches_the_per_row_oracle(lines, trailing_newline):
+    grid = TimeGrid.equidistant(24)
+    text = "date,t0800,t1200,t1600,t2000\n" + body(lines, trailing_newline)
+    want, want_error = outcome(lambda: oracle_forecast(text, grid))
+    got, got_error = outcome(lambda: parse_temperature_forecast(text, grid))
+    assert got_error == want_error
+    if want is not None:
+        assert list(got) == list(want)
+        assert all(bits(got[d].values) == bits(want[d]) for d in want)
