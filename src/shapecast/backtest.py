@@ -84,7 +84,7 @@ def backtest(
         forecast, day_max = stand_in(history, i)
         if not i:
             raise ShapecastError(f"{date.isoformat()}: no prior history")
-        prior, meta = history.prefix(i), history.meta(i)
+        prior, meta = history.span(0, i), history.meta(i)
         actual = history.loads[i]
         day_curves = curves[date] = DayCurves(actual=actual)
         for method in methods:

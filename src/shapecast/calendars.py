@@ -40,7 +40,7 @@ class CalendarMeta:
 
 def group_codes(dates, is_holiday) -> np.ndarray:
     """Group code of every date: its weekday's group, HOLIDAY where `is_holiday`."""
-    weekdays = np.array([d.weekday() for d in dates], dtype=int)
+    weekdays = np.fromiter(map(dt.date.weekday, dates), dtype=int)
     return np.where(is_holiday, GROUPS.index(DayGroup.HOLIDAY), _CODE_BY_WEEKDAY[weekdays])
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import operator
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ class DailyRecord:
     quality: Quality = Quality.COMPLETE
 
 
-# the per-day columns a prefix slices
+# the per-day columns a span slices
 _COLUMNS = ("dates", "is_holiday", "quality", "loads", "temps", "group")
 _NONPOSITIVE = "{}: cannot rescale a segment with nonpositive maximum"
 
@@ -75,8 +76,8 @@ class HistoryWindow:
     (L x P Celsius, NaN where unobserved; a day without temperature is an
     all-NaN row). The window keeps a float array it is given uncopied only
     when that array owns its data, and makes it read-only. `shapes` is built
-    on first use; `prefix(n)` slices every column, and every prefix shares the
-    whole window's `shapes` matrix. `records` builds `DailyRecord` views only
+    on first use; `span(start, stop)` slices every column, and every span shares
+    the whole window's `shapes` matrix. `records` builds `DailyRecord` views only
     when asked.
     """
 
@@ -87,7 +88,8 @@ class HistoryWindow:
     is_holiday: np.ndarray | None = None  # None: no holidays
     quality: tuple[Quality, ...] | None = None  # None: every day complete
 
-    _root = None  # for a prefix, the window whose shapes matrix it slices
+    _root = None  # for a span, the window whose shapes matrix it slices
+    _start = 0  # and the root's row that is the span's row 0
 
     def __post_init__(self) -> None:
         n, P = len(self.dates), self.grid.points_per_day
@@ -104,9 +106,10 @@ class HistoryWindow:
                 or self.is_holiday.shape != (n,) or len(self.quality) != n):
             raise GridMismatchError(f"every column needs {n} days of {P} points")
         _refuse_bad_day(self.grid, self.loads, self.temps)
-        for n in range(1, len(self.dates)):
-            if self.dates[n] <= self.dates[n - 1]:
-                _refuse_row(n, "history records must be strictly ascending by date")
+        ascending = list(map(operator.lt, self.dates, self.dates[1:]))
+        if not all(ascending):
+            _refuse_row(ascending.index(False) + 1,
+                        "history records must be strictly ascending by date")
         if Quality.REJECTED in self.quality:
             _refuse_row(self.quality.index(Quality.REJECTED),
                         "rejected records are excluded from history")
@@ -129,10 +132,10 @@ class HistoryWindow:
         """L x P matrix of shape-form (max-rescaled) load values, history order."""
         # a nonpositive row fails only the windows that hold it
         rows, ok = (self if self._root is None else self._root)._shape_rows
-        if not ok[:len(self)].all():
-            # the root's first nonpositive day, which this window holds
-            raise ShapecastError(_NONPOSITIVE.format(self.dates[np.argmin(ok)]))
-        return rows[:len(self)]
+        held = slice(self._start, self._start + len(self))
+        if not ok[held].all():
+            raise ShapecastError(_NONPOSITIVE.format(self.dates[np.argmin(ok[held])]))
+        return rows[held]
 
     def shape(self, i: int) -> np.ndarray:
         """Day i's load over its maximum, without building `shapes`."""
@@ -141,19 +144,19 @@ class HistoryWindow:
             raise ShapecastError(_NONPOSITIVE.format(self.dates[i]))
         return self.loads[i] / peak
 
-    def prefix(self, n: int) -> "HistoryWindow":
-        """The first `n` days; a prefix of a valid window needs no checks."""
+    def span(self, start: int, stop: int) -> "HistoryWindow":
+        """Rows `start:stop`, clamped like a slice; a run of a valid window needs no checks."""
         window = object.__new__(HistoryWindow)
         window.__dict__.update(
-            {name: self.__dict__[name][:n] for name in _COLUMNS},
-            grid=self.grid,
-            _root=self if self._root is None else self._root,
+            {name: self.__dict__[name][start:stop] for name in _COLUMNS},
+            grid=self.grid, _root=self if self._root is None else self._root,
+            _start=self._start + range(len(self))[start:stop].start,
         )
         return window
 
     def before(self, date: dt.date) -> "HistoryWindow":
         """Days strictly before `date`."""
-        return self.prefix(bisect_left(self.dates, date))
+        return self.span(0, bisect_left(self.dates, date))
 
     def row(self, date: dt.date) -> int:
         """Index of the day `date`."""

@@ -266,7 +266,7 @@ def select_bandwidth(
     for k, i in enumerate(range(len(history) - validation_days, len(history))):
         forecast, next_day_max = stand_in(history, i)
         _, matrix, dists, in_group = _stage(
-            history.prefix(i), GROUPS[history.group[i]], forecast, cfg
+            history.span(0, i), GROUPS[history.group[i]], forecast, cfg
         )
         shapes = np.empty((len(kernels), history.grid.points_per_day))
         # no comprehension: its frame would move the fallback warning's stacklevel

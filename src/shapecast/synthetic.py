@@ -15,11 +15,12 @@ import csv
 import datetime as dt
 import io
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .calendars import GROUPS, DayGroup, group_codes
+from .calendars import _CODE_BY_WEEKDAY, GROUPS, DayGroup
 from .errors import EmptyCandidateError, ShapecastError
 from .history import HistoryWindow
 from .predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
@@ -84,7 +85,7 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
     on the length nor on the other sigma: a longer path extends a shorter one.
     """
     L, P = spec.length, spec.grid.points_per_day
-    dates = tuple(spec.start + dt.timedelta(days=n) for n in range(L))
+    dates = tuple((np.datetime64(spec.start, "D") + np.arange(L)).tolist())
     pool = default_temperature_pool(spec.grid)
     streams = np.random.SeedSequence(spec.seed).spawn(3)
     profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
@@ -94,7 +95,7 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
         profile = np.arange(L) % len(pool)
     jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
     noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
-    codes = group_codes(dates, False)
+    codes = _CODE_BY_WEEKDAY[(spec.start.weekday() + np.arange(L)) % 7]
     clean = np.empty((L, P))
     # a huge sigma overflows to inf or nan here; the window below refuses it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,10 +172,8 @@ def consistency_experiment(
         window, clean = generate(replace(path, seed=(*template.seed, rep)))
         forecast = TemperatureSegment(path.grid, window.temps[T])
         for L, n_L, cfg in configs:
-            prior = HistoryWindow(path.grid, window.dates[T - L:T],
-                                  window.loads[T - L:T], window.temps[T - L:T])
             try:
-                pred = predict_day(prior, window.meta(T), forecast, cfg=cfg)
+                pred = predict_day(window.span(T - L, T), window.meta(T), forecast, cfg=cfg)
             except EmptyCandidateError as exc:
                 raise ShapecastError(f"L={L}: {exc}") from None
             predicted = pred.shape.values
@@ -197,6 +196,7 @@ def consistency_experiment(
 def experiment_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f.name for f in fields(ExperimentRow)])
-    writer.writerows(astuple(r) for r in rows)
+    names = [f.name for f in fields(ExperimentRow)]
+    writer.writerow(names)
+    writer.writerows(map(attrgetter(*names), rows))
     return buf.getvalue()

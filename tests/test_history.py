@@ -17,14 +17,26 @@ from shapecast.history import (
 from shapecast.segments import LoadSegment, TemperatureSegment
 
 
-def test_records_must_ascend(grid4):
-    d = dt.date(2010, 1, 4)
-    r1 = make_record(grid4, d, [1.0, 2.0, 3.0, 4.0])
-    r2 = make_record(grid4, d + dt.timedelta(days=1), [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ShapecastError):
-        window_of((r2, r1))
-    with pytest.raises(ShapecastError):
-        window_of((r1, r1))
+# day offsets from 2010-01-04, all from day 0, and the row of the first date
+# that is out of order or repeated
+DATE_ORDER = [
+    ((0, -1), 1),
+    ((0, 0), 1),
+    ((0, 0, 1, 0), 1),  # a later break is not the one named
+    ((0, 1, 2, 2, 4, 5), 3),
+    ((0, 1, 2, 7, 4, 3), 4),
+    ((0, 1, 2, 3, 4, 3), 5),
+    ((0, 1, 2, 3, 4, 4), 5),
+]
+
+
+@pytest.mark.parametrize("offsets, row", DATE_ORDER)
+def test_records_must_ascend(grid4, offsets, row):
+    dates = tuple(dt.date(2010, 1, 4) + dt.timedelta(days=k) for k in offsets)
+    n = len(dates)
+    with pytest.raises(ShapecastError, match="strictly ascending by date") as info:
+        HistoryWindow(grid4, dates, np.ones((n, 4)), np.full((n, 4), np.nan))
+    assert info.value.row == row
 
 
 def test_rejected_records_excluded(grid4):
@@ -114,7 +126,7 @@ class TestPrefix:
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5, 9])
     def test_prefix_length_clamps(self, gapped, n):
-        assert len(gapped.prefix(n)) == min(n, len(gapped))
+        assert len(gapped.span(0, n)) == min(n, len(gapped))
 
     @pytest.mark.parametrize("built_first", [False, True])
     def test_prefix_arrays_equal_fresh_window(self, gapped, built_first):
@@ -122,14 +134,14 @@ class TestPrefix:
             gapped.shapes
         for i in range(len(gapped) + 1):
             fresh = window_of(gapped.records[:i], gapped.grid)
-            prefix = gapped.prefix(i)
+            prefix = gapped.span(0, i)
             assert prefix.shapes.tobytes() == fresh.shapes.tobytes()
             assert prefix.loads.tobytes() == fresh.loads.tobytes()
             assert prefix.dates == fresh.dates
 
     def test_prefix_shares_parent_arrays(self, gapped):
         shapes = gapped.shapes
-        prefix = gapped.prefix(3).prefix(2)
+        prefix = gapped.span(0, 3).span(0, 2)
         assert np.shares_memory(prefix.shapes, shapes)
         assert np.shares_memory(prefix.loads, gapped.loads)
 
@@ -140,7 +152,7 @@ class TestPrefix:
 
     @pytest.mark.parametrize("name", ["loads", "shapes"])
     def test_arrays_read_only(self, gapped, name):
-        for window in (gapped, gapped.prefix(3)):
+        for window in (gapped, gapped.span(0, 3)):
             array = getattr(window, name)
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -152,7 +164,35 @@ class TestPrefix:
         window = make_history(
             grid4, START, [[1.0, 2.0, 4.0, 2.0], [0.0, 0.0, 0.0, 0.0]]
         )
-        np.testing.assert_array_equal(window.prefix(1).shapes, [[0.25, 0.5, 1.0, 0.5]])
+        np.testing.assert_array_equal(window.span(0, 1).shapes, [[0.25, 0.5, 1.0, 0.5]])
+
+    @pytest.mark.parametrize("start, stop", [(1, 4), (2, 3), (3, 4), (4, 4), (6, 9)])
+    def test_span_past_row_0_skips_days_outside_it(self, grid4, start, stop):
+        # nonpositive days before and after the span do not spoil its shapes
+        loads = [[0.0] * 4, [1.0, 2.0, 4.0, 2.0], [10.0, 5.0, 20.0, 40.0],
+                 [3.0, 3.0, 6.0, 1.5], [0.0] * 4]
+        window = make_history(grid4, START, loads)
+        span = window.span(start, stop)
+        assert span.dates == window.dates[start:stop]
+        expected = np.array(loads[start:stop]).reshape(-1, 4)
+        assert span.shapes.tobytes() == (expected / expected.max(axis=1)[:, None]).tobytes()
+        assert span.span(1, 2).shapes.tobytes() == span.shapes[1:2].tobytes()
+
+    def test_span_names_its_own_nonpositive_day(self, grid4):
+        loads = [[0.0] * 4, [1.0, 2.0, 4.0, 2.0], [0.0] * 4, [1.0] * 4]
+        window = make_history(grid4, START, loads)
+        with pytest.raises(ShapecastError, match=f"{day(2)}: .*nonpositive maximum"):
+            window.span(1, 4).shapes
+        with pytest.raises(ShapecastError, match=f"{day(2)}: .*nonpositive maximum"):
+            window.span(1, 4).span(1, 3).shapes
+
+    def test_span_shares_root_arrays(self, gapped):
+        shapes = gapped.shapes
+        span = gapped.span(1, 5).span(1, 3)
+        assert span.dates == gapped.dates[2:4]
+        assert np.shares_memory(span.shapes, shapes)
+        assert np.shares_memory(span.loads, gapped.loads)
+        assert span.shapes.tobytes() == shapes[2:4].tobytes()
 
 
 def write_history(path, window: HistoryWindow) -> None:
@@ -303,6 +343,17 @@ class TestJsonlErrors:
             read_history_jsonl(path)
         assert str(exc.value) == f"{path}:5: {message}"
 
+    @pytest.mark.parametrize("offsets, row", DATE_ORDER)
+    def test_date_order_check_names_its_line(self, tmp_path, offsets, row):
+        # line 2 holds day 0; line 4 holds row 1, after a blank line
+        lines = [RECORD.replace("2010-01-05", str(dt.date(2010, 1, 4) + dt.timedelta(days=k)))
+                 for k in offsets[1:]]
+        path = self.write(tmp_path, "\n".join(lines))
+        with pytest.raises(ShapecastError) as exc:
+            read_history_jsonl(path)
+        assert str(exc.value) == (
+            f"{path}:{row + 3}: history records must be strictly ascending by date")
+
     def test_value_before_quality_on_one_line(self, tmp_path):
         line = RECORD.replace("[1, 2, 3, 4]", "[1, 2, -3, 4]")
         line = line.replace('"complete"', '"bad"')
@@ -402,7 +453,7 @@ class TestColumns:
         for name in built:
             getattr(mixed, name)
         for n in range(len(mixed) + 1):
-            prefix = mixed.prefix(n)
+            prefix = mixed.span(0, n)
             assert len(prefix) == n
             assert prefix.grid == mixed.grid
             assert prefix.dates == mixed.dates[:n]
@@ -416,14 +467,14 @@ class TestColumns:
 
     def test_before_and_row_slice_every_column(self, mixed):
         for i, date in enumerate(mixed.dates):
-            assert_same_columns(mixed.before(date), mixed.prefix(i))
+            assert_same_columns(mixed.before(date), mixed.span(0, i))
             assert_same_record(mixed.records[mixed.row(date)], mixed.records[i])
             assert mixed.row(date) == i
-        assert_same_columns(mixed.before(day(3)), mixed.prefix(3))
+        assert_same_columns(mixed.before(day(3)), mixed.span(0, 3))
 
     def test_prefixes_share_one_shapes_matrix(self, mixed):
         # neither the window's nor any prefix's shapes are built beforehand
-        short, longer = mixed.prefix(2), mixed.prefix(3)
+        short, longer = mixed.span(0, 2), mixed.span(0, 3)
         assert np.shares_memory(short.shapes, longer.shapes)
         assert np.shares_memory(short.shapes, mixed.shapes)
         assert short.shapes.tobytes() == mixed.shapes[:2].tobytes()
@@ -432,7 +483,7 @@ class TestColumns:
         window = make_history(
             grid4, START, [[1.0, 2.0, 4.0, 2.0], [1.0, 1.0, 1.0, 2.0], [0.0] * 4]
         )
-        short = window.prefix(2)
+        short = window.span(0, 2)
         with pytest.raises(ShapecastError, match="nonpositive maximum"):
             window.shapes
         np.testing.assert_array_equal(short.shapes[1], [0.5, 0.5, 0.5, 1.0])

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import assert_same_record
 from shapecast import synthetic
-from shapecast.calendars import DayGroup, annotate_calendar
+from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
-from shapecast.history import DailyRecord, Quality
+from shapecast.history import DailyRecord, HistoryWindow, Quality
 from shapecast.segments import LoadSegment, TemperatureSegment
 from shapecast.synthetic import (
     SHAPE_FUNCTIONS,
@@ -119,6 +119,21 @@ class TestGenerate:
         for date, temps, truth in zip(window.dates, window.temps, clean):
             expected = weekend_fn if date.weekday() in (5, 6) else weekday_fn
             assert truth.tobytes() == np.clip(expected(temps), 1e-9, 1.0).tobytes()
+
+    @pytest.mark.parametrize("start, length", [
+        *((dt.date(2010, 6, 7) + dt.timedelta(days=k), 9) for k in range(7)),
+        (dt.date(2012, 2, 27), 8),  # across 29 February
+        (dt.date(2000, 2, 1), 400),  # a century leap year, and into the next year
+    ])
+    def test_group_codes_follow_the_calendar(self, monkeypatch, start, length):
+        # each group's shape function returns its group code, so `clean` shows
+        # the code generate gave each day
+        codes = {g: (lambda u, c=GROUPS.index(g): np.full_like(u, c / 10)) for g in GROUPS}
+        monkeypatch.setattr(synthetic, "SHAPE_FUNCTIONS", codes)
+        window, clean = generate(SyntheticSpec(GRID, length, start=start))
+        expected = group_codes(window.dates, False)
+        assert (np.rint(clean * 10) == expected[:, None]).all()
+        assert window.dates == tuple(start + dt.timedelta(days=n) for n in range(length))
 
     def test_start_is_monday_by_default(self):
         window, _ = generate(SyntheticSpec(GRID, 1))
@@ -270,6 +285,20 @@ class TestConsistencyExperiment:
                 n = len(short)
                 assert short.dates == long.dates[-n:]
                 assert short.loads.tobytes() == long.loads[-n:].tobytes()
+            # each prior is the window a fresh validation of the path's rows builds
+            T = lengths[-1]
+            start = target - dt.timedelta(days=T)
+            window, _ = generate(SyntheticSpec(GRID, T + 1, seed=(0, rep), start=start))
+            for L, (history, _) in zip(lengths, priors):
+                fresh = HistoryWindow(GRID, window.dates[T - L:T], window.loads[T - L:T],
+                                      window.temps[T - L:T])
+                assert history.grid == fresh.grid
+                assert history.dates == fresh.dates
+                assert history.quality == fresh.quality
+                for name in ("loads", "temps", "group", "is_holiday", "shapes"):
+                    got, want = getattr(history, name), getattr(fresh, name)
+                    assert got.dtype == want.dtype and got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
 
 
 class TestSerialization:
