@@ -13,7 +13,7 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,9 +142,8 @@ def emit_report(report: BacktestReport, format: str = "csv") -> str:
             "protocol": report.protocol,
             "config": report.config,
             "summary": report.summary,
-            "scores": [
-                dict(asdict(s), date=s.date.isoformat()) for s in report.scores
-            ],
+            # vars copies the fields shallowly; asdict would deep-copy every score
+            "scores": [dict(vars(s), date=s.date.isoformat()) for s in report.scores],
         }
         return json.dumps(doc, sort_keys=True, indent=2)
     raise ShapecastError(f"unknown report format {format!r}")
@@ -158,9 +157,7 @@ def emit_day_curves(report: BacktestReport) -> dict[str, str]:
         writer = csv.writer(buf, lineterminator="\n")
         methods = sorted(day.predicted)
         writer.writerow(["t", "actual"] + methods)
-        for i, label in enumerate(report.grid_labels):
-            row = [label, repr(float(day.actual[i]))]
-            row += [repr(float(day.predicted[m][i])) for m in methods]
-            writer.writerow(row)
+        curves = [day.actual] + [day.predicted[m] for m in methods]
+        writer.writerows(zip(report.grid_labels, *(map(repr, c.tolist()) for c in curves)))
         out[date.isoformat()] = buf.getvalue()
     return out

@@ -219,6 +219,8 @@ def _refuse_constant(name: str):
 
 _NUMBER = frozenset({int, float})  # bool is neither, though it subclasses int
 _NUMBER_OR_NULL = _NUMBER | {type(None)}
+# one decoder for every record line: `json.loads` with an argument builds one per call
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def _numbers(values, key: str, P: int, kinds=_NUMBER) -> list:
@@ -254,7 +256,10 @@ def read_history_jsonl(path) -> HistoryWindow:
     for k, (lineno, text) in enumerate(records):
         try:
             with _located(path, lineno):
-                d = json.loads(text, parse_constant=_refuse_constant)
+                if text.startswith("\ufeff"):  # `json.loads` refuses a BOM, `decode` does not
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+                d = _DECODER.decode(text)
                 dates.append(dt.date.fromisoformat(d["date"]))
                 holidays.append(bool(d.get("is_holiday")))
                 loads[k] = _numbers(d["load_mw"], "load_mw", P)

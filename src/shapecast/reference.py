@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
@@ -96,14 +96,14 @@ def candidate_set(
     of the lookback (holidays behave most like Sundays) when
     `cfg.holiday_fallback` is set.
     """
-    codes = [GROUPS.index(group)]
+    code = GROUPS.index(group)
     n_l = cfg.n_L(group)
     start = max(len(history) - n_l, 0)
-    rows = start + np.flatnonzero(np.isin(history.group[start:], codes))
+    rows = start + np.flatnonzero(history.group[start:] == code)
     if group is DayGroup.HOLIDAY and cfg.holiday_fallback and len(rows) < 2:
-        codes.append(GROUPS.index(DayGroup.G4))
         start = max(len(history) - max(n_l, cfg.n_L(DayGroup.G4)), 0)
-        rows = start + np.flatnonzero(np.isin(history.group[start:], codes))
+        pool = history.group[start:]
+        rows = start + np.flatnonzero((pool == code) | (pool == GROUPS.index(DayGroup.G4)))
     if not len(rows):
         raise EmptyCandidateError(f"no usable candidate for group {group.value}")
     return rows
@@ -124,14 +124,15 @@ def select_reference(
     candidates = np.asarray(candidates, dtype=int)
     if not len(candidates):
         raise EmptyCandidateError("no candidates to select a reference from")
-    subset = set(temp_forecast.mask)
+    # compare on the forecast's observed points, within the configured subset
+    points = np.flatnonzero(~np.isnan(temp_forecast.values))
     if cfg.temp_distance.point_subset is not None:
-        subset &= set(cfg.temp_distance.point_subset)
-        if not subset:
+        points = np.intersect1d(points, cfg.temp_distance.point_subset)
+        if not len(points):
             raise ShapecastError("forecast mask and configured subset are disjoint")
-    spec = replace(cfg.temp_distance, point_subset=subset)
 
-    observed = ~np.isnan(history.temps[np.ix_(candidates, spec.point_subset)]).any(axis=1)
+    temps = history.temps[np.ix_(candidates, points)]
+    observed = ~np.isnan(temps).any(axis=1)
     for i in candidates[~observed]:
         warnings.warn(
             f"dropping candidate {history.dates[i].isoformat()}: no temperature "
@@ -143,7 +144,8 @@ def select_reference(
         raise MissingTemperatureError(
             "every candidate lacks temperature data on the comparison mask"
         )
-    dists = distances(history.temps[usable], temp_forecast.values, spec)
+    dists = distances(temps[observed], temp_forecast.values[points],
+                      DistanceSpec(cfg.temp_distance.kind))
 
     d_min = float(dists.min())
     if cfg.mode is ReferenceMode.ARGMIN:

@@ -118,11 +118,6 @@ class TemperatureSegment:
                                  f"within ±{TEMPERATURE_LIMIT_C:g} °C")
         object.__setattr__(self, "values", read_only(arr.copy()))
 
-    @property
-    def mask(self) -> tuple[int, ...]:
-        """Grid indices of the observed points, ascending."""
-        return tuple(np.flatnonzero(~np.isnan(self.values)).tolist())
-
 
 class DistanceKind(str, Enum):
     EUCLIDEAN = "euclidean"

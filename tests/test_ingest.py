@@ -273,10 +273,9 @@ class TestTemperatureForecast:
         text = "date,t0800,t1200,t1600,t2000\n2010-06-09,24.0,29.5,30.1,26.2\n"
         forecasts = parse_temperature_forecast(text, self.grid)
         seg = forecasts[dt.date(2010, 6, 9)]
-        assert seg.mask == forecast_mask_indices(self.grid)
-        np.testing.assert_array_equal(
-            seg.values[list(seg.mask)], [24.0, 29.5, 30.1, 26.2]
-        )
+        expected = np.full(self.grid.points_per_day, np.nan)
+        expected[list(forecast_mask_indices(self.grid))] = [24.0, 29.5, 30.1, 26.2]
+        np.testing.assert_array_equal(seg.values, expected)
 
     def test_duplicate_date_rejected(self):
         text = (
@@ -401,7 +400,6 @@ class TestAttachTemperatures:
                                temps=self.temps(temp_rows))
         seg = window.records[0].temperature
         assert seg is not None
-        assert seg.mask == tuple(range(6))
         np.testing.assert_array_equal(seg.values[:6], [20.0 + i for i in range(6)])
         assert np.all(np.isnan(seg.values[6:]))
 
@@ -418,7 +416,7 @@ class TestAttachTemperatures:
                                     temps=self.temps(temp_rows))
         assert window.dates == (self.date, last)
         assert report.rejected_dates == [missing]
-        assert all(r.temperature.mask == tuple(range(24)) for r in window.records)
+        assert not np.isnan(window.temps).any()
 
     def test_temperature_only_day_adds_no_record(self):
         later = self.date + dt.timedelta(days=5)
@@ -435,7 +433,7 @@ class TestAttachTemperatures:
         window, _ = segmentize(self.load(self.date), self.grid,
                                temps=self.temps(temp_rows))
         seg = window.records[0].temperature
-        assert seg.mask == (3,)
+        assert np.flatnonzero(~np.isnan(seg.values)).tolist() == [3]
         assert seg.values[3] == 18.5
 
     def test_only_off_grid_minutes_give_no_temperature(self):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_history, make_record, window_of
 from shapecast.calendars import GROUPS, DayGroup
-from shapecast.errors import EmptyCandidateError, MissingTemperatureError
+from shapecast.errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
 from shapecast.reference import (
     DeltaRule,
     ReferenceConfig,
@@ -252,10 +252,26 @@ class TestSelectReference:
             select_reference(window_of((), self.grid), np.array([], dtype=int),
                              forecast, self.cfg)
 
+    # the second subset lies past the 4-point grid, so nothing of it is compared
+    @pytest.mark.parametrize("subset", [(1, 3), (4, 9)])
+    def test_subset_disjoint_from_forecast_mask(self, subset):
+        cand = self.record(0, [100.0] * 4, [20.0] * 4)
+        forecast = temp_segment(self.grid, [20.0, np.nan, 21.0, np.nan])
+        cfg = ReferenceConfig(temp_distance=DistanceSpec(point_subset=subset))
+        with pytest.raises(ShapecastError,
+                           match="^forecast mask and configured subset are disjoint$"):
+            select([cand], forecast, cfg)
+
 
 def per_candidate_reference(records, forecast, cfg, rescale):
-    """Reference selection one candidate record at a time, as a flat loop."""
-    mask = list(forecast.mask)
+    """Reference selection one candidate record at a time, as a flat loop.
+
+    The comparison points are the forecast's observed points, within the
+    configured subset when there is one.
+    """
+    subset = cfg.temp_distance.point_subset
+    mask = [i for i in np.flatnonzero(~np.isnan(forecast.values)).tolist()
+            if subset is None or i in subset]
     spec = DistanceSpec(cfg.temp_distance.kind, mask)
     usable = [r for r in records if r.temperature is not None
               and not np.isnan(r.temperature.values[mask]).any()]
@@ -285,12 +301,18 @@ def test_rows_match_per_candidate_loop(kind, mode, rule, rescale):
     temps[::9] = np.nan  # days without temperature
     history = make_history(grid, MONDAY, loads, temps)
     records = history.records
-    cfg = ReferenceConfig(mode=mode, delta_rule=rule,
-                          temp_distance=DistanceSpec(kind))
+    # every third point and one past the grid, which no forecast mask holds
+    subset = (*range(1, 24, 3), 30)
+    for temp_distance in DistanceSpec(kind), DistanceSpec(kind, subset):
+        cfg = ReferenceConfig(mode=mode, delta_rule=rule, temp_distance=temp_distance)
+        check_against_loop(history, records, cfg, rescale, rng)
+
+
+def check_against_loop(history, records, cfg, rescale, rng):
     checked = 0
     for forecast_values in 5.0 + 25.0 * rng.random((8, 24)):
         forecast_values[rng.random(24) < 0.5] = np.nan
-        forecast = temp_segment(grid, forecast_values)
+        forecast = temp_segment(history.grid, forecast_values)
         for group in DayGroup:
             try:
                 rows = candidate_set(history, group, cfg)
