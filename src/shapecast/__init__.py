@@ -8,7 +8,6 @@ from .predictor import (
     KernelSpec,
     Prediction,
     PredictorConfig,
-    compute_weights,
     predict_day,
     predict_shape,
     select_bandwidth,
@@ -35,7 +34,6 @@ __all__ = [
     "KernelSpec",
     "Prediction",
     "PredictorConfig",
-    "compute_weights",
     "predict_day",
     "predict_shape",
     "select_bandwidth",

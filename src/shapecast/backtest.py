@@ -1,10 +1,8 @@
 """Rolling one-day-ahead backtests and report serialization.
 
-Each requested date is predicted from strictly prior records only. Archived
-temperature forecasts are not available, so the realized temperatures at the
-comparison mask stand in for the forecast ("perfect-temperature protocol"),
-and the realized daily maximum plays the provided next-day maximum. Scores
-are computed on the megawatt scale.
+Each requested date is predicted and scored by the walk-forward protocol of
+`predictor.walk_forward` (the "perfect-temperature protocol"), with scores on
+the megawatt scale.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
 from .history import HistoryWindow
 from .metrics import DayScore, score_day
-from .predictor import PredictorConfig, config_snapshot, predict_day, stand_in
+from .predictor import PredictorConfig, config_snapshot, predict_day, walk_forward
 
 
 @dataclass
@@ -72,27 +70,24 @@ def backtest(
     methods,
     cfg: PredictorConfig = PredictorConfig(),
 ) -> BacktestReport:
-    """Score every (date, method) pair; prior-only data enters each prediction.
+    """Score every (date, method) pair, each date as `walk_forward` describes.
 
-    Each method's shape is scaled by the day's realized maximum (`stand_in`).
+    Each method's shape is scaled by the day's realized maximum, and a day's
+    methods are scored together in one `score_day` call.
     """
     check_methods(methods)
     scores: list[DayScore] = []
     curves: dict[dt.date, DayCurves] = {}
-    for date in dates:
-        i = history.row(date)
-        forecast, day_max = stand_in(history, i)
-        if not i:
-            raise ShapecastError(f"{date.isoformat()}: no prior history")
-        prior, meta = history.span(0, i), history.meta(i)
+    # map, not a list: a date without a record fails only when the walk reaches it
+    for i, prior, meta, forecast, day_max in walk_forward(history, map(history.row, dates)):
         actual = history.loads[i]
-        day_curves = curves[date] = DayCurves(actual=actual)
-        for method in methods:
-            predicted = METHODS[method](prior, meta, forecast, cfg) * day_max
-            # Python floats: repr of a numpy float would change the report
-            rmae, maxdiff, mindiff = map(float, score_day(predicted, actual))
-            scores.append(DayScore(date, method, rmae, maxdiff, mindiff))
-            day_curves.predicted[method] = predicted
+        predicted = np.array(
+            [METHODS[m](prior, meta, forecast, cfg) for m in methods]
+        ) * day_max
+        curves[meta.date] = DayCurves(actual, dict(zip(methods, predicted)))
+        # Python floats: repr of a numpy float would change the report
+        day_scores = zip(methods, *(s.tolist() for s in score_day(predicted, actual)))
+        scores.extend(DayScore(meta.date, *score) for score in day_scores)
     return BacktestReport(
         scores=scores,
         summary=summarize(scores, list(methods)),

@@ -72,23 +72,6 @@ class Prediction:
     config: PredictorConfig
 
 
-def compute_weights(
-    shapes: np.ndarray,
-    reference: np.ndarray,
-    kernel: KernelSpec,
-    dist: DistanceSpec = DistanceSpec(),
-) -> np.ndarray:
-    """Normalized kernel weights of every history shape against the reference.
-
-    Falls back to a one-hot weight on the nearest shape (with a warning) when
-    a compact kernel at a tiny bandwidth kills all mass.
-    """
-    shapes = np.atleast_2d(np.asarray(shapes, dtype=float))
-    if shapes.shape[0] < 1:
-        raise InsufficientHistoryError("need at least one history segment")
-    return _kernel_weights(distances(shapes, reference, dist), kernel)
-
-
 def _kernel_weights(
     dists: np.ndarray, kernel: KernelSpec, in_group: np.ndarray | None = None
 ) -> np.ndarray:
@@ -184,20 +167,26 @@ def predict_day(
     )
 
 
-def stand_in(history: HistoryWindow, i: int) -> tuple[TemperatureSegment, float]:
-    """(forecast, next-day maximum) for predicting day i: its realized values.
+def walk_forward(history: HistoryWindow, rows):
+    """Yield (i, prior, meta, forecast, day_max) to predict each of `rows` in turn.
 
-    CV and the backtest have no archived forecasts, so the day's realized
-    temperature stands in for the forecast and its realized maximum for the
-    provided next-day maximum.
+    The one-day-ahead protocol of bandwidth CV and the backtest: day i is
+    predicted from the strictly prior days `history.span(0, i)` and scored
+    against its realized load `history.loads[i]`. No forecasts are archived,
+    so the day's realized temperature, all P points of it, stands in for the
+    forecast, and its realized maximum for the provided next-day maximum.
     """
-    if np.isnan(history.temps[i]).all():
-        raise ShapecastError(
-            f"{history.dates[i].isoformat()}: no realized temperature to "
-            "stand in for the forecast"
-        )
-    forecast = TemperatureSegment(history.grid, history.temps[i])
-    return forecast, float(np.max(history.loads[i]))
+    for i in rows:
+        date = history.dates[i].isoformat()
+        if np.isnan(history.temps[i]).all():
+            raise ShapecastError(
+                f"{date}: no realized temperature to stand in for the forecast"
+            )
+        if not i:
+            raise ShapecastError(f"{date}: no prior history")
+        forecast = TemperatureSegment(history.grid, history.temps[i])
+        yield (i, history.span(0, i), history.meta(i), forecast,
+               float(np.max(history.loads[i])))
 
 
 # the bandwidth grid: GRID_POINTS log-spaced multiples, GRID_SPAN apart, of the
@@ -247,12 +236,11 @@ def select_bandwidth(
 
     Each day of the validation window (the trailing `CV_DAYS` days, or
     len - `CV_MIN_TRAIN` days, at least one, on a shorter history) is
-    predicted from strictly prior data with its `stand_in` forecast and
-    maximum; mean relative absolute error decides, ties go to the smaller
-    bandwidth. The reference and its distance row do not depend on the
-    bandwidth, so each validation day computes them once and then scores
-    every bandwidth's prediction in one `score_day` call; the results equal
-    one `predict_day` per (h, day).
+    predicted one day ahead by the `walk_forward` protocol; mean relative
+    absolute error decides, ties go to the smaller bandwidth. The reference
+    and its distance row do not depend on the bandwidth, so each validation
+    day computes them once and then scores every bandwidth's prediction in
+    one `score_day` call; the results equal one `predict_day` per (h, day).
     """
     h_grid = default_bandwidth_grid(history, cfg.shape_distance).tolist()
     validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
@@ -263,11 +251,9 @@ def select_bandwidth(
     kernels = [replace(cfg.kernel, bandwidth=h) for h in h_grid]
     # one contiguous row per bandwidth: a column mean would sum in another order
     errs = np.empty((len(h_grid), validation_days))
-    for k, i in enumerate(range(len(history) - validation_days, len(history))):
-        forecast, next_day_max = stand_in(history, i)
-        _, matrix, dists, in_group = _stage(
-            history.span(0, i), GROUPS[history.group[i]], forecast, cfg
-        )
+    days = walk_forward(history, range(len(history) - validation_days, len(history)))
+    for k, (i, prior, meta, forecast, next_day_max) in enumerate(days):
+        _, matrix, dists, in_group = _stage(prior, meta.group, forecast, cfg)
         shapes = np.empty((len(kernels), history.grid.points_per_day))
         # no comprehension: its frame would move the fallback warning's stacklevel
         for j, kernel in enumerate(kernels):

@@ -21,12 +21,12 @@ from shapecast.predictor import (
     KernelKind,
     KernelSpec,
     PredictorConfig,
-    compute_weights,
+    _kernel_weights,
     predict_day,
     predict_shape,
 )
 from shapecast.reference import DEFAULT_N_L, ReferenceConfig
-from shapecast.segments import TimeGrid
+from shapecast.segments import TimeGrid, distances
 from shapecast.synthetic import SyntheticSpec, consistency_experiment, generate
 from test_predictor import brute_force_ssp, full_mask_forecast
 
@@ -92,7 +92,7 @@ def test_02_weight_simplex_and_convex_hull():
             spec = KernelSpec(kinds[int(rng.integers(3))], 10 ** rng.uniform(-2, 2))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                w = compute_weights(shapes, ref, spec)
+                w = _kernel_weights(distances(shapes, ref), spec)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
             pred = predict_shape(shapes, w)

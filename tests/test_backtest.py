@@ -15,8 +15,9 @@ from shapecast.backtest import (
 )
 from shapecast.errors import ShapecastError
 from shapecast.history import DailyRecord, HistoryWindow
-from shapecast.metrics import DayScore
-from shapecast.predictor import PredictorConfig, select_bandwidth
+from shapecast.metrics import DayScore, score_day
+from shapecast.predictor import KernelSpec, PredictorConfig, select_bandwidth
+from shapecast.segments import TemperatureSegment, TimeGrid
 
 MONDAY = dt.date(2010, 6, 7)
 ALL_METHODS = ["ssp", "persistence", "conditional-kernel"]
@@ -53,7 +54,7 @@ class TestBacktest:
         history = window_of(tuple(recs) + (bare,))
         with pytest.raises(ShapecastError, match="no realized temperature") as in_backtest:
             backtest(history, [bare.meta.date], ["ssp"])
-        # bandwidth CV uses the same stand-in, so it fails with the same error
+        # bandwidth CV walks forward the same way, so it fails with the same error
         # (31 days: a one-day validation window, the bare day)
         with pytest.raises(ShapecastError) as in_cv:
             select_bandwidth(history, PredictorConfig())
@@ -111,6 +112,102 @@ class TestBacktest:
         expected = last_load / last_load.max() * float(np.max(target.load.values))
         curve = report.curves[target.meta.date].predicted["persistence"]
         assert curve.tobytes() == expected.tobytes()
+
+
+class TestErrorOrder:
+    """A day without temperature fails first; an absent date fails when reached."""
+
+    def bare_at(self, grid4, row):
+        history = backtest_history(grid4, days=10)
+        temps = np.array(history.temps)
+        temps[row] = np.nan
+        return make_history(grid4, history.dates[0], history.loads, temps)
+
+    def test_bare_first_day_is_a_temperature_error(self, grid4):
+        history = self.bare_at(grid4, 0)
+        with pytest.raises(ShapecastError) as err:
+            backtest(history, [history.dates[0]], ["persistence"])
+        assert str(err.value) == (
+            f"{history.dates[0].isoformat()}: no realized temperature to stand in "
+            "for the forecast"
+        )
+
+    def test_bare_day_before_absent_date(self, grid4):
+        history = self.bare_at(grid4, 5)
+        absent = history.dates[-1] + dt.timedelta(days=30)
+        with pytest.raises(ShapecastError, match="no realized temperature") as err:
+            backtest(history, [history.dates[5], absent], ["persistence"])
+        assert history.dates[5].isoformat() in str(err.value)
+
+    def test_absent_date_before_bare_day(self, grid4):
+        history = self.bare_at(grid4, 5)
+        absent = history.dates[-1] + dt.timedelta(days=30)
+        with pytest.raises(ShapecastError) as err:
+            backtest(history, [absent, history.dates[5]], ["persistence"])
+        assert str(err.value) == f"no record for {absent.isoformat()}"
+
+    def test_methods_predict_before_the_day_is_scored(self, grid4):
+        history = backtest_history(grid4)
+        loads = np.array(history.loads)
+        loads[30] = 0.0  # no shape for this day: ssp fails on every later prior
+        loads[38, 1] = 0.0  # and day 38 cannot be scored
+        spoiled = make_history(grid4, history.dates[0], loads, history.temps)
+        target = [history.dates[38]]
+        with pytest.raises(ShapecastError, match="actual values must be strictly positive"):
+            backtest(spoiled, target, ["persistence"])
+        # a failing method comes first, wherever it stands in the list
+        for methods in (["persistence", "ssp"], ["ssp", "persistence"]):
+            with pytest.raises(ShapecastError, match="nonpositive maximum"):
+                backtest(spoiled, target, methods)
+
+
+def seed_backtest(history, dates, methods, cfg):
+    """Reference backtest: one `METHODS` call and one `score_day` per (date, method)."""
+    scores, curves = [], {}
+    for date in dates:
+        i = history.row(date)
+        prior, meta, actual = history.before(date), history.meta(i), history.loads[i]
+        forecast = TemperatureSegment(history.grid, history.temps[i])
+        day_max = float(np.max(actual))
+        curves[date] = {}
+        for method in methods:
+            predicted = METHODS[method](prior, meta, forecast, cfg) * day_max
+            rmae, maxdiff, mindiff = map(float, score_day(predicted, actual))
+            scores.append(DayScore(date, method, rmae, maxdiff, mindiff))
+            curves[date][method] = predicted
+    return scores, curves
+
+
+BACKTEST_CONFIGS = {
+    "default": PredictorConfig(kernel=KernelSpec(bandwidth=0.3)),
+    "same-group-only": PredictorConfig(kernel=KernelSpec(bandwidth=0.3),
+                                       same_group_only=True),
+    # megawatt distances: a bandwidth on their scale
+    "no-rescale": PredictorConfig(kernel=KernelSpec(bandwidth=300.0), rescale=False),
+}
+
+
+class TestBacktestOracle:
+    """Scoring a day's methods together equals scoring each pair alone, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BACKTEST_CONFIGS))
+    @pytest.mark.parametrize("points", [4, 96])
+    def test_equals_per_pair_scoring(self, name, points):
+        cfg = BACKTEST_CONFIGS[name]
+        grid = TimeGrid.equidistant(points)
+        history = backtest_history(grid, days=40, seed=points)
+        dates = history.dates[-8:]
+        expected_scores, expected_curves = seed_backtest(history, dates, ALL_METHODS, cfg)
+        report = backtest(history, dates, ALL_METHODS, cfg)
+        assert report.scores == expected_scores
+        assert all(type(v) is float for s in report.scores
+                   for v in (s.rmae, s.maxdiff, s.mindiff))
+        assert list(report.curves) == list(dates)
+        for date, day in report.curves.items():
+            assert day.actual.tobytes() == history.loads[history.row(date)].tobytes()
+            assert list(day.predicted) == ALL_METHODS
+            for method, curve in day.predicted.items():
+                assert curve.tobytes() == expected_curves[date][method].tobytes()
 
 
 def never_built(window):

@@ -14,7 +14,7 @@ from shapecast.predictor import (
     KernelKind,
     KernelSpec,
     PredictorConfig,
-    compute_weights,
+    _kernel_weights,
     default_bandwidth_grid,
     kernel_value,
     predict_day,
@@ -23,27 +23,36 @@ from shapecast.predictor import (
     select_bandwidth,
 )
 from shapecast.reference import DeltaRule, ReferenceConfig
-from shapecast.segments import DistanceSpec, TemperatureSegment, TimeGrid, distance
+from shapecast.segments import (
+    DistanceSpec,
+    TemperatureSegment,
+    TimeGrid,
+    distance,
+    distances,
+)
 
 MONDAY = dt.date(2010, 6, 7)
 
 
 class TestComputeWeights:
+    """Kernel weights of history shapes: `_kernel_weights` over their `distances`."""
+
     def test_singleton_normalizes_to_one(self):
-        w = compute_weights(np.array([[0.5, 1.0]]), np.array([0.1, 0.9]), KernelSpec())
+        dists = distances(np.array([[0.5, 1.0]]), np.array([0.1, 0.9]))
+        w = _kernel_weights(dists, KernelSpec())
         np.testing.assert_array_equal(w, [1.0])
 
     def test_equidistant_split_evenly(self):
         shapes = np.array([[1.0, 0.0], [0.0, 1.0]])
         ref = np.array([0.5, 0.5])
-        w = compute_weights(shapes, ref, KernelSpec())
+        w = _kernel_weights(distances(shapes, ref), KernelSpec())
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_gaussian_unit_bandwidth_fixture(self):
         # standard normal density at distances 0 and 1, normalized
         shapes = np.array([[0.0, 0.0], [1.0, 0.0]])
         ref = np.array([0.0, 0.0])
-        w = compute_weights(shapes, ref, KernelSpec(KernelKind.GAUSSIAN, 1.0))
+        w = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 1.0))
         np.testing.assert_allclose(w, [0.62246, 0.37754], atol=1e-5)
 
     def test_simplex(self):
@@ -57,7 +66,7 @@ class TestComputeWeights:
             kind = list(KernelKind)[int(rng.integers(3))]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                w = compute_weights(shapes, ref, KernelSpec(kind, h))
+                w = _kernel_weights(distances(shapes, ref), KernelSpec(kind, h))
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -65,8 +74,8 @@ class TestComputeWeights:
         shapes = np.array([[0.0, 0.0], [1.0, 1.0]])
         ref = np.array([0.4, 0.4])
         with pytest.warns(UserWarning, match="no segment within bandwidth"):
-            w = compute_weights(
-                shapes, ref, KernelSpec(KernelKind.EPANECHNIKOV, 1e-9)
+            w = _kernel_weights(
+                distances(shapes, ref), KernelSpec(KernelKind.EPANECHNIKOV, 1e-9)
             )
         np.testing.assert_array_equal(w, [1.0, 0.0])
 
@@ -74,7 +83,7 @@ class TestComputeWeights:
         rng = np.random.default_rng(7)
         shapes = rng.random((10, 8))
         ref = rng.random(8)
-        w = compute_weights(shapes, ref, KernelSpec(KernelKind.GAUSSIAN, 1e9))
+        w = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 1e9))
         assert np.max(np.abs(w - 0.1)) < 1e-6
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
@@ -89,7 +98,9 @@ class TestComputeWeights:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            w = compute_weights(shapes, ref, KernelSpec(KernelKind.GAUSSIAN, 1e-3))
+            w = _kernel_weights(
+                distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 1e-3)
+            )
         assert w[1] > 1.0 - 1e-12
 
     def test_scale_equivariance(self):
@@ -97,13 +108,11 @@ class TestComputeWeights:
         shapes = rng.random((5, 6))
         ref = rng.random(6)
         c = 7.5
-        w1 = compute_weights(shapes, ref, KernelSpec(KernelKind.GAUSSIAN, 0.3))
-        w2 = compute_weights(c * shapes, c * ref, KernelSpec(KernelKind.GAUSSIAN, c * 0.3))
+        w1 = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 0.3))
+        w2 = _kernel_weights(
+            distances(c * shapes, c * ref), KernelSpec(KernelKind.GAUSSIAN, c * 0.3)
+        )
         np.testing.assert_allclose(w1, w2, atol=1e-12)
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(InsufficientHistoryError):
-            compute_weights(np.empty((0, 3)), np.zeros(3), KernelSpec())
 
 
 class TestPredictShape:
@@ -145,8 +154,10 @@ class TestPredictShape:
         shapes = rng.random((6, 5))
         ref = rng.random(5)
         perm = rng.permutation(6)
-        w = compute_weights(shapes, ref, KernelSpec(KernelKind.GAUSSIAN, 0.5))
-        w_perm = compute_weights(shapes[perm], ref, KernelSpec(KernelKind.GAUSSIAN, 0.5))
+        w = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 0.5))
+        w_perm = _kernel_weights(
+            distances(shapes[perm], ref), KernelSpec(KernelKind.GAUSSIAN, 0.5)
+        )
         np.testing.assert_allclose(w[perm], w_perm, atol=1e-15)
         np.testing.assert_allclose(
             predict_shape(shapes, w), predict_shape(shapes[perm], w_perm), atol=1e-12
@@ -341,10 +352,15 @@ class TestSelectBandwidth:
     @pytest.mark.parametrize("days, window", [(61, 30), (60, 29), (46, 15), (32, 1),
                                               (3, 1)])
     def test_validation_window(self, grid4, monkeypatch, days, window):
-        # one stand-in per validation day
-        calls, real = [], predictor.stand_in
-        monkeypatch.setattr(predictor, "stand_in",
-                            lambda history, i: calls.append(i) or real(history, i))
+        # one walk-forward step per validation day
+        calls, real = [], predictor.walk_forward
+
+        def spy(history, rows):
+            for step in real(history, rows):
+                calls.append(step[0])
+                yield step
+
+        monkeypatch.setattr(predictor, "walk_forward", spy)
         # from a Sunday, so that even the 3-day history's last day, a Tuesday,
         # has a same-group day before it
         history = random_history(grid4, np.random.default_rng(days), days,
@@ -505,7 +521,7 @@ def test_weight_simplex_property(seed):
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        w = compute_weights(shapes, ref, KernelSpec(kind, h))
+        w = _kernel_weights(distances(shapes, ref), KernelSpec(kind, h))
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
     pred = predict_shape(shapes, w)
