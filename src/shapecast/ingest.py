@@ -1,9 +1,10 @@
 """Raw file parsing and daily segmentation with an explicit gap policy.
 
-Load and temperature readings arrive as flat (timestamp, value) CSVs. Each
-file is parsed into three columns, day ordinal, minute of day and value,
-with no Python object per reading: numpy reads the canonical stamps and the
-values, and only other stamps and bad rows are read one at a time.
+Load and temperature readings arrive as flat (timestamp, value) CSVs, parsed
+into day ordinal, minute of day and value columns. `csv.reader` reads a file
+with a quote, CR or NUL; any other is read from its UTF-8 bytes, where numpy
+reads the canonical stamps, with no string per line or per stamp, and the
+values from one decoded text. Other stamps and bad rows are read one by one.
 `segmentize` sorts the readings by day and minute once. A day read at exactly
 the grid minutes is one row as read; every other day is laid onto the grid,
 where short gaps are linearly interpolated and the day marked gap-filled,
@@ -19,7 +20,6 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -56,42 +56,29 @@ class GapReport:
         return lines
 
 
-def _rows(text: str, header: list[str], name: str = "file"):
-    """(line numbers, columns, error) of the data rows of CSV `text`.
-
-    Blank lines are skipped; every other row must have one field per header
-    column. The rows end before the first that does not, and `error` is what
-    reading it raised, or None: the caller raises it after the rows before
-    it, so that errors come in line order. The body is split at newlines and
-    commas; text that `csv.reader` would read otherwise (a quote, a CR or
-    NUL, an overlong field, a row of another width) is left to `csv.reader`.
-    """
-    if not text:
-        raise IngestError(f"empty {name}, expected a header row")
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))  # csv's line breaks; splitlines() has more
-    lines, width = text.split("\n"), len(header)
-    commas = np.bincount(np.searchsorted(ends, np.flatnonzero(raw == ord(","))),
-                         minlength=len(lines))
-    keep = commas == width - 1
-    keep[0] = False
-    split = not ('"' in text or "\r" in text or "\0" in text
-                 or np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit()
-                 or any(commas[i] or lines[i].strip() for i in np.flatnonzero(~keep[1:]) + 1))
-    if split:
-        head = lines[0].split(",") if lines[0] else []
-    else:
-        reader = csv.reader(io.StringIO(text))
-        head = next(reader)
+def _header(head: list[str], header: list[str]) -> None:
     found = [h.strip() for h in head]
     if found != header:
         raise IngestError(f"bad header {found!r}, expected {header}")
-    if split:
-        fields = ",".join(compress(lines, keep.tolist())).split(",") if keep.any() else []
-        return np.flatnonzero(keep) + 1, [fields[k::width] for k in range(width)], None
-    linenos, rows, error = [], [], None
+
+
+def _rows(text: str, header: list[str], name: str = "file"):
+    """(line numbers, columns, error) of the data rows of CSV `text`, by `csv.reader`.
+
+    Blank lines are skipped, and a row is numbered by the line it starts on.
+    Every other row must have one field per header column; the rows end before
+    the first that does not, and `error` is what reading it raised, or None.
+    The caller raises it after the rows before it: errors come in line order.
+    """
+    if not text:
+        raise IngestError(f"empty {name}, expected a header row")
+    reader = csv.reader(io.StringIO(text))
+    _header(next(reader), header)
+    linenos, rows, error, width = [], [], None, len(header)
     try:
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != width:
@@ -102,6 +89,36 @@ def _rows(text: str, header: list[str], name: str = "file"):
     except csv.Error as exc:
         error = exc
     return linenos, [list(col) for col in zip(*rows)] or [[] for _ in header], error
+
+
+def _utf8(raw: np.ndarray, start: int = 0, stop: int | None = None) -> str:
+    return str(raw[start:stop], "utf-8", "surrogatepass")
+
+
+def _plain_rows(text: str, header: list[str]):
+    """(bytes, line numbers, line starts, commas, values) of two-column CSV `text`.
+
+    Positions index its UTF-8 bytes; `values` is the second fields, a line
+    each. Blank lines are skipped. None where `csv.reader` may read otherwise:
+    a quote, a CR or NUL, an overlong field, a line neither blank nor 2 fields.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))  # csv's line breaks; splitlines() has more
+    commas = np.flatnonzero(raw == ord(","))
+    starts, stops = np.append(0, ends + 1), np.append(ends, len(raw))
+    count = np.bincount(np.searchsorted(ends, commas), minlength=len(starts))
+    if ((stops - starts).max() >= csv.field_size_limit()
+            or any(count[k] or _utf8(raw, starts[k], stops[k]).strip()
+                   for k in np.flatnonzero(count[1:] != 1) + 1)):
+        return None
+    _header(_utf8(raw, 0, stops[0]).split(",") if stops[0] else [], header)
+    rows, commas = np.flatnonzero(count[1:] == 1) + 1, commas[count[0]:]
+    field = np.zeros(len(raw) + 2, bool)  # flips on where a value starts, off past its line
+    field[commas + 1] = field[stops[rows] + 1] = True
+    field = np.logical_xor.accumulate(field, out=field)[:len(raw)]
+    return raw, rows + 1, starts[rows], commas, _utf8(raw[field])
 
 
 def _reading(text: str, lineno: int, what: str, limit: float = math.inf,
@@ -148,36 +165,47 @@ _TEMPLATE = np.frombuffer(b"0000-00-00T00:00", np.uint8)
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
-def _stamps(col: list[str]):
+def _stamps(raw: np.ndarray, at: np.ndarray, rows: np.ndarray, n: int):
     """Day ordinals and minutes of day where numpy reads the stamp, day 0 elsewhere.
 
+    Row `rows[k]`, of `n`, has the 16 bytes of `raw` from `at[k]` as its stamp.
     numpy parses `YYYY-MM-DDTHH:MM`, or a space for the T; every other stamp
     is left to `datetime.fromisoformat`, whose accepted set depends on the
     Python version, and so is every canonical one if numpy refuses one.
     """
-    n = len(col)
     days, minutes = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    short = np.fromiter(map(len, col), int, n) == 16
-    chars = "".join(col if short.all() else compress(col, short.tolist()))
-    b = np.frombuffer(chars.encode("latin-1", "replace"), "S16")
-    u = b.view(np.uint8).reshape(-1, 16)
-    # in uint8, a byte below "0" wraps past 9
-    match = np.where(_TEMPLATE == ord("0"), u - _TEMPLATE <= 9, u == _TEMPLATE)
+    # the 16 bytes from every offset of `raw`, as overlapping strings: one gather
+    block = np.ndarray(max(len(raw) - 15, 0), "S16", raw, strides=(1,))[at]
+    u = block.view(np.uint8).reshape(-1, 16)
+    # a digit where the template has 0 (in uint8 a byte below "0" wraps past 9), else its byte
+    match = u - _TEMPLATE <= (_TEMPLATE == ord("0")) * np.uint8(9)
     match[:, 10] |= u[:, 10] == ord(" ")
     ok = match.all(axis=1)
     try:
-        stamps = b[ok].astype("M8[m]").astype(np.int64)
+        stamps = block[ok].astype("M8[m]").astype(np.int64)
     except ValueError:  # an impossible date or time
         return days, minutes
-    rows = np.flatnonzero(short)[ok]
+    rows = rows[ok]
     days[rows], minutes[rows] = stamps // 1440 + _EPOCH, stamps % 1440
     return days, minutes
 
 
 def _parse_timeseries_csv(text: str, value_column: str, limit: float = math.inf,
                           signed: bool = True) -> Readings:
-    linenos, (stamps, texts), error = _rows(text, ["timestamp", value_column])
-    days, minutes = _stamps(stamps)
+    header, error = ["timestamp", value_column], None
+    plain = _plain_rows(text, header) if text else None
+    if plain is None:
+        linenos, (stamps, texts), error = _rows(text, header)
+        short = np.flatnonzero(np.fromiter(map(len, stamps), int, len(stamps)) == 16)
+        chars = "".join(map(stamps.__getitem__, short.tolist())).encode("latin-1", "replace")
+        days, minutes = _stamps(np.frombuffer(chars, np.uint8), 16 * np.arange(len(short)),
+                                short, len(texts))
+    else:
+        raw, linenos, starts, commas, texts = plain
+        short = np.flatnonzero(commas - starts == 16)
+        days, minutes = _stamps(raw, starts[short], short, len(linenos))
+        texts = texts.split("\n")
+        del texts[len(linenos):]  # the empty text after a last newline
     try:
         values = np.array(texts, dtype=float)
     except ValueError:  # then every row is read one by one below
@@ -189,10 +217,11 @@ def _parse_timeseries_csv(text: str, value_column: str, limit: float = math.inf,
     exact = {}
     # rows numpy did not read or that fail a check, in file order: the first bad one raises
     for i in np.flatnonzero(~ok).tolist():
+        stamp = stamps[i] if plain is None else _utf8(raw, starts[i], commas[i])
         try:
-            ts = exact[i] = dt.datetime.fromisoformat(stamps[i].strip())
+            ts = exact[i] = dt.datetime.fromisoformat(stamp.strip())
         except ValueError:
-            raise IngestError(f"line {linenos[i]}: bad timestamp {stamps[i]!r}") from None
+            raise IngestError(f"line {linenos[i]}: bad timestamp {stamp!r}") from None
         days[i], minutes[i] = ts.toordinal(), ts.hour * 60 + ts.minute
         values[i] = _reading(texts[i], linenos[i], value_column, limit, signed)
     if error is not None:

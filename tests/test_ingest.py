@@ -1,8 +1,10 @@
 import csv
 import datetime as dt
 import io
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +66,20 @@ class TestParseLoadFile:
     def test_bad_header(self):
         with pytest.raises(IngestError, match="header"):
             parse_load_file("time,load\n")
+
+    def test_peak_memory_within_seven_times_the_text(self):
+        # a year of 96 readings a day, as a meter writes them: no string per line or stamp
+        grid, rng = TimeGrid.equidistant(96), np.random.default_rng(0)
+        text = csv_text([row for d in range(365) for row in day_rows(
+            dt.date(2010, 1, 1) + dt.timedelta(days=d),
+            map(repr, rng.uniform(400, 1600, 96).tolist()), grid)])
+        tracemalloc.start()
+        try:
+            parse_load_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * len(text)
 
     def test_empty_file(self):
         with pytest.raises(IngestError):
@@ -332,6 +348,11 @@ class TestParserRows:
          "line 3: expected 2 columns, got 1"),
         ("forecast", "date,t0800,t1200,t1600,t2000\n2010-06-09,24,29,30\n",
          "line 2: expected 5 columns, got 4"),
+        # a quoted field that holds a newline: a row is named by the line it starts on
+        ("load", 'timestamp,load_mw\n"2010-06-07T00:00\n",1\nnoon,1\n',
+         "line 4: bad timestamp 'noon'"),
+        ("forecast", 'date,t0800,t1200,t1600,t2000\n"2010-06-09\n",24,29,30,26\nnoon,1,2,3,4\n',
+         "line 4: bad date 'noon'"),
     ])
     def test_error_messages(self, kind, text, message):
         parse = self.PARSERS[kind][0]
@@ -629,7 +650,9 @@ def oracle_rows(text, header, name="file"):
         raise IngestError(f"empty {name}, expected a header row") from None
     if found != header:
         raise IngestError(f"bad header {found!r}, expected {header}")
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -733,14 +756,24 @@ def body(rows, trailing_newline):
     return "\n".join(rows) + ("\n" if trailing_newline else "")
 
 
+# three days of plain rows, as a meter writes them: 16-byte stamps, one comma a line
+LONG_BODY = [row for d in range(3)
+             for row in day_rows(dt.date(2010, 6, 5) + dt.timedelta(days=d),
+                                 [repr(0.5 + d + k / 7) for k in range(96)],
+                                 TimeGrid.equidistant(96))]
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.lists(rows, max_size=8), st.booleans())
-def test_parsers_match_the_per_row_oracle(lines, trailing_newline):
-    for parse, column, limit, signed in [
+@given(st.lists(rows, max_size=8), st.booleans(), st.integers(2, 3), st.integers(0, 3 * 96))
+def test_parsers_match_the_per_row_oracle(lines, trailing_newline, days, at):
+    # the drawn rows alone, and spliced into a long canonical body
+    at = min(at, days * 96)
+    long = LONG_BODY[:at] + lines + LONG_BODY[at:days * 96]
+    for (parse, column, limit, signed), file_rows in itertools.product([
         (parse_load_file, "load_mw", math.inf, False),
         (parse_temperature_history, "temp_c", TEMPERATURE_LIMIT_C, True),
-    ]:
-        text = f"timestamp,{column}\n" + body(lines, trailing_newline)
+    ], [lines, long]):
+        text = f"timestamp,{column}\n" + body(file_rows, trailing_newline)
         want, want_error = outcome(lambda: oracle_parse(text, column, limit, signed))
         got, got_error = outcome(lambda: parse(text))
         assert got_error == want_error
