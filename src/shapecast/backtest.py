@@ -42,13 +42,13 @@ class BacktestReport:
 # target's shape; it never sees the target's load.
 METHODS = {
     "ssp": lambda prior, meta, forecast, cfg: (
-        predict_day(prior, meta, forecast, cfg=cfg).shape.values
+        predict_day(prior, meta, forecast, cfg=cfg).shape
     ),
     "persistence": lambda prior, meta, forecast, cfg: (
-        predict_persistence(prior, meta.group).values
+        predict_persistence(prior, meta.group)
     ),
     "conditional-kernel": lambda prior, meta, forecast, cfg: (
-        predict_conditional_kernel(prior, cfg.kernel, cfg.shape_distance).values
+        predict_conditional_kernel(prior, cfg.kernel, cfg.shape_distance)
     ),
 }
 # the methods that read the kernel bandwidth, so only they need it selected

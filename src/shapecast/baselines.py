@@ -13,15 +13,15 @@ from .calendars import GROUPS, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError
 from .history import HistoryWindow
 from .predictor import KernelSpec, _kernel_weights
-from .segments import DistanceSpec, LoadSegment, distances
+from .segments import DistanceSpec, distances, read_only
 
 
-def predict_persistence(history: HistoryWindow, target_group: DayGroup) -> LoadSegment:
+def predict_persistence(history: HistoryWindow, target_group: DayGroup) -> np.ndarray:
     """Shape of the most recent day in the target group."""
     rows = np.flatnonzero(history.group == GROUPS.index(target_group))
     if not len(rows):
         raise EmptyCandidateError(f"no {target_group.value} day in history")
-    return LoadSegment(history.grid, history.shape(rows[-1]))
+    return read_only(history.shape(rows[-1]))
 
 
 def conditional_kernel_weights(
@@ -43,8 +43,8 @@ def predict_conditional_kernel(
     history: HistoryWindow,
     kernel: KernelSpec,
     dist: DistanceSpec = DistanceSpec(),
-) -> LoadSegment:
+) -> np.ndarray:
     """Weighted average of successors of days similar to the last observed day."""
     shapes = history.shapes
     weights = conditional_kernel_weights(shapes, kernel, dist)
-    return LoadSegment(history.grid, weights @ shapes)
+    return read_only(weights @ shapes)

@@ -23,7 +23,7 @@ from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastErro
 from .history import HistoryWindow
 from .metrics import score_day
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
-from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
+from .segments import DistanceSpec, TemperatureSegment, TimeGrid, distances, read_only
 
 
 class KernelKind(str, Enum):
@@ -65,8 +65,9 @@ class PredictorConfig:
 @dataclass(frozen=True)
 class Prediction:
     target_date: dt.date
-    shape: LoadSegment
-    scaled: LoadSegment | None
+    grid: TimeGrid
+    shape: np.ndarray  # shape form
+    scaled: np.ndarray | None  # megawatts, given a next-day maximum
     weights: np.ndarray
     reference: ReferenceResult
     config: PredictorConfig
@@ -133,7 +134,7 @@ def _stage(
         history, candidates, temp_forecast, cfg.reference, rescale=cfg.rescale
     )
     matrix = history.shapes if cfg.rescale else history.loads
-    dists = distances(matrix, reference.reference.values, cfg.shape_distance)
+    dists = distances(matrix, reference.reference, cfg.shape_distance)
     in_group = history.group == GROUPS.index(group) if cfg.same_group_only else None
     return reference, matrix, dists, in_group
 
@@ -146,21 +147,18 @@ def predict_day(
     cfg: PredictorConfig = PredictorConfig(),
 ) -> Prediction:
     """Full pipeline: candidates -> reference -> weights -> shape (-> megawatts)."""
+    if next_day_max is not None and not 0 < next_day_max < np.inf:
+        raise ShapecastError("next_day_max must be positive and finite")
     reference, matrix, dists, in_group = _stage(
         history, target.group, temp_forecast, cfg
     )
     weights = _kernel_weights(dists, cfg.kernel, in_group)
-    shape_values = predict_shape(matrix, weights)
-    shape_seg = LoadSegment(history.grid, shape_values)
-    scaled = None
-    if next_day_max is not None:
-        if next_day_max <= 0:
-            raise ShapecastError("next_day_max must be positive")
-        scaled = LoadSegment(history.grid, shape_values * next_day_max)
+    shape = read_only(predict_shape(matrix, weights))
     return Prediction(
         target_date=target.date,
-        shape=shape_seg,
-        scaled=scaled,
+        grid=history.grid,
+        shape=shape,
+        scaled=None if next_day_max is None else read_only(shape * next_day_max),
         weights=weights,
         reference=reference,
         config=cfg,
@@ -267,9 +265,9 @@ def select_bandwidth(
 def prediction_to_dict(pred: Prediction, include_weights: bool = False) -> dict:
     d = {
         "date": pred.target_date.isoformat(),
-        "grid": list(pred.shape.grid.labels),
-        "shape": [float(v) for v in pred.shape.values],
-        "scaled": [float(v) for v in pred.scaled.values] if pred.scaled else None,
+        "grid": list(pred.grid.labels),
+        "shape": [float(v) for v in pred.shape],
+        "scaled": None if pred.scaled is None else [float(v) for v in pred.scaled],
         "reference_dates": [day.isoformat() for day in pred.reference.c_star],
         "config": config_snapshot(pred.config),
     }

@@ -20,7 +20,7 @@ import numpy as np
 from .calendars import GROUPS, DayGroup
 from .errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
 from .history import HistoryWindow
-from .segments import DistanceSpec, LoadSegment, TemperatureSegment, distances
+from .segments import DistanceSpec, TemperatureSegment, _subset_index, distances, read_only
 
 
 class ReferenceMode(str, Enum):
@@ -81,7 +81,7 @@ class ReferenceConfig:
 
 @dataclass(frozen=True)
 class ReferenceResult:
-    reference: LoadSegment  # shape form
+    reference: np.ndarray  # shape form, or megawatts without rescaling
     c_star: tuple[dt.date, ...]
     temp_distances: dict[dt.date, float]
     delta: float
@@ -126,8 +126,9 @@ def select_reference(
         raise EmptyCandidateError("no candidates to select a reference from")
     # compare on the forecast's observed points, within the configured subset
     points = np.flatnonzero(~np.isnan(temp_forecast.values))
-    if cfg.temp_distance.point_subset is not None:
-        points = np.intersect1d(points, cfg.temp_distance.point_subset)
+    subset = _subset_index(cfg.temp_distance, history.grid.points_per_day)
+    if subset is not None:
+        points = np.intersect1d(points, subset)
         if not len(points):
             raise ShapecastError("forecast mask and configured subset are disjoint")
 
@@ -163,7 +164,7 @@ def select_reference(
     chosen = usable[dists <= delta]
     matrix = history.shapes if rescale else history.loads
     return ReferenceResult(
-        reference=LoadSegment(history.grid, matrix[chosen].mean(axis=0)),
+        reference=read_only(matrix[chosen].mean(axis=0)),
         c_star=tuple(history.dates[i] for i in chosen),
         temp_distances={history.dates[i]: d for i, d in zip(usable, dists.tolist())},
         delta=delta,

@@ -1,8 +1,11 @@
 """Fixed-grid daily segments and the distances between them.
 
-Every curve in the package is a vector sampled on a fixed intra-day grid of P
-equidistant clock times. A load segment can be held either in raw megawatts or
-in "shape form", i.e. divided by its daily maximum so values lie in (0, 1].
+Every curve in the package is a float vector sampled on a fixed intra-day grid
+of P equidistant clock times: a load in raw megawatts or in "shape form", i.e.
+divided by its daily maximum so values lie in (0, 1]. Predictions, references
+and baselines are fresh `read_only` arrays. A temperature forecast is a
+`TemperatureSegment`, checked on entry; `LoadSegment` is only the type of the
+history's record view.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def _as_vector(values, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LoadSegment:
-    """One day's load on a grid, in megawatts or in shape form."""
+    """One day's load on a grid, in megawatts, as the history's record view holds it."""
 
     grid: TimeGrid
     values: np.ndarray

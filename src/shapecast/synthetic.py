@@ -176,8 +176,7 @@ def consistency_experiment(
                 pred = predict_day(window.span(T - L, T), window.meta(T), forecast, cfg=cfg)
             except EmptyCandidateError as exc:
                 raise ShapecastError(f"L={L}: {exc}") from None
-            predicted = pred.shape.values
-            ref_values = pred.reference.reference.values
+            predicted, ref_values = pred.shape, pred.reference.reference
             rows.append(
                 ExperimentRow(
                     L=L,

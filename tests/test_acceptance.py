@@ -11,11 +11,12 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from conftest import random_history, window_of
+from conftest import random_history
 from shapecast.backtest import backtest
 from shapecast.calendars import DayGroup, annotate_calendar
 from shapecast.cli import main
 from shapecast.errors import EmptyCandidateError
+from shapecast.history import HistoryWindow
 from shapecast.metrics import score_day
 from shapecast.predictor import (
     KernelKind,
@@ -26,7 +27,7 @@ from shapecast.predictor import (
     predict_shape,
 )
 from shapecast.reference import DEFAULT_N_L, ReferenceConfig
-from shapecast.segments import TimeGrid, distances
+from shapecast.segments import TemperatureSegment, TimeGrid, distances
 from shapecast.synthetic import SyntheticSpec, consistency_experiment, generate
 from test_predictor import brute_force_ssp, full_mask_forecast
 
@@ -55,9 +56,7 @@ def test_01_oracle_equivalence():
             grid = TimeGrid.equidistant(P)
             start = dt.date(2010, 3, 1) + dt.timedelta(days=int(rng.integers(7)))
             history = random_history(grid, rng, L, start=start)
-            target = annotate_calendar(
-                history.records[-1].meta.date + dt.timedelta(days=1)
-            )
+            target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
             forecast_values = 5.0 + 30.0 * rng.random(P)
             h = float(10 ** rng.uniform(-1, 0.5))
             cfg = PredictorConfig(kernel=KernelSpec(KernelKind.GAUSSIAN, h))
@@ -69,10 +68,10 @@ def test_01_oracle_equivalence():
             except EmptyCandidateError:
                 continue  # short history without the target's group; redraw
             expected = brute_force_ssp(
-                list(history.records), target.group, list(forecast_values),
+                history, target.group, list(forecast_values),
                 list(range(P)), DEFAULT_N_L[target.group], "gaussian", h,
             )
-            np.testing.assert_allclose(pred.shape.values, expected, atol=1e-12)
+            np.testing.assert_allclose(pred.shape, expected, atol=1e-12)
             checked += 1
 
 
@@ -117,11 +116,14 @@ def test_03_noiseless_exact_recovery():
                 profile_mode="cycle", seed=(0, rep),
             )
             window, clean = generate(spec)
-            history = window_of(window.records[:L])
+            history = HistoryWindow(
+                grid, window.dates[:L], window.loads[:L], window.temps[:L],
+                window.is_holiday[:L], window.quality[:L],
+            )
             truth = clean[L]
-            target = window.records[L]
-            pred = predict_day(history, target.meta, target.temperature, cfg=cfg)
-            rmae = float(np.mean(np.abs(pred.shape.values - truth) / truth))
+            forecast = TemperatureSegment(grid, window.temps[L])
+            pred = predict_day(history, window.meta(L), forecast, cfg=cfg)
+            rmae = float(np.mean(np.abs(pred.shape - truth) / truth))
             assert rmae <= 1e-10
 
 
@@ -171,7 +173,7 @@ def test_06_beats_baselines():
         for rep in range(reps):
             spec = SyntheticSpec(grid, L, noise_sigma=0.03, seed=(1, rep))
             window, _ = generate(spec)
-            pool = [r.meta.date for r in window.records[100:]]
+            pool = list(window.dates[100:])
             picker = np.random.default_rng(rep)
             dates = sorted(
                 pool[i] for i in picker.choice(len(pool), size=30, replace=False)

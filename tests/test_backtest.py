@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_history, make_record, random_history, window_of
+from conftest import make_history, random_history
 from shapecast.backtest import (
     METHODS,
     backtest,
@@ -14,7 +14,7 @@ from shapecast.backtest import (
     summarize,
 )
 from shapecast.errors import ShapecastError
-from shapecast.history import DailyRecord, HistoryWindow
+from shapecast.history import HistoryWindow
 from shapecast.metrics import DayScore, score_day
 from shapecast.predictor import KernelSpec, PredictorConfig, select_bandwidth
 from shapecast.segments import TemperatureSegment, TimeGrid
@@ -30,7 +30,7 @@ def backtest_history(grid, days=40, seed=13):
 class TestBacktest:
     def test_every_pair_scored(self, grid4):
         history = backtest_history(grid4)
-        dates = [r.meta.date for r in history.records[-5:]]
+        dates = list(history.dates[-5:])
         report = backtest(history, dates, ALL_METHODS)
         assert len(report.scores) == 5 * 3
         assert {s.method for s in report.scores} == set(ALL_METHODS)
@@ -39,51 +39,47 @@ class TestBacktest:
     def test_unknown_method_rejected(self, grid4):
         history = backtest_history(grid4)
         with pytest.raises(ShapecastError, match="unknown methods"):
-            backtest(history, [history.records[-1].meta.date], ["oracle"])
+            backtest(history, [history.dates[-1]], ["oracle"])
 
     def test_date_without_prior_history(self, grid4):
         history = backtest_history(grid4)
         with pytest.raises(ShapecastError, match="no prior history"):
-            backtest(history, [history.records[0].meta.date], ["persistence"])
+            backtest(history, [history.dates[0]], ["persistence"])
 
     def test_missing_temperature_rejected(self, grid4):
-        recs = list(backtest_history(grid4, days=30).records)
-        bare = make_record(
-            grid4, recs[-1].meta.date + dt.timedelta(days=1), [1.0, 2.0, 3.0, 2.0]
-        )
-        history = window_of(tuple(recs) + (bare,))
+        days = backtest_history(grid4, days=30)
+        bare = days.dates[-1] + dt.timedelta(days=1)
+        history = make_history(grid4, days.dates[0],
+                               np.vstack([days.loads, [[1.0, 2.0, 3.0, 2.0]]]),
+                               np.vstack([days.temps, np.full((1, 4), np.nan)]))
         with pytest.raises(ShapecastError, match="no realized temperature") as in_backtest:
-            backtest(history, [bare.meta.date], ["ssp"])
+            backtest(history, [bare], ["ssp"])
         # bandwidth CV walks forward the same way, so it fails with the same error
         # (31 days: a one-day validation window, the bare day)
         with pytest.raises(ShapecastError) as in_cv:
             select_bandwidth(history, PredictorConfig())
         assert str(in_backtest.value) == str(in_cv.value) == (
-            f"{bare.meta.date.isoformat()}: no realized temperature to stand in "
+            f"{bare.isoformat()}: no realized temperature to stand in "
             "for the forecast"
         )
 
     def test_no_lookahead(self, grid4):
         # replacing every record after the target day must not move the scores
         history = backtest_history(grid4, days=40)
-        target_date = history.records[20].meta.date
+        target_date = history.dates[20]
         report_full = backtest(history, [target_date], ALL_METHODS)
 
-        tampered = []
-        for i, rec in enumerate(history.records):
-            if rec.meta.date > target_date:
-                load = rec.load.__class__(rec.load.grid, rec.load.values * 0.0 + 777.0)
-                tampered.append(DailyRecord(rec.meta, load, rec.temperature, rec.quality))
-            else:
-                tampered.append(rec)
-        report_tampered = backtest(window_of(tampered), [target_date],
-                                   ALL_METHODS)
+        loads = np.array(history.loads)
+        loads[[date > target_date for date in history.dates]] = 777.0
+        tampered = HistoryWindow(history.grid, history.dates, loads, history.temps,
+                                 history.is_holiday, history.quality)
+        report_tampered = backtest(tampered, [target_date], ALL_METHODS)
         for a, b in zip(report_full.scores, report_tampered.scores):
             assert a == b
 
     def test_deterministic(self, grid4):
         history = backtest_history(grid4)
-        dates = [r.meta.date for r in history.records[-4:]]
+        dates = list(history.dates[-4:])
         r1 = backtest(history, dates, ALL_METHODS)
         r2 = backtest(history, dates, ALL_METHODS)
         assert r1.scores == r2.scores
@@ -97,20 +93,21 @@ class TestBacktest:
         loads = [shape * (200.0 + 10.0 * (i % 11)) for i in range(35)]
         temps = [[20.0] * 4 for _ in range(35)]
         history = make_history(grid4, MONDAY, loads, temps)
-        dates = [r.meta.date for r in history.records[-7:]]
+        dates = list(history.dates[-7:])
         report = backtest(history, dates, ["persistence"])
         assert report.summary["persistence"]["mean_rmae"] == pytest.approx(0.0, abs=1e-12)
 
     def test_persistence_is_shape_times_actual_max(self, grid4):
         # the megawatt curve is the same-group shape times the realized maximum
         history = backtest_history(grid4)
-        target = history.records[-1]
-        last_same = next(r for r in reversed(history.records[:-1])
-                         if r.meta.group is target.meta.group)
-        report = backtest(history, [target.meta.date], ["persistence"])
-        last_load = last_same.load.values
-        expected = last_load / last_load.max() * float(np.max(target.load.values))
-        curve = report.curves[target.meta.date].predicted["persistence"]
+        target = len(history) - 1
+        last_same = next(i for i in reversed(range(target))
+                         if history.meta(i).group is history.meta(target).group)
+        date = history.dates[target]
+        report = backtest(history, [date], ["persistence"])
+        last_load = history.loads[last_same]
+        expected = last_load / last_load.max() * float(np.max(history.loads[target]))
+        curve = report.curves[date].predicted["persistence"]
         assert curve.tobytes() == expected.tobytes()
 
 
@@ -282,7 +279,7 @@ class TestSummarize:
 class TestReportSerialization:
     def make_report(self, grid4):
         history = backtest_history(grid4)
-        dates = [r.meta.date for r in history.records[-3:]]
+        dates = list(history.dates[-3:])
         return backtest(history, dates, ALL_METHODS)
 
     def test_csv_roundtrip_exact(self, grid4):

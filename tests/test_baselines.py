@@ -21,12 +21,12 @@ class TestPersistence:
     def test_returns_latest_same_group_shape(self, grid4):
         history = random_history(grid4, np.random.default_rng(1), 21)
         latest = max(
-            (r for r in history.records if r.meta.group is DayGroup.G3),
-            key=lambda r: r.meta.date,
+            (i for i in range(len(history)) if history.meta(i).group is DayGroup.G3),
+            key=lambda i: history.dates[i],
         )
         shape = predict_persistence(history, DayGroup.G3)
         np.testing.assert_array_equal(
-            shape.values, latest.load.values / latest.load.values.max()
+            shape, history.loads[latest] / history.loads[latest].max()
         )
 
     def test_weekday_pool_prefers_friday(self, grid4):
@@ -34,8 +34,8 @@ class TestPersistence:
         history = make_history(grid4, MONDAY, loads)
         shape = predict_persistence(history, DayGroup.G1)
         # Mon/Tue/Thu/Fri share the pool; Friday is its most recent member
-        friday = history.records[4].load.values
-        np.testing.assert_array_equal(shape.values, friday / friday.max())
+        friday = history.loads[4]
+        np.testing.assert_array_equal(shape, friday / friday.max())
 
     def test_no_same_group_day(self, grid4):
         history = make_history(grid4, MONDAY, [[1.0, 2.0, 3.0, 4.0]] * 2)  # Mon, Tue
@@ -45,8 +45,8 @@ class TestPersistence:
     def test_output_is_shape(self, grid4):
         history = make_history(grid4, MONDAY, [[100.0, 400.0, 200.0, 100.0]])
         shape = predict_persistence(history, DayGroup.G1)
-        assert np.max(shape.values) == 1.0
-        np.testing.assert_array_equal(shape.values, [0.25, 1.0, 0.5, 0.25])
+        assert np.max(shape) == 1.0
+        np.testing.assert_array_equal(shape, [0.25, 1.0, 0.5, 0.25])
 
 
 class TestConditionalKernelWeights:
@@ -96,7 +96,7 @@ class TestConditionalKernelPredict:
         loads = [shape * (200.0 + 5 * i) for i in range(6)]
         history = make_history(grid4, MONDAY, loads)
         pred = predict_conditional_kernel(history, KernelSpec())
-        np.testing.assert_allclose(pred.values, shape, atol=1e-12)
+        np.testing.assert_allclose(pred, shape, atol=1e-12)
 
     def test_convex_combination_of_history(self, grid4):
         history = random_history(grid4, np.random.default_rng(5), 10)
@@ -104,8 +104,8 @@ class TestConditionalKernelPredict:
             history, KernelSpec(KernelKind.GAUSSIAN, 0.4)
         )
         shapes = history.shapes
-        assert np.all(pred.values >= shapes.min(axis=0) - 1e-12)
-        assert np.all(pred.values <= shapes.max(axis=0) + 1e-12)
+        assert np.all(pred >= shapes.min(axis=0) - 1e-12)
+        assert np.all(pred <= shapes.max(axis=0) + 1e-12)
 
     def test_oracle_small_case(self, grid4):
         history = random_history(grid4, np.random.default_rng(7), 5)
@@ -118,4 +118,4 @@ class TestConditionalKernelPredict:
             d = math.sqrt(float(np.sum((shapes[r - 1] - last) ** 2)))
             mass.append(math.exp(-0.5 * (d / h) ** 2) / math.sqrt(2 * math.pi))
         w = np.array(mass) / sum(mass)
-        np.testing.assert_allclose(pred.values, w @ shapes, atol=1e-12)
+        np.testing.assert_allclose(pred, w @ shapes, atol=1e-12)

@@ -54,8 +54,7 @@ def test_weekday_computed_not_trusted(tmp_path):
         '{"date": "2010-01-12", "group": "G4", "quality": "complete", '
         '"load_mw": [1.0, 2.0, 3.0, 4.0]}\n'
     )
-    record = read_history_jsonl(path).records[0]
-    assert record.meta.group is DayGroup.G1
+    assert read_history_jsonl(path).meta(0).group is DayGroup.G1
 
 
 @pytest.mark.parametrize("start", [

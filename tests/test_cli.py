@@ -63,8 +63,8 @@ class TestIngest:
         window = read_history_jsonl(history_file)
         assert len(window) == DAYS
         assert window.grid.labels == GRID.labels
-        holiday = window.records[window.row(dt.date(2010, 4, 5))]
-        assert holiday.meta.group.value == "HOLIDAY"
+        holiday = window.meta(window.row(dt.date(2010, 4, 5)))
+        assert holiday.group.value == "HOLIDAY"
 
     def test_rerun_byte_identical(self, raw_files, history_file, tmp_path):
         out2 = tmp_path / "again.jsonl"

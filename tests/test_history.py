@@ -4,17 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import assert_same_record, make_history, make_record, window_of
+from conftest import make_history
 from shapecast.calendars import GROUPS, annotate_calendar
 from shapecast.errors import GridMismatchError, ShapecastError
-from shapecast.history import (
-    DailyRecord,
-    HistoryWindow,
-    Quality,
-    history_jsonl_text,
-    read_history_jsonl,
-)
-from shapecast.segments import LoadSegment, TemperatureSegment
+from shapecast.history import HistoryWindow, Quality, history_jsonl_text, read_history_jsonl
 
 
 # day offsets from 2010-01-04, all from day 0, and the row of the first date
@@ -40,10 +33,9 @@ def test_records_must_ascend(grid4, offsets, row):
 
 
 def test_rejected_records_excluded(grid4):
-    rec = make_record(grid4, dt.date(2010, 1, 4), [1.0, 2.0, 3.0, 4.0])
-    bad = DailyRecord(rec.meta, rec.load, None, Quality.REJECTED)
     with pytest.raises(ShapecastError):
-        window_of((bad,))
+        HistoryWindow(grid4, (dt.date(2010, 1, 4),), [[1.0, 2.0, 3.0, 4.0]],
+                      [[np.nan] * 4], quality=(Quality.REJECTED,))
 
 
 def test_before_slices_strictly(grid4):
@@ -51,7 +43,7 @@ def test_before_slices_strictly(grid4):
     window = make_history(grid4, start, [[1.0, 2.0, 3.0, 4.0]] * 5)
     prior = window.before(start + dt.timedelta(days=2))
     assert len(prior) == 2
-    assert all(r.meta.date < start + dt.timedelta(days=2) for r in prior.records)
+    assert all(date < start + dt.timedelta(days=2) for date in prior.dates)
 
 
 def test_shape_matrix_rows_are_shapes(grid4):
@@ -66,7 +58,7 @@ def test_shape_matrix_rows_are_shapes(grid4):
 def test_shape_matrix_equals_rescaled_rows(grid24):
     rng = np.random.default_rng(5)
     window = make_history(grid24, dt.date(2010, 1, 4), 1.0 + 900.0 * rng.random((30, 24)))
-    expected = np.array([r.load.values / r.load.values.max() for r in window.records])
+    expected = np.array([load / load.max() for load in window.loads])
     assert np.array_equal(window.shapes, expected)
 
 
@@ -79,7 +71,7 @@ def test_shape_matrix_rejects_nonpositive_maximum(grid4):
 
 
 def test_shape_matrix_of_empty_window(grid4):
-    assert window_of((), grid4).shapes.shape[0] == 0
+    assert make_history(grid4, dt.date(2010, 1, 4), np.empty((0, 4))).shapes.shape[0] == 0
 
 
 START = dt.date(2010, 1, 4)  # a Monday
@@ -89,12 +81,24 @@ START = dt.date(2010, 1, 4)  # a Monday
 def gapped(grid24):
     """Six days from START with day 2 left out, as ingest leaves a rejected day."""
     rng = np.random.default_rng(8)
-    window = make_history(grid24, START, 1.0 + 900.0 * rng.random((6, 24)))
-    return window_of(window.records[:2] + window.records[3:])
+    loads = np.delete(1.0 + 900.0 * rng.random((6, 24)), 2, axis=0)
+    dates = tuple(day(n) for n in (0, 1, 3, 4, 5))
+    return HistoryWindow(grid24, dates, loads, np.full((5, 24), np.nan))
 
 
 def day(n):
     return START + dt.timedelta(days=n)
+
+
+def assert_same_rows(window: HistoryWindow, whole: HistoryWindow, rows) -> None:
+    """`window` holds the days `rows` of `whole`, compared field by field."""
+    assert window.grid == whole.grid
+    assert len(window) == len(rows)
+    for k, i in enumerate(rows):
+        assert window.meta(k) == whole.meta(i)
+        assert window.quality[k] is whole.quality[i]
+        assert window.loads[k].tobytes() == whole.loads[i].tobytes()
+        assert window.temps[k].tobytes() == whole.temps[i].tobytes()
 
 
 class TestPrefix:
@@ -109,9 +113,7 @@ class TestPrefix:
     ])
     def test_before_edges(self, gapped, date, n):
         prior = gapped.before(date)
-        assert len(prior.records) == len(gapped.records[:n])
-        for a, b in zip(prior.records, gapped.records[:n]):
-            assert_same_record(a, b)
+        assert_same_rows(prior, gapped, range(len(gapped))[:n])
         assert prior.dates == gapped.dates[:n]
         assert prior.loads.shape == (n, 24)
 
@@ -121,8 +123,8 @@ class TestPrefix:
             gapped.row(date)
 
     def test_row_finds_every_day(self, gapped):
-        for rec in gapped.records:
-            assert_same_record(gapped.records[gapped.row(rec.meta.date)], rec)
+        for i, date in enumerate(gapped.dates):
+            assert gapped.row(date) == i
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5, 9])
     def test_prefix_length_clamps(self, gapped, n):
@@ -133,7 +135,8 @@ class TestPrefix:
         if built_first:
             gapped.shapes
         for i in range(len(gapped) + 1):
-            fresh = window_of(gapped.records[:i], gapped.grid)
+            fresh = HistoryWindow(gapped.grid, gapped.dates[:i], gapped.loads[:i],
+                                  gapped.temps[:i], gapped.is_holiday[:i], gapped.quality[:i])
             prefix = gapped.span(0, i)
             assert prefix.shapes.tobytes() == fresh.shapes.tobytes()
             assert prefix.loads.tobytes() == fresh.loads.tobytes()
@@ -209,31 +212,28 @@ class TestJsonlRoundtrip:
         write_history(path, window)
         back = read_history_jsonl(path)
         assert len(back) == len(window)
-        for a, b in zip(window.records, back.records):
-            assert a.meta == b.meta
-            np.testing.assert_array_equal(a.load.values, b.load.values)
-            np.testing.assert_array_equal(a.temperature.values, b.temperature.values)
-            assert a.quality is b.quality
+        for i in range(len(window)):
+            assert window.meta(i) == back.meta(i)
+            np.testing.assert_array_equal(window.loads[i], back.loads[i])
+            np.testing.assert_array_equal(window.temps[i], back.temps[i])
+            assert window.quality[i] is back.quality[i]
 
     def test_partial_temperature_mask(self, tmp_path, grid4):
-        rec = make_record(
-            grid4, dt.date(2010, 5, 3), [1.0, 2.0, 3.0, 4.0],
-            temp=[np.nan, 21.0, np.nan, 24.0],
-        )
+        window = make_history(grid4, dt.date(2010, 5, 3), [[1.0, 2.0, 3.0, 4.0]],
+                              np.array([[np.nan, 21.0, np.nan, 24.0]]))
         path = tmp_path / "h.jsonl"
-        write_history(path, window_of((rec,)))
+        write_history(path, window)
         assert '"temp_c": [null, 21.0, null, 24.0]' in path.read_text()
         back = read_history_jsonl(path)
-        np.testing.assert_array_equal(
-            back.records[0].temperature.values, [np.nan, 21.0, np.nan, 24.0]
-        )
+        np.testing.assert_array_equal(back.temps[0], [np.nan, 21.0, np.nan, 24.0])
 
     def test_holiday_flag_survives(self, tmp_path, grid4):
-        rec = make_record(grid4, dt.date(2010, 1, 1), [1.0, 2.0, 3.0, 4.0], holiday=True)
+        window = HistoryWindow(grid4, (dt.date(2010, 1, 1),), [[1.0, 2.0, 3.0, 4.0]],
+                               [[np.nan] * 4], [True])
         path = tmp_path / "h.jsonl"
-        write_history(path, window_of((rec,)))
+        write_history(path, window)
         back = read_history_jsonl(path)
-        assert back.records[0].meta.group.value == "HOLIDAY"
+        assert back.meta(0).group.value == "HOLIDAY"
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -389,25 +389,6 @@ def mixed(grid4):
     )
 
 
-def expected_mixed(grid4):
-    """The records the `mixed` window holds, built one by one."""
-    nan = np.nan
-    temps = ([20.0, 21.0, 22.0, 23.0], [nan, 21.0, nan, 24.0], [-5.0, 0.0, 5.0, 999.0],
-             None)
-    loads = ([1.0, 2.0, 4.0, 2.0], [10.0, 5.0, 20.0, 40.0], [3.0, 3.0, 6.0, 1.5],
-             [7.0, 8.0, 9.0, 10.0])
-    quality = (Quality.COMPLETE, Quality.GAP_FILLED, Quality.COMPLETE, Quality.COMPLETE)
-    return [
-        DailyRecord(
-            annotate_calendar(date, {day(2)}),
-            LoadSegment(grid4, load),
-            None if temp is None else TemperatureSegment(grid4, temp),
-            q,
-        )
-        for date, load, temp, q in zip(MIXED_DATES, loads, temps, quality)
-    ]
-
-
 def assert_same_columns(a: HistoryWindow, b: HistoryWindow) -> None:
     assert a.grid == b.grid
     assert a.dates == b.dates
@@ -420,16 +401,30 @@ def assert_same_columns(a: HistoryWindow, b: HistoryWindow) -> None:
 
 class TestColumns:
     def test_records_view_equals_day_by_day_records(self, mixed, grid4):
-        expected = expected_mixed(grid4)
-        assert len(mixed.records) == len(expected)
-        for got, want in zip(mixed.records, expected):
-            assert_same_record(got, want)
-        assert [GROUPS[g] for g in mixed.group] == [r.meta.group for r in expected]
+        # the view the benchmark's input builder reads, day by day: `meta`,
+        # `load.values`, and `temperature.values` or None
+        nan = np.nan
+        temps = ([20.0, 21.0, 22.0, 23.0], [nan, 21.0, nan, 24.0], [-5.0, 0.0, 5.0, 999.0],
+                 None)
+        loads = ([1.0, 2.0, 4.0, 2.0], [10.0, 5.0, 20.0, 40.0], [3.0, 3.0, 6.0, 1.5],
+                 [7.0, 8.0, 9.0, 10.0])
+        quality = (Quality.COMPLETE, Quality.GAP_FILLED, Quality.COMPLETE, Quality.COMPLETE)
+        assert len(mixed.records) == len(MIXED_DATES)
+        for got, date, load, temp, q in zip(mixed.records, MIXED_DATES, loads, temps, quality):
+            assert got.meta == annotate_calendar(date, {day(2)})
+            assert got.quality is q
+            assert got.load.grid == grid4
+            assert got.load.values.tobytes() == np.array(load).tobytes()
+            assert (got.temperature is None) == (temp is None)
+            if temp is not None:
+                assert got.temperature.grid == grid4
+                assert got.temperature.values.tobytes() == np.array(temp).tobytes()
+        expected_groups = [annotate_calendar(date, {day(2)}).group for date in MIXED_DATES]
+        assert [GROUPS[g] for g in mixed.group] == expected_groups
 
     def test_day_without_temperature_is_an_all_nan_row(self, mixed):
         assert np.isnan(mixed.temps[3]).all()
-        assert mixed.records[3].temperature is None
-        observed = ~np.isnan(mixed.records[1].temperature.values)
+        observed = ~np.isnan(mixed.temps[1])
         assert observed.tolist() == [False, True, False, True]
 
     def test_jsonl_roundtrip_byte_for_byte(self, mixed, tmp_path):
@@ -438,8 +433,7 @@ class TestColumns:
         back = read_history_jsonl(path)
         assert history_jsonl_text(back) == path.read_text(encoding="utf-8")
         assert_same_columns(back, mixed)
-        for got, want in zip(back.records, mixed.records):
-            assert_same_record(got, want)
+        assert_same_rows(back, mixed, range(len(mixed)))
 
     def test_jsonl_temperature_keys(self, mixed):
         lines = [json.loads(line) for line in history_jsonl_text(mixed).splitlines()[1:]]
@@ -450,7 +444,7 @@ class TestColumns:
             "complete", "gap-filled", "complete", "complete"
         ]
 
-    @pytest.mark.parametrize("built", [(), ("shapes", "records")])
+    @pytest.mark.parametrize("built", [(), ("shapes",)])
     def test_prefix_slices_every_column(self, mixed, built):
         for name in built:
             getattr(mixed, name)
@@ -464,13 +458,12 @@ class TestColumns:
                 got, whole = getattr(prefix, name), getattr(mixed, name)
                 assert got.tobytes() == whole[:n].tobytes(), name
                 assert np.shares_memory(got, whole) or not n, name
-            for got, want in zip(prefix.records, mixed.records[:n]):
-                assert_same_record(got, want)
+            assert_same_rows(prefix, mixed, range(n))
 
     def test_before_and_row_slice_every_column(self, mixed):
         for i, date in enumerate(mixed.dates):
             assert_same_columns(mixed.before(date), mixed.span(0, i))
-            assert_same_record(mixed.records[mixed.row(date)], mixed.records[i])
+            assert mixed.meta(mixed.row(date)) == mixed.meta(i)
             assert mixed.row(date) == i
         assert_same_columns(mixed.before(day(3)), mixed.span(0, 3))
 

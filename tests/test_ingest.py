@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_same_record
 from shapecast.calendars import annotate_calendar
 from shapecast.cli import main
 from shapecast.errors import IngestError
-from shapecast.history import DailyRecord, Quality, history_jsonl_text
+from shapecast.history import Quality, history_jsonl_text
 from shapecast.ingest import (
     _by_minute,
     _reading,
@@ -24,7 +23,7 @@ from shapecast.ingest import (
     parse_temperature_history,
     segmentize,
 )
-from shapecast.segments import TEMPERATURE_LIMIT_C, LoadSegment, TemperatureSegment, TimeGrid
+from shapecast.segments import TEMPERATURE_LIMIT_C, TimeGrid
 
 
 def day_rows(date, values, grid):
@@ -107,9 +106,8 @@ class TestSegmentize:
     def test_clean_day_complete(self):
         window, report = segmentize(self.parse_day(range(100, 124)), self.grid)
         assert len(window) == 1
-        rec = window.records[0]
-        assert rec.quality is Quality.COMPLETE
-        assert np.array_equal(rec.load.values, np.arange(100.0, 124.0))
+        assert window.quality[0] is Quality.COMPLETE
+        assert np.array_equal(window.loads[0], np.arange(100.0, 124.0))
         assert not report.issues
 
     def test_interior_gap_interpolates_neighbor_mean(self):
@@ -117,9 +115,8 @@ class TestSegmentize:
         values[9] = 60.0
         values[11] = 80.0
         window, report = segmentize(self.parse_day(values, drop={10}), self.grid)
-        rec = window.records[0]
-        assert rec.quality is Quality.GAP_FILLED
-        assert rec.load.values[10] == pytest.approx((60.0 + 80.0) / 2)
+        assert window.quality[0] is Quality.GAP_FILLED
+        assert window.loads[0, 10] == pytest.approx((60.0 + 80.0) / 2)
         assert report.issues[0].filled_points == [10]
 
     def test_long_gap_rejected(self):
@@ -162,11 +159,9 @@ class TestSegmentize:
     def test_idempotent_on_own_output(self):
         values = [100.0 + i for i in range(24)]
         window1, _ = segmentize(self.parse_day(values, drop={7}), self.grid)
-        rows = day_rows(self.date, window1.records[0].load.values, self.grid)
+        rows = day_rows(self.date, window1.loads[0], self.grid)
         window2, report2 = segmentize(parse_load_file(csv_text(rows)), self.grid)
-        np.testing.assert_array_equal(
-            window1.records[0].load.values, window2.records[0].load.values
-        )
+        np.testing.assert_array_equal(window1.loads[0], window2.loads[0])
         assert not report2.issues
 
     def test_every_reading_accounted_for(self):
@@ -175,7 +170,7 @@ class TestSegmentize:
         bad = day_rows(bad_date, range(24), self.grid)[:5]
         records = parse_load_file(csv_text(good + bad))
         window, report = segmentize(records, self.grid, max_gap=4)
-        kept = sum(len(r.load.values) for r in window.records)
+        kept = window.loads.size
         rejected_readings = sum(i.readings for i in report.issues if i.kind == "rejected")
         assert kept - sum(
             len(i.filled_points) for i in report.issues if i.kind == "gap-filled"
@@ -189,14 +184,14 @@ class TestSegmentize:
         ]
         window, report = segmentize(parse_load_file(csv_text(rows)), self.grid)
         assert len(window) == 1
-        assert window.records[0].quality is Quality.GAP_FILLED
+        assert window.quality[0] is Quality.GAP_FILLED
         assert report.issues[0].kind == "resampled"
 
     def test_holiday_annotation(self):
         window, _ = segmentize(
             self.parse_day(range(24)), self.grid, holiday_set={self.date}
         )
-        assert window.records[0].meta.group.value == "HOLIDAY"
+        assert window.meta(0).group.value == "HOLIDAY"
 
     def test_empty_input(self):
         window, report = segmentize(parse_load_file("timestamp,load_mw\n"), self.grid)
@@ -419,14 +414,14 @@ class TestAttachTemperatures:
         temp_rows = day_rows(self.date, [20.0 + i for i in range(24)], self.grid)[:6]
         window, _ = segmentize(self.load(self.date), self.grid,
                                temps=self.temps(temp_rows))
-        seg = window.records[0].temperature
-        assert seg is not None
-        np.testing.assert_array_equal(seg.values[:6], [20.0 + i for i in range(6)])
-        assert np.all(np.isnan(seg.values[6:]))
+        temps = window.temps[0]
+        assert not np.isnan(temps).all()
+        np.testing.assert_array_equal(temps[:6], [20.0 + i for i in range(6)])
+        assert np.all(np.isnan(temps[6:]))
 
     def test_day_without_temperatures_keeps_none(self):
         window, _ = segmentize(self.load(self.date), self.grid)
-        assert window.records[0].temperature is None
+        assert np.isnan(window.temps[0]).all()
 
     def test_temperatures_on_rejected_day_ignored(self):
         missing = self.date + dt.timedelta(days=1)
@@ -445,7 +440,7 @@ class TestAttachTemperatures:
         window, report = segmentize(self.load(self.date), self.grid,
                                     temps=self.temps(temp_rows))
         assert window.dates == (self.date,)
-        assert window.records[0].temperature is None
+        assert np.isnan(window.temps[0]).all()
         assert not report.issues
 
     def test_off_grid_minutes_ignored(self):
@@ -453,15 +448,15 @@ class TestAttachTemperatures:
         temp_rows = [f"{stamp}T03:00,18.5", f"{stamp}T03:30,19.0", f"{stamp}T07:10,22.0"]
         window, _ = segmentize(self.load(self.date), self.grid,
                                temps=self.temps(temp_rows))
-        seg = window.records[0].temperature
-        assert np.flatnonzero(~np.isnan(seg.values)).tolist() == [3]
-        assert seg.values[3] == 18.5
+        temps = window.temps[0]
+        assert np.flatnonzero(~np.isnan(temps)).tolist() == [3]
+        assert temps[3] == 18.5
 
     def test_only_off_grid_minutes_give_no_temperature(self):
         temp_rows = [f"{self.date.isoformat()}T03:30,19.0"]
         window, _ = segmentize(self.load(self.date), self.grid,
                                temps=self.temps(temp_rows))
-        assert window.records[0].temperature is None
+        assert np.isnan(window.temps[0]).all()
 
     def test_conflicting_temperature_duplicate_raises(self):
         stamp = self.date.isoformat()
@@ -479,7 +474,7 @@ class TestAttachTemperatures:
 class TestColumns:
     """`segmentize` fills one row per kept day, as the day-by-day records were."""
 
-    def test_records_view_equals_day_by_day_records(self):
+    def test_rows_equal_day_by_day_records(self):
         grid = TimeGrid.equidistant(4)
         monday = dt.date(2010, 6, 7)
         days = [monday + dt.timedelta(days=n) for n in range(5)]
@@ -506,15 +501,15 @@ class TestColumns:
             (days[2], [5.0, 5.0, 6.0, 7.0], [-1.0, 0.0, 1.0, 2.0], Quality.COMPLETE),
             (days[4], [9.0, 8.0, 7.0, 6.0], None, Quality.COMPLETE),
         ]
-        assert len(window.records) == len(expected)
-        for got, (date, load, temp, quality) in zip(window.records, expected):
-            want = DailyRecord(
-                annotate_calendar(date, {days[2]}),
-                LoadSegment(grid, load),
-                None if temp is None else TemperatureSegment(grid, temp),
-                quality,
-            )
-            assert_same_record(got, want)
+        assert len(window) == len(expected)
+        for i, (date, load, temp, quality) in enumerate(expected):
+            assert window.meta(i) == annotate_calendar(date, {days[2]})
+            assert window.quality[i] is quality
+            assert window.loads[i].tobytes() == np.array(load).tobytes()
+            # a day without temperature is an all-NaN row
+            assert np.isnan(window.temps[i]).all() == (temp is None)
+            if temp is not None:
+                assert window.temps[i].tobytes() == np.array(temp).tobytes()
         # the day without temperature is an all-NaN row and writes no temp_c key
         assert np.isnan(window.temps[3]).all()
         lines = [json.loads(ln) for ln in history_jsonl_text(window).splitlines()[1:]]

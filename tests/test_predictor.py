@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_history, random_history, window_of
+from conftest import make_history, random_history
 from shapecast import predictor
-from shapecast.calendars import annotate_calendar
+from shapecast.baselines import predict_conditional_kernel, predict_persistence
+from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
 from shapecast.errors import InsufficientHistoryError, ShapecastError
+from shapecast.history import HistoryWindow
 from shapecast.predictor import (
     KernelKind,
     KernelSpec,
@@ -168,10 +170,11 @@ def full_mask_forecast(grid, values):
     return TemperatureSegment(grid, values)
 
 
-def brute_force_ssp(records, target_group, forecast_values, forecast_mask,
+def brute_force_ssp(history, target_group, forecast_values, forecast_mask,
                     n_L, kind, h):
     """Flat single-function re-implementation, pure Python floats throughout.
 
+    The history enters as its column rows, turned into Python lists first.
     Candidates: same-group days among the last n_L. Reference: the candidate
     (plus exact ties) with minimal euclidean temperature distance on the
     forecast mask, shapes averaged. Weights: normalized kernel of euclidean
@@ -187,17 +190,17 @@ def brute_force_ssp(records, target_group, forecast_values, forecast_mask,
             return 0.75 * (1 - u * u) if abs(u) <= 1 else 0.0
         return 0.5 if abs(u) <= 1 else 0.0
 
-    P = len(records[0].load.values)
+    loads, temps = history.loads.tolist(), history.temps.tolist()
+    groups = [GROUPS[g] for g in history.group.tolist()]
+    P, L = len(loads[0]), len(loads)
     shapes = []
-    for rec in records:
-        m = max(rec.load.values)
-        shapes.append([v / m for v in rec.load.values])
+    for load in loads:
+        m = max(load)
+        shapes.append([v / m for v in load])
 
-    tail = records[-n_L:]
-    cand_idx = [i for i, rec in enumerate(records)
-                if rec in tail and rec.meta.group is target_group]
+    cand_idx = [i for i in range(max(L - n_L, 0), L) if groups[i] is target_group]
     dists = {
-        i: eucl(list(records[i].temperature.values), list(forecast_values), forecast_mask)
+        i: eucl(temps[i], list(forecast_values), forecast_mask)
         for i in cand_idx
     }
     d_min = min(dists.values())
@@ -207,7 +210,7 @@ def brute_force_ssp(records, target_group, forecast_values, forecast_mask,
     mass = [kern(eucl(s, ref, range(P)) / h) for s in shapes]
     total = sum(mass)
     weights = [m / total for m in mass]
-    return [sum(weights[r] * shapes[r][p] for r in range(len(records)))
+    return [sum(weights[r] * shapes[r][p] for r in range(L))
             for p in range(P)]
 
 
@@ -220,16 +223,14 @@ class TestPredictDay:
         history = make_history(grid4, MONDAY, loads, temps)
         target = annotate_calendar(MONDAY + dt.timedelta(days=14))
         pred = predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4))
-        np.testing.assert_allclose(pred.shape.values, shape, atol=1e-12)
+        np.testing.assert_allclose(pred.shape, shape, atol=1e-12)
 
     def test_single_day_history(self, grid4):
         history = make_history(grid4, MONDAY, [[100.0, 300.0, 200.0, 100.0]],
                                [[20.0] * 4])
         target = annotate_calendar(MONDAY + dt.timedelta(days=7))
         pred = predict_day(history, target, full_mask_forecast(grid4, [25.0] * 4))
-        np.testing.assert_array_equal(
-            pred.shape.values, [1 / 3, 1.0, 2 / 3, 1 / 3]
-        )
+        np.testing.assert_array_equal(pred.shape, [1 / 3, 1.0, 2 / 3, 1 / 3])
 
     def test_scaled_output_present_iff_max_given(self, grid4):
         history = make_history(grid4, MONDAY, [[100.0, 300.0, 200.0, 100.0]],
@@ -238,58 +239,59 @@ class TestPredictDay:
         forecast = full_mask_forecast(grid4, [20.0] * 4)
         assert predict_day(history, target, forecast).scaled is None
         pred = predict_day(history, target, forecast, next_day_max=600.0)
-        np.testing.assert_allclose(pred.scaled.values, [200.0, 600.0, 400.0, 200.0])
+        np.testing.assert_allclose(pred.scaled, [200.0, 600.0, 400.0, 200.0])
 
     def test_matches_brute_force_oracle(self, grid4):
         rng = np.random.default_rng(17)
         grid = TimeGrid.equidistant(8)
         history = random_history(grid, rng, 10)
-        target = annotate_calendar(history.records[-1].meta.date + dt.timedelta(days=1))
+        target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
         forecast_values = 5.0 + 30.0 * rng.random(8)
         cfg = PredictorConfig(kernel=KernelSpec(KernelKind.GAUSSIAN, 0.7))
         pred = predict_day(history, target, full_mask_forecast(grid, forecast_values),
                            cfg=cfg)
         expected = brute_force_ssp(
-            list(history.records), target.group, list(forecast_values),
+            history, target.group, list(forecast_values),
             list(range(8)), 28, "gaussian", 0.7,
         )
-        np.testing.assert_allclose(pred.shape.values, expected, atol=1e-12)
+        np.testing.assert_allclose(pred.shape, expected, atol=1e-12)
 
     def test_weight_vector_aligned_to_history(self, grid4):
         history = random_history(grid4, np.random.default_rng(19), 12)
-        target = annotate_calendar(history.records[-1].meta.date + dt.timedelta(days=1))
+        target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
         pred = predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4))
         assert len(pred.weights) == len(history)
         assert abs(pred.weights.sum() - 1.0) <= 1e-12
 
     def test_same_group_only_masks_weights(self, grid4):
         history = random_history(grid4, np.random.default_rng(23), 14)
-        target = annotate_calendar(history.records[-1].meta.date + dt.timedelta(days=1))
+        target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
         cfg = PredictorConfig(same_group_only=True)
         pred = predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4),
                            cfg=cfg)
-        for w, rec in zip(pred.weights, history.records):
-            if rec.meta.group is not target.group:
+        for i, w in enumerate(pred.weights):
+            if history.meta(i).group is not target.group:
                 assert w == 0.0
         assert abs(pred.weights.sum() - 1.0) <= 1e-12
 
     def test_empty_history_rejected(self, grid4):
         target = annotate_calendar(MONDAY)
         with pytest.raises(InsufficientHistoryError):
-            predict_day(window_of((), grid4), target,
+            predict_day(make_history(grid4, MONDAY, np.empty((0, 4))), target,
                         full_mask_forecast(grid4, [20.0] * 4))
 
     def test_holiday_fallback_uses_sundays(self, grid4):
         history = random_history(grid4, np.random.default_rng(29), 21)
-        holiday = history.records[-1].meta.date + dt.timedelta(days=1)
+        holiday = history.dates[-1] + dt.timedelta(days=1)
         target = annotate_calendar(holiday, {holiday})
         pred = predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4))
-        sundays = {r.meta.date for r in history.records if r.meta.group.value == "G4"}
+        sundays = {history.meta(i).date for i in range(len(history))
+                   if history.meta(i).group.value == "G4"}
         assert set(pred.reference.c_star) <= sundays
 
     def test_serialization_fields(self, grid4):
         history = random_history(grid4, np.random.default_rng(31), 10)
-        target = annotate_calendar(history.records[-1].meta.date + dt.timedelta(days=1))
+        target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
         pred = predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4),
                            next_day_max=500.0)
         d = prediction_to_dict(pred)
@@ -300,6 +302,52 @@ class TestPredictDay:
         assert "kernel" in d["config"]
         d2 = prediction_to_dict(pred, include_weights=True)
         assert len(d2["weights"]) == len(history)
+
+
+def predict_after(history, rescale=True):
+    """The next day's prediction at a next-day maximum of 500 MW."""
+    target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
+    forecast = full_mask_forecast(history.grid, [20.0] * history.grid.points_per_day)
+    return predict_day(history, target, forecast, next_day_max=500.0,
+                       cfg=PredictorConfig(rescale=rescale))
+
+
+OUTPUTS = {
+    "shape": lambda history: predict_after(history).shape,
+    "scaled": lambda history: predict_after(history).scaled,
+    "reference": lambda history: predict_after(history).reference.reference,
+    "raw-reference": lambda history: predict_after(history, False).reference.reference,
+    "persistence": lambda history: predict_persistence(history, DayGroup.G1),
+    "conditional-kernel": lambda history: predict_conditional_kernel(history, KernelSpec()),
+}
+
+
+class TestOutputContract:
+    """Predictions, references and baselines are fresh read-only arrays."""
+
+    @pytest.mark.parametrize("name", sorted(OUTPUTS))
+    def test_output_refuses_writes(self, grid4, name):
+        history = random_history(grid4, np.random.default_rng(37), 14)
+        loads, shapes = history.loads.copy(), history.shapes.copy()
+        out = OUTPUTS[name](history)
+        assert out.dtype == float and out.shape == (4,)
+        assert not np.shares_memory(out, history.loads)
+        assert not np.shares_memory(out, history.shapes)
+        with pytest.raises(ValueError):
+            out[0] = -1.0
+        with pytest.raises(ValueError):
+            out *= 0.0
+        assert history.loads.tobytes() == loads.tobytes()
+        assert history.shapes.tobytes() == shapes.tobytes()
+
+    @pytest.mark.parametrize("next_day_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_next_day_max_must_be_positive_and_finite(self, grid4, next_day_max):
+        history = random_history(grid4, np.random.default_rng(37), 14)
+        target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
+        with pytest.raises(ShapecastError,
+                           match="^next_day_max must be positive and finite$"):
+            predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4),
+                        next_day_max=next_day_max)
 
 
 class TestSelectBandwidth:
@@ -378,21 +426,24 @@ def use_grid(monkeypatch, h_grid):
 def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
     """Reference CV: one full predict_day per (bandwidth, validation day)."""
     risks = []
-    records = history.records
+    L = len(history)
     for h in sorted(float(h) for h in h_grid):
         day_cfg = PredictorConfig(
             cfg.reference, KernelSpec(cfg.kernel.kind, h), cfg.shape_distance,
             cfg.same_group_only, cfg.rescale,
         )
         errs = []
-        for i in range(len(records) - validation_days, len(records)):
-            target = records[i]
-            pred = predict_day(
-                window_of(records[:i]), target.meta, target.temperature,
-                next_day_max=float(np.max(target.load.values)), cfg=day_cfg,
+        for i in range(L - validation_days, L):
+            prior = HistoryWindow(
+                history.grid, history.dates[:i], history.loads[:i], history.temps[:i],
+                history.is_holiday[:i], history.quality[:i],
             )
-            actual = target.load.values
-            errs.append(float(np.mean(np.abs(pred.scaled.values - actual) / actual)))
+            actual = history.loads[i]
+            pred = predict_day(
+                prior, history.meta(i), TemperatureSegment(history.grid, history.temps[i]),
+                next_day_max=float(np.max(actual)), cfg=day_cfg,
+            )
+            errs.append(float(np.mean(np.abs(pred.scaled - actual) / actual)))
         risks.append((h, float(np.mean(errs))))
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks
@@ -504,7 +555,7 @@ class TestSelectBandwidthOracle:
         with pytest.raises(InsufficientHistoryError):
             default_bandwidth_grid(history)
         with pytest.raises(InsufficientHistoryError):
-            default_bandwidth_grid(window_of((), grid24))
+            default_bandwidth_grid(make_history(grid24, MONDAY, np.empty((0, 24))))
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,9 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_history, make_record, window_of
+from conftest import make_history
 from shapecast.calendars import GROUPS, DayGroup
-from shapecast.errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
+from shapecast.errors import (
+    EmptyCandidateError,
+    GridMismatchError,
+    MissingTemperatureError,
+    ShapecastError,
+)
+from shapecast.history import HistoryWindow
 from shapecast.reference import (
     DeltaRule,
     ReferenceConfig,
@@ -20,6 +26,7 @@ from shapecast.segments import (
     TemperatureSegment,
     TimeGrid,
     distance,
+    distances,
 )
 
 MONDAY = dt.date(2010, 6, 7)
@@ -64,12 +71,11 @@ class TestCandidateSet:
     def test_holiday_widened_with_sundays(self, grid4):
         rng = np.random.default_rng(0)
         days = 21
-        window = window_of(
-            make_record(grid4, MONDAY + dt.timedelta(days=i),
-                        100.0 + 400.0 * rng.random(4), 15.0 + 10.0 * rng.random(4),
-                        holiday=i == 9)
-            for i in range(days)
-        )
+        draws = [(100.0 + 400.0 * rng.random(4), 15.0 + 10.0 * rng.random(4))
+                 for _ in range(days)]
+        loads, temps = map(np.array, zip(*draws))
+        dates = tuple(MONDAY + dt.timedelta(days=i) for i in range(days))
+        window = HistoryWindow(grid4, dates, loads, temps, np.arange(days) == 9)
         rows = candidate_set(window, DayGroup.HOLIDAY, lookback(14))
         # one holiday in the lookback is fewer than two: Sundays join it
         assert rows.tolist() == [9, 13, 20]
@@ -88,13 +94,12 @@ def temp_segment(grid, values):
     return TemperatureSegment(grid, values)
 
 
-def shape_of(rec):
-    return rec.load.values / rec.load.values.max()
+def shape_of(load):
+    return load / load.max()
 
 
-def select(records, forecast, cfg, **kwargs):
-    """`select_reference` over every row of the window holding `records`."""
-    window = window_of(records, forecast.grid)
+def select(window, forecast, cfg, **kwargs):
+    """`select_reference` over every row of `window`."""
     return select_reference(window, np.arange(len(window)), forecast, cfg, **kwargs)
 
 
@@ -103,187 +108,197 @@ class TestSelectReference:
         self.grid = TimeGrid.equidistant(4)
         self.cfg = ReferenceConfig()
 
-    def record(self, day_offset, load, temp):
-        return make_record(self.grid, MONDAY + dt.timedelta(days=day_offset), load, temp)
+    def window(self, *days):
+        """Consecutive days from MONDAY, each a (load, temp) pair; temp None: unobserved."""
+        temps = [[np.nan] * 4 if temp is None else temp for _, temp in days]
+        loads = np.array([load for load, _ in days], dtype=float).reshape(-1, 4)
+        return make_history(self.grid, MONDAY, loads,
+                            np.array(temps, dtype=float).reshape(-1, 4))
+
+    def random_window(self, rng, days):
+        return self.window(*(
+            (100.0 + 300.0 * rng.random(4), 15.0 + 10.0 * rng.random(4))
+            for _ in range(days)
+        ))
 
     def test_single_candidate_is_its_shape(self):
-        rec = self.record(0, [100.0, 200.0, 400.0, 300.0], [20.0] * 4)
+        window = self.window(([100.0, 200.0, 400.0, 300.0], [20.0] * 4))
         forecast = temp_segment(self.grid, [21.0] * 4)
-        result = select([rec], forecast, self.cfg)
-        np.testing.assert_array_equal(result.reference.values, [0.25, 0.5, 1.0, 0.75])
-        assert result.c_star == (rec.meta.date,)
+        result = select(window, forecast, self.cfg)
+        np.testing.assert_array_equal(result.reference, [0.25, 0.5, 1.0, 0.75])
+        assert result.c_star == (window.dates[0],)
 
     def test_argmin_picks_closer_temperature(self):
-        near = self.record(0, [100.0, 100.0, 200.0, 100.0], [20.0] * 4)
-        far = self.record(1, [400.0, 400.0, 400.0, 400.0], [25.0] * 4)
+        window = self.window(([100.0, 100.0, 200.0, 100.0], [20.0] * 4),
+                             ([400.0, 400.0, 400.0, 400.0], [25.0] * 4))
+        near, far = window.dates
         forecast = temp_segment(self.grid, [19.5] * 4)
-        result = select([near, far], forecast, self.cfg)
-        assert result.c_star == (near.meta.date,)
-        np.testing.assert_array_equal(result.reference.values, shape_of(near))
-        assert result.temp_distances[near.meta.date] == pytest.approx(1.0)
-        assert result.temp_distances[far.meta.date] == pytest.approx(11.0)
+        result = select(window, forecast, self.cfg)
+        assert result.c_star == (near,)
+        np.testing.assert_array_equal(result.reference, shape_of(window.loads[0]))
+        assert result.temp_distances[near] == pytest.approx(1.0)
+        assert result.temp_distances[far] == pytest.approx(11.0)
 
     def test_tied_minima_averaged(self):
-        a = self.record(0, [100.0, 200.0, 400.0, 300.0], [18.0] * 4)
-        b = self.record(1, [400.0, 200.0, 100.0, 300.0], [22.0] * 4)
+        window = self.window(([100.0, 200.0, 400.0, 300.0], [18.0] * 4),
+                             ([400.0, 200.0, 100.0, 300.0], [22.0] * 4))
         forecast = temp_segment(self.grid, [20.0] * 4)
-        result = select([a, b], forecast, self.cfg)
-        assert set(result.c_star) == {a.meta.date, b.meta.date}
-        expected = (shape_of(a) + shape_of(b)) / 2
-        np.testing.assert_array_equal(result.reference.values, expected)
+        result = select(window, forecast, self.cfg)
+        assert set(result.c_star) == set(window.dates)
+        expected = (shape_of(window.loads[0]) + shape_of(window.loads[1])) / 2
+        np.testing.assert_array_equal(result.reference, expected)
 
     def test_threshold_min_matches_argmin_with_unique_minimizer(self):
         rng = np.random.default_rng(5)
-        records = [
-            self.record(i, 100.0 + 300.0 * rng.random(4), 15.0 + 10.0 * rng.random(4))
-            for i in range(6)
-        ]
+        window = self.random_window(rng, 6)
         forecast = temp_segment(self.grid, 15.0 + 10.0 * rng.random(4))
         argmin_cfg = ReferenceConfig(mode=ReferenceMode.ARGMIN)
         threshold_cfg = ReferenceConfig(
             mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("min")
         )
-        r1 = select(records, forecast, argmin_cfg)
-        r2 = select(records, forecast, threshold_cfg)
+        r1 = select(window, forecast, argmin_cfg)
+        r2 = select(window, forecast, threshold_cfg)
         assert r1.c_star == r2.c_star
-        np.testing.assert_array_equal(r1.reference.values, r2.reference.values)
+        np.testing.assert_array_equal(r1.reference, r2.reference)
 
     def test_threshold_quantile_widens_c_star(self):
-        records = [
-            self.record(i, [100.0 + 10 * i] * 4, [20.0 + i] * 4) for i in range(5)
-        ]
+        window = self.window(*(([100.0 + 10 * i] * 4, [20.0 + i] * 4) for i in range(5)))
         forecast = temp_segment(self.grid, [20.0] * 4)
         cfg = ReferenceConfig(
             mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("quantile", 1.0)
         )
-        result = select(records, forecast, cfg)
+        result = select(window, forecast, cfg)
         assert len(result.c_star) == 5
 
     def test_threshold_fixed_never_undercuts_min(self):
-        records = [self.record(0, [100.0] * 4, [30.0] * 4)]
+        window = self.window(([100.0] * 4, [30.0] * 4))
         forecast = temp_segment(self.grid, [20.0] * 4)
         cfg = ReferenceConfig(
             mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("fixed", 0.1)
         )
-        result = select(records, forecast, cfg)
+        result = select(window, forecast, cfg)
         assert result.c_star  # clamped up to the minimum distance
 
     def test_convex_hull_property(self):
         rng = np.random.default_rng(9)
-        records = [
-            self.record(i, 100.0 + 300.0 * rng.random(4), 15.0 + 10.0 * rng.random(4))
-            for i in range(8)
-        ]
+        window = self.random_window(rng, 8)
         forecast = temp_segment(self.grid, [20.0] * 4)
         cfg = ReferenceConfig(
             mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("quantile", 1.0)
         )
-        result = select(records, forecast, cfg)
-        shapes = np.array([shape_of(r) for r in records])
-        assert np.all(result.reference.values >= shapes.min(axis=0) - 1e-12)
-        assert np.all(result.reference.values <= shapes.max(axis=0) + 1e-12)
+        result = select(window, forecast, cfg)
+        shapes = np.array([shape_of(load) for load in window.loads])
+        assert np.all(result.reference >= shapes.min(axis=0) - 1e-12)
+        assert np.all(result.reference <= shapes.max(axis=0) + 1e-12)
 
     def test_argmin_invariant_under_deviation_scaling(self):
         rng = np.random.default_rng(13)
         forecast_vals = 20.0 + 2.0 * rng.random(4)
         deviations = [rng.standard_normal(4) for _ in range(6)]
         for c in (0.5, 1.0, 3.0):
-            records = [
-                self.record(i, [100.0 + i] * 4, forecast_vals + c * dev)
+            window = self.window(*(
+                ([100.0 + i] * 4, forecast_vals + c * dev)
                 for i, dev in enumerate(deviations)
-            ]
+            ))
             forecast = temp_segment(self.grid, forecast_vals)
-            result = select(records, forecast, self.cfg)
+            result = select(window, forecast, self.cfg)
             assert result.c_star == select(
-                records, temp_segment(self.grid, forecast_vals), self.cfg
+                window, temp_segment(self.grid, forecast_vals), self.cfg
             ).c_star
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
-        records = [
-            self.record(i, 100.0 + 300.0 * rng.random(4), 15.0 + 10.0 * rng.random(4))
-            for i in range(6)
-        ]
+        window = self.random_window(rng, 6)
         forecast = temp_segment(self.grid, [20.0] * 4)
-        r1 = select(records, forecast, self.cfg)
-        r2 = select(records, forecast, self.cfg)
+        r1 = select(window, forecast, self.cfg)
+        r2 = select(window, forecast, self.cfg)
         assert r1.c_star == r2.c_star
-        np.testing.assert_array_equal(r1.reference.values, r2.reference.values)
+        np.testing.assert_array_equal(r1.reference, r2.reference)
 
     def test_candidate_without_temperature_dropped_with_warning(self):
-        with_temp = self.record(0, [100.0] * 4, [20.0] * 4)
-        without = make_record(self.grid, MONDAY + dt.timedelta(days=1), [200.0] * 4)
+        window = self.window(([100.0] * 4, [20.0] * 4), ([200.0] * 4, None))
         forecast = temp_segment(self.grid, [19.0] * 4)
         with pytest.warns(UserWarning, match="dropping candidate"):
-            result = select([with_temp, without], forecast, self.cfg)
-        assert result.c_star == (with_temp.meta.date,)
+            result = select(window, forecast, self.cfg)
+        assert result.c_star == (window.dates[0],)
 
     def test_all_candidates_missing_temperature(self):
-        without = make_record(self.grid, MONDAY, [200.0] * 4)
+        window = self.window(([200.0] * 4, None))
         forecast = temp_segment(self.grid, [19.0] * 4)
         with pytest.raises(MissingTemperatureError):
-            select([without], forecast, self.cfg)
+            select(window, forecast, self.cfg)
 
     def test_distance_restricted_to_forecast_mask(self):
         # candidate differs wildly off-mask; only masked points count
-        cand = self.record(0, [100.0] * 4, [20.0, 999.0, 20.0, -50.0])
+        window = self.window(([100.0] * 4, [20.0, 999.0, 20.0, -50.0]))
         forecast = temp_segment(self.grid, [20.0, np.nan, 20.0, np.nan])
-        result = select([cand], forecast, self.cfg)
-        assert result.temp_distances[cand.meta.date] == 0.0
+        result = select(window, forecast, self.cfg)
+        assert result.temp_distances[window.dates[0]] == 0.0
 
     def test_only_the_candidate_rows_count(self):
-        records = [
-            self.record(0, [100.0, 200.0, 400.0, 300.0], [19.0] * 4),
-            self.record(1, [400.0, 200.0, 100.0, 300.0], [30.0] * 4),
-            self.record(2, [100.0, 100.0, 200.0, 100.0], [25.0] * 4),
-        ]
-        window = window_of(records)
+        window = self.window(
+            ([100.0, 200.0, 400.0, 300.0], [19.0] * 4),
+            ([400.0, 200.0, 100.0, 300.0], [30.0] * 4),
+            ([100.0, 100.0, 200.0, 100.0], [25.0] * 4),
+        )
         forecast = temp_segment(self.grid, [20.0] * 4)
         result = select_reference(window, np.array([1, 2]), forecast, self.cfg)
-        assert result.c_star == (records[2].meta.date,)
-        assert list(result.temp_distances) == [records[1].meta.date, records[2].meta.date]
+        assert result.c_star == (window.dates[2],)
+        assert list(result.temp_distances) == [window.dates[1], window.dates[2]]
         raw = select_reference(window, np.array([1, 2]), forecast, self.cfg,
                                     rescale=False)
-        np.testing.assert_array_equal(raw.reference.values, records[2].load.values)
+        np.testing.assert_array_equal(raw.reference, window.loads[2])
 
     def test_empty_candidates(self):
         forecast = temp_segment(self.grid, [20.0] * 4)
         with pytest.raises(EmptyCandidateError):
-            select_reference(window_of((), self.grid), np.array([], dtype=int),
+            select_reference(self.window(), np.array([], dtype=int),
                              forecast, self.cfg)
 
-    # the second subset lies past the 4-point grid, so nothing of it is compared
-    @pytest.mark.parametrize("subset", [(1, 3), (4, 9)])
-    def test_subset_disjoint_from_forecast_mask(self, subset):
-        cand = self.record(0, [100.0] * 4, [20.0] * 4)
+    def test_subset_disjoint_from_forecast_mask(self):
+        window = self.window(([100.0] * 4, [20.0] * 4))
         forecast = temp_segment(self.grid, [20.0, np.nan, 21.0, np.nan])
-        cfg = ReferenceConfig(temp_distance=DistanceSpec(point_subset=subset))
+        cfg = ReferenceConfig(temp_distance=DistanceSpec(point_subset=(1, 3)))
         with pytest.raises(ShapecastError,
                            match="^forecast mask and configured subset are disjoint$"):
-            select([cand], forecast, cfg)
+            select(window, forecast, cfg)
 
 
-def per_candidate_reference(records, forecast, cfg, rescale):
-    """Reference selection one candidate record at a time, as a flat loop.
+# an index past the grid is refused as `distances` refuses it, even where the
+# rest of the subset would meet the forecast's mask
+@pytest.mark.parametrize("P, subset", [(4, (4, 9)), (24, (*range(1, 24, 3), 30))])
+def test_subset_past_the_grid_refused(P, subset):
+    grid = TimeGrid.equidistant(P)
+    window = make_history(grid, MONDAY, [[100.0] * P], [[20.0] * P])
+    forecast = temp_segment(grid, [20.0] * P)
+    cfg = ReferenceConfig(temp_distance=DistanceSpec(point_subset=subset))
+    message = f"^point_subset index {subset[-1]} out of bounds for length {P}$"
+    with pytest.raises(GridMismatchError, match=message):
+        select(window, forecast, cfg)
+    with pytest.raises(GridMismatchError, match=message):
+        distances(window.temps, forecast.values, cfg.temp_distance)
 
-    The comparison points are the forecast's observed points, within the
-    configured subset when there is one.
+
+def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
+    """Reference selection one candidate row at a time, as a flat loop.
+
+    The candidates enter as their dates, load rows and temperature rows (all
+    NaN for a day without temperature). The comparison points are the
+    forecast's observed points, within the configured subset when there is one.
     """
     subset = cfg.temp_distance.point_subset
     mask = [i for i in np.flatnonzero(~np.isnan(forecast.values)).tolist()
             if subset is None or i in subset]
     spec = DistanceSpec(cfg.temp_distance.kind, mask)
-    usable = [r for r in records if r.temperature is not None
-              and not np.isnan(r.temperature.values[mask]).any()]
-    dists = {r.meta.date: distance(r.temperature.values, forecast.values, spec)
-             for r in usable}
+    usable = [k for k, temp in enumerate(temps) if not np.isnan(temp[mask]).any()]
+    dists = {dates[k]: distance(temps[k], forecast.values, spec) for k in usable}
     d_min = min(dists.values())
     delta = d_min
     if cfg.mode is ReferenceMode.THRESHOLD and cfg.delta_rule.kind.value == "quantile":
         delta = float(np.quantile(list(dists.values()), cfg.delta_rule.value))
-    chosen = [r for r in usable if dists[r.meta.date] <= delta]
-    rows = [r.load.values / (r.load.values.max() if rescale else 1.0) for r in chosen]
-    return np.array(rows).mean(axis=0), tuple(r.meta.date for r in chosen), dists
+    chosen = [k for k in usable if dists[dates[k]] <= delta]
+    rows = [loads[k] / (loads[k].max() if rescale else 1.0) for k in chosen]
+    return np.array(rows).mean(axis=0), tuple(dates[k] for k in chosen), dists
 
 
 @pytest.mark.parametrize("kind", list(DistanceKind))
@@ -300,15 +315,13 @@ def test_rows_match_per_candidate_loop(kind, mode, rule, rescale):
     temps[rng.random((60, 24)) < 0.1] = np.nan  # partial days, some dropped
     temps[::9] = np.nan  # days without temperature
     history = make_history(grid, MONDAY, loads, temps)
-    records = history.records
-    # every third point and one past the grid, which no forecast mask holds
-    subset = (*range(1, 24, 3), 30)
+    subset = tuple(range(1, 24, 3))  # every third point
     for temp_distance in DistanceSpec(kind), DistanceSpec(kind, subset):
         cfg = ReferenceConfig(mode=mode, delta_rule=rule, temp_distance=temp_distance)
-        check_against_loop(history, records, cfg, rescale, rng)
+        check_against_loop(history, cfg, rescale, rng)
 
 
-def check_against_loop(history, records, cfg, rescale, rng):
+def check_against_loop(history, cfg, rescale, rng):
     checked = 0
     for forecast_values in 5.0 + 25.0 * rng.random((8, 24)):
         forecast_values[rng.random(24) < 0.5] = np.nan
@@ -325,8 +338,9 @@ def check_against_loop(history, records, cfg, rescale, rng):
                 except MissingTemperatureError:
                     continue
                 reference, c_star, dists = per_candidate_reference(
-                    [records[i] for i in rows], forecast, cfg, rescale)
-            assert got.reference.values.tobytes() == reference.tobytes()
+                    [history.dates[i] for i in rows], history.loads[rows],
+                    history.temps[rows], forecast, cfg, rescale)
+            assert got.reference.tobytes() == reference.tobytes()
             assert got.c_star == c_star
             assert got.temp_distances == dists
             checked += 1

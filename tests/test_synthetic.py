@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_same_record
 from shapecast import synthetic
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
-from shapecast.history import DailyRecord, HistoryWindow, Quality
-from shapecast.segments import LoadSegment, TemperatureSegment
+from shapecast.history import HistoryWindow, Quality
 from shapecast.synthetic import (
     SHAPE_FUNCTIONS,
     ExperimentRow,
@@ -27,16 +25,17 @@ GRID = TimeGrid.equidistant(24)
 
 
 def day_by_day_generate(spec):
-    """Reference generator: one calendar annotation and one record per day.
+    """Reference generator: one calendar annotation and one row per day.
 
     Each day takes its profile index, jitter and noise one at a time from the
-    seed's three streams (profile, jitter, noise).
+    seed's three streams (profile, jitter, noise). Returns each day's (meta,
+    load bytes, temperature bytes) and each day's clean-curve bytes.
     """
     P = spec.grid.points_per_day
     pool = default_temperature_pool(spec.grid)
     streams = np.random.SeedSequence(spec.seed).spawn(3)
     profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
-    records, cleans = [], []
+    days, cleans = [], []
     for n in range(spec.length):
         meta = annotate_calendar(spec.start + dt.timedelta(days=n))
         if spec.profile_mode == "cycle":
@@ -51,10 +50,9 @@ def day_by_day_generate(spec):
         if spec.noise_sigma > 0:
             values = clean + spec.noise_sigma * noise_rng.standard_normal(P)
         values = np.maximum(values, 1e-9)
-        records.append(DailyRecord(meta, LoadSegment(spec.grid, values),
-                                   TemperatureSegment(spec.grid, temps), Quality.COMPLETE))
+        days.append((meta, values.tobytes(), temps.tobytes()))
         cleans.append(clean.tobytes())
-    return records, cleans
+    return days, cleans
 
 
 class TestGenerate:
@@ -68,10 +66,13 @@ class TestGenerate:
     ])
     def test_rows_equal_day_by_day_records(self, spec):
         window, clean = generate(spec)
-        records, expected_cleans = day_by_day_generate(spec)
-        assert len(window.records) == len(records)
-        for got, want in zip(window.records, records):
-            assert_same_record(got, want)
+        days, expected_cleans = day_by_day_generate(spec)
+        assert len(window) == len(days)
+        for i, (meta, load, temps) in enumerate(days):
+            assert window.meta(i) == meta
+            assert window.quality[i] is Quality.COMPLETE
+            assert window.loads[i].tobytes() == load
+            assert window.temps[i].tobytes() == temps
         assert clean.shape == (spec.length, spec.grid.points_per_day)
         assert [row.tobytes() for row in clean] == expected_cleans
 
@@ -79,25 +80,20 @@ class TestGenerate:
         spec = SyntheticSpec(GRID, 30, seed=7)
         w1, c1 = generate(spec)
         w2, c2 = generate(spec)
-        for a, b in zip(w1.records, w2.records):
-            np.testing.assert_array_equal(a.load.values, b.load.values)
-            np.testing.assert_array_equal(a.temperature.values, b.temperature.values)
+        np.testing.assert_array_equal(w1.loads, w2.loads)
+        np.testing.assert_array_equal(w1.temps, w2.temps)
         np.testing.assert_array_equal(c1, c2)
 
     def test_seeds_differ(self):
         w1, _ = generate(SyntheticSpec(GRID, 10, seed=0))
         w2, _ = generate(SyntheticSpec(GRID, 10, seed=1))
-        assert any(
-            not np.array_equal(a.load.values, b.load.values)
-            for a, b in zip(w1.records, w2.records)
-        )
+        assert any(not np.array_equal(a, b) for a, b in zip(w1.loads, w2.loads))
 
     def test_prefix_stability(self):
         # extending the horizon must not disturb earlier days
         w_short, _ = generate(SyntheticSpec(GRID, 10, seed=3))
         w_long, _ = generate(SyntheticSpec(GRID, 20, seed=3))
-        for a, b in zip(w_short.records, w_long.records[:10]):
-            np.testing.assert_array_equal(a.load.values, b.load.values)
+        np.testing.assert_array_equal(w_short.loads, w_long.loads[:10])
 
     def test_noise_independent_of_jitter(self):
         # one stream per quantity: changing the jitter leaves the noise alone
@@ -109,8 +105,8 @@ class TestGenerate:
     def test_noiseless_matches_clean_truth(self):
         spec = SyntheticSpec(GRID, 14, noise_sigma=0.0, seed=5)
         window, clean = generate(spec)
-        for rec, truth in zip(window.records, clean):
-            np.testing.assert_array_equal(rec.load.values, truth)
+        for load, truth in zip(window.loads, clean):
+            np.testing.assert_array_equal(load, truth)
 
     def test_group_routing_of_shape_functions(self):
         window, clean = generate(SyntheticSpec(GRID, 14, seed=1))
@@ -137,7 +133,7 @@ class TestGenerate:
 
     def test_start_is_monday_by_default(self):
         window, _ = generate(SyntheticSpec(GRID, 1))
-        assert window.records[0].meta.date.weekday() == 0
+        assert window.dates[0].weekday() == 0
 
     def test_cycle_mode_visits_pool_in_order(self):
         window, _ = generate(SyntheticSpec(GRID, 12, profile_mode="cycle", seed=0))
@@ -150,8 +146,8 @@ class TestGenerate:
 
     def test_values_positive_and_bounded_truth(self):
         window, clean = generate(SyntheticSpec(GRID, 40, seed=9))
-        for rec in window.records:
-            assert np.all(rec.load.values > 0)
+        for load in window.loads:
+            assert np.all(load > 0)
         for t in clean:
             assert np.all(t > 0)
             assert np.all(t <= 1.0)
@@ -161,9 +157,7 @@ class TestGenerate:
         sigma = 0.05
         spec = SyntheticSpec(GRID, 1000, noise_sigma=sigma, seed=17)
         window, clean = generate(spec)
-        resid = np.concatenate(
-            [rec.load.values - t for rec, t in zip(window.records, clean)]
-        )
+        resid = np.concatenate([load - t for load, t in zip(window.loads, clean)])
         n = resid.size
         assert 0.045 <= resid.std() <= 0.055
         assert abs(resid.mean()) <= 4 * sigma / math.sqrt(n)
