@@ -12,7 +12,7 @@ import numpy as np
 from .calendars import GROUPS, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError
 from .history import HistoryWindow
-from .predictor import KernelSpec, _kernel_weights
+from .predictor import KernelSpec, _kernel_weights, predict_shape
 from .segments import DistanceSpec, distances, read_only
 
 
@@ -35,7 +35,8 @@ def conditional_kernel_weights(
     if shapes.shape[0] < 2:
         raise InsufficientHistoryError("conditional kernel needs at least 2 days")
     weights = np.zeros(shapes.shape[0])
-    weights[1:] = _kernel_weights(distances(shapes[:-1], shapes[-1], dist), kernel)
+    dists = distances(shapes[:-1], shapes[-1], dist)
+    weights[1:] = _kernel_weights(dists, kernel.kind, kernel.bandwidth)
     return weights
 
 
@@ -47,4 +48,4 @@ def predict_conditional_kernel(
     """Weighted average of successors of days similar to the last observed day."""
     shapes = history.shapes
     weights = conditional_kernel_weights(shapes, kernel, dist)
-    return read_only(weights @ shapes)
+    return read_only(predict_shape(shapes, weights))

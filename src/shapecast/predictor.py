@@ -13,7 +13,7 @@ import datetime as dt
 import json
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
@@ -73,47 +73,49 @@ class Prediction:
     config: PredictorConfig
 
 
-def _kernel_weights(
-    dists: np.ndarray, kernel: KernelSpec, in_group: np.ndarray | None = None
-) -> np.ndarray:
+def _kernel_weights(dists: np.ndarray, kind: KernelKind, bandwidth: float | np.ndarray,
+                    in_group: np.ndarray | None = None) -> np.ndarray:
     """Normalized kernel weights from the distance row of the history shapes.
 
-    A compact kernel at a tiny bandwidth can kill all mass; the weight then
-    falls back, with a warning, to the nearest shape. With `in_group` (True
-    for days of the target group) the weights are restricted to that group
-    and renormalized.
+    A float `bandwidth` gives weights (L,), an (H, 1) column of them (H, L) whose
+    row r is the float call's at bandwidth r. A row without mass (compact kernel,
+    tiny bandwidth) falls back to the nearest shape, warning once per call.
+    `in_group` (True on target-group days) renormalizes each row over that group.
     """
     with np.errstate(over="ignore"):  # an overflowed u is inf, where every kernel is 0
-        mass = kernel_value(dists / kernel.bandwidth, kernel.kind)
-    total = mass.sum()
-    if total == 0.0:
+        mass = kernel_value(dists / bandwidth, kind)
+    total = mass.sum(axis=-1, keepdims=True)
+    dead = total == 0.0
+    weights = mass / np.where(dead, 1.0, total)  # dead rows: 0 until the fallback
+    if dead.any():
         warnings.warn(
             "no segment within bandwidth; falling back to the nearest segment",
             stacklevel=3,
         )
-        weights = np.zeros(len(dists))
-        weights[int(np.argmin(dists))] = 1.0
-    else:
-        weights = mass / total
+        weights = np.where(dead, np.arange(len(dists)) == np.argmin(dists), weights)
     if in_group is None:
         return weights
     masked = weights * in_group
-    if masked.sum() == 0.0:
+    if not masked.sum(axis=-1).all():
         raise EmptyCandidateError(
             "same_group_only left no weight mass in the target group"
         )
-    return masked / masked.sum()
+    return masked / masked.sum(axis=-1, keepdims=True)
 
 
 def predict_shape(shapes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Coordinate-wise convex combination of history shapes."""
+    """Coordinate-wise convex combination of history shapes.
+
+    `weights` is (L,) or (H, L); each row takes its own (1 x L) @ (L x P)
+    product, bit for bit the row's own call, which (H x L) @ (L x P) is not.
+    """
     shapes = np.atleast_2d(np.asarray(shapes, dtype=float))
     weights = np.asarray(weights, dtype=float)
-    if shapes.shape[0] != weights.shape[0]:
+    if shapes.shape[0] != weights.shape[-1]:
         raise ShapecastError(
-            f"{shapes.shape[0]} shapes but {weights.shape[0]} weights"
+            f"{shapes.shape[0]} shapes but {weights.shape[-1]} weights"
         )
-    return weights @ shapes
+    return (weights[..., None, :] @ shapes)[..., 0, :]
 
 
 def _stage(
@@ -152,7 +154,7 @@ def predict_day(
     reference, matrix, dists, in_group = _stage(
         history, target.group, temp_forecast, cfg
     )
-    weights = _kernel_weights(dists, cfg.kernel, in_group)
+    weights = _kernel_weights(dists, cfg.kernel.kind, cfg.kernel.bandwidth, in_group)
     shape = read_only(predict_shape(matrix, weights))
     return Prediction(
         target_date=target.date,
@@ -237,27 +239,24 @@ def select_bandwidth(
     predicted one day ahead by the `walk_forward` protocol; mean relative
     absolute error decides, ties go to the smaller bandwidth. The reference
     and its distance row do not depend on the bandwidth, so each validation
-    day computes them once and then scores every bandwidth's prediction in
-    one `score_day` call; the results equal one `predict_day` per (h, day).
+    day computes them once, then weighs, combines and scores every bandwidth
+    in one call each; the results equal one `predict_day` per (h, day).
     """
-    h_grid = default_bandwidth_grid(history, cfg.shape_distance).tolist()
+    h_grid = default_bandwidth_grid(history, cfg.shape_distance)
     validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
     if len(history) <= validation_days + 1:
         raise InsufficientHistoryError(
             f"need more than {validation_days + 1} days of history"
         )
-    kernels = [replace(cfg.kernel, bandwidth=h) for h in h_grid]
     # one contiguous row per bandwidth: a column mean would sum in another order
     errs = np.empty((len(h_grid), validation_days))
     days = walk_forward(history, range(len(history) - validation_days, len(history)))
     for k, (i, prior, meta, forecast, next_day_max) in enumerate(days):
         _, matrix, dists, in_group = _stage(prior, meta.group, forecast, cfg)
-        shapes = np.empty((len(kernels), history.grid.points_per_day))
-        # no comprehension: its frame would move the fallback warning's stacklevel
-        for j, kernel in enumerate(kernels):
-            shapes[j] = predict_shape(matrix, _kernel_weights(dists, kernel, in_group))
-        errs[:, k] = score_day(shapes * next_day_max, history.loads[i])[0]
-    risks = [(h, float(np.mean(e))) for h, e in zip(h_grid, errs)]
+        weights = _kernel_weights(dists, cfg.kernel.kind, h_grid[:, None], in_group)
+        errs[:, k] = score_day(predict_shape(matrix, weights) * next_day_max,
+                               history.loads[i])[0]
+    risks = [(h, float(np.mean(e))) for h, e in zip(h_grid.tolist(), errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks
 

@@ -18,7 +18,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .calendars import GROUPS, DayGroup
-from .errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
+from .errors import (EmptyCandidateError, GridMismatchError, MissingTemperatureError,
+                     ShapecastError)
 from .history import HistoryWindow
 from .segments import DistanceSpec, TemperatureSegment, _subset_index, distances, read_only
 
@@ -121,6 +122,8 @@ def select_reference(
     With rescale=False the raw (megawatt-scale) curves are averaged instead of
     their daily-max rescaled shapes.
     """
+    if temp_forecast.grid != history.grid:
+        raise GridMismatchError("the forecast's grid is not the history's")
     candidates = np.asarray(candidates, dtype=int)
     if not len(candidates):
         raise EmptyCandidateError("no candidates to select a reference from")
@@ -148,18 +151,15 @@ def select_reference(
     dists = distances(temps[observed], temp_forecast.values[points],
                       DistanceSpec(cfg.temp_distance.kind))
 
+    rule = cfg.delta_rule if cfg.mode is ReferenceMode.THRESHOLD else DeltaRule()
     d_min = float(dists.min())
-    if cfg.mode is ReferenceMode.ARGMIN:
-        delta = d_min
+    if rule.kind is DeltaRuleKind.QUANTILE:
+        delta = float(np.quantile(dists, rule.value))
+    elif rule.kind is DeltaRuleKind.FIXED:
+        # the threshold may never undercut the minimum distance
+        delta = max(float(rule.value), d_min)
     else:
-        rule = cfg.delta_rule
-        if rule.kind is DeltaRuleKind.MIN:
-            delta = d_min
-        elif rule.kind is DeltaRuleKind.QUANTILE:
-            delta = float(np.quantile(dists, rule.value))
-        else:
-            # the threshold may never undercut the minimum distance
-            delta = max(float(rule.value), d_min)
+        delta = d_min
 
     chosen = usable[dists <= delta]
     matrix = history.shapes if rescale else history.loads

@@ -91,7 +91,7 @@ def test_02_weight_simplex_and_convex_hull():
             spec = KernelSpec(kinds[int(rng.integers(3))], 10 ** rng.uniform(-2, 2))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                w = _kernel_weights(distances(shapes, ref), spec)
+                w = _kernel_weights(distances(shapes, ref), spec.kind, spec.bandwidth)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
             pred = predict_shape(shapes, w)

@@ -10,7 +10,11 @@ from conftest import make_history, random_history
 from shapecast import predictor
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
-from shapecast.errors import InsufficientHistoryError, ShapecastError
+from shapecast.errors import (
+    GridMismatchError,
+    InsufficientHistoryError,
+    ShapecastError,
+)
 from shapecast.history import HistoryWindow
 from shapecast.predictor import (
     KernelKind,
@@ -24,7 +28,7 @@ from shapecast.predictor import (
     prediction_to_dict,
     select_bandwidth,
 )
-from shapecast.reference import DeltaRule, ReferenceConfig
+from shapecast.reference import DeltaRule, ReferenceConfig, select_reference
 from shapecast.segments import (
     DistanceSpec,
     TemperatureSegment,
@@ -41,20 +45,20 @@ class TestComputeWeights:
 
     def test_singleton_normalizes_to_one(self):
         dists = distances(np.array([[0.5, 1.0]]), np.array([0.1, 0.9]))
-        w = _kernel_weights(dists, KernelSpec())
+        w = _kernel_weights(dists, KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_array_equal(w, [1.0])
 
     def test_equidistant_split_evenly(self):
         shapes = np.array([[1.0, 0.0], [0.0, 1.0]])
         ref = np.array([0.5, 0.5])
-        w = _kernel_weights(distances(shapes, ref), KernelSpec())
+        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_gaussian_unit_bandwidth_fixture(self):
         # standard normal density at distances 0 and 1, normalized
         shapes = np.array([[0.0, 0.0], [1.0, 0.0]])
         ref = np.array([0.0, 0.0])
-        w = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 1.0))
+        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_allclose(w, [0.62246, 0.37754], atol=1e-5)
 
     def test_simplex(self):
@@ -68,7 +72,7 @@ class TestComputeWeights:
             kind = list(KernelKind)[int(rng.integers(3))]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                w = _kernel_weights(distances(shapes, ref), KernelSpec(kind, h))
+                w = _kernel_weights(distances(shapes, ref), kind, h)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -77,7 +81,7 @@ class TestComputeWeights:
         ref = np.array([0.4, 0.4])
         with pytest.warns(UserWarning, match="no segment within bandwidth"):
             w = _kernel_weights(
-                distances(shapes, ref), KernelSpec(KernelKind.EPANECHNIKOV, 1e-9)
+                distances(shapes, ref), KernelKind.EPANECHNIKOV, 1e-9
             )
         np.testing.assert_array_equal(w, [1.0, 0.0])
 
@@ -85,7 +89,7 @@ class TestComputeWeights:
         rng = np.random.default_rng(7)
         shapes = rng.random((10, 8))
         ref = rng.random(8)
-        w = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 1e9))
+        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e9)
         assert np.max(np.abs(w - 0.1)) < 1e-6
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
@@ -101,7 +105,7 @@ class TestComputeWeights:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             w = _kernel_weights(
-                distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 1e-3)
+                distances(shapes, ref), KernelKind.GAUSSIAN, 1e-3
             )
         assert w[1] > 1.0 - 1e-12
 
@@ -110,11 +114,51 @@ class TestComputeWeights:
         shapes = rng.random((5, 6))
         ref = rng.random(6)
         c = 7.5
-        w1 = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 0.3))
+        w1 = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.3)
         w2 = _kernel_weights(
-            distances(c * shapes, c * ref), KernelSpec(KernelKind.GAUSSIAN, c * 0.3)
+            distances(c * shapes, c * ref), KernelKind.GAUSSIAN, c * 0.3
         )
         np.testing.assert_allclose(w1, w2, atol=1e-12)
+
+
+class TestBandwidthAxis:
+    """An (H, 1) column of bandwidths weighs and combines the whole grid at once."""
+
+    # 1e-9 leaves every kernel without mass; the dead rows sit between live ones
+    H = np.array([1e-9, 0.05, 0.3, 1e-9, 1.0, 10.0])
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("L", [7, 300, 3000])
+    def test_rows_equal_float_calls(self, kind, grouped, L):
+        rng = np.random.default_rng(L)
+        dists = distances(rng.random((L, 24)), rng.random(24))
+        in_group = None
+        if grouped:
+            # a dead row falls back to the nearest shape: keep it in the group
+            in_group = rng.random(L) < 0.5
+            in_group[np.argmin(dists)] = True
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            weights = _kernel_weights(dists, kind, self.H[:, None], in_group)
+        assert len(seen) == 1  # one fallback warning for the call, not one per row
+        assert weights.shape == (len(self.H), L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for r, h in enumerate(self.H.tolist()):
+                assert np.array_equal(weights[r], _kernel_weights(dists, kind, h, in_group))
+
+    @pytest.mark.parametrize("L", [30, 300, 3000])
+    def test_stacked_combination_equals_row_calls(self, L):
+        rng = np.random.default_rng(L)
+        shapes = rng.random((L, 96))
+        weights = rng.random((25, L))
+        weights /= weights.sum(axis=1, keepdims=True)
+        got = predict_shape(shapes, weights)
+        assert got.shape == (25, 96)
+        for r in range(25):
+            assert np.array_equal(got[r], predict_shape(shapes, weights[r]))
+            assert np.array_equal(got[r], weights[r] @ shapes)
 
 
 class TestPredictShape:
@@ -156,9 +200,9 @@ class TestPredictShape:
         shapes = rng.random((6, 5))
         ref = rng.random(5)
         perm = rng.permutation(6)
-        w = _kernel_weights(distances(shapes, ref), KernelSpec(KernelKind.GAUSSIAN, 0.5))
+        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.5)
         w_perm = _kernel_weights(
-            distances(shapes[perm], ref), KernelSpec(KernelKind.GAUSSIAN, 0.5)
+            distances(shapes[perm], ref), KernelKind.GAUSSIAN, 0.5
         )
         np.testing.assert_allclose(w[perm], w_perm, atol=1e-15)
         np.testing.assert_allclose(
@@ -302,6 +346,21 @@ class TestPredictDay:
         assert "kernel" in d["config"]
         d2 = prediction_to_dict(pred, include_weights=True)
         assert len(d2["weights"]) == len(history)
+
+
+
+# two forecasts of the wrong length, and one of the right length on other times
+@pytest.mark.parametrize("grid", [TimeGrid.equidistant(2), TimeGrid.equidistant(8),
+                                  TimeGrid(("03:00", "09:00", "15:00", "21:00"))])
+def test_forecast_off_the_history_grid_refused(grid4, grid):
+    history = random_history(grid4, np.random.default_rng(20), 20)
+    target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
+    forecast = TemperatureSegment(grid, [20.0] * grid.points_per_day)
+    message = "^the forecast's grid is not the history's$"
+    with pytest.raises(GridMismatchError, match=message):
+        predict_day(history, target, forecast)
+    with pytest.raises(GridMismatchError, match=message):
+        select_reference(history, np.arange(len(history)), forecast, ReferenceConfig())
 
 
 def predict_after(history, rescale=True):
@@ -522,7 +581,10 @@ class TestSelectBandwidthOracle:
         if "threshold" in name or name == "no-rescale-uniform":
             assert fallbacks(seen_new) > 0
 
-    def test_same_group_error_matches(self, grid24, monkeypatch):
+    # 1e-9 alone, or among bandwidths that keep their in-group mass: shapes and
+    # references lie in [0, 1], so no euclidean distance on 24 points reaches 5
+    @pytest.mark.parametrize("live", [[], [5.0, 10.0]])
+    def test_same_group_error_matches(self, grid24, monkeypatch, live):
         # a one-hot fallback on an out-of-group day leaves no in-group mass
         cfg = PredictorConfig(
             reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM),
@@ -530,11 +592,15 @@ class TestSelectBandwidthOracle:
         )
         # seed 60: on this 46-day history the case arises in the 15-day window
         history = random_history(grid24, np.random.default_rng(60), 46)
-        use_grid(monkeypatch, [1e-9])
+        if live:
+            use_grid(monkeypatch, live)
+            select_bandwidth(history, cfg)
+        h_grid = [1e-9, *live]
+        use_grid(monkeypatch, h_grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ShapecastError) as seed_err:
-                seed_select_bandwidth(history, cfg, [1e-9], validation_days=15)
+                seed_select_bandwidth(history, cfg, h_grid, validation_days=15)
             with pytest.raises(ShapecastError) as new_err:
                 select_bandwidth(history, cfg)
         assert type(new_err.value) is type(seed_err.value)
@@ -572,7 +638,7 @@ def test_weight_simplex_property(seed):
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        w = _kernel_weights(distances(shapes, ref), KernelSpec(kind, h))
+        w = _kernel_weights(distances(shapes, ref), kind, h)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
     pred = predict_shape(shapes, w)
