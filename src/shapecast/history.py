@@ -1,4 +1,12 @@
-"""The history as day-by-day columns, daily-record views, and JSON-lines persistence."""
+"""The history as day-by-day columns, daily-record views, and JSON-lines persistence.
+
+The reader decodes each record line with orjson. A line orjson refuses, or
+one that fails a check, is read again by the stdlib decoder, whose value or
+error then stands: `NaN`, `1e400` and a lone-surrogate escape read as the
+stdlib reads them, and every error text is the stdlib path's. The header line
+stays on `json.loads`, and the writer on `json.dumps`, whose float text the
+history files keep.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +20,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+import orjson
 
 from .calendars import GROUPS, CalendarMeta, group_codes
 from .errors import GridMismatchError, IngestError, ShapecastError
@@ -201,6 +210,10 @@ def history_jsonl_text(window: HistoryWindow) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what a bad line raises, a line nested too deep to decode among them
+_REPORTED = (KeyError, ValueError, TypeError, OverflowError, RecursionError, ShapecastError)
+
+
 @contextmanager
 def _located(path, lineno: int):
     """Report any parse or schema error inside the block at `path:lineno`."""
@@ -208,7 +221,7 @@ def _located(path, lineno: int):
         yield
     except KeyError as exc:
         raise IngestError(f"{path}:{lineno}: missing key {exc}") from None
-    except (ValueError, TypeError, OverflowError, ShapecastError) as exc:
+    except _REPORTED as exc:
         raise IngestError(f"{path}:{lineno}: {exc}") from None
 
 
@@ -233,12 +246,42 @@ def _numbers(values, key: str, P: int, kinds=_NUMBER) -> list:
     raise ValueError(f"{key} holds {json.dumps(bad)}: numbers only{nulls}")
 
 
+# orjson builds a nested value by recursion without a limit, and a line nested
+# about 10^5 deep crashes the interpreter; a deeper one than this goes to the
+# stdlib decoder, which raises RecursionError
+_ORJSON_DEPTH = 10_000
+
+
+def _decoder(text: str):
+    """`orjson.loads`, unless `text` could nest deeper than `_ORJSON_DEPTH`."""
+    # a level takes two brackets, so only a long line needs its brackets counted
+    if len(text) > 2 * _ORJSON_DEPTH and text.count("[") + text.count("{") > _ORJSON_DEPTH:
+        return _DECODER.decode
+    return orjson.loads
+
+
+def _read_record(text: str, decode, P: int, load: np.ndarray, temp: np.ndarray) -> tuple:
+    """A record line's (date, holiday flag, quality); its numbers fill `load` and `temp`."""
+    if text.startswith("\ufeff"):  # `json.loads` refuses a BOM, `decode` does not
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    d = decode(text)
+    date = dt.date.fromisoformat(d["date"])
+    holiday = bool(d.get("is_holiday"))
+    load[:] = _numbers(d["load_mw"], "load_mw", P)
+    temps = d.get("temp_c")
+    if temps is not None:
+        temp[:] = _numbers(temps, "temp_c", P, _NUMBER_OR_NULL)  # null: NaN
+        if temps.count(None) == P:
+            raise ShapecastError("temperature mask must be nonempty")
+    return date, holiday, Quality(d["quality"])
+
+
 def read_history_jsonl(path) -> HistoryWindow:
     """The window a history file holds; every error names `path:line`."""
     with open(path, encoding="utf-8") as fh:
-        lines = [
-            (n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()
-        ]
+        # universal newlines turn `\r\n` and `\r` into `\n`, the one break splitting
+        # records: JSON allows U+2028 and the like raw inside a string
+        lines = [(n, ln) for n, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
     if not lines:
         raise ShapecastError(f"{path}: empty history file")
     lineno, text = lines[0]
@@ -256,22 +299,18 @@ def read_history_jsonl(path) -> HistoryWindow:
     for k, (lineno, text) in enumerate(records):
         try:
             with _located(path, lineno):
-                if text.startswith("\ufeff"):  # `json.loads` refuses a BOM, `decode` does not
-                    raise json.JSONDecodeError(
-                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-                d = _DECODER.decode(text)
-                dates.append(dt.date.fromisoformat(d["date"]))
-                holidays.append(bool(d.get("is_holiday")))
-                loads[k] = _numbers(d["load_mw"], "load_mw", P)
-                temp = d.get("temp_c")
-                if temp is not None:
-                    temps[k] = _numbers(temp, "temp_c", P, _NUMBER_OR_NULL)  # null: NaN
-                    if temp.count(None) == P:
-                        raise ShapecastError("temperature mask must be nonempty")
-                quality.append(Quality(d["quality"]))
+                try:
+                    day = _read_record(text, _decoder(text), P, loads[k], temps[k])
+                except _REPORTED:
+                    # a line orjson refuses or that fails a check: the stdlib
+                    # decoder's value or error stands
+                    day = _read_record(text, _DECODER.decode, P, loads[k], temps[k])
         except IngestError as exc:
             failure = exc
             break
+        dates.append(day[0])
+        holidays.append(day[1])
+        quality.append(day[2])
     try:
         if failure is None:
             return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))

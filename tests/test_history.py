@@ -1,10 +1,16 @@
 import datetime as dt
+import decimal
 import json
+import math
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_history
+from shapecast import history
 from shapecast.calendars import GROUPS, annotate_calendar
 from shapecast.errors import GridMismatchError, ShapecastError
 from shapecast.history import HistoryWindow, Quality, history_jsonl_text, read_history_jsonl
@@ -299,6 +305,14 @@ class TestJsonlErrors:
             (f'{RECORD[:-1]}, "temp_c": [20, 1e400, null, 4]}}', "within ±1000"),
             ("\ufeff" + RECORD,
              r"Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1 \(char 0\)$"),
+            # orjson refuses these lines; the stdlib decoder's value or error stands
+            (RECORD.replace("[1, 2, 3, 4]", "[1, 2, 3, 1e400]"), "load values must be finite$"),
+            (RECORD.replace("[1, 2, 3, 4]", "[1, 01, 3, 4]"),
+             r"Expecting ',' delimiter: line 1 column 63 \(char 62\)$"),
+            # orjson reads 2**64 as a float, but the error names the integer
+            (RECORD.replace('"complete"', str(2**64)), f": {2**64} is not a valid Quality$"),
+            (f'{RECORD[:-1]}, "note": "\u2028"}} x', "Extra data"),
+            (RECORD + "\u2028" + NEXT, "Extra data"),  # only \n, \r\n and \r split records
         ],
     )
     def test_bad_line_names_path_and_line(self, tmp_path, line, message):
@@ -307,6 +321,68 @@ class TestJsonlErrors:
             read_history_jsonl(path)
         # the bad record is on line 4: header, good record, blank line
         assert str(exc.value).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize("line, load", [
+        (RECORD.replace("[1, 2, 3, 4]", f"[1, 2, {2**64}, {2**64 + 1}]"), [1, 2, 2.0**64, 2.0**64]),
+        (f'{RECORD[:-1]}, "note": "\\ud800"}}', [1, 2, 3, 4]),  # a lone-surrogate escape
+        (f'{RECORD[:-1]}, "note": "\\ud83d\\ude00 \U0001f600"}}', [1, 2, 3, 4]),
+    ])
+    def test_stdlib_reading_stands(self, tmp_path, line, load):
+        # orjson reads 2**64 + 1 as a float and refuses a lone surrogate
+        window = read_history_jsonl(self.write(tmp_path, line))
+        assert window.loads[1].tolist() == load
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_raw_line_break_in_a_string_splits_no_record(self, tmp_path, char):
+        # JSON allows these raw inside a string, and only \n, \r\n and \r end a line
+        line = f'{RECORD[:-1]}, "note": "a{char}b"}}'
+        later = NEXT.replace("complete", "rejected")
+        with pytest.raises(ShapecastError) as exc:
+            read_history_jsonl(self.write(tmp_path, line + "\n" + later))
+        assert str(exc.value).endswith(":5: rejected records are excluded from history")
+        assert len(read_history_jsonl(self.write(tmp_path, line + "\n" + NEXT))) == 3
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_lines(self, tmp_path, end):
+        path = self.write(tmp_path, RECORD + "\n\n" + NEXT)
+        text = path.read_text()
+        back = tmp_path / "crlf.jsonl"
+        back.write_bytes(text.replace("\n", end).encode())
+        assert_same_columns(read_history_jsonl(back), read_history_jsonl(path))
+        broken = NEXT.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]")
+        back.write_bytes(text.replace(NEXT, broken).replace("\n", end).encode())
+        with pytest.raises(ShapecastError) as exc:
+            read_history_jsonl(back)
+        assert str(exc.value) == f"{back}:6: load values must be nonnegative"
+
+    def test_orjson_reads_every_good_line(self, tmp_path, monkeypatch):
+        seen, loads = [], orjson.loads
+        monkeypatch.setattr(history.orjson, "loads", lambda text: seen.append(text) or loads(text))
+        assert len(read_history_jsonl(self.write(tmp_path, RECORD))) == 2
+        assert seen == [self.GOOD, RECORD]
+
+    @pytest.mark.parametrize("depth", [5_000, 20_000, 200_000])
+    def test_deep_line(self, tmp_path, monkeypatch, depth):
+        # orjson recurses without a limit and crashes near 10**5 levels, so a line
+        # that may nest past 10**4 never reaches it; the stdlib decoder refuses it
+        seen, loads = [], orjson.loads
+
+        def spy(text):  # refuses, in place of crashing, a line the guard let through
+            seen.append(len(text))
+            if len(text) > 20_000:
+                raise orjson.JSONDecodeError("too deep for this test", text, 0)
+            return loads(text)
+        monkeypatch.setattr(history.orjson, "loads", spy)
+        line = f'{RECORD[:-1]}, "note": {"[" * depth}{"]" * depth}}}'
+        path = self.write(tmp_path, line)
+        if depth > 10_000:
+            with pytest.raises(ShapecastError) as exc:
+                read_history_jsonl(path)
+            assert str(exc.value).startswith(f"{path}:4: maximum recursion depth exceeded")
+            assert len(line) not in seen
+        else:  # too deep for the stdlib decoder, not for orjson
+            assert len(read_history_jsonl(path)) == 2
+            assert len(line) in seen
 
     @pytest.mark.parametrize("later", [
         '{"date": "2010-01-06", "quality"',
@@ -368,6 +444,171 @@ class TestJsonlErrors:
         with pytest.raises(ShapecastError) as exc:
             read_history_jsonl(path)
         assert str(exc.value).startswith(f"{path}:1: ")
+
+
+# The decoder differential: the reader as it runs, with orjson, against the same
+# reader when orjson refuses every line, so that the stdlib decoder reads them all.
+# orjson is whichever version is installed, so this is what guards its rounding.
+
+HEADER = '{"grid": ["00:00", "06:00", "12:00", "18:00"]}'
+
+
+def read_outcome(path):
+    """The columns the reader gives, or its error text."""
+    try:
+        window = read_history_jsonl(path)
+    except ShapecastError as exc:
+        return str(exc)
+    return (window.dates, window.is_holiday.tobytes(), window.quality,
+            window.loads.tobytes(), window.temps.tobytes())
+
+
+def refuse(text):
+    raise orjson.JSONDecodeError("refused", text, 0)
+
+
+def assert_decoders_agree(path, lines):
+    """Both decoders give the record `lines` one outcome, which is returned."""
+    path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    fast = read_outcome(path)
+    with mock.patch.object(history.orjson, "loads", refuse):
+        assert read_outcome(path) == fast
+    return fast
+
+
+def array(values) -> str:
+    return "[" + ", ".join(values) + "]"
+
+
+def digits(most: int):
+    """Digit strings of 1 to `most` digits, each length as likely, leading zeros kept."""
+    return st.integers(1, most).flatmap(
+        lambda n: st.integers(0, 10**n - 1).map(lambda v: str(v).zfill(n)))
+
+
+def mantissas(signs, whole_digits: int, exponents):
+    """Number texts: a sign, a whole part, up to 40 fraction digits, an exponent."""
+    whole = st.just("0") | digits(whole_digits).map(lambda d: d.lstrip("0") or "0")
+    exponent = st.just("") | st.builds(
+        lambda mark, n, plus: f"{mark}{'+' if plus and n >= 0 else ''}{n}",
+        st.sampled_from("eE"), exponents, st.booleans())
+    return st.builds("{}{}{}{}".format, st.sampled_from(signs), whole,
+                     st.just("") | digits(40).map(".".__add__), exponent)
+
+
+def arrays(values):
+    return st.lists(values, min_size=4, max_size=4).map(array)
+
+
+# integers at the edges of a double's exact integers, of orjson's 64-bit ones,
+# and of a double's range
+INT_EDGES = (2**53, 2**63, 2**64, 10**308, 2**1024 - 2**970)
+loads_ok = st.one_of(  # nonnegative and mostly finite: lines that mostly read
+    mantissas([""], 40, st.integers(-400, 260)),
+    st.floats(0, allow_infinity=False).map(repr),
+    st.floats(0, 2.3e-308).map(repr),  # subnormals
+    st.builds(lambda edge, step: str(edge + step), st.sampled_from(INT_EDGES), st.integers(-3, 3)),
+    st.sampled_from(["-0", "-0.0", "0e0", "1E+2"]),
+)
+temps_ok = mantissas(["", "-"], 3, st.integers(-400, 0)) | st.floats(-1000, 1000).map(repr)
+numbers = st.one_of(  # a valid JSON number of any form or size
+    loads_ok,
+    mantissas(["-"], 40, st.integers(-400, 400)),
+    st.builds(lambda edge, step: str(-edge + step), st.sampled_from(INT_EDGES), st.integers(-3, 3)),
+    st.sampled_from(["1e400", "-1e400"]),
+)
+strings = st.builds(json.dumps, st.text(max_size=12), ensure_ascii=st.booleans()) | st.sampled_from([
+    '"\\ud800"', '"a\\udfffb"', '"\\ud83d\\ude00"', '"\U0001f600 é"', '"\u2028\u2029\x85"',
+    '"\\u0000\\n\\"\\\\\\/"', '"\\x"', '"\\u12"', '"\t"',
+])
+# a value of one field that may not read: the line's one twist
+TWISTS = {
+    "date": st.sampled_from(['"2010-01-05"', '"2010-02-30"', "5"]),
+    "load_mw": arrays(numbers),
+    "temp_c": arrays(numbers | st.just("null")),
+    "quality": st.sampled_from(['"rejected"', '"bad"']) | numbers,
+    "is_holiday": numbers,
+}
+BAD_NUMBERS = ["NaN", "Infinity", "-Infinity", "01", "-01", "00.5", "1.", ".5", "+1", "1e", "0x10",
+               "1_0", "--1"]
+DAMAGE = {  # or a damage to the line's text
+    "truncated": lambda line, k: line[:k],
+    "a character lost": lambda line, k: line[:k] + line[k + 1:],
+    "a stray zero": lambda line, k: line[:k] + "0" + line[k:],
+    "a number JSON refuses": lambda line, k: line.replace(
+        "[", f"[{BAD_NUMBERS[k % len(BAD_NUMBERS)]}, ", 1),
+    "a BOM": lambda line, k: "\ufeff" + line,
+    "trailing data": lambda line, k: line + " " + line[:k],
+}
+
+
+@st.composite
+def record_lines(draw, n: int):
+    """The `n`th record of a file, its fields in any order, with at most one twist."""
+    fields = {
+        "date": f'"{day(n + 1)}"',
+        "load_mw": draw(arrays(loads_ok)),
+        "quality": draw(st.sampled_from(['"complete"', '"gap-filled"'])),
+    }
+    for key, values in [("is_holiday", st.sampled_from(["true", "false", "null", "0", "1e-400"])),
+                        ("temp_c", arrays(temps_ok | st.just("null"))),
+                        ("note", strings)]:
+        if draw(st.booleans()):
+            fields[key] = draw(values)
+    twist = draw(st.sampled_from(["none"] * 10 + list(TWISTS) + list(DAMAGE)))
+    if twist in TWISTS:
+        fields[twist] = draw(TWISTS[twist])
+    pairs = draw(st.permutations(list(fields.items())))
+    if draw(st.booleans()):  # a duplicate key: the last one stands
+        pairs.insert(0, ("quality", '"rejected"'))
+    line = "{" + ", ".join(f'"{key}": {value}' for key, value in pairs) + "}"
+    return DAMAGE[twist](line, draw(st.integers(0, len(line)))) if twist in DAMAGE else line
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(*map(record_lines, range(n)))))
+def test_orjson_reads_as_the_stdlib_decoder(tmp_path_factory, lines):
+    assert_decoders_agree(tmp_path_factory.getbasetemp() / "decoders.jsonl", lines)
+
+
+def halfway(lo: float, hi: float | int, tilts=(-1, 0, 1)) -> list[str]:
+    """Decimal texts exactly halfway between the doubles `lo` and `hi`, and a hair either side."""
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        lo, hi = decimal.Decimal(lo), decimal.Decimal(hi)
+        return [str((lo + hi) / 2 + tilt * (hi - lo) / 10**25) for tilt in tilts]
+
+
+_rng = np.random.default_rng(18)
+# doubles from every binade, from the subnormals to the largest, and the edges
+# of the exact integers and of orjson's 64-bit ones
+BINADES = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 999.0, 2.0**53, 2.0**63, 2.0**64,
+           *np.ldexp(1 + _rng.random(300), _rng.integers(-1074, 1023, 300)).tolist()]
+LARGEST = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("texts", [
+    pytest.param([t for x in BINADES for t in halfway(x, math.nextafter(x, math.inf))],
+                 id="halfway in every binade"),
+    *[pytest.param(halfway(LARGEST, 2**1024, [tilt]), id=f"halfway past the largest {tilt:+d}")
+      for tilt in (-1, 0, 1)],
+])
+def test_decoders_agree_on_halfway_numbers(tmp_path, texts):
+    lines = []
+    for k in range(0, len(texts), 4):
+        loads = (texts[k:k + 4] + ["1"] * 3)[:4]
+        temps = f', "temp_c": {array("-" + t for t in loads)}'
+        if max(map(float, loads)) > 1000:
+            temps = ""
+        lines.append(f'{{"date": "{day(k // 4)}", "quality": "complete", '
+                     f'"load_mw": {array(loads)}{temps}}}')
+    outcome = assert_decoders_agree(tmp_path / "h.jsonl", lines)
+    # Python's `float` rounds a decimal text correctly, so it is the oracle too
+    want = [float(t) for t in texts]
+    if all(map(math.isfinite, want)):
+        assert np.frombuffer(outcome[3])[:len(want)].tolist() == want
+    else:
+        assert outcome.endswith((":2: load values must be finite",
+                                 ":2: int too large to convert to float"))
 
 
 MIXED_DATES = (day(0), day(1), day(2), day(4))  # Mon, Tue, Wed, Fri; Thursday left out
