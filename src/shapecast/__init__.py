@@ -15,7 +15,6 @@ from .predictor import (
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
 from .segments import (
     DistanceKind,
-    DistanceSpec,
     LoadSegment,
     TemperatureSegment,
     TimeGrid,
@@ -42,7 +41,6 @@ __all__ = [
     "candidate_set",
     "select_reference",
     "DistanceKind",
-    "DistanceSpec",
     "LoadSegment",
     "TemperatureSegment",
     "TimeGrid",

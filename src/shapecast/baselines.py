@@ -13,7 +13,7 @@ from .calendars import GROUPS, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError
 from .history import HistoryWindow
 from .predictor import KernelSpec, _kernel_weights, predict_shape
-from .segments import DistanceSpec, distances, read_only
+from .segments import DistanceKind, distances, read_only
 
 
 def predict_persistence(history: HistoryWindow, target_group: DayGroup) -> np.ndarray:
@@ -25,7 +25,7 @@ def predict_persistence(history: HistoryWindow, target_group: DayGroup) -> np.nd
 
 
 def conditional_kernel_weights(
-    shapes: np.ndarray, kernel: KernelSpec, dist: DistanceSpec = DistanceSpec()
+    shapes: np.ndarray, kernel: KernelSpec, dist: DistanceKind = DistanceKind.EUCLIDEAN
 ) -> np.ndarray:
     """Length-L weights; entry r is kernel mass of shape r-1 against the last shape.
 
@@ -43,7 +43,7 @@ def conditional_kernel_weights(
 def predict_conditional_kernel(
     history: HistoryWindow,
     kernel: KernelSpec,
-    dist: DistanceSpec = DistanceSpec(),
+    dist: DistanceKind = DistanceKind.EUCLIDEAN,
 ) -> np.ndarray:
     """Weighted average of successors of days similar to the last observed day."""
     shapes = history.shapes

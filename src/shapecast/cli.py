@@ -38,7 +38,7 @@ from .predictor import (
     select_bandwidth,
 )
 from .reference import DEFAULT_N_L, DeltaRule, DeltaRuleKind, ReferenceConfig, ReferenceMode
-from .segments import DistanceKind, DistanceSpec, TimeGrid
+from .segments import DistanceKind, TimeGrid
 from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 
 
@@ -175,7 +175,12 @@ def build_predictor_config(
     delta_value = _ini_value(
         ini, "reference", "delta_value", _optional_nonnegative_float, None
     )
-    delta_rule = DeltaRule(delta_kind, delta_value)
+    try:
+        delta_rule = DeltaRule(delta_kind, delta_value)
+    except ShapecastError as exc:  # a value out of the rule's range is a usage error
+        raw = ini.get("reference", "delta_value", raw=True, fallback=None)
+        where = "unset" if raw is None else f"= {raw!r}"
+        raise SystemExit(f"error: config [reference] delta_value {where}: {exc}") from None
     n_l_by_group = {g: n_l_default for g in DayGroup}
     n_l_by_group[DayGroup.G1] = n_l_g1
 
@@ -193,13 +198,13 @@ def build_predictor_config(
         n_L_by_group=n_l_by_group,
         mode=mode,
         delta_rule=delta_rule,
-        temp_distance=DistanceSpec(dist_kind),
+        temp_distance=dist_kind,
     )
     kernel = KernelSpec(kernel_kind, 1.0 if bandwidth == "auto" else bandwidth)
     cfg = PredictorConfig(
         reference=reference,
         kernel=kernel,
-        shape_distance=DistanceSpec(dist_kind),
+        shape_distance=dist_kind,
         same_group_only=args.same_group_only,
     )
     return cfg, bandwidth == "auto"

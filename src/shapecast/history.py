@@ -240,10 +240,12 @@ def _numbers(values, key: str, P: int, kinds=_NUMBER) -> list:
     """`values` if it is a list of P JSON numbers (or nulls, where `kinds` has them)."""
     if type(values) is list and len(values) == P and kinds.issuperset(map(type, values)):
         return values
+    # a value neither allowed nor a list is named before numpy converts (and fails on) it
+    for v in values if type(values) is list else [values]:
+        if type(v) not in kinds and type(v) is not list:
+            nulls = ", null only for an unobserved point" if type(None) in kinds else ""
+            raise ValueError(f"{key} holds {json.dumps(v)}: numbers only{nulls}")
     _as_vector(values, P)  # a wrong nesting or length fails here, naming its shape
-    bad = next(v for v in values if type(v) not in kinds)
-    nulls = ", null only for an unobserved point" if type(None) in kinds else ""
-    raise ValueError(f"{key} holds {json.dumps(bad)}: numbers only{nulls}")
 
 
 # orjson builds a nested value by recursion without a limit, and a line nested

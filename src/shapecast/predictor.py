@@ -23,7 +23,7 @@ from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastErro
 from .history import HistoryWindow
 from .metrics import score_day
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
-from .segments import DistanceSpec, TemperatureSegment, TimeGrid, distances, read_only
+from .segments import DistanceKind, TemperatureSegment, TimeGrid, distances, read_only
 
 
 class KernelKind(str, Enum):
@@ -57,9 +57,12 @@ class KernelSpec:
 class PredictorConfig:
     reference: ReferenceConfig = field(default_factory=ReferenceConfig)
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    shape_distance: DistanceSpec = field(default_factory=DistanceSpec)
+    shape_distance: DistanceKind = DistanceKind.EUCLIDEAN
     same_group_only: bool = False  # restrict the weighted sum to same-group days
     rescale: bool = True  # weight daily-max rescaled shapes (production default)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shape_distance", DistanceKind(self.shape_distance))
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ CV_MIN_TRAIN = 31
 
 
 def default_bandwidth_grid(
-    history: HistoryWindow, dist: DistanceSpec = DistanceSpec()
+    history: HistoryWindow, dist: DistanceKind = DistanceKind.EUCLIDEAN
 ) -> np.ndarray:
     """Log-spaced bandwidth grid anchored at the median pairwise shape distance.
 

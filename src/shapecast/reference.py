@@ -2,9 +2,10 @@
 
 The reference segment is the expected-shape proxy for the day to be predicted:
 recent same-group days whose temperatures are closest to the forecast are
-averaged (in shape form). In the default argmin mode the closeness threshold
-collapses to the minimum temperature distance, so only the nearest day (plus
-exact ties) contributes.
+averaged (in shape form). Temperatures are compared on the points the
+forecast observes (its non-NaN points) and nowhere else. In the default argmin
+mode the closeness threshold collapses to the minimum temperature distance, so
+only the nearest day (plus exact ties) contributes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .calendars import GROUPS, DayGroup
 from .errors import (EmptyCandidateError, GridMismatchError, MissingTemperatureError,
                      ShapecastError)
 from .history import HistoryWindow
-from .segments import DistanceSpec, TemperatureSegment, _subset_index, distances, read_only
+from .segments import DistanceKind, TemperatureSegment, distances, read_only
 
 
 class ReferenceMode(str, Enum):
@@ -66,11 +67,11 @@ class ReferenceConfig:
     n_L_by_group: dict = field(default_factory=lambda: dict(DEFAULT_N_L))
     mode: ReferenceMode = ReferenceMode.ARGMIN
     delta_rule: DeltaRule = DeltaRule()
-    temp_distance: DistanceSpec = DistanceSpec()
-    holiday_fallback: bool = True  # widen HOLIDAY candidates with G4 days when < 2
+    temp_distance: DistanceKind = DistanceKind.EUCLIDEAN
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", ReferenceMode(self.mode))
+        object.__setattr__(self, "temp_distance", DistanceKind(self.temp_distance))
         n_l = {DayGroup(g): int(n) for g, n in self.n_L_by_group.items()}
         if any(n < 1 for n in n_l.values()):
             raise ShapecastError("n_L values must be >= 1")
@@ -94,14 +95,13 @@ def candidate_set(
     """Row indices of the `group` days among the last n_L days, oldest first.
 
     A holiday with fewer than two such days widens the pool with the G4 days
-    of the lookback (holidays behave most like Sundays) when
-    `cfg.holiday_fallback` is set.
+    of the lookback (holidays behave most like Sundays).
     """
     code = GROUPS.index(group)
     n_l = cfg.n_L(group)
     start = max(len(history) - n_l, 0)
     rows = start + np.flatnonzero(history.group[start:] == code)
-    if group is DayGroup.HOLIDAY and cfg.holiday_fallback and len(rows) < 2:
+    if group is DayGroup.HOLIDAY and len(rows) < 2:
         start = max(len(history) - max(n_l, cfg.n_L(DayGroup.G4)), 0)
         pool = history.group[start:]
         rows = start + np.flatnonzero((pool == code) | (pool == GROUPS.index(DayGroup.G4)))
@@ -127,14 +127,7 @@ def select_reference(
     candidates = np.asarray(candidates, dtype=int)
     if not len(candidates):
         raise EmptyCandidateError("no candidates to select a reference from")
-    # compare on the forecast's observed points, within the configured subset
     points = np.flatnonzero(~np.isnan(temp_forecast.values))
-    subset = _subset_index(cfg.temp_distance, history.grid.points_per_day)
-    if subset is not None:
-        points = np.intersect1d(points, subset)
-        if not len(points):
-            raise ShapecastError("forecast mask and configured subset are disjoint")
-
     temps = history.temps[np.ix_(candidates, points)]
     observed = ~np.isnan(temps).any(axis=1)
     for i in candidates[~observed]:
@@ -148,8 +141,7 @@ def select_reference(
         raise MissingTemperatureError(
             "every candidate lacks temperature data on the comparison mask"
         )
-    dists = distances(temps[observed], temp_forecast.values[points],
-                      DistanceSpec(cfg.temp_distance.kind))
+    dists = distances(temps[observed], temp_forecast.values[points], cfg.temp_distance)
 
     rule = cfg.delta_rule if cfg.mode is ReferenceMode.THRESHOLD else DeltaRule()
     d_min = float(dists.min())

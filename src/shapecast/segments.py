@@ -5,7 +5,7 @@ of P equidistant clock times: a load in raw megawatts or in "shape form", i.e.
 divided by its daily maximum so values lie in (0, 1]. Predictions, references
 and baselines are fresh `read_only` arrays. A temperature forecast is a
 `TemperatureSegment`, checked on entry; `LoadSegment` is only the type of the
-history's record view.
+history's record view. Distances compare every point they are given.
 """
 
 from __future__ import annotations
@@ -128,34 +128,6 @@ class DistanceKind(str, Enum):
     MAX_ABSOLUTE = "max-absolute"
 
 
-@dataclass(frozen=True)
-class DistanceSpec:
-    """Metric on R^P, optionally restricted to a subset of grid indices (0-based)."""
-
-    kind: DistanceKind = DistanceKind.EUCLIDEAN
-    point_subset: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", DistanceKind(self.kind))
-        if self.point_subset is not None:
-            subset = tuple(sorted(set(int(i) for i in self.point_subset)))
-            if not subset:
-                raise ShapecastError("point_subset must be nonempty when given")
-            if subset[0] < 0:
-                raise ShapecastError("point_subset indices must be nonnegative")
-            object.__setattr__(self, "point_subset", subset)
-
-
-def _subset_index(spec: DistanceSpec, n: int) -> list[int] | None:
-    if spec.point_subset is None:
-        return None
-    if spec.point_subset[-1] >= n:
-        raise GridMismatchError(
-            f"point_subset index {spec.point_subset[-1]} out of bounds for length {n}"
-        )
-    return list(spec.point_subset)
-
-
 def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
     """Metric of each difference vector along the last axis."""
     if kind is DistanceKind.EUCLIDEAN:
@@ -165,21 +137,18 @@ def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
     return np.max(np.abs(diff), axis=-1)
 
 
-def distance(a, b, spec: DistanceSpec = DistanceSpec()) -> float:
-    """Distance between two equal-length vectors under `spec`."""
+def distance(a, b, kind: DistanceKind = DistanceKind.EUCLIDEAN) -> float:
+    """Distance between two equal-length vectors under the metric `kind`."""
     a = _as_vector(a)
     b = _as_vector(b, a.shape[0])
-    idx = _subset_index(spec, a.shape[0])
-    if idx is not None:
-        a, b = a[idx], b[idx]
-    return float(_reduce(a - b, spec.kind))
+    return float(_reduce(a - b, DistanceKind(kind)))
 
 
-def distances(M, v, spec: DistanceSpec = DistanceSpec()) -> np.ndarray:
-    """Distance of every row of the L x P matrix `M` to `v` under `spec`.
+def distances(M, v, kind: DistanceKind = DistanceKind.EUCLIDEAN) -> np.ndarray:
+    """Distance of every row of the L x P matrix `M` to `v` under the metric `kind`.
 
     `v` is one length-P vector, or an L x P matrix whose rows pair up with
-    those of `M`. Row r equals `distance(M[r], v[r] or v, spec)` bit for bit.
+    those of `M`. Row r equals `distance(M[r], v[r] or v, kind)` bit for bit.
     """
     # C order keeps each row's sum pairwise, exactly as `distance` sums a vector
     M = np.ascontiguousarray(M, dtype=float)
@@ -188,8 +157,4 @@ def distances(M, v, spec: DistanceSpec = DistanceSpec()) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=float)
     if v.shape not in ((M.shape[1],), M.shape):
         raise GridMismatchError(f"cannot pair shape {v.shape} with matrix {M.shape}")
-    idx = _subset_index(spec, M.shape[1])
-    if idx is not None:
-        M, v = np.take(M, idx, axis=1), np.take(v, idx, axis=-1)
-    return _reduce(M - v, spec.kind)
-
+    return _reduce(M - v, DistanceKind(kind))

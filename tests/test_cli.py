@@ -270,6 +270,28 @@ class TestPredict:
         key = line.split(" = ")[0]
         assert f"config [{section}] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, shown", [
+        ("delta_rule = quantile\ndelta_value = 1.5",
+         "delta_value = '1.5': quantile rule needs a value in (0, 1]"),
+        ("delta_rule = quantile\ndelta_value = 0",
+         "delta_value = '0': quantile rule needs a value in (0, 1]"),
+        ("delta_rule = quantile", "delta_value unset: quantile rule needs a value in (0, 1]"),
+        ("delta_rule = fixed\ndelta_value =",
+         "delta_value = '': fixed rule needs a nonnegative value"),
+    ])
+    def test_delta_value_out_of_the_rules_range_is_usage_error(
+            self, raw_files, history_file, tmp_path, lines, shown, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[reference]\nmode = threshold\n{lines}\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--config", str(ini),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config [reference] {shown}\n"
+
     def test_tiny_bandwidth_predicts(self, raw_files, history_file, capsys):
         # u = d / h overflows to inf, where the kernel is 0: no RuntimeWarning
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()

@@ -298,6 +298,16 @@ class TestJsonlErrors:
             (f'{RECORD[:-1]}, "temp_c": ["20", false, null, 4]}}',
              'temp_c holds "20": numbers only, null only for an unobserved point$'),
             (f'{RECORD[:-1]}, "temp_c": [20, false, null, 4]}}', "temp_c holds false"),
+            # named before numpy converts them, which would fail in its own words
+            (RECORD.replace("[1, 2, 3, 4]", '["abc", 2, 3, 4]'),
+             'load_mw holds "abc": numbers only$'),
+            (RECORD.replace("[1, 2, 3, 4]", '[{"a": 1}, 2, 3, 4]'),
+             r'load_mw holds \{"a": 1\}: numbers only$'),
+            (RECORD.replace("[1, 2, 3, 4]", '"abc"'), 'load_mw holds "abc": numbers only$'),
+            (f'{RECORD[:-1]}, "temp_c": [null, "abc", 3, 4]}}',
+             'temp_c holds "abc": numbers only, null only for an unobserved point$'),
+            (f'{RECORD[:-1]}, "temp_c": [{{"a": 1}}, 2, 3, 4]}}',
+             r'temp_c holds \{"a": 1\}: numbers only, null only for an unobserved point$'),
             (f'{RECORD[:-1]}, "temp_c": [null, null, null, null]}}',
              "temperature mask must be nonempty"),
             (RECORD.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]"),

@@ -30,7 +30,7 @@ from shapecast.predictor import (
 )
 from shapecast.reference import DeltaRule, ReferenceConfig, select_reference
 from shapecast.segments import (
-    DistanceSpec,
+    DistanceKind,
     TemperatureSegment,
     TimeGrid,
     distance,
@@ -324,7 +324,7 @@ class TestPredictDay:
             predict_day(make_history(grid4, MONDAY, np.empty((0, 4))), target,
                         full_mask_forecast(grid4, [20.0] * 4))
 
-    def test_holiday_fallback_uses_sundays(self, grid4):
+    def test_holiday_widened_with_sundays(self, grid4):
         history = random_history(grid4, np.random.default_rng(29), 21)
         holiday = history.dates[-1] + dt.timedelta(days=1)
         target = annotate_calendar(holiday, {holiday})
@@ -344,6 +344,8 @@ class TestPredictDay:
         assert len(d["scaled"]) == 4
         assert "weights" not in d
         assert "kernel" in d["config"]
+        assert d["config"]["shape_distance"] == "euclidean"
+        assert d["config"]["reference"]["temp_distance"] == "euclidean"
         d2 = prediction_to_dict(pred, include_weights=True)
         assert len(d2["weights"]) == len(history)
 
@@ -361,6 +363,13 @@ def test_forecast_off_the_history_grid_refused(grid4, grid):
         predict_day(history, target, forecast)
     with pytest.raises(GridMismatchError, match=message):
         select_reference(history, np.arange(len(history)), forecast, ReferenceConfig())
+
+
+def test_shape_distance_coerced_and_checked():
+    cfg = PredictorConfig(shape_distance="mean-absolute")
+    assert cfg.shape_distance is DistanceKind.MEAN_ABSOLUTE
+    with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
+        PredictorConfig(shape_distance="bogus")
 
 
 def predict_after(history, rescale=True):
@@ -537,11 +546,11 @@ CV_CONFIGS = {
         reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM)
     ),
     "mean-absolute": PredictorConfig(
-        reference=ReferenceConfig(temp_distance=DistanceSpec("mean-absolute")),
-        shape_distance=DistanceSpec("mean-absolute"),
+        reference=ReferenceConfig(temp_distance=DistanceKind("mean-absolute")),
+        shape_distance=DistanceKind("mean-absolute"),
     ),
     "max-absolute": PredictorConfig(
-        reference=THRESHOLD, shape_distance=DistanceSpec("max-absolute")
+        reference=THRESHOLD, shape_distance=DistanceKind("max-absolute")
     ),
     "no-rescale": PredictorConfig(rescale=False),
     "no-rescale-uniform": PredictorConfig(
@@ -611,7 +620,7 @@ class TestSelectBandwidthOracle:
     @pytest.mark.parametrize("length", [2, 12, 63, 64, 80])
     def test_default_grid_equals_pair_list(self, grid24, kind, length):
         history = random_history(grid24, np.random.default_rng(length), length)
-        dist = DistanceSpec(kind)
+        dist = DistanceKind(kind)
         expected = seed_default_bandwidth_grid(history, dist)
         got = default_bandwidth_grid(history, dist)
         assert np.array_equal(got, expected)

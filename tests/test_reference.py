@@ -6,12 +6,7 @@ import pytest
 
 from conftest import make_history
 from shapecast.calendars import GROUPS, DayGroup
-from shapecast.errors import (
-    EmptyCandidateError,
-    GridMismatchError,
-    MissingTemperatureError,
-    ShapecastError,
-)
+from shapecast.errors import EmptyCandidateError, MissingTemperatureError
 from shapecast.history import HistoryWindow
 from shapecast.reference import (
     DeltaRule,
@@ -22,11 +17,9 @@ from shapecast.reference import (
 )
 from shapecast.segments import (
     DistanceKind,
-    DistanceSpec,
     TemperatureSegment,
     TimeGrid,
     distance,
-    distances,
 )
 
 MONDAY = dt.date(2010, 6, 7)
@@ -41,6 +34,13 @@ def standard_history(grid, days, rng=None):
 
 def lookback(n_L):
     return ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup})
+
+
+def test_temp_distance_coerced_and_checked():
+    cfg = ReferenceConfig(temp_distance="max-absolute")
+    assert cfg.temp_distance is DistanceKind.MAX_ABSOLUTE
+    with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
+        ReferenceConfig(temp_distance="bogus")
 
 
 class TestCandidateSet:
@@ -79,9 +79,6 @@ class TestCandidateSet:
         rows = candidate_set(window, DayGroup.HOLIDAY, lookback(14))
         # one holiday in the lookback is fewer than two: Sundays join it
         assert rows.tolist() == [9, 13, 20]
-        no_widening = ReferenceConfig(n_L_by_group={g: 14 for g in DayGroup},
-                                      holiday_fallback=False)
-        assert candidate_set(window, DayGroup.HOLIDAY, no_widening).tolist() == [9]
 
     def test_window_limits_lookback(self, grid4):
         history = standard_history(grid4, 28)
@@ -255,43 +252,18 @@ class TestSelectReference:
             select_reference(self.window(), np.array([], dtype=int),
                              forecast, self.cfg)
 
-    def test_subset_disjoint_from_forecast_mask(self):
-        window = self.window(([100.0] * 4, [20.0] * 4))
-        forecast = temp_segment(self.grid, [20.0, np.nan, 21.0, np.nan])
-        cfg = ReferenceConfig(temp_distance=DistanceSpec(point_subset=(1, 3)))
-        with pytest.raises(ShapecastError,
-                           match="^forecast mask and configured subset are disjoint$"):
-            select(window, forecast, cfg)
-
-
-# an index past the grid is refused as `distances` refuses it, even where the
-# rest of the subset would meet the forecast's mask
-@pytest.mark.parametrize("P, subset", [(4, (4, 9)), (24, (*range(1, 24, 3), 30))])
-def test_subset_past_the_grid_refused(P, subset):
-    grid = TimeGrid.equidistant(P)
-    window = make_history(grid, MONDAY, [[100.0] * P], [[20.0] * P])
-    forecast = temp_segment(grid, [20.0] * P)
-    cfg = ReferenceConfig(temp_distance=DistanceSpec(point_subset=subset))
-    message = f"^point_subset index {subset[-1]} out of bounds for length {P}$"
-    with pytest.raises(GridMismatchError, match=message):
-        select(window, forecast, cfg)
-    with pytest.raises(GridMismatchError, match=message):
-        distances(window.temps, forecast.values, cfg.temp_distance)
-
 
 def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
     """Reference selection one candidate row at a time, as a flat loop.
 
     The candidates enter as their dates, load rows and temperature rows (all
     NaN for a day without temperature). The comparison points are the
-    forecast's observed points, within the configured subset when there is one.
+    forecast's observed points.
     """
-    subset = cfg.temp_distance.point_subset
-    mask = [i for i in np.flatnonzero(~np.isnan(forecast.values)).tolist()
-            if subset is None or i in subset]
-    spec = DistanceSpec(cfg.temp_distance.kind, mask)
+    mask = np.flatnonzero(~np.isnan(forecast.values))
     usable = [k for k, temp in enumerate(temps) if not np.isnan(temp[mask]).any()]
-    dists = {dates[k]: distance(temps[k], forecast.values, spec) for k in usable}
+    dists = {dates[k]: distance(temps[k][mask], forecast.values[mask], cfg.temp_distance)
+             for k in usable}
     d_min = min(dists.values())
     delta = d_min
     if cfg.mode is ReferenceMode.THRESHOLD and cfg.delta_rule.kind.value == "quantile":
@@ -315,16 +287,19 @@ def test_rows_match_per_candidate_loop(kind, mode, rule, rescale):
     temps[rng.random((60, 24)) < 0.1] = np.nan  # partial days, some dropped
     temps[::9] = np.nan  # days without temperature
     history = make_history(grid, MONDAY, loads, temps)
-    subset = tuple(range(1, 24, 3))  # every third point
-    for temp_distance in DistanceSpec(kind), DistanceSpec(kind, subset):
-        cfg = ReferenceConfig(mode=mode, delta_rule=rule, temp_distance=temp_distance)
-        check_against_loop(history, cfg, rescale, rng)
+    every_third = np.isin(np.arange(24), range(1, 24, 3))
+    cfg = ReferenceConfig(mode=mode, delta_rule=rule, temp_distance=kind)
+    for forecast_points in None, every_third:
+        check_against_loop(history, cfg, rescale, rng, forecast_points)
 
 
-def check_against_loop(history, cfg, rescale, rng):
+def check_against_loop(history, cfg, rescale, rng, forecast_points=None):
+    """`forecast_points`, when given, leaves the forecast NaN off those points."""
     checked = 0
     for forecast_values in 5.0 + 25.0 * rng.random((8, 24)):
         forecast_values[rng.random(24) < 0.5] = np.nan
+        if forecast_points is not None:
+            forecast_values[~forecast_points] = np.nan
         forecast = temp_segment(history.grid, forecast_values)
         for group in DayGroup:
             try:

@@ -8,7 +8,6 @@ from conftest import make_history
 from shapecast.errors import GridMismatchError, ShapecastError
 from shapecast.segments import (
     DistanceKind,
-    DistanceSpec,
     LoadSegment,
     TemperatureSegment,
     TimeGrid,
@@ -75,37 +74,28 @@ class TestDistance:
     def test_3_4_5_triangle(self):
         assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
 
-    def test_subset_restriction(self):
-        spec = DistanceSpec(DistanceKind.EUCLIDEAN, (0,))
-        assert distance([1.0, 100.0], [2.0, 0.0], spec) == 1.0
-
     def test_mean_absolute(self):
-        spec = DistanceSpec(DistanceKind.MEAN_ABSOLUTE)
-        assert distance([0.0, 0.0], [3.0, 4.0], spec) == pytest.approx(3.5)
+        assert distance([0.0, 0.0], [3.0, 4.0], DistanceKind.MEAN_ABSOLUTE) == pytest.approx(3.5)
 
     def test_max_absolute(self):
-        spec = DistanceSpec(DistanceKind.MAX_ABSOLUTE)
-        assert distance([0.0, 0.0], [3.0, 4.0], spec) == 4.0
+        assert distance([0.0, 0.0], [3.0, 4.0], "max-absolute") == 4.0
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
+            distance([0.0, 0.0], [3.0, 4.0], "bogus")
+        with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
+            distances(np.zeros((3, 2)), np.zeros(2), "bogus")
 
     def test_length_mismatch(self):
         with pytest.raises(GridMismatchError):
             distance([1.0], [1.0, 2.0])
 
-    def test_subset_out_of_bounds(self):
-        with pytest.raises(GridMismatchError):
-            distance([1.0, 2.0], [1.0, 2.0], DistanceSpec(point_subset=(5,)))
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ShapecastError):
-            DistanceSpec(point_subset=())
-
     @given(vectors, st.sampled_from(list(DistanceKind)))
     def test_symmetry_and_nonnegativity(self, a, kind):
         b = list(reversed(a))
-        spec = DistanceSpec(kind)
-        d_ab = distance(a, b, spec)
+        d_ab = distance(a, b, kind)
         assert d_ab >= 0.0
-        assert d_ab == distance(b, a, spec)
+        assert d_ab == distance(b, a, kind)
 
     @given(
         st.integers(2, 8).flatmap(
@@ -117,8 +107,7 @@ class TestDistance:
     )
     def test_triangle_inequality(self, abc, kind):
         a, b, c = abc
-        spec = DistanceSpec(kind)
-        assert distance(a, c, spec) <= distance(a, b, spec) + distance(b, c, spec) + 1e-9
+        assert distance(a, c, kind) <= distance(a, b, kind) + distance(b, c, kind) + 1e-9
 
     @given(vectors, st.floats(-100, 100, allow_nan=False))
     def test_euclidean_homogeneity(self, a, c):
@@ -129,26 +118,16 @@ class TestDistance:
 
 class TestDistances:
     @pytest.mark.parametrize("kind", list(DistanceKind))
-    @pytest.mark.parametrize("subset", [None, (0,), (1, 5, 6), tuple(range(0, 96, 3))])
     @pytest.mark.parametrize("P", [7, 24, 96])
-    def test_rows_equal_distance_bit_for_bit(self, kind, subset, P):
+    def test_rows_equal_distance_bit_for_bit(self, kind, P):
         rng = np.random.default_rng(P)
-        spec = DistanceSpec(kind, tuple(i for i in subset if i < P) if subset else None)
         M = rng.random((40, P)) * 500.0
         v = rng.random(P) * 500.0
-        expected = np.array([distance(row, v, spec) for row in M])
-        assert np.array_equal(distances(M, v, spec), expected)
+        expected = np.array([distance(row, v, kind) for row in M])
+        assert np.array_equal(distances(M, v, kind), expected)
         V = rng.random((40, P))
-        paired = np.array([distance(a, b, spec) for a, b in zip(M, V)])
-        assert np.array_equal(distances(M, V, spec), paired)
-
-    @pytest.mark.parametrize("kind", list(DistanceKind))
-    def test_subset_out_of_bounds(self, kind):
-        spec = DistanceSpec(kind, (1, 4))
-        with pytest.raises(GridMismatchError):
-            distances(np.zeros((3, 4)), np.zeros(4), spec)
-        with pytest.raises(GridMismatchError):
-            distance(np.zeros(4), np.zeros(4), spec)
+        paired = np.array([distance(a, b, kind) for a, b in zip(M, V)])
+        assert np.array_equal(distances(M, V, kind), paired)
 
     def test_grid_length_mismatch(self):
         with pytest.raises(GridMismatchError):
