@@ -324,7 +324,7 @@ class TestPredictDay:
             predict_day(make_history(grid4, MONDAY, np.empty((0, 4))), target,
                         full_mask_forecast(grid4, [20.0] * 4))
 
-    def test_holiday_widened_with_sundays(self, grid4):
+    def test_holiday_fallback_uses_sundays(self, grid4):
         history = random_history(grid4, np.random.default_rng(29), 21)
         holiday = history.dates[-1] + dt.timedelta(days=1)
         target = annotate_calendar(holiday, {holiday})

@@ -117,15 +117,19 @@ class TestDistance:
 
 
 class TestDistances:
+    # `subset` names the compared points, as a forecast's observed points do
+    # when reference selection slices the candidates' columns to them
     @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("subset", [None, (0,), (1, 5, 6), tuple(range(0, 96, 3))])
     @pytest.mark.parametrize("P", [7, 24, 96])
-    def test_rows_equal_distance_bit_for_bit(self, kind, P):
+    def test_rows_equal_distance_bit_for_bit(self, kind, subset, P):
         rng = np.random.default_rng(P)
-        M = rng.random((40, P)) * 500.0
-        v = rng.random(P) * 500.0
+        points = [i for i in subset if i < P] if subset else list(range(P))
+        M = (rng.random((40, P)) * 500.0)[:, points]
+        v = (rng.random(P) * 500.0)[points]
         expected = np.array([distance(row, v, kind) for row in M])
         assert np.array_equal(distances(M, v, kind), expected)
-        V = rng.random((40, P))
+        V = rng.random((40, P))[:, points]
         paired = np.array([distance(a, b, kind) for a, b in zip(M, V)])
         assert np.array_equal(distances(M, V, kind), paired)
 
