@@ -86,7 +86,7 @@ def backtest(
         ) * day_max
         curves[meta.date] = DayCurves(actual, dict(zip(methods, predicted)))
         # Python floats: repr of a numpy float would change the report
-        day_scores = zip(methods, *(s.tolist() for s in score_day(predicted, actual)))
+        day_scores = zip(methods, *(s.tolist() for s in score_day(predicted, actual, meta.date)))
         scores.extend(DayScore(meta.date, *score) for score in day_scores)
     return BacktestReport(
         scores=scores,

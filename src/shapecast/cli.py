@@ -37,7 +37,7 @@ from .predictor import (
     prediction_to_json,
     select_bandwidth,
 )
-from .reference import DEFAULT_N_L, DeltaRule, DeltaRuleKind, ReferenceConfig, ReferenceMode
+from .reference import DEFAULT_N_L, DeltaRule, DeltaRuleKind, ReferenceConfig
 from .segments import DistanceKind, TimeGrid
 from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 
@@ -77,6 +77,15 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
                 parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise SystemExit(f"error: config file {path}: {exc}") from None
+    # a [DEFAULT] key would show in every section, so none is read there
+    for section in (parser.default_section, *parser.sections()):
+        keys = [k for s, k in INI_KEYS if s == section]
+        for key in parser[section]:
+            if key not in keys:
+                raise SystemExit(f"error: config [{section}] {key}: unknown key; "
+                                 f"[{section}] takes {', '.join(keys) or 'no key'}")
+        if not keys and section != parser.default_section:
+            raise SystemExit(f"error: config [{section}]: unknown section")
     return parser
 
 
@@ -140,11 +149,25 @@ def _optional_nonnegative_float(text: str) -> float | None:
     return _nonnegative_float(text) if text else None
 
 
-def _ini_value(ini: configparser.ConfigParser, section: str, key: str, parse, default):
-    """`parse` applied to an INI value, or `default` when it is absent.
+# every key a config file may set, (section, key) -> (parse, default): the
+# table `_ini_value` reads and `_load_ini` refuses any other key by
+INI_KEYS = {
+    ("reference", "n_l_g1"): (_positive_int, DEFAULT_N_L[DayGroup.G1]),
+    ("reference", "n_l_default"): (_positive_int, DEFAULT_N_L[DayGroup.G2]),
+    ("reference", "delta_rule"): (DeltaRuleKind, "min"),
+    ("reference", "delta_value"): (_optional_nonnegative_float, None),
+    ("distance", "kind"): (DistanceKind, "euclidean"),
+    ("kernel", "kind"): (KernelKind, "gaussian"),
+    ("kernel", "bandwidth"): (parse_bandwidth, "auto"),
+}
+
+
+def _ini_value(ini: configparser.ConfigParser, section: str, key: str):
+    """The INI value parsed by its `INI_KEYS` entry, or its default when absent.
 
     A value that does not parse is a usage error (exit 2).
     """
+    parse, default = INI_KEYS[section, key]
     if not ini.has_option(section, key):
         return default
     raw = ini.get(section, key, raw=True)
@@ -162,21 +185,11 @@ def build_predictor_config(
     Returns the config plus a flag saying whether the bandwidth should be
     selected from the data ('auto').
     """
-    mode = args.mode or _ini_value(
-        ini, "reference", "mode", ReferenceMode, "argmin"
-    )
-    n_l_g1 = _ini_value(
-        ini, "reference", "n_l_g1", _positive_int, DEFAULT_N_L[DayGroup.G1]
-    )
-    n_l_default = _ini_value(
-        ini, "reference", "n_l_default", _positive_int, DEFAULT_N_L[DayGroup.G2]
-    )
-    delta_kind = _ini_value(ini, "reference", "delta_rule", DeltaRuleKind, "min")
-    delta_value = _ini_value(
-        ini, "reference", "delta_value", _optional_nonnegative_float, None
-    )
+    n_l_g1 = _ini_value(ini, "reference", "n_l_g1")
+    n_l_default = _ini_value(ini, "reference", "n_l_default")
     try:
-        delta_rule = DeltaRule(delta_kind, delta_value)
+        delta_rule = DeltaRule(_ini_value(ini, "reference", "delta_rule"),
+                               _ini_value(ini, "reference", "delta_value"))
     except ShapecastError as exc:  # a value out of the rule's range is a usage error
         raw = ini.get("reference", "delta_value", raw=True, fallback=None)
         where = "unset" if raw is None else f"= {raw!r}"
@@ -184,19 +197,12 @@ def build_predictor_config(
     n_l_by_group = {g: n_l_default for g in DayGroup}
     n_l_by_group[DayGroup.G1] = n_l_g1
 
-    dist_kind = args.distance or _ini_value(
-        ini, "distance", "kind", DistanceKind, "euclidean"
-    )
-    kernel_kind = args.kernel or _ini_value(
-        ini, "kernel", "kind", KernelKind, "gaussian"
-    )
-    bandwidth = args.bandwidth or _ini_value(
-        ini, "kernel", "bandwidth", parse_bandwidth, "auto"
-    )
+    dist_kind = args.distance or _ini_value(ini, "distance", "kind")
+    kernel_kind = args.kernel or _ini_value(ini, "kernel", "kind")
+    bandwidth = args.bandwidth or _ini_value(ini, "kernel", "bandwidth")
 
     reference = ReferenceConfig(
         n_L_by_group=n_l_by_group,
-        mode=mode,
         delta_rule=delta_rule,
         temp_distance=dist_kind,
     )
@@ -357,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--bandwidth", type=parse_bandwidth, help="positive number or 'auto'"
         )
-        p.add_argument("--mode", choices=[m.value for m in ReferenceMode])
         p.add_argument("--distance", choices=[d.value for d in DistanceKind])
         p.add_argument("--same-group-only", action="store_true")
 

@@ -240,12 +240,20 @@ def _numbers(values, key: str, P: int, kinds=_NUMBER) -> list:
     """`values` if it is a list of P JSON numbers (or nulls, where `kinds` has them)."""
     if type(values) is list and len(values) == P and kinds.issuperset(map(type, values)):
         return values
-    # a value neither allowed nor a list is named before numpy converts (and fails on) it
-    for v in values if type(values) is list else [values]:
-        if type(v) not in kinds and type(v) is not list:
+    # the first value not allowed, at any depth, is named before numpy converts
+    # (and fails on) it; a stack, not recursion: a line may nest thousands deep
+    pending = [values]
+    while pending:
+        v = pending.pop()
+        if type(v) is list:
+            pending.extend(reversed(v))
+        elif type(v) not in kinds:
             nulls = ", null only for an unobserved point" if type(None) in kinds else ""
             raise ValueError(f"{key} holds {json.dumps(v)}: numbers only{nulls}")
-    _as_vector(values, P)  # a wrong nesting or length fails here, naming its shape
+    try:
+        _as_vector(values, P)  # a wrong nesting or length fails here, naming its shape
+    except ValueError:  # numpy words a ragged or too deep nesting in its own terms
+        raise GridMismatchError("expected 1-d vector, got nested lists") from None
 
 
 # orjson builds a nested value by recursion without a limit, and a line nested

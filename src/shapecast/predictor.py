@@ -258,7 +258,7 @@ def select_bandwidth(
         _, matrix, dists, in_group = _stage(prior, meta.group, forecast, cfg)
         weights = _kernel_weights(dists, cfg.kernel.kind, h_grid[:, None], in_group)
         errs[:, k] = score_day(predict_shape(matrix, weights) * next_day_max,
-                               history.loads[i])[0]
+                               history.loads[i], meta.date)[0]
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid.tolist(), errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks

@@ -3,9 +3,10 @@
 The reference segment is the expected-shape proxy for the day to be predicted:
 recent same-group days whose temperatures are closest to the forecast are
 averaged (in shape form). Temperatures are compared on the points the
-forecast observes (its non-NaN points) and nowhere else. In the default argmin
-mode the closeness threshold collapses to the minimum temperature distance, so
-only the nearest day (plus exact ties) contributes.
+forecast observes (its non-NaN points) and nowhere else. The δ rule alone sets
+the closeness threshold: the default `min` rule is the minimum temperature
+distance, so only the nearest day (plus exact ties) contributes, and a
+`quantile` or `fixed` rule widens the chosen set C*.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ from .history import HistoryWindow
 from .segments import DistanceKind, TemperatureSegment, distances, read_only
 
 
-class ReferenceMode(str, Enum):
-    ARGMIN = "argmin"
-    THRESHOLD = "threshold"
-
-
 class DeltaRuleKind(str, Enum):
     MIN = "min"
     QUANTILE = "quantile"
@@ -43,12 +39,14 @@ class DeltaRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", DeltaRuleKind(self.kind))
+        if self.kind is DeltaRuleKind.MIN and self.value is not None:
+            raise ShapecastError("min rule takes no value")
         if self.kind is DeltaRuleKind.QUANTILE:
             if self.value is None or not 0 < self.value <= 1:
                 raise ShapecastError("quantile rule needs a value in (0, 1]")
         if self.kind is DeltaRuleKind.FIXED:
-            if self.value is None or self.value < 0:
-                raise ShapecastError("fixed rule needs a nonnegative value")
+            if self.value is None or not 0 <= self.value < np.inf:  # NaN fails too
+                raise ShapecastError("fixed rule needs a finite nonnegative value")
 
 
 DEFAULT_N_L = MappingProxyType(
@@ -65,12 +63,10 @@ DEFAULT_N_L = MappingProxyType(
 @dataclass(frozen=True)
 class ReferenceConfig:
     n_L_by_group: dict = field(default_factory=lambda: dict(DEFAULT_N_L))
-    mode: ReferenceMode = ReferenceMode.ARGMIN
     delta_rule: DeltaRule = DeltaRule()
     temp_distance: DistanceKind = DistanceKind.EUCLIDEAN
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", ReferenceMode(self.mode))
         object.__setattr__(self, "temp_distance", DistanceKind(self.temp_distance))
         n_l = {DayGroup(g): int(n) for g, n in self.n_L_by_group.items()}
         if any(n < 1 for n in n_l.values()):
@@ -143,7 +139,7 @@ def select_reference(
         )
     dists = distances(temps[observed], temp_forecast.values[points], cfg.temp_distance)
 
-    rule = cfg.delta_rule if cfg.mode is ReferenceMode.THRESHOLD else DeltaRule()
+    rule = cfg.delta_rule
     d_min = float(dists.min())
     if rule.kind is DeltaRuleKind.QUANTILE:
         delta = float(np.quantile(dists, rule.value))

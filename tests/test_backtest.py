@@ -63,6 +63,21 @@ class TestBacktest:
             "for the forecast"
         )
 
+    def test_unscorable_day_named(self, grid4):
+        history = backtest_history(grid4, days=31)
+        loads = np.array(history.loads)
+        loads[-1, 2] = 0.0  # a valid history, but no RMAE against this day
+        zero = make_history(grid4, history.dates[0], loads, history.temps)
+        day = history.dates[-1]
+        with pytest.raises(ShapecastError) as in_backtest:
+            backtest(zero, [day], ALL_METHODS)
+        # bandwidth CV scores the same day (its one-day validation window)
+        with pytest.raises(ShapecastError) as in_cv:
+            select_bandwidth(zero, PredictorConfig())
+        assert str(in_backtest.value) == str(in_cv.value) == (
+            f"{day.isoformat()}: actual values must be strictly positive for RMAE"
+        )
+
     def test_no_lookahead(self, grid4):
         # replacing every record after the target day must not move the scores
         history = backtest_history(grid4, days=40)

@@ -254,7 +254,11 @@ class TestPredict:
         ("reference", "delta_value = -0.5"),
         ("distance", "kind = cosine"),
         ("kernel", "kind = 5%"),
-        ("reference", "mode = %(missing)s"),
+        ("reference", "delta_rule = %(missing)s"),
+        ("reference", "n_l_g2 = 14"),
+        ("kernel", "delta_rule = quantile"),
+        ("DEFAULT", "bandwidth = 0.5"),
+        ("weights", "kind = gaussian"),
     ])
     def test_bad_ini_value_is_usage_error(self, raw_files, history_file, tmp_path,
                                           section, line, capsys):
@@ -270,6 +274,19 @@ class TestPredict:
         key = line.split(" = ")[0]
         assert f"config [{section}] {key}" in capsys.readouterr().err
 
+    def test_unknown_ini_section_is_usage_error(self, raw_files, history_file, tmp_path,
+                                                capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[kernel]\nkind = uniform\n[weights]\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--config", str(ini),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config [weights]: unknown section\n"
+
     @pytest.mark.parametrize("lines, shown", [
         ("delta_rule = quantile\ndelta_value = 1.5",
          "delta_value = '1.5': quantile rule needs a value in (0, 1]"),
@@ -277,12 +294,15 @@ class TestPredict:
          "delta_value = '0': quantile rule needs a value in (0, 1]"),
         ("delta_rule = quantile", "delta_value unset: quantile rule needs a value in (0, 1]"),
         ("delta_rule = fixed\ndelta_value =",
-         "delta_value = '': fixed rule needs a nonnegative value"),
+         "delta_value = '': fixed rule needs a finite nonnegative value"),
+        ("delta_rule = min\ndelta_value = 0.5",
+         "delta_value = '0.5': min rule takes no value"),
+        ("delta_value = 0.5", "delta_value = '0.5': min rule takes no value"),
     ])
     def test_delta_value_out_of_the_rules_range_is_usage_error(
             self, raw_files, history_file, tmp_path, lines, shown, capsys):
         ini = tmp_path / "cfg.ini"
-        ini.write_text(f"[reference]\nmode = threshold\n{lines}\n")
+        ini.write_text(f"[reference]\n{lines}\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
@@ -304,10 +324,9 @@ class TestPredict:
 
     def test_compact_kernel_tiny_bandwidth_falls_back(self, raw_files, history_file,
                                                       tmp_path, capsys):
-        # a threshold-mode reference matches no history shape exactly
+        # a quantile-rule reference matches no history shape exactly
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[reference]\nmode = threshold\n"
-                       "delta_rule = quantile\ndelta_value = 0.9\n")
+        ini.write_text("[reference]\ndelta_rule = quantile\ndelta_value = 0.9\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         with pytest.warns(UserWarning, match="falling back to the nearest segment"):
             code = main([

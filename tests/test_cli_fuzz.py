@@ -35,7 +35,7 @@ BACKTEST_DATES = [START + dt.timedelta(days=d) for d in (34, 36, 39)]
 
 
 INI = {
-    "reference": {"mode": "threshold", "delta_rule": "quantile", "delta_value": "0.5"},
+    "reference": {"delta_rule": "quantile", "delta_value": "0.5"},
     "kernel": {"kind": "gaussian", "bandwidth": "auto"},
     "distance": {"kind": "euclidean"},
 }

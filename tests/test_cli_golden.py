@@ -25,8 +25,8 @@ TARGET = START + dt.timedelta(days=DAYS)
 BACKTEST_ROWS = (70, 75, 88, 95)
 
 PREDICT_SHA256 = {
-    "0.3": "ca081ef99de11739434e789338d6c044fc527f6be358b632a6501d0c6e0f9a45",
-    "auto": "be2bbee123fe1d270494e510e6d8fbf6626ab07b31ca88858737aa43d095b864",
+    "0.3": "6affe27a7a1496e8733e919764bd18172c4fb924ae80c1ab95d53574b40ceafb",
+    "auto": "7b89fff170579f6850a3f9bd40bb770665ebdd472949bcf9d6e71676f9a3c2ce",
 }
 BACKTEST_SHA256 = {
     "days/2010-05-10.csv": "665ad64adfc50a9bb3761753400b70b25a9aa2ef2a43206dea45750fa33a7d97",
@@ -34,7 +34,7 @@ BACKTEST_SHA256 = {
     "days/2010-05-28.csv": "14ee653a77355e99d0b28d5a8b534a1e46550d4c38fd40225f3a30efcc6f1a8d",
     "days/2010-06-04.csv": "7cce0f33d080ae1b6e348c909f78a4829953ce6bdd40ec5ac23ed94e1b225a89",
     "report.csv": "777414508fe0902efa290219bf1430969bfae0774984c97c9dd73ade603253dd",
-    "report.json": "37fba790a8614f1a7db9e43335bc75cc8d39adb410becb784f6642d8d9bfd766",
+    "report.json": "f534e21231af6b542432175aae3d1fe8d41238f9a2f5335e7d4ab445582fbda4",
 }
 
 

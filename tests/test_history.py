@@ -308,6 +308,18 @@ class TestJsonlErrors:
              'temp_c holds "abc": numbers only, null only for an unobserved point$'),
             (f'{RECORD[:-1]}, "temp_c": [{{"a": 1}}, 2, 3, 4]}}',
              r'temp_c holds \{"a": 1\}: numbers only, null only for an unobserved point$'),
+            # at any depth, and a ragged nesting is worded as a shape
+            (RECORD.replace("[1, 2, 3, 4]", '[["abc"], [2], [3], [4]]'),
+             'load_mw holds "abc": numbers only$'),
+            (RECORD.replace("[1, 2, 3, 4]", '[1, [2, [[true]]], 3, 4]'),
+             "load_mw holds true: numbers only$"),
+            (f'{RECORD[:-1]}, "temp_c": [[null], [2], [3, "x"], [4]]}}',
+             'temp_c holds "x": numbers only, null only for an unobserved point$'),
+            (RECORD.replace("[1, 2, 3, 4]", "[1, [2], 3, 4]"),
+             "expected 1-d vector, got nested lists$"),
+            # deeper than numpy's 64 dimensions
+            (RECORD.replace("[1, 2, 3, 4]", "[" + "[" * 70 + "1" + "]" * 70 + ", 2, 3, 4]"),
+             "expected 1-d vector, got nested lists$"),
             (f'{RECORD[:-1]}, "temp_c": [null, null, null, null]}}',
              "temperature mask must be nonempty"),
             (RECORD.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]"),

@@ -532,9 +532,9 @@ def seed_default_bandwidth_grid(history, dist):
     return med * np.logspace(np.log10(0.01), np.log10(10.0), 25)
 
 
-# threshold mode averages several candidates, so the reference is no history
+# a quantile δ rule averages several candidates, so the reference is no history
 # row and a compact kernel at a tiny bandwidth leaves every shape massless
-THRESHOLD = ReferenceConfig(mode="threshold", delta_rule=DeltaRule("quantile", 0.9))
+THRESHOLD = ReferenceConfig(delta_rule=DeltaRule("quantile", 0.9))
 
 CV_CONFIGS = {
     "gaussian": PredictorConfig(),

@@ -6,12 +6,11 @@ import pytest
 
 from conftest import make_history
 from shapecast.calendars import GROUPS, DayGroup
-from shapecast.errors import EmptyCandidateError, MissingTemperatureError
+from shapecast.errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
 from shapecast.history import HistoryWindow
 from shapecast.reference import (
     DeltaRule,
     ReferenceConfig,
-    ReferenceMode,
     candidate_set,
     select_reference,
 )
@@ -41,6 +40,19 @@ def test_temp_distance_coerced_and_checked():
     assert cfg.temp_distance is DistanceKind.MAX_ABSOLUTE
     with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
         ReferenceConfig(temp_distance="bogus")
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("fixed", float("nan"), "fixed rule needs a finite nonnegative value"),
+    ("fixed", float("inf"), "fixed rule needs a finite nonnegative value"),
+    ("fixed", -0.5, "fixed rule needs a finite nonnegative value"),
+    ("quantile", float("nan"), r"quantile rule needs a value in \(0, 1\]"),
+    ("min", 0.5, "min rule takes no value"),
+])
+def test_delta_rule_refuses_values_it_cannot_use(kind, value, message):
+    # a NaN threshold would choose no candidate and average nothing into NaN
+    with pytest.raises(ShapecastError, match=message):
+        DeltaRule(kind, value)
 
 
 class TestCandidateSet:
@@ -149,30 +161,31 @@ class TestSelectReference:
         rng = np.random.default_rng(5)
         window = self.random_window(rng, 6)
         forecast = temp_segment(self.grid, 15.0 + 10.0 * rng.random(4))
-        argmin_cfg = ReferenceConfig(mode=ReferenceMode.ARGMIN)
-        threshold_cfg = ReferenceConfig(
-            mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("min")
-        )
-        r1 = select(window, forecast, argmin_cfg)
-        r2 = select(window, forecast, threshold_cfg)
+        r1 = select(window, forecast, ReferenceConfig())
+        r2 = select(window, forecast, ReferenceConfig(delta_rule=DeltaRule("min")))
         assert r1.c_star == r2.c_star
         np.testing.assert_array_equal(r1.reference, r2.reference)
 
     def test_threshold_quantile_widens_c_star(self):
         window = self.window(*(([100.0 + 10 * i] * 4, [20.0 + i] * 4) for i in range(5)))
         forecast = temp_segment(self.grid, [20.0] * 4)
-        cfg = ReferenceConfig(
-            mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("quantile", 1.0)
-        )
+        cfg = ReferenceConfig(delta_rule=DeltaRule("quantile", 1.0))
         result = select(window, forecast, cfg)
         assert len(result.c_star) == 5
+
+    def test_quantile_rule_alone_widens_c_star(self):
+        # the δ rule is the one reference setting: no other switch turns it on
+        rng = np.random.default_rng(5)
+        window = self.random_window(rng, 6)
+        forecast = temp_segment(self.grid, 15.0 + 10.0 * rng.random(4))
+        cfg = ReferenceConfig(delta_rule=DeltaRule("quantile", 0.9))
+        assert len(select(window, forecast, cfg).c_star) > 1
+        assert len(select(window, forecast, self.cfg).c_star) == 1
 
     def test_threshold_fixed_never_undercuts_min(self):
         window = self.window(([100.0] * 4, [30.0] * 4))
         forecast = temp_segment(self.grid, [20.0] * 4)
-        cfg = ReferenceConfig(
-            mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("fixed", 0.1)
-        )
+        cfg = ReferenceConfig(delta_rule=DeltaRule("fixed", 0.1))
         result = select(window, forecast, cfg)
         assert result.c_star  # clamped up to the minimum distance
 
@@ -180,9 +193,7 @@ class TestSelectReference:
         rng = np.random.default_rng(9)
         window = self.random_window(rng, 8)
         forecast = temp_segment(self.grid, [20.0] * 4)
-        cfg = ReferenceConfig(
-            mode=ReferenceMode.THRESHOLD, delta_rule=DeltaRule("quantile", 1.0)
-        )
+        cfg = ReferenceConfig(delta_rule=DeltaRule("quantile", 1.0))
         result = select(window, forecast, cfg)
         shapes = np.array([shape_of(load) for load in window.loads])
         assert np.all(result.reference >= shapes.min(axis=0) - 1e-12)
@@ -266,7 +277,7 @@ def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
              for k in usable}
     d_min = min(dists.values())
     delta = d_min
-    if cfg.mode is ReferenceMode.THRESHOLD and cfg.delta_rule.kind.value == "quantile":
+    if cfg.delta_rule.kind.value == "quantile":
         delta = float(np.quantile(list(dists.values()), cfg.delta_rule.value))
     chosen = [k for k in usable if dists[dates[k]] <= delta]
     rows = [loads[k] / (loads[k].max() if rescale else 1.0) for k in chosen]
@@ -274,12 +285,13 @@ def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
 
 
 @pytest.mark.parametrize("kind", list(DistanceKind))
-@pytest.mark.parametrize("mode, rule", [
-    (ReferenceMode.ARGMIN, DeltaRule()),
-    (ReferenceMode.THRESHOLD, DeltaRule("quantile", 0.3)),
+# the `min` rule is the argmin, a `quantile` rule a threshold
+@pytest.mark.parametrize("rule", [
+    pytest.param(DeltaRule(), id="argmin-rule0"),
+    pytest.param(DeltaRule("quantile", 0.3), id="threshold-rule1"),
 ])
 @pytest.mark.parametrize("rescale", [True, False])
-def test_rows_match_per_candidate_loop(kind, mode, rule, rescale):
+def test_rows_match_per_candidate_loop(kind, rule, rescale):
     grid = TimeGrid.equidistant(24)
     rng = np.random.default_rng(3)
     loads = 50.0 + 450.0 * rng.random((60, 24))
@@ -288,7 +300,7 @@ def test_rows_match_per_candidate_loop(kind, mode, rule, rescale):
     temps[::9] = np.nan  # days without temperature
     history = make_history(grid, MONDAY, loads, temps)
     every_third = np.isin(np.arange(24), range(1, 24, 3))
-    cfg = ReferenceConfig(mode=mode, delta_rule=rule, temp_distance=kind)
+    cfg = ReferenceConfig(delta_rule=rule, temp_distance=kind)
     for forecast_points in None, every_third:
         check_against_loop(history, cfg, rescale, rng, forecast_points)
 
