@@ -14,10 +14,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
-from .history import HistoryWindow
+from .history import HistoryWindow, orjson_unlike_repr
 from .metrics import DayScore, score_day
 from .predictor import PredictorConfig, config_snapshot, predict_day, walk_forward
 
@@ -152,7 +153,17 @@ def emit_day_curves(report: BacktestReport) -> dict[str, str]:
         writer = csv.writer(buf, lineterminator="\n")
         methods = sorted(day.predicted)
         writer.writerow(["t", "actual"] + methods)
-        curves = [day.actual] + [day.predicted[m] for m in methods]
-        writer.writerows(zip(report.grid_labels, *(map(repr, c.tolist()) for c in curves)))
+        curves = np.array([day.actual] + [day.predicted[m] for m in methods])
+        writer.writerows(zip(report.grid_labels, *_value_texts(curves)))
         out[date.isoformat()] = buf.getvalue()
     return out
+
+
+def _value_texts(curves: np.ndarray) -> list:
+    """Each row of `curves` as the `repr` of each of its values."""
+    # orjson writes NaN and +-inf as null, where repr writes nan and inf
+    odd = orjson_unlike_repr(curves) | ~np.isfinite(curves).all(axis=1)
+    return [
+        map(repr, row) if o else orjson.dumps(row)[1:-1].decode().split(",")
+        for row, o in zip(curves.tolist(), odd.tolist())
+    ]

@@ -197,9 +197,13 @@ def build_predictor_config(
     n_l_by_group = {g: n_l_default for g in DayGroup}
     n_l_by_group[DayGroup.G1] = n_l_g1
 
-    dist_kind = args.distance or _ini_value(ini, "distance", "kind")
-    kernel_kind = args.kernel or _ini_value(ini, "kernel", "kind")
-    bandwidth = args.bandwidth or _ini_value(ini, "kernel", "bandwidth")
+    # every INI value is parsed before a flag overrides it, so a bad one still fails
+    ini_dist = _ini_value(ini, "distance", "kind")
+    ini_kernel = _ini_value(ini, "kernel", "kind")
+    ini_bandwidth = _ini_value(ini, "kernel", "bandwidth")
+    dist_kind = args.distance or ini_dist
+    kernel_kind = args.kernel or ini_kernel
+    bandwidth = args.bandwidth or ini_bandwidth
 
     reference = ReferenceConfig(
         n_L_by_group=n_l_by_group,

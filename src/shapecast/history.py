@@ -4,8 +4,12 @@ The reader decodes each record line with orjson. A line orjson refuses, or
 one that fails a check, is read again by the stdlib decoder, whose value or
 error then stands: `NaN`, `1e400` and a lone-surrogate escape read as the
 stdlib reads them, and every error text is the stdlib path's. The header line
-stays on `json.loads`, and the writer on `json.dumps`, whose float text the
-history files keep.
+stays on `json.loads`.
+
+The writer keeps `json.dumps`'s text byte for byte. The header line is
+`json.dumps`'s; each record's numbers take orjson's digits, which are
+`repr`'s shortest ones, and a row where orjson spells an exponent differently
+falls back to `json.dumps`.
 """
 
 from __future__ import annotations
@@ -191,23 +195,48 @@ class HistoryWindow:
         return tuple(map(self._record, range(len(self))))
 
 
+def orjson_unlike_repr(m: np.ndarray) -> np.ndarray:
+    """Per row of `m`, whether orjson writes one of its finite values unlike `repr`.
+
+    Both write the shortest digits that read back, but orjson spells a nonzero
+    |x| < 1e-4 or an |x| >= 1e16 in its own form: `0.00001` for `1e-05` and
+    `1e16` for `1e+16`. (It writes NaN and +-inf as `null`.)
+    """
+    a = np.abs(m)
+    return (((a < 1e-4) & (a != 0)) | (a >= 1e16)).any(axis=1)
+
+
+def _rows_text(m: np.ndarray):
+    """Each row of `m` as `json.dumps` writes its list, with NaN as `null`, in turn."""
+    # one row's floats at a time: all of a long history's would outweigh its text
+    for row, odd in zip(m, orjson_unlike_repr(m).tolist()):
+        if odd:  # in a list of floats, `json.dumps` writes "NaN" for a NaN only
+            yield json.dumps(row.tolist()).replace("NaN", "null").encode()
+        else:
+            yield orjson.dumps(row.tolist()).replace(b",", b", ")
+
+
+# a record line as `json.dumps(..., sort_keys=True)` writes it, and its line end
+_LINE = b'{"date": "%s", "group": %s, "is_holiday": %s, "load_mw": %s, "quality": %s%s}\n'
+_GROUP_TEXT = [json.dumps(g.value).encode() for g in GROUPS]
+_QUALITY_TEXT = {q: json.dumps(q.value).encode() for q in Quality}
+
+
 def history_jsonl_text(window: HistoryWindow) -> str:
     """First line carries the grid labels; one day per following line."""
-    lines = [json.dumps({"grid": list(window.grid.labels)}, sort_keys=True)]
     observed = ~np.isnan(window.temps).all(axis=1)
-    for i, date in enumerate(window.dates):
-        d = {
-            "date": date.isoformat(),
-            "is_holiday": bool(window.is_holiday[i]),
-            "group": GROUPS[window.group[i]].value,
-            "quality": window.quality[i].value,
-            "load_mw": window.loads[i].tolist(),
-        }
-        if observed[i]:
-            # NaN, the one value unequal to itself, marks an unobserved point
-            d["temp_c"] = [None if v != v else v for v in window.temps[i].tolist()]
-        lines.append(json.dumps(d, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    temps = _rows_text(window.temps[observed])
+    # one growing buffer: a list of lines, or its join, leaves more of the heap resident
+    text = bytearray(json.dumps({"grid": list(window.grid.labels)}, sort_keys=True).encode())
+    text += b"\n"
+    for date, group, holiday, load, quality, has_temps in zip(
+            window.dates, window.group.tolist(), window.is_holiday.tolist(),
+            _rows_text(window.loads), window.quality, observed.tolist()):
+        text += _LINE % (
+            date.isoformat().encode(), _GROUP_TEXT[group], b"true" if holiday else b"false",
+            load, _QUALITY_TEXT[quality], b', "temp_c": ' + next(temps) if has_temps else b"",
+        )
+    return text.decode()
 
 
 # what a bad line raises, a line nested too deep to decode among them

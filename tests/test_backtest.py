@@ -1,13 +1,18 @@
 import csv
 import datetime as dt
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_history, random_history
+from conftest import FLOAT_EDGES, make_history, random_history
+from shapecast import backtest as backtest_module
 from shapecast.backtest import (
     METHODS,
+    BacktestReport,
+    DayCurves,
     backtest,
     emit_day_curves,
     emit_report,
@@ -333,3 +338,22 @@ class TestReportSerialization:
             assert lines[0] == "t,actual,conditional-kernel,persistence,ssp"
             assert len(lines) == 1 + 4  # header + one row per grid point
             dt.date.fromisoformat(date_key)
+
+    def test_day_curves_write_each_value_as_repr(self, grid4):
+        actual = np.array([1e-5, 2.5, 3e17, 4.0])
+        predicted = {"ssp": np.array([np.nan, np.inf, -np.inf, 1.0]),
+                     "persistence": np.array([0.1, 0.2, 0.30000000000000004, 1e15])}
+        report = BacktestReport([], {}, {}, grid4.labels, {MONDAY: DayCurves(actual, predicted)})
+        columns = [actual] + [predicted[m] for m in sorted(predicted)]
+        rows = zip(grid4.labels, *(c.tolist() for c in columns))
+        want = "t,actual,persistence,ssp\n" + "".join(
+            ",".join([label, *map(repr, values)]) + "\n" for label, *values in rows)
+        assert emit_day_curves(report) == {MONDAY.isoformat(): want}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.floats() | st.sampled_from([*FLOAT_EDGES, math.nan, math.inf]),
+                         min_size=4, max_size=4), min_size=1, max_size=4))
+def test_day_curve_texts_are_reprs(rows):
+    texts = backtest_module._value_texts(np.array(rows))
+    assert [list(t) for t in texts] == [list(map(repr, row)) for row in rows]

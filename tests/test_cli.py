@@ -274,6 +274,26 @@ class TestPredict:
         key = line.split(" = ")[0]
         assert f"config [{section}] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, line, flag", [
+        ("kernel", "bandwidth = abc", "--bandwidth=0.3"),
+        ("kernel", "kind = bogus", "--kernel=uniform"),
+        ("distance", "kind = cosine", "--distance=euclidean"),
+    ])
+    def test_bad_ini_value_under_its_flag_is_usage_error(self, raw_files, history_file,
+                                                         tmp_path, section, line, flag,
+                                                         capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{section}]\n{line}\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--config", str(ini), flag, "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        key = line.split(" = ")[0]
+        assert f"config [{section}] {key}" in capsys.readouterr().err
+
     def test_unknown_ini_section_is_usage_error(self, raw_files, history_file, tmp_path,
                                                 capsys):
         ini = tmp_path / "cfg.ini"

@@ -9,11 +9,12 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_history
+from conftest import FLOAT_EDGES, history_jsonl_oracle, make_history
 from shapecast import history
 from shapecast.calendars import GROUPS, annotate_calendar
 from shapecast.errors import GridMismatchError, ShapecastError
 from shapecast.history import HistoryWindow, Quality, history_jsonl_text, read_history_jsonl
+from shapecast.segments import TimeGrid
 
 
 # day offsets from 2010-01-04, all from day 0, and the row of the first date
@@ -747,6 +748,62 @@ class TestColumns:
         np.testing.assert_array_equal(short.shapes[1], [0.5, 0.5, 0.5, 1.0])
         with pytest.raises(ShapecastError, match="nonpositive maximum"):
             window.shape(2)
+
+
+def json_row(values) -> bytes:
+    """A row as the stdlib writes it, NaN as `null`."""
+    return json.dumps([None if v != v else v for v in values]).encode()
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.floats(allow_infinity=False)
+                             | st.sampled_from([*FLOAT_EDGES, math.nan]),
+                             min_size=4, max_size=4), min_size=1, max_size=6))
+    def test_row_text_is_json_dumps(self, rows):
+        assert list(history._rows_text(np.array(rows))) == list(map(json_row, rows))
+
+    def test_rows_off_orjson_plain_notation_roundtrip(self, tmp_path, grid4):
+        nan = np.nan
+        window = HistoryWindow(
+            grid4,
+            MIXED_DATES + (day(5),),
+            [[1e-5, 2.0, 3.0, 4.0], [3e17, 1.0, 2.0, 3.0], [5e-324, 1.0, 0.5, 2.0],
+             [0.0] * 4, [1.0, 2.0, 3.0, 4.0]],
+            [[nan, 21.0, nan, 24.0], [-1e-5, nan, nan, 3.0], [nan] * 4,
+             [20.0, 1e-5, 0.0, -0.0], [10.0, 11.0, 12.0, 13.0]],
+            [False, False, True, False, False],
+            (Quality.COMPLETE, Quality.GAP_FILLED, Quality.COMPLETE, Quality.COMPLETE,
+             Quality.GAP_FILLED),
+        )
+        text = history_jsonl_text(window)
+        assert text == history_jsonl_oracle(window)
+        path = tmp_path / "h.jsonl"
+        path.write_text(text, encoding="utf-8")
+        back = read_history_jsonl(path)
+        assert history_jsonl_text(back) == text
+        assert_same_columns(back, window)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_history_text_is_the_oracle(self, data):
+        n = data.draw(st.integers(0, 8))
+        loads = st.floats(0.0, 1e300) | st.sampled_from([x for x in FLOAT_EDGES if x >= 0])
+        temps = (st.floats(-1000.0, 1000.0) | st.just(np.nan)
+                 | st.sampled_from([x for x in FLOAT_EDGES if abs(x) <= 1000]))
+        window = HistoryWindow(
+            TimeGrid.equidistant(4),
+            tuple(START + dt.timedelta(days=k) for k in sorted(data.draw(
+                st.sets(st.integers(0, 30), min_size=n, max_size=n)))),
+            np.array(data.draw(st.lists(st.lists(loads, min_size=4, max_size=4),
+                                        min_size=n, max_size=n))).reshape(n, 4),
+            np.array(data.draw(st.lists(st.lists(temps, min_size=4, max_size=4),
+                                        min_size=n, max_size=n))).reshape(n, 4),
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            tuple(data.draw(st.lists(st.sampled_from([Quality.COMPLETE, Quality.GAP_FILLED]),
+                                     min_size=n, max_size=n))),
+        )
+        assert history_jsonl_text(window) == history_jsonl_oracle(window)
 
 
 class TestConstructor:
