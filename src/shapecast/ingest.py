@@ -3,8 +3,9 @@
 Load and temperature readings arrive as flat (timestamp, value) CSVs, parsed
 into day ordinal, minute of day and value columns. `csv.reader` reads a file
 with a quote, CR or NUL; any other is read from its UTF-8 bytes, where numpy
-reads the canonical stamps, with no string per line or per stamp, and the
-values from one decoded text. Other stamps and bad rows are read one by one.
+reads the canonical stamps, with no string per line or per stamp, and orjson
+the values as one JSON array; where orjson refuses one, numpy converts text by
+text, as `float` reads. Other stamps and bad rows are read one by one.
 `segmentize` sorts the readings by day and minute once. A day read at exactly
 the grid minutes is one row as read; every other day is laid onto the grid,
 where short gaps are linearly interpolated and the day marked gap-filled,
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import IngestError
 from .history import HistoryWindow, Quality
@@ -98,9 +100,10 @@ def _utf8(raw: np.ndarray, start: int = 0, stop: int | None = None) -> str:
 def _plain_rows(text: str, header: list[str]):
     """(bytes, line numbers, line starts, commas, values) of two-column CSV `text`.
 
-    Positions index its UTF-8 bytes; `values` is the second fields, a line
-    each. Blank lines are skipped. None where `csv.reader` may read otherwise:
-    a quote, a CR or NUL, an overlong field, a line neither blank nor 2 fields.
+    Positions index its UTF-8 bytes; `values` is one string of the second
+    fields, a line each. Blank lines are skipped. None where `csv.reader`
+    may read otherwise: a quote, a CR or NUL, an overlong field, a line
+    neither blank nor 2 fields.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -190,6 +193,41 @@ def _stamps(raw: np.ndarray, at: np.ndarray, rows: np.ndarray, n: int):
     return days, minutes
 
 
+def _lines(texts: str, n: int) -> list[str]:
+    """The `n` lines of `texts`; a newline after the last starts no other."""
+    return texts.split("\n")[:n]
+
+
+def _values(texts: list[str] | str, n: int) -> tuple[np.ndarray, list[str] | str]:
+    """(values, texts) of `n` value texts, all NaN where numpy refuses one.
+
+    `texts` is a list, or one string of them, a line each. orjson reads such a
+    string as one JSON array where it holds a number per line, and the string
+    is split only to read each zero again with `float`: orjson reads "-0" as
+    the integer 0. Any other string, and a list, numpy reads text by text.
+    """
+    if isinstance(texts, str):
+        try:  # a bracket is in no number, and orjson crashes on a deep nesting
+            numbers = None if "[" in texts else orjson.loads(
+                "[" + texts.removesuffix("\n").replace("\n", ",") + "]")
+        except ValueError:  # a text JSON does not spell, or a lone surrogate
+            numbers = None
+        # the count differs where the last line, with no newline after it, is empty
+        if (numbers is not None and len(numbers) == n
+                and {*map(type, numbers)} <= {int, float}):  # not true, false or null
+            values = np.array(numbers, dtype=float)
+            zeros = np.flatnonzero(values == 0).tolist()
+            if zeros:
+                texts = _lines(texts, n)
+                values[zeros] = [float(texts[i]) for i in zeros]
+            return values, texts
+        texts = _lines(texts, n)
+    try:
+        return np.array(texts, dtype=float), texts
+    except ValueError:  # then every row is read one by one
+        return np.full(n, np.nan), texts
+
+
 def _parse_timeseries_csv(text: str, value_column: str, limit: float = math.inf,
                           signed: bool = True) -> Readings:
     header, error = ["timestamp", value_column], None
@@ -204,19 +242,16 @@ def _parse_timeseries_csv(text: str, value_column: str, limit: float = math.inf,
         raw, linenos, starts, commas, texts = plain
         short = np.flatnonzero(commas - starts == 16)
         days, minutes = _stamps(raw, starts[short], short, len(linenos))
-        texts = texts.split("\n")
-        del texts[len(linenos):]  # the empty text after a last newline
-    try:
-        values = np.array(texts, dtype=float)
-    except ValueError:  # then every row is read one by one below
-        values = np.full(len(texts), np.nan)
+    values, texts = _values(texts, len(linenos))
     # numpy reads year 0, which no date has, as a day below 1
     ok = (days > 0) & np.isfinite(values) & (np.abs(values) <= limit)
     if not signed:
         ok &= values >= 0
-    exact = {}
-    # rows numpy did not read or that fail a check, in file order: the first bad one raises
-    for i in np.flatnonzero(~ok).tolist():
+    exact, bad = {}, np.flatnonzero(~ok).tolist()
+    if bad and isinstance(texts, str):
+        texts = _lines(texts, len(linenos))
+    # rows not read or that fail a check, in file order: the first bad one raises
+    for i in bad:
         stamp = stamps[i] if plain is None else _utf8(raw, starts[i], commas[i])
         try:
             ts = exact[i] = dt.datetime.fromisoformat(stamp.strip())

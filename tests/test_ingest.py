@@ -7,6 +7,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -722,7 +723,10 @@ STAMPS = [
 ]
 VALUES = ["1", "1.0", "2", "0", "-0", "-0.0", " 3 ", "1_0", "1__0", "nan", "inf", "-inf",
           "1e400", "-3", "abc", "", "1e200", "-1e200", "1000", "-1000", "1000.5",
-          "1\x0b", "\x1c2", "2\u2028", "0x10"]
+          "1\x0b", "\x1c2", "2\u2028", "0x10",
+          # where JSON and float() differ: orjson reads the values of a plain file
+          "true", "false", "null", "[1]", "{}", "01", "1.", ".5", "+1", "1E5", "-0e0", "\t1.5",
+          "5e-324", "2.4703282292062328e-324", "1.7976931348623159e308", "9" * 30, "9" * 401]
 DATE_TEXTS = ["2010-06-09", "2010-06-10", "2010-6-9", "20100609", "2010-02-30", " 2010-06-09"]
 
 
@@ -737,7 +741,12 @@ stamps = st.one_of(
               st.sampled_from(["T", " ", "t"]), st.sampled_from(["", "", ":30", "+02:00"])),
     st.text("0123456789-: T", min_size=16, max_size=16),
 )
-values = st.sampled_from(VALUES) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+values = st.one_of(
+    st.sampled_from(VALUES),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.25e".__mod__),
+    st.integers(-(2 ** 70), 2 ** 70).map(str),
+)
 FORMS = {
     "plain": "{0},{1}", "quoted": '"{0}",{1}', "quoted comma": '"{0},{1}"',
     "trailing comma": "{0},{1},", "one field": "{0}", "blank": "", "spaces": "  ",
@@ -785,6 +794,36 @@ def test_parsers_match_the_per_row_oracle(lines, trailing_newline, days, at):
             days, minutes, kept = columns
             assert list(zip(days.tolist(), minutes.tolist())) == [g[:2] for g in grouped]
             assert bits(kept) == bits([g[2] for g in grouped])
+
+
+@pytest.mark.parametrize("value", VALUES)
+@pytest.mark.parametrize("at", [0, 95])
+def test_each_value_in_a_plain_day_matches_the_per_row_oracle(value, at):
+    # every other row a number JSON spells: orjson reads the file where it reads this
+    # value; the last line has no newline after it
+    lines = LONG_BODY[:96]
+    lines = lines[:at] + [lines[at].split(",")[0] + "," + value] + lines[at + 1:]
+    for parse, column, limit, signed in [
+        (parse_load_file, "load_mw", math.inf, False),
+        (parse_temperature_history, "temp_c", TEMPERATURE_LIMIT_C, True),
+    ]:
+        text = f"timestamp,{column}\n" + body(lines, at != 95)
+        want, want_error = outcome(lambda: oracle_parse(text, column, limit, signed))
+        got, got_error = outcome(lambda: parse(text))
+        assert got_error == want_error
+        if want is not None:
+            assert bits(got.values) == bits([v for _, v in want])
+
+
+def test_values_holding_a_bracket_never_reach_orjson(monkeypatch):
+    # orjson recurses without a limit and crashes near 10**5 levels, which a "["
+    # on each of as many lines would reach
+    seen, loads = [], orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda text: seen.append(text) or loads(text))
+    lines = [f"2010-06-07T{h:02d}:00,{v}" for h, v in enumerate(["[", "1", "]"])]
+    with pytest.raises(IngestError, match=r"^line 2: non-numeric load_mw '\['$"):
+        parse_load_file(csv_text(lines))
+    assert seen == []
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
