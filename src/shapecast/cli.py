@@ -149,83 +149,67 @@ def _optional_nonnegative_float(text: str) -> float | None:
     return _nonnegative_float(text) if text else None
 
 
-# every key a config file may set, (section, key) -> (parse, default): the
-# table `_ini_value` reads and `_load_ini` refuses any other key by
+# every setting a config file may hold, (section, key) -> (parse, default, flag),
+# where flag names the argparse dest that overrides the key, or None: the table
+# `build_predictor_config` reads and `_load_ini` refuses any other key by
 INI_KEYS = {
-    ("reference", "n_l_g1"): (_positive_int, DEFAULT_N_L[DayGroup.G1]),
-    ("reference", "n_l_default"): (_positive_int, DEFAULT_N_L[DayGroup.G2]),
-    ("reference", "delta_rule"): (DeltaRuleKind, "min"),
-    ("reference", "delta_value"): (_optional_nonnegative_float, None),
-    ("distance", "kind"): (DistanceKind, "euclidean"),
-    ("kernel", "kind"): (KernelKind, "gaussian"),
-    ("kernel", "bandwidth"): (parse_bandwidth, "auto"),
+    ("reference", "n_l_g1"): (_positive_int, DEFAULT_N_L[DayGroup.G1], None),
+    ("reference", "n_l_default"): (_positive_int, DEFAULT_N_L[DayGroup.G2], None),
+    ("reference", "delta_rule"): (DeltaRuleKind, DeltaRule.kind, None),
+    ("reference", "delta_value"): (_optional_nonnegative_float, DeltaRule.value, None),
+    ("distance", "kind"): (DistanceKind, PredictorConfig.shape_distance, "distance"),
+    ("kernel", "kind"): (KernelKind, KernelSpec.kind, "kernel"),
+    ("kernel", "bandwidth"): (parse_bandwidth, "auto", "bandwidth"),
 }
 
 
-def _ini_value(ini: configparser.ConfigParser, section: str, key: str):
-    """The INI value parsed by its `INI_KEYS` entry, or its default when absent.
+def build_predictor_config(args, cv_history: HistoryWindow | None) -> PredictorConfig:
+    """The `--config` file's settings, then the command-line flags on top.
 
-    A value that does not parse is a usage error (exit 2).
+    Every value the file holds must parse, also one a flag overrides; a bad
+    one is a usage error (exit 2). An 'auto' bandwidth is selected on
+    `cv_history`; without one it stays the library default, unused.
     """
-    parse, default = INI_KEYS[section, key]
-    if not ini.has_option(section, key):
-        return default
-    raw = ini.get(section, key, raw=True)
+    ini = _load_ini(args.config)
+    settings = {}
+    for (section, key), (parse, default, flag) in INI_KEYS.items():
+        value = default
+        if ini.has_option(section, key):
+            try:
+                value = parse(ini.get(section, key))
+            except (configparser.Error, ValueError, argparse.ArgumentTypeError) as exc:
+                raw = ini.get(section, key, raw=True)
+                raise SystemExit(f"error: config [{section}] {key} = {raw!r}: {exc}") from None
+        if flag is not None and getattr(args, flag) is not None:
+            value = getattr(args, flag)
+        settings[section, key] = value
     try:
-        return parse(ini.get(section, key))
-    except (configparser.Error, ValueError, argparse.ArgumentTypeError) as exc:
-        raise SystemExit(f"error: config [{section}] {key} = {raw!r}: {exc}") from None
-
-
-def build_predictor_config(
-    args, ini: configparser.ConfigParser
-) -> tuple[PredictorConfig, bool]:
-    """INI values first, then command-line flags on top.
-
-    Returns the config plus a flag saying whether the bandwidth should be
-    selected from the data ('auto').
-    """
-    n_l_g1 = _ini_value(ini, "reference", "n_l_g1")
-    n_l_default = _ini_value(ini, "reference", "n_l_default")
-    try:
-        delta_rule = DeltaRule(_ini_value(ini, "reference", "delta_rule"),
-                               _ini_value(ini, "reference", "delta_value"))
+        delta_rule = DeltaRule(kind=settings["reference", "delta_rule"],
+                               value=settings["reference", "delta_value"])
     except ShapecastError as exc:  # a value out of the rule's range is a usage error
         raw = ini.get("reference", "delta_value", raw=True, fallback=None)
         where = "unset" if raw is None else f"= {raw!r}"
         raise SystemExit(f"error: config [reference] delta_value {where}: {exc}") from None
-    n_l_by_group = {g: n_l_default for g in DayGroup}
-    n_l_by_group[DayGroup.G1] = n_l_g1
-
-    # every INI value is parsed before a flag overrides it, so a bad one still fails
-    ini_dist = _ini_value(ini, "distance", "kind")
-    ini_kernel = _ini_value(ini, "kernel", "kind")
-    ini_bandwidth = _ini_value(ini, "kernel", "bandwidth")
-    dist_kind = args.distance or ini_dist
-    kernel_kind = args.kernel or ini_kernel
-    bandwidth = args.bandwidth or ini_bandwidth
-
-    reference = ReferenceConfig(
-        n_L_by_group=n_l_by_group,
-        delta_rule=delta_rule,
-        temp_distance=dist_kind,
-    )
-    kernel = KernelSpec(kernel_kind, 1.0 if bandwidth == "auto" else bandwidth)
+    n_l_by_group = dict.fromkeys(DayGroup, settings["reference", "n_l_default"])
+    n_l_by_group[DayGroup.G1] = settings["reference", "n_l_g1"]
+    bandwidth = settings["kernel", "bandwidth"]
     cfg = PredictorConfig(
-        reference=reference,
-        kernel=kernel,
-        shape_distance=dist_kind,
+        reference=ReferenceConfig(
+            n_L_by_group=n_l_by_group,
+            delta_rule=delta_rule,
+            temp_distance=settings["distance", "kind"],
+        ),
+        kernel=KernelSpec(
+            kind=settings["kernel", "kind"],
+            bandwidth=KernelSpec.bandwidth if bandwidth == "auto" else bandwidth,
+        ),
+        shape_distance=settings["distance", "kind"],
         same_group_only=args.same_group_only,
     )
-    return cfg, bandwidth == "auto"
-
-
-def _resolve_bandwidth(history: HistoryWindow, cfg: PredictorConfig,
-                       auto: bool) -> PredictorConfig:
-    if not auto:
-        return cfg
-    h, _ = select_bandwidth(history, cfg)
-    return replace(cfg, kernel=replace(cfg.kernel, bandwidth=h))
+    if bandwidth == "auto" and cv_history is not None:
+        h, _ = select_bandwidth(cv_history, cfg)
+        cfg = replace(cfg, kernel=replace(cfg.kernel, bandwidth=h))
+    return cfg
 
 
 def cmd_ingest(args) -> int:
@@ -264,10 +248,8 @@ def cmd_predict(args) -> int:
     forecasts = parse_temperature_forecast(_read_text(args.temp_forecast), history.grid)
     if date not in forecasts:
         raise ShapecastError(f"no temperature forecast for {date.isoformat()}")
-    ini = _load_ini(args.config)
-    cfg, auto = build_predictor_config(args, ini)
     prior = history.before(date)
-    cfg = _resolve_bandwidth(prior, cfg, auto)
+    cfg = build_predictor_config(args, prior)
     holidays = (
         parse_holiday_file(_read_text(args.holidays)) if args.holidays else frozenset()
     )
@@ -304,11 +286,9 @@ def cmd_backtest(args) -> int:
     dates = _backtest_dates(args, history)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     check_methods(methods)
-    ini = _load_ini(args.config)
-    cfg, auto = build_predictor_config(args, ini)
     # a run of bandwidth-free methods keeps the unused default bandwidth
-    auto = auto and not BANDWIDTH_METHODS.isdisjoint(methods)
-    cfg = _resolve_bandwidth(history.before(min(dates)), cfg, auto)
+    uses_h = not BANDWIDTH_METHODS.isdisjoint(methods)
+    cfg = build_predictor_config(args, history.before(min(dates)) if uses_h else None)
     report = backtest(history, dates, methods, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(os.path.join(args.out_dir, "report.csv"), emit_report(report, "csv"))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from shapecast import synthetic
-from shapecast.cli import main
+from shapecast.cli import INI_KEYS, main
 from shapecast.history import HistoryWindow, read_history_jsonl
+from shapecast.predictor import KernelSpec, PredictorConfig, config_snapshot
+from shapecast.reference import ReferenceConfig
 from shapecast.segments import TimeGrid
 
 GRID = TimeGrid.equidistant(24)
@@ -570,6 +572,79 @@ class TestBacktest:
         ])
         assert code == 1
         assert "eligible" in capsys.readouterr().err
+
+
+# each INI_KEYS row that a flag overrides: a valid file value, a different valid
+# flag value (neither is the default), and the config the flag's value gives
+# under --bandwidth 0.3
+FLAG_OVERRIDES = {
+    ("distance", "kind"): ("max-absolute", "mean-absolute", PredictorConfig(
+        reference=ReferenceConfig(temp_distance="mean-absolute"),
+        kernel=KernelSpec(bandwidth=0.3),
+        shape_distance="mean-absolute",
+    )),
+    ("kernel", "kind"): ("epanechnikov", "uniform",
+                         PredictorConfig(kernel=KernelSpec(kind="uniform", bandwidth=0.3))),
+    ("kernel", "bandwidth"): ("0.5", "0.3", PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
+}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("row", [row for row, (_, _, flag) in INI_KEYS.items() if flag])
+    def test_flag_overrides_a_valid_file_value(self, raw_files, history_file, tmp_path,
+                                               row, capsys):
+        section, key = row
+        file_value, flag_value, expected = FLAG_OVERRIDES[row]
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{section}]\n{key} = {file_value}\n")
+        flags = {"--config": str(ini), "--bandwidth": "0.3"}
+        flags[f"--{INI_KEYS[row][2]}"] = flag_value
+        flag_args = [arg for pair in flags.items() for arg in pair]
+
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"), *flag_args,
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"] == config_snapshot(expected)
+
+        dates = tmp_path / "dates.txt"
+        dates.write_text(f"{(START + dt.timedelta(days=70)).isoformat()}\n")
+        out_dir = tmp_path / "bt"
+        code = main([
+            "backtest", "--history", str(history_file), "--dates-file", str(dates),
+            "--methods", "ssp", "--out-dir", str(out_dir), *flag_args,
+        ])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"] == config_snapshot(expected)
+
+    def test_defaults_are_the_librarys(self, raw_files, history_file, capsys):
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"), "--bandwidth", "0.3",
+        ])
+        assert code == 0
+        expected = config_snapshot(PredictorConfig(kernel=KernelSpec(bandwidth=0.3)))
+        assert json.loads(capsys.readouterr().out)["config"] == expected
+
+    def test_file_with_two_faults_names_the_unparsed_value(self, raw_files, history_file,
+                                                           tmp_path, capsys):
+        # every value is parsed before the delta rule's range is checked, so a
+        # bad [kernel] kind is named before the quantile rule's missing value
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[reference]\ndelta_rule = quantile\n[kernel]\nkind = bogus\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"), "--config", str(ini),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config [kernel] kind = 'bogus': ")
+        assert "delta_value" not in err
 
 
 class TestSimulate:
