@@ -1,7 +1,8 @@
 """The history as day-by-day columns, daily-record views, and JSON-lines persistence.
 
-The reader decodes each record line with orjson. A line orjson refuses, or
-one that fails a check, is read again by the stdlib decoder, whose value or
+The reader is one loop that decodes each record line with orjson and checks
+it inline. A line orjson refuses, one that fails a check, or one whose
+temperatures are all null is read again by the stdlib decoder, whose value or
 error then stands: `NaN`, `1e400` and a lone-surrogate escape read as the
 stdlib reads them, and every error text is the stdlib path's. The header line
 stays on `json.loads`.
@@ -291,19 +292,20 @@ def _numbers(values, key: str, P: int, kinds=_NUMBER) -> list:
 _ORJSON_DEPTH = 10_000
 
 
-def _decoder(text: str):
-    """`orjson.loads`, unless `text` could nest deeper than `_ORJSON_DEPTH`."""
+def _too_deep_for_orjson(text: str) -> bool:
+    """Whether `text` could nest deeper than `_ORJSON_DEPTH`."""
     # a level takes two brackets, so only a long line needs its brackets counted
-    if len(text) > 2 * _ORJSON_DEPTH and text.count("[") + text.count("{") > _ORJSON_DEPTH:
-        return _DECODER.decode
-    return orjson.loads
+    return len(text) > 2 * _ORJSON_DEPTH and text.count("[") + text.count("{") > _ORJSON_DEPTH
 
 
-def _read_record(text: str, decode, P: int, load: np.ndarray, temp: np.ndarray) -> tuple:
-    """A record line's (date, holiday flag, quality); its numbers fill `load` and `temp`."""
-    if text.startswith("\ufeff"):  # `json.loads` refuses a BOM, `decode` does not
+def _read_record(text: str, P: int, load: np.ndarray, temp: np.ndarray) -> tuple:
+    """A record line's (date, holiday flag, quality), read by the stdlib decoder.
+
+    Its numbers fill `load` and `temp`.
+    """
+    if text.startswith("\ufeff"):  # `json.loads` refuses a BOM, the decoder does not
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    d = decode(text)
+    d = _DECODER.decode(text)
     date = dt.date.fromisoformat(d["date"])
     holiday = bool(d.get("is_holiday"))
     load[:] = _numbers(d["load_mw"], "load_mw", P)
@@ -315,48 +317,86 @@ def _read_record(text: str, decode, P: int, load: np.ndarray, temp: np.ndarray) 
     return date, holiday, Quality(d["quality"])
 
 
+def _reread(path, lineno: int, text: str, P: int, load: np.ndarray, temp: np.ndarray):
+    """`_read_record` of a line orjson's reading did not stand for, naming `path:lineno`."""
+    with _located(path, lineno):
+        return _read_record(text, P, load, temp)
+
+
+_QUALITY = {q.value: q for q in Quality}
+
+
 def read_history_jsonl(path) -> HistoryWindow:
     """The window a history file holds; every error names `path:line`."""
     with open(path, encoding="utf-8") as fh:
         # universal newlines turn `\r\n` and `\r` into `\n`, the one break splitting
         # records: JSON allows U+2028 and the like raw inside a string
-        lines = [(n, ln) for n, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
-    if not lines:
+        lines = fh.read().split("\n")
+    linenos = [n for n, ln in enumerate(lines, 1) if ln.strip()]
+    if not linenos:
         raise ShapecastError(f"{path}: empty history file")
-    lineno, text = lines[0]
-    with _located(path, lineno):
-        header = json.loads(text)
+    with _located(path, linenos[0]):
+        header = json.loads(lines[linenos[0] - 1])
         if not isinstance(header, dict) or "grid" not in header:
             raise ShapecastError("missing grid header line")
         grid = TimeGrid(tuple(header["grid"]))
-    records = lines[1:]
+    linenos = linenos[1:]
     P = grid.points_per_day
     dates, holidays, quality = [], [], []
     # a row not yet filled is zero load, no temperature: nothing to refuse
-    loads, temps = np.zeros((len(records), P)), np.full((len(records), P), np.nan)
+    loads, temps = np.zeros((len(linenos), P)), np.full((len(linenos), P), np.nan)
+    observed = np.zeros(len(linenos), bool)  # the rows whose temp_c orjson's reading filled
     failure = None
-    for k, (lineno, text) in enumerate(records):
+    for k, lineno in enumerate(linenos):
+        text = lines[lineno - 1]
+        # orjson's reading stands where it passes every check `_read_record`
+        # makes, in its order, filling the rows as it would; at the first
+        # check it fails, `_read_record` reads the line again, and its values
+        # or error stand
         try:
-            with _located(path, lineno):
-                try:
-                    day = _read_record(text, _decoder(text), P, loads[k], temps[k])
-                except _REPORTED:
-                    # a line orjson refuses or that fails a check: the stdlib
-                    # decoder's value or error stands
-                    day = _read_record(text, _DECODER.decode, P, loads[k], temps[k])
-        except IngestError as exc:
-            failure = exc
-            break
+            # `_read_record` refuses a BOM, and orjson must not see a deep line
+            if text.startswith("\ufeff") or _too_deep_for_orjson(text):
+                raise ValueError
+            d = orjson.loads(text)
+            date = dt.date.fromisoformat(d["date"])
+            load = d["load_mw"]
+            if not (type(load) is list and len(load) == P and _NUMBER.issuperset(map(type, load))):
+                raise ValueError
+            loads[k] = load
+            temp = d.get("temp_c")
+            if temp is not None:
+                if not (type(temp) is list and len(temp) == P
+                        and _NUMBER_OR_NULL.issuperset(map(type, temp))):
+                    raise ValueError
+                temps[k] = temp  # null: NaN
+            day = date, bool(d.get("is_holiday")), _QUALITY[d["quality"]]
+            observed[k] = temp is not None
+        except _REPORTED:
+            try:
+                day = _reread(path, lineno, text, P, loads[k], temps[k])
+            except IngestError as exc:
+                failure = exc
+                break
         dates.append(day[0])
         holidays.append(day[1])
         quality.append(day[2])
+    # `_read_record` refuses a temp_c of nulls only: a row orjson's reading left
+    # all NaN, which is before the first failing line, is read again
+    for k in np.flatnonzero(observed & np.isnan(temps).all(axis=1)).tolist():
+        try:
+            _reread(path, linenos[k], lines[linenos[k] - 1], P, loads[k], temps[k])
+        except IngestError as exc:
+            failure = exc
+            del dates[k:]
+            break
     try:
         if failure is None:
             return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))
-        # a bad value on this line or an earlier one comes first
-        _refuse_bad_day(grid, loads, temps)
+        # a bad value on the failing line (row len(dates)) or an earlier one comes first
+        stop = len(dates) + 1
+        _refuse_bad_day(grid, loads[:stop], temps[:stop])
     except ShapecastError as exc:
         if not hasattr(exc, "row"):
             raise
-        raise IngestError(f"{path}:{records[exc.row][0]}: {exc}") from None
+        raise IngestError(f"{path}:{linenos[exc.row]}: {exc}") from None
     raise failure

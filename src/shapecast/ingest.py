@@ -2,10 +2,11 @@
 
 Load and temperature readings arrive as flat (timestamp, value) CSVs, parsed
 into day ordinal, minute of day and value columns. `csv.reader` reads a file
-with a quote, CR or NUL; any other is read from its UTF-8 bytes, where numpy
-reads the canonical stamps, with no string per line or per stamp, and orjson
-the values as one JSON array; where orjson refuses one, numpy converts text by
-text, as `float` reads. Other stamps and bad rows are read one by one.
+with a quote, a NUL or a CR outside a CRLF line end; any other is read from
+its UTF-8 bytes, where numpy reads the canonical stamps, with no string per
+line or per stamp, and orjson the values as one JSON array; where orjson
+refuses one, numpy converts text by text, as `float` reads. Other stamps and
+bad rows are read one by one.
 `segmentize` sorts the readings by day and minute once. A day read at exactly
 the grid minutes is one row as read; every other day is laid onto the grid,
 where short gaps are linearly interpolated and the day marked gap-filled,
@@ -100,13 +101,18 @@ def _utf8(raw: np.ndarray, start: int = 0, stop: int | None = None) -> str:
 def _plain_rows(text: str, header: list[str]):
     """(bytes, line numbers, line starts, commas, values) of two-column CSV `text`.
 
-    Positions index its UTF-8 bytes; `values` is one string of the second
+    Positions index the UTF-8 bytes of `text` with each CRLF read as LF, as
+    `csv.reader` ends a line at either; `values` is one string of the second
     fields, a line each. Blank lines are skipped. None where `csv.reader`
-    may read otherwise: a quote, a CR or NUL, an overlong field, a line
-    neither blank nor 2 fields.
+    may read otherwise: a quote, a NUL, a CR outside a CRLF, an overlong
+    field, a line neither blank nor 2 fields.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))  # csv's line breaks; splitlines() has more
     commas = np.flatnonzero(raw == ord(","))

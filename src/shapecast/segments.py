@@ -129,12 +129,17 @@ class DistanceKind(str, Enum):
 
 
 def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """Metric of each difference vector along the last axis."""
+    """Metric of each difference vector along the last axis.
+
+    `diff` is squared, or taken `abs` of, in place: it must be a fresh array
+    that the caller drops.
+    """
     if kind is DistanceKind.EUCLIDEAN:
-        return np.sqrt(np.sum(diff * diff, axis=-1))
+        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1))
+    np.abs(diff, out=diff)
     if kind is DistanceKind.MEAN_ABSOLUTE:
-        return np.mean(np.abs(diff), axis=-1)
-    return np.max(np.abs(diff), axis=-1)
+        return np.mean(diff, axis=-1)
+    return np.max(diff, axis=-1)
 
 
 def distance(a, b, kind: DistanceKind = DistanceKind.EUCLIDEAN) -> float:

@@ -2,10 +2,15 @@ import datetime as dt
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from shapecast.calendars import GROUPS
-from shapecast.history import HistoryWindow
+from shapecast.errors import IngestError, ShapecastError
+from shapecast.history import (
+    _DECODER, _NUMBER_OR_NULL, _ORJSON_DEPTH, _REPORTED, HistoryWindow, Quality, _located,
+    _numbers, _refuse_bad_day,
+)
 from shapecast.segments import TimeGrid
 
 
@@ -62,3 +67,69 @@ def history_jsonl_oracle(window: HistoryWindow) -> str:
             d["temp_c"] = [None if v != v else v for v in window.temps[i].tolist()]
         lines.append(json.dumps(d, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+# The history reader as it was before its one-loop rewrite, kept as the reference:
+# every line goes through `_oracle_record`, first with orjson, then with the
+# stdlib decoder where orjson refuses it or it fails a check.
+
+def _oracle_decoder(text: str):
+    if len(text) > 2 * _ORJSON_DEPTH and text.count("[") + text.count("{") > _ORJSON_DEPTH:
+        return _DECODER.decode
+    return orjson.loads
+
+
+def _oracle_record(text: str, decode, P: int, load: np.ndarray, temp: np.ndarray) -> tuple:
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    d = decode(text)
+    date = dt.date.fromisoformat(d["date"])
+    holiday = bool(d.get("is_holiday"))
+    load[:] = _numbers(d["load_mw"], "load_mw", P)
+    temps = d.get("temp_c")
+    if temps is not None:
+        temp[:] = _numbers(temps, "temp_c", P, _NUMBER_OR_NULL)
+        if temps.count(None) == P:
+            raise ShapecastError("temperature mask must be nonempty")
+    return date, holiday, Quality(d["quality"])
+
+
+def read_history_jsonl_oracle(path) -> HistoryWindow:
+    """The window `read_history_jsonl` must read from `path`, or its error."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(n, ln) for n, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
+    if not lines:
+        raise ShapecastError(f"{path}: empty history file")
+    lineno, text = lines[0]
+    with _located(path, lineno):
+        header = json.loads(text)
+        if not isinstance(header, dict) or "grid" not in header:
+            raise ShapecastError("missing grid header line")
+        grid = TimeGrid(tuple(header["grid"]))
+    records = lines[1:]
+    P = grid.points_per_day
+    dates, holidays, quality = [], [], []
+    loads, temps = np.zeros((len(records), P)), np.full((len(records), P), np.nan)
+    failure = None
+    for k, (lineno, text) in enumerate(records):
+        try:
+            with _located(path, lineno):
+                try:
+                    day = _oracle_record(text, _oracle_decoder(text), P, loads[k], temps[k])
+                except _REPORTED:
+                    day = _oracle_record(text, _DECODER.decode, P, loads[k], temps[k])
+        except IngestError as exc:
+            failure = exc
+            break
+        dates.append(day[0])
+        holidays.append(day[1])
+        quality.append(day[2])
+    try:
+        if failure is None:
+            return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))
+        _refuse_bad_day(grid, loads, temps)
+    except ShapecastError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise IngestError(f"{path}:{records[exc.row][0]}: {exc}") from None
+    raise failure

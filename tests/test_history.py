@@ -9,7 +9,7 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FLOAT_EDGES, history_jsonl_oracle, make_history
+from conftest import FLOAT_EDGES, history_jsonl_oracle, make_history, read_history_jsonl_oracle
 from shapecast import history
 from shapecast.calendars import GROUPS, annotate_calendar
 from shapecast.errors import GridMismatchError, ShapecastError
@@ -476,10 +476,10 @@ class TestJsonlErrors:
 HEADER = '{"grid": ["00:00", "06:00", "12:00", "18:00"]}'
 
 
-def read_outcome(path):
-    """The columns the reader gives, or its error text."""
+def read_outcome(path, reader=read_history_jsonl):
+    """The columns `reader` gives, or its error text."""
     try:
-        window = read_history_jsonl(path)
+        window = reader(path)
     except ShapecastError as exc:
         return str(exc)
     return (window.dates, window.is_holiday.tobytes(), window.quality,
@@ -634,6 +634,77 @@ def test_decoders_agree_on_halfway_numbers(tmp_path, texts):
                                  ":2: int too large to convert to float"))
 
 
+# The reader against the reader it replaced (`read_history_jsonl_oracle`), which
+# sent every line through one checking function, first with orjson, then with
+# the stdlib decoder: the same columns to the byte, or the same error text.
+
+def assert_reads_as_the_oracle(path, text: str):
+    """Both readers give the file `text` one outcome, which is returned."""
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    outcome = read_outcome(path)
+    assert outcome == read_outcome(path, read_history_jsonl_oracle)
+    return outcome
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(*map(record_lines, range(n)))),
+       st.sampled_from(["\n", "\r\n", "\n\n"]))
+def test_reader_reads_as_the_oracle(tmp_path_factory, lines, end):
+    text = end.join([HEADER, *lines]) + end
+    assert_reads_as_the_oracle(tmp_path_factory.getbasetemp() / "oracle.jsonl", text)
+
+
+NULLS = f'{RECORD[:-1]}, "temp_c": [null, null, null, null]}}'
+NEGATIVE = NEXT.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]")
+DEEP = f', "note": {"[" * 5000}{"]" * 5000}}}'  # orjson reads it, the stdlib decoder does not
+
+
+@pytest.mark.parametrize("lines, message", [
+    # a line whose temperatures are all null is named before a later bad value
+    ([NULLS, NEGATIVE], ":2: temperature mask must be nonempty"),
+    ([NULLS, '{"date": "2010-01-06", "quality"'], ":2: temperature mask must be nonempty"),
+    ([NULLS, NEXT.replace("complete", "rejected")], ":2: temperature mask must be nonempty"),
+    ([NULLS.replace("2010-01-05", "2010-01-07"), RECORD],
+     ":2: temperature mask must be nonempty"),
+    # and after an earlier one, or a bad value of its own line
+    ([RECORD.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]"), NULLS.replace("05", "06")],
+     ":2: load values must be nonnegative"),
+    ([RECORD.replace('"complete"', '"bad"'), NULLS.replace("05", "06")],
+     ":2: 'bad' is not a valid Quality"),
+    ([NULLS.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]")], ":2: load values must be nonnegative"),
+    ([RECORD, NULLS.replace("05", "06"), NEGATIVE.replace("06", "07")],
+     ":3: temperature mask must be nonempty"),
+    # the stdlib decoder's error stands
+    ([NULLS[:-1] + DEEP, NEGATIVE], ":2: maximum recursion depth exceeded"),
+    # and where orjson's reading failed a check, the rows it filled before it do
+    ([NEGATIVE[:-1] + ', "temp_c": ["x"]' + DEEP], ":2: load values must be nonnegative"),
+])
+def test_all_null_temperatures_keep_their_place(tmp_path, lines, message):
+    outcome = assert_reads_as_the_oracle(tmp_path / "h.jsonl", "\n".join([HEADER, *lines]))
+    assert message in outcome
+
+
+def test_long_lines_read_as_the_oracle(tmp_path):
+    # a minute grid: record lines of about 50,000 characters, past the length at
+    # which the reader counts a line's brackets before orjson sees it
+    grid = TimeGrid.equidistant(1440)
+    rng = np.random.default_rng(1440)
+    temps = rng.uniform(-30, 40, (4, 1440))
+    temps[1, 100:900] = np.nan
+    temps[3] = np.nan
+    window = HistoryWindow(grid, tuple(map(day, range(4))), rng.uniform(0, 900, (4, 1440)), temps)
+    text = history_jsonl_text(window)
+    lines = text.splitlines()
+    assert min(map(len, lines[1:])) > 20_000
+    outcome = assert_reads_as_the_oracle(tmp_path / "h.jsonl", text)
+    assert outcome[3] == window.loads.tobytes() and outcome[4] == window.temps.tobytes()
+    # row 1's temperatures all null, and a negative load on row 2 after it
+    lines[2] = lines[2][:-1] + ', "temp_c": [' + ", ".join(["null"] * 1440) + "]}"
+    lines[3] = lines[3].replace('"load_mw": [', '"load_mw": [-', 1)
+    outcome = assert_reads_as_the_oracle(tmp_path / "h.jsonl", "\n".join(lines))
+    assert outcome.endswith(":3: temperature mask must be nonempty")
+
+
 MIXED_DATES = (day(0), day(1), day(2), day(4))  # Mon, Tue, Wed, Fri; Thursday left out
 
 
@@ -651,6 +722,24 @@ def mixed(grid4):
         [False, False, True, False],
         (Quality.COMPLETE, Quality.GAP_FILLED, Quality.COMPLETE, Quality.COMPLETE),
     )
+
+
+MIXED_EDITS = {
+    "as written": lambda line: line,
+    "a negative load": lambda line: line.replace('"load_mw": [', '"load_mw": [-', 1),
+    "null temperatures": lambda line: line[:-1] + ', "temp_c": [null, null, null, null]}',
+    "a bad quality": lambda line: line.replace('"quality": "', '"quality": "x', 1),
+    "truncated": lambda line: line[:-2],
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\n\n"])
+@pytest.mark.parametrize("row", range(len(MIXED_DATES)))
+@pytest.mark.parametrize("edit", list(MIXED_EDITS))
+def test_mixed_reads_as_the_oracle(mixed, tmp_path, edit, row, end):
+    lines = history_jsonl_text(mixed).splitlines()
+    lines[row + 1] = MIXED_EDITS[edit](lines[row + 1])
+    assert_reads_as_the_oracle(tmp_path / "h.jsonl", end.join(lines) + end)
 
 
 def assert_same_columns(a: HistoryWindow, b: HistoryWindow) -> None:

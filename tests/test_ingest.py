@@ -11,6 +11,7 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shapecast import ingest
 from shapecast.calendars import annotate_calendar
 from shapecast.cli import main
 from shapecast.errors import IngestError
@@ -770,14 +771,15 @@ LONG_BODY = [row for d in range(3)
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.lists(rows, max_size=8), st.booleans(), st.integers(2, 3), st.integers(0, 3 * 96))
 def test_parsers_match_the_per_row_oracle(lines, trailing_newline, days, at):
-    # the drawn rows alone, and spliced into a long canonical body
+    # the drawn rows alone, and spliced into a long canonical body; each with LF
+    # and with CRLF line ends (a "cr" row then ends in a lone CR)
     at = min(at, days * 96)
     long = LONG_BODY[:at] + lines + LONG_BODY[at:days * 96]
-    for (parse, column, limit, signed), file_rows in itertools.product([
+    for (parse, column, limit, signed), file_rows, end in itertools.product([
         (parse_load_file, "load_mw", math.inf, False),
         (parse_temperature_history, "temp_c", TEMPERATURE_LIMIT_C, True),
-    ], [lines, long]):
-        text = f"timestamp,{column}\n" + body(file_rows, trailing_newline)
+    ], [lines, long], ["\n", "\r\n"]):
+        text = (f"timestamp,{column}\n" + body(file_rows, trailing_newline)).replace("\n", end)
         want, want_error = outcome(lambda: oracle_parse(text, column, limit, signed))
         got, got_error = outcome(lambda: parse(text))
         assert got_error == want_error
@@ -813,6 +815,30 @@ def test_each_value_in_a_plain_day_matches_the_per_row_oracle(value, at):
         assert got_error == want_error
         if want is not None:
             assert bits(got.values) == bits([v for _, v in want])
+
+
+@pytest.mark.parametrize("end, byte_path", [
+    ("\n", True), ("\r\n", True), ("\r", False), ("\r\r\n", False), ("\n\r", False),
+])
+def test_only_a_cr_outside_crlf_leaves_the_byte_path(monkeypatch, end, byte_path):
+    # csv.reader ends a line at CRLF as at LF, so a CRLF text is read from its
+    # bytes; a CR outside a CRLF goes to csv.reader
+    calls, rows = [], ingest._rows
+    monkeypatch.setattr(ingest, "_rows", lambda *args: calls.append(args) or rows(*args))
+    lines = [*LONG_BODY[:96], "", "  ", "2010-06-06T00:00,-1", ""]
+    for parse, column, limit, signed in [
+        (parse_load_file, "load_mw", math.inf, False),
+        (parse_temperature_history, "temp_c", TEMPERATURE_LIMIT_C, True),
+    ]:
+        text = end.join([f"timestamp,{column}", *lines])
+        want, want_error = outcome(lambda: oracle_parse(text, column, limit, signed))
+        got, got_error = outcome(lambda: parse(text))
+        assert got_error == want_error
+        if want is not None:
+            assert bits(got.values) == bits([v for _, v in want])
+            stamps = [got.isoformat(i) for i in range(len(got))]
+            assert stamps == [ts.isoformat() for ts, _ in want]
+    assert bool(calls) is not byte_path
 
 
 def test_values_holding_a_bracket_never_reach_orjson(monkeypatch):

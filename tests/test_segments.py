@@ -144,6 +144,34 @@ class TestDistances:
     def test_empty_matrix(self):
         assert distances(np.empty((0, 4)), np.zeros(4)).shape == (0,)
 
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_inputs_unwritten_results_as_out_of_place(self, kind, paired):
+        # the metric works in place on its difference array, never on an input:
+        # a float64 C-order `M` is passed on uncopied, as are `a` and `b`
+        rng = np.random.default_rng(5)
+        M = rng.normal(0, 300, (60, 96))
+        M[0, :4] = [-0.0, 5e-324, -1e150, 1e-160]
+        v = rng.normal(0, 300, M.shape if paired else 96)
+        M0, v0 = M.copy(), v.copy()
+        assert np.shares_memory(np.ascontiguousarray(M, dtype=float), M)
+        got = distances(M, v, kind)
+        assert M.tobytes() == M0.tobytes() and v.tobytes() == v0.tobytes()
+        assert got.tobytes() == out_of_place(M0 - v0, kind).tobytes()
+        for a, b in zip(M, v if paired else [v] * len(M)):
+            a0, b0 = a.copy(), b.copy()
+            assert distance(a, b, kind) == float(out_of_place(a0 - b0, kind))
+            assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+
+def out_of_place(diff, kind):
+    """The metric as computed before it worked in place on `diff`."""
+    if kind is DistanceKind.EUCLIDEAN:
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    if kind is DistanceKind.MEAN_ABSOLUTE:
+        return np.mean(np.abs(diff), axis=-1)
+    return np.max(np.abs(diff), axis=-1)
+
 
 def one_day(grid, load):
     """A one-day window; its shape is the day's load over its maximum."""
