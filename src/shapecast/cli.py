@@ -73,8 +73,9 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
         if not os.path.exists(path):
             raise SystemExit(f"error: config file {path} not found")
         try:
-            with _input_file(path):
-                parser.read(path, encoding="utf-8")
+            # `parser.read` would skip a file it cannot open, such as a directory
+            with _input_file(path), open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
         except configparser.Error as exc:
             raise SystemExit(f"error: config file {path}: {exc}") from None
     # a [DEFAULT] key would show in every section, so none is read there

@@ -1,11 +1,10 @@
 """The history as day-by-day columns, daily-record views, and JSON-lines persistence.
 
-The reader is one loop that decodes each record line with orjson and checks
-it inline. A line orjson refuses, one that fails a check, or one whose
-temperatures are all null is read again by the stdlib decoder, whose value or
-error then stands: `NaN`, `1e400` and a lone-surrogate escape read as the
-stdlib reads them, and every error text is the stdlib path's. The header line
-stays on `json.loads`.
+One check, `_read_record`, reads a decoded record line, and two decoders feed
+it: orjson first, then, for a line orjson refuses or whose reading fails the
+check, the stdlib decoder, whose value or error stands. So `NaN`, `1e400` and
+a lone-surrogate escape read as the stdlib reads them, and every error text is
+the stdlib path's. The header line stays on `json.loads`.
 
 The writer keeps `json.dumps`'s text byte for byte. The header line is
 `json.dumps`'s; each record's numbers take orjson's digits, which are
@@ -298,32 +297,28 @@ def _too_deep_for_orjson(text: str) -> bool:
     return len(text) > 2 * _ORJSON_DEPTH and text.count("[") + text.count("{") > _ORJSON_DEPTH
 
 
-def _read_record(text: str, P: int, load: np.ndarray, temp: np.ndarray) -> tuple:
-    """A record line's (date, holiday flag, quality), read by the stdlib decoder.
+_QUALITY = {q.value: q for q in Quality}
+
+
+def _read_record(d, P: int, load: np.ndarray, temp: np.ndarray) -> tuple:
+    """A decoded record line's (date, holiday flag, quality).
 
     Its numbers fill `load` and `temp`.
     """
-    if text.startswith("\ufeff"):  # `json.loads` refuses a BOM, the decoder does not
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    d = _DECODER.decode(text)
     date = dt.date.fromisoformat(d["date"])
     holiday = bool(d.get("is_holiday"))
     load[:] = _numbers(d["load_mw"], "load_mw", P)
     temps = d.get("temp_c")
     if temps is not None:
         temp[:] = _numbers(temps, "temp_c", P, _NUMBER_OR_NULL)  # null: NaN
-        if temps.count(None) == P:
+        # a list `_numbers` passed holds no null if its first value is not one
+        if temps[0] is None and temps.count(None) == P:
             raise ShapecastError("temperature mask must be nonempty")
-    return date, holiday, Quality(d["quality"])
-
-
-def _reread(path, lineno: int, text: str, P: int, load: np.ndarray, temp: np.ndarray):
-    """`_read_record` of a line orjson's reading did not stand for, naming `path:lineno`."""
-    with _located(path, lineno):
-        return _read_record(text, P, load, temp)
-
-
-_QUALITY = {q.value: q for q in Quality}
+    q = d["quality"]
+    try:
+        return date, holiday, _QUALITY[q]
+    except (KeyError, TypeError):  # an unknown or unhashable value: `Quality` names it
+        return date, holiday, Quality(q)
 
 
 def read_history_jsonl(path) -> HistoryWindow:
@@ -345,50 +340,29 @@ def read_history_jsonl(path) -> HistoryWindow:
     dates, holidays, quality = [], [], []
     # a row not yet filled is zero load, no temperature: nothing to refuse
     loads, temps = np.zeros((len(linenos), P)), np.full((len(linenos), P), np.nan)
-    observed = np.zeros(len(linenos), bool)  # the rows whose temp_c orjson's reading filled
     failure = None
     for k, lineno in enumerate(linenos):
         text = lines[lineno - 1]
-        # orjson's reading stands where it passes every check `_read_record`
-        # makes, in its order, filling the rows as it would; at the first
-        # check it fails, `_read_record` reads the line again, and its values
-        # or error stand
         try:
-            # `_read_record` refuses a BOM, and orjson must not see a deep line
+            # a BOM is the stdlib path's error, and orjson must not see a deep line
             if text.startswith("\ufeff") or _too_deep_for_orjson(text):
                 raise ValueError
-            d = orjson.loads(text)
-            date = dt.date.fromisoformat(d["date"])
-            load = d["load_mw"]
-            if not (type(load) is list and len(load) == P and _NUMBER.issuperset(map(type, load))):
-                raise ValueError
-            loads[k] = load
-            temp = d.get("temp_c")
-            if temp is not None:
-                if not (type(temp) is list and len(temp) == P
-                        and _NUMBER_OR_NULL.issuperset(map(type, temp))):
-                    raise ValueError
-                temps[k] = temp  # null: NaN
-            day = date, bool(d.get("is_holiday")), _QUALITY[d["quality"]]
-            observed[k] = temp is not None
+            day = _read_record(orjson.loads(text), P, loads[k], temps[k])
         except _REPORTED:
+            # the stdlib decoder reads the line again, and its values or error stand
             try:
-                day = _reread(path, lineno, text, P, loads[k], temps[k])
+                with _located(path, lineno):
+                    # `json.loads` refuses a BOM, the decoder does not
+                    if text.startswith("\ufeff"):
+                        raise json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+                    day = _read_record(_DECODER.decode(text), P, loads[k], temps[k])
             except IngestError as exc:
                 failure = exc
                 break
         dates.append(day[0])
         holidays.append(day[1])
         quality.append(day[2])
-    # `_read_record` refuses a temp_c of nulls only: a row orjson's reading left
-    # all NaN, which is before the first failing line, is read again
-    for k in np.flatnonzero(observed & np.isnan(temps).all(axis=1)).tolist():
-        try:
-            _reread(path, linenos[k], lines[linenos[k] - 1], P, loads[k], temps[k])
-        except IngestError as exc:
-            failure = exc
-            del dates[k:]
-            break
     try:
         if failure is None:
             return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))

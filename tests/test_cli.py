@@ -227,6 +227,17 @@ class TestPredict:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_unreadable_config_file(self, raw_files, history_file, tmp_path, capsys):
+        # a path that exists but cannot be read as a file is no default config
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        code = main([
+            "predict", "--history", str(history_file), "--date", date,
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--config", str(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
 
     @pytest.mark.parametrize("value", ["abc", "0", "-0.5", "nan", ""])
     def test_bad_bandwidth_flag_is_usage_error(self, raw_files, history_file,

@@ -334,6 +334,9 @@ class TestJsonlErrors:
              r"Expecting ',' delimiter: line 1 column 63 \(char 62\)$"),
             # orjson reads 2**64 as a float, but the error names the integer
             (RECORD.replace('"complete"', str(2**64)), f": {2**64} is not a valid Quality$"),
+            # an unhashable quality is named as the value it is
+            (RECORD.replace('"complete"', "[1]"), r": \[1\] is not a valid Quality$"),
+            (RECORD.replace('"complete"', '{"a": 1}'), r": \{'a': 1\} is not a valid Quality$"),
             (f'{RECORD[:-1]}, "note": "\u2028"}} x', "Extra data"),
             (RECORD + "\u2028" + NEXT, "Extra data"),  # only \n, \r\n and \r split records
         ],
@@ -678,10 +681,36 @@ DEEP = f', "note": {"[" * 5000}{"]" * 5000}}}'  # orjson reads it, the stdlib de
     ([NULLS[:-1] + DEEP, NEGATIVE], ":2: maximum recursion depth exceeded"),
     # and where orjson's reading failed a check, the rows it filled before it do
     ([NEGATIVE[:-1] + ', "temp_c": ["x"]' + DEEP], ":2: load values must be nonnegative"),
+    # a first temperature null is no mask of nulls
+    ([NULLS.replace("[null, null", "[null, 2"), NEGATIVE], ":3: load values must be nonnegative"),
 ])
 def test_all_null_temperatures_keep_their_place(tmp_path, lines, message):
     outcome = assert_reads_as_the_oracle(tmp_path / "h.jsonl", "\n".join([HEADER, *lines]))
     assert message in outcome
+
+
+def test_good_lines_never_reach_the_stdlib_decoder(tmp_path):
+    path = tmp_path / "h.jsonl"
+    good = [
+        RECORD,  # integer-spelled loads
+        f'{NEXT[:-1]}, "temp_c": [null, 2.5, null, 4]}}',  # a partial mask, null first
+        NEXT.replace("2010-01-06", "2010-01-07").replace('"quality"',
+                                                         '"quality": "bad", "quality"'),
+    ]
+    spy = mock.patch.object(history._DECODER, "decode", wraps=history._DECODER.decode)
+    path.write_text("\n".join([HEADER, *good]) + "\n")
+    with spy as decode:
+        window = read_history_jsonl(path)
+    assert decode.call_count == 0
+    # more brackets than orjson may nest, though they nest one deep: that line
+    # alone is read by the stdlib decoder, whatever orjson's version
+    good[1] = good[1][:-1] + ', "note": [' + ", ".join(["[]"] * history._ORJSON_DEPTH) + "]}"
+    path.write_text("\n".join([HEADER, *good]) + "\n")
+    with spy as decode:
+        again = read_history_jsonl(path)
+    assert decode.call_count == 1
+    assert (again.loads.tobytes(), again.temps.tobytes(), again.quality) == (
+        window.loads.tobytes(), window.temps.tobytes(), window.quality)
 
 
 def test_long_lines_read_as_the_oracle(tmp_path):
