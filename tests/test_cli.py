@@ -1,9 +1,13 @@
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shapecast
 from shapecast import synthetic
 from shapecast.cli import INI_KEYS, main
 from shapecast.history import HistoryWindow, read_history_jsonl
@@ -598,6 +602,81 @@ FLAG_OVERRIDES = {
                          PredictorConfig(kernel=KernelSpec(kind="uniform", bandwidth=0.3))),
     ("kernel", "bandwidth"): ("0.5", "0.3", PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
 }
+
+
+# days without temperature, before the trailing 30 validation days of every CV
+# below, and inside a 60-day lookback of each day predicted
+NO_TEMPERATURE = [START + dt.timedelta(days=d) for d in (12, 15, 19, 22, 26)]
+FALLBACK = "UserWarning: no segment within bandwidth; falling back to the nearest segment"
+
+
+class TestWarningsOnStderr:
+    """What the console script prints to stderr, under Python's default filter."""
+
+    @pytest.fixture(scope="class")
+    def gappy(self, history_file, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gappy")
+        dropped = {day.isoformat() for day in NO_TEMPERATURE}
+        lines = []
+        for line in history_file.read_text().splitlines():
+            record = json.loads(line)
+            if record.get("date") in dropped:
+                del record["temp_c"]
+            lines.append(json.dumps(record, sort_keys=True))
+        (root / "history.jsonl").write_text("\n".join(lines) + "\n")
+        (root / "wide.ini").write_text("[reference]\nn_l_g1 = 60\nn_l_default = 60\n")
+        # a quantile-rule reference matches no history shape exactly
+        (root / "compact.ini").write_text(
+            "[reference]\nn_l_g1 = 60\nn_l_default = 60\n"
+            "delta_rule = quantile\ndelta_value = 0.9\n"
+            "[kernel]\nkind = epanechnikov\nbandwidth = 1e-300\n"
+        )
+        (root / "dates.txt").write_text(
+            "".join(f"{START + dt.timedelta(days=d)}\n" for d in range(70, 80))
+        )
+        return root
+
+    def run(self, gappy, raw_files, tmp_path, command, ini, flags):
+        """Exit code and stderr of the console script in a fresh interpreter."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(shapecast.__file__))
+        if command == "predict":
+            where = ["--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+                     "--temp-forecast", str(raw_files / "forecast.csv"),
+                     "--out", str(tmp_path / "prediction.json")]
+        else:
+            where = ["--dates-file", str(gappy / "dates.txt"),
+                     "--out-dir", str(tmp_path / "bt")]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from shapecast.cli import main; sys.exit(main())",
+             command, "--history", str(gappy / "history.jsonl"),
+             "--config", str(gappy / ini), *where, *flags],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        return done.returncode, done.stderr
+
+    @pytest.mark.parametrize("command, ini, flags, dropped, fallbacks", [
+        ("predict", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
+        ("backtest", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
+        # the target, a Wednesday, is the one G2 day predicted
+        ("predict", "compact.ini", [], [], 1),
+        # without CV, 2010-03-13 is older than each prediction's lookback; one
+        # fallback line comes from the `ssp` method, one from `conditional-kernel`
+        ("backtest", "compact.ini", ["--methods", "ssp,conditional-kernel"],
+         NO_TEMPERATURE[1:], 2),
+    ])
+    def test_each_warning_once_per_place(self, gappy, raw_files, tmp_path, command,
+                                         ini, flags, dropped, fallbacks):
+        code, err = self.run(gappy, raw_files, tmp_path, command, ini, flags)
+        assert code == 0, err
+        lines = err.splitlines()
+        for day in dropped:
+            message = (f"UserWarning: dropping candidate {day.isoformat()}: "
+                       "no temperature data on the comparison mask")
+            assert sum(line.endswith(message) for line in lines) == 1, err
+        assert sum(line.endswith(FALLBACK) for line in lines) == fallbacks, err
+        warned = [line for line in lines if "Warning: " in line]
+        assert len(warned) == len(dropped) + fallbacks, err
 
 
 class TestConfig:

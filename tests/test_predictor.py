@@ -615,6 +615,19 @@ class TestSelectBandwidthOracle:
         assert type(new_err.value) is type(seed_err.value)
         assert str(new_err.value) == str(seed_err.value)
 
+    def test_fallback_warns_once_per_validation_day(self, grid24, monkeypatch):
+        # three massless bandwidths on every one of the 15 validation days
+        cfg = PredictorConfig(reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM))
+        history = random_history(grid24, np.random.default_rng(53), 46)
+        use_grid(monkeypatch, [1e-9, 2e-9, 1e-8, 5.0, 10.0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            select_bandwidth(history, cfg)
+        assert [str(w.message) for w in seen] == [
+            "no segment within bandwidth; falling back to the nearest segment"
+        ] * 15
+        assert all(w.filename == __file__ for w in seen)
+
     @pytest.mark.parametrize("kind", ["euclidean", "mean-absolute", "max-absolute"])
     # 63 days make 1,953 pairs, all of them used; 64 and 80 days are sampled
     @pytest.mark.parametrize("length", [2, 12, 63, 64, 80])
