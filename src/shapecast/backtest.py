@@ -100,7 +100,6 @@ def backtest(
 
 def summarize(scores: list[DayScore], methods: list[str]) -> dict[str, dict]:
     """Per-method mean/median RMAE and per-date win counts (ties share the win)."""
-    by_method = {m: [s for s in scores if s.method == m] for m in methods}
     by_date: dict[dt.date, dict[str, float]] = {}
     for s in scores:
         by_date.setdefault(s.date, {})[s.method] = s.rmae
@@ -112,7 +111,7 @@ def summarize(scores: list[DayScore], methods: list[str]) -> dict[str, dict]:
                 wins[m] += 1
     summary = {}
     for m in methods:
-        rmaes = [s.rmae for s in by_method[m]]
+        rmaes = [s.rmae for s in scores if s.method == m]
         summary[m] = {
             "days": len(rmaes),
             "mean_rmae": float(np.mean(rmaes)) if rmaes else None,
@@ -128,10 +127,8 @@ def emit_report(report: BacktestReport, format: str = "csv") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["date", "method", "rmae", "maxdiff", "mindiff"])
-        for s in report.scores:
-            writer.writerow(
-                [s.date.isoformat(), s.method, repr(s.rmae), repr(s.maxdiff), repr(s.mindiff)]
-            )
+        writer.writerows([s.date.isoformat(), s.method, repr(s.rmae), repr(s.maxdiff),
+                          repr(s.mindiff)] for s in report.scores)
         return buf.getvalue()
     if format == "json":
         doc = {

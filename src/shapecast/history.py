@@ -29,7 +29,7 @@ import orjson
 from .calendars import GROUPS, CalendarMeta, group_codes
 from .errors import GridMismatchError, IngestError, ShapecastError
 from .segments import TEMPERATURE_LIMIT_C, LoadSegment, TemperatureSegment, TimeGrid
-from .segments import _as_vector, read_only
+from .segments import OFF_LIMIT_TEMPERATURE, _as_vector, read_only
 
 
 class Quality(str, Enum):
@@ -60,17 +60,17 @@ def _owned(a) -> np.ndarray:
     return read_only(a if a.base is None and a.flags.c_contiguous else a.copy())
 
 
-def _refuse_bad_day(grid: TimeGrid, loads: np.ndarray, temps: np.ndarray) -> None:
-    """Raise the segment error of the first day a window refuses, with its `row`."""
+def _refuse_bad_day(loads: np.ndarray, temps: np.ndarray) -> None:
+    """Raise the error of the first day a window refuses, with its `row`."""
     bad = ~np.isfinite(loads) | (loads < 0) | (np.abs(temps) > TEMPERATURE_LIMIT_C)
     rows = np.flatnonzero(bad.any(axis=1))
     if len(rows):
-        try:
-            LoadSegment(grid, loads[rows[0]])
-            TemperatureSegment(grid, temps[rows[0]])
-        except ShapecastError as exc:
-            exc.row = int(rows[0])
-            raise
+        row = int(rows[0])
+        if not np.isfinite(loads[row]).all():
+            _refuse_row(row, "load values must be finite")
+        if (loads[row] < 0).any():
+            _refuse_row(row, "load values must be nonnegative")
+        _refuse_row(row, OFF_LIMIT_TEMPERATURE)
 
 
 def _refuse_row(row: int, message: str):
@@ -118,7 +118,7 @@ class HistoryWindow:
         if (self.loads.shape != (n, P) or self.temps.shape != (n, P)
                 or self.is_holiday.shape != (n,) or len(self.quality) != n):
             raise GridMismatchError(f"every column needs {n} days of {P} points")
-        _refuse_bad_day(self.grid, self.loads, self.temps)
+        _refuse_bad_day(self.loads, self.temps)
         ascending = list(map(operator.lt, self.dates, self.dates[1:]))
         if not all(ascending):
             _refuse_row(ascending.index(False) + 1,
@@ -368,7 +368,7 @@ def read_history_jsonl(path) -> HistoryWindow:
             return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))
         # a bad value on the failing line (row len(dates)) or an earlier one comes first
         stop = len(dates) + 1
-        _refuse_bad_day(grid, loads[:stop], temps[:stop])
+        _refuse_bad_day(loads[:stop], temps[:stop])
     except ShapecastError as exc:
         if not hasattr(exc, "row"):
             raise

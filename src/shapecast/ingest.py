@@ -51,12 +51,8 @@ class GapReport:
         return [i.date for i in self.issues if i.kind == "rejected"]
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for i in self.issues:
-            lines.append(f"{i.date.isoformat()}  {i.kind:>10}  {i.detail}")
-        if not lines:
-            lines.append("no gaps, no rejections")
-        return lines
+        lines = [f"{i.date.isoformat()}  {i.kind:>10}  {i.detail}" for i in self.issues]
+        return lines or ["no gaps, no rejections"]
 
 
 def _header(head: list[str], header: list[str]) -> None:

@@ -1,10 +1,9 @@
 """Similar-shape predictor: kernel weights over the history and the forecast.
 
-The prediction for the next day is a convex combination of all past shape
-segments, weighted by kernel-smoothed distance to the reference segment. The
-weighting runs on shape form (daily-max rescaled) throughout; the megawatt
-curve is recovered at the end by multiplying with the provided next-day
-maximum.
+The next day's shape is a convex combination of all past shapes (daily-max
+rescaled), weighted by kernel-smoothed distance to the reference segment, and
+its megawatt curve is that shape times the provided next-day maximum. Dropped
+candidates and weight fallbacks are values; `_report` alone warns and raises.
 """
 
 from __future__ import annotations
@@ -77,33 +76,42 @@ class Prediction:
 
 
 def _kernel_weights(dists: np.ndarray, kind: KernelKind, bandwidth: float | np.ndarray,
-                    in_group: np.ndarray | None = None) -> np.ndarray:
+                    in_group: np.ndarray | None = None) -> tuple:
     """Normalized kernel weights from the distance row of the history shapes.
 
-    A float `bandwidth` gives weights (L,), an (H, 1) column of them (H, L) whose
-    row r is the float call's at bandwidth r. A row without mass (compact kernel,
-    tiny bandwidth) falls back to the nearest shape, warning once per call.
-    `in_group` (True on target-group days) renormalizes each row over that group.
+    Returns (weights, dead, empty). A float `bandwidth` gives weights (L,), an
+    (H, 1) column of them (H, L) whose row r is the float call's at bandwidth r.
+    A dead row, without mass (compact kernel, tiny bandwidth), falls back to the
+    nearest shape. `in_group` (True on target-group days) renormalizes each row
+    over that group; an empty row has no mass there and stays 0.
     """
     with np.errstate(over="ignore"):  # an overflowed u is inf, where every kernel is 0
         mass = kernel_value(dists / bandwidth, kind)
     total = mass.sum(axis=-1, keepdims=True)
-    dead = total == 0.0
-    weights = mass / np.where(dead, 1.0, total)  # dead rows: 0 until the fallback
+    dead = total[..., 0] == 0.0
+    weights = mass / np.where(total == 0.0, 1.0, total)  # dead rows: 0 until the fallback
     if dead.any():
+        weights[dead] = np.arange(len(dists)) == np.argmin(dists)
+    if in_group is None:
+        return weights, dead, np.zeros_like(dead)
+    masked = weights * in_group
+    total = masked.sum(axis=-1, keepdims=True)
+    return masked / np.where(total == 0.0, 1.0, total), dead, total[..., 0] == 0.0
+
+
+def _report(dropped: tuple[dt.date, ...], dead: np.ndarray, empty: np.ndarray) -> None:
+    """Warn of each dropped candidate and of a fallback; raise on an empty group."""
+    for day in dropped:  # one line for every caller: the default filter prints a date once
+        warnings.warn(f"dropping candidate {day}: no temperature data on the comparison mask")
+    if dead.any():  # the warning names the line that called our caller
         warnings.warn(
             "no segment within bandwidth; falling back to the nearest segment",
             stacklevel=3,
         )
-        weights = np.where(dead, np.arange(len(dists)) == np.argmin(dists), weights)
-    if in_group is None:
-        return weights
-    masked = weights * in_group
-    if not masked.sum(axis=-1).all():
+    if empty.any():
         raise EmptyCandidateError(
             "same_group_only left no weight mass in the target group"
         )
-    return masked / masked.sum(axis=-1, keepdims=True)
 
 
 def predict_shape(shapes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -157,7 +165,8 @@ def predict_day(
     reference, matrix, dists, in_group = _stage(
         history, target.group, temp_forecast, cfg
     )
-    weights = _kernel_weights(dists, cfg.kernel.kind, cfg.kernel.bandwidth, in_group)
+    weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, cfg.kernel.bandwidth, in_group)
+    _report(reference.dropped, *fallbacks)
     shape = read_only(predict_shape(matrix, weights))
     return Prediction(
         target_date=target.date,
@@ -255,8 +264,9 @@ def select_bandwidth(
     errs = np.empty((len(h_grid), validation_days))
     days = walk_forward(history, range(len(history) - validation_days, len(history)))
     for k, (i, prior, meta, forecast, next_day_max) in enumerate(days):
-        _, matrix, dists, in_group = _stage(prior, meta.group, forecast, cfg)
-        weights = _kernel_weights(dists, cfg.kernel.kind, h_grid[:, None], in_group)
+        reference, matrix, dists, in_group = _stage(prior, meta.group, forecast, cfg)
+        weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, h_grid[:, None], in_group)
+        _report(reference.dropped, *fallbacks)
         errs[:, k] = score_day(predict_shape(matrix, weights) * next_day_max,
                                history.loads[i], meta.date)[0]
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid.tolist(), errs)]

@@ -1,18 +1,17 @@
 """Candidate-day selection and construction of the reference segment.
 
-The reference segment is the expected-shape proxy for the day to be predicted:
-recent same-group days whose temperatures are closest to the forecast are
-averaged (in shape form). Temperatures are compared on the points the
-forecast observes (its non-NaN points) and nowhere else. The δ rule alone sets
-the closeness threshold: the default `min` rule is the minimum temperature
-distance, so only the nearest day (plus exact ties) contributes, and a
-`quantile` or `fixed` rule widens the chosen set C*.
+The reference segment, the expected-shape proxy for the target day, averages
+(in shape form) the recent same-group days whose temperatures are closest to
+the forecast. Temperatures are compared on the points the forecast observes
+(its non-NaN points) only; a candidate missing one is dropped, and the result
+lists it. The δ rule alone sets the closeness threshold: the default `min`
+rule is the minimum temperature distance, so only the nearest day (plus exact
+ties) contributes, and a `quantile` or `fixed` rule widens the chosen set C*.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -83,6 +82,7 @@ class ReferenceResult:
     c_star: tuple[dt.date, ...]
     temp_distances: dict[dt.date, float]
     delta: float
+    dropped: tuple[dt.date, ...]  # candidates without temperature on the mask
 
 
 def candidate_set(
@@ -126,12 +126,6 @@ def select_reference(
     points = np.flatnonzero(~np.isnan(temp_forecast.values))
     temps = history.temps[np.ix_(candidates, points)]
     observed = ~np.isnan(temps).any(axis=1)
-    for i in candidates[~observed]:
-        warnings.warn(
-            f"dropping candidate {history.dates[i].isoformat()}: no temperature "
-            "data on the comparison mask",
-            stacklevel=2,
-        )
     usable = candidates[observed]
     if not len(usable):
         raise MissingTemperatureError(
@@ -156,4 +150,5 @@ def select_reference(
         c_star=tuple(history.dates[i] for i in chosen),
         temp_distances={history.dates[i]: d for i, d in zip(usable, dists.tolist())},
         delta=delta,
+        dropped=tuple(history.dates[i] for i in candidates[~observed]),
     )

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import GridMismatchError, ShapecastError
 
 TEMPERATURE_LIMIT_C = 1000.0  # larger readings are input errors; huge ones overflow distances
+OFF_LIMIT_TEMPERATURE = ("temperature values must be finite on the mask, "
+                         f"within ±{TEMPERATURE_LIMIT_C:g} °C")
 
 
 def _label_to_minutes(label: str) -> int:
@@ -117,8 +119,7 @@ class TemperatureSegment:
         if np.all(np.isnan(arr)):
             raise ShapecastError("temperature mask must be nonempty")
         if not np.nanmax(np.abs(arr)) <= TEMPERATURE_LIMIT_C:
-            raise ShapecastError("temperature values must be finite on the mask, "
-                                 f"within ±{TEMPERATURE_LIMIT_C:g} °C")
+            raise ShapecastError(OFF_LIMIT_TEMPERATURE)
         object.__setattr__(self, "values", read_only(arr.copy()))
 
 

@@ -127,7 +127,7 @@ def read_history_jsonl_oracle(path) -> HistoryWindow:
     try:
         if failure is None:
             return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))
-        _refuse_bad_day(grid, loads, temps)
+        _refuse_bad_day(loads, temps)
     except ShapecastError as exc:
         if not hasattr(exc, "row"):
             raise

@@ -78,8 +78,6 @@ def test_01_oracle_equivalence():
 def test_02_weight_simplex_and_convex_hull():
     """1,000 random configurations keep weights on the simplex and predictions
     inside the pointwise convex hull of history."""
-    import warnings
-
     with criterion("2 weight simplex / convex hull"):
         rng = np.random.default_rng(7)
         kinds = list(KernelKind)
@@ -89,9 +87,7 @@ def test_02_weight_simplex_and_convex_hull():
             shapes = 1e-3 + rng.random((L, P))
             ref = rng.random(P)
             spec = KernelSpec(kinds[int(rng.integers(3))], 10 ** rng.uniform(-2, 2))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                w = _kernel_weights(distances(shapes, ref), spec.kind, spec.bandwidth)
+            w, _, _ = _kernel_weights(distances(shapes, ref), spec.kind, spec.bandwidth)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
             pred = predict_shape(shapes, w)

@@ -45,51 +45,57 @@ class TestComputeWeights:
 
     def test_singleton_normalizes_to_one(self):
         dists = distances(np.array([[0.5, 1.0]]), np.array([0.1, 0.9]))
-        w = _kernel_weights(dists, KernelKind.GAUSSIAN, 1.0)
+        w, _, _ = _kernel_weights(dists, KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_array_equal(w, [1.0])
 
     def test_equidistant_split_evenly(self):
         shapes = np.array([[1.0, 0.0], [0.0, 1.0]])
         ref = np.array([0.5, 0.5])
-        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
+        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_gaussian_unit_bandwidth_fixture(self):
         # standard normal density at distances 0 and 1, normalized
         shapes = np.array([[0.0, 0.0], [1.0, 0.0]])
         ref = np.array([0.0, 0.0])
-        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
+        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_allclose(w, [0.62246, 0.37754], atol=1e-5)
 
     def test_simplex(self):
-        import warnings
-
         rng = np.random.default_rng(2)
         for _ in range(30):
             shapes = rng.random((6, 5))
             ref = rng.random(5)
             h = 10 ** rng.uniform(-2, 1)
             kind = list(KernelKind)[int(rng.integers(3))]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                w = _kernel_weights(distances(shapes, ref), kind, h)
+            w, _, _ = _kernel_weights(distances(shapes, ref), kind, h)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_compact_kernel_tiny_bandwidth_falls_back(self):
         shapes = np.array([[0.0, 0.0], [1.0, 1.0]])
         ref = np.array([0.4, 0.4])
-        with pytest.warns(UserWarning, match="no segment within bandwidth"):
-            w = _kernel_weights(
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, dead, empty = _kernel_weights(
                 distances(shapes, ref), KernelKind.EPANECHNIKOV, 1e-9
             )
         np.testing.assert_array_equal(w, [1.0, 0.0])
+        assert dead and not empty
+
+    def test_nearest_shape_out_of_group_leaves_the_row_empty(self):
+        shapes = np.array([[0.0, 0.0], [1.0, 1.0]])
+        ref = np.array([0.4, 0.4])
+        w, dead, empty = _kernel_weights(distances(shapes, ref), KernelKind.EPANECHNIKOV,
+                                         1e-9, np.array([False, True]))
+        np.testing.assert_array_equal(w, [0.0, 0.0])
+        assert dead and empty
 
     def test_huge_bandwidth_is_uniform(self):
         rng = np.random.default_rng(7)
         shapes = rng.random((10, 8))
         ref = rng.random(8)
-        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e9)
+        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e9)
         assert np.max(np.abs(w - 0.1)) < 1e-6
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
@@ -100,13 +106,7 @@ class TestComputeWeights:
     def test_tiny_bandwidth_concentrates_on_nearest(self):
         shapes = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         ref = np.array([0.45, 0.45])
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            w = _kernel_weights(
-                distances(shapes, ref), KernelKind.GAUSSIAN, 1e-3
-            )
+        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e-3)
         assert w[1] > 1.0 - 1e-12
 
     def test_scale_equivariance(self):
@@ -114,8 +114,8 @@ class TestComputeWeights:
         shapes = rng.random((5, 6))
         ref = rng.random(6)
         c = 7.5
-        w1 = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.3)
-        w2 = _kernel_weights(
+        w1, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.3)
+        w2, _, _ = _kernel_weights(
             distances(c * shapes, c * ref), KernelKind.GAUSSIAN, c * 0.3
         )
         np.testing.assert_allclose(w1, w2, atol=1e-12)
@@ -138,15 +138,16 @@ class TestBandwidthAxis:
             # a dead row falls back to the nearest shape: keep it in the group
             in_group = rng.random(L) < 0.5
             in_group[np.argmin(dists)] = True
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            weights = _kernel_weights(dists, kind, self.H[:, None], in_group)
-        assert len(seen) == 1  # one fallback warning for the call, not one per row
+        weights, dead, empty = _kernel_weights(dists, kind, self.H[:, None], in_group)
         assert weights.shape == (len(self.H), L)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for r, h in enumerate(self.H.tolist()):
-                assert np.array_equal(weights[r], _kernel_weights(dists, kind, h, in_group))
+        # 1e-9 is dead under every kernel; a compact kernel has no mass at
+        # any bandwidth below the nearest distance either
+        compact = kind is not KernelKind.GAUSSIAN
+        assert np.array_equal(dead, (self.H == 1e-9) | compact & (self.H < dists.min()))
+        for r, h in enumerate(self.H.tolist()):
+            row, row_dead, row_empty = _kernel_weights(dists, kind, h, in_group)
+            assert np.array_equal(weights[r], row)
+            assert (dead[r], empty[r]) == (row_dead, row_empty)
 
     @pytest.mark.parametrize("L", [30, 300, 3000])
     def test_stacked_combination_equals_row_calls(self, L):
@@ -200,8 +201,8 @@ class TestPredictShape:
         shapes = rng.random((6, 5))
         ref = rng.random(5)
         perm = rng.permutation(6)
-        w = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.5)
-        w_perm = _kernel_weights(
+        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.5)
+        w_perm, _, _ = _kernel_weights(
             distances(shapes[perm], ref), KernelKind.GAUSSIAN, 0.5
         )
         np.testing.assert_allclose(w[perm], w_perm, atol=1e-15)
@@ -615,19 +616,6 @@ class TestSelectBandwidthOracle:
         assert type(new_err.value) is type(seed_err.value)
         assert str(new_err.value) == str(seed_err.value)
 
-    def test_fallback_warns_once_per_validation_day(self, grid24, monkeypatch):
-        # three massless bandwidths on every one of the 15 validation days
-        cfg = PredictorConfig(reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM))
-        history = random_history(grid24, np.random.default_rng(53), 46)
-        use_grid(monkeypatch, [1e-9, 2e-9, 1e-8, 5.0, 10.0])
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            select_bandwidth(history, cfg)
-        assert [str(w.message) for w in seen] == [
-            "no segment within bandwidth; falling back to the nearest segment"
-        ] * 15
-        assert all(w.filename == __file__ for w in seen)
-
     @pytest.mark.parametrize("kind", ["euclidean", "mean-absolute", "max-absolute"])
     # 63 days make 1,953 pairs, all of them used; 64 and 80 days are sampled
     @pytest.mark.parametrize("length", [2, 12, 63, 64, 80])
@@ -646,6 +634,43 @@ class TestSelectBandwidthOracle:
             default_bandwidth_grid(make_history(grid24, MONDAY, np.empty((0, 24))))
 
 
+def test_fallback_warns_once_per_validation_day(grid24, monkeypatch):
+    # three massless bandwidths on every one of the 15 validation days
+    cfg = PredictorConfig(reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM))
+    history = random_history(grid24, np.random.default_rng(53), 46)
+    use_grid(monkeypatch, [1e-9, 2e-9, 1e-8, 5.0, 10.0])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        select_bandwidth(history, cfg)
+    assert [str(w.message) for w in seen] == [
+        "no segment within bandwidth; falling back to the nearest segment"
+    ] * 15
+    assert all(w.filename == __file__ for w in seen)
+
+
+def test_dropped_candidates_warn_from_one_line(grid4, monkeypatch):
+    # 48 days from a Monday: day 20, a Sunday, lies in the 28-day lookback of
+    # the Sunday target and of the validation window's two Sundays (days
+    # 34 and 41), and before the window (days 31-47)
+    history = random_history(grid4, np.random.default_rng(53), 48)
+    temps = history.temps.copy()
+    temps[20] = np.nan
+    history = make_history(grid4, history.dates[0], history.loads, temps)
+    target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
+    assert target.group is DayGroup.G4
+    use_grid(monkeypatch, [0.3])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        predict_day(history, target, TemperatureSegment(grid4, [20.0] * 4))
+        select_bandwidth(history, PredictorConfig())
+    assert [str(w.message) for w in seen] == [
+        f"dropping candidate {history.dates[20]}: no temperature data on the "
+        "comparison mask"
+    ] * 3
+    assert {(w.filename, w.lineno) for w in seen} == {(seen[0].filename, seen[0].lineno)}
+    assert seen[0].filename == predictor.__file__
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_weight_simplex_property(seed):
@@ -656,11 +681,7 @@ def test_weight_simplex_property(seed):
     ref = rng.random(P)
     kind = list(KernelKind)[int(rng.integers(3))]
     h = 10 ** rng.uniform(-1.5, 1.5)
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        w = _kernel_weights(distances(shapes, ref), kind, h)
+    w, _, _ = _kernel_weights(distances(shapes, ref), kind, h)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
     pred = predict_shape(shapes, w)

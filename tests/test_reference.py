@@ -223,12 +223,15 @@ class TestSelectReference:
         assert r1.c_star == r2.c_star
         np.testing.assert_array_equal(r1.reference, r2.reference)
 
-    def test_candidate_without_temperature_dropped_with_warning(self):
+    def test_candidate_without_temperature_dropped(self):
         window = self.window(([100.0] * 4, [20.0] * 4), ([200.0] * 4, None))
         forecast = temp_segment(self.grid, [19.0] * 4)
-        with pytest.warns(UserWarning, match="dropping candidate"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = select(window, forecast, self.cfg)
+        assert result.dropped == (window.dates[1],)
         assert result.c_star == (window.dates[0],)
+        assert list(result.temp_distances) == [window.dates[0]]
 
     def test_all_candidates_missing_temperature(self):
         window = self.window(([200.0] * 4, None))
@@ -318,17 +321,17 @@ def check_against_loop(history, cfg, rescale, rng, forecast_points=None):
                 rows = candidate_set(history, group, cfg)
             except EmptyCandidateError:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    got = select_reference(history, rows, forecast, cfg, rescale)
-                except MissingTemperatureError:
-                    continue
-                reference, c_star, dists = per_candidate_reference(
-                    [history.dates[i] for i in rows], history.loads[rows],
-                    history.temps[rows], forecast, cfg, rescale)
+            try:
+                got = select_reference(history, rows, forecast, cfg, rescale)
+            except MissingTemperatureError:
+                continue
+            reference, c_star, dists = per_candidate_reference(
+                [history.dates[i] for i in rows], history.loads[rows],
+                history.temps[rows], forecast, cfg, rescale)
             assert got.reference.tobytes() == reference.tobytes()
             assert got.c_star == c_star
             assert got.temp_distances == dists
+            assert got.dropped == tuple(history.dates[i] for i in rows
+                                        if history.dates[i] not in dists)
             checked += 1
     assert checked >= 4 * len(DayGroup)  # most draws reach a reference
