@@ -2,7 +2,8 @@
 
 Each requested date is predicted and scored by the walk-forward protocol of
 `predictor.walk_forward` (the "perfect-temperature protocol"), with scores on
-the megawatt scale.
+the megawatt scale. A run is one dates x methods table, which the summary
+reduces and every report file reads.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -19,24 +20,23 @@ import orjson
 from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
 from .history import HistoryWindow, orjson_unlike_repr
-from .metrics import DayScore, score_day
+from .metrics import score_day
 from .predictor import PredictorConfig, config_snapshot, predict_day, walk_forward
 
-
-@dataclass
-class DayCurves:
-    actual: np.ndarray
-    predicted: dict[str, np.ndarray] = field(default_factory=dict)
+PROTOCOL = "perfect-temperature"
+SCORE_NAMES = ("rmae", "maxdiff", "mindiff")
 
 
 @dataclass
 class BacktestReport:
-    scores: list[DayScore]
+    dates: list[dt.date]  # D
+    methods: list[str]  # M
+    actual: np.ndarray  # D x P megawatts
+    predicted: np.ndarray  # D x M x P megawatts
+    scores: np.ndarray  # D x M x SCORE_NAMES, in score_day's order
     summary: dict[str, dict]
     config: dict
     grid_labels: tuple[str, ...]
-    curves: dict[dt.date, DayCurves] = field(default_factory=dict)
-    protocol: str = "perfect-temperature"
 
 
 # A method maps (prior history, target calendar, forecast, config) to the
@@ -57,12 +57,15 @@ BANDWIDTH_METHODS = frozenset({"ssp", "conditional-kernel"})
 
 
 def check_methods(methods) -> None:
-    """Refuse an empty list and any name that is not a key of `METHODS`."""
+    """Refuse an empty list, a name that is not a key of `METHODS` and a repeat."""
     if not methods:
         raise ShapecastError(f"no methods given; pick from {sorted(METHODS)}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ShapecastError(f"unknown methods: {unknown}; pick from {sorted(METHODS)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ShapecastError(f"methods listed more than once: {repeated}")
 
 
 def backtest(
@@ -77,66 +80,61 @@ def backtest(
     methods are scored together in one `score_day` call.
     """
     check_methods(methods)
-    scores: list[DayScore] = []
-    curves: dict[dt.date, DayCurves] = {}
+    dates, methods = list(dates), list(methods)
+    D, M, P = len(dates), len(methods), history.loads.shape[1]
+    actual, predicted = np.empty((D, P)), np.empty((D, M, P))
+    scores = np.empty((D, M, len(SCORE_NAMES)))
     # map, not a list: a date without a record fails only when the walk reaches it
-    for i, prior, meta, forecast, day_max in walk_forward(history, map(history.row, dates)):
-        actual = history.loads[i]
-        predicted = np.array(
+    walk = walk_forward(history, map(history.row, dates))
+    for k, (i, prior, meta, forecast, day_max) in enumerate(walk):
+        actual[k] = history.loads[i]
+        predicted[k] = np.array(
             [METHODS[m](prior, meta, forecast, cfg) for m in methods]
         ) * day_max
-        curves[meta.date] = DayCurves(actual, dict(zip(methods, predicted)))
-        # Python floats: repr of a numpy float would change the report
-        day_scores = zip(methods, *(s.tolist() for s in score_day(predicted, actual, meta.date)))
-        scores.extend(DayScore(meta.date, *score) for score in day_scores)
+        scores[k] = np.transpose(score_day(predicted[k], actual[k], meta.date))
     return BacktestReport(
+        dates=dates,
+        methods=methods,
+        actual=actual,
+        predicted=predicted,
         scores=scores,
-        summary=summarize(scores, list(methods)),
+        summary=summarize(scores[:, :, 0], methods),
         config=config_snapshot(cfg),
         grid_labels=history.grid.labels,
-        curves=curves,
     )
 
 
-def summarize(scores: list[DayScore], methods: list[str]) -> dict[str, dict]:
-    """Per-method mean/median RMAE and per-date win counts (ties share the win)."""
-    by_date: dict[dt.date, dict[str, float]] = {}
-    for s in scores:
-        by_date.setdefault(s.date, {})[s.method] = s.rmae
-    wins = {m: 0 for m in methods}
-    for rmaes in by_date.values():
-        best = min(rmaes.values())
-        for m, r in rmaes.items():
-            if r == best:
-                wins[m] += 1
-    summary = {}
-    for m in methods:
-        rmaes = [s.rmae for s in scores if s.method == m]
-        summary[m] = {
-            "days": len(rmaes),
-            "mean_rmae": float(np.mean(rmaes)) if rmaes else None,
-            "median_rmae": float(np.median(rmaes)) if rmaes else None,
-            "wins": wins[m],
+def summarize(rmae: np.ndarray, methods: list[str]) -> dict[str, dict]:
+    """Per-method mean/median RMAE and per-date wins (ties share) of a D x M table."""
+    wins = (rmae == rmae.min(axis=1, keepdims=True)).sum(axis=0).tolist()
+    return {
+        m: {
+            "days": len(rmae),
+            "mean_rmae": float(np.mean(column)) if len(rmae) else None,
+            "median_rmae": float(np.median(column)) if len(rmae) else None,
+            "wins": w,
         }
-    return summary
+        for m, column, w in zip(methods, rmae.T, wins)
+    }
 
 
 def emit_report(report: BacktestReport, format: str = "csv") -> str:
     """Flat CSV of the scores, or a JSON document that also carries the summary."""
+    header = ["date", "method", *SCORE_NAMES]
+    # Python floats: csv and json write their repr, where a numpy float's repr differs
+    rows = [[date.isoformat(), method, *score]
+            for date, day in zip(report.dates, report.scores.tolist())
+            for method, score in zip(report.methods, day)]
     if format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["date", "method", "rmae", "maxdiff", "mindiff"])
-        writer.writerows([s.date.isoformat(), s.method, repr(s.rmae), repr(s.maxdiff),
-                          repr(s.mindiff)] for s in report.scores)
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
         return buf.getvalue()
     if format == "json":
         doc = {
-            "protocol": report.protocol,
+            "protocol": PROTOCOL,
             "config": report.config,
             "summary": report.summary,
-            # vars copies the fields shallowly; asdict would deep-copy every score
-            "scores": [dict(vars(s), date=s.date.isoformat()) for s in report.scores],
+            "scores": [dict(zip(header, row)) for row in rows],
         }
         return json.dumps(doc, sort_keys=True, indent=2)
     raise ShapecastError(f"unknown report format {format!r}")
@@ -144,14 +142,14 @@ def emit_report(report: BacktestReport, format: str = "csv") -> str:
 
 def emit_day_curves(report: BacktestReport) -> dict[str, str]:
     """Per-day CSV curve files keyed by date, columns `t,actual,<method>...`."""
+    header = ["t", "actual", *sorted(report.methods)]
+    order = np.argsort(report.methods)
+    curves = np.concatenate([report.actual[:, None], report.predicted[:, order]], axis=1)
     out = {}
-    for date, day in sorted(report.curves.items()):
+    for date, day in sorted(zip(report.dates, curves), key=lambda pair: pair[0]):
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        methods = sorted(day.predicted)
-        writer.writerow(["t", "actual"] + methods)
-        curves = np.array([day.actual] + [day.predicted[m] for m in methods])
-        writer.writerows(zip(report.grid_labels, *_value_texts(curves)))
+        rows = zip(report.grid_labels, *_value_texts(day))
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
         out[date.isoformat()] = buf.getvalue()
     return out
 

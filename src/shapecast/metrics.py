@@ -3,26 +3,10 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapecastError
-
-
-@dataclass(frozen=True)
-class DayScore:
-    date: dt.date
-    method: str
-    rmae: float
-    maxdiff: float
-    mindiff: float
-
-    def __post_init__(self) -> None:
-        if self.rmae < 0:
-            raise ShapecastError("rmae cannot be negative")
-        if self.mindiff > self.maxdiff:
-            raise ShapecastError("mindiff cannot exceed maxdiff")
 
 
 def score_day(predicted, actual, day: dt.date | None = None) -> tuple:

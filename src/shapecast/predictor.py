@@ -289,15 +289,13 @@ def prediction_to_dict(pred: Prediction, include_weights: bool = False) -> dict:
 
 
 def config_snapshot(cfg) -> dict:
-    """Plain-JSON form of a config: dataclass fields, Enum values, lists."""
+    """Plain-JSON form of a config: dataclass fields, Enum values, mappings."""
     if is_dataclass(cfg):
         return {f.name: config_snapshot(getattr(cfg, f.name)) for f in fields(cfg)}
     if isinstance(cfg, Enum):
         return cfg.value
     if isinstance(cfg, Mapping):
         return {config_snapshot(k): config_snapshot(v) for k, v in cfg.items()}
-    if isinstance(cfg, tuple):
-        return [config_snapshot(v) for v in cfg]
     return cfg
 
 

@@ -12,15 +12,15 @@ from shapecast import backtest as backtest_module
 from shapecast.backtest import (
     METHODS,
     BacktestReport,
-    DayCurves,
     backtest,
+    check_methods,
     emit_day_curves,
     emit_report,
     summarize,
 )
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow
-from shapecast.metrics import DayScore, score_day
+from shapecast.metrics import score_day
 from shapecast.predictor import KernelSpec, PredictorConfig, select_bandwidth
 from shapecast.segments import TemperatureSegment, TimeGrid
 
@@ -37,14 +37,27 @@ class TestBacktest:
         history = backtest_history(grid4)
         dates = list(history.dates[-5:])
         report = backtest(history, dates, ALL_METHODS)
-        assert len(report.scores) == 5 * 3
-        assert {s.method for s in report.scores} == set(ALL_METHODS)
-        assert report.protocol == "perfect-temperature"
+        assert report.dates == dates
+        assert report.methods == ALL_METHODS
+        assert report.actual.shape == (5, 4)
+        assert report.predicted.shape == (5, 3, 4)
+        assert report.scores.shape == (5, 3, 3)
 
     def test_unknown_method_rejected(self, grid4):
         history = backtest_history(grid4)
         with pytest.raises(ShapecastError, match="unknown methods"):
             backtest(history, [history.dates[-1]], ["oracle"])
+
+    @pytest.mark.parametrize("methods, repeated", [
+        (["ssp", "ssp", "persistence"], ["ssp"]),
+        (["persistence", "ssp", "persistence", "ssp", "persistence"], ["persistence", "ssp"]),
+    ])
+    def test_repeated_method_rejected(self, grid4, methods, repeated):
+        history = backtest_history(grid4)
+        with pytest.raises(ShapecastError) as err:
+            backtest(history, [history.dates[-1]], methods)
+        assert str(err.value) == f"methods listed more than once: {repeated}"
+        check_methods(sorted(set(methods)))
 
     def test_date_without_prior_history(self, grid4):
         history = backtest_history(grid4)
@@ -94,15 +107,14 @@ class TestBacktest:
         tampered = HistoryWindow(history.grid, history.dates, loads, history.temps,
                                  history.is_holiday, history.quality)
         report_tampered = backtest(tampered, [target_date], ALL_METHODS)
-        for a, b in zip(report_full.scores, report_tampered.scores):
-            assert a == b
+        assert report_full.scores.tolist() == report_tampered.scores.tolist()
 
     def test_deterministic(self, grid4):
         history = backtest_history(grid4)
         dates = list(history.dates[-4:])
         r1 = backtest(history, dates, ALL_METHODS)
         r2 = backtest(history, dates, ALL_METHODS)
-        assert r1.scores == r2.scores
+        assert r1.scores.tolist() == r2.scores.tolist()
         assert emit_report(r1, "json") == emit_report(r2, "json")
 
     def test_perfect_predictor_on_constant_shape(self, grid4):
@@ -127,7 +139,7 @@ class TestBacktest:
         report = backtest(history, [date], ["persistence"])
         last_load = history.loads[last_same]
         expected = last_load / last_load.max() * float(np.max(history.loads[target]))
-        curve = report.curves[date].predicted["persistence"]
+        curve = report.predicted[0, 0]
         assert curve.tobytes() == expected.tobytes()
 
 
@@ -179,18 +191,21 @@ class TestErrorOrder:
 
 
 def seed_backtest(history, dates, methods, cfg):
-    """Reference backtest: one `METHODS` call and one `score_day` per (date, method)."""
+    """Reference backtest: one `METHODS` call and one `score_day` per (date, method).
+
+    The scores nest as date, method, (rmae, maxdiff, mindiff), in Python floats.
+    """
     scores, curves = [], {}
     for date in dates:
         i = history.row(date)
         prior, meta, actual = history.before(date), history.meta(i), history.loads[i]
         forecast = TemperatureSegment(history.grid, history.temps[i])
         day_max = float(np.max(actual))
+        scores.append([])
         curves[date] = {}
         for method in methods:
             predicted = METHODS[method](prior, meta, forecast, cfg) * day_max
-            rmae, maxdiff, mindiff = map(float, score_day(predicted, actual))
-            scores.append(DayScore(date, method, rmae, maxdiff, mindiff))
+            scores[-1].append(list(map(float, score_day(predicted, actual))))
             curves[date][method] = predicted
     return scores, curves
 
@@ -216,14 +231,14 @@ class TestBacktestOracle:
         dates = history.dates[-8:]
         expected_scores, expected_curves = seed_backtest(history, dates, ALL_METHODS, cfg)
         report = backtest(history, dates, ALL_METHODS, cfg)
-        assert report.scores == expected_scores
-        assert all(type(v) is float for s in report.scores
-                   for v in (s.rmae, s.maxdiff, s.mindiff))
-        assert list(report.curves) == list(dates)
-        for date, day in report.curves.items():
-            assert day.actual.tobytes() == history.loads[history.row(date)].tobytes()
-            assert list(day.predicted) == ALL_METHODS
-            for method, curve in day.predicted.items():
+        scores = report.scores.tolist()
+        assert scores == expected_scores
+        assert all(type(v) is float for day in scores for s in day for v in s)
+        assert report.dates == list(dates)
+        assert report.methods == ALL_METHODS
+        for date, actual, predicted in zip(report.dates, report.actual, report.predicted):
+            assert actual.tobytes() == history.loads[history.row(date)].tobytes()
+            for method, curve in zip(report.methods, predicted):
                 assert curve.tobytes() == expected_curves[date][method].tobytes()
 
 
@@ -256,44 +271,73 @@ class TestSharedShapes:
         spoiled = make_history(grid4, history.dates[0], loads, history.temps)
         dates = history.dates[-4:-1]
         report = backtest(spoiled, dates, ALL_METHODS)
-        assert report.scores == backtest(history, dates, ALL_METHODS).scores
+        assert report.scores.tolist() == backtest(history, dates, ALL_METHODS).scores.tolist()
 
     def test_persistence_never_builds_shapes(self, grid4, monkeypatch):
         history = backtest_history(grid4)
         expected = backtest(history, history.dates[-3:], ["persistence"])
         monkeypatch.setattr(HistoryWindow, "shapes", property(never_built))
         report = backtest(history, history.dates[-3:], ["persistence"])
-        assert report.scores == expected.scores
+        assert report.scores.tolist() == expected.scores.tolist()
 
 
 class TestSummarize:
     def test_wins_shared_on_tie(self):
-        d = dt.date(2010, 1, 4)
-        scores = [
-            DayScore(d, "a", 0.1, 0.0, 0.0),
-            DayScore(d, "b", 0.1, 0.0, 0.0),
-            DayScore(d + dt.timedelta(days=1), "a", 0.1, 0.0, 0.0),
-            DayScore(d + dt.timedelta(days=1), "b", 0.2, 0.0, 0.0),
-        ]
-        summary = summarize(scores, ["a", "b"])
+        summary = summarize(np.array([[0.1, 0.1], [0.1, 0.2]]), ["a", "b"])
         assert summary["a"]["wins"] == 2
         assert summary["b"]["wins"] == 1
 
     def test_mean_median(self):
-        d = dt.date(2010, 1, 4)
-        scores = [
-            DayScore(d + dt.timedelta(days=i), "a", r, 0.0, 0.0)
-            for i, r in enumerate([0.1, 0.2, 0.6])
-        ]
-        summary = summarize(scores, ["a"])
+        summary = summarize(np.array([[0.1], [0.2], [0.6]]), ["a"])
         assert summary["a"]["mean_rmae"] == pytest.approx(0.3)
         assert summary["a"]["median_rmae"] == pytest.approx(0.2)
         assert summary["a"]["days"] == 3
 
     def test_empty(self):
-        summary = summarize([], ["a"])
+        summary = summarize(np.empty((0, 1)), ["a"])
         assert summary["a"]["days"] == 0
         assert summary["a"]["mean_rmae"] is None
+
+
+def seed_summarize(rmae, methods):
+    """Reference summary: per-date dicts of (method, rmae) records, one day at a time."""
+    records = [(d, m, r) for d, row in enumerate(rmae.tolist()) for m, r in zip(methods, row)]
+    by_date = {}
+    for d, m, r in records:
+        by_date.setdefault(d, {})[m] = r
+    wins = {m: 0 for m in methods}
+    for rmaes in by_date.values():
+        best = min(rmaes.values())
+        for m, r in rmaes.items():
+            if r == best:
+                wins[m] += 1
+    summary = {}
+    for m in methods:
+        rmaes = [r for _, method, r in records if method == m]
+        summary[m] = {
+            "days": len(rmaes),
+            "mean_rmae": float(np.mean(rmaes)) if rmaes else None,
+            "median_rmae": float(np.median(rmaes)) if rmaes else None,
+            "wins": wins[m],
+        }
+    return summary
+
+
+# a few distinct values, so that ties and repeats are common, and fractions
+# whose sums round, so that the order of summation shows; no finite value is
+# large enough for a mean to overflow
+RMAE_VALUES = st.sampled_from([0.0, 0.05, 0.1, math.inf]) | st.floats(0, 1) | st.floats(0, 1e100)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(RMAE_VALUES, min_size=m, max_size=m), max_size=40,
+).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), m))))
+def test_summarize_equals_per_date_records(rmae):
+    methods = [f"m{j}" for j in range(rmae.shape[1])]
+    summary = summarize(rmae, methods)
+    assert summary == seed_summarize(rmae, methods)
+    assert all(type(s["wins"]) is int for s in summary.values())
 
 
 class TestReportSerialization:
@@ -305,12 +349,12 @@ class TestReportSerialization:
     def test_csv_roundtrip_exact(self, grid4):
         report = self.make_report(grid4)
         rows = list(csv.reader(io.StringIO(emit_report(report, "csv"))))[1:]
-        back = [
-            DayScore(dt.date.fromisoformat(r[0]), r[1], float(r[2]), float(r[3]),
-                     float(r[4]))
-            for r in rows
+        assert [(dt.date.fromisoformat(r[0]), r[1]) for r in rows] == [
+            (date, method) for date in report.dates for method in report.methods
         ]
-        assert back == report.scores  # repr() floats survive the trip bit-exactly
+        back = [[float(v) for v in r[2:]] for r in rows]
+        # repr() floats survive the trip bit-exactly
+        assert back == report.scores.reshape(-1, 3).tolist()
 
     def test_csv_header(self, grid4):
         text = emit_report(self.make_report(grid4), "csv")
@@ -339,11 +383,23 @@ class TestReportSerialization:
             assert len(lines) == 1 + 4  # header + one row per grid point
             dt.date.fromisoformat(date_key)
 
+    def test_day_files_sorted_by_date(self, grid4):
+        history = backtest_history(grid4)
+        dates = list(history.dates[-3:])
+        forward = emit_day_curves(backtest(history, dates, ALL_METHODS))
+        backward = emit_day_curves(backtest(history, dates[::-1], ALL_METHODS))
+        assert list(backward) == [date.isoformat() for date in dates]
+        assert backward == forward
+
     def test_day_curves_write_each_value_as_repr(self, grid4):
         actual = np.array([1e-5, 2.5, 3e17, 4.0])
         predicted = {"ssp": np.array([np.nan, np.inf, -np.inf, 1.0]),
                      "persistence": np.array([0.1, 0.2, 0.30000000000000004, 1e15])}
-        report = BacktestReport([], {}, {}, grid4.labels, {MONDAY: DayCurves(actual, predicted)})
+        report = BacktestReport(
+            dates=[MONDAY], methods=list(predicted), actual=actual[None],
+            predicted=np.array([list(predicted.values())]), scores=np.empty((1, 2, 3)),
+            summary={}, config={}, grid_labels=grid4.labels,
+        )
         columns = [actual] + [predicted[m] for m in sorted(predicted)]
         rows = zip(grid4.labels, *(c.tolist() for c in columns))
         want = "t,actual,persistence,ssp\n" + "".join(

@@ -570,6 +570,21 @@ class TestBacktest:
         assert "no methods given" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_repeated_method_refused_before_anything_runs(self, history_file, tmp_path,
+                                                          capsys, monkeypatch):
+        def no_cv(*args):
+            pytest.fail("bandwidth CV ran")
+
+        monkeypatch.setattr("shapecast.cli.select_bandwidth", no_cv)
+        out_dir = tmp_path / "bt"
+        code = main([
+            "backtest", "--history", str(history_file), "--sample", "2",
+            "--out-dir", str(out_dir), "--methods", "ssp,ssp,persistence",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: methods listed more than once: ['ssp']\n"
+        assert not out_dir.exists()
+
     def test_empty_dates_file(self, history_file, tmp_path, capsys):
         dates = tmp_path / "dates.txt"
         dates.write_text("# nothing chosen\n")

@@ -1,11 +1,9 @@
-import datetime as dt
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapecast.errors import ShapecastError
-from shapecast.metrics import DayScore, score_day
+from shapecast.metrics import score_day
 
 
 def seg(values):
@@ -82,16 +80,3 @@ def test_score_invariants(seed):
     assert maxdiff == pytest.approx(diffs.max())
     assert mindiff == pytest.approx(diffs.min())
 
-
-class TestDayScore:
-    def test_invariant_enforced(self):
-        with pytest.raises(ShapecastError):
-            DayScore(dt.date(2010, 1, 1), "ssp", rmae=0.1, maxdiff=-0.2, mindiff=0.1)
-
-    def test_negative_rmae_rejected(self):
-        with pytest.raises(ShapecastError):
-            DayScore(dt.date(2010, 1, 1), "ssp", rmae=-0.1, maxdiff=0.2, mindiff=0.1)
-
-    def test_valid_score(self):
-        s = DayScore(dt.date(2010, 1, 1), "ssp", rmae=0.05, maxdiff=0.1, mindiff=-0.2)
-        assert s.method == "ssp"
