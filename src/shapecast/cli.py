@@ -314,10 +314,10 @@ def cmd_simulate(args) -> int:
         jitter_sigma=args.jitter,
         seed=args.seed,
     )
-    rows = consistency_experiment(
+    run = consistency_experiment(
         template, args.lengths, args.replications, h_coef=args.h_coef
     )
-    text = experiment_csv(rows)
+    text = experiment_csv(run)
     if args.out:
         _atomic_write(args.out, text)
     else:

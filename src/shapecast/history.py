@@ -2,9 +2,9 @@
 
 One check, `_read_record`, reads a decoded record line, and two decoders feed
 it: orjson first, then, for a line orjson refuses or whose reading fails the
-check, the stdlib decoder, whose value or error stands. So `NaN`, `1e400` and
-a lone-surrogate escape read as the stdlib reads them, and every error text is
-the stdlib path's. The header line stays on `json.loads`.
+check, the stdlib's `json.loads`, whose value or error stands. So `NaN`, `1e400`
+and a lone-surrogate escape read as the stdlib reads them, and every error text
+is the stdlib path's. The header line is read by `json.loads` alone.
 
 The writer keeps `json.dumps`'s text byte for byte. The header line is
 `json.dumps`'s; each record's numbers take orjson's digits, which are
@@ -261,8 +261,6 @@ def _refuse_constant(name: str):
 
 _NUMBER = frozenset({int, float})  # bool is neither, though it subclasses int
 _NUMBER_OR_NULL = _NUMBER | {type(None)}
-# one decoder for every record line: `json.loads` with an argument builds one per call
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def _numbers(values, key: str, P: int, kinds=_NUMBER) -> list:
@@ -352,11 +350,8 @@ def read_history_jsonl(path) -> HistoryWindow:
             # the stdlib decoder reads the line again, and its values or error stand
             try:
                 with _located(path, lineno):
-                    # `json.loads` refuses a BOM, the decoder does not
-                    if text.startswith("\ufeff"):
-                        raise json.JSONDecodeError(
-                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-                    day = _read_record(_DECODER.decode(text), P, loads[k], temps[k])
+                    record = json.loads(text, parse_constant=_refuse_constant)
+                    day = _read_record(record, P, loads[k], temps[k])
             except IngestError as exc:
                 failure = exc
                 break

@@ -5,8 +5,8 @@ pointwise function of its temperature curve, chosen by the day's calendar
 group, plus i.i.d. Gaussian noise. Temperatures come from a small pool of
 profiles with optional per-day jitter, which makes noiseless exact-recovery
 constructions possible. The experiment predicts the last day of each sample
-path from the L days before it at growing L and records how far the
-prediction (and the reference segment) land from the clean shape.
+path from the L days before it at growing L and tables, per (L, replication),
+how far the prediction (and the reference segment) land from the clean shape.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import csv
 import datetime as dt
 import io
 import math
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import EmptyCandidateError, ShapecastError
 from .history import HistoryWindow
 from .predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
 from .reference import ReferenceConfig
-from .segments import TemperatureSegment, TimeGrid, distance
+from .segments import TemperatureSegment, TimeGrid, distances
 
 _VALUE_FLOOR = 1e-9
 
@@ -107,16 +106,18 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
     return HistoryWindow(spec.grid, dates, loads, temps), clean
 
 
+ERROR_NAMES = ("err_pred", "err_ref", "err_pred_ref")
+
+
 @dataclass(frozen=True)
-class ExperimentRow:
-    L: int
-    replication: int
-    err_pred: float
-    err_ref: float
-    err_pred_ref: float
-    h: float
-    n_L: int
-    c_star_size: int
+class Experiment:
+    """The lab's lengths x replications table; a replication is one path at every L."""
+
+    lengths: tuple[int, ...]  # K of them
+    h: tuple[float, ...]  # each length's bandwidth
+    n_L: tuple[int, ...]  # and candidate window
+    errors: np.ndarray  # K x R x 3, in `ERROR_NAMES` order
+    c_star_size: np.ndarray  # K x R
 
 
 def default_h_schedule(L: int, coef: float = 0.6) -> float:
@@ -129,7 +130,7 @@ def default_n_L_schedule(L: int) -> int:
 
 def consistency_experiment(
     template: SyntheticSpec, lengths, replications: int, *, h_coef: float = 0.6
-) -> list[ExperimentRow]:
+) -> Experiment:
     """Predict one target day from the L days before it, over growing L.
 
     Replication r draws one path of max(L) + 1 days with seed (*seed, r), and
@@ -144,8 +145,12 @@ def consistency_experiment(
     fails the run, whatever the seed.
     """
     lengths = [int(L) for L in lengths]
+    if not lengths:
+        raise ShapecastError("need at least one length")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ShapecastError("lengths must be strictly increasing")
+    if lengths[0] < 1:
+        raise ShapecastError(f"length {lengths[0]} is below 1")
     if replications < 1:
         raise ShapecastError("need at least one replication")
     noiseless = template.noise_sigma == 0
@@ -153,49 +158,44 @@ def consistency_experiment(
         template = replace(template, jitter_sigma=0.0, profile_mode="cycle")
     T = lengths[-1]
     path = replace(template, length=T + 1, start=template.start + dt.timedelta(days=(-T) % 7))
-    configs = []
+    n_Ls, configs = [], []
     for L in lengths:
         if noiseless:
             n_L, kernel = L, KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)
         else:
             n_L = default_n_L_schedule(L)
             kernel = KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef))
+        n_Ls.append(n_L)
         # the model lives on the raw scale, so the lab skips daily-max rescaling
-        cfg = PredictorConfig(
+        configs.append(PredictorConfig(
             reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
             kernel=kernel,
             rescale=False,
-        )
-        configs.append((L, n_L, cfg))
-    rows = []
+        ))
+    errors = np.empty((len(lengths), replications, len(ERROR_NAMES)))
+    c_star_size = np.empty((len(lengths), replications), dtype=int)
     for rep in range(replications):
         window, clean = generate(replace(path, seed=(*template.seed, rep)))
         forecast = TemperatureSegment(path.grid, window.temps[T])
-        for L, n_L, cfg in configs:
+        for k, (L, cfg) in enumerate(zip(lengths, configs)):
             try:
                 pred = predict_day(window.span(T - L, T), window.meta(T), forecast, cfg=cfg)
             except EmptyCandidateError as exc:
                 raise ShapecastError(f"L={L}: {exc}") from None
-            predicted, ref_values = pred.shape, pred.reference.reference
-            rows.append(
-                ExperimentRow(
-                    L=L,
-                    replication=rep,
-                    err_pred=distance(predicted, clean[T]),
-                    err_ref=distance(ref_values, clean[T]),
-                    err_pred_ref=distance(predicted, ref_values),
-                    h=cfg.kernel.bandwidth,
-                    n_L=n_L,
-                    c_star_size=len(pred.reference.c_star),
-                )
-            )
-    return sorted(rows, key=lambda row: row.L)  # (L, replication) order
+            predicted, ref = pred.shape, pred.reference.reference
+            errors[k, rep] = distances([predicted, ref, predicted], [clean[T], clean[T], ref])
+            c_star_size[k, rep] = len(pred.reference.c_star)
+    h = tuple(cfg.kernel.bandwidth for cfg in configs)
+    return Experiment(tuple(lengths), h, tuple(n_Ls), errors, c_star_size)
 
 
-def experiment_csv(rows) -> str:
+def experiment_csv(run: Experiment) -> str:
+    """One row per (L, replication), in that order, each number as its `repr`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    names = [f.name for f in fields(ExperimentRow)]
-    writer.writerow(names)
-    writer.writerows(map(attrgetter(*names), rows))
+    writer.writerow(("L", "replication", *ERROR_NAMES, "h", "n_L", "c_star_size"))
+    by_length = zip(run.lengths, run.h, run.n_L, run.errors.tolist(), run.c_star_size.tolist())
+    for L, h, n_L, errors, sizes in by_length:
+        for rep, (errs, size) in enumerate(zip(errors, sizes)):
+            writer.writerow((L, rep, *errs, h, n_L, size))
     return buf.getvalue()

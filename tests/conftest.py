@@ -8,8 +8,8 @@ import pytest
 from shapecast.calendars import GROUPS
 from shapecast.errors import IngestError, ShapecastError
 from shapecast.history import (
-    _DECODER, _NUMBER_OR_NULL, _ORJSON_DEPTH, _REPORTED, HistoryWindow, Quality, _located,
-    _numbers, _refuse_bad_day,
+    _NUMBER_OR_NULL, _ORJSON_DEPTH, _REPORTED, HistoryWindow, Quality, _located, _numbers,
+    _refuse_bad_day, _refuse_constant,
 )
 from shapecast.segments import TimeGrid
 
@@ -73,9 +73,12 @@ def history_jsonl_oracle(window: HistoryWindow) -> str:
 # every line goes through `_oracle_record`, first with orjson, then with the
 # stdlib decoder where orjson refuses it or it fails a check.
 
+_STDLIB_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _oracle_decoder(text: str):
     if len(text) > 2 * _ORJSON_DEPTH and text.count("[") + text.count("{") > _ORJSON_DEPTH:
-        return _DECODER.decode
+        return _STDLIB_DECODER.decode
     return orjson.loads
 
 
@@ -117,7 +120,7 @@ def read_history_jsonl_oracle(path) -> HistoryWindow:
                 try:
                     day = _oracle_record(text, _oracle_decoder(text), P, loads[k], temps[k])
                 except _REPORTED:
-                    day = _oracle_record(text, _DECODER.decode, P, loads[k], temps[k])
+                    day = _oracle_record(text, _STDLIB_DECODER.decode, P, loads[k], temps[k])
         except IngestError as exc:
             failure = exc
             break

@@ -30,6 +30,7 @@ from shapecast.reference import DEFAULT_N_L, ReferenceConfig
 from shapecast.segments import TemperatureSegment, TimeGrid, distances
 from shapecast.synthetic import SyntheticSpec, consistency_experiment, generate
 from test_predictor import brute_force_ssp, full_mask_forecast
+from test_synthetic import error
 
 # daily point counts that divide the day evenly, within the supported span
 _VALID_P = [p for p in range(4, 97) if 1440 % p == 0]
@@ -124,35 +125,32 @@ def test_03_noiseless_exact_recovery():
 
 
 @pytest.fixture(scope="module")
-def decay_rows():
+def decay_run():
     template = SyntheticSpec(
         TimeGrid.equidistant(24), 1, noise_sigma=0.05, jitter_sigma=0.5, seed=0
     )
     return consistency_experiment(template, [64, 128, 256, 512], replications=50)
 
 
-def test_04_consistency_decay(decay_rows):
+def test_04_consistency_decay(decay_run):
     """Mean prediction error strictly decreases over growing history lengths
     under the shrinking-bandwidth / widening-window schedules."""
     with criterion("4 consistency decay"):
-        means = {
-            L: float(np.mean([r.err_pred for r in decay_rows if r.L == L]))
-            for L in (64, 128, 256, 512)
-        }
+        assert decay_run.lengths == (64, 128, 256, 512)
+        mean_err = error(decay_run, "err_pred").mean(axis=1).tolist()
+        means = dict(zip(decay_run.lengths, mean_err))
         assert means[64] > means[128] > means[256] > means[512]
         assert means[512] < 0.8 * means[64]
 
 
-def test_05_prediction_reference_coupling(decay_rows):
+def test_05_prediction_reference_coupling(decay_run):
     """|err_pred - err_ref| never exceeds the prediction-to-reference distance,
     and that distance shrinks with the bandwidth schedule."""
     with criterion("5 prediction/reference coupling"):
-        for r in decay_rows:
-            assert abs(r.err_pred - r.err_ref) <= r.err_pred_ref + 1e-12
-        gap = {
-            L: float(np.mean([r.err_pred_ref for r in decay_rows if r.L == L]))
-            for L in (64, 512)
-        }
+        err_pred_ref = error(decay_run, "err_pred_ref")
+        coupling = np.abs(error(decay_run, "err_pred") - error(decay_run, "err_ref"))
+        assert (coupling <= err_pred_ref + 1e-12).all()
+        gap = dict(zip(decay_run.lengths, err_pred_ref.mean(axis=1).tolist()))
         assert gap[512] < gap[64]
 
 

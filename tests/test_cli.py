@@ -784,8 +784,8 @@ class TestSimulate:
         ])
         assert code == 0
         template = synthetic.SyntheticSpec(GRID, 1, noise_sigma=0.0, seed=0)
-        rows = synthetic.consistency_experiment(template, [20, 40], 3)
-        assert out.read_text() == synthetic.experiment_csv(rows)
+        run = synthetic.consistency_experiment(template, [20, 40], 3)
+        assert out.read_text() == synthetic.experiment_csv(run)
 
     @pytest.mark.parametrize("h_coef", ["1e-300", "1e-320"])
     def test_tiny_h_coef_runs(self, h_coef, capsys):
@@ -878,6 +878,7 @@ class TestParser:
         ["simulate", "--lengths", ""],
         ["simulate", "--lengths", " , "],
         ["simulate", "--lengths", "64,-128"],
+        ["simulate", "--lengths", "0,32"],
         ["backtest", "--history", "{history}", "--out-dir", "{out}", "--sample", "-1"],
         ["backtest", "--history", "{history}", "--out-dir", "{out}", "--sample", "0"],
         ["backtest", "--history", "{history}", "--out-dir", "{out}", "--seed", "-1"],

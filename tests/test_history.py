@@ -697,18 +697,20 @@ def test_good_lines_never_reach_the_stdlib_decoder(tmp_path):
         NEXT.replace("2010-01-06", "2010-01-07").replace('"quality"',
                                                          '"quality": "bad", "quality"'),
     ]
-    spy = mock.patch.object(history._DECODER, "decode", wraps=history._DECODER.decode)
+    # the header line is the one `json.loads` reads
+    spy = mock.patch.object(history.json, "loads", wraps=history.json.loads)
     path.write_text("\n".join([HEADER, *good]) + "\n")
     with spy as decode:
         window = read_history_jsonl(path)
-    assert decode.call_count == 0
+    assert decode.call_args_list == [mock.call(HEADER)]
     # more brackets than orjson may nest, though they nest one deep: that line
     # alone is read by the stdlib decoder, whatever orjson's version
     good[1] = good[1][:-1] + ', "note": [' + ", ".join(["[]"] * history._ORJSON_DEPTH) + "]}"
     path.write_text("\n".join([HEADER, *good]) + "\n")
     with spy as decode:
         again = read_history_jsonl(path)
-    assert decode.call_count == 1
+    assert decode.call_count == 2
+    assert decode.call_args_list[1].args == (good[1],)
     assert (again.loads.tobytes(), again.temps.tobytes(), again.quality) == (
         window.loads.tobytes(), window.temps.tobytes(), window.quality)
 

@@ -1,5 +1,10 @@
+import csv
 import datetime as dt
+import io
+import itertools
 import math
+import re
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +13,12 @@ from shapecast import synthetic
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow, Quality
+from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
+from shapecast.reference import ReferenceConfig
 from shapecast.synthetic import (
+    ERROR_NAMES,
     SHAPE_FUNCTIONS,
-    ExperimentRow,
+    Experiment,
     SyntheticSpec,
     consistency_experiment,
     default_h_schedule,
@@ -19,7 +27,7 @@ from shapecast.synthetic import (
     experiment_csv,
     generate,
 )
-from shapecast.segments import TimeGrid
+from shapecast.segments import TemperatureSegment, TimeGrid, distance
 
 GRID = TimeGrid.equidistant(24)
 
@@ -215,37 +223,65 @@ class TestDefaults:
             assert n < L
 
 
+def error(run: Experiment, name: str) -> np.ndarray:
+    """The K x R table of one of `ERROR_NAMES`."""
+    return run.errors[..., ERROR_NAMES.index(name)]
+
+
 class TestConsistencyExperiment:
     def run_small(self):
         template = SyntheticSpec(GRID, 1, noise_sigma=0.05, seed=0)
         return consistency_experiment(template, [32, 64], replications=5)
 
-    def test_row_bookkeeping(self):
-        rows = self.run_small()
-        assert len(rows) == 10
-        assert {r.L for r in rows} == {32, 64}
-        for r in rows:
-            assert r.err_pred >= 0 and r.err_ref >= 0 and r.err_pred_ref >= 0
-            assert r.c_star_size >= 1
-            assert r.n_L == default_n_L_schedule(r.L)
-            assert r.h == pytest.approx(default_h_schedule(r.L))
+    def test_table_bookkeeping(self):
+        run = self.run_small()
+        assert ERROR_NAMES == ("err_pred", "err_ref", "err_pred_ref")
+        assert run.lengths == (32, 64)
+        assert run.errors.shape == (2, 5, 3)
+        assert run.c_star_size.shape == (2, 5)
+        assert run.n_L == tuple(default_n_L_schedule(L) for L in (32, 64))
+        assert run.h == pytest.approx([default_h_schedule(L) for L in (32, 64)])
+        assert all(type(h) is float for h in run.h) and all(type(n) is int for n in run.n_L)
+        assert (run.errors >= 0).all()
+        assert (run.c_star_size >= 1).all()
 
     def test_triangle_inequality_coupling(self):
-        for r in self.run_small():
-            assert abs(r.err_pred - r.err_ref) <= r.err_pred_ref + 1e-9
+        run = self.run_small()
+        gap = np.abs(error(run, "err_pred") - error(run, "err_ref"))
+        assert (gap <= error(run, "err_pred_ref") + 1e-9).all()
 
     def test_reproducible(self):
-        assert self.run_small() == self.run_small()
+        first, again = self.run_small(), self.run_small()
+        for f in fields(Experiment):
+            got, want = getattr(again, f.name), getattr(first, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, f.name
+                assert got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
 
     def test_noiseless_exact_recovery(self):
         # zero noise turns off jitter and cycles the profiles: day L+1's
         # temperature has exact matches in history, so the prediction
         # recovers the clean curve
         template = SyntheticSpec(GRID, 1, noise_sigma=0.0, seed=0)
-        rows = consistency_experiment(template, [50], replications=3)
-        for r in rows:
-            assert r.err_pred <= 1e-12
-            assert r.err_ref <= 1e-12
+        run = consistency_experiment(template, [50], replications=3)
+        assert run.errors.shape == (1, 3, 3)
+        assert (error(run, "err_pred") <= 1e-12).all()
+        assert (error(run, "err_ref") <= 1e-12).all()
+
+    @pytest.mark.parametrize("lengths, message", [
+        ([], "need at least one length"),
+        ([0, 32], "length 0 is below 1"),
+        ([-5], "length -5 is below 1"),
+    ])
+    def test_lengths_refused_before_any_path(self, monkeypatch, lengths, message):
+        calls = []
+        monkeypatch.setattr(synthetic, "generate", calls.append)
+        template = SyntheticSpec(GRID, 1, seed=0)
+        with pytest.raises(ShapecastError, match=f"^{re.escape(message)}$"):
+            consistency_experiment(template, lengths, replications=2)
+        assert calls == []
 
     def test_lengths_must_increase(self):
         template = SyntheticSpec(GRID, 1, seed=0)
@@ -296,10 +332,89 @@ class TestConsistencyExperiment:
 
 
 class TestSerialization:
-    ROW = ExperimentRow(32, 0, 0.1, 0.05, 0.08, 0.3, 11, 2)
+    RUN = Experiment(
+        lengths=(32,), h=(0.3,), n_L=(11,),
+        errors=np.array([[[0.1, 0.05, 0.08]]]), c_star_size=np.array([[2]]),
+    )
 
     def test_csv_layout(self):
-        text = experiment_csv([self.ROW])
-        lines = text.splitlines()
-        assert lines[0] == "L,replication,err_pred,err_ref,err_pred_ref,h,n_L,c_star_size"
-        assert lines[1] == "32,0,0.1,0.05,0.08,0.3,11,2"
+        lines = experiment_csv(self.RUN).splitlines()
+        assert lines == [
+            "L,replication,err_pred,err_ref,err_pred_ref,h,n_L,c_star_size",
+            "32,0,0.1,0.05,0.08,0.3,11,2",
+        ]
+
+
+@dataclass(frozen=True)
+class ExperimentRow:
+    L: int
+    replication: int
+    err_pred: float
+    err_ref: float
+    err_pred_ref: float
+    h: float
+    n_L: int
+    c_star_size: int
+
+
+def per_row_experiment_csv(template, lengths, replications, h_coef):
+    """The lab's CSV as the record-per-row lab wrote it, kept as the reference.
+
+    One `ExperimentRow` per (replication, L), its errors from three `distance`
+    calls, then the rows stably sorted by L and written field by field.
+    """
+    noiseless = template.noise_sigma == 0
+    if noiseless:
+        template = replace(template, jitter_sigma=0.0, profile_mode="cycle")
+    T = lengths[-1]
+    path = replace(template, length=T + 1, start=template.start + dt.timedelta(days=(-T) % 7))
+    configs = []
+    for L in lengths:
+        if noiseless:
+            n_L, kernel = L, KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)
+        else:
+            n_L = default_n_L_schedule(L)
+            kernel = KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef))
+        cfg = PredictorConfig(
+            reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
+            kernel=kernel,
+            rescale=False,
+        )
+        configs.append((L, n_L, cfg))
+    rows = []
+    for rep in range(replications):
+        window, clean = generate(replace(path, seed=(*template.seed, rep)))
+        forecast = TemperatureSegment(path.grid, window.temps[T])
+        for L, n_L, cfg in configs:
+            pred = predict_day(window.span(T - L, T), window.meta(T), forecast, cfg=cfg)
+            predicted, ref_values = pred.shape, pred.reference.reference
+            rows.append(ExperimentRow(
+                L=L,
+                replication=rep,
+                err_pred=distance(predicted, clean[T]),
+                err_ref=distance(ref_values, clean[T]),
+                err_pred_ref=distance(predicted, ref_values),
+                h=cfg.kernel.bandwidth,
+                n_L=n_L,
+                c_star_size=len(pred.reference.c_star),
+            ))
+    rows.sort(key=lambda row: row.L)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    names = [f.name for f in fields(ExperimentRow)]
+    writer.writerow(names)
+    writer.writerows([getattr(row, name) for name in names] for row in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("noise_sigma", [0.05, 0.0])
+@pytest.mark.parametrize("points_per_day", [12, 24])
+def test_csv_equals_per_row_records(noise_sigma, points_per_day):
+    grid = TimeGrid.equidistant(points_per_day)
+    cases = itertools.product(
+        (0, 7), (0.6, 1.7), ([9], [9, 16], [9, 16, 30]), range(1, 5))
+    for seed, h_coef, lengths, replications in cases:
+        template = SyntheticSpec(grid, 1, noise_sigma=noise_sigma, seed=seed)
+        run = consistency_experiment(template, lengths, replications, h_coef=h_coef)
+        want = per_row_experiment_csv(template, lengths, replications, h_coef)
+        assert experiment_csv(run) == want, (seed, h_coef, lengths, replications)
