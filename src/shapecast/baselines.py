@@ -17,11 +17,11 @@ from .segments import DistanceKind, distances, read_only
 
 
 def predict_persistence(history: HistoryWindow, target_group: DayGroup) -> np.ndarray:
-    """Shape of the most recent day in the target group."""
+    """Shape of the most recent day in the target group; only its own row is checked."""
     rows = np.flatnonzero(history.group == GROUPS.index(target_group))
     if not len(rows):
         raise EmptyCandidateError(f"no {target_group.value} day in history")
-    return read_only(history.shape(rows[-1]))
+    return read_only(history.span(rows[-1], rows[-1] + 1).shapes[0].copy())
 
 
 def conditional_kernel_weights(

@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_backtest.add_argument("--dates-file")
     p_backtest.add_argument("--sample", type=_positive_int, default=30)
     p_backtest.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_backtest.add_argument("--min-history", type=_nonnegative_int, default=60)
+    p_backtest.add_argument("--min-history", type=_positive_int, default=60)
     p_backtest.add_argument(
         "--methods", default="ssp,persistence,conditional-kernel"
     )

@@ -150,13 +150,6 @@ class HistoryWindow:
             raise ShapecastError(_NONPOSITIVE.format(self.dates[np.argmin(ok[held])]))
         return rows[held]
 
-    def shape(self, i: int) -> np.ndarray:
-        """Day i's load over its maximum, without building `shapes`."""
-        peak = self.loads[i].max()
-        if peak <= 0:
-            raise ShapecastError(_NONPOSITIVE.format(self.dates[i]))
-        return self.loads[i] / peak
-
     def span(self, start: int, stop: int) -> "HistoryWindow":
         """Rows `start:stop`, clamped like a slice; a run of a valid window needs no checks."""
         window = object.__new__(HistoryWindow)

@@ -134,11 +134,13 @@ def _stage(
     group: DayGroup,
     temp_forecast: TemperatureSegment,
     cfg: PredictorConfig,
+    bandwidth: float | np.ndarray,
 ):
-    """The bandwidth-independent part of `predict_day`.
+    """Candidates -> reference -> distance row -> weights -> combined shape.
 
-    Candidates -> reference -> matrix -> distance row -> group mask; returns
-    (reference, matrix, distance row, group mask or None).
+    Returns (reference, weights, shape, fallbacks), `fallbacks` being
+    `_kernel_weights`'s (dead, empty) for the caller to `_report`. A float
+    `bandwidth` gives one row; an (H, 1) column gives one row per bandwidth.
     """
     if not len(history):
         raise InsufficientHistoryError("cannot predict from an empty history")
@@ -149,7 +151,8 @@ def _stage(
     matrix = history.shapes if cfg.rescale else history.loads
     dists = distances(matrix, reference.reference, cfg.shape_distance)
     in_group = history.group == GROUPS.index(group) if cfg.same_group_only else None
-    return reference, matrix, dists, in_group
+    weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth, in_group)
+    return reference, weights, read_only(predict_shape(matrix, weights)), fallbacks
 
 
 def predict_day(
@@ -162,12 +165,10 @@ def predict_day(
     """Full pipeline: candidates -> reference -> weights -> shape (-> megawatts)."""
     if next_day_max is not None and not 0 < next_day_max < np.inf:
         raise ShapecastError("next_day_max must be positive and finite")
-    reference, matrix, dists, in_group = _stage(
-        history, target.group, temp_forecast, cfg
+    reference, weights, shape, fallbacks = _stage(
+        history, target.group, temp_forecast, cfg, cfg.kernel.bandwidth
     )
-    weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, cfg.kernel.bandwidth, in_group)
     _report(reference.dropped, *fallbacks)
-    shape = read_only(predict_shape(matrix, weights))
     return Prediction(
         target_date=target.date,
         grid=history.grid,
@@ -264,11 +265,9 @@ def select_bandwidth(
     errs = np.empty((len(h_grid), validation_days))
     days = walk_forward(history, range(len(history) - validation_days, len(history)))
     for k, (i, prior, meta, forecast, next_day_max) in enumerate(days):
-        reference, matrix, dists, in_group = _stage(prior, meta.group, forecast, cfg)
-        weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, h_grid[:, None], in_group)
+        reference, _, shapes, fallbacks = _stage(prior, meta.group, forecast, cfg, h_grid[:, None])
         _report(reference.dropped, *fallbacks)
-        errs[:, k] = score_day(predict_shape(matrix, weights) * next_day_max,
-                               history.loads[i], meta.date)[0]
+        errs[:, k] = score_day(shapes * next_day_max, history.loads[i], meta.date)[0]
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid.tolist(), errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks

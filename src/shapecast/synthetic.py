@@ -15,6 +15,7 @@ import csv
 import datetime as dt
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,6 +129,15 @@ def default_n_L_schedule(L: int) -> int:
     return math.ceil(L ** (2.0 / 3.0))
 
 
+def _count(value, name: str) -> int:
+    """`value` as an int of at least 1; a bool, or what `operator.index` refuses, is not."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ShapecastError(f"{name} {value!r} is not a whole number")
+    if value < 1:
+        raise ShapecastError(f"{name} {value} is below 1")
+    return operator.index(value)
+
+
 def consistency_experiment(
     template: SyntheticSpec, lengths, replications: int, *, h_coef: float = 0.6
 ) -> Experiment:
@@ -142,17 +152,14 @@ def consistency_experiment(
     zero jitter and cycling profiles, and an Epanechnikov kernel at h = 1e-6
     with every past day a candidate, which keeps weight on exact shape
     matches only. A length whose lookback holds no day of the target's group
-    fails the run, whatever the seed.
+    fails the run, whatever the seed. A bool, non-integer or count below 1 fails first.
     """
-    lengths = [int(L) for L in lengths]
+    lengths = [_count(L, "length") for L in lengths]
+    replications = _count(replications, "replications")
     if not lengths:
         raise ShapecastError("need at least one length")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ShapecastError("lengths must be strictly increasing")
-    if lengths[0] < 1:
-        raise ShapecastError(f"length {lengths[0]} is below 1")
-    if replications < 1:
-        raise ShapecastError("need at least one replication")
     noiseless = template.noise_sigma == 0
     if noiseless:
         template = replace(template, jitter_sigma=0.0, profile_mode="cycle")

@@ -242,10 +242,6 @@ class TestBacktestOracle:
                 assert curve.tobytes() == expected_curves[date][method].tobytes()
 
 
-def never_built(window):
-    pytest.fail("the shapes matrix was built")
-
-
 class TestSharedShapes:
     """Every date's prior window is a prefix of one history and shares its shapes."""
 
@@ -272,13 +268,6 @@ class TestSharedShapes:
         dates = history.dates[-4:-1]
         report = backtest(spoiled, dates, ALL_METHODS)
         assert report.scores.tolist() == backtest(history, dates, ALL_METHODS).scores.tolist()
-
-    def test_persistence_never_builds_shapes(self, grid4, monkeypatch):
-        history = backtest_history(grid4)
-        expected = backtest(history, history.dates[-3:], ["persistence"])
-        monkeypatch.setattr(HistoryWindow, "shapes", property(never_built))
-        report = backtest(history, history.dates[-3:], ["persistence"])
-        assert report.scores.tolist() == expected.scores.tolist()
 
 
 class TestSummarize:

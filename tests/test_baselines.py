@@ -10,8 +10,9 @@ from shapecast.baselines import (
     predict_conditional_kernel,
     predict_persistence,
 )
-from shapecast.calendars import DayGroup
-from shapecast.errors import EmptyCandidateError, InsufficientHistoryError
+from shapecast.calendars import GROUPS, DayGroup
+from shapecast.errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
+from shapecast.history import HistoryWindow
 from shapecast.predictor import KernelKind, KernelSpec
 
 MONDAY = dt.date(2010, 6, 7)
@@ -47,6 +48,39 @@ class TestPersistence:
         shape = predict_persistence(history, DayGroup.G1)
         assert np.max(shape) == 1.0
         np.testing.assert_array_equal(shape, [0.25, 1.0, 0.5, 0.25])
+
+    def test_bytes_are_the_history_shapes_row(self, grid24):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            days = random_history(grid24, rng, int(rng.integers(1, 40)))
+            holidays = rng.random(len(days)) < 0.1
+            history = HistoryWindow(grid24, days.dates, days.loads, days.temps, holidays)
+            # a span that may start past its root's row 0, as no backtest prefix does
+            window = history.span(int(rng.integers(0, len(history))), len(history))
+            for group in DayGroup:
+                rows = np.flatnonzero(window.group == GROUPS.index(group))
+                if len(rows):
+                    shape = predict_persistence(window, group)
+                    assert shape.tobytes() == window.shapes[rows[-1]].tobytes()
+
+    def test_zero_load_day_of_another_group_is_not_read(self, grid4):
+        loads = [[100.0 + i, 200.0, 300.0 + i, 150.0] for i in range(7)]
+        loads[6] = [0.0] * 4  # the Sunday
+        history = make_history(grid4, MONDAY, loads)
+        with pytest.raises(ShapecastError, match="nonpositive maximum"):
+            history.shapes
+        friday = history.loads[4]
+        np.testing.assert_array_equal(
+            predict_persistence(history, DayGroup.G1), friday / friday.max()
+        )
+
+    def test_zero_load_last_target_day_names_its_date(self, grid4):
+        loads = [[100.0 + i, 200.0, 300.0 + i, 150.0] for i in range(7)]
+        loads[4] = [0.0] * 4  # the Friday, the latest day of the weekday pool
+        history = make_history(grid4, MONDAY, loads)
+        message = f"{history.dates[4]}: cannot rescale a segment with nonpositive maximum"
+        with pytest.raises(ShapecastError, match=f"^{message}$"):
+            predict_persistence(history, DayGroup.G1)
 
 
 class TestConditionalKernelWeights:

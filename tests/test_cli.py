@@ -10,9 +10,9 @@ import pytest
 import shapecast
 from shapecast import synthetic
 from shapecast.cli import INI_KEYS, main
-from shapecast.history import HistoryWindow, read_history_jsonl
+from shapecast.history import read_history_jsonl
 from shapecast.predictor import KernelSpec, PredictorConfig, config_snapshot
-from shapecast.reference import ReferenceConfig
+from shapecast.reference import DeltaRule, ReferenceConfig
 from shapecast.segments import TimeGrid
 
 GRID = TimeGrid.equidistant(24)
@@ -172,10 +172,12 @@ class TestPredict:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["date"] == date
-        assert len(doc["shape"]) == 24
+        assert len(doc["grid"]) == len(doc["shape"]) == 24
         # convex combination of shapes: near, but not above, the unit peak
         assert 0.9 < max(doc["shape"]) <= 1.0
-        assert max(doc["scaled"]) == pytest.approx(290.0 * max(doc["shape"]))
+        # the megawatt curve is the shape times the maximum, to the bit
+        assert doc["scaled"] == [290.0 * v for v in doc["shape"]]
+        assert doc["reference_dates"]
 
     def test_out_file_and_rerun_determinism(self, raw_files, history_file, tmp_path):
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
@@ -193,7 +195,9 @@ class TestPredict:
 
     def test_ini_config_applies(self, raw_files, history_file, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[kernel]\nkind = epanechnikov\nbandwidth = 0.5\n")
+        ini.write_text("[kernel]\nkind = epanechnikov\nbandwidth = 0.5\n"
+                       "[distance]\nkind = mean-absolute\n"
+                       "[reference]\ndelta_rule = quantile\ndelta_value = 0.9\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
@@ -202,8 +206,15 @@ class TestPredict:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["kernel"]["kind"] == "epanechnikov"
-        assert doc["config"]["kernel"]["bandwidth"] == 0.5
+        # the distance sets both metrics, and the config records no other key
+        assert doc["config"] == config_snapshot(PredictorConfig(
+            reference=ReferenceConfig(delta_rule=DeltaRule("quantile", 0.9),
+                                      temp_distance="mean-absolute"),
+            kernel=KernelSpec("epanechnikov", 0.5),
+            shape_distance="mean-absolute",
+        ))
+        # the quantile rule alone widens the reference past the nearest day
+        assert len(doc["reference_dates"]) > 1
 
     def test_date_without_forecast(self, raw_files, history_file, capsys):
         code = main([
@@ -513,21 +524,6 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert err == f"error: dates file line 3: duplicate date {day}\n"
         assert not out_dir.exists()
-
-    def test_persistence_run_never_builds_shapes(self, history_file, tmp_path,
-                                                 monkeypatch):
-        def never_built(window):
-            pytest.fail("the shapes matrix was built")
-
-        monkeypatch.setattr(HistoryWindow, "shapes", property(never_built))
-        dates = tmp_path / "dates.txt"
-        dates.write_text(f"{(START + dt.timedelta(days=70)).isoformat()}\n")
-        code = main([
-            "backtest", "--history", str(history_file), "--dates-file", str(dates),
-            "--out-dir", str(tmp_path / "bt"), "--bandwidth", "0.3",
-            "--methods", "persistence",
-        ])
-        assert code == 0
 
     def test_persistence_run_selects_no_bandwidth(self, history_file, tmp_path):
         # one prior day is too few for bandwidth CV, and persistence needs no more
@@ -901,6 +897,8 @@ class TestParser:
         ["ingest", "--load", "{load}", "--out", "{out}", "--max-rejected", "-1"],
         ["backtest", "--history", "{history}", "--out-dir", "{out}",
          "--min-history", "-1"],
+        ["backtest", "--history", "{history}", "--out-dir", "{out}",
+         "--min-history", "0"],
         ["simulate", "--replications", "0"],
         ["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
          "--date", "2010-05-19", "--bandwidth", "inf"],

@@ -867,7 +867,7 @@ class TestColumns:
             window.shapes
         np.testing.assert_array_equal(short.shapes[1], [0.5, 0.5, 0.5, 1.0])
         with pytest.raises(ShapecastError, match="nonpositive maximum"):
-            window.shape(2)
+            window.span(2, 3).shapes
 
 
 def json_row(values) -> bytes:

@@ -1,4 +1,5 @@
 import datetime as dt
+import inspect
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_history, random_history
-from shapecast import predictor
+from shapecast import baselines, predictor
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
 from shapecast.errors import (
@@ -646,6 +647,21 @@ def test_fallback_warns_once_per_validation_day(grid24, monkeypatch):
         "no segment within bandwidth; falling back to the nearest segment"
     ] * 15
     assert all(w.filename == __file__ for w in seen)
+
+
+def test_conditional_kernel_fallback_names_its_call_line(grid4):
+    # a compact kernel at a tiny bandwidth leaves no mass on any predecessor
+    history = random_history(grid4, np.random.default_rng(5), 10)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        predict_conditional_kernel(history, KernelSpec(KernelKind.EPANECHNIKOV, 1e-9))
+    # the warning names the line in `predict_conditional_kernel` that weighs
+    lines, start = inspect.getsourcelines(baselines.predict_conditional_kernel)
+    call = start + next(k for k, line in enumerate(lines) if "conditional_kernel_weights(" in line)
+    assert [(str(w.message), w.filename, w.lineno) for w in seen] == [(
+        "no segment within bandwidth; falling back to the nearest segment",
+        baselines.__file__, call,
+    )]
 
 
 def test_dropped_candidates_warn_from_one_line(grid4, monkeypatch):

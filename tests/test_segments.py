@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_history
+from shapecast.baselines import predict_persistence
+from shapecast.calendars import DayGroup
 from shapecast.errors import GridMismatchError, ShapecastError
 from shapecast.segments import (
     DistanceKind,
@@ -179,31 +181,33 @@ def one_day(grid, load):
 
 
 class TestRescale:
-    """Rows of the history's shapes, and `shape(i)` for a single row."""
+    """Rows of the history's shapes: the whole matrix, a one-row span's, and the
+    row `predict_persistence` returns, which a one-row span builds."""
 
     def test_direct_division(self, grid4):
         grid3 = TimeGrid(("00:00", "08:00", "16:00"))
         window = one_day(grid3, [100.0, 200.0, 400.0])
-        assert np.array_equal(window.shape(0), [0.25, 0.5, 1.0])
+        assert np.array_equal(predict_persistence(window, DayGroup.G1), [0.25, 0.5, 1.0])
         assert np.array_equal(window.shapes[0], [0.25, 0.5, 1.0])
 
     def test_constant_day(self):
         grid3 = TimeGrid(("00:00", "08:00", "16:00"))
         window = one_day(grid3, [5.0, 5.0, 5.0])
-        assert np.array_equal(window.shape(0), [1.0, 1.0, 1.0])
+        assert np.array_equal(window.span(0, 1).shapes[0], [1.0, 1.0, 1.0])
 
     def test_max_exactly_one(self, grid24):
         rng = np.random.default_rng(3)
         for _ in range(50):
             window = one_day(grid24, 1e-3 + rng.random(24) * 700)
-            assert np.max(window.shape(0)) == 1.0
-            assert window.shape(0).tobytes() == window.shapes[0].tobytes()
+            shape = predict_persistence(window, DayGroup.G1)
+            assert np.max(shape) == 1.0
+            assert shape.tobytes() == window.shapes[0].tobytes()
 
     def test_roundtrip(self, grid24):
         rng = np.random.default_rng(4)
         for _ in range(50):
             raw = 1e-3 + rng.random(24) * 700
-            shaped = one_day(grid24, raw).shape(0)
+            shaped = one_day(grid24, raw).span(0, 1).shapes[0]
             back = shaped * np.max(raw)
             # one division and one multiplication each cost at most an ulp
             np.testing.assert_allclose(back, raw, rtol=1e-15)
@@ -211,7 +215,7 @@ class TestRescale:
     def test_all_zero_rejected(self, grid4):
         window = one_day(grid4, [0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ShapecastError):
-            window.shape(0)
+            predict_persistence(window, DayGroup.G1)
         with pytest.raises(ShapecastError):
             window.shapes
 

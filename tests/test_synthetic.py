@@ -283,6 +283,32 @@ class TestConsistencyExperiment:
             consistency_experiment(template, lengths, replications=2)
         assert calls == []
 
+    @pytest.mark.parametrize("lengths, replications, message", [
+        ([32.9], 1, "length 32.9 is not a whole number"),
+        ([True, 32], 1, "length True is not a whole number"),
+        ([np.float64(32.0)], 1, "length np.float64(32.0) is not a whole number"),
+        (["32"], 1, "length '32' is not a whole number"),
+        ([32], 2.5, "replications 2.5 is not a whole number"),
+        ([32], True, "replications True is not a whole number"),
+        ([32], np.True_, "replications np.True_ is not a whole number"),
+        ([32], 0, "replications 0 is below 1"),
+        ([32], np.int64(-1), "replications -1 is below 1"),
+    ])
+    def test_counts_refused_before_any_path(self, monkeypatch, lengths, replications,
+                                            message):
+        calls = []
+        monkeypatch.setattr(synthetic, "generate", calls.append)
+        template = SyntheticSpec(GRID, 1, seed=0)
+        with pytest.raises(ShapecastError, match=f"^{re.escape(message)}$"):
+            consistency_experiment(template, lengths, replications)
+        assert calls == []
+
+    def test_numpy_integers_write_the_same_table(self):
+        template = SyntheticSpec(GRID, 1, seed=0)
+        run = consistency_experiment(template, np.array([32, 64]), np.int64(2))
+        assert run.lengths == (32, 64) and all(type(L) is int for L in run.lengths)
+        assert experiment_csv(run) == experiment_csv(consistency_experiment(template, [32, 64], 2))
+
     def test_lengths_must_increase(self):
         template = SyntheticSpec(GRID, 1, seed=0)
         with pytest.raises(ShapecastError):
