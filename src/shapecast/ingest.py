@@ -1,12 +1,12 @@
 """Raw file parsing and daily segmentation with an explicit gap policy.
 
 Load and temperature readings arrive as flat (timestamp, value) CSVs, parsed
-into day ordinal, minute of day and value columns. `csv.reader` reads a file
-with a quote, a NUL or a CR outside a CRLF line end; any other is read from
+into day ordinal, minute of day and value columns. A plain file is read from
 its UTF-8 bytes, where numpy reads the canonical stamps, with no string per
-line or per stamp, and orjson the values as one JSON array; where orjson
-refuses one, numpy converts text by text, as `float` reads. Other stamps and
-bad rows are read one by one.
+line or per stamp, and orjson the values as one JSON array. A file with a
+quote, a NUL or a CR outside a CRLF line end is read by `csv.reader`, and its
+rows one by one, as are the stamps numpy refuses, every value of a plain file
+where orjson refuses one, and bad rows.
 `segmentize` sorts the readings by day and minute once. A day read at exactly
 the grid minutes is one row as read; every other day is laid onto the grid,
 where short gaps are linearly interpolated and the day marked gap-filled,
@@ -170,17 +170,18 @@ _TEMPLATE = np.frombuffer(b"0000-00-00T00:00", np.uint8)
 _EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
-def _stamps(raw: np.ndarray, at: np.ndarray, rows: np.ndarray, n: int):
+def _stamps(raw: np.ndarray, starts: np.ndarray, commas: np.ndarray):
     """Day ordinals and minutes of day where numpy reads the stamp, day 0 elsewhere.
 
-    Row `rows[k]`, of `n`, has the 16 bytes of `raw` from `at[k]` as its stamp.
+    A row's stamp is the bytes of `raw` from its line start to its comma.
     numpy parses `YYYY-MM-DDTHH:MM`, or a space for the T; every other stamp
     is left to `datetime.fromisoformat`, whose accepted set depends on the
     Python version, and so is every canonical one if numpy refuses one.
     """
-    days, minutes = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    days, minutes = np.zeros((2, len(starts)), dtype=np.int64)
+    rows = np.flatnonzero(commas - starts == 16)
     # the 16 bytes from every offset of `raw`, as overlapping strings: one gather
-    block = np.ndarray(max(len(raw) - 15, 0), "S16", raw, strides=(1,))[at]
+    block = np.ndarray(max(len(raw) - 15, 0), "S16", raw, strides=(1,))[starts[rows]]
     u = block.view(np.uint8).reshape(-1, 16)
     # a digit where the template has 0 (in uint8 a byte below "0" wraps past 9), else its byte
     match = u - _TEMPLATE <= (_TEMPLATE == ord("0")) * np.uint8(9)
@@ -200,66 +201,59 @@ def _lines(texts: str, n: int) -> list[str]:
     return texts.split("\n")[:n]
 
 
-def _values(texts: list[str] | str, n: int) -> tuple[np.ndarray, list[str] | str]:
-    """(values, texts) of `n` value texts, all NaN where numpy refuses one.
+def _values(texts: str, n: int) -> np.ndarray:
+    """Values of the `n` lines of `texts`, all NaN where orjson refuses one.
 
-    `texts` is a list, or one string of them, a line each. orjson reads such a
-    string as one JSON array where it holds a number per line, and the string
-    is split only to read each zero again with `float`: orjson reads "-0" as
-    the integer 0. Any other string, and a list, numpy reads text by text.
+    orjson reads the string as one JSON array where it holds a number per
+    line, and the string is split only to read each zero again with `float`:
+    orjson reads "-0" as the integer 0. Where it refuses one, every row is
+    read one by one.
     """
-    if isinstance(texts, str):
-        try:  # a bracket is in no number, and orjson crashes on a deep nesting
-            numbers = None if "[" in texts else orjson.loads(
-                "[" + texts.removesuffix("\n").replace("\n", ",") + "]")
-        except ValueError:  # a text JSON does not spell, or a lone surrogate
-            numbers = None
-        # the count differs where the last line, with no newline after it, is empty
-        if (numbers is not None and len(numbers) == n
-                and {*map(type, numbers)} <= {int, float}):  # not true, false or null
-            values = np.array(numbers, dtype=float)
-            zeros = np.flatnonzero(values == 0).tolist()
-            if zeros:
-                texts = _lines(texts, n)
-                values[zeros] = [float(texts[i]) for i in zeros]
-            return values, texts
-        texts = _lines(texts, n)
-    try:
-        return np.array(texts, dtype=float), texts
-    except ValueError:  # then every row is read one by one
-        return np.full(n, np.nan), texts
+    try:  # a bracket is in no number, and orjson crashes on a deep nesting
+        numbers = None if "[" in texts else orjson.loads(
+            "[" + texts.removesuffix("\n").replace("\n", ",") + "]")
+    except ValueError:  # a text JSON does not spell, or a lone surrogate
+        numbers = None
+    # the count differs where the last line, with no newline after it, is empty
+    if (numbers is None or len(numbers) != n
+            or not {*map(type, numbers)} <= {int, float}):  # true, false or null
+        return np.full(n, np.nan)
+    values = np.array(numbers, dtype=float)
+    zeros = np.flatnonzero(values == 0).tolist()
+    if zeros:
+        lines = _lines(texts, n)
+        values[zeros] = [float(lines[i]) for i in zeros]
+    return values
 
 
 def _parse_timeseries_csv(text: str, value_column: str, limit: float = math.inf,
                           signed: bool = True) -> Readings:
     header, error = ["timestamp", value_column], None
     plain = _plain_rows(text, header) if text else None
-    if plain is None:
+    if plain is None:  # every row is read one by one
         linenos, (stamps, texts), error = _rows(text, header)
-        short = np.flatnonzero(np.fromiter(map(len, stamps), int, len(stamps)) == 16)
-        chars = "".join(map(stamps.__getitem__, short.tolist())).encode("latin-1", "replace")
-        days, minutes = _stamps(np.frombuffer(chars, np.uint8), 16 * np.arange(len(short)),
-                                short, len(texts))
+        days, minutes = np.zeros((2, len(texts)), dtype=np.int64)
+        values = np.full(len(texts), np.nan)
     else:
         raw, linenos, starts, commas, texts = plain
-        short = np.flatnonzero(commas - starts == 16)
-        days, minutes = _stamps(raw, starts[short], short, len(linenos))
-    values, texts = _values(texts, len(linenos))
+        days, minutes = _stamps(raw, starts, commas)
+        values = _values(texts, len(linenos))
     # numpy reads year 0, which no date has, as a day below 1
     ok = (days > 0) & np.isfinite(values) & (np.abs(values) <= limit)
     if not signed:
         ok &= values >= 0
     exact, bad = {}, np.flatnonzero(~ok).tolist()
-    if bad and isinstance(texts, str):
+    if bad and plain is not None:
         texts = _lines(texts, len(linenos))
     # rows not read or that fail a check, in file order: the first bad one raises
     for i in bad:
-        stamp = stamps[i] if plain is None else _utf8(raw, starts[i], commas[i])
-        try:
-            ts = exact[i] = dt.datetime.fromisoformat(stamp.strip())
-        except ValueError:
-            raise IngestError(f"line {linenos[i]}: bad timestamp {stamp!r}") from None
-        days[i], minutes[i] = ts.toordinal(), ts.hour * 60 + ts.minute
+        if days[i] < 1:  # a stamp numpy read is canonical and valid: reading it again adds nothing
+            stamp = stamps[i] if plain is None else _utf8(raw, starts[i], commas[i])
+            try:
+                ts = exact[i] = dt.datetime.fromisoformat(stamp.strip())
+            except ValueError:
+                raise IngestError(f"line {linenos[i]}: bad timestamp {stamp!r}") from None
+            days[i], minutes[i] = ts.toordinal(), ts.hour * 60 + ts.minute
         values[i] = _reading(texts[i], linenos[i], value_column, limit, signed)
     if error is not None:
         raise error

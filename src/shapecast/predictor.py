@@ -226,11 +226,9 @@ def default_bandwidth_grid(
     if L < 2:
         raise InsufficientHistoryError("need at least two days for a bandwidth grid")
     n_pairs = L * (L - 1) // 2
-    if n_pairs > GRID_MAX_PAIRS:
-        rng = np.random.default_rng(0)
-        picked = np.sort(rng.choice(n_pairs, size=GRID_MAX_PAIRS, replace=False))
-    else:
-        picked = np.arange(n_pairs)
+    # drawing every pair without replacement permutes them: the sorted draw is all of them
+    rng = np.random.default_rng(0)
+    picked = np.sort(rng.choice(n_pairs, size=min(n_pairs, GRID_MAX_PAIRS), replace=False))
     # pairs (i, j), i < j, are numbered row by row; row i starts at starts[i]
     rows = np.arange(L - 1)
     starts = rows * (L - 1) - rows * (rows - 1) // 2
@@ -250,10 +248,12 @@ def select_bandwidth(
     Each day of the validation window (the trailing `CV_DAYS` days, or
     len - `CV_MIN_TRAIN` days, at least one, on a shorter history) is
     predicted one day ahead by the `walk_forward` protocol; mean relative
-    absolute error decides, ties go to the smaller bandwidth. The reference
-    and its distance row do not depend on the bandwidth, so each validation
-    day computes them once, then weighs, combines and scores every bandwidth
-    in one call each; the results equal one `predict_day` per (h, day).
+    absolute error decides, ties go to the smaller bandwidth. A bandwidth
+    that leaves no weight in the target group on a validation day (under
+    `same_group_only`) scores infinite risk; CV fails once every one has. The
+    reference and its distance row do not depend on the bandwidth, so each
+    validation day computes them once, then weighs, combines and scores every
+    bandwidth in one call each; the results equal one `predict_day` per (h, day).
     """
     h_grid = default_bandwidth_grid(history, cfg.shape_distance)
     validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
@@ -263,11 +263,15 @@ def select_bandwidth(
         )
     # one contiguous row per bandwidth: a column mean would sum in another order
     errs = np.empty((len(h_grid), validation_days))
+    failed = np.zeros(len(h_grid), dtype=bool)
     days = walk_forward(history, range(len(history) - validation_days, len(history)))
     for k, (i, prior, meta, forecast, next_day_max) in enumerate(days):
-        reference, _, shapes, fallbacks = _stage(prior, meta.group, forecast, cfg, h_grid[:, None])
-        _report(reference.dropped, *fallbacks)
+        reference, _, shapes, (dead, empty) = _stage(
+            prior, meta.group, forecast, cfg, h_grid[:, None])
+        failed |= empty
+        _report(reference.dropped, dead, failed.all())
         errs[:, k] = score_day(shapes * next_day_max, history.loads[i], meta.date)[0]
+    errs[failed] = np.inf
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid.tolist(), errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks

@@ -66,8 +66,7 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         seed = tuple(self.seed) if isinstance(self.seed, (tuple, list)) else (self.seed,)
         object.__setattr__(self, "seed", seed)
-        if self.length < 1:
-            raise ShapecastError("length must be >= 1")
+        object.__setattr__(self, "length", _count(self.length, "length"))
         if self.length > (dt.date.max - self.start).days + 1:
             raise ShapecastError(f"length {self.length} from {self.start} runs past {dt.date.max}")
         if not (self.noise_sigma >= 0 and self.jitter_sigma >= 0):  # NaN fails too

@@ -10,7 +10,8 @@ import pytest
 import shapecast
 from shapecast import synthetic
 from shapecast.cli import INI_KEYS, main
-from shapecast.history import read_history_jsonl
+from shapecast.history import HistoryWindow, history_jsonl_text, read_history_jsonl
+from shapecast.ingest import forecast_mask_indices
 from shapecast.predictor import KernelSpec, PredictorConfig, config_snapshot
 from shapecast.reference import DeltaRule, ReferenceConfig
 from shapecast.segments import TimeGrid
@@ -444,6 +445,28 @@ class TestPredict:
         code = main([command, "--history", str(broken), "--bandwidth", "0.3"] + argv)
         assert code == 1
         assert f"{broken}:4: int too large" in capsys.readouterr().err
+
+    def test_auto_bandwidth_survives_a_bandwidth_without_same_group_weight(self, tmp_path,
+                                                                          capsys):
+        # on some validation day the smallest grid bandwidths fall back to an
+        # out-of-group day: they score infinite risk, and CV picks among the rest
+        window, _ = synthetic.generate(synthetic.SyntheticSpec(GRID, 201, seed=7))
+        history, forecast, ini = (tmp_path / name for name in ("h.jsonl", "f.csv", "c.ini"))
+        history.write_text(history_jsonl_text(HistoryWindow(
+            GRID, window.dates[:200], 400 * window.loads[:200], window.temps[:200])))
+        temps = window.temps[200][list(forecast_mask_indices(GRID))].tolist()
+        forecast.write_text("date,t0800,t1200,t1600,t2000\n"
+                            f"{window.dates[200]},{','.join(map(repr, temps))}\n")
+        ini.write_text("[reference]\ndelta_rule = quantile\ndelta_value = 0.9\n")
+        with pytest.warns(UserWarning, match="falling back to the nearest segment"):
+            code = main([
+                "predict", "--history", str(history), "--date", "2007-07-20",
+                "--temp-forecast", str(forecast), "--config", str(ini),
+                "--same-group-only", "--next-day-max", "400", "--bandwidth", "auto",
+            ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert round(doc["config"]["kernel"]["bandwidth"], 4) == 0.2891
 
     def test_zero_load_day_is_named(self, raw_files, tmp_path, capsys):
         zero_day = (START + dt.timedelta(days=9)).isoformat()

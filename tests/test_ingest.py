@@ -628,6 +628,13 @@ class TestStampsBeyondTheMinute:
             _by_minute(parse_load_file(csv_text(["2010-06-07T00:00:30,7",
                                                  "2010-06-07T00:00:45,8"])))
 
+    def test_seconds_in_a_quoted_file_land_on_their_minute(self):
+        # csv.reader reads a quoted file, and `datetime.fromisoformat` each of its stamps
+        with pytest.raises(IngestError, match="^duplicate timestamp 2010-06-07T00:00:45 "
+                                              "with conflicting values 7.0 vs 8.0$"):
+            _by_minute(parse_load_file(csv_text(['"2010-06-07T00:00:30",7',
+                                                 '"2010-06-07T00:00:45",8'])))
+
     def test_offset_dropped(self):
         records = parse_load_file(csv_text(["2010-06-07T01:00+02:00,7"]))
         assert pairs(records) == [(dt.datetime(2010, 6, 7, 1), 7.0)]
@@ -839,6 +846,15 @@ def test_only_a_cr_outside_crlf_leaves_the_byte_path(monkeypatch, end, byte_path
             stamps = [got.isoformat(i) for i in range(len(got))]
             assert stamps == [ts.isoformat() for ts, _ in want]
     assert bool(calls) is not byte_path
+
+
+@pytest.mark.parametrize("others", [[], ["2010-06-07T01:00,+1"]])
+def test_a_year_zero_stamp_read_by_numpy_is_refused(others):
+    # numpy reads year 0 as a day below 1, which the row-by-row loop parses again,
+    # whether orjson read every value or, refusing "+1", none
+    with pytest.raises(IngestError) as exc:
+        parse_load_file(csv_text(["0000-01-01T00:00,5", *others]))
+    assert str(exc.value) == "line 2: bad timestamp '0000-01-01T00:00'"
 
 
 def test_values_holding_a_bracket_never_reach_orjson(monkeypatch):

@@ -12,6 +12,7 @@ from shapecast import baselines, predictor
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
 from shapecast.errors import (
+    EmptyCandidateError,
     GridMismatchError,
     InsufficientHistoryError,
     ShapecastError,
@@ -509,12 +510,19 @@ def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
                 history.is_holiday[:i], history.quality[:i],
             )
             actual = history.loads[i]
-            pred = predict_day(
-                prior, history.meta(i), TemperatureSegment(history.grid, history.temps[i]),
-                next_day_max=float(np.max(actual)), cfg=day_cfg,
-            )
+            try:
+                pred = predict_day(
+                    prior, history.meta(i), TemperatureSegment(history.grid, history.temps[i]),
+                    next_day_max=float(np.max(actual)), cfg=day_cfg,
+                )
+            except EmptyCandidateError as exc:  # a failed (h, day) scores infinite risk
+                failure = exc
+                errs.append(math.inf)
+                continue
             errs.append(float(np.mean(np.abs(pred.scaled - actual) / actual)))
         risks.append((h, float(np.mean(errs))))
+    if all(risk == math.inf for _, risk in risks):
+        raise failure
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks
 
@@ -596,20 +604,23 @@ class TestSelectBandwidthOracle:
     # references lie in [0, 1], so no euclidean distance on 24 points reaches 5
     @pytest.mark.parametrize("live", [[], [5.0, 10.0]])
     def test_same_group_error_matches(self, grid24, monkeypatch, live):
-        # a one-hot fallback on an out-of-group day leaves no in-group mass
+        # a one-hot fallback on an out-of-group day leaves no in-group mass: 1e-9
+        # scores infinite risk, and CV fails only where no other bandwidth is live
         cfg = PredictorConfig(
             reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM),
             same_group_only=True,
         )
         # seed 60: on this 46-day history the case arises in the 15-day window
         history = random_history(grid24, np.random.default_rng(60), 46)
-        if live:
-            use_grid(monkeypatch, live)
-            select_bandwidth(history, cfg)
         h_grid = [1e-9, *live]
         use_grid(monkeypatch, h_grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            if live:
+                got = select_bandwidth(history, cfg)
+                assert got == seed_select_bandwidth(history, cfg, h_grid, validation_days=15)
+                assert [risk == math.inf for _, risk in got[1]] == [True, False, False]
+                return
             with pytest.raises(ShapecastError) as seed_err:
                 seed_select_bandwidth(history, cfg, h_grid, validation_days=15)
             with pytest.raises(ShapecastError) as new_err:

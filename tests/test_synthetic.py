@@ -178,6 +178,21 @@ class TestGenerate:
         with pytest.raises(ShapecastError):
             SyntheticSpec(GRID, 10, profile_mode="shuffled")
 
+    @pytest.mark.parametrize("length, message", [
+        (2.5, "length 2.5 is not a whole number"),
+        (True, "length True is not a whole number"),
+        ("3", "length '3' is not a whole number"),
+        (0, "length 0 is below 1"),
+    ])
+    def test_length_must_be_a_whole_number_of_days(self, length, message):
+        with pytest.raises(ShapecastError) as exc:
+            SyntheticSpec(GRID, length)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_length_held_as_int(self):
+        spec = SyntheticSpec(GRID, np.int64(3))
+        assert type(spec.length) is int and len(generate(spec)[0]) == 3
+
     def test_path_must_end_by_the_last_date(self):
         start = dt.date(9999, 12, 25)
         window, _ = generate(SyntheticSpec(GRID, 7, start=start))
