@@ -18,7 +18,6 @@ from .segments import (
     LoadSegment,
     TemperatureSegment,
     TimeGrid,
-    distance,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "LoadSegment",
     "TemperatureSegment",
     "TimeGrid",
-    "distance",
 ]

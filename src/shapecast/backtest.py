@@ -1,9 +1,9 @@
 """Rolling one-day-ahead backtests and report serialization.
 
-Each requested date is predicted and scored by the walk-forward protocol of
-`predictor.walk_forward` (the "perfect-temperature protocol"), with scores on
-the megawatt scale. A run is one dates x methods table, which the summary
-reduces and every report file reads.
+`predictor.walk_forward` predicts and scores every requested date with all
+methods at once (the "perfect-temperature protocol"), with scores on the
+megawatt scale. A run is its dates x methods table, which the summary reduces
+and every report file reads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import orjson
 from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
 from .history import HistoryWindow, orjson_unlike_repr
-from .metrics import score_day
 from .predictor import PredictorConfig, config_snapshot, predict_day, walk_forward
 
 PROTOCOL = "perfect-temperature"
@@ -74,24 +73,15 @@ def backtest(
     methods,
     cfg: PredictorConfig = PredictorConfig(),
 ) -> BacktestReport:
-    """Score every (date, method) pair, each date as `walk_forward` describes.
-
-    Each method's shape is scaled by the day's realized maximum, and a day's
-    methods are scored together in one `score_day` call.
-    """
+    """Score every (date, method) pair, each date by `walk_forward`."""
     check_methods(methods)
     dates, methods = list(dates), list(methods)
-    D, M, P = len(dates), len(methods), history.loads.shape[1]
-    actual, predicted = np.empty((D, P)), np.empty((D, M, P))
-    scores = np.empty((D, M, len(SCORE_NAMES)))
-    # map, not a list: a date without a record fails only when the walk reaches it
-    walk = walk_forward(history, map(history.row, dates))
-    for k, (i, prior, meta, forecast, day_max) in enumerate(walk):
-        actual[k] = history.loads[i]
-        predicted[k] = np.array(
-            [METHODS[m](prior, meta, forecast, cfg) for m in methods]
-        ) * day_max
-        scores[k] = np.transpose(score_day(predicted[k], actual[k], meta.date))
+    actual, predicted, scores = walk_forward(
+        history, dates,
+        lambda prior, meta, forecast: np.array(
+            [METHODS[m](prior, meta, forecast, cfg) for m in methods]),
+        len(methods),
+    )
     return BacktestReport(
         dates=dates,
         methods=methods,

@@ -4,6 +4,8 @@ The next day's shape is a convex combination of all past shapes (daily-max
 rescaled), weighted by kernel-smoothed distance to the reference segment, and
 its megawatt curve is that shape times the provided next-day maximum. Dropped
 candidates and weight fallbacks are values; `_report` alone warns and raises.
+`walk_forward` alone scales by a realized maximum and scores, for bandwidth
+CV and the backtest alike.
 """
 
 from __future__ import annotations
@@ -99,14 +101,15 @@ def _kernel_weights(dists: np.ndarray, kind: KernelKind, bandwidth: float | np.n
     return masked / np.where(total == 0.0, 1.0, total), dead, total[..., 0] == 0.0
 
 
-def _report(dropped: tuple[dt.date, ...], dead: np.ndarray, empty: np.ndarray) -> None:
+def _report(dropped: tuple[dt.date, ...], dead: np.ndarray, empty: np.ndarray,
+            stacklevel: int = 3) -> None:
     """Warn of each dropped candidate and of a fallback; raise on an empty group."""
     for day in dropped:  # one line for every caller: the default filter prints a date once
         warnings.warn(f"dropping candidate {day}: no temperature data on the comparison mask")
-    if dead.any():  # the warning names the line that called our caller
+    if dead.any():  # by default the warning names the line that called our caller
         warnings.warn(
             "no segment within bandwidth; falling back to the nearest segment",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     if empty.any():
         raise EmptyCandidateError(
@@ -180,26 +183,31 @@ def predict_day(
     )
 
 
-def walk_forward(history: HistoryWindow, rows):
-    """Yield (i, prior, meta, forecast, day_max) to predict each of `rows` in turn.
+def walk_forward(history: HistoryWindow, dates, predict, K: int) -> tuple:
+    """Predict, scale and score each of `dates` one day ahead.
 
-    The one-day-ahead protocol of bandwidth CV and the backtest: day i is
-    predicted from the strictly prior days `history.span(0, i)` and scored
-    against its realized load `history.loads[i]`. No forecasts are archived,
-    so the day's realized temperature, all P points of it, stands in for the
-    forecast, and its realized maximum for the provided next-day maximum.
+    The one protocol of bandwidth CV and the backtest: day i is predicted by
+    `predict(prior, meta, forecast)`, its K shapes as a K x P array, from the
+    strictly prior days `history.span(0, i)`. No forecasts are archived, so
+    the day's realized temperature, all P points of it, stands in for the
+    forecast, and its realized maximum scales the shapes to megawatts. Returns
+    (actual D x P, predicted D x K x P, `score_day`'s scores D x K x 3).
     """
-    for i in rows:
-        date = history.dates[i].isoformat()
+    D, P = len(dates), history.loads.shape[1]
+    actual, predicted, scores = np.empty((D, P)), np.empty((D, K, P)), np.empty((D, K, 3))
+    for d, date in enumerate(dates):
+        i = history.row(date)  # a date without a record fails only when the walk reaches it
         if np.isnan(history.temps[i]).all():
             raise ShapecastError(
-                f"{date}: no realized temperature to stand in for the forecast"
+                f"{date.isoformat()}: no realized temperature to stand in for the forecast"
             )
         if not i:
-            raise ShapecastError(f"{date}: no prior history")
+            raise ShapecastError(f"{date.isoformat()}: no prior history")
+        meta, actual[d] = history.meta(i), history.loads[i]
         forecast = TemperatureSegment(history.grid, history.temps[i])
-        yield (i, history.span(0, i), history.meta(i), forecast,
-               float(np.max(history.loads[i])))
+        predicted[d] = predict(history.span(0, i), meta, forecast) * float(np.max(actual[d]))
+        scores[d] = np.transpose(score_day(predicted[d], actual[d], meta.date))
+    return actual, predicted, scores
 
 
 # the bandwidth grid: GRID_POINTS log-spaced multiples, GRID_SPAN apart, of the
@@ -245,15 +253,13 @@ def select_bandwidth(
 ) -> tuple[float, list[tuple[float, float]]]:
     """One-day-ahead empirical risk of each `default_bandwidth_grid` bandwidth.
 
-    Each day of the validation window (the trailing `CV_DAYS` days, or
-    len - `CV_MIN_TRAIN` days, at least one, on a shorter history) is
-    predicted one day ahead by the `walk_forward` protocol; mean relative
-    absolute error decides, ties go to the smaller bandwidth. A bandwidth
-    that leaves no weight in the target group on a validation day (under
-    `same_group_only`) scores infinite risk; CV fails once every one has. The
-    reference and its distance row do not depend on the bandwidth, so each
-    validation day computes them once, then weighs, combines and scores every
-    bandwidth in one call each; the results equal one `predict_day` per (h, day).
+    `walk_forward` predicts the validation window (the trailing `CV_DAYS`
+    days, or len - `CV_MIN_TRAIN`, at least one, on a shorter history) at
+    every bandwidth; mean relative absolute error decides, ties go to the
+    smaller bandwidth. A bandwidth that leaves no weight in the target group
+    on a validation day (under `same_group_only`) scores infinite risk; CV
+    fails once every one has. One `_stage` per day weighs and combines the
+    whole grid; the results equal one `predict_day` per (h, day).
     """
     h_grid = default_bandwidth_grid(history, cfg.shape_distance)
     validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
@@ -261,16 +267,20 @@ def select_bandwidth(
         raise InsufficientHistoryError(
             f"need more than {validation_days + 1} days of history"
         )
-    # one contiguous row per bandwidth: a column mean would sum in another order
-    errs = np.empty((len(h_grid), validation_days))
     failed = np.zeros(len(h_grid), dtype=bool)
-    days = walk_forward(history, range(len(history) - validation_days, len(history)))
-    for k, (i, prior, meta, forecast, next_day_max) in enumerate(days):
+
+    def predict(prior, meta, forecast):
         reference, _, shapes, (dead, empty) = _stage(
             prior, meta.group, forecast, cfg, h_grid[:, None])
-        failed |= empty
-        _report(reference.dropped, dead, failed.all())
-        errs[:, k] = score_day(shapes * next_day_max, history.loads[i], meta.date)[0]
+        failed[empty] = True
+        # the fallback names the line that called select_bandwidth
+        _report(reference.dropped, dead, failed.all(), stacklevel=5)
+        return shapes
+
+    _, _, scores = walk_forward(
+        history, history.dates[-validation_days:], predict, len(h_grid))
+    # one contiguous row per bandwidth: a column mean would sum in another order
+    errs = scores[..., 0].T.copy()
     errs[failed] = np.inf
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid.tolist(), errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))

@@ -143,20 +143,14 @@ def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
     return np.max(diff, axis=-1)
 
 
-def distance(a, b, kind: DistanceKind = DistanceKind.EUCLIDEAN) -> float:
-    """Distance between two equal-length vectors under the metric `kind`."""
-    a = _as_vector(a)
-    b = _as_vector(b, a.shape[0])
-    return float(_reduce(a - b, DistanceKind(kind)))
-
-
 def distances(M, v, kind: DistanceKind = DistanceKind.EUCLIDEAN) -> np.ndarray:
     """Distance of every row of the L x P matrix `M` to `v` under the metric `kind`.
 
     `v` is one length-P vector, or an L x P matrix whose rows pair up with
-    those of `M`. Row r equals `distance(M[r], v[r] or v, kind)` bit for bit.
+    those of `M`. Row r is bit for bit the metric of the one vector
+    `M[r] - (v[r] or v)`.
     """
-    # C order keeps each row's sum pairwise, exactly as `distance` sums a vector
+    # C order keeps each row's sum pairwise, exactly as the sum of one vector
     M = np.ascontiguousarray(M, dtype=float)
     if M.ndim != 2:
         raise GridMismatchError(f"expected 2-d matrix, got shape {M.shape}")

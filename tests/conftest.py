@@ -11,7 +11,7 @@ from shapecast.history import (
     _NUMBER_OR_NULL, _ORJSON_DEPTH, _REPORTED, HistoryWindow, Quality, _located, _numbers,
     _refuse_bad_day, _refuse_constant,
 )
-from shapecast.segments import TimeGrid
+from shapecast.segments import DistanceKind, TimeGrid
 
 
 # where orjson's float text leaves `repr`'s: the edges of its plain notation,
@@ -32,6 +32,21 @@ def grid4():
 @pytest.fixture
 def grid24():
     return TimeGrid.equidistant(24)
+
+
+def out_of_place(diff, kind):
+    """The metric of each difference vector along the last axis, on fresh arrays."""
+    if kind is DistanceKind.EUCLIDEAN:
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    if kind is DistanceKind.MEAN_ABSOLUTE:
+        return np.mean(np.abs(diff), axis=-1)
+    return np.max(np.abs(diff), axis=-1)
+
+
+def distance(a, b, kind=DistanceKind.EUCLIDEAN) -> float:
+    """One pair's distance: `segments.distances` must equal it row by row, bit for bit."""
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return float(out_of_place(diff, DistanceKind(kind)))
 
 
 def make_history(grid: TimeGrid, start: dt.date, loads, temps=None) -> HistoryWindow:

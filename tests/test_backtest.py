@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FLOAT_EDGES, make_history, random_history
-from shapecast import backtest as backtest_module
+from shapecast import backtest as backtest_module, predictor
 from shapecast.backtest import (
     METHODS,
     BacktestReport,
@@ -42,6 +42,26 @@ class TestBacktest:
         assert report.actual.shape == (5, 4)
         assert report.predicted.shape == (5, 3, 4)
         assert report.scores.shape == (5, 3, 3)
+
+    def test_no_dates(self, grid4):
+        report = backtest(backtest_history(grid4), [], ALL_METHODS)
+        assert report.actual.shape == (0, 4)
+        assert report.predicted.shape == (0, 3, 4)
+        assert report.scores.shape == (0, 3, 3)
+        assert report.summary == {
+            m: {"days": 0, "mean_rmae": None, "median_rmae": None, "wins": 0}
+            for m in ALL_METHODS
+        }
+
+    def test_one_score_per_date(self, grid4, monkeypatch):
+        # a date's methods are scored together, not once per (date, method)
+        calls, real = [], predictor.score_day
+        monkeypatch.setattr(predictor, "score_day",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        history = backtest_history(grid4)
+        dates = list(history.dates[-5:])
+        backtest(history, dates, ALL_METHODS)
+        assert calls == dates
 
     def test_unknown_method_rejected(self, grid4):
         history = backtest_history(grid4)

@@ -4,9 +4,10 @@ The history is written from seeded arrays: 100 days on a 24-point grid, three
 early days without temperature (so reference selection drops candidates), a
 few unobserved points, and two holidays inside the bandwidth CV window (so a
 holiday widens its candidates with Sundays). The digests pin the prediction
-JSON at a fixed and at the cross-validated bandwidth, and every file the
-backtest writes for all three methods, so a rewrite of any layer under them
-that moves a single byte fails here.
+JSON at a fixed and at the cross-validated bandwidth, the latter also under
+`--same-group-only`, and every file the backtest writes for all three
+methods, so a rewrite of any layer under them that moves a single byte fails
+here. The backtest's same-group-only CV fails, and the test pins how.
 """
 
 import datetime as dt
@@ -27,6 +28,8 @@ BACKTEST_ROWS = (70, 75, 88, 95)
 PREDICT_SHA256 = {
     "0.3": "6affe27a7a1496e8733e919764bd18172c4fb924ae80c1ab95d53574b40ceafb",
     "auto": "7b89fff170579f6850a3f9bd40bb770665ebdd472949bcf9d6e71676f9a3c2ce",
+    "auto --same-group-only":
+        "fad7619eeae1da4471e8dfe29c2203c5fc8bc65c4334ce173280e975f0844d89",
 }
 BACKTEST_SHA256 = {
     "days/2010-05-10.csv": "665ad64adfc50a9bb3761753400b70b25a9aa2ef2a43206dea45750fa33a7d97",
@@ -72,7 +75,7 @@ def test_predict_output_is_pinned(tmp_path, bandwidth):
     code = main([
         "predict", "--history", str(history), "--date", TARGET.isoformat(),
         "--temp-forecast", str(forecast), "--next-day-max", "420",
-        "--bandwidth", bandwidth, "--out", str(out),
+        "--bandwidth", *bandwidth.split(), "--out", str(out),
     ])
     assert code == 0
     assert digest(out) == PREDICT_SHA256[bandwidth]
@@ -90,3 +93,20 @@ def test_backtest_outputs_are_pinned(tmp_path):
     files = sorted(p for p in out_dir.rglob("*") if p.is_file())
     got = {p.relative_to(out_dir).as_posix(): digest(p) for p in files}
     assert got == BACKTEST_SHA256
+
+
+def test_backtest_same_group_only_cv_fails(tmp_path, capsys):
+    # validation day 45, the first holiday, has no earlier holiday: every
+    # bandwidth leaves it without in-group weight, so CV fails on that day
+    history, _, dates_file = write_inputs(tmp_path)
+    out_dir = tmp_path / "bt"
+    code = main([
+        "backtest", "--history", str(history), "--dates-file", str(dates_file),
+        "--methods", "ssp,persistence,conditional-kernel", "--bandwidth", "auto",
+        "--same-group-only", "--out-dir", str(out_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: same_group_only left no weight mass in the target group\n"
+    )
+    assert not out_dir.exists()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_history, random_history
+from conftest import distance, make_history, random_history
 from shapecast import baselines, predictor
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
@@ -35,7 +35,6 @@ from shapecast.segments import (
     DistanceKind,
     TemperatureSegment,
     TimeGrid,
-    distance,
     distances,
 )
 
@@ -474,10 +473,11 @@ class TestSelectBandwidth:
         # one walk-forward step per validation day
         calls, real = [], predictor.walk_forward
 
-        def spy(history, rows):
-            for step in real(history, rows):
-                calls.append(step[0])
-                yield step
+        def spy(history, dates, predict, K):
+            def walked(prior, meta, forecast):
+                calls.append(len(prior))  # day i is predicted from its i prior days
+                return predict(prior, meta, forecast)
+            return real(history, dates, walked, K)
 
         monkeypatch.setattr(predictor, "walk_forward", spy)
         # from a Sunday, so that even the 3-day history's last day, a Tuesday,
@@ -486,6 +486,21 @@ class TestSelectBandwidth:
                                  start=dt.date(2010, 3, 7))
         select_bandwidth(history, PredictorConfig())
         assert calls == list(range(days - window, days))
+
+    def test_one_stage_and_one_score_per_validation_day(self, grid4, monkeypatch):
+        # the whole grid is weighed, combined and scored in one call per day
+        calls = []
+
+        def spy(name):
+            real = getattr(predictor, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_stage", "score_day"):
+            monkeypatch.setattr(predictor, name, spy(name))
+        history = random_history(grid4, np.random.default_rng(46), 46)
+        _, risks = select_bandwidth(history, PredictorConfig())
+        assert len(risks) == 25
+        assert calls == ["_stage", "score_day"] * 15
 
 
 def use_grid(monkeypatch, h_grid):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_history
+from conftest import distance, make_history
 from shapecast.calendars import GROUPS, DayGroup
 from shapecast.errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
 from shapecast.history import HistoryWindow
@@ -18,7 +18,6 @@ from shapecast.segments import (
     DistanceKind,
     TemperatureSegment,
     TimeGrid,
-    distance,
 )
 
 MONDAY = dt.date(2010, 6, 7)

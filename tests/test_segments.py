@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_history
+from conftest import distance, make_history, out_of_place
 from shapecast.baselines import predict_persistence
 from shapecast.calendars import DayGroup
 from shapecast.errors import GridMismatchError, ShapecastError
@@ -13,7 +13,6 @@ from shapecast.segments import (
     LoadSegment,
     TemperatureSegment,
     TimeGrid,
-    distance,
     distances,
 )
 
@@ -68,36 +67,44 @@ class TestTimeGrid:
             grid.minutes[0] = 5
 
 
+def one_row(a, b, kind=DistanceKind.EUCLIDEAN) -> float:
+    """`distances` of the one-row matrix `a[None]` to `b`."""
+    (d,) = distances(np.asarray(a, dtype=float)[None], b, kind)
+    return float(d)
+
+
 class TestDistance:
+    """One pair's contract, through a one-row `distances`."""
+
     def test_identity(self):
         a = [1.0, 2.5, 3.0]
-        assert distance(a, a) == 0.0
+        assert one_row(a, a) == 0.0
 
     def test_3_4_5_triangle(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
+        assert one_row([0.0, 0.0], [3.0, 4.0]) == 5.0
 
     def test_mean_absolute(self):
-        assert distance([0.0, 0.0], [3.0, 4.0], DistanceKind.MEAN_ABSOLUTE) == pytest.approx(3.5)
+        assert one_row([0.0, 0.0], [3.0, 4.0], DistanceKind.MEAN_ABSOLUTE) == pytest.approx(3.5)
 
     def test_max_absolute(self):
-        assert distance([0.0, 0.0], [3.0, 4.0], "max-absolute") == 4.0
+        assert one_row([0.0, 0.0], [3.0, 4.0], "max-absolute") == 4.0
 
     def test_unknown_kind_refused(self):
         with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
-            distance([0.0, 0.0], [3.0, 4.0], "bogus")
+            one_row([0.0, 0.0], [3.0, 4.0], "bogus")
         with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
             distances(np.zeros((3, 2)), np.zeros(2), "bogus")
 
     def test_length_mismatch(self):
         with pytest.raises(GridMismatchError):
-            distance([1.0], [1.0, 2.0])
+            one_row([1.0], [1.0, 2.0])
 
     @given(vectors, st.sampled_from(list(DistanceKind)))
     def test_symmetry_and_nonnegativity(self, a, kind):
         b = list(reversed(a))
-        d_ab = distance(a, b, kind)
+        d_ab = one_row(a, b, kind)
         assert d_ab >= 0.0
-        assert d_ab == distance(b, a, kind)
+        assert d_ab == one_row(b, a, kind)
 
     @given(
         st.integers(2, 8).flatmap(
@@ -109,13 +116,13 @@ class TestDistance:
     )
     def test_triangle_inequality(self, abc, kind):
         a, b, c = abc
-        assert distance(a, c, kind) <= distance(a, b, kind) + distance(b, c, kind) + 1e-9
+        assert one_row(a, c, kind) <= one_row(a, b, kind) + one_row(b, c, kind) + 1e-9
 
     @given(vectors, st.floats(-100, 100, allow_nan=False))
     def test_euclidean_homogeneity(self, a, c):
         b = [x + 1.0 for x in a]
-        scaled = distance([c * x for x in a], [c * x for x in b])
-        assert scaled == pytest.approx(abs(c) * distance(a, b), rel=1e-9, abs=1e-9)
+        scaled = one_row([c * x for x in a], [c * x for x in b])
+        assert scaled == pytest.approx(abs(c) * one_row(a, b), rel=1e-9, abs=1e-9)
 
 
 class TestDistances:
@@ -162,17 +169,8 @@ class TestDistances:
         assert got.tobytes() == out_of_place(M0 - v0, kind).tobytes()
         for a, b in zip(M, v if paired else [v] * len(M)):
             a0, b0 = a.copy(), b.copy()
-            assert distance(a, b, kind) == float(out_of_place(a0 - b0, kind))
+            assert one_row(a, b, kind) == float(out_of_place(a0 - b0, kind))
             assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
-
-
-def out_of_place(diff, kind):
-    """The metric as computed before it worked in place on `diff`."""
-    if kind is DistanceKind.EUCLIDEAN:
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    if kind is DistanceKind.MEAN_ABSOLUTE:
-        return np.mean(np.abs(diff), axis=-1)
-    return np.max(np.abs(diff), axis=-1)
 
 
 def one_day(grid, load):

@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import pytest
 
+from conftest import distance
 from shapecast import synthetic
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
@@ -27,7 +28,7 @@ from shapecast.synthetic import (
     experiment_csv,
     generate,
 )
-from shapecast.segments import TemperatureSegment, TimeGrid, distance
+from shapecast.segments import TemperatureSegment, TimeGrid
 
 GRID = TimeGrid.equidistant(24)
 
