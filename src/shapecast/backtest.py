@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,8 @@ import orjson
 from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
 from .history import HistoryWindow, orjson_unlike_repr
-from .predictor import PredictorConfig, config_snapshot, predict_day, walk_forward
+from .predictor import (PredictorConfig, check_rescaled, config_snapshot, predict_day,
+                        walk_forward)
 
 PROTOCOL = "perfect-temperature"
 SCORE_NAMES = ("rmae", "maxdiff", "mindiff")
@@ -75,7 +77,11 @@ def backtest(
 ) -> BacktestReport:
     """Score every (date, method) pair, each date by `walk_forward`."""
     check_methods(methods)
+    check_rescaled(cfg)
     dates, methods = list(dates), list(methods)
+    repeated = sorted(d.isoformat() for d, n in Counter(dates).items() if n > 1)
+    if repeated:
+        raise ShapecastError(f"dates listed more than once: {repeated}")
     actual, predicted, scores = walk_forward(
         history, dates,
         lambda prior, meta, forecast: np.array(

@@ -1,8 +1,8 @@
 """Candidate-day selection and construction of the reference segment.
 
 The reference segment, the expected-shape proxy for the target day, averages
-(in shape form) the recent same-group days whose temperatures are closest to
-the forecast. Temperatures are compared on the points the forecast observes
+the given curves of the recent same-group days nearest the forecast in
+temperature. Temperatures are compared on the points the forecast observes
 (its non-NaN points) only; a candidate missing one is dropped, and the result
 lists it. The δ rule alone sets the closeness threshold: the default `min`
 rule is the minimum temperature distance, so only the nearest day (plus exact
@@ -78,7 +78,7 @@ class ReferenceConfig:
 
 @dataclass(frozen=True)
 class ReferenceResult:
-    reference: np.ndarray  # shape form, or megawatts without rescaling
+    reference: np.ndarray  # the mean of the chosen rows of the curves handed in
     c_star: tuple[dt.date, ...]
     temp_distances: dict[dt.date, float]
     delta: float
@@ -111,15 +111,13 @@ def select_reference(
     candidates: np.ndarray,
     temp_forecast: TemperatureSegment,
     cfg: ReferenceConfig,
-    rescale: bool = True,
+    curves: np.ndarray,
 ) -> ReferenceResult:
-    """Pick the closest-temperature candidate rows and average their shapes.
-
-    With rescale=False the raw (megawatt-scale) curves are averaged instead of
-    their daily-max rescaled shapes.
-    """
+    """Pick the closest-temperature candidate rows; average those rows of `curves`."""
     if temp_forecast.grid != history.grid:
         raise GridMismatchError("the forecast's grid is not the history's")
+    if np.shape(curves) != history.loads.shape:
+        raise GridMismatchError("the curves are not one row per history day on its grid")
     candidates = np.asarray(candidates, dtype=int)
     if not len(candidates):
         raise EmptyCandidateError("no candidates to select a reference from")
@@ -144,9 +142,8 @@ def select_reference(
         delta = d_min
 
     chosen = usable[dists <= delta]
-    matrix = history.shapes if rescale else history.loads
     return ReferenceResult(
-        reference=read_only(matrix[chosen].mean(axis=0)),
+        reference=read_only(curves[chosen].mean(axis=0)),
         c_star=tuple(history.dates[i] for i in chosen),
         temp_distances={history.dates[i]: d for i, d in zip(usable, dists.tolist())},
         delta=delta,

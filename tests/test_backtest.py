@@ -79,6 +79,17 @@ class TestBacktest:
         assert str(err.value) == f"methods listed more than once: {repeated}"
         check_methods(sorted(set(methods)))
 
+    def test_repeated_date_rejected(self, grid4):
+        # a repeat would be scored twice but written to one day-curves file;
+        # the refusal comes before the walk reaches the date without prior history
+        history = backtest_history(grid4)
+        d, e = history.dates[-1], history.dates[-3]
+        with pytest.raises(ShapecastError) as err:
+            backtest(history, [d, e, d, e, history.dates[0]], ["persistence"])
+        assert str(err.value) == (
+            f"dates listed more than once: {[e.isoformat(), d.isoformat()]}"
+        )
+
     def test_date_without_prior_history(self, grid4):
         history = backtest_history(grid4)
         with pytest.raises(ShapecastError, match="no prior history"):
@@ -234,8 +245,6 @@ BACKTEST_CONFIGS = {
     "default": PredictorConfig(kernel=KernelSpec(bandwidth=0.3)),
     "same-group-only": PredictorConfig(kernel=KernelSpec(bandwidth=0.3),
                                        same_group_only=True),
-    # megawatt distances: a bandwidth on their scale
-    "no-rescale": PredictorConfig(kernel=KernelSpec(bandwidth=300.0), rescale=False),
 }
 
 

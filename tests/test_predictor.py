@@ -2,6 +2,7 @@ import datetime as dt
 import inspect
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import distance, make_history, random_history
 from shapecast import baselines, predictor
+from shapecast.backtest import backtest
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
 from shapecast.errors import (
@@ -37,6 +39,7 @@ from shapecast.segments import (
     TimeGrid,
     distances,
 )
+from shapecast.synthetic import SyntheticSpec, generate
 
 MONDAY = dt.date(2010, 6, 7)
 
@@ -364,7 +367,8 @@ def test_forecast_off_the_history_grid_refused(grid4, grid):
     with pytest.raises(GridMismatchError, match=message):
         predict_day(history, target, forecast)
     with pytest.raises(GridMismatchError, match=message):
-        select_reference(history, np.arange(len(history)), forecast, ReferenceConfig())
+        select_reference(history, np.arange(len(history)), forecast, ReferenceConfig(),
+                         history.shapes)
 
 
 def test_shape_distance_coerced_and_checked():
@@ -374,11 +378,55 @@ def test_shape_distance_coerced_and_checked():
         PredictorConfig(shape_distance="bogus")
 
 
+class TestRawScaleRefused:
+    """`rescale=False` combines raw loads: no maximum may scale them a second time.
+
+    On this history (200 synthetic days, peaks near 500 MW) scaling twice would
+    give ssp a backtest mean RMAE of 459.58, against 0.1053 rescaled, and tie
+    all 25 CV risks.
+    """
+
+    MESSAGE = ("^rescale=False combines raw loads, already in megawatts: "
+               "it takes no next-day maximum, bandwidth CV or backtest$")
+
+    def setup_method(self):
+        window, _ = generate(SyntheticSpec(TimeGrid.equidistant(24), 200, seed=1))
+        self.history = make_history(window.grid, window.dates[0], window.loads * 500.0,
+                                    window.temps)
+        self.cfg = PredictorConfig(kernel=KernelSpec(bandwidth=0.3), rescale=False)
+
+    def test_predict_day_takes_no_maximum(self):
+        history = self.history
+        args = (history.span(0, 199), history.meta(199),
+                TemperatureSegment(history.grid, history.temps[199]))
+        with pytest.raises(ShapecastError, match=self.MESSAGE):
+            predict_day(*args, next_day_max=float(history.loads[199].max()), cfg=self.cfg)
+        # without one, the combination is the prediction, in megawatts (the Monte Carlo lab)
+        pred = predict_day(*args, cfg=self.cfg)
+        assert pred.scaled is None
+        assert pred.shape.max() > 100.0
+
+    def test_bandwidth_cv(self):
+        with pytest.raises(ShapecastError, match=self.MESSAGE):
+            select_bandwidth(self.history, self.cfg)
+        # before the grid is built: a one-day history would fail there
+        with pytest.raises(ShapecastError, match=self.MESSAGE):
+            select_bandwidth(self.history.span(0, 1), self.cfg)
+
+    def test_backtest(self):
+        dates = self.history.dates[-30:]
+        with pytest.raises(ShapecastError, match=self.MESSAGE):
+            backtest(self.history, dates, ["ssp"], self.cfg)
+        # before any day is walked: the first day has no prior history
+        with pytest.raises(ShapecastError, match=self.MESSAGE):
+            backtest(self.history, self.history.dates[:1], ["persistence"], self.cfg)
+
+
 def predict_after(history, rescale=True):
-    """The next day's prediction at a next-day maximum of 500 MW."""
+    """The next day's prediction; rescaled, at a next-day maximum of 500 MW."""
     target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
     forecast = full_mask_forecast(history.grid, [20.0] * history.grid.points_per_day)
-    return predict_day(history, target, forecast, next_day_max=500.0,
+    return predict_day(history, target, forecast, next_day_max=500.0 if rescale else None,
                        cfg=PredictorConfig(rescale=rescale))
 
 
@@ -514,10 +562,7 @@ def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
     risks = []
     L = len(history)
     for h in sorted(float(h) for h in h_grid):
-        day_cfg = PredictorConfig(
-            cfg.reference, KernelSpec(cfg.kernel.kind, h), cfg.shape_distance,
-            cfg.same_group_only, cfg.rescale,
-        )
+        day_cfg = replace(cfg, kernel=replace(cfg.kernel, bandwidth=h))
         errs = []
         for i in range(L - validation_days, L):
             prior = HistoryWindow(
@@ -577,10 +622,6 @@ CV_CONFIGS = {
     "max-absolute": PredictorConfig(
         reference=THRESHOLD, shape_distance=DistanceKind("max-absolute")
     ),
-    "no-rescale": PredictorConfig(rescale=False),
-    "no-rescale-uniform": PredictorConfig(
-        reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM), rescale=False
-    ),
     "same-group-only": PredictorConfig(same_group_only=True),
     "same-group-only-epanechnikov": PredictorConfig(
         kernel=KernelSpec(KernelKind.EPANECHNIKOV), same_group_only=True
@@ -612,7 +653,7 @@ class TestSelectBandwidthOracle:
         # and, in both, it names the caller's file
         assert all(w.filename == __file__ for w in seen + seen_new
                    if "no segment within bandwidth" in str(w.message))
-        if "threshold" in name or name == "no-rescale-uniform":
+        if "threshold" in name:
             assert fallbacks(seen_new) > 0
 
     # 1e-9 alone, or among bandwidths that keep their in-group mass: shapes and

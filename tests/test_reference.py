@@ -6,7 +6,8 @@ import pytest
 
 from conftest import distance, make_history
 from shapecast.calendars import GROUPS, DayGroup
-from shapecast.errors import EmptyCandidateError, MissingTemperatureError, ShapecastError
+from shapecast.errors import (EmptyCandidateError, GridMismatchError, MissingTemperatureError,
+                              ShapecastError)
 from shapecast.history import HistoryWindow
 from shapecast.reference import (
     DeltaRule,
@@ -106,9 +107,9 @@ def shape_of(load):
     return load / load.max()
 
 
-def select(window, forecast, cfg, **kwargs):
-    """`select_reference` over every row of `window`."""
-    return select_reference(window, np.arange(len(window)), forecast, cfg, **kwargs)
+def select(window, forecast, cfg):
+    """`select_reference` over every row of `window`, averaging its shapes."""
+    return select_reference(window, np.arange(len(window)), forecast, cfg, window.shapes)
 
 
 class TestSelectReference:
@@ -252,18 +253,27 @@ class TestSelectReference:
             ([100.0, 100.0, 200.0, 100.0], [25.0] * 4),
         )
         forecast = temp_segment(self.grid, [20.0] * 4)
-        result = select_reference(window, np.array([1, 2]), forecast, self.cfg)
+        result = select_reference(window, np.array([1, 2]), forecast, self.cfg,
+                                  window.shapes)
         assert result.c_star == (window.dates[2],)
         assert list(result.temp_distances) == [window.dates[1], window.dates[2]]
-        raw = select_reference(window, np.array([1, 2]), forecast, self.cfg,
-                                    rescale=False)
+        raw = select_reference(window, np.array([1, 2]), forecast, self.cfg, window.loads)
         np.testing.assert_array_equal(raw.reference, window.loads[2])
 
     def test_empty_candidates(self):
         forecast = temp_segment(self.grid, [20.0] * 4)
+        window = self.window()
         with pytest.raises(EmptyCandidateError):
-            select_reference(self.window(), np.array([], dtype=int),
-                             forecast, self.cfg)
+            select_reference(window, np.array([], dtype=int), forecast, self.cfg,
+                             window.shapes)
+
+    # a day short, a point short, and one day's row
+    @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1], np.s_[0]])
+    def test_curves_not_shaped_like_the_history_refused(self, cut):
+        window = self.window(*(([100.0 + i] * 4, [20.0] * 4) for i in range(4)))
+        forecast = temp_segment(self.grid, [20.0] * 4)
+        with pytest.raises(GridMismatchError, match="^the curves are not one row per"):
+            select_reference(window, np.arange(4), forecast, self.cfg, window.loads[cut])
 
 
 def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
@@ -321,7 +331,8 @@ def check_against_loop(history, cfg, rescale, rng, forecast_points=None):
             except EmptyCandidateError:
                 continue
             try:
-                got = select_reference(history, rows, forecast, cfg, rescale)
+                got = select_reference(history, rows, forecast, cfg,
+                                       history.shapes if rescale else history.loads)
             except MissingTemperatureError:
                 continue
             reference, c_star, dists = per_candidate_reference(
