@@ -16,11 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import orjson
 
 from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
-from .history import HistoryWindow, orjson_unlike_repr
+from .history import HistoryWindow, _rows_text
 from .predictor import (PredictorConfig, check_rescaled, config_snapshot, predict_day,
                         walk_forward)
 
@@ -152,9 +151,9 @@ def emit_day_curves(report: BacktestReport) -> dict[str, str]:
 
 def _value_texts(curves: np.ndarray) -> list:
     """Each row of `curves` as the `repr` of each of its values."""
-    # orjson writes NaN and +-inf as null, where repr writes nan and inf
-    odd = orjson_unlike_repr(curves) | ~np.isfinite(curves).all(axis=1)
+    # the history writer spells a finite value as repr does, but NaN as null
+    finite = np.isfinite(curves).all(axis=1).tolist()
     return [
-        map(repr, row) if o else orjson.dumps(row)[1:-1].decode().split(",")
-        for row, o in zip(curves.tolist(), odd.tolist())
+        text[1:-1].decode().split(", ") if ok else map(repr, row)
+        for text, row, ok in zip(_rows_text(curves), curves.tolist(), finite)
     ]

@@ -48,8 +48,8 @@ class DailyRecord:
     quality: Quality = Quality.COMPLETE
 
 
-# the per-day columns a span slices
-_COLUMNS = ("dates", "is_holiday", "quality", "loads", "temps", "group")
+# the per-day columns a span slices; `_shapes` holds a zero row for a zero day
+_COLUMNS = ("dates", "is_holiday", "quality", "loads", "temps", "group", "peaks", "_shapes")
 _NONPOSITIVE = "{}: cannot rescale a segment with nonpositive maximum"
 
 
@@ -88,10 +88,11 @@ class HistoryWindow:
     into `calendars.GROUPS`), `quality`, `loads` (L x P megawatts) and `temps`
     (L x P Celsius, NaN where unobserved; a day without temperature is an
     all-NaN row). The window keeps a float array it is given uncopied only
-    when that array owns its data, and makes it read-only. `shapes` is built
-    on first use; `span(start, stop)` slices every column, and every span shares
-    the whole window's `shapes` matrix. `records` builds `DailyRecord` views only
-    when asked.
+    when that array owns its data, and makes it read-only. The constructor
+    builds `group`, `peaks` (each day's maximum load) and the shape rows once;
+    `span(start, stop)` is a slice of each column, so a span shares its parent's
+    arrays and refers to no other window. `records` builds `DailyRecord` views
+    only when asked.
     """
 
     grid: TimeGrid
@@ -100,9 +101,6 @@ class HistoryWindow:
     temps: np.ndarray
     is_holiday: np.ndarray | None = None  # None: no holidays
     quality: tuple[Quality, ...] | None = None  # None: every day complete
-
-    _root = None  # for a span, the window whose shapes matrix it slices
-    _start = 0  # and the root's row that is the span's row 0
 
     def __post_init__(self) -> None:
         n, P = len(self.dates), self.grid.points_per_day
@@ -126,38 +124,29 @@ class HistoryWindow:
         if Quality.REJECTED in self.quality:
             _refuse_row(self.quality.index(Quality.REJECTED),
                         "rejected records are excluded from history")
+        peaks = self.loads.max(axis=1, keepdims=True)
+        shapes = np.divide(self.loads, peaks, out=np.zeros_like(self.loads), where=peaks > 0)
         # a day's group follows from its date and holiday flag, so it is no argument
-        self.__dict__["group"] = read_only(group_codes(self.dates, self.is_holiday))
+        self.__dict__.update(group=read_only(group_codes(self.dates, self.is_holiday)),
+                             peaks=read_only(peaks[:, 0]), _shapes=read_only(shapes))
 
     def __len__(self) -> int:
         return len(self.dates)
 
-    @cached_property
-    def _shape_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(each load row over its maximum or zero, whether that maximum is positive)."""
-        peaks = self.loads.max(axis=1, keepdims=True)
-        ok = peaks > 0
-        rows = np.divide(self.loads, peaks, out=np.zeros_like(self.loads), where=ok)
-        return read_only(rows), ok[:, 0]
-
-    @cached_property
+    @property
     def shapes(self) -> np.ndarray:
         """L x P matrix of shape-form (max-rescaled) load values, history order."""
-        # a nonpositive row fails only the windows that hold it
-        rows, ok = (self if self._root is None else self._root)._shape_rows
-        held = slice(self._start, self._start + len(self))
-        if not ok[held].all():
-            raise ShapecastError(_NONPOSITIVE.format(self.dates[np.argmin(ok[held])]))
-        return rows[held]
+        # a nonpositive day fails only the windows that hold it
+        ok = self.peaks > 0
+        if not ok.all():
+            raise ShapecastError(_NONPOSITIVE.format(self.dates[np.argmin(ok)]))
+        return self._shapes
 
     def span(self, start: int, stop: int) -> "HistoryWindow":
         """Rows `start:stop`, clamped like a slice; a run of a valid window needs no checks."""
         window = object.__new__(HistoryWindow)
-        window.__dict__.update(
-            {name: self.__dict__[name][start:stop] for name in _COLUMNS},
-            grid=self.grid, _root=self if self._root is None else self._root,
-            _start=self._start + range(len(self))[start:stop].start,
-        )
+        window.__dict__.update({name: self.__dict__[name][start:stop] for name in _COLUMNS},
+                               grid=self.grid)
         return window
 
     def before(self, date: dt.date) -> "HistoryWindow":

@@ -212,7 +212,7 @@ def walk_forward(history: HistoryWindow, dates, predict, K: int) -> tuple:
             raise ShapecastError(f"{date.isoformat()}: no prior history")
         meta, actual[d] = history.meta(i), history.loads[i]
         forecast = TemperatureSegment(history.grid, history.temps[i])
-        predicted[d] = predict(history.span(0, i), meta, forecast) * float(np.max(actual[d]))
+        predicted[d] = predict(history.span(0, i), meta, forecast) * float(history.peaks[i])
         scores[d] = np.transpose(score_day(predicted[d], actual[d], meta.date))
     return actual, predicted, scores
 

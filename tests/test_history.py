@@ -176,7 +176,9 @@ class TestPrefix:
         )
         np.testing.assert_array_equal(window.span(0, 1).shapes, [[0.25, 0.5, 1.0, 0.5]])
 
-    @pytest.mark.parametrize("start, stop", [(1, 4), (2, 3), (3, 4), (4, 4), (6, 9)])
+    @pytest.mark.parametrize("start, stop", [
+        (1, 4), (2, 3), (3, 4), (4, 4), (6, 9), (-4, -1), (-3, 4), (2, -1), (4, 2),
+    ])
     def test_span_past_row_0_skips_days_outside_it(self, grid4, start, stop):
         # nonpositive days before and after the span do not spoil its shapes
         loads = [[0.0] * 4, [1.0, 2.0, 4.0, 2.0], [10.0, 5.0, 20.0, 40.0],
@@ -184,6 +186,10 @@ class TestPrefix:
         window = make_history(grid4, START, loads)
         span = window.span(start, stop)
         assert span.dates == window.dates[start:stop]
+        assert span.quality == window.quality[start:stop]
+        for name in ("is_holiday", "group", "loads", "temps", "peaks"):
+            got, whole = getattr(span, name), getattr(window, name)
+            assert got.tobytes() == whole[start:stop].tobytes(), name
         expected = np.array(loads[start:stop]).reshape(-1, 4)
         assert span.shapes.tobytes() == (expected / expected.max(axis=1)[:, None]).tobytes()
         assert span.span(1, 2).shapes.tobytes() == span.shapes[1:2].tobytes()
@@ -838,7 +844,7 @@ class TestColumns:
             assert prefix.grid == mixed.grid
             assert prefix.dates == mixed.dates[:n]
             assert prefix.quality == mixed.quality[:n]
-            for name in ("is_holiday", "group", "loads", "temps", "shapes"):
+            for name in ("is_holiday", "group", "loads", "temps", "peaks", "shapes"):
                 got, whole = getattr(prefix, name), getattr(mixed, name)
                 assert got.tobytes() == whole[:n].tobytes(), name
                 assert np.shares_memory(got, whole) or not n, name
@@ -857,6 +863,29 @@ class TestColumns:
         assert np.shares_memory(short.shapes, longer.shapes)
         assert np.shares_memory(short.shapes, mixed.shapes)
         assert short.shapes.tobytes() == mixed.shapes[:2].tobytes()
+
+    def test_peaks_are_each_days_maximum(self, mixed):
+        assert mixed.peaks.tobytes() == mixed.loads.max(axis=1).tobytes()
+        span = mixed.span(1, 3)
+        assert span.peaks.tobytes() == mixed.peaks[1:3].tobytes()
+        assert np.shares_memory(span.peaks, mixed.peaks)
+        for window in (mixed, span):
+            assert not window.peaks.flags.writeable
+            with pytest.raises(ValueError):
+                window.peaks[0] = 0.0
+
+    def test_zero_day_window_reads_its_peaks(self, grid4):
+        # the window holding a zero day builds; only a span holding it fails `shapes`
+        window = make_history(grid4, START, [[1.0, 2.0, 4.0, 2.0], [0.0] * 4, [1.0] * 4])
+        assert window.peaks.tolist() == [4.0, 0.0, 1.0]
+        for start, stop in [(0, 1), (2, 3), (0, 0), (0, 2), (1, 2), (1, 3), (0, 3)]:
+            span = window.span(start, stop)
+            assert span.peaks.tolist() == [4.0, 0.0, 1.0][start:stop]
+            if start <= 1 < stop:
+                with pytest.raises(ShapecastError, match=f"{day(1)}: .*nonpositive maximum"):
+                    span.shapes
+            else:
+                assert span.shapes.tobytes() == (span.loads / span.peaks[:, None]).tobytes()
 
     def test_nonpositive_day_fails_only_windows_holding_it(self, grid4):
         window = make_history(
