@@ -43,10 +43,19 @@ from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `path` by way of `<path>.tmp`; a failed write is an I/O error (exit 2)."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except OSError:
+            os.remove(tmp)  # the file opened above, never a directory
+            raise
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from exc
 
 
 @contextmanager

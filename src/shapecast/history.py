@@ -190,7 +190,10 @@ def orjson_unlike_repr(m: np.ndarray) -> np.ndarray:
 
 def _rows_text(m: np.ndarray):
     """Each row of `m` as `json.dumps` writes its list, with NaN as `null`, in turn."""
-    # one row's floats at a time: all of a long history's would outweigh its text
+    # one row's floats at a time: all of a long history's would outweigh its text.
+    # `orjson_unlike_repr` is its own function so that its L x P `np.abs(m)` is
+    # freed before the first row is written: held here, it raised the backtest
+    # benchmark's peak RSS, which includes writing its input history, by 2.8 MB
     for row, odd in zip(m, orjson_unlike_repr(m).tolist()):
         if odd:  # in a list of floats, `json.dumps` writes "NaN" for a NaN only
             yield json.dumps(row.tolist()).replace("NaN", "null").encode()
@@ -317,37 +320,30 @@ def read_history_jsonl(path) -> HistoryWindow:
         grid = TimeGrid(tuple(header["grid"]))
     linenos = linenos[1:]
     P = grid.points_per_day
-    dates, holidays, quality = [], [], []
+    days = []  # each line's (date, holiday flag, quality)
     # a row not yet filled is zero load, no temperature: nothing to refuse
     loads, temps = np.zeros((len(linenos), P)), np.full((len(linenos), P), np.nan)
-    failure = None
-    for k, lineno in enumerate(linenos):
-        text = lines[lineno - 1]
-        try:
-            # a BOM is the stdlib path's error, and orjson must not see a deep line
-            if text.startswith("\ufeff") or _too_deep_for_orjson(text):
-                raise ValueError
-            day = _read_record(orjson.loads(text), P, loads[k], temps[k])
-        except _REPORTED:
-            # the stdlib decoder reads the line again, and its values or error stand
-            try:
-                with _located(path, lineno):
-                    record = json.loads(text, parse_constant=_refuse_constant)
-                    day = _read_record(record, P, loads[k], temps[k])
-            except IngestError as exc:
-                failure = exc
-                break
-        dates.append(day[0])
-        holidays.append(day[1])
-        quality.append(day[2])
     try:
-        if failure is None:
-            return HistoryWindow(grid, tuple(dates), loads, temps, holidays, tuple(quality))
-        # a bad value on the failing line (row len(dates)) or an earlier one comes first
-        stop = len(dates) + 1
-        _refuse_bad_day(loads[:stop], temps[:stop])
-    except ShapecastError as exc:
+        for k, lineno in enumerate(linenos):
+            text = lines[lineno - 1]
+            try:
+                # a BOM is the stdlib path's error, and orjson must not see a deep line
+                if text.startswith("\ufeff") or _too_deep_for_orjson(text):
+                    raise ValueError
+                days.append(_read_record(orjson.loads(text), P, loads[k], temps[k]))
+            except _REPORTED:
+                # the stdlib decoder reads the line again, and its values or error stand
+                try:
+                    with _located(path, lineno):
+                        record = json.loads(text, parse_constant=_refuse_constant)
+                        days.append(_read_record(record, P, loads[k], temps[k]))
+                except IngestError:
+                    # a bad value on this line (row k) or an earlier one comes first
+                    _refuse_bad_day(loads[:k + 1], temps[:k + 1])
+                    raise
+        dates, holidays, quality = zip(*days) if days else ((), (), ())
+        return HistoryWindow(grid, dates, loads, temps, holidays, quality)
+    except ShapecastError as exc:  # a day the window refuses is named by its line
         if not hasattr(exc, "row"):
             raise
         raise IngestError(f"{path}:{linenos[exc.row]}: {exc}") from None
-    raise failure

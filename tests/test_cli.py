@@ -492,6 +492,25 @@ class TestPredict:
             f"error: {zero_day}: cannot rescale a segment with nonpositive maximum\n"
         )
 
+    @pytest.mark.parametrize("points, days, message", [
+        (24, 0, "history file contains no usable days"),  # a header line alone
+        # ingest accepts a 4-point grid, but the forecast's 08:00 is not on it
+        (4, 10, "label '08:00' not on grid"),
+    ])
+    def test_unusable_history_is_domain_error(self, raw_files, tmp_path, points, days,
+                                              message, capsys):
+        history = tmp_path / "h.jsonl"
+        history.write_text(history_jsonl_text(HistoryWindow(
+            TimeGrid.equidistant(points), [START + dt.timedelta(days=d) for d in range(days)],
+            np.ones((days, points)), np.full((days, points), np.nan))))
+        code = main([
+            "predict", "--history", str(history),
+            "--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestBacktest:
     def test_sampled_run_writes_reports(self, history_file, tmp_path, capsys):
@@ -621,6 +640,16 @@ class TestBacktest:
         ])
         assert code == 1
         assert "eligible" in capsys.readouterr().err
+
+    def test_out_dir_that_is_a_file(self, history_file, tmp_path, capsys):
+        out_dir = tmp_path / "bt"
+        out_dir.write_text("")
+        code = main([
+            "backtest", "--history", str(history_file), "--sample", "2",
+            "--methods", "persistence", "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out_dir}'\n"
 
 
 # each INI_KEYS row that a flag overrides: a valid file value, a different valid
@@ -859,6 +888,22 @@ class TestSimulate:
             "error: length 3000001 from 2007-01-01 runs past 9999-12-31\n"
         )
         assert calls == []
+
+    @pytest.mark.parametrize("out, reason", [
+        ("outdir", "Is a directory"),  # the rename onto a directory fails
+        ("nodir/x.csv", "No such file or directory"),
+        ("taken", "Is a directory"),  # the temp file's name is a directory's
+    ])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, out, reason, capsys):
+        (tmp_path / "outdir").mkdir()
+        (tmp_path / "taken.tmp").mkdir()
+        path = tmp_path / out
+        code = main(["simulate", "--lengths", "8,16", "--replications", "1",
+                     "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+        # neither a temp file is left nor a directory removed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "taken.tmp"]
 
     def test_rerun_byte_identical(self, tmp_path):
         args = [

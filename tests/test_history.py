@@ -463,6 +463,22 @@ class TestJsonlErrors:
         assert str(exc.value) == (
             f"{path}:{row + 3}: history records must be strictly ascending by date")
 
+    MALFORMED = '{"date": "2010-01-06", "quality"'  # a line neither decoder reads
+
+    @pytest.mark.parametrize("lines, lineno", [
+        # line 4 fails to decode before line 5's bad value is looked at
+        ([MALFORMED.replace("01-06", "01-05"), NEXT.replace("[1, 2, 3, 4]", "[1, -2, 3, 4]")], 4),
+        # the window's rejected-day and date-order checks wait for every line
+        ([RECORD.replace("complete", "rejected"), MALFORMED], 5),
+        ([RECORD.replace("2010-01-05", "2010-01-03"), MALFORMED], 5),
+    ])
+    def test_decode_error_order(self, tmp_path, lines, lineno):
+        path = self.write(tmp_path, "\n".join(lines))
+        with pytest.raises(ShapecastError) as exc:
+            read_history_jsonl(path)
+        assert str(exc.value) == (
+            f"{path}:{lineno}: Expecting ':' delimiter: line 1 column 33 (char 32)")
+
     def test_value_before_quality_on_one_line(self, tmp_path):
         line = RECORD.replace("[1, 2, 3, 4]", "[1, 2, -3, 4]")
         line = line.replace('"complete"', '"bad"')

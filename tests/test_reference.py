@@ -42,6 +42,12 @@ def test_temp_distance_coerced_and_checked():
         ReferenceConfig(temp_distance="bogus")
 
 
+@pytest.mark.parametrize("n_L", [0, -3])
+def test_n_L_below_one_refused(n_L):
+    with pytest.raises(ShapecastError, match="^n_L values must be >= 1$"):
+        ReferenceConfig(n_L_by_group={"G1": n_L})
+
+
 @pytest.mark.parametrize("kind, value, message", [
     ("fixed", float("nan"), "fixed rule needs a finite nonnegative value"),
     ("fixed", float("inf"), "fixed rule needs a finite nonnegative value"),

@@ -28,6 +28,11 @@ class TestTimeGrid:
         with pytest.raises(ShapecastError, match="bad grid label"):
             TimeGrid(labels)
 
+    @pytest.mark.parametrize("label", ["24:00", "23:60", "-1:00"])
+    def test_rejects_label_outside_the_day(self, label):
+        with pytest.raises(ShapecastError, match=f"^grid label '{label}' outside the day$"):
+            TimeGrid(("00:00", label))
+
     def test_quarter_hourly(self):
         grid = TimeGrid.equidistant(96)
         assert grid.points_per_day == 96
@@ -220,6 +225,11 @@ class TestRescale:
     def test_negative_values_rejected(self, grid4):
         with pytest.raises(ShapecastError):
             LoadSegment(grid4, [1.0, -2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, grid4, bad):
+        with pytest.raises(ShapecastError, match="^load values must be finite$"):
+            LoadSegment(grid4, [1.0, bad, 3.0, 4.0])
 
 
 class TestTemperatureSegment:
