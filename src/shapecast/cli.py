@@ -45,7 +45,7 @@ from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 def _atomic_write(path: str, text: str) -> None:
     """Write `path` by way of `<path>.tmp`; a failed write is an I/O error (exit 2)."""
     tmp = f"{path}.tmp"
-    try:
+    with _io_errors(path, "write"):
         fh = open(tmp, "w", encoding="utf-8")
         try:
             with fh:
@@ -54,17 +54,15 @@ def _atomic_write(path: str, text: str) -> None:
         except OSError:
             os.remove(tmp)  # the file opened above, never a directory
             raise
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from exc
 
 
 @contextmanager
-def _input_file(path: str):
-    """An unreadable or non-UTF-8 input file is an I/O error (exit 2)."""
+def _io_errors(path: str, verb: str = "read"):
+    """A failure to `verb` `path`, or non-UTF-8 input, is an I/O error (exit 2)."""
     try:
         yield
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from exc
+        raise SystemExit(f"error: cannot {verb} {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise SystemExit(
             f"error: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
@@ -72,7 +70,7 @@ def _input_file(path: str):
 
 
 def _read_text(path: str) -> str:
-    with _input_file(path), open(path, encoding="utf-8") as fh:
+    with _io_errors(path), open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -83,7 +81,7 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
             raise SystemExit(f"error: config file {path} not found")
         try:
             # `parser.read` would skip a file it cannot open, such as a directory
-            with _input_file(path), open(path, encoding="utf-8") as fh:
+            with _io_errors(path), open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise SystemExit(f"error: config file {path}: {exc}") from None
@@ -246,7 +244,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with _input_file(args.history):
+    with _io_errors(args.history):
         history = read_history_jsonl(args.history)
     if not len(history):
         raise ShapecastError("history file contains no usable days")
@@ -279,7 +277,7 @@ def _backtest_dates(args, history: HistoryWindow) -> list[dt.date]:
         if not dates:
             raise ShapecastError(f"dates file {args.dates_file} lists no dates")
         return dates
-    observed = ~np.isnan(history.temps[args.min_history:]).all(axis=1)
+    observed = history.has_temps[args.min_history:]
     eligible = [history.dates[args.min_history + i] for i in np.flatnonzero(observed)]
     if len(eligible) < args.sample:
         raise ShapecastError(
@@ -291,7 +289,7 @@ def _backtest_dates(args, history: HistoryWindow) -> list[dt.date]:
 
 
 def cmd_backtest(args) -> int:
-    with _input_file(args.history):
+    with _io_errors(args.history):
         history = read_history_jsonl(args.history)
     dates = _backtest_dates(args, history)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -300,11 +298,13 @@ def cmd_backtest(args) -> int:
     uses_h = not BANDWIDTH_METHODS.isdisjoint(methods)
     cfg = build_predictor_config(args, history.before(min(dates)) if uses_h else None)
     report = backtest(history, dates, methods, cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _io_errors(args.out_dir, "write"):
+        os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(os.path.join(args.out_dir, "report.csv"), emit_report(report, "csv"))
     _atomic_write(os.path.join(args.out_dir, "report.json"), emit_report(report, "json"))
     days_dir = os.path.join(args.out_dir, "days")
-    os.makedirs(days_dir, exist_ok=True)
+    with _io_errors(days_dir, "write"):
+        os.makedirs(days_dir, exist_ok=True)
     for date_str, text in emit_day_curves(report).items():
         _atomic_write(os.path.join(days_dir, f"{date_str}.csv"), text)
     for method, stats in report.summary.items():

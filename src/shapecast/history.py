@@ -48,8 +48,9 @@ class DailyRecord:
     quality: Quality = Quality.COMPLETE
 
 
-# the per-day columns a span slices; `_shapes` holds a zero row for a zero day
-_COLUMNS = ("dates", "is_holiday", "quality", "loads", "temps", "group", "peaks", "_shapes")
+# the per-day columns a span slices; `_shapes` holds a zero day's own loads
+_COLUMNS = ("dates", "is_holiday", "quality", "loads", "temps", "group", "has_temps", "peaks",
+            "_shapes")
 _NONPOSITIVE = "{}: cannot rescale a segment with nonpositive maximum"
 
 
@@ -85,14 +86,14 @@ class HistoryWindow:
     """Ascending, duplicate-free usable (non-rejected) days, held as columns.
 
     Row i of every column is one day: `dates`, `is_holiday`, `group` (an index
-    into `calendars.GROUPS`), `quality`, `loads` (L x P megawatts) and `temps`
-    (L x P Celsius, NaN where unobserved; a day without temperature is an
-    all-NaN row). The window keeps a float array it is given uncopied only
-    when that array owns its data, and makes it read-only. The constructor
-    builds `group`, `peaks` (each day's maximum load) and the shape rows once;
-    `span(start, stop)` is a slice of each column, so a span shares its parent's
-    arrays and refers to no other window. `records` builds `DailyRecord` views
-    only when asked.
+    into `calendars.GROUPS`), `quality`, `loads` (L x P megawatts), `temps`
+    (L x P Celsius, NaN where unobserved), `has_temps` (False for a day
+    without temperature, an all-NaN row) and `peaks` (each day's maximum
+    load). A float array the window is given stays uncopied only when it owns
+    its data, and is made read-only. The constructor builds `group`,
+    `has_temps`, `peaks` and the shape rows once; `span(start, stop)` is a
+    slice of each column, so a span shares its parent's arrays and refers to
+    no other window. `records` builds `DailyRecord` views only when asked.
     """
 
     grid: TimeGrid
@@ -125,9 +126,10 @@ class HistoryWindow:
             _refuse_row(self.quality.index(Quality.REJECTED),
                         "rejected records are excluded from history")
         peaks = self.loads.max(axis=1, keepdims=True)
-        shapes = np.divide(self.loads, peaks, out=np.zeros_like(self.loads), where=peaks > 0)
+        shapes = self.loads / np.where(peaks > 0, peaks, 1.0)
         # a day's group follows from its date and holiday flag, so it is no argument
         self.__dict__.update(group=read_only(group_codes(self.dates, self.is_holiday)),
+                             has_temps=read_only(~np.isnan(self.temps).all(axis=1)),
                              peaks=read_only(peaks[:, 0]), _shapes=read_only(shapes))
 
     def __len__(self) -> int:
@@ -164,10 +166,7 @@ class HistoryWindow:
         return CalendarMeta(self.dates[i], bool(self.is_holiday[i]), GROUPS[self.group[i]])
 
     def _record(self, i: int) -> DailyRecord:
-        temps = self.temps[i]
-        temperature = None
-        if not np.isnan(temps).all():
-            temperature = TemperatureSegment(self.grid, temps)
+        temperature = TemperatureSegment(self.grid, self.temps[i]) if self.has_temps[i] else None
         load = LoadSegment(self.grid, self.loads[i])
         return DailyRecord(self.meta(i), load, temperature, self.quality[i])
 
@@ -209,14 +208,13 @@ _QUALITY_TEXT = {q: json.dumps(q.value).encode() for q in Quality}
 
 def history_jsonl_text(window: HistoryWindow) -> str:
     """First line carries the grid labels; one day per following line."""
-    observed = ~np.isnan(window.temps).all(axis=1)
-    temps = _rows_text(window.temps[observed])
+    temps = _rows_text(window.temps[window.has_temps])
     # one growing buffer: a list of lines, or its join, leaves more of the heap resident
     text = bytearray(json.dumps({"grid": list(window.grid.labels)}, sort_keys=True).encode())
     text += b"\n"
     for date, group, holiday, load, quality, has_temps in zip(
             window.dates, window.group.tolist(), window.is_holiday.tolist(),
-            _rows_text(window.loads), window.quality, observed.tolist()):
+            _rows_text(window.loads), window.quality, window.has_temps.tolist()):
         text += _LINE % (
             date.isoformat().encode(), _GROUP_TEXT[group], b"true" if holiday else b"false",
             load, _QUALITY_TEXT[quality], b', "temp_c": ' + next(temps) if has_temps else b"",

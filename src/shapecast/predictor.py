@@ -204,7 +204,7 @@ def walk_forward(history: HistoryWindow, dates, predict, K: int) -> tuple:
     actual, predicted, scores = np.empty((D, P)), np.empty((D, K, P)), np.empty((D, K, 3))
     for d, date in enumerate(dates):
         i = history.row(date)  # a date without a record fails only when the walk reaches it
-        if np.isnan(history.temps[i]).all():
+        if not history.has_temps[i]:
             raise ShapecastError(
                 f"{date.isoformat()}: no realized temperature to stand in for the forecast"
             )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calendars import _CODE_BY_WEEKDAY, GROUPS, DayGroup
+from .calendars import GROUPS, DayGroup, group_codes
 from .errors import EmptyCandidateError, ShapecastError
 from .history import HistoryWindow
 from .predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
@@ -94,7 +94,7 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
         profile = np.arange(L) % len(pool)
     jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
     noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
-    codes = _CODE_BY_WEEKDAY[(spec.start.weekday() + np.arange(L)) % 7]
+    codes = group_codes(dates, False)
     clean = np.empty((L, P))
     # a huge sigma overflows to inf or nan here; the window below refuses it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -649,7 +649,7 @@ class TestBacktest:
             "--methods", "persistence", "--out-dir", str(out_dir),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out_dir}'\n"
+        assert capsys.readouterr().err == f"error: cannot write {out_dir}: File exists\n"
 
 
 # each INI_KEYS row that a flag overrides: a valid file value, a different valid

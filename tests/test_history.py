@@ -14,7 +14,9 @@ from shapecast import history
 from shapecast.calendars import GROUPS, annotate_calendar
 from shapecast.errors import GridMismatchError, ShapecastError
 from shapecast.history import HistoryWindow, Quality, history_jsonl_text, read_history_jsonl
+from shapecast.ingest import parse_load_file, parse_temperature_history, segmentize
 from shapecast.segments import TimeGrid
+from shapecast.synthetic import SyntheticSpec, generate
 
 
 # day offsets from 2010-01-04, all from day 0, and the row of the first date
@@ -187,7 +189,7 @@ class TestPrefix:
         span = window.span(start, stop)
         assert span.dates == window.dates[start:stop]
         assert span.quality == window.quality[start:stop]
-        for name in ("is_holiday", "group", "loads", "temps", "peaks"):
+        for name in ("is_holiday", "group", "has_temps", "loads", "temps", "peaks"):
             got, whole = getattr(span, name), getattr(window, name)
             assert got.tobytes() == whole[start:stop].tobytes(), name
         expected = np.array(loads[start:stop]).reshape(-1, 4)
@@ -860,7 +862,8 @@ class TestColumns:
             assert prefix.grid == mixed.grid
             assert prefix.dates == mixed.dates[:n]
             assert prefix.quality == mixed.quality[:n]
-            for name in ("is_holiday", "group", "loads", "temps", "peaks", "shapes"):
+            for name in ("is_holiday", "group", "has_temps", "loads", "temps", "peaks",
+                         "shapes"):
                 got, whole = getattr(prefix, name), getattr(mixed, name)
                 assert got.tobytes() == whole[:n].tobytes(), name
                 assert np.shares_memory(got, whole) or not n, name
@@ -913,6 +916,88 @@ class TestColumns:
         np.testing.assert_array_equal(short.shapes[1], [0.5, 0.5, 0.5, 1.0])
         with pytest.raises(ShapecastError, match="nonpositive maximum"):
             window.span(2, 3).shapes
+
+
+def readings_csv(header: str, days) -> str:
+    """A raw CSV on the 4-point grid: one reading per grid point of each (date, values)."""
+    rows = [header]
+    for date, values in days:
+        rows += [f"{date}T{h:02d}:00,{v}" for h, v in zip((0, 6, 12, 18), values)]
+    return "\n".join(rows) + "\n"
+
+
+def has_temps_windows(tmp_path, mixed):
+    """Windows from the reader, ingest and the lab, each but the lab's with a day unobserved."""
+    path = tmp_path / "h.jsonl"
+    write_history(path, mixed)
+    assert ['"temp_c"' in line for line in path.read_text().splitlines()[1:]] == [
+        True, True, True, False]
+    loads = readings_csv("timestamp,load_mw", [(day(n), [1, 2, 3, 4]) for n in range(4)])
+    # day 1 has no temperature reading, day 2 only one
+    temps = readings_csv("timestamp,temp_c", [(day(0), [5, 6, 7, 8]), (day(3), [9, 9, 9, 9])])
+    temps += f"{day(2)}T06:00,4.5\n"
+    ingested, _ = segmentize(parse_load_file(loads), mixed.grid,
+                             temps=parse_temperature_history(temps))
+    assert ingested.dates == tuple(map(day, range(4)))
+    generated, _ = generate(SyntheticSpec(mixed.grid, 9, seed=4))
+    return {"read": read_history_jsonl(path), "ingested": ingested, "generated": generated}
+
+
+def test_has_temps_column(mixed, tmp_path):
+    windows = has_temps_windows(tmp_path, mixed)
+    assert windows["read"].has_temps.tolist() == [True, True, True, False]
+    assert windows["ingested"].has_temps.tolist() == [True, False, True, True]
+    assert windows["generated"].has_temps.all()
+    for name, window in windows.items():
+        n = len(window)
+        for start, stop in [(0, n), (1, 3), (2, n), (0, 0), (3, 2), (-2, n)]:
+            span = window.span(start, stop)
+            column = span.has_temps
+            expected = ~np.isnan(span.temps).all(axis=1)
+            assert column.dtype == bool and column.tobytes() == expected.tobytes(), name
+            assert column.tobytes() == window.has_temps[start:stop].tobytes(), name
+            assert len(column) == len(span.dates) == len(span.loads), name
+            assert np.shares_memory(column, window.has_temps) or not len(column), name
+            assert not column.flags.writeable, name
+            if len(column):
+                with pytest.raises(ValueError):
+                    column[0] = not column[0]
+
+
+def masked_shapes(loads: np.ndarray) -> np.ndarray:
+    """The shape rows by a masked division: a zero day's row stays +0."""
+    peaks = loads.max(axis=1, keepdims=True)
+    return np.divide(loads, peaks, out=np.zeros_like(loads), where=peaks > 0)
+
+
+SHAPE_ROWS = {
+    "tiny": [[5e-324, 0.0, 1e-323, 2.5e-323], [1e-310, 3e-310, 2e-310, 1e-311],
+             [1e-300, 7e-301, 3e-300, 2.9999999999999997e-300]],
+    "huge": [[1e308, 1.7976931348623157e308, 5e307, 0.0], [1e300, 3e300, 2e300, 1e300],
+             [9e307, 9e307, 1.7e308, 1e-300]],
+    "equal maxima": [[3.0, 7.0, 7.0, 1.0], [2.0] * 4, [0.1, 0.3, 0.30000000000000004, 0.3]],
+}
+
+
+@pytest.mark.parametrize("rows", list(SHAPE_ROWS))
+def test_shapes_are_the_masked_division(grid4, rows):
+    window = make_history(grid4, START, SHAPE_ROWS[rows])
+    expected = masked_shapes(window.loads)
+    assert window.shapes.tobytes() == expected.tobytes()
+    for start, stop in [(0, 1), (1, 3), (2, 3)]:
+        assert window.span(start, stop).shapes.tobytes() == expected[start:stop].tobytes()
+
+
+def test_zero_day_with_a_negative_zero(grid4):
+    loads = np.array([[1.0, 2.0, 4.0, 2.0], [0.0, -0.0, 0.0, 0.0], [3.0, 1.5, 6.0, 6.0]])
+    window = make_history(grid4, START, loads)
+    message = f"^{day(1)}: cannot rescale a segment with nonpositive maximum$"
+    for start, stop in [(0, 3), (1, 2), (0, 2), (1, 3)]:
+        with pytest.raises(ShapecastError, match=message):
+            window.span(start, stop).shapes
+    expected = masked_shapes(loads)
+    for start, stop in [(0, 1), (2, 3)]:
+        assert window.span(start, stop).shapes.tobytes() == expected[start:stop].tobytes()
 
 
 def json_row(values) -> bytes:
