@@ -20,8 +20,7 @@ import numpy as np
 from .baselines import predict_conditional_kernel, predict_persistence
 from .errors import ShapecastError
 from .history import HistoryWindow, _rows_text
-from .predictor import (PredictorConfig, check_rescaled, config_snapshot, predict_day,
-                        walk_forward)
+from .predictor import PredictorConfig, config_snapshot, predict_day, walk_forward
 
 PROTOCOL = "perfect-temperature"
 SCORE_NAMES = ("rmae", "maxdiff", "mindiff")
@@ -76,7 +75,6 @@ def backtest(
 ) -> BacktestReport:
     """Score every (date, method) pair, each date by `walk_forward`."""
     check_methods(methods)
-    check_rescaled(cfg)
     dates, methods = list(dates), list(methods)
     repeated = sorted(d.isoformat() for d, n in Counter(dates).items() if n > 1)
     if repeated:

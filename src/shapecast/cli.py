@@ -256,12 +256,12 @@ def cmd_predict(args) -> int:
     forecasts = parse_temperature_forecast(_read_text(args.temp_forecast), history.grid)
     if date not in forecasts:
         raise ShapecastError(f"no temperature forecast for {date.isoformat()}")
-    prior = history.before(date)
-    cfg = build_predictor_config(args, prior)
     holidays = (
         parse_holiday_file(_read_text(args.holidays)) if args.holidays else frozenset()
     )
     meta = annotate_calendar(date, holidays)
+    prior = history.before(date)
+    cfg = build_predictor_config(args, prior)  # last: an 'auto' bandwidth runs CV here
     pred = predict_day(prior, meta, forecasts[date], args.next_day_max, cfg)
     text = prediction_to_json(pred, include_weights=args.include_weights) + "\n"
     if args.out:

@@ -60,7 +60,6 @@ class PredictorConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec)
     shape_distance: DistanceKind = DistanceKind.EUCLIDEAN
     same_group_only: bool = False  # restrict the weighted sum to same-group days
-    rescale: bool = True  # weigh daily-max rescaled shapes; False: raw loads, no maximum
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape_distance", DistanceKind(self.shape_distance))
@@ -70,7 +69,7 @@ class PredictorConfig:
 class Prediction:
     target_date: dt.date
     grid: TimeGrid
-    shape: np.ndarray  # shape form, or megawatts when weighing raw loads
+    shape: np.ndarray  # shape form
     scaled: np.ndarray | None  # megawatts, given a next-day maximum
     weights: np.ndarray
     reference: ReferenceResult
@@ -138,9 +137,12 @@ def _stage(
     temp_forecast: TemperatureSegment,
     cfg: PredictorConfig,
     bandwidth: float | np.ndarray,
+    curves: np.ndarray | None = None,
 ):
     """Candidates -> reference -> distance row -> weights -> combined shape.
 
+    The caller hands in the `curves` (L x P) that the reference averages and
+    the weights combine: the shapes by default, the raw loads in the lab.
     Returns (reference, weights, shape, fallbacks), `fallbacks` being
     `_kernel_weights`'s (dead, empty) for the caller to `_report`. A float
     `bandwidth` gives one row; an (H, 1) column gives one row per bandwidth.
@@ -148,19 +150,12 @@ def _stage(
     if not len(history):
         raise InsufficientHistoryError("cannot predict from an empty history")
     candidates = candidate_set(history, group, cfg.reference)
-    curves = history.shapes if cfg.rescale else history.loads  # the unit, chosen once
+    curves = history.shapes if curves is None else curves
     reference = select_reference(history, candidates, temp_forecast, cfg.reference, curves)
     dists = distances(curves, reference.reference, cfg.shape_distance)
     in_group = history.group == GROUPS.index(group) if cfg.same_group_only else None
     weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth, in_group)
     return reference, weights, read_only(predict_shape(curves, weights)), fallbacks
-
-
-def check_rescaled(cfg: PredictorConfig) -> None:
-    """Refuse raw-load weighing where a maximum would scale the combination again."""
-    if not cfg.rescale:
-        raise ShapecastError("rescale=False combines raw loads, already in megawatts: "
-                             "it takes no next-day maximum, bandwidth CV or backtest")
 
 
 def predict_day(
@@ -171,10 +166,8 @@ def predict_day(
     cfg: PredictorConfig = PredictorConfig(),
 ) -> Prediction:
     """Full pipeline: candidates -> reference -> weights -> shape (-> megawatts)."""
-    if next_day_max is not None:
-        check_rescaled(cfg)
-        if not 0 < next_day_max < np.inf:
-            raise ShapecastError("next_day_max must be positive and finite")
+    if next_day_max is not None and not 0 < next_day_max < np.inf:
+        raise ShapecastError("next_day_max must be positive and finite")
     reference, weights, shape, fallbacks = _stage(
         history, target.group, temp_forecast, cfg, cfg.kernel.bandwidth
     )
@@ -268,7 +261,6 @@ def select_bandwidth(
     fails once every one has. One `_stage` per day weighs and combines the
     whole grid; the results equal one `predict_day` per (h, day).
     """
-    check_rescaled(cfg)
     h_grid = default_bandwidth_grid(history, cfg.shape_distance)
     validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
     if len(history) <= validation_days + 1:

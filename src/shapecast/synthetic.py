@@ -23,7 +23,7 @@ import numpy as np
 from .calendars import GROUPS, DayGroup, group_codes
 from .errors import EmptyCandidateError, ShapecastError
 from .history import HistoryWindow
-from .predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
+from .predictor import KernelKind, KernelSpec, PredictorConfig, _report, _stage
 from .reference import ReferenceConfig
 from .segments import TemperatureSegment, TimeGrid, distances
 
@@ -172,25 +172,26 @@ def consistency_experiment(
             n_L = default_n_L_schedule(L)
             kernel = KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef))
         n_Ls.append(n_L)
-        # the model lives on the raw scale, so the lab skips daily-max rescaling
         configs.append(PredictorConfig(
             reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
             kernel=kernel,
-            rescale=False,
         ))
     errors = np.empty((len(lengths), replications, len(ERROR_NAMES)))
     c_star_size = np.empty((len(lengths), replications), dtype=int)
     for rep in range(replications):
         window, clean = generate(replace(path, seed=(*template.seed, rep)))
-        forecast = TemperatureSegment(path.grid, window.temps[T])
+        forecast, group = TemperatureSegment(path.grid, window.temps[T]), window.meta(T).group
         for k, (L, cfg) in enumerate(zip(lengths, configs)):
-            try:
-                pred = predict_day(window.span(T - L, T), window.meta(T), forecast, cfg=cfg)
+            prior = window.span(T - L, T)
+            try:  # the model lives on the raw scale, so the lab weighs raw loads
+                reference, _, predicted, fallbacks = _stage(
+                    prior, group, forecast, cfg, cfg.kernel.bandwidth, prior.loads)
             except EmptyCandidateError as exc:
                 raise ShapecastError(f"L={L}: {exc}") from None
-            predicted, ref = pred.shape, pred.reference.reference
+            _report(reference.dropped, *fallbacks, stacklevel=2)
+            ref = reference.reference
             errors[k, rep] = distances([predicted, ref, predicted], [clean[T], clean[T], ref])
-            c_star_size[k, rep] = len(pred.reference.c_star)
+            c_star_size[k, rep] = len(reference.c_star)
     h = tuple(cfg.kernel.bandwidth for cfg in configs)
     return Experiment(tuple(lengths), h, tuple(n_Ls), errors, c_star_size)
 

@@ -194,6 +194,57 @@ class TestPredict:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_missing_holidays_file_fails_before_bandwidth_cv(self, raw_files, history_file,
+                                                             tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("shapecast.cli.select_bandwidth",
+                            lambda *args: calls.append(args) or (0.3, []))
+        missing = tmp_path / "missing.txt"
+        code = main([
+            "predict", "--history", str(history_file),
+            "--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--holidays", str(missing), "--bandwidth", "auto",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {missing}: No such file or directory\n")
+        assert calls == []
+
+    def test_bad_holiday_line_fails_before_bandwidth_cv(self, raw_files, history_file,
+                                                        tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("shapecast.cli.select_bandwidth",
+                            lambda *args: calls.append(args) or (0.3, []))
+        holidays = tmp_path / "holidays.txt"
+        holidays.write_text("2010-12-25\n2010-13-01\n")
+        code = main([
+            "predict", "--history", str(history_file),
+            "--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--holidays", str(holidays), "--bandwidth", "auto",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: holiday file line 2: bad date '2010-13-01'\n")
+        assert calls == []
+
+    def test_missing_holidays_file_wins_over_bad_ini(self, raw_files, history_file,
+                                                     tmp_path, capsys):
+        # the holidays file is read before the INI file is applied
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[kernel]\nbandwidth = abc\n")
+        missing = tmp_path / "missing.txt"
+        code = main([
+            "predict", "--history", str(history_file),
+            "--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
+            "--temp-forecast", str(raw_files / "forecast.csv"),
+            "--holidays", str(missing), "--config", str(ini),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {missing}: No such file or directory\n")
+
     def test_ini_config_applies(self, raw_files, history_file, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[kernel]\nkind = epanechnikov\nbandwidth = 0.5\n"

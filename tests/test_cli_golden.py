@@ -26,10 +26,10 @@ TARGET = START + dt.timedelta(days=DAYS)
 BACKTEST_ROWS = (70, 75, 88, 95)
 
 PREDICT_SHA256 = {
-    "0.3": "6affe27a7a1496e8733e919764bd18172c4fb924ae80c1ab95d53574b40ceafb",
-    "auto": "7b89fff170579f6850a3f9bd40bb770665ebdd472949bcf9d6e71676f9a3c2ce",
+    "0.3": "a3ebd8888431da7596a20fa3e892863a20b154dcaf01cbf9125df09f2e69e39f",
+    "auto": "da2bb2f26d211f83b7034cfb3fbbe01e6dfb9e8dc0b2bedc1597ada99d5de4ea",
     "auto --same-group-only":
-        "fad7619eeae1da4471e8dfe29c2203c5fc8bc65c4334ce173280e975f0844d89",
+        "fdae39789e24e0d84328022f506c0a3678bcebf7b11072201bf61e46f46b7c08",
 }
 BACKTEST_SHA256 = {
     "days/2010-05-10.csv": "665ad64adfc50a9bb3761753400b70b25a9aa2ef2a43206dea45750fa33a7d97",
@@ -37,7 +37,7 @@ BACKTEST_SHA256 = {
     "days/2010-05-28.csv": "14ee653a77355e99d0b28d5a8b534a1e46550d4c38fd40225f3a30efcc6f1a8d",
     "days/2010-06-04.csv": "7cce0f33d080ae1b6e348c909f78a4829953ce6bdd40ec5ac23ed94e1b225a89",
     "report.csv": "777414508fe0902efa290219bf1430969bfae0774984c97c9dd73ade603253dd",
-    "report.json": "f534e21231af6b542432175aae3d1fe8d41238f9a2f5335e7d4ab445582fbda4",
+    "report.json": "4f5c001d1c3d7a2f7ea9c831c467e5f1821b36ac6e645c6c8914e896cf525eec",
 }
 
 

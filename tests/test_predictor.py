@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import distance, make_history, random_history
 from shapecast import baselines, predictor
-from shapecast.backtest import backtest
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
 from shapecast.errors import (
@@ -32,14 +31,13 @@ from shapecast.predictor import (
     prediction_to_dict,
     select_bandwidth,
 )
-from shapecast.reference import DeltaRule, ReferenceConfig, select_reference
+from shapecast.reference import DEFAULT_N_L, DeltaRule, ReferenceConfig, select_reference
 from shapecast.segments import (
     DistanceKind,
     TemperatureSegment,
     TimeGrid,
     distances,
 )
-from shapecast.synthetic import SyntheticSpec, generate
 
 MONDAY = dt.date(2010, 6, 7)
 
@@ -220,14 +218,16 @@ def full_mask_forecast(grid, values):
 
 
 def brute_force_ssp(history, target_group, forecast_values, forecast_mask,
-                    n_L, kind, h):
+                    n_L, kind, h, unit="shapes"):
     """Flat single-function re-implementation, pure Python floats throughout.
 
     The history enters as its column rows, turned into Python lists first.
+    Each day's curve is its load divided by its maximum under `unit="shapes"`,
+    the raw load itself under `unit="loads"`.
     Candidates: same-group days among the last n_L. Reference: the candidate
     (plus exact ties) with minimal euclidean temperature distance on the
-    forecast mask, shapes averaged. Weights: normalized kernel of euclidean
-    shape distance over the whole history. Prediction: the weighted sum.
+    forecast mask, curves averaged. Weights: normalized kernel of euclidean
+    curve distance over the whole history. Prediction: the weighted sum.
     """
     def eucl(a, b, idx):
         return math.sqrt(sum((a[i] - b[i]) ** 2 for i in idx))
@@ -242,10 +242,10 @@ def brute_force_ssp(history, target_group, forecast_values, forecast_mask,
     loads, temps = history.loads.tolist(), history.temps.tolist()
     groups = [GROUPS[g] for g in history.group.tolist()]
     P, L = len(loads[0]), len(loads)
-    shapes = []
+    curves = []
     for load in loads:
-        m = max(load)
-        shapes.append([v / m for v in load])
+        m = max(load) if unit == "shapes" else 1.0
+        curves.append([v / m for v in load])
 
     cand_idx = [i for i in range(max(L - n_L, 0), L) if groups[i] is target_group]
     dists = {
@@ -254,12 +254,12 @@ def brute_force_ssp(history, target_group, forecast_values, forecast_mask,
     }
     d_min = min(dists.values())
     chosen = [i for i in cand_idx if dists[i] == d_min]
-    ref = [sum(shapes[i][p] for i in chosen) / len(chosen) for p in range(P)]
+    ref = [sum(curves[i][p] for i in chosen) / len(chosen) for p in range(P)]
 
-    mass = [kern(eucl(s, ref, range(P)) / h) for s in shapes]
+    mass = [kern(eucl(c, ref, range(P)) / h) for c in curves]
     total = sum(mass)
     weights = [m / total for m in mass]
-    return [sum(weights[r] * shapes[r][p] for r in range(L))
+    return [sum(weights[r] * curves[r][p] for r in range(L))
             for p in range(P)]
 
 
@@ -304,6 +304,34 @@ class TestPredictDay:
             list(range(8)), 28, "gaussian", 0.7,
         )
         np.testing.assert_allclose(pred.shape, expected, atol=1e-12)
+
+    def test_raw_loads_match_brute_force_oracle(self):
+        # the lab's call: `_stage` weighs and combines the raw loads it is handed
+        rng = np.random.default_rng(53)
+        checked = 0
+        while checked < 40:
+            L, P = int(rng.integers(5, 31)), int(rng.choice([4, 8, 24]))
+            start = MONDAY + dt.timedelta(days=int(rng.integers(7)))
+            history = random_history(TimeGrid.equidistant(P), rng, L, start=start)
+            target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
+            forecast_values = 5.0 + 30.0 * rng.random(P)
+            # bandwidths on the scale of the raw distances keep several days weighted
+            i, j = np.triu_indices(L, 1)
+            median = float(np.median(distances(history.loads[i], history.loads[j])))
+            h = median * float(10 ** rng.uniform(-0.5, 0.5))
+            try:  # the default kernel is Gaussian
+                _, weights, shape, _ = predictor._stage(
+                    history, target.group, full_mask_forecast(history.grid, forecast_values),
+                    PredictorConfig(), h, history.loads)
+            except EmptyCandidateError:
+                continue  # short history without the target's group; redraw
+            assert weights.max() < 0.99
+            expected = brute_force_ssp(
+                history, target.group, list(forecast_values),
+                list(range(P)), DEFAULT_N_L[target.group], "gaussian", h, unit="loads",
+            )
+            np.testing.assert_allclose(shape, expected, atol=1e-12)
+            checked += 1
 
     def test_weight_vector_aligned_to_history(self, grid4):
         history = random_history(grid4, np.random.default_rng(19), 12)
@@ -378,63 +406,31 @@ def test_shape_distance_coerced_and_checked():
         PredictorConfig(shape_distance="bogus")
 
 
-class TestRawScaleRefused:
-    """`rescale=False` combines raw loads: no maximum may scale them a second time.
-
-    On this history (200 synthetic days, peaks near 500 MW) scaling twice would
-    give ssp a backtest mean RMAE of 459.58, against 0.1053 rescaled, and tie
-    all 25 CV risks.
-    """
-
-    MESSAGE = ("^rescale=False combines raw loads, already in megawatts: "
-               "it takes no next-day maximum, bandwidth CV or backtest$")
-
-    def setup_method(self):
-        window, _ = generate(SyntheticSpec(TimeGrid.equidistant(24), 200, seed=1))
-        self.history = make_history(window.grid, window.dates[0], window.loads * 500.0,
-                                    window.temps)
-        self.cfg = PredictorConfig(kernel=KernelSpec(bandwidth=0.3), rescale=False)
-
-    def test_predict_day_takes_no_maximum(self):
-        history = self.history
-        args = (history.span(0, 199), history.meta(199),
-                TemperatureSegment(history.grid, history.temps[199]))
-        with pytest.raises(ShapecastError, match=self.MESSAGE):
-            predict_day(*args, next_day_max=float(history.loads[199].max()), cfg=self.cfg)
-        # without one, the combination is the prediction, in megawatts (the Monte Carlo lab)
-        pred = predict_day(*args, cfg=self.cfg)
-        assert pred.scaled is None
-        assert pred.shape.max() > 100.0
-
-    def test_bandwidth_cv(self):
-        with pytest.raises(ShapecastError, match=self.MESSAGE):
-            select_bandwidth(self.history, self.cfg)
-        # before the grid is built: a one-day history would fail there
-        with pytest.raises(ShapecastError, match=self.MESSAGE):
-            select_bandwidth(self.history.span(0, 1), self.cfg)
-
-    def test_backtest(self):
-        dates = self.history.dates[-30:]
-        with pytest.raises(ShapecastError, match=self.MESSAGE):
-            backtest(self.history, dates, ["ssp"], self.cfg)
-        # before any day is walked: the first day has no prior history
-        with pytest.raises(ShapecastError, match=self.MESSAGE):
-            backtest(self.history, self.history.dates[:1], ["persistence"], self.cfg)
-
-
-def predict_after(history, rescale=True):
-    """The next day's prediction; rescaled, at a next-day maximum of 500 MW."""
+def next_day(history):
+    """The day after the history and a flat 20 C forecast for it."""
     target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
-    forecast = full_mask_forecast(history.grid, [20.0] * history.grid.points_per_day)
-    return predict_day(history, target, forecast, next_day_max=500.0 if rescale else None,
-                       cfg=PredictorConfig(rescale=rescale))
+    return target, full_mask_forecast(history.grid, [20.0] * history.grid.points_per_day)
+
+
+def predict_after(history):
+    """The next day's prediction, at a next-day maximum of 500 MW."""
+    return predict_day(history, *next_day(history), next_day_max=500.0)
+
+
+def raw_reference(history):
+    """The reference segment of the next day's raw-load `_stage`, as the lab calls it."""
+    target, forecast = next_day(history)
+    cfg = PredictorConfig()
+    reference, *_ = predictor._stage(history, target.group, forecast, cfg,
+                                     cfg.kernel.bandwidth, history.loads)
+    return reference.reference
 
 
 OUTPUTS = {
     "shape": lambda history: predict_after(history).shape,
     "scaled": lambda history: predict_after(history).scaled,
     "reference": lambda history: predict_after(history).reference.reference,
-    "raw-reference": lambda history: predict_after(history, False).reference.reference,
+    "raw-reference": raw_reference,
     "persistence": lambda history: predict_persistence(history, DayGroup.G1),
     "conditional-kernel": lambda history: predict_conditional_kernel(history, KernelSpec()),
 }

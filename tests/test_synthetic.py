@@ -14,7 +14,7 @@ from shapecast import synthetic
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow, Quality
-from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig, predict_day
+from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig, _stage
 from shapecast.reference import ReferenceConfig
 from shapecast.synthetic import (
     ERROR_NAMES,
@@ -333,27 +333,24 @@ class TestConsistencyExperiment:
             consistency_experiment(template, [32], replications=0)
 
     def test_every_length_predicts_the_last_day_of_one_path(self, monkeypatch):
-        calls, predict_day = [], synthetic.predict_day
+        calls, stage = [], synthetic._stage
 
-        def recorded(history, meta, forecast, cfg):
-            calls.append((history, meta.date))
-            return predict_day(history, meta, forecast, cfg=cfg)
+        def recorded(history, group, forecast, cfg, bandwidth, curves):
+            calls.append((history, group, forecast, curves))
+            return stage(history, group, forecast, cfg, bandwidth, curves)
 
-        monkeypatch.setattr(synthetic, "predict_day", recorded)
+        monkeypatch.setattr(synthetic, "_stage", recorded)
         template = SyntheticSpec(GRID, 1, seed=0, start=dt.date(2010, 6, 10))  # a Thursday
         lengths = [32, 45, 64]
         consistency_experiment(template, lengths, replications=3)
         assert len(calls) == 3 * len(lengths)
         for rep in range(3):
             priors = calls[rep * len(lengths):(rep + 1) * len(lengths)]
-            targets = {target for _, target in priors}
+            targets = {history.dates[-1] + dt.timedelta(days=1) for history, *_ in priors}
             assert len(targets) == 1
             (target,) = targets
             assert target.weekday() == template.start.weekday()
-            for L, (history, _) in zip(lengths, priors):
-                assert len(history) == L
-                assert history.dates[-1] == target - dt.timedelta(days=1)
-            for (short, _), (long, _) in zip(priors, priors[1:]):
+            for (short, *_), (long, *_) in zip(priors, priors[1:]):
                 n = len(short)
                 assert short.dates == long.dates[-n:]
                 assert short.loads.tobytes() == long.loads[-n:].tobytes()
@@ -361,7 +358,12 @@ class TestConsistencyExperiment:
             T = lengths[-1]
             start = target - dt.timedelta(days=T)
             window, _ = generate(SyntheticSpec(GRID, T + 1, seed=(0, rep), start=start))
-            for L, (history, _) in zip(lengths, priors):
+            for L, (history, group, forecast, curves) in zip(lengths, priors):
+                assert len(history) == L
+                # the target's group and realized temperature; the prior's raw loads
+                assert group is window.meta(T).group
+                assert forecast.values.tobytes() == window.temps[T].tobytes()
+                assert curves is history.loads
                 fresh = HistoryWindow(GRID, window.dates[T - L:T], window.loads[T - L:T],
                                       window.temps[T - L:T])
                 assert history.grid == fresh.grid
@@ -420,7 +422,6 @@ def per_row_experiment_csv(template, lengths, replications, h_coef):
         cfg = PredictorConfig(
             reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
             kernel=kernel,
-            rescale=False,
         )
         configs.append((L, n_L, cfg))
     rows = []
@@ -428,8 +429,10 @@ def per_row_experiment_csv(template, lengths, replications, h_coef):
         window, clean = generate(replace(path, seed=(*template.seed, rep)))
         forecast = TemperatureSegment(path.grid, window.temps[T])
         for L, n_L, cfg in configs:
-            pred = predict_day(window.span(T - L, T), window.meta(T), forecast, cfg=cfg)
-            predicted, ref_values = pred.shape, pred.reference.reference
+            prior = window.span(T - L, T)
+            reference, _, predicted, _ = _stage(prior, window.meta(T).group, forecast, cfg,
+                                                cfg.kernel.bandwidth, prior.loads)
+            ref_values = reference.reference
             rows.append(ExperimentRow(
                 L=L,
                 replication=rep,
@@ -438,7 +441,7 @@ def per_row_experiment_csv(template, lengths, replications, h_coef):
                 err_pred_ref=distance(predicted, ref_values),
                 h=cfg.kernel.bandwidth,
                 n_L=n_L,
-                c_star_size=len(pred.reference.c_star),
+                c_star_size=len(reference.c_star),
             ))
     rows.sort(key=lambda row: row.L)
     buf = io.StringIO()
