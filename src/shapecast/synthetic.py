@@ -38,7 +38,7 @@ def _f2(u: np.ndarray) -> np.ndarray:
     return 0.6 + 0.3 * np.cos(np.pi * u / 40.0)
 
 
-# each group's pointwise temperature-to-load map, which `generate` clips to
+# each group's pointwise temperature-to-load map, which `_paths` clips to
 # [1e-9, 1]: weekdays and holidays share one, Saturdays and Sundays the other
 SHAPE_FUNCTIONS = {
     DayGroup.G1: _f1, DayGroup.G2: _f1, DayGroup.HOLIDAY: _f1,
@@ -59,13 +59,13 @@ class SyntheticSpec:
     length: int
     noise_sigma: float = 0.05
     jitter_sigma: float = 0.5
-    seed: object = 0  # int or tuple of ints, held as the seed sequence's entropy tuple
+    seed: object = 0  # nonnegative int or ints, held as the seed sequence's entropy tuple
     start: dt.date = dt.date(2007, 1, 1)  # a Monday
     profile_mode: str = "random"  # "random" | "cycle"
 
     def __post_init__(self) -> None:
         seed = tuple(self.seed) if isinstance(self.seed, (tuple, list)) else (self.seed,)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", tuple(_count(s, "seed", least=0) for s in seed))
         object.__setattr__(self, "length", _count(self.length, "length"))
         if self.length > (dt.date.max - self.start).days + 1:
             raise ShapecastError(f"length {self.length} from {self.start} runs past {dt.date.max}")
@@ -73,6 +73,37 @@ class SyntheticSpec:
             raise ShapecastError("sigmas must be nonnegative")
         if self.profile_mode not in ("random", "cycle"):
             raise ShapecastError("profile_mode must be 'random' or 'cycle'")
+
+
+def _paths(spec: SyntheticSpec, seeds):
+    """`generate` at each seed in turn, drawn lazily from one calendar.
+
+    The dates, group codes, temperature pool and a day mask per distinct shape
+    function are laid out once, and each shape function runs once per path. A
+    path's streams are `generate`'s, so a longer path extends a shorter one.
+    """
+    L, P = spec.length, spec.grid.points_per_day
+    dates = tuple((np.datetime64(spec.start, "D") + np.arange(L)).tolist())
+    pool = default_temperature_pool(spec.grid)
+    codes, days = group_codes(dates, False), {}
+    for code, group in enumerate(GROUPS):  # groups that share a function share its mask
+        fn = SHAPE_FUNCTIONS[group]
+        days[fn] = days.get(fn, False) | (codes == code)
+    for seed in seeds:
+        streams = np.random.SeedSequence(seed).spawn(3)
+        profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
+        profile = (profile_rng.integers(len(pool), size=L) if spec.profile_mode == "random"
+                   else np.arange(L) % len(pool))
+        jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
+        noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
+        clean = np.empty((L, P))
+        # a huge sigma overflows to inf or nan here; the window below refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            temps = pool[profile] + spec.jitter_sigma * jitter
+            for fn, rows in days.items():
+                clean[rows] = np.clip(fn(temps[rows]), _VALUE_FLOOR, 1.0)
+            loads = np.maximum(clean + spec.noise_sigma * noise, _VALUE_FLOOR)
+        yield HistoryWindow(spec.grid, dates, loads, temps), clean
 
 
 def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
@@ -83,27 +114,7 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
     one array and only when it is used. Day n's draws therefore depend neither
     on the length nor on the other sigma: a longer path extends a shorter one.
     """
-    L, P = spec.length, spec.grid.points_per_day
-    dates = tuple((np.datetime64(spec.start, "D") + np.arange(L)).tolist())
-    pool = default_temperature_pool(spec.grid)
-    streams = np.random.SeedSequence(spec.seed).spawn(3)
-    profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
-    if spec.profile_mode == "random":
-        profile = profile_rng.integers(len(pool), size=L)
-    else:
-        profile = np.arange(L) % len(pool)
-    jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
-    noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
-    codes = group_codes(dates, False)
-    clean = np.empty((L, P))
-    # a huge sigma overflows to inf or nan here; the window below refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        temps = pool[profile] + spec.jitter_sigma * jitter
-        for code, group in enumerate(GROUPS):
-            rows = codes == code
-            clean[rows] = np.clip(SHAPE_FUNCTIONS[group](temps[rows]), _VALUE_FLOOR, 1.0)
-        loads = np.maximum(clean + spec.noise_sigma * noise, _VALUE_FLOOR)
-    return HistoryWindow(spec.grid, dates, loads, temps), clean
+    return next(_paths(spec, [spec.seed]))
 
 
 ERROR_NAMES = ("err_pred", "err_ref", "err_pred_ref")
@@ -128,12 +139,12 @@ def default_n_L_schedule(L: int) -> int:
     return math.ceil(L ** (2.0 / 3.0))
 
 
-def _count(value, name: str) -> int:
-    """`value` as an int of at least 1; a bool, or what `operator.index` refuses, is not."""
+def _count(value, name: str, least: int = 1) -> int:
+    """`value` as an int of at least `least`; a bool, or what `operator.index` refuses, is not."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ShapecastError(f"{name} {value!r} is not a whole number")
-    if value < 1:
-        raise ShapecastError(f"{name} {value} is below 1")
+    if value < least:
+        raise ShapecastError(f"{name} {value} is below {least}")
     return operator.index(value)
 
 
@@ -178,8 +189,8 @@ def consistency_experiment(
         ))
     errors = np.empty((len(lengths), replications, len(ERROR_NAMES)))
     c_star_size = np.empty((len(lengths), replications), dtype=int)
-    for rep in range(replications):
-        window, clean = generate(replace(path, seed=(*template.seed, rep)))
+    seeds = [(*template.seed, rep) for rep in range(replications)]
+    for rep, (window, clean) in enumerate(_paths(path, seeds)):
         forecast, group = TemperatureSegment(path.grid, window.temps[T]), window.meta(T).group
         for k, (L, cfg) in enumerate(zip(lengths, configs)):
             prior = window.span(T - L, T)

@@ -5,6 +5,7 @@ import numpy as np
 import orjson
 import pytest
 
+from shapecast import synthetic
 from shapecast.calendars import GROUPS
 from shapecast.errors import IngestError, ShapecastError
 from shapecast.history import (
@@ -32,6 +33,15 @@ def grid4():
 @pytest.fixture
 def grid24():
     return TimeGrid.equidistant(24)
+
+
+@pytest.fixture
+def drawn_seeds(monkeypatch):
+    """The seed of each sample path the lab draws, recorded as the path is drawn."""
+    seeds, paths = [], synthetic._paths
+    monkeypatch.setattr(synthetic, "_paths",
+                        lambda spec, wanted: paths(spec, (seeds.append(s) or s for s in wanted)))
+    return seeds
 
 
 def out_of_place(diff, kind):

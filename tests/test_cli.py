@@ -902,30 +902,16 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err == "error: load values must be finite\n"
 
-    def test_empty_lookback_fails_at_once(self, capsys, monkeypatch):
-        calls, generate = [], synthetic.generate
-
-        def counted(spec):
-            calls.append(spec.seed)
-            return generate(spec)
-
-        monkeypatch.setattr(synthetic, "generate", counted)
+    def test_empty_lookback_fails_at_once(self, capsys, drawn_seeds):
         code = main(["simulate", "--lengths", "1"])
         assert code == 1
         assert capsys.readouterr().err == "error: L=1: no usable candidate for group G1\n"
-        assert calls == [(0, 0)]
+        assert drawn_seeds == [(0, 0)]
 
-    def test_defaults_draw_one_path_per_replication(self, capsys, monkeypatch):
-        calls, generate = [], synthetic.generate
-
-        def counted(spec):
-            calls.append(spec.seed)
-            return generate(spec)
-
-        monkeypatch.setattr(synthetic, "generate", counted)
+    def test_defaults_draw_one_path_per_replication(self, capsys, drawn_seeds):
         assert main(["simulate"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 50
-        assert calls == [(0, rep) for rep in range(50)]
+        assert drawn_seeds == [(0, rep) for rep in range(50)]
 
     def test_path_past_the_last_date_is_a_domain_error(self, capsys, monkeypatch):
         calls = []

@@ -85,6 +85,26 @@ class TestGenerate:
         assert clean.shape == (spec.length, spec.grid.points_per_day)
         assert [row.tobytes() for row in clean] == expected_cleans
 
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(GRID, 30, seed=7),
+        SyntheticSpec(GRID, 13, profile_mode="cycle"),
+        SyntheticSpec(GRID, 11, jitter_sigma=0.0),
+        SyntheticSpec(GRID, 9, noise_sigma=0.0),
+        SyntheticSpec(GRID, 8, start=dt.date(2012, 2, 27)),  # across 29 February
+    ])
+    def test_paths_of_one_calendar_equal_lone_paths(self, spec):
+        # `_paths` lays the calendar out once for all its seeds; each path
+        # still equals the one `generate` draws alone at that seed
+        seeds = [(5,), (5, 0), (7, 2)]
+        paths = list(synthetic._paths(spec, seeds))
+        assert len(paths) == len(seeds)
+        for seed, (window, clean) in zip(seeds, paths):
+            lone, lone_clean = generate(replace(spec, seed=seed))
+            assert window.dates == lone.dates
+            for name in ("loads", "temps", "group"):
+                assert getattr(window, name).tobytes() == getattr(lone, name).tobytes(), name
+            assert clean.tobytes() == lone_clean.tobytes()
+
     def test_deterministic_given_seed(self):
         spec = SyntheticSpec(GRID, 30, seed=7)
         w1, c1 = generate(spec)
@@ -205,6 +225,24 @@ class TestGenerate:
         assert SyntheticSpec(GRID, 1, seed=4).seed == (4,)
         assert SyntheticSpec(GRID, 1, seed=[4, 2]).seed == (4, 2)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed -1 is below 0"),
+        ((1, -2), "seed -2 is below 0"),
+        (1.5, "seed 1.5 is not a whole number"),
+        ("a", "seed 'a' is not a whole number"),
+        (None, "seed None is not a whole number"),
+        (True, "seed True is not a whole number"),
+        ([3, np.True_], "seed np.True_ is not a whole number"),
+    ])
+    def test_seed_must_be_nonnegative_whole_numbers(self, seed, message):
+        with pytest.raises(ShapecastError) as exc:
+            SyntheticSpec(GRID, 1, seed=seed)
+        assert str(exc.value) == message
+
+    def test_seed_entries_held_as_ints(self):
+        spec = SyntheticSpec(GRID, 1, seed=(np.int64(3), 0))
+        assert spec.seed == (3, 0) and all(type(s) is int for s in spec.seed)
+
     @pytest.mark.parametrize("sigmas", [dict(noise_sigma=math.nan),
                                         dict(jitter_sigma=math.nan),
                                         dict(jitter_sigma=-1.0)])
@@ -291,13 +329,11 @@ class TestConsistencyExperiment:
         ([0, 32], "length 0 is below 1"),
         ([-5], "length -5 is below 1"),
     ])
-    def test_lengths_refused_before_any_path(self, monkeypatch, lengths, message):
-        calls = []
-        monkeypatch.setattr(synthetic, "generate", calls.append)
+    def test_lengths_refused_before_any_path(self, drawn_seeds, lengths, message):
         template = SyntheticSpec(GRID, 1, seed=0)
         with pytest.raises(ShapecastError, match=f"^{re.escape(message)}$"):
             consistency_experiment(template, lengths, replications=2)
-        assert calls == []
+        assert drawn_seeds == []
 
     @pytest.mark.parametrize("lengths, replications, message", [
         ([32.9], 1, "length 32.9 is not a whole number"),
@@ -310,14 +346,24 @@ class TestConsistencyExperiment:
         ([32], 0, "replications 0 is below 1"),
         ([32], np.int64(-1), "replications -1 is below 1"),
     ])
-    def test_counts_refused_before_any_path(self, monkeypatch, lengths, replications,
+    def test_counts_refused_before_any_path(self, drawn_seeds, lengths, replications,
                                             message):
-        calls = []
-        monkeypatch.setattr(synthetic, "generate", calls.append)
         template = SyntheticSpec(GRID, 1, seed=0)
         with pytest.raises(ShapecastError, match=f"^{re.escape(message)}$"):
             consistency_experiment(template, lengths, replications)
-        assert calls == []
+        assert drawn_seeds == []
+
+    def test_calendar_laid_out_once_per_experiment(self, monkeypatch):
+        # one calendar of max(L) + 1 days serves every replication's path
+        calls, codes = [], synthetic.group_codes
+
+        def counted(dates, is_holiday):
+            calls.append(len(dates))
+            return codes(dates, is_holiday)
+
+        monkeypatch.setattr(synthetic, "group_codes", counted)
+        self.run_small()
+        assert calls == [65]
 
     def test_numpy_integers_write_the_same_table(self):
         template = SyntheticSpec(GRID, 1, seed=0)
