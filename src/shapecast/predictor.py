@@ -137,25 +137,24 @@ def _stage(
     temp_forecast: TemperatureSegment,
     cfg: PredictorConfig,
     bandwidth: float | np.ndarray,
-    curves: np.ndarray | None = None,
 ):
     """Candidates -> reference -> distance row -> weights -> combined shape.
 
-    The caller hands in the `curves` (L x P) that the reference averages and
-    the weights combine: the shapes by default, the raw loads in the lab.
-    Returns (reference, weights, shape, fallbacks), `fallbacks` being
-    `_kernel_weights`'s (dead, empty) for the caller to `_report`. A float
-    `bandwidth` gives one row; an (H, 1) column gives one row per bandwidth.
+    The reference averages the history's shapes and the weights combine them,
+    for `predict_day` and bandwidth CV alike. Returns (reference, weights,
+    shape, fallbacks), `fallbacks` being `_kernel_weights`'s (dead, empty) for
+    the caller to `_report`. A float `bandwidth` gives one row; an (H, 1)
+    column gives one row per bandwidth.
     """
     if not len(history):
         raise InsufficientHistoryError("cannot predict from an empty history")
     candidates = candidate_set(history, group, cfg.reference)
-    curves = history.shapes if curves is None else curves
-    reference = select_reference(history, candidates, temp_forecast, cfg.reference, curves)
-    dists = distances(curves, reference.reference, cfg.shape_distance)
+    shapes = history.shapes
+    reference = select_reference(history, candidates, temp_forecast, cfg.reference, shapes)
+    dists = distances(shapes, reference.reference, cfg.shape_distance)
     in_group = history.group == GROUPS.index(group) if cfg.same_group_only else None
     weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth, in_group)
-    return reference, weights, read_only(predict_shape(curves, weights)), fallbacks
+    return reference, weights, read_only(predict_shape(shapes, weights)), fallbacks
 
 
 def predict_day(

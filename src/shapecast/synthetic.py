@@ -21,11 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calendars import GROUPS, DayGroup, group_codes
-from .errors import EmptyCandidateError, ShapecastError
-from .history import HistoryWindow
-from .predictor import KernelKind, KernelSpec, PredictorConfig, _report, _stage
-from .reference import ReferenceConfig
-from .segments import TemperatureSegment, TimeGrid, distances
+from .errors import ShapecastError
+from .history import HistoryWindow, _refuse_bad_day
+from .predictor import KernelKind, KernelSpec, _kernel_weights, _report, predict_shape
+from .segments import TimeGrid, distances
 
 _VALUE_FLOOR = 1e-9
 
@@ -76,11 +75,11 @@ class SyntheticSpec:
 
 
 def _paths(spec: SyntheticSpec, seeds):
-    """`generate` at each seed in turn, drawn lazily from one calendar.
+    """The calendar's dates and group codes, and `generate`'s (loads, temps, clean) per seed.
 
     The dates, group codes, temperature pool and a day mask per distinct shape
-    function are laid out once, and each shape function runs once per path. A
-    path's streams are `generate`'s, so a longer path extends a shorter one.
+    function are laid out once; the paths are drawn lazily, each shape function
+    once per path. A path's streams are `generate`'s, so a longer path extends a shorter one.
     """
     L, P = spec.length, spec.grid.points_per_day
     dates = tuple((np.datetime64(spec.start, "D") + np.arange(L)).tolist())
@@ -89,21 +88,25 @@ def _paths(spec: SyntheticSpec, seeds):
     for code, group in enumerate(GROUPS):  # groups that share a function share its mask
         fn = SHAPE_FUNCTIONS[group]
         days[fn] = days.get(fn, False) | (codes == code)
-    for seed in seeds:
-        streams = np.random.SeedSequence(seed).spawn(3)
-        profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
-        profile = (profile_rng.integers(len(pool), size=L) if spec.profile_mode == "random"
-                   else np.arange(L) % len(pool))
-        jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
-        noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
-        clean = np.empty((L, P))
-        # a huge sigma overflows to inf or nan here; the window below refuses it
-        with np.errstate(over="ignore", invalid="ignore"):
-            temps = pool[profile] + spec.jitter_sigma * jitter
-            for fn, rows in days.items():
-                clean[rows] = np.clip(fn(temps[rows]), _VALUE_FLOOR, 1.0)
-            loads = np.maximum(clean + spec.noise_sigma * noise, _VALUE_FLOOR)
-        yield HistoryWindow(spec.grid, dates, loads, temps), clean
+
+    def draw():
+        for seed in seeds:
+            streams = np.random.SeedSequence(seed).spawn(3)
+            profile_rng, jitter_rng, noise_rng = map(np.random.default_rng, streams)
+            profile = (profile_rng.integers(len(pool), size=L) if spec.profile_mode == "random"
+                       else np.arange(L) % len(pool))
+            jitter = jitter_rng.standard_normal((L, P)) if spec.jitter_sigma > 0 else 0.0
+            noise = noise_rng.standard_normal((L, P)) if spec.noise_sigma > 0 else 0.0
+            clean = np.empty((L, P))
+            # a huge sigma overflows to inf or nan here; `_refuse_bad_day` refuses it
+            with np.errstate(over="ignore", invalid="ignore"):
+                temps = pool[profile] + spec.jitter_sigma * jitter
+                for fn, rows in days.items():
+                    clean[rows] = np.clip(fn(temps[rows]), _VALUE_FLOOR, 1.0)
+                loads = np.maximum(clean + spec.noise_sigma * noise, _VALUE_FLOOR)
+            yield loads, temps, clean
+
+    return dates, codes, draw()
 
 
 def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
@@ -114,7 +117,9 @@ def generate(spec: SyntheticSpec) -> tuple[HistoryWindow, np.ndarray]:
     one array and only when it is used. Day n's draws therefore depend neither
     on the length nor on the other sigma: a longer path extends a shorter one.
     """
-    return next(_paths(spec, [spec.seed]))
+    dates, _, draws = _paths(spec, [spec.seed])
+    loads, temps, clean = next(draws)
+    return HistoryWindow(spec.grid, dates, loads, temps), clean
 
 
 ERROR_NAMES = ("err_pred", "err_ref", "err_pred_ref")
@@ -162,7 +167,7 @@ def consistency_experiment(
     zero jitter and cycling profiles, and an Epanechnikov kernel at h = 1e-6
     with every past day a candidate, which keeps weight on exact shape
     matches only. A length whose lookback holds no day of the target's group
-    fails the run, whatever the seed. A bool, non-integer or count below 1 fails first.
+    fails the run before any path is drawn. A bool, non-integer or count below 1 fails first.
     """
     lengths = [_count(L, "length") for L in lengths]
     replications = _count(replications, "replications")
@@ -170,40 +175,39 @@ def consistency_experiment(
         raise ShapecastError("need at least one length")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ShapecastError("lengths must be strictly increasing")
-    noiseless = template.noise_sigma == 0
-    if noiseless:
+    if template.noise_sigma == 0:
         template = replace(template, jitter_sigma=0.0, profile_mode="cycle")
+        n_Ls, kernels = lengths, [KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)] * len(lengths)
+    else:  # a bad h_coef fails here, before any candidate is looked for
+        n_Ls = [default_n_L_schedule(L) for L in lengths]
+        kernels = [KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef)) for L in lengths]
     T = lengths[-1]
     path = replace(template, length=T + 1, start=template.start + dt.timedelta(days=(-T) % 7))
-    n_Ls, configs = [], []
-    for L in lengths:
-        if noiseless:
-            n_L, kernel = L, KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)
-        else:
-            n_L = default_n_L_schedule(L)
-            kernel = KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef))
-        n_Ls.append(n_L)
-        configs.append(PredictorConfig(
-            reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
-            kernel=kernel,
-        ))
+    _, codes, draws = _paths(path, [(*template.seed, rep) for rep in range(replications)])
+    # the calendar alone sets each length's candidates, before any path is drawn:
+    # the target-group days among the last n_L <= L (the calendar has no holidays)
+    candidates = [T - n + np.flatnonzero(codes[T - n:T] == codes[T]) for n in n_Ls]
+    for L, rows in zip(lengths, candidates):
+        if not len(rows):
+            raise ShapecastError(f"L={L}: no usable candidate for group {GROUPS[codes[T]].value}")
     errors = np.empty((len(lengths), replications, len(ERROR_NAMES)))
     c_star_size = np.empty((len(lengths), replications), dtype=int)
-    seeds = [(*template.seed, rep) for rep in range(replications)]
-    for rep, (window, clean) in enumerate(_paths(path, seeds)):
-        forecast, group = TemperatureSegment(path.grid, window.temps[T]), window.meta(T).group
-        for k, (L, cfg) in enumerate(zip(lengths, configs)):
-            prior = window.span(T - L, T)
-            try:  # the model lives on the raw scale, so the lab weighs raw loads
-                reference, _, predicted, fallbacks = _stage(
-                    prior, group, forecast, cfg, cfg.kernel.bandwidth, prior.loads)
-            except EmptyCandidateError as exc:
-                raise ShapecastError(f"L={L}: {exc}") from None
-            _report(reference.dropped, *fallbacks, stacklevel=2)
-            ref = reference.reference
+    for rep, (loads, temps, clean) in enumerate(draws):
+        _refuse_bad_day(loads, temps)
+        temp_dists = distances(temps[:T], temps[T])  # to the target's realized temperature
+        for k, (L, kernel, rows) in enumerate(zip(lengths, kernels, candidates)):
+            # the delta=min reference averages the candidates nearest in temperature
+            near = temp_dists[rows]
+            chosen = rows[near <= near.min()]
+            ref, prior = loads[chosen].mean(axis=0), loads[T - L:T]
+            # the model lives on the raw scale, so the lab weighs raw loads
+            weights, *fallbacks = _kernel_weights(
+                distances(prior, ref), kernel.kind, kernel.bandwidth)
+            _report((), *fallbacks, stacklevel=2)
+            predicted = predict_shape(prior, weights)
             errors[k, rep] = distances([predicted, ref, predicted], [clean[T], clean[T], ref])
-            c_star_size[k, rep] = len(reference.c_star)
-    h = tuple(cfg.kernel.bandwidth for cfg in configs)
+            c_star_size[k, rep] = len(chosen)
+    h = tuple(kernel.bandwidth for kernel in kernels)
     return Experiment(tuple(lengths), h, tuple(n_Ls), errors, c_star_size)
 
 

@@ -12,7 +12,9 @@ from shapecast.history import (
     _NUMBER_OR_NULL, _ORJSON_DEPTH, _REPORTED, HistoryWindow, Quality, _located, _numbers,
     _refuse_bad_day, _refuse_constant,
 )
-from shapecast.segments import DistanceKind, TimeGrid
+from shapecast.predictor import _kernel_weights, predict_shape
+from shapecast.reference import candidate_set, select_reference
+from shapecast.segments import DistanceKind, TimeGrid, distances, read_only
 
 
 # where orjson's float text leaves `repr`'s: the edges of its plain notation,
@@ -57,6 +59,20 @@ def distance(a, b, kind=DistanceKind.EUCLIDEAN) -> float:
     """One pair's distance: `segments.distances` must equal it row by row, bit for bit."""
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return float(out_of_place(diff, DistanceKind(kind)))
+
+
+def raw_stage(history, group, forecast, cfg, bandwidth):
+    """The predictor's pipeline on the raw loads, the Monte Carlo lab's oracle.
+
+    Candidates -> reference -> distance row -> weights -> combined curve, all
+    of them over `history.loads` where `predict_day` takes the shapes. Returns
+    (reference, weights, combined loads, `_kernel_weights`'s (dead, empty)).
+    """
+    candidates = candidate_set(history, group, cfg.reference)
+    reference = select_reference(history, candidates, forecast, cfg.reference, history.loads)
+    dists = distances(history.loads, reference.reference, cfg.shape_distance)
+    weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
+    return reference, weights, read_only(predict_shape(history.loads, weights)), fallbacks
 
 
 def make_history(grid: TimeGrid, start: dt.date, loads, temps=None) -> HistoryWindow:

@@ -11,7 +11,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from conftest import random_history
+from conftest import random_history, raw_stage
 from shapecast.backtest import backtest
 from shapecast.calendars import DayGroup, annotate_calendar
 from shapecast.cli import main
@@ -23,7 +23,6 @@ from shapecast.predictor import (
     KernelSpec,
     PredictorConfig,
     _kernel_weights,
-    _stage,
     predict_day,
     predict_shape,
 )
@@ -120,8 +119,8 @@ def test_03_noiseless_exact_recovery():
             truth = clean[L]
             forecast = TemperatureSegment(grid, window.temps[L])
             # the model lives on the raw scale: weigh and combine the raw loads
-            _, _, predicted, _ = _stage(history, window.meta(L).group, forecast, cfg,
-                                        cfg.kernel.bandwidth, history.loads)
+            _, _, predicted, _ = raw_stage(history, window.meta(L).group, forecast, cfg,
+                                           cfg.kernel.bandwidth)
             rmae = float(np.mean(np.abs(predicted - truth) / truth))
             assert rmae <= 1e-10
 

@@ -750,10 +750,20 @@ class TestWarningsOnStderr:
         )
         return root
 
-    def run(self, gappy, raw_files, tmp_path, command, ini, flags):
+    @staticmethod
+    def console(argv):
         """Exit code and stderr of the console script in a fresh interpreter."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(shapecast.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from shapecast.cli import main; sys.exit(main())",
+             *argv],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        return done.returncode, done.stderr
+
+    def run(self, gappy, raw_files, tmp_path, command, ini, flags):
+        """`console` on the gappy history under `ini`."""
         if command == "predict":
             where = ["--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
                      "--temp-forecast", str(raw_files / "forecast.csv"),
@@ -761,13 +771,8 @@ class TestWarningsOnStderr:
         else:
             where = ["--dates-file", str(gappy / "dates.txt"),
                      "--out-dir", str(tmp_path / "bt")]
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from shapecast.cli import main; sys.exit(main())",
-             command, "--history", str(gappy / "history.jsonl"),
-             "--config", str(gappy / ini), *where, *flags],
-            env=env, capture_output=True, text=True, check=False,
-        )
-        return done.returncode, done.stderr
+        return self.console([command, "--history", str(gappy / "history.jsonl"),
+                             "--config", str(gappy / ini), *where, *flags])
 
     @pytest.mark.parametrize("command, ini, flags, dropped, fallbacks", [
         ("predict", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
@@ -791,6 +796,18 @@ class TestWarningsOnStderr:
         assert sum(line.endswith(FALLBACK) for line in lines) == fallbacks, err
         warned = [line for line in lines if "Warning: " in line]
         assert len(warned) == len(dropped) + fallbacks, err
+
+    def test_lab_fallback_once_naming_the_lab(self, tmp_path):
+        # without jitter, replication 1's target ties three past days in temperature;
+        # their mean is no past day, so at h ~ 1e-300 both of its lengths fall back,
+        # and the default filter prints the line in the lab once
+        code, err = self.console(["simulate", "--lengths", "20,40", "--replications", "2",
+                                  "--h-coef", "1e-300", "--jitter", "0",
+                                  "--out", str(tmp_path / "rows.csv")])
+        assert code == 0, err
+        warned = [line for line in err.splitlines() if "Warning: " in line]
+        assert len(warned) == 1 and warned[0].endswith(FALLBACK), err
+        assert os.path.basename(warned[0].split(":")[0]) == "synthetic.py", err
 
 
 class TestConfig:
@@ -906,16 +923,20 @@ class TestSimulate:
         code = main(["simulate", "--lengths", "1"])
         assert code == 1
         assert capsys.readouterr().err == "error: L=1: no usable candidate for group G1\n"
-        assert drawn_seeds == [(0, 0)]
+        assert drawn_seeds == []
+
+    def test_empty_lookback_fails_before_a_bad_path(self, capsys):
+        # the calendar alone refuses the length; no path is drawn to overflow
+        code = main(["simulate", "--lengths", "1", "--sigma", "1e308"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: L=1: no usable candidate for group G1\n"
 
     def test_defaults_draw_one_path_per_replication(self, capsys, drawn_seeds):
         assert main(["simulate"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 50
         assert drawn_seeds == [(0, rep) for rep in range(50)]
 
-    def test_path_past_the_last_date_is_a_domain_error(self, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(synthetic, "generate", calls.append)
+    def test_path_past_the_last_date_is_a_domain_error(self, capsys, drawn_seeds):
         code = main([
             "simulate", "--lengths", "3000000", "--replications", "1",
             "--points-per-day", "2",
@@ -924,7 +945,7 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: length 3000001 from 2007-01-01 runs past 9999-12-31\n"
         )
-        assert calls == []
+        assert drawn_seeds == []
 
     @pytest.mark.parametrize("out, reason", [
         ("outdir", "Is a directory"),  # the rename onto a directory fails

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import distance, make_history, random_history
+from conftest import distance, make_history, random_history, raw_stage
 from shapecast import baselines, predictor
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
@@ -306,7 +306,8 @@ class TestPredictDay:
         np.testing.assert_allclose(pred.shape, expected, atol=1e-12)
 
     def test_raw_loads_match_brute_force_oracle(self):
-        # the lab's call: `_stage` weighs and combines the raw loads it is handed
+        # the lab's oracle weighs and combines the raw loads: the paper's predictor
+        # on the raw scale
         rng = np.random.default_rng(53)
         checked = 0
         while checked < 40:
@@ -320,9 +321,9 @@ class TestPredictDay:
             median = float(np.median(distances(history.loads[i], history.loads[j])))
             h = median * float(10 ** rng.uniform(-0.5, 0.5))
             try:  # the default kernel is Gaussian
-                _, weights, shape, _ = predictor._stage(
+                _, weights, shape, _ = raw_stage(
                     history, target.group, full_mask_forecast(history.grid, forecast_values),
-                    PredictorConfig(), h, history.loads)
+                    PredictorConfig(), h)
             except EmptyCandidateError:
                 continue  # short history without the target's group; redraw
             assert weights.max() < 0.99
@@ -418,11 +419,10 @@ def predict_after(history):
 
 
 def raw_reference(history):
-    """The reference segment of the next day's raw-load `_stage`, as the lab calls it."""
+    """The reference segment the lab's raw-load oracle builds for the next day."""
     target, forecast = next_day(history)
     cfg = PredictorConfig()
-    reference, *_ = predictor._stage(history, target.group, forecast, cfg,
-                                     cfg.kernel.bandwidth, history.loads)
+    reference, *_ = raw_stage(history, target.group, forecast, cfg, cfg.kernel.bandwidth)
     return reference.reference
 
 

@@ -3,8 +3,9 @@
 The digests pin the experiment CSV, so any change to the sample path, the
 prior each length predicts from or the row writer that moves a single byte
 fails here. They were recorded from the lab that rebuilt one validated
-`HistoryWindow` per (replication, L), which predicting from slices of the
-replication's path must reproduce byte for byte.
+`HistoryWindow` per (replication, L); the lab that weighs each replication on
+its path's arrays, with no window and no `predictor._stage`, must reproduce
+them byte for byte.
 """
 
 import hashlib

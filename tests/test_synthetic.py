@@ -9,12 +9,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import pytest
 
-from conftest import distance
-from shapecast import synthetic
+from conftest import distance, raw_stage
+from shapecast import predictor, synthetic
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow, Quality
-from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig, _stage
+from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig
 from shapecast.reference import ReferenceConfig
 from shapecast.synthetic import (
     ERROR_NAMES,
@@ -96,13 +96,15 @@ class TestGenerate:
         # `_paths` lays the calendar out once for all its seeds; each path
         # still equals the one `generate` draws alone at that seed
         seeds = [(5,), (5, 0), (7, 2)]
-        paths = list(synthetic._paths(spec, seeds))
+        dates, codes, draws = synthetic._paths(spec, seeds)
+        paths = list(draws)
         assert len(paths) == len(seeds)
-        for seed, (window, clean) in zip(seeds, paths):
+        for seed, (loads, temps, clean) in zip(seeds, paths):
             lone, lone_clean = generate(replace(spec, seed=seed))
-            assert window.dates == lone.dates
-            for name in ("loads", "temps", "group"):
-                assert getattr(window, name).tobytes() == getattr(lone, name).tobytes(), name
+            assert dates == lone.dates
+            assert codes.tobytes() == lone.group.tobytes()
+            assert loads.tobytes() == lone.loads.tobytes()
+            assert temps.tobytes() == lone.temps.tobytes()
             assert clean.tobytes() == lone_clean.tobytes()
 
     def test_deterministic_given_seed(self):
@@ -378,47 +380,29 @@ class TestConsistencyExperiment:
         with pytest.raises(ShapecastError):
             consistency_experiment(template, [32], replications=0)
 
-    def test_every_length_predicts_the_last_day_of_one_path(self, monkeypatch):
-        calls, stage = [], synthetic._stage
+    def test_lab_builds_no_window_and_calls_no_stage(self, monkeypatch):
+        # each replication is weighed on its path's arrays; `per_row_experiment_csv`,
+        # which predicts from one window span per (replication, L), pins its rows
+        built, staged, init, stage = [], [], HistoryWindow.__post_init__, predictor._stage
+        monkeypatch.setattr(HistoryWindow, "__post_init__",
+                            lambda window: built.append(len(window.dates)) or init(window))
 
-        def recorded(history, group, forecast, cfg, bandwidth, curves):
-            calls.append((history, group, forecast, curves))
-            return stage(history, group, forecast, cfg, bandwidth, curves)
+        def recorded(*args):
+            staged.append(args)
+            return stage(*args)
 
-        monkeypatch.setattr(synthetic, "_stage", recorded)
-        template = SyntheticSpec(GRID, 1, seed=0, start=dt.date(2010, 6, 10))  # a Thursday
-        lengths = [32, 45, 64]
-        consistency_experiment(template, lengths, replications=3)
-        assert len(calls) == 3 * len(lengths)
-        for rep in range(3):
-            priors = calls[rep * len(lengths):(rep + 1) * len(lengths)]
-            targets = {history.dates[-1] + dt.timedelta(days=1) for history, *_ in priors}
-            assert len(targets) == 1
-            (target,) = targets
-            assert target.weekday() == template.start.weekday()
-            for (short, *_), (long, *_) in zip(priors, priors[1:]):
-                n = len(short)
-                assert short.dates == long.dates[-n:]
-                assert short.loads.tobytes() == long.loads[-n:].tobytes()
-            # each prior is the window a fresh validation of the path's rows builds
-            T = lengths[-1]
-            start = target - dt.timedelta(days=T)
-            window, _ = generate(SyntheticSpec(GRID, T + 1, seed=(0, rep), start=start))
-            for L, (history, group, forecast, curves) in zip(lengths, priors):
-                assert len(history) == L
-                # the target's group and realized temperature; the prior's raw loads
-                assert group is window.meta(T).group
-                assert forecast.values.tobytes() == window.temps[T].tobytes()
-                assert curves is history.loads
-                fresh = HistoryWindow(GRID, window.dates[T - L:T], window.loads[T - L:T],
-                                      window.temps[T - L:T])
-                assert history.grid == fresh.grid
-                assert history.dates == fresh.dates
-                assert history.quality == fresh.quality
-                for name in ("loads", "temps", "group", "is_holiday", "shapes"):
-                    got, want = getattr(history, name), getattr(fresh, name)
-                    assert got.dtype == want.dtype and got.shape == want.shape, name
-                    assert got.tobytes() == want.tobytes(), name
+        monkeypatch.setattr(predictor, "_stage", recorded)
+        monkeypatch.setattr(synthetic, "_stage", recorded, raising=False)
+        run = consistency_experiment(SyntheticSpec(GRID, 1, seed=0), [32, 45, 64], 3)
+        assert run.errors.shape == (3, 3, 3)
+        assert built == [] and staged == []
+
+    @pytest.mark.parametrize("h_coef", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_h_coef_refused_before_any_path(self, drawn_seeds, h_coef):
+        template = SyntheticSpec(GRID, 1, seed=0)
+        with pytest.raises(ShapecastError, match="^bandwidth must be positive and finite$"):
+            consistency_experiment(template, [32, 64], 2, h_coef=h_coef)
+        assert drawn_seeds == []
 
 
 class TestSerialization:
@@ -476,8 +460,8 @@ def per_row_experiment_csv(template, lengths, replications, h_coef):
         forecast = TemperatureSegment(path.grid, window.temps[T])
         for L, n_L, cfg in configs:
             prior = window.span(T - L, T)
-            reference, _, predicted, _ = _stage(prior, window.meta(T).group, forecast, cfg,
-                                                cfg.kernel.bandwidth, prior.loads)
+            reference, _, predicted, _ = raw_stage(prior, window.meta(T).group, forecast, cfg,
+                                                   cfg.kernel.bandwidth)
             ref_values = reference.reference
             rows.append(ExperimentRow(
                 L=L,
