@@ -150,7 +150,7 @@ def _stage(
         raise InsufficientHistoryError("cannot predict from an empty history")
     candidates = candidate_set(history, group, cfg.reference)
     shapes = history.shapes
-    reference = select_reference(history, candidates, temp_forecast, cfg.reference, shapes)
+    reference = select_reference(history, candidates, temp_forecast, cfg.reference)
     dists = distances(shapes, reference.reference, cfg.shape_distance)
     in_group = history.group == GROUPS.index(group) if cfg.same_group_only else None
     weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth, in_group)

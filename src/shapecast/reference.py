@@ -1,12 +1,13 @@
 """Candidate-day selection and construction of the reference segment.
 
 The reference segment, the expected-shape proxy for the target day, averages
-the given curves of the recent same-group days nearest the forecast in
+the shapes of the recent same-group days nearest the forecast in
 temperature. Temperatures are compared on the points the forecast observes
 (its non-NaN points) only; a candidate missing one is dropped, and the result
-lists it. The δ rule alone sets the closeness threshold: the default `min`
-rule is the minimum temperature distance, so only the nearest day (plus exact
-ties) contributes, and a `quantile` or `fixed` rule widens the chosen set C*.
+lists it. `DeltaRule.threshold` alone sets the closeness threshold δ, for
+the predictor and the Monte Carlo lab: the default `min` rule is the minimum
+temperature distance, so only the nearest day (plus exact ties) contributes,
+and a `quantile` or `fixed` rule widens the chosen set C*.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ class DeltaRule:
             if self.value is None or not 0 <= self.value < np.inf:  # NaN fails too
                 raise ShapecastError("fixed rule needs a finite nonnegative value")
 
+    def threshold(self, dists: np.ndarray) -> float:
+        """δ over the candidates' temperature distances, never below their minimum."""
+        d_min = float(dists.min())
+        if self.kind is DeltaRuleKind.QUANTILE:
+            return float(np.quantile(dists, self.value))
+        return max(float(self.value), d_min) if self.kind is DeltaRuleKind.FIXED else d_min
+
 
 DEFAULT_N_L = MappingProxyType(
     {
@@ -78,7 +86,7 @@ class ReferenceConfig:
 
 @dataclass(frozen=True)
 class ReferenceResult:
-    reference: np.ndarray  # the mean of the chosen rows of the curves handed in
+    reference: np.ndarray  # the mean of the history's shapes over C*
     c_star: tuple[dt.date, ...]
     temp_distances: dict[dt.date, float]
     delta: float
@@ -111,13 +119,10 @@ def select_reference(
     candidates: np.ndarray,
     temp_forecast: TemperatureSegment,
     cfg: ReferenceConfig,
-    curves: np.ndarray,
 ) -> ReferenceResult:
-    """Pick the closest-temperature candidate rows; average those rows of `curves`."""
+    """Pick the candidate rows within δ of the forecast's temperature; average their shapes."""
     if temp_forecast.grid != history.grid:
         raise GridMismatchError("the forecast's grid is not the history's")
-    if np.shape(curves) != history.loads.shape:
-        raise GridMismatchError("the curves are not one row per history day on its grid")
     candidates = np.asarray(candidates, dtype=int)
     if not len(candidates):
         raise EmptyCandidateError("no candidates to select a reference from")
@@ -130,20 +135,10 @@ def select_reference(
             "every candidate lacks temperature data on the comparison mask"
         )
     dists = distances(temps[observed], temp_forecast.values[points], cfg.temp_distance)
-
-    rule = cfg.delta_rule
-    d_min = float(dists.min())
-    if rule.kind is DeltaRuleKind.QUANTILE:
-        delta = float(np.quantile(dists, rule.value))
-    elif rule.kind is DeltaRuleKind.FIXED:
-        # the threshold may never undercut the minimum distance
-        delta = max(float(rule.value), d_min)
-    else:
-        delta = d_min
-
+    delta = cfg.delta_rule.threshold(dists)
     chosen = usable[dists <= delta]
     return ReferenceResult(
-        reference=read_only(curves[chosen].mean(axis=0)),
+        reference=read_only(history.shapes[chosen].mean(axis=0)),
         c_star=tuple(history.dates[i] for i in chosen),
         temp_distances={history.dates[i]: d for i, d in zip(usable, dists.tolist())},
         delta=delta,

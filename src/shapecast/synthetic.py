@@ -24,6 +24,7 @@ from .calendars import GROUPS, DayGroup, group_codes
 from .errors import ShapecastError
 from .history import HistoryWindow, _refuse_bad_day
 from .predictor import KernelKind, KernelSpec, _kernel_weights, _report, predict_shape
+from .reference import DeltaRule
 from .segments import TimeGrid, distances
 
 _VALUE_FLOOR = 1e-9
@@ -68,8 +69,8 @@ class SyntheticSpec:
         object.__setattr__(self, "length", _count(self.length, "length"))
         if self.length > (dt.date.max - self.start).days + 1:
             raise ShapecastError(f"length {self.length} from {self.start} runs past {dt.date.max}")
-        if not (self.noise_sigma >= 0 and self.jitter_sigma >= 0):  # NaN fails too
-            raise ShapecastError("sigmas must be nonnegative")
+        if not (0 <= self.noise_sigma < math.inf and 0 <= self.jitter_sigma < math.inf):  # NaN too
+            raise ShapecastError("sigmas must be nonnegative and finite")
         if self.profile_mode not in ("random", "cycle"):
             raise ShapecastError("profile_mode must be 'random' or 'cycle'")
 
@@ -161,13 +162,15 @@ def consistency_experiment(
     Replication r draws one path of max(L) + 1 days with seed (*seed, r), and
     every L predicts its last day, on the template's starting weekday, from
     the L days before it: the lengths share target and noise (common random
-    numbers), so the decay over L is measured on paired samples. A Gaussian
-    kernel at `default_h_schedule(L, h_coef)` weighs `default_n_L_schedule(L)`
-    candidates. A noiseless template is the exact-recovery setup instead:
+    numbers), so the decay over L is measured on paired samples. Each L's
+    reference averages the raw loads of the target-group days among the last
+    `default_n_L_schedule(L)` nearest the target's temperature (`DeltaRule()`,
+    δ = min); a Gaussian kernel at `default_h_schedule(L, h_coef)` weighs the L
+    days against it. A noiseless template is the exact-recovery setup instead:
     zero jitter and cycling profiles, and an Epanechnikov kernel at h = 1e-6
-    with every past day a candidate, which keeps weight on exact shape
-    matches only. A length whose lookback holds no day of the target's group
-    fails the run before any path is drawn. A bool, non-integer or count below 1 fails first.
+    with every past day a candidate, which keeps weight on exact shape matches
+    only. A length whose lookback holds no day of the target's group fails the
+    run before any path is drawn. A bool, non-integer or count below 1 fails first.
     """
     lengths = [_count(L, "length") for L in lengths]
     replications = _count(replications, "replications")
@@ -190,15 +193,16 @@ def consistency_experiment(
     for L, rows in zip(lengths, candidates):
         if not len(rows):
             raise ShapecastError(f"L={L}: no usable candidate for group {GROUPS[codes[T]].value}")
+    rule = DeltaRule()  # the predictor's default, δ = min
     errors = np.empty((len(lengths), replications, len(ERROR_NAMES)))
     c_star_size = np.empty((len(lengths), replications), dtype=int)
     for rep, (loads, temps, clean) in enumerate(draws):
         _refuse_bad_day(loads, temps)
         temp_dists = distances(temps[:T], temps[T])  # to the target's realized temperature
         for k, (L, kernel, rows) in enumerate(zip(lengths, kernels, candidates)):
-            # the delta=min reference averages the candidates nearest in temperature
+            # the reference averages the candidates nearest in temperature
             near = temp_dists[rows]
-            chosen = rows[near <= near.min()]
+            chosen = rows[near <= rule.threshold(near)]
             ref, prior = loads[chosen].mean(axis=0), loads[T - L:T]
             # the model lives on the raw scale, so the lab weighs raw loads
             weights, *fallbacks = _kernel_weights(

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+from dataclasses import replace
 
 import numpy as np
 import orjson
@@ -65,11 +66,15 @@ def raw_stage(history, group, forecast, cfg, bandwidth):
     """The predictor's pipeline on the raw loads, the Monte Carlo lab's oracle.
 
     Candidates -> reference -> distance row -> weights -> combined curve, all
-    of them over `history.loads` where `predict_day` takes the shapes. Returns
-    (reference, weights, combined loads, `_kernel_weights`'s (dead, empty)).
+    of them over `history.loads` where `predict_day` takes the shapes: the
+    reference is the mean of the loads over the rows of C*, which keeps the
+    candidates' order. Returns (the `ReferenceResult` holding that mean,
+    weights, combined loads, `_kernel_weights`'s (dead, empty)).
     """
     candidates = candidate_set(history, group, cfg.reference)
-    reference = select_reference(history, candidates, forecast, cfg.reference, history.loads)
+    result = select_reference(history, candidates, forecast, cfg.reference)
+    rows = [history.dates.index(date) for date in result.c_star]
+    reference = replace(result, reference=read_only(history.loads[rows].mean(axis=0)))
     dists = distances(history.loads, reference.reference, cfg.shape_distance)
     weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
     return reference, weights, read_only(predict_shape(history.loads, weights)), fallbacks

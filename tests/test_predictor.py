@@ -396,8 +396,7 @@ def test_forecast_off_the_history_grid_refused(grid4, grid):
     with pytest.raises(GridMismatchError, match=message):
         predict_day(history, target, forecast)
     with pytest.raises(GridMismatchError, match=message):
-        select_reference(history, np.arange(len(history)), forecast, ReferenceConfig(),
-                         history.shapes)
+        select_reference(history, np.arange(len(history)), forecast, ReferenceConfig())
 
 
 def test_shape_distance_coerced_and_checked():

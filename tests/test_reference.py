@@ -6,7 +6,7 @@ import pytest
 
 from conftest import distance, make_history
 from shapecast.calendars import GROUPS, DayGroup
-from shapecast.errors import (EmptyCandidateError, GridMismatchError, MissingTemperatureError,
+from shapecast.errors import (EmptyCandidateError, MissingTemperatureError,
                               ShapecastError)
 from shapecast.history import HistoryWindow
 from shapecast.reference import (
@@ -114,8 +114,8 @@ def shape_of(load):
 
 
 def select(window, forecast, cfg):
-    """`select_reference` over every row of `window`, averaging its shapes."""
-    return select_reference(window, np.arange(len(window)), forecast, cfg, window.shapes)
+    """`select_reference` over every row of `window`."""
+    return select_reference(window, np.arange(len(window)), forecast, cfg)
 
 
 class TestSelectReference:
@@ -259,30 +259,18 @@ class TestSelectReference:
             ([100.0, 100.0, 200.0, 100.0], [25.0] * 4),
         )
         forecast = temp_segment(self.grid, [20.0] * 4)
-        result = select_reference(window, np.array([1, 2]), forecast, self.cfg,
-                                  window.shapes)
+        result = select_reference(window, np.array([1, 2]), forecast, self.cfg)
         assert result.c_star == (window.dates[2],)
         assert list(result.temp_distances) == [window.dates[1], window.dates[2]]
-        raw = select_reference(window, np.array([1, 2]), forecast, self.cfg, window.loads)
-        np.testing.assert_array_equal(raw.reference, window.loads[2])
 
     def test_empty_candidates(self):
         forecast = temp_segment(self.grid, [20.0] * 4)
         window = self.window()
         with pytest.raises(EmptyCandidateError):
-            select_reference(window, np.array([], dtype=int), forecast, self.cfg,
-                             window.shapes)
-
-    # a day short, a point short, and one day's row
-    @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1], np.s_[0]])
-    def test_curves_not_shaped_like_the_history_refused(self, cut):
-        window = self.window(*(([100.0 + i] * 4, [20.0] * 4) for i in range(4)))
-        forecast = temp_segment(self.grid, [20.0] * 4)
-        with pytest.raises(GridMismatchError, match="^the curves are not one row per"):
-            select_reference(window, np.arange(4), forecast, self.cfg, window.loads[cut])
+            select_reference(window, np.array([], dtype=int), forecast, self.cfg)
 
 
-def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
+def per_candidate_reference(dates, loads, temps, forecast, cfg):
     """Reference selection one candidate row at a time, as a flat loop.
 
     The candidates enter as their dates, load rows and temperature rows (all
@@ -298,7 +286,7 @@ def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
     if cfg.delta_rule.kind.value == "quantile":
         delta = float(np.quantile(list(dists.values()), cfg.delta_rule.value))
     chosen = [k for k in usable if dists[dates[k]] <= delta]
-    rows = [loads[k] / (loads[k].max() if rescale else 1.0) for k in chosen]
+    rows = [loads[k] / loads[k].max() for k in chosen]
     return np.array(rows).mean(axis=0), tuple(dates[k] for k in chosen), dists
 
 
@@ -308,8 +296,7 @@ def per_candidate_reference(dates, loads, temps, forecast, cfg, rescale):
     pytest.param(DeltaRule(), id="argmin-rule0"),
     pytest.param(DeltaRule("quantile", 0.3), id="threshold-rule1"),
 ])
-@pytest.mark.parametrize("rescale", [True, False])
-def test_rows_match_per_candidate_loop(kind, rule, rescale):
+def test_rows_match_per_candidate_loop(kind, rule):
     grid = TimeGrid.equidistant(24)
     rng = np.random.default_rng(3)
     loads = 50.0 + 450.0 * rng.random((60, 24))
@@ -320,10 +307,10 @@ def test_rows_match_per_candidate_loop(kind, rule, rescale):
     every_third = np.isin(np.arange(24), range(1, 24, 3))
     cfg = ReferenceConfig(delta_rule=rule, temp_distance=kind)
     for forecast_points in None, every_third:
-        check_against_loop(history, cfg, rescale, rng, forecast_points)
+        check_against_loop(history, cfg, rng, forecast_points)
 
 
-def check_against_loop(history, cfg, rescale, rng, forecast_points=None):
+def check_against_loop(history, cfg, rng, forecast_points=None):
     """`forecast_points`, when given, leaves the forecast NaN off those points."""
     checked = 0
     for forecast_values in 5.0 + 25.0 * rng.random((8, 24)):
@@ -337,13 +324,12 @@ def check_against_loop(history, cfg, rescale, rng, forecast_points=None):
             except EmptyCandidateError:
                 continue
             try:
-                got = select_reference(history, rows, forecast, cfg,
-                                       history.shapes if rescale else history.loads)
+                got = select_reference(history, rows, forecast, cfg)
             except MissingTemperatureError:
                 continue
             reference, c_star, dists = per_candidate_reference(
                 [history.dates[i] for i in rows], history.loads[rows],
-                history.temps[rows], forecast, cfg, rescale)
+                history.temps[rows], forecast, cfg)
             assert got.reference.tobytes() == reference.tobytes()
             assert got.c_star == c_star
             assert got.temp_distances == dists

@@ -132,18 +132,20 @@ class TestDistance:
 
 class TestDistances:
     # `subset` names the compared points, as a forecast's observed points do
-    # when reference selection slices the candidates' columns to them
+    # when reference selection slices the candidates' columns to them; the
+    # L x 96 cases are a backtest's 3- and 10-year prefixes
     @pytest.mark.parametrize("kind", list(DistanceKind))
     @pytest.mark.parametrize("subset", [None, (0,), (1, 5, 6), tuple(range(0, 96, 3))])
-    @pytest.mark.parametrize("P", [7, 24, 96])
-    def test_rows_equal_distance_bit_for_bit(self, kind, subset, P):
+    @pytest.mark.parametrize("P, L", [(7, 40), (24, 40), (96, 40), (96, 1095), (96, 3650)],
+                             ids=["7", "24", "96", "96x1095", "96x3650"])
+    def test_rows_equal_distance_bit_for_bit(self, kind, subset, P, L):
         rng = np.random.default_rng(P)
         points = [i for i in subset if i < P] if subset else list(range(P))
-        M = (rng.random((40, P)) * 500.0)[:, points]
+        M = (rng.random((L, P)) * 500.0)[:, points]
         v = (rng.random(P) * 500.0)[points]
         expected = np.array([distance(row, v, kind) for row in M])
         assert np.array_equal(distances(M, v, kind), expected)
-        V = rng.random((40, P))[:, points]
+        V = rng.random((L, P))[:, points]
         paired = np.array([distance(a, b, kind) for a, b in zip(M, V)])
         assert np.array_equal(distances(M, V, kind), paired)
 

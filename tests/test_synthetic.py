@@ -15,7 +15,7 @@ from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow, Quality
 from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig
-from shapecast.reference import ReferenceConfig
+from shapecast.reference import DeltaRule, ReferenceConfig
 from shapecast.synthetic import (
     ERROR_NAMES,
     SHAPE_FUNCTIONS,
@@ -245,10 +245,13 @@ class TestGenerate:
         spec = SyntheticSpec(GRID, 1, seed=(np.int64(3), 0))
         assert spec.seed == (3, 0) and all(type(s) is int for s in spec.seed)
 
+    # an infinite sigma would fail later, on a load, with `load values must be finite`
     @pytest.mark.parametrize("sigmas", [dict(noise_sigma=math.nan),
                                         dict(jitter_sigma=math.nan),
-                                        dict(jitter_sigma=-1.0)])
-    def test_nan_or_negative_sigma_rejected(self, sigmas):
+                                        dict(jitter_sigma=-1.0),
+                                        dict(noise_sigma=math.inf),
+                                        dict(jitter_sigma=math.inf)])
+    def test_nan_negative_or_infinite_sigma_rejected(self, sigmas):
         with pytest.raises(ShapecastError, match="sigmas must be nonnegative"):
             SyntheticSpec(GRID, 10, **sigmas)
 
@@ -396,6 +399,23 @@ class TestConsistencyExperiment:
         run = consistency_experiment(SyntheticSpec(GRID, 1, seed=0), [32, 45, 64], 3)
         assert run.errors.shape == (3, 3, 3)
         assert built == [] and staged == []
+
+    def test_one_delta_threshold_per_replication_and_length(self, monkeypatch):
+        # the lab's δ is the predictor's default rule, δ = min, taken once per cell
+        dists, threshold = [], DeltaRule.threshold
+        monkeypatch.setattr(DeltaRule, "threshold",
+                            lambda rule, near: dists.append(near) or threshold(rule, near))
+        run = consistency_experiment(SyntheticSpec(GRID, 1, seed=0), [32, 45, 64], 3)
+        assert len(dists) == 9
+        assert [len(near) for near in dists] == [len(near) for near in dists[:3]] * 3
+        sizes = [int(np.sum(near == near.min())) for near in dists]
+        assert sizes == run.c_star_size.T.ravel().tolist()
+
+    @pytest.mark.parametrize("sigmas", [dict(noise_sigma=math.inf), dict(jitter_sigma=math.inf)])
+    def test_infinite_sigma_template_draws_no_path(self, drawn_seeds, sigmas):
+        with pytest.raises(ShapecastError, match="^sigmas must be nonnegative and finite$"):
+            consistency_experiment(SyntheticSpec(GRID, 1, seed=0, **sigmas), [32, 64], 2)
+        assert drawn_seeds == []
 
     @pytest.mark.parametrize("h_coef", [0.0, -1.0, math.nan, math.inf])
     def test_bad_h_coef_refused_before_any_path(self, drawn_seeds, h_coef):
