@@ -36,8 +36,8 @@ def conditional_kernel_weights(
         raise InsufficientHistoryError("conditional kernel needs at least 2 days")
     weights = np.zeros(shapes.shape[0])
     dists = distances(shapes[:-1], shapes[-1], dist)
-    weights[1:], *fallbacks = _kernel_weights(dists, kernel.kind, kernel.bandwidth)
-    _report((), *fallbacks)
+    weights[1:], dead = _kernel_weights(dists, kernel.kind, kernel.bandwidth)
+    _report((), dead)
     return weights
 
 

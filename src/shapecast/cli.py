@@ -212,7 +212,6 @@ def build_predictor_config(args, cv_history: HistoryWindow | None) -> PredictorC
             bandwidth=KernelSpec.bandwidth if bandwidth == "auto" else bandwidth,
         ),
         shape_distance=settings["distance", "kind"],
-        same_group_only=args.same_group_only,
     )
     if bandwidth == "auto" and cv_history is not None:
         h, _ = select_bandwidth(cv_history, cfg)
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--bandwidth", type=parse_bandwidth, help="positive number or 'auto'"
         )
         p.add_argument("--distance", choices=[d.value for d in DistanceKind])
-        p.add_argument("--same-group-only", action="store_true")
 
     p_predict = sub.add_parser("predict", help="predict one day")
     p_predict.add_argument("--history", required=True)

@@ -3,7 +3,7 @@
 The next day's shape is a convex combination of all past shapes (daily-max
 rescaled), weighted by kernel-smoothed distance to the reference segment, and
 its megawatt curve is that shape times the provided next-day maximum. Dropped
-candidates and weight fallbacks are values; `_report` alone warns and raises.
+candidates and weight fallbacks are values; `_report` alone warns of them.
 `walk_forward` alone scales by a realized maximum and scores, for bandwidth
 CV and the backtest alike.
 """
@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .calendars import GROUPS, CalendarMeta, DayGroup
-from .errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
+from .calendars import CalendarMeta, DayGroup
+from .errors import InsufficientHistoryError, ShapecastError
 from .history import HistoryWindow
 from .metrics import score_day
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
@@ -59,7 +59,6 @@ class PredictorConfig:
     reference: ReferenceConfig = field(default_factory=ReferenceConfig)
     kernel: KernelSpec = field(default_factory=KernelSpec)
     shape_distance: DistanceKind = DistanceKind.EUCLIDEAN
-    same_group_only: bool = False  # restrict the weighted sum to same-group days
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape_distance", DistanceKind(self.shape_distance))
@@ -76,15 +75,14 @@ class Prediction:
     config: PredictorConfig
 
 
-def _kernel_weights(dists: np.ndarray, kind: KernelKind, bandwidth: float | np.ndarray,
-                    in_group: np.ndarray | None = None) -> tuple:
+def _kernel_weights(dists: np.ndarray, kind: KernelKind,
+                    bandwidth: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized kernel weights from the distance row of the history shapes.
 
-    Returns (weights, dead, empty). A float `bandwidth` gives weights (L,), an
-    (H, 1) column of them (H, L) whose row r is the float call's at bandwidth r.
-    A dead row, without mass (compact kernel, tiny bandwidth), falls back to the
-    nearest shape. `in_group` (True on target-group days) renormalizes each row
-    over that group; an empty row has no mass there and stays 0.
+    Returns (weights, dead). A float `bandwidth` gives weights (L,), an (H, 1)
+    column of them (H, L) whose row r is the float call's at bandwidth r. A
+    dead row, without mass (compact kernel, tiny bandwidth), falls back to the
+    nearest shape.
     """
     with np.errstate(over="ignore"):  # an overflowed u is inf, where every kernel is 0
         mass = kernel_value(dists / bandwidth, kind)
@@ -93,26 +91,17 @@ def _kernel_weights(dists: np.ndarray, kind: KernelKind, bandwidth: float | np.n
     weights = mass / np.where(total == 0.0, 1.0, total)  # dead rows: 0 until the fallback
     if dead.any():
         weights[dead] = np.arange(len(dists)) == np.argmin(dists)
-    if in_group is None:
-        return weights, dead, np.zeros_like(dead)
-    masked = weights * in_group
-    total = masked.sum(axis=-1, keepdims=True)
-    return masked / np.where(total == 0.0, 1.0, total), dead, total[..., 0] == 0.0
+    return weights, dead
 
 
-def _report(dropped: tuple[dt.date, ...], dead: np.ndarray, empty: np.ndarray,
-            stacklevel: int = 3) -> None:
-    """Warn of each dropped candidate and of a fallback; raise on an empty group."""
+def _report(dropped: tuple[dt.date, ...], dead: np.ndarray, stacklevel: int = 3) -> None:
+    """Warn of each dropped candidate and of a fallback to the nearest shape."""
     for day in dropped:  # one line for every caller: the default filter prints a date once
         warnings.warn(f"dropping candidate {day}: no temperature data on the comparison mask")
     if dead.any():  # by default the warning names the line that called our caller
         warnings.warn(
             "no segment within bandwidth; falling back to the nearest segment",
             stacklevel=stacklevel,
-        )
-    if empty.any():
-        raise EmptyCandidateError(
-            "same_group_only left no weight mass in the target group"
         )
 
 
@@ -142,9 +131,9 @@ def _stage(
 
     The reference averages the history's shapes and the weights combine them,
     for `predict_day` and bandwidth CV alike. Returns (reference, weights,
-    shape, fallbacks), `fallbacks` being `_kernel_weights`'s (dead, empty) for
-    the caller to `_report`. A float `bandwidth` gives one row; an (H, 1)
-    column gives one row per bandwidth.
+    shape, dead), `dead` being `_kernel_weights`'s fallback mask for the
+    caller to `_report`. A float `bandwidth` gives one row; an (H, 1) column
+    gives one row per bandwidth.
     """
     if not len(history):
         raise InsufficientHistoryError("cannot predict from an empty history")
@@ -152,9 +141,8 @@ def _stage(
     shapes = history.shapes
     reference = select_reference(history, candidates, temp_forecast, cfg.reference)
     dists = distances(shapes, reference.reference, cfg.shape_distance)
-    in_group = history.group == GROUPS.index(group) if cfg.same_group_only else None
-    weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth, in_group)
-    return reference, weights, read_only(predict_shape(shapes, weights)), fallbacks
+    weights, dead = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
+    return reference, weights, read_only(predict_shape(shapes, weights)), dead
 
 
 def predict_day(
@@ -167,10 +155,10 @@ def predict_day(
     """Full pipeline: candidates -> reference -> weights -> shape (-> megawatts)."""
     if next_day_max is not None and not 0 < next_day_max < np.inf:
         raise ShapecastError("next_day_max must be positive and finite")
-    reference, weights, shape, fallbacks = _stage(
+    reference, weights, shape, dead = _stage(
         history, target.group, temp_forecast, cfg, cfg.kernel.bandwidth
     )
-    _report(reference.dropped, *fallbacks)
+    _report(reference.dropped, dead)
     return Prediction(
         target_date=target.date,
         grid=history.grid,
@@ -255,10 +243,8 @@ def select_bandwidth(
     `walk_forward` predicts the validation window (the trailing `CV_DAYS`
     days, or len - `CV_MIN_TRAIN`, at least one, on a shorter history) at
     every bandwidth; mean relative absolute error decides, ties go to the
-    smaller bandwidth. A bandwidth that leaves no weight in the target group
-    on a validation day (under `same_group_only`) scores infinite risk; CV
-    fails once every one has. One `_stage` per day weighs and combines the
-    whole grid; the results equal one `predict_day` per (h, day).
+    smaller bandwidth. One `_stage` per day weighs and combines the whole
+    grid; the results equal one `predict_day` per (h, day).
     """
     h_grid = default_bandwidth_grid(history, cfg.shape_distance)
     validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
@@ -266,21 +252,17 @@ def select_bandwidth(
         raise InsufficientHistoryError(
             f"need more than {validation_days + 1} days of history"
         )
-    failed = np.zeros(len(h_grid), dtype=bool)
 
     def predict(prior, meta, forecast):
-        reference, _, shapes, (dead, empty) = _stage(
-            prior, meta.group, forecast, cfg, h_grid[:, None])
-        failed[empty] = True
+        reference, _, shapes, dead = _stage(prior, meta.group, forecast, cfg, h_grid[:, None])
         # the fallback names the line that called select_bandwidth
-        _report(reference.dropped, dead, failed.all(), stacklevel=5)
+        _report(reference.dropped, dead, stacklevel=5)
         return shapes
 
     _, _, scores = walk_forward(
         history, history.dates[-validation_days:], predict, len(h_grid))
     # one contiguous row per bandwidth: a column mean would sum in another order
     errs = scores[..., 0].T.copy()
-    errs[failed] = np.inf
     risks = [(h, float(np.mean(e))) for h, e in zip(h_grid.tolist(), errs)]
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks

@@ -205,9 +205,8 @@ def consistency_experiment(
             chosen = rows[near <= rule.threshold(near)]
             ref, prior = loads[chosen].mean(axis=0), loads[T - L:T]
             # the model lives on the raw scale, so the lab weighs raw loads
-            weights, *fallbacks = _kernel_weights(
-                distances(prior, ref), kernel.kind, kernel.bandwidth)
-            _report((), *fallbacks, stacklevel=2)
+            weights, dead = _kernel_weights(distances(prior, ref), kernel.kind, kernel.bandwidth)
+            _report((), dead, stacklevel=2)
             predicted = predict_shape(prior, weights)
             errors[k, rep] = distances([predicted, ref, predicted], [clean[T], clean[T], ref])
             c_star_size[k, rep] = len(chosen)

@@ -69,15 +69,15 @@ def raw_stage(history, group, forecast, cfg, bandwidth):
     of them over `history.loads` where `predict_day` takes the shapes: the
     reference is the mean of the loads over the rows of C*, which keeps the
     candidates' order. Returns (the `ReferenceResult` holding that mean,
-    weights, combined loads, `_kernel_weights`'s (dead, empty)).
+    weights, combined loads, `_kernel_weights`'s dead mask).
     """
     candidates = candidate_set(history, group, cfg.reference)
     result = select_reference(history, candidates, forecast, cfg.reference)
     rows = [history.dates.index(date) for date in result.c_star]
     reference = replace(result, reference=read_only(history.loads[rows].mean(axis=0)))
     dists = distances(history.loads, reference.reference, cfg.shape_distance)
-    weights, *fallbacks = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
-    return reference, weights, read_only(predict_shape(history.loads, weights)), fallbacks
+    weights, dead = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
+    return reference, weights, read_only(predict_shape(history.loads, weights)), dead
 
 
 def make_history(grid: TimeGrid, start: dt.date, loads, temps=None) -> HistoryWindow:

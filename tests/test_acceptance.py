@@ -88,7 +88,7 @@ def test_02_weight_simplex_and_convex_hull():
             shapes = 1e-3 + rng.random((L, P))
             ref = rng.random(P)
             spec = KernelSpec(kinds[int(rng.integers(3))], 10 ** rng.uniform(-2, 2))
-            w, _, _ = _kernel_weights(distances(shapes, ref), spec.kind, spec.bandwidth)
+            w, _ = _kernel_weights(distances(shapes, ref), spec.kind, spec.bandwidth)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
             pred = predict_shape(shapes, w)

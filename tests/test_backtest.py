@@ -22,7 +22,8 @@ from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow
 from shapecast.metrics import score_day
 from shapecast.predictor import KernelSpec, PredictorConfig, select_bandwidth
-from shapecast.segments import TemperatureSegment, TimeGrid
+from shapecast.reference import ReferenceConfig
+from shapecast.segments import DistanceKind, TemperatureSegment, TimeGrid
 
 MONDAY = dt.date(2010, 6, 7)
 ALL_METHODS = ["ssp", "persistence", "conditional-kernel"]
@@ -243,8 +244,10 @@ def seed_backtest(history, dates, methods, cfg):
 
 BACKTEST_CONFIGS = {
     "default": PredictorConfig(kernel=KernelSpec(bandwidth=0.3)),
-    "same-group-only": PredictorConfig(kernel=KernelSpec(bandwidth=0.3),
-                                       same_group_only=True),
+    "mean-absolute": PredictorConfig(
+        reference=ReferenceConfig(temp_distance=DistanceKind("mean-absolute")),
+        kernel=KernelSpec(bandwidth=0.3), shape_distance=DistanceKind("mean-absolute"),
+    ),
 }
 
 

@@ -4,10 +4,10 @@ The history is written from seeded arrays: 100 days on a 24-point grid, three
 early days without temperature (so reference selection drops candidates), a
 few unobserved points, and two holidays inside the bandwidth CV window (so a
 holiday widens its candidates with Sundays). The digests pin the prediction
-JSON at a fixed and at the cross-validated bandwidth, the latter also under
-`--same-group-only`, and every file the backtest writes for all three
-methods, so a rewrite of any layer under them that moves a single byte fails
-here. The backtest's same-group-only CV fails, and the test pins how.
+JSON at a fixed and at the cross-validated bandwidth, and every file the
+backtest writes for all three methods, so a rewrite of any layer under them
+that moves a single byte fails here. With a one-day reference lookback a
+day can have no candidate; the whole run then fails, and the tests pin how.
 """
 
 import datetime as dt
@@ -26,10 +26,8 @@ TARGET = START + dt.timedelta(days=DAYS)
 BACKTEST_ROWS = (70, 75, 88, 95)
 
 PREDICT_SHA256 = {
-    "0.3": "a3ebd8888431da7596a20fa3e892863a20b154dcaf01cbf9125df09f2e69e39f",
-    "auto": "da2bb2f26d211f83b7034cfb3fbbe01e6dfb9e8dc0b2bedc1597ada99d5de4ea",
-    "auto --same-group-only":
-        "fdae39789e24e0d84328022f506c0a3678bcebf7b11072201bf61e46f46b7c08",
+    "0.3": "3a68bc864088e0d2e7625f23e8e1e65ba23d7efe413c80b6bf9946b0395d93ff",
+    "auto": "f0696fa844e7d43e2ece62fc446da70be80f669581e5347c4bf1875ffa3e9ad0",
 }
 BACKTEST_SHA256 = {
     "days/2010-05-10.csv": "665ad64adfc50a9bb3761753400b70b25a9aa2ef2a43206dea45750fa33a7d97",
@@ -37,7 +35,7 @@ BACKTEST_SHA256 = {
     "days/2010-05-28.csv": "14ee653a77355e99d0b28d5a8b534a1e46550d4c38fd40225f3a30efcc6f1a8d",
     "days/2010-06-04.csv": "7cce0f33d080ae1b6e348c909f78a4829953ce6bdd40ec5ac23ed94e1b225a89",
     "report.csv": "777414508fe0902efa290219bf1430969bfae0774984c97c9dd73ade603253dd",
-    "report.json": "4f5c001d1c3d7a2f7ea9c831c467e5f1821b36ac6e645c6c8914e896cf525eec",
+    "report.json": "aff39ea972fb61ca658e8912fe772d4c8d3667e5c356ffb9e46a60e3b74f5ee2",
 }
 
 
@@ -95,18 +93,39 @@ def test_backtest_outputs_are_pinned(tmp_path):
     assert got == BACKTEST_SHA256
 
 
-def test_backtest_same_group_only_cv_fails(tmp_path, capsys):
-    # validation day 45, the first holiday, has no earlier holiday: every
-    # bandwidth leaves it without in-group weight, so CV fails on that day
+# a one-day lookback: a day's only candidate is the day before it, when in its group
+ONE_DAY_LOOKBACK = "[reference]\nn_l_g1 = 1\nn_l_default = 1\n"
+
+
+@pytest.mark.parametrize("bandwidth, group", [("auto", "G1"), ("0.3", "G2")])
+def test_predict_without_a_candidate_fails(tmp_path, capsys, bandwidth, group):
+    # auto: CV's first validation day, a Monday, follows a Sunday; 0.3: the
+    # target, a Wednesday, follows a Tuesday
+    history, forecast, _ = write_inputs(tmp_path)
+    config = tmp_path / "one-day.ini"
+    config.write_text(ONE_DAY_LOOKBACK)
+    out = tmp_path / "prediction.json"
+    code = main([
+        "predict", "--history", str(history), "--date", TARGET.isoformat(),
+        "--temp-forecast", str(forecast), "--next-day-max", "420",
+        "--config", str(config), "--bandwidth", bandwidth, "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: no usable candidate for group {group}\n"
+    assert not out.exists()
+
+
+def test_backtest_without_a_candidate_fails(tmp_path, capsys):
+    # a Wednesday backtest date fails the whole run, before any file is written
     history, _, dates_file = write_inputs(tmp_path)
+    dates_file.write_text(f"{START + dt.timedelta(days=72)}\n")
+    config = tmp_path / "one-day.ini"
+    config.write_text(ONE_DAY_LOOKBACK)
     out_dir = tmp_path / "bt"
     code = main([
         "backtest", "--history", str(history), "--dates-file", str(dates_file),
-        "--methods", "ssp,persistence,conditional-kernel", "--bandwidth", "auto",
-        "--same-group-only", "--out-dir", str(out_dir),
+        "--config", str(config), "--bandwidth", "0.3", "--out-dir", str(out_dir),
     ])
     assert code == 1
-    assert capsys.readouterr().err == (
-        "error: same_group_only left no weight mass in the target group\n"
-    )
+    assert capsys.readouterr().err == "error: no usable candidate for group G2\n"
     assert not out_dir.exists()

@@ -47,20 +47,20 @@ class TestComputeWeights:
 
     def test_singleton_normalizes_to_one(self):
         dists = distances(np.array([[0.5, 1.0]]), np.array([0.1, 0.9]))
-        w, _, _ = _kernel_weights(dists, KernelKind.GAUSSIAN, 1.0)
+        w, _ = _kernel_weights(dists, KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_array_equal(w, [1.0])
 
     def test_equidistant_split_evenly(self):
         shapes = np.array([[1.0, 0.0], [0.0, 1.0]])
         ref = np.array([0.5, 0.5])
-        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
+        w, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_gaussian_unit_bandwidth_fixture(self):
         # standard normal density at distances 0 and 1, normalized
         shapes = np.array([[0.0, 0.0], [1.0, 0.0]])
         ref = np.array([0.0, 0.0])
-        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
+        w, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1.0)
         np.testing.assert_allclose(w, [0.62246, 0.37754], atol=1e-5)
 
     def test_simplex(self):
@@ -70,7 +70,7 @@ class TestComputeWeights:
             ref = rng.random(5)
             h = 10 ** rng.uniform(-2, 1)
             kind = list(KernelKind)[int(rng.integers(3))]
-            w, _, _ = _kernel_weights(distances(shapes, ref), kind, h)
+            w, _ = _kernel_weights(distances(shapes, ref), kind, h)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -79,25 +79,25 @@ class TestComputeWeights:
         ref = np.array([0.4, 0.4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, dead, empty = _kernel_weights(
-                distances(shapes, ref), KernelKind.EPANECHNIKOV, 1e-9
-            )
+            w, dead = _kernel_weights(distances(shapes, ref), KernelKind.EPANECHNIKOV, 1e-9)
         np.testing.assert_array_equal(w, [1.0, 0.0])
-        assert dead and not empty
+        assert dead
 
-    def test_nearest_shape_out_of_group_leaves_the_row_empty(self):
-        shapes = np.array([[0.0, 0.0], [1.0, 1.0]])
-        ref = np.array([0.4, 0.4])
-        w, dead, empty = _kernel_weights(distances(shapes, ref), KernelKind.EPANECHNIKOV,
-                                         1e-9, np.array([False, True]))
-        np.testing.assert_array_equal(w, [0.0, 0.0])
-        assert dead and empty
+    def test_report_only_warns(self):
+        # a dead row anywhere in the stack warns once; a live stack is silent
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert predictor._report((), np.array([False, False])) is None
+            assert predictor._report((), np.array([False, True, True])) is None
+        assert [(w.category, str(w.message)) for w in seen] == [
+            (UserWarning, "no segment within bandwidth; falling back to the nearest segment")
+        ]
 
     def test_huge_bandwidth_is_uniform(self):
         rng = np.random.default_rng(7)
         shapes = rng.random((10, 8))
         ref = rng.random(8)
-        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e9)
+        w, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e9)
         assert np.max(np.abs(w - 0.1)) < 1e-6
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
@@ -108,7 +108,7 @@ class TestComputeWeights:
     def test_tiny_bandwidth_concentrates_on_nearest(self):
         shapes = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         ref = np.array([0.45, 0.45])
-        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e-3)
+        w, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e-3)
         assert w[1] > 1.0 - 1e-12
 
     def test_scale_equivariance(self):
@@ -116,8 +116,8 @@ class TestComputeWeights:
         shapes = rng.random((5, 6))
         ref = rng.random(6)
         c = 7.5
-        w1, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.3)
-        w2, _, _ = _kernel_weights(
+        w1, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.3)
+        w2, _ = _kernel_weights(
             distances(c * shapes, c * ref), KernelKind.GAUSSIAN, c * 0.3
         )
         np.testing.assert_allclose(w1, w2, atol=1e-12)
@@ -129,27 +129,28 @@ class TestBandwidthAxis:
     # 1e-9 leaves every kernel without mass; the dead rows sit between live ones
     H = np.array([1e-9, 0.05, 0.3, 1e-9, 1.0, 10.0])
 
-    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("kind", list(KernelKind))
     @pytest.mark.parametrize("L", [7, 300, 3000])
-    def test_rows_equal_float_calls(self, kind, grouped, L):
+    def test_rows_equal_float_calls(self, kind, tied, L):
         rng = np.random.default_rng(L)
         dists = distances(rng.random((L, 24)), rng.random(24))
-        in_group = None
-        if grouped:
-            # a dead row falls back to the nearest shape: keep it in the group
-            in_group = rng.random(L) < 0.5
-            in_group[np.argmin(dists)] = True
-        weights, dead, empty = _kernel_weights(dists, kind, self.H[:, None], in_group)
+        nearest = int(np.argmin(dists))
+        if tied:
+            # an older shape as near as the nearest: the fallback takes the older
+            nearest = int(rng.integers(nearest))
+            dists[nearest] = dists.min()
+        weights, dead = _kernel_weights(dists, kind, self.H[:, None])
         assert weights.shape == (len(self.H), L)
         # 1e-9 is dead under every kernel; a compact kernel has no mass at
         # any bandwidth below the nearest distance either
         compact = kind is not KernelKind.GAUSSIAN
         assert np.array_equal(dead, (self.H == 1e-9) | compact & (self.H < dists.min()))
         for r, h in enumerate(self.H.tolist()):
-            row, row_dead, row_empty = _kernel_weights(dists, kind, h, in_group)
+            row, row_dead = _kernel_weights(dists, kind, h)
             assert np.array_equal(weights[r], row)
-            assert (dead[r], empty[r]) == (row_dead, row_empty)
+            assert dead[r] == row_dead
+        assert np.array_equal(weights[dead], np.eye(L)[[nearest] * int(dead.sum())])
 
     @pytest.mark.parametrize("L", [30, 300, 3000])
     def test_stacked_combination_equals_row_calls(self, L):
@@ -203,8 +204,8 @@ class TestPredictShape:
         shapes = rng.random((6, 5))
         ref = rng.random(5)
         perm = rng.permutation(6)
-        w, _, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.5)
-        w_perm, _, _ = _kernel_weights(
+        w, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 0.5)
+        w_perm, _ = _kernel_weights(
             distances(shapes[perm], ref), KernelKind.GAUSSIAN, 0.5
         )
         np.testing.assert_allclose(w[perm], w_perm, atol=1e-15)
@@ -341,16 +342,14 @@ class TestPredictDay:
         assert len(pred.weights) == len(history)
         assert abs(pred.weights.sum() - 1.0) <= 1e-12
 
-    def test_same_group_only_masks_weights(self, grid4):
+    def test_every_group_carries_weight(self, grid4):
+        # the calendar picks the reference only; the kernel weighs every past shape
         history = random_history(grid4, np.random.default_rng(23), 14)
         target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
-        cfg = PredictorConfig(same_group_only=True)
-        pred = predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4),
-                           cfg=cfg)
-        for i, w in enumerate(pred.weights):
-            if history.meta(i).group is not target.group:
-                assert w == 0.0
-        assert abs(pred.weights.sum() - 1.0) <= 1e-12
+        pred = predict_day(history, target, full_mask_forecast(grid4, [20.0] * 4))
+        weighted = {history.meta(i).group for i in np.flatnonzero(pred.weights > 0)}
+        assert weighted == {history.meta(i).group for i in range(len(history))}
+        assert len(weighted) > 1 and target.group in weighted
 
     def test_empty_history_rejected(self, grid4):
         target = annotate_calendar(MONDAY)
@@ -565,19 +564,12 @@ def seed_select_bandwidth(history, cfg, h_grid, validation_days=30):
                 history.is_holiday[:i], history.quality[:i],
             )
             actual = history.loads[i]
-            try:
-                pred = predict_day(
-                    prior, history.meta(i), TemperatureSegment(history.grid, history.temps[i]),
-                    next_day_max=float(np.max(actual)), cfg=day_cfg,
-                )
-            except EmptyCandidateError as exc:  # a failed (h, day) scores infinite risk
-                failure = exc
-                errs.append(math.inf)
-                continue
+            pred = predict_day(
+                prior, history.meta(i), TemperatureSegment(history.grid, history.temps[i]),
+                next_day_max=float(np.max(actual)), cfg=day_cfg,
+            )
             errs.append(float(np.mean(np.abs(pred.scaled - actual) / actual)))
         risks.append((h, float(np.mean(errs))))
-    if all(risk == math.inf for _, risk in risks):
-        raise failure
     best_h, _ = min(risks, key=lambda hr: (hr[1], hr[0]))
     return best_h, risks
 
@@ -617,10 +609,9 @@ CV_CONFIGS = {
     "max-absolute": PredictorConfig(
         reference=THRESHOLD, shape_distance=DistanceKind("max-absolute")
     ),
-    "same-group-only": PredictorConfig(same_group_only=True),
-    "same-group-only-epanechnikov": PredictorConfig(
-        kernel=KernelSpec(KernelKind.EPANECHNIKOV), same_group_only=True
-    ),
+    # random temperatures on 24 points lie some 60 apart in euclidean distance
+    "fixed-delta": PredictorConfig(reference=ReferenceConfig(delta_rule=DeltaRule("fixed", 55.0))),
+    "quantile-0.25": PredictorConfig(reference=ReferenceConfig(delta_rule=DeltaRule("quantile", 0.25))),
 }
 
 
@@ -651,33 +642,19 @@ class TestSelectBandwidthOracle:
         if "threshold" in name:
             assert fallbacks(seen_new) > 0
 
-    # 1e-9 alone, or among bandwidths that keep their in-group mass: shapes and
-    # references lie in [0, 1], so no euclidean distance on 24 points reaches 5
-    @pytest.mark.parametrize("live", [[], [5.0, 10.0]])
-    def test_same_group_error_matches(self, grid24, monkeypatch, live):
-        # a one-hot fallback on an out-of-group day leaves no in-group mass: 1e-9
-        # scores infinite risk, and CV fails only where no other bandwidth is live
-        cfg = PredictorConfig(
-            reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM),
-            same_group_only=True,
-        )
-        # seed 60: on this 46-day history the case arises in the 15-day window
-        history = random_history(grid24, np.random.default_rng(60), 46)
-        h_grid = [1e-9, *live]
-        use_grid(monkeypatch, h_grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if live:
-                got = select_bandwidth(history, cfg)
-                assert got == seed_select_bandwidth(history, cfg, h_grid, validation_days=15)
-                assert [risk == math.inf for _, risk in got[1]] == [True, False, False]
-                return
-            with pytest.raises(ShapecastError) as seed_err:
-                seed_select_bandwidth(history, cfg, h_grid, validation_days=15)
-            with pytest.raises(ShapecastError) as new_err:
-                select_bandwidth(history, cfg)
-        assert type(new_err.value) is type(seed_err.value)
+    # a one-day lookback: a Monday after a Sunday, or a Wednesday after a
+    # Tuesday, has no candidate, and CV fails as soon as it meets one
+    @pytest.mark.parametrize("group", [DayGroup.G1, DayGroup.G2])
+    def test_no_candidate_error_matches(self, grid24, monkeypatch, group):
+        cfg = PredictorConfig(reference=ReferenceConfig(n_L_by_group={group: 1}))
+        history = random_history(grid24, np.random.default_rng(53), 46)
+        use_grid(monkeypatch, [0.3, 1.0])
+        with pytest.raises(EmptyCandidateError) as seed_err:
+            seed_select_bandwidth(history, cfg, [0.3, 1.0], validation_days=15)
+        with pytest.raises(EmptyCandidateError) as new_err:
+            select_bandwidth(history, cfg)
         assert str(new_err.value) == str(seed_err.value)
+        assert str(new_err.value) == f"no usable candidate for group {group.value}"
 
     @pytest.mark.parametrize("kind", ["euclidean", "mean-absolute", "max-absolute"])
     # 63 days make 1,953 pairs, all of them used; 64 and 80 days are sampled
@@ -759,7 +736,7 @@ def test_weight_simplex_property(seed):
     ref = rng.random(P)
     kind = list(KernelKind)[int(rng.integers(3))]
     h = 10 ** rng.uniform(-1.5, 1.5)
-    w, _, _ = _kernel_weights(distances(shapes, ref), kind, h)
+    w, _ = _kernel_weights(distances(shapes, ref), kind, h)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
     pred = predict_shape(shapes, w)
