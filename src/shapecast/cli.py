@@ -37,7 +37,7 @@ from .predictor import (
     prediction_to_json,
     select_bandwidth,
 )
-from .reference import DEFAULT_N_L, DeltaRule, DeltaRuleKind, ReferenceConfig
+from .reference import DEFAULT_N_L, ReferenceConfig
 from .segments import DistanceKind, TimeGrid
 from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 
@@ -153,18 +153,12 @@ def _length_list(text: str) -> list[int]:
     return lengths
 
 
-def _optional_nonnegative_float(text: str) -> float | None:
-    return _nonnegative_float(text) if text else None
-
-
 # every setting a config file may hold, (section, key) -> (parse, default, flag),
 # where flag names the argparse dest that overrides the key, or None: the table
 # `build_predictor_config` reads and `_load_ini` refuses any other key by
 INI_KEYS = {
     ("reference", "n_l_g1"): (_positive_int, DEFAULT_N_L[DayGroup.G1], None),
     ("reference", "n_l_default"): (_positive_int, DEFAULT_N_L[DayGroup.G2], None),
-    ("reference", "delta_rule"): (DeltaRuleKind, DeltaRule.kind, None),
-    ("reference", "delta_value"): (_optional_nonnegative_float, DeltaRule.value, None),
     ("distance", "kind"): (DistanceKind, PredictorConfig.shape_distance, "distance"),
     ("kernel", "kind"): (KernelKind, KernelSpec.kind, "kernel"),
     ("kernel", "bandwidth"): (parse_bandwidth, "auto", "bandwidth"),
@@ -191,20 +185,12 @@ def build_predictor_config(args, cv_history: HistoryWindow | None) -> PredictorC
         if flag is not None and getattr(args, flag) is not None:
             value = getattr(args, flag)
         settings[section, key] = value
-    try:
-        delta_rule = DeltaRule(kind=settings["reference", "delta_rule"],
-                               value=settings["reference", "delta_value"])
-    except ShapecastError as exc:  # a value out of the rule's range is a usage error
-        raw = ini.get("reference", "delta_value", raw=True, fallback=None)
-        where = "unset" if raw is None else f"= {raw!r}"
-        raise SystemExit(f"error: config [reference] delta_value {where}: {exc}") from None
     n_l_by_group = dict.fromkeys(DayGroup, settings["reference", "n_l_default"])
     n_l_by_group[DayGroup.G1] = settings["reference", "n_l_g1"]
     bandwidth = settings["kernel", "bandwidth"]
     cfg = PredictorConfig(
         reference=ReferenceConfig(
             n_L_by_group=n_l_by_group,
-            delta_rule=delta_rule,
             temp_distance=settings["distance", "kind"],
         ),
         kernel=KernelSpec(

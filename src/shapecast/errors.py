@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its whole-number check."""
+
+import operator
 
 
 class ShapecastError(Exception):
@@ -23,3 +25,12 @@ class MissingTemperatureError(ShapecastError):
 
 class InsufficientHistoryError(ShapecastError):
     """Not enough history for the requested operation."""
+
+
+def whole(value, name: str, least: int | None = None) -> int:
+    """`value` as an int of at least `least`; a bool, or what `operator.index` refuses, is not."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ShapecastError(f"{name} {value!r} is not a whole number")
+    if least is not None and value < least:
+        raise ShapecastError(f"{name} {value} is below {least}")
+    return operator.index(value)

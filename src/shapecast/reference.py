@@ -4,56 +4,31 @@ The reference segment, the expected-shape proxy for the target day, averages
 the shapes of the recent same-group days nearest the forecast in
 temperature. Temperatures are compared on the points the forecast observes
 (its non-NaN points) only; a candidate missing one is dropped, and the result
-lists it. `DeltaRule.threshold` alone sets the closeness threshold δ, for
-the predictor and the Monte Carlo lab: the default `min` rule is the minimum
-temperature distance, so only the nearest day (plus exact ties) contributes,
-and a `quantile` or `fixed` rule widens the chosen set C*.
+lists it. `nearest` alone sets the closeness threshold δ, for the predictor
+and the Monte Carlo lab: δ is the smallest temperature distance, so the
+chosen set C* is the nearest day plus any exact ties. The threshold has no
+setting.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from enum import Enum
 from types import MappingProxyType
 
 import numpy as np
 
 from .calendars import GROUPS, DayGroup
 from .errors import (EmptyCandidateError, GridMismatchError, MissingTemperatureError,
-                     ShapecastError)
+                     ShapecastError, whole)
 from .history import HistoryWindow
 from .segments import DistanceKind, TemperatureSegment, distances, read_only
 
 
-class DeltaRuleKind(str, Enum):
-    MIN = "min"
-    QUANTILE = "quantile"
-    FIXED = "fixed"
-
-
-@dataclass(frozen=True)
-class DeltaRule:
-    kind: DeltaRuleKind = DeltaRuleKind.MIN
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", DeltaRuleKind(self.kind))
-        if self.kind is DeltaRuleKind.MIN and self.value is not None:
-            raise ShapecastError("min rule takes no value")
-        if self.kind is DeltaRuleKind.QUANTILE:
-            if self.value is None or not 0 < self.value <= 1:
-                raise ShapecastError("quantile rule needs a value in (0, 1]")
-        if self.kind is DeltaRuleKind.FIXED:
-            if self.value is None or not 0 <= self.value < np.inf:  # NaN fails too
-                raise ShapecastError("fixed rule needs a finite nonnegative value")
-
-    def threshold(self, dists: np.ndarray) -> float:
-        """δ over the candidates' temperature distances, never below their minimum."""
-        d_min = float(dists.min())
-        if self.kind is DeltaRuleKind.QUANTILE:
-            return float(np.quantile(dists, self.value))
-        return max(float(self.value), d_min) if self.kind is DeltaRuleKind.FIXED else d_min
+def nearest(dists: np.ndarray) -> tuple[float, np.ndarray]:
+    """δ, the smallest temperature distance, and the mask of C*: every candidate at δ."""
+    delta = float(dists.min())
+    return delta, dists <= delta
 
 
 DEFAULT_N_L = MappingProxyType(
@@ -70,12 +45,11 @@ DEFAULT_N_L = MappingProxyType(
 @dataclass(frozen=True)
 class ReferenceConfig:
     n_L_by_group: dict = field(default_factory=lambda: dict(DEFAULT_N_L))
-    delta_rule: DeltaRule = DeltaRule()
     temp_distance: DistanceKind = DistanceKind.EUCLIDEAN
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "temp_distance", DistanceKind(self.temp_distance))
-        n_l = {DayGroup(g): int(n) for g, n in self.n_L_by_group.items()}
+        n_l = {DayGroup(g): whole(n, "n_L") for g, n in self.n_L_by_group.items()}
         if any(n < 1 for n in n_l.values()):
             raise ShapecastError("n_L values must be >= 1")
         object.__setattr__(self, "n_L_by_group", MappingProxyType(n_l))
@@ -120,7 +94,7 @@ def select_reference(
     temp_forecast: TemperatureSegment,
     cfg: ReferenceConfig,
 ) -> ReferenceResult:
-    """Pick the candidate rows within δ of the forecast's temperature; average their shapes."""
+    """Pick the candidate rows nearest the forecast's temperature; average their shapes."""
     if temp_forecast.grid != history.grid:
         raise GridMismatchError("the forecast's grid is not the history's")
     candidates = np.asarray(candidates, dtype=int)
@@ -135,8 +109,8 @@ def select_reference(
             "every candidate lacks temperature data on the comparison mask"
         )
     dists = distances(temps[observed], temp_forecast.values[points], cfg.temp_distance)
-    delta = cfg.delta_rule.threshold(dists)
-    chosen = usable[dists <= delta]
+    delta, near = nearest(dists)
+    chosen = usable[near]
     return ReferenceResult(
         reference=read_only(history.shapes[chosen].mean(axis=0)),
         c_star=tuple(history.dates[i] for i in chosen),

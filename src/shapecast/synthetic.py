@@ -15,16 +15,15 @@ import csv
 import datetime as dt
 import io
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .calendars import GROUPS, DayGroup, group_codes
-from .errors import ShapecastError
+from .errors import ShapecastError, whole
 from .history import HistoryWindow, _refuse_bad_day
 from .predictor import KernelKind, KernelSpec, _kernel_weights, _report, predict_shape
-from .reference import DeltaRule
+from .reference import nearest
 from .segments import TimeGrid, distances
 
 _VALUE_FLOOR = 1e-9
@@ -65,8 +64,8 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         seed = tuple(self.seed) if isinstance(self.seed, (tuple, list)) else (self.seed,)
-        object.__setattr__(self, "seed", tuple(_count(s, "seed", least=0) for s in seed))
-        object.__setattr__(self, "length", _count(self.length, "length"))
+        object.__setattr__(self, "seed", tuple(whole(s, "seed", 0) for s in seed))
+        object.__setattr__(self, "length", whole(self.length, "length", 1))
         if self.length > (dt.date.max - self.start).days + 1:
             raise ShapecastError(f"length {self.length} from {self.start} runs past {dt.date.max}")
         if not (0 <= self.noise_sigma < math.inf and 0 <= self.jitter_sigma < math.inf):  # NaN too
@@ -145,15 +144,6 @@ def default_n_L_schedule(L: int) -> int:
     return math.ceil(L ** (2.0 / 3.0))
 
 
-def _count(value, name: str, least: int = 1) -> int:
-    """`value` as an int of at least `least`; a bool, or what `operator.index` refuses, is not."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ShapecastError(f"{name} {value!r} is not a whole number")
-    if value < least:
-        raise ShapecastError(f"{name} {value} is below {least}")
-    return operator.index(value)
-
-
 def consistency_experiment(
     template: SyntheticSpec, lengths, replications: int, *, h_coef: float = 0.6
 ) -> Experiment:
@@ -164,16 +154,17 @@ def consistency_experiment(
     the L days before it: the lengths share target and noise (common random
     numbers), so the decay over L is measured on paired samples. Each L's
     reference averages the raw loads of the target-group days among the last
-    `default_n_L_schedule(L)` nearest the target's temperature (`DeltaRule()`,
-    δ = min); a Gaussian kernel at `default_h_schedule(L, h_coef)` weighs the L
-    days against it. A noiseless template is the exact-recovery setup instead:
-    zero jitter and cycling profiles, and an Epanechnikov kernel at h = 1e-6
-    with every past day a candidate, which keeps weight on exact shape matches
-    only. A length whose lookback holds no day of the target's group fails the
-    run before any path is drawn. A bool, non-integer or count below 1 fails first.
+    `default_n_L_schedule(L)` nearest the target's temperature, ties included
+    (`nearest`, the predictor's rule); a Gaussian kernel at
+    `default_h_schedule(L, h_coef)` weighs the L days against it. A noiseless
+    template is the exact-recovery setup instead: zero jitter and cycling
+    profiles, and an Epanechnikov kernel at h = 1e-6 with every past day a
+    candidate, which keeps weight on exact shape matches only. A length whose
+    lookback holds no day of the target's group fails the run before any path
+    is drawn. A bool, non-integer or count below 1 fails first.
     """
-    lengths = [_count(L, "length") for L in lengths]
-    replications = _count(replications, "replications")
+    lengths = [whole(L, "length", 1) for L in lengths]
+    replications = whole(replications, "replications", 1)
     if not lengths:
         raise ShapecastError("need at least one length")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -193,7 +184,6 @@ def consistency_experiment(
     for L, rows in zip(lengths, candidates):
         if not len(rows):
             raise ShapecastError(f"L={L}: no usable candidate for group {GROUPS[codes[T]].value}")
-    rule = DeltaRule()  # the predictor's default, δ = min
     errors = np.empty((len(lengths), replications, len(ERROR_NAMES)))
     c_star_size = np.empty((len(lengths), replications), dtype=int)
     for rep, (loads, temps, clean) in enumerate(draws):
@@ -201,8 +191,7 @@ def consistency_experiment(
         temp_dists = distances(temps[:T], temps[T])  # to the target's realized temperature
         for k, (L, kernel, rows) in enumerate(zip(lengths, kernels, candidates)):
             # the reference averages the candidates nearest in temperature
-            near = temp_dists[rows]
-            chosen = rows[near <= rule.threshold(near)]
+            chosen = rows[nearest(temp_dists[rows])[1]]
             ref, prior = loads[chosen].mean(axis=0), loads[T - L:T]
             # the model lives on the raw scale, so the lab weighs raw loads
             weights, dead = _kernel_weights(distances(prior, ref), kernel.kind, kernel.bandwidth)

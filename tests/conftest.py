@@ -96,6 +96,18 @@ def random_history(grid: TimeGrid, rng: np.random.Generator, length: int,
     return make_history(grid, start, loads, temps)
 
 
+def pooled_history(grid: TimeGrid, rng: np.random.Generator, length: int) -> HistoryWindow:
+    """`random_history` whose day i takes day i % 2's temperatures.
+
+    Same-group candidates then tie at δ = min, so C* averages several shapes
+    and the reference is no history shape: a compact kernel at a tiny
+    bandwidth leaves every shape massless.
+    """
+    history = random_history(grid, rng, length)
+    pool = history.temps[np.arange(length) % 2]
+    return make_history(grid, history.dates[0], history.loads, pool)
+
+
 def history_jsonl_oracle(window: HistoryWindow) -> str:
     """The history file `history_jsonl_text` must write: one `json.dumps` per line."""
     lines = [json.dumps({"grid": list(window.grid.labels)}, sort_keys=True)]

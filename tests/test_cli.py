@@ -12,7 +12,8 @@ from shapecast import synthetic
 from shapecast.cli import INI_KEYS, main
 from shapecast.history import HistoryWindow, history_jsonl_text, read_history_jsonl
 from shapecast.predictor import KernelSpec, PredictorConfig, config_snapshot
-from shapecast.reference import DeltaRule, ReferenceConfig
+from shapecast.calendars import DayGroup
+from shapecast.reference import ReferenceConfig
 from shapecast.segments import TimeGrid
 
 GRID = TimeGrid.equidistant(24)
@@ -62,6 +63,21 @@ def history_file(raw_files, tmp_path_factory):
     ])
     assert code == 0
     return out
+
+
+def pooled_text(history_text: str) -> str:
+    """The history file with day i's temperatures, if it has any, those of day i % 2.
+
+    Same-group candidates then tie at δ = min, so C* averages several shapes
+    and the reference matches no history shape exactly.
+    """
+    header, *lines = history_text.splitlines()
+    records = [json.loads(line) for line in lines]
+    pool = [record["temp_c"] for record in records[:2]]
+    for i, record in enumerate(records):
+        if "temp_c" in record:
+            record["temp_c"] = pool[i % 2]
+    return "\n".join([header, *(json.dumps(r, sort_keys=True) for r in records)]) + "\n"
 
 
 class TestIngest:
@@ -248,7 +264,7 @@ class TestPredict:
         ini = tmp_path / "cfg.ini"
         ini.write_text("[kernel]\nkind = epanechnikov\nbandwidth = 0.5\n"
                        "[distance]\nkind = mean-absolute\n"
-                       "[reference]\ndelta_rule = quantile\ndelta_value = 0.9\n")
+                       "[reference]\nn_l_g1 = 5\nn_l_default = 7\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
@@ -259,13 +275,13 @@ class TestPredict:
         doc = json.loads(capsys.readouterr().out)
         # the distance sets both metrics, and the config records no other key
         assert doc["config"] == config_snapshot(PredictorConfig(
-            reference=ReferenceConfig(delta_rule=DeltaRule("quantile", 0.9),
+            reference=ReferenceConfig({**dict.fromkeys(DayGroup, 7), DayGroup.G1: 5},
                                       temp_distance="mean-absolute"),
             kernel=KernelSpec("epanechnikov", 0.5),
             shape_distance="mean-absolute",
         ))
-        # the quantile rule alone widens the reference past the nearest day
-        assert len(doc["reference_dates"]) > 1
+        # the target is a Wednesday: a 7-day lookback holds one Wednesday
+        assert doc["reference_dates"] == [(START + dt.timedelta(days=DAYS - 8)).isoformat()]
 
     def test_date_without_forecast(self, raw_files, history_file, capsys):
         code = main([
@@ -326,16 +342,14 @@ class TestPredict:
         ("reference", "n_l_g1 = two"),
         ("reference", "n_l_default = 0"),
         ("reference", "n_l_default = 2.5"),
+        ("reference", "n_l_g1 = -3"),
+        ("reference", "n_l_default = "),
         ("reference", "mode = nearest"),
-        ("reference", "delta_value = high"),
-        ("reference", "delta_value = inf"),
-        ("reference", "delta_value = nan"),
-        ("reference", "delta_value = -0.5"),
         ("distance", "kind = cosine"),
         ("kernel", "kind = 5%"),
-        ("reference", "delta_rule = %(missing)s"),
+        ("reference", "n_l_g1 = %(missing)s"),
         ("reference", "n_l_g2 = 14"),
-        ("kernel", "delta_rule = quantile"),
+        ("kernel", "n_l_g1 = 14"),
         ("DEFAULT", "bandwidth = 0.5"),
         ("weights", "kind = gaussian"),
     ])
@@ -386,22 +400,12 @@ class TestPredict:
         assert code == 2
         assert capsys.readouterr().err == "error: config [weights]: unknown section\n"
 
-    @pytest.mark.parametrize("lines, shown", [
-        ("delta_rule = quantile\ndelta_value = 1.5",
-         "delta_value = '1.5': quantile rule needs a value in (0, 1]"),
-        ("delta_rule = quantile\ndelta_value = 0",
-         "delta_value = '0': quantile rule needs a value in (0, 1]"),
-        ("delta_rule = quantile", "delta_value unset: quantile rule needs a value in (0, 1]"),
-        ("delta_rule = fixed\ndelta_value =",
-         "delta_value = '': fixed rule needs a finite nonnegative value"),
-        ("delta_rule = min\ndelta_value = 0.5",
-         "delta_value = '0.5': min rule takes no value"),
-        ("delta_value = 0.5", "delta_value = '0.5': min rule takes no value"),
-    ])
-    def test_delta_value_out_of_the_rules_range_is_usage_error(
-            self, raw_files, history_file, tmp_path, lines, shown, capsys):
+    # the δ rule has no setting: a file that names one is refused
+    @pytest.mark.parametrize("line", ["delta_rule = quantile", "delta_value = 0.5"])
+    def test_removed_delta_key_is_unknown(self, raw_files, history_file, tmp_path, line,
+                                          capsys):
         ini = tmp_path / "cfg.ini"
-        ini.write_text(f"[reference]\n{lines}\n")
+        ini.write_text(f"[reference]\n{line}\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
@@ -409,7 +413,10 @@ class TestPredict:
             "--config", str(ini),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"error: config [reference] {shown}\n"
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"error: config [reference] {key}: unknown key; "
+            "[reference] takes n_l_g1, n_l_default\n")
 
     def test_tiny_bandwidth_predicts(self, raw_files, history_file, capsys):
         # u = d / h overflows to inf, where the kernel is 0: no RuntimeWarning
@@ -423,16 +430,15 @@ class TestPredict:
 
     def test_compact_kernel_tiny_bandwidth_falls_back(self, raw_files, history_file,
                                                       tmp_path, capsys):
-        # a quantile-rule reference matches no history shape exactly
-        ini = tmp_path / "cfg.ini"
-        ini.write_text("[reference]\ndelta_rule = quantile\ndelta_value = 0.9\n")
+        # on pooled temperatures the reference matches no history shape exactly
+        pooled = tmp_path / "pooled.jsonl"
+        pooled.write_text(pooled_text(history_file.read_text()))
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         with pytest.warns(UserWarning, match="falling back to the nearest segment"):
             code = main([
-                "predict", "--history", str(history_file), "--date", date,
+                "predict", "--history", str(pooled), "--date", date,
                 "--temp-forecast", str(raw_files / "forecast.csv"),
-                "--config", str(ini), "--kernel", "epanechnikov",
-                "--bandwidth", "1e-300",
+                "--kernel", "epanechnikov", "--bandwidth", "1e-300",
             ])
         assert code == 0
         assert max(json.loads(capsys.readouterr().out)["shape"]) == 1.0
@@ -715,11 +721,11 @@ class TestWarningsOnStderr:
                 del record["temp_c"]
             lines.append(json.dumps(record, sort_keys=True))
         (root / "history.jsonl").write_text("\n".join(lines) + "\n")
+        # on pooled temperatures the reference matches no history shape exactly
+        (root / "pooled.jsonl").write_text(pooled_text("\n".join(lines)))
         (root / "wide.ini").write_text("[reference]\nn_l_g1 = 60\nn_l_default = 60\n")
-        # a quantile-rule reference matches no history shape exactly
         (root / "compact.ini").write_text(
             "[reference]\nn_l_g1 = 60\nn_l_default = 60\n"
-            "delta_rule = quantile\ndelta_value = 0.9\n"
             "[kernel]\nkind = epanechnikov\nbandwidth = 1e-300\n"
         )
         (root / "dates.txt").write_text(
@@ -739,8 +745,8 @@ class TestWarningsOnStderr:
         )
         return done.returncode, done.stderr
 
-    def run(self, gappy, raw_files, tmp_path, command, ini, flags):
-        """`console` on the gappy history under `ini`."""
+    def run(self, gappy, raw_files, tmp_path, command, history, ini, flags):
+        """`console` on the gappy `history` under `ini`."""
         if command == "predict":
             where = ["--date", (START + dt.timedelta(days=DAYS - 1)).isoformat(),
                      "--temp-forecast", str(raw_files / "forecast.csv"),
@@ -748,22 +754,22 @@ class TestWarningsOnStderr:
         else:
             where = ["--dates-file", str(gappy / "dates.txt"),
                      "--out-dir", str(tmp_path / "bt")]
-        return self.console([command, "--history", str(gappy / "history.jsonl"),
+        return self.console([command, "--history", str(gappy / history),
                              "--config", str(gappy / ini), *where, *flags])
 
-    @pytest.mark.parametrize("command, ini, flags, dropped, fallbacks", [
-        ("predict", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
-        ("backtest", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
+    @pytest.mark.parametrize("command, history, ini, flags, dropped, fallbacks", [
+        ("predict", "history.jsonl", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
+        ("backtest", "history.jsonl", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
         # the target, a Wednesday, is the one G2 day predicted
-        ("predict", "compact.ini", [], [], 1),
+        ("predict", "pooled.jsonl", "compact.ini", [], [], 1),
         # without CV, 2010-03-13 is older than each prediction's lookback; one
         # fallback line comes from the `ssp` method, one from `conditional-kernel`
-        ("backtest", "compact.ini", ["--methods", "ssp,conditional-kernel"],
+        ("backtest", "pooled.jsonl", "compact.ini", ["--methods", "ssp,conditional-kernel"],
          NO_TEMPERATURE[1:], 2),
     ])
-    def test_each_warning_once_per_place(self, gappy, raw_files, tmp_path, command,
+    def test_each_warning_once_per_place(self, gappy, raw_files, tmp_path, command, history,
                                          ini, flags, dropped, fallbacks):
-        code, err = self.run(gappy, raw_files, tmp_path, command, ini, flags)
+        code, err = self.run(gappy, raw_files, tmp_path, command, history, ini, flags)
         assert code == 0, err
         lines = err.splitlines()
         for day in dropped:
@@ -828,21 +834,20 @@ class TestConfig:
         expected = config_snapshot(PredictorConfig(kernel=KernelSpec(bandwidth=0.3)))
         assert json.loads(capsys.readouterr().out)["config"] == expected
 
-    def test_file_with_two_faults_names_the_unparsed_value(self, raw_files, history_file,
-                                                           tmp_path, capsys):
-        # every value is parsed before the delta rule's range is checked, so a
-        # bad [kernel] kind is named before the quantile rule's missing value
+    def test_file_with_two_faults_names_the_first_in_table_order(self, raw_files, history_file,
+                                                                 tmp_path, capsys):
+        # the values are parsed in the key table's order, not the file's: the
+        # bad [reference] lookback is named before the bad [kernel] kind
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[reference]\ndelta_rule = quantile\n[kernel]\nkind = bogus\n")
+        ini.write_text("[kernel]\nkind = bogus\n[reference]\nn_l_g1 = 0\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
             "--temp-forecast", str(raw_files / "forecast.csv"), "--config", str(ini),
         ])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config [kernel] kind = 'bogus': ")
-        assert "delta_value" not in err
+        assert capsys.readouterr().err == (
+            "error: config [reference] n_l_g1 = '0': must be a positive integer\n")
 
 
 class TestSimulate:

@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_history
-from shapecast.cli import main
+from shapecast.cli import INI_KEYS, main
 from shapecast.history import history_jsonl_text
 from shapecast.segments import TimeGrid
 
@@ -35,7 +35,7 @@ BACKTEST_DATES = [START + dt.timedelta(days=d) for d in (34, 36, 39)]
 
 
 INI = {
-    "reference": {"delta_rule": "quantile", "delta_value": "0.5"},
+    "reference": {"n_l_g1": "10", "n_l_default": "21"},
     "kernel": {"kind": "gaussian", "bandwidth": "auto"},
     "distance": {"kind": "euclidean"},
 }
@@ -52,7 +52,9 @@ def _valid_inputs() -> dict[str, str]:
     rng = np.random.default_rng(3)
     loads = 100.0 + 400.0 * rng.random((DAYS, 24))
     temps = 5.0 + 25.0 * rng.random((DAYS, 24))
-    history = make_history(GRID, START, loads, temps)
+    # two temperature rows, so candidates tie, the reference is no history
+    # shape, and bandwidth CV's smallest h falls back to the nearest shape
+    history = make_history(GRID, START, loads, temps[np.arange(DAYS) % 2])
     return {
         "history.jsonl": history_jsonl_text(history),
         "forecast.csv": "date,t0800,t1200,t1600,t2000\n"
@@ -112,10 +114,8 @@ def damaged(draw, name: str, kind: str | None = None) -> bytes:
     elif kind == "ini":
         sections = {s: dict(values) for s, values in INI.items()}
         section = draw(st.sampled_from(sorted(sections)))
-        key = draw(st.sampled_from(
-            ["mode", "n_l_g1", "n_l_default", "delta_rule", "delta_value",
-             "kind", "bandwidth"]
-        ))
+        # every key the table holds, and one it does not
+        key = draw(st.sampled_from(["mode", *sorted({k for _, k in INI_KEYS})]))
         sections[section][key] = draw(text.map(lambda s: " ".join(s.splitlines())))
         content = _ini_text(sections)
     elif kind == "line":

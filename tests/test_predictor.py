@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import distance, make_history, random_history, raw_stage
+from conftest import distance, make_history, pooled_history, random_history, raw_stage
 from shapecast import baselines, predictor
 from shapecast.baselines import predict_conditional_kernel, predict_persistence
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar
@@ -31,7 +31,7 @@ from shapecast.predictor import (
     prediction_to_dict,
     select_bandwidth,
 )
-from shapecast.reference import DEFAULT_N_L, DeltaRule, ReferenceConfig, select_reference
+from shapecast.reference import DEFAULT_N_L, ReferenceConfig, select_reference
 from shapecast.segments import (
     DistanceKind,
     TemperatureSegment,
@@ -589,29 +589,25 @@ def seed_default_bandwidth_grid(history, dist):
     return med * np.logspace(np.log10(0.01), np.log10(10.0), 25)
 
 
-# a quantile δ rule averages several candidates, so the reference is no history
+# a "-pooled" config runs on `pooled_history`, where the reference is no history
 # row and a compact kernel at a tiny bandwidth leaves every shape massless
-THRESHOLD = ReferenceConfig(delta_rule=DeltaRule("quantile", 0.9))
-
 CV_CONFIGS = {
     "gaussian": PredictorConfig(),
-    "gaussian-threshold": PredictorConfig(reference=THRESHOLD),
-    "epanechnikov-threshold": PredictorConfig(
-        reference=THRESHOLD, kernel=KernelSpec(KernelKind.EPANECHNIKOV)
-    ),
-    "uniform-threshold": PredictorConfig(
-        reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM)
-    ),
+    "gaussian-pooled": PredictorConfig(),
+    "epanechnikov-pooled": PredictorConfig(kernel=KernelSpec(KernelKind.EPANECHNIKOV)),
+    "uniform-pooled": PredictorConfig(kernel=KernelSpec(KernelKind.UNIFORM)),
     "mean-absolute": PredictorConfig(
         reference=ReferenceConfig(temp_distance=DistanceKind("mean-absolute")),
         shape_distance=DistanceKind("mean-absolute"),
     ),
-    "max-absolute": PredictorConfig(
-        reference=THRESHOLD, shape_distance=DistanceKind("max-absolute")
+    "mean-absolute-pooled": PredictorConfig(
+        reference=ReferenceConfig(temp_distance=DistanceKind("mean-absolute")),
+        shape_distance=DistanceKind("mean-absolute"),
     ),
-    # random temperatures on 24 points lie some 60 apart in euclidean distance
-    "fixed-delta": PredictorConfig(reference=ReferenceConfig(delta_rule=DeltaRule("fixed", 55.0))),
-    "quantile-0.25": PredictorConfig(reference=ReferenceConfig(delta_rule=DeltaRule("quantile", 0.25))),
+    "max-absolute-pooled": PredictorConfig(shape_distance=DistanceKind("max-absolute")),
+    "max-absolute-temperature-pooled": PredictorConfig(
+        reference=ReferenceConfig(temp_distance=DistanceKind("max-absolute")),
+    ),
 }
 
 
@@ -620,7 +616,8 @@ class TestSelectBandwidthOracle:
     def test_equals_per_bandwidth_pipelines(self, name, grid24, monkeypatch):
         cfg = CV_CONFIGS[name]
         # 46 days: a 15-day validation window
-        history = random_history(grid24, np.random.default_rng(53), 46)
+        build = pooled_history if name.endswith("-pooled") else random_history
+        history = build(grid24, np.random.default_rng(53), 46)
         h_grid = sorted([*default_bandwidth_grid(history, cfg.shape_distance), 1e-9, 3.0])
         use_grid(monkeypatch, h_grid)
         with warnings.catch_warnings(record=True) as seen:
@@ -639,7 +636,7 @@ class TestSelectBandwidthOracle:
         # and, in both, it names the caller's file
         assert all(w.filename == __file__ for w in seen + seen_new
                    if "no segment within bandwidth" in str(w.message))
-        if "threshold" in name:
+        if name.endswith("-pooled"):
             assert fallbacks(seen_new) > 0
 
     # a one-day lookback: a Monday after a Sunday, or a Wednesday after a
@@ -676,8 +673,8 @@ class TestSelectBandwidthOracle:
 
 def test_fallback_warns_once_per_validation_day(grid24, monkeypatch):
     # three massless bandwidths on every one of the 15 validation days
-    cfg = PredictorConfig(reference=THRESHOLD, kernel=KernelSpec(KernelKind.UNIFORM))
-    history = random_history(grid24, np.random.default_rng(53), 46)
+    cfg = PredictorConfig(kernel=KernelSpec(KernelKind.UNIFORM))
+    history = pooled_history(grid24, np.random.default_rng(53), 46)
     use_grid(monkeypatch, [1e-9, 2e-9, 1e-8, 5.0, 10.0])
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 import warnings
 
 import numpy as np
@@ -10,9 +11,9 @@ from shapecast.errors import (EmptyCandidateError, MissingTemperatureError,
                               ShapecastError)
 from shapecast.history import HistoryWindow
 from shapecast.reference import (
-    DeltaRule,
     ReferenceConfig,
     candidate_set,
+    nearest,
     select_reference,
 )
 from shapecast.segments import (
@@ -48,17 +49,33 @@ def test_n_L_below_one_refused(n_L):
         ReferenceConfig(n_L_by_group={"G1": n_L})
 
 
-@pytest.mark.parametrize("kind, value, message", [
-    ("fixed", float("nan"), "fixed rule needs a finite nonnegative value"),
-    ("fixed", float("inf"), "fixed rule needs a finite nonnegative value"),
-    ("fixed", -0.5, "fixed rule needs a finite nonnegative value"),
-    ("quantile", float("nan"), r"quantile rule needs a value in \(0, 1\]"),
-    ("min", 0.5, "min rule takes no value"),
-])
-def test_delta_rule_refuses_values_it_cannot_use(kind, value, message):
-    # a NaN threshold would choose no candidate and average nothing into NaN
-    with pytest.raises(ShapecastError, match=message):
-        DeltaRule(kind, value)
+@pytest.mark.parametrize("n_L", [2.5, 3.0, np.float64(3.0), True, np.True_, "3", None], ids=repr)
+def test_n_L_that_is_not_whole_refused(n_L):
+    with pytest.raises(ShapecastError, match=f"^n_L {re.escape(repr(n_L))} is not a whole number$"):
+        ReferenceConfig(n_L_by_group={"G1": n_L})
+
+
+def test_n_L_held_as_int():
+    cfg = ReferenceConfig(n_L_by_group={"G1": np.int64(3)})
+    assert cfg.n_L(DayGroup.G1) == 3 and type(cfg.n_L(DayGroup.G1)) is int
+
+
+@pytest.mark.parametrize("dists, c_star", [
+    ([3.0, 1.0, 2.0], [1]),
+    ([1.0, 2.0, 1.0], [0, 2]),
+    ([0.0, 0.0, 0.0], [0, 1, 2]),
+    ([5.0], [0]),
+], ids=["unique", "pair", "all-zero", "single"])
+def test_nearest_takes_every_candidate_at_the_minimum(dists, c_star):
+    delta, mask = nearest(np.array(dists))
+    assert type(delta) is float and delta == min(dists)
+    assert mask.dtype == bool and np.flatnonzero(mask).tolist() == c_star
+
+
+def test_nearest_keeps_a_near_tie_out():
+    # one ulp above δ is not a tie: C* joins on exact equality only
+    delta, mask = nearest(np.array([1.0, np.nextafter(1.0, 2.0)]))
+    assert delta == 1.0 and mask.tolist() == [True, False]
 
 
 class TestCandidateSet:
@@ -163,47 +180,26 @@ class TestSelectReference:
         expected = (shape_of(window.loads[0]) + shape_of(window.loads[1])) / 2
         np.testing.assert_array_equal(result.reference, expected)
 
-    def test_threshold_min_matches_argmin_with_unique_minimizer(self):
+    def test_unique_minimizer_is_c_star_alone(self):
         rng = np.random.default_rng(5)
         window = self.random_window(rng, 6)
         forecast = temp_segment(self.grid, 15.0 + 10.0 * rng.random(4))
-        r1 = select(window, forecast, ReferenceConfig())
-        r2 = select(window, forecast, ReferenceConfig(delta_rule=DeltaRule("min")))
-        assert r1.c_star == r2.c_star
-        np.testing.assert_array_equal(r1.reference, r2.reference)
-
-    def test_threshold_quantile_widens_c_star(self):
-        window = self.window(*(([100.0 + 10 * i] * 4, [20.0 + i] * 4) for i in range(5)))
-        forecast = temp_segment(self.grid, [20.0] * 4)
-        cfg = ReferenceConfig(delta_rule=DeltaRule("quantile", 1.0))
-        result = select(window, forecast, cfg)
-        assert len(result.c_star) == 5
-
-    def test_quantile_rule_alone_widens_c_star(self):
-        # the δ rule is the one reference setting: no other switch turns it on
-        rng = np.random.default_rng(5)
-        window = self.random_window(rng, 6)
-        forecast = temp_segment(self.grid, 15.0 + 10.0 * rng.random(4))
-        cfg = ReferenceConfig(delta_rule=DeltaRule("quantile", 0.9))
-        assert len(select(window, forecast, cfg).c_star) > 1
-        assert len(select(window, forecast, self.cfg).c_star) == 1
-
-    def test_threshold_fixed_never_undercuts_min(self):
-        window = self.window(([100.0] * 4, [30.0] * 4))
-        forecast = temp_segment(self.grid, [20.0] * 4)
-        cfg = ReferenceConfig(delta_rule=DeltaRule("fixed", 0.1))
-        result = select(window, forecast, cfg)
-        assert result.c_star  # clamped up to the minimum distance
+        result = select(window, forecast, self.cfg)
+        nearest = min(result.temp_distances, key=result.temp_distances.get)
+        assert result.c_star == (nearest,)
+        assert result.delta == result.temp_distances[nearest]
+        np.testing.assert_array_equal(result.reference, window.shapes[window.row(nearest)])
 
     def test_convex_hull_property(self):
+        # temperatures from a two-row pool: the candidates tie in pairs or more
         rng = np.random.default_rng(9)
-        window = self.random_window(rng, 8)
-        forecast = temp_segment(self.grid, [20.0] * 4)
-        cfg = ReferenceConfig(delta_rule=DeltaRule("quantile", 1.0))
-        result = select(window, forecast, cfg)
+        pool = 15.0 + 10.0 * rng.random((2, 4))
+        window = self.window(*((100.0 + 300.0 * rng.random(4), pool[i % 2]) for i in range(8)))
+        result = select(window, temp_segment(self.grid, pool[1]), self.cfg)
+        assert result.c_star == window.dates[1::2]
         shapes = np.array([shape_of(load) for load in window.loads])
-        assert np.all(result.reference >= shapes.min(axis=0) - 1e-12)
-        assert np.all(result.reference <= shapes.max(axis=0) + 1e-12)
+        assert np.all(result.reference >= shapes[1::2].min(axis=0) - 1e-12)
+        assert np.all(result.reference <= shapes[1::2].max(axis=0) + 1e-12)
 
     def test_argmin_invariant_under_deviation_scaling(self):
         rng = np.random.default_rng(13)
@@ -281,38 +277,35 @@ def per_candidate_reference(dates, loads, temps, forecast, cfg):
     usable = [k for k, temp in enumerate(temps) if not np.isnan(temp[mask]).any()]
     dists = {dates[k]: distance(temps[k][mask], forecast.values[mask], cfg.temp_distance)
              for k in usable}
-    d_min = min(dists.values())
-    delta = d_min
-    if cfg.delta_rule.kind.value == "quantile":
-        delta = float(np.quantile(list(dists.values()), cfg.delta_rule.value))
-    chosen = [k for k in usable if dists[dates[k]] <= delta]
+    delta = min(dists.values())
+    chosen = [k for k in usable if dists[dates[k]] == delta]
     rows = [loads[k] / loads[k].max() for k in chosen]
     return np.array(rows).mean(axis=0), tuple(dates[k] for k in chosen), dists
 
 
 @pytest.mark.parametrize("kind", list(DistanceKind))
-# the `min` rule is the argmin, a `quantile` rule a threshold
-@pytest.mark.parametrize("rule", [
-    pytest.param(DeltaRule(), id="argmin-rule0"),
-    pytest.param(DeltaRule("quantile", 0.3), id="threshold-rule1"),
-])
-def test_rows_match_per_candidate_loop(kind, rule):
+# distinct temperatures make C* the argmin; a pool of three rows makes ties
+@pytest.mark.parametrize("pool", [None, 3], ids=["argmin", "ties"])
+def test_rows_match_per_candidate_loop(kind, pool):
     grid = TimeGrid.equidistant(24)
     rng = np.random.default_rng(3)
     loads = 50.0 + 450.0 * rng.random((60, 24))
     temps = 5.0 + 25.0 * rng.random((60, 24))
+    if pool:
+        temps = temps[np.arange(60) % pool]
     temps[rng.random((60, 24)) < 0.1] = np.nan  # partial days, some dropped
     temps[::9] = np.nan  # days without temperature
     history = make_history(grid, MONDAY, loads, temps)
     every_third = np.isin(np.arange(24), range(1, 24, 3))
-    cfg = ReferenceConfig(delta_rule=rule, temp_distance=kind)
-    for forecast_points in None, every_third:
-        check_against_loop(history, cfg, rng, forecast_points)
+    cfg = ReferenceConfig(temp_distance=kind)
+    sizes = [size for forecast_points in (None, every_third)
+             for size in check_against_loop(history, cfg, rng, forecast_points)]
+    assert (max(sizes) > 1) == bool(pool)
 
 
 def check_against_loop(history, cfg, rng, forecast_points=None):
-    """`forecast_points`, when given, leaves the forecast NaN off those points."""
-    checked = 0
+    """Each checked C*'s size; `forecast_points`, if given, leave the forecast NaN off them."""
+    sizes = []
     for forecast_values in 5.0 + 25.0 * rng.random((8, 24)):
         forecast_values[rng.random(24) < 0.5] = np.nan
         if forecast_points is not None:
@@ -335,5 +328,6 @@ def check_against_loop(history, cfg, rng, forecast_points=None):
             assert got.temp_distances == dists
             assert got.dropped == tuple(history.dates[i] for i in rows
                                         if history.dates[i] not in dists)
-            checked += 1
-    assert checked >= 4 * len(DayGroup)  # most draws reach a reference
+            sizes.append(len(c_star))
+    assert len(sizes) >= 4 * len(DayGroup)  # most draws reach a reference
+    return sizes

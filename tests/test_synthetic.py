@@ -15,7 +15,7 @@ from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow, Quality
 from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig
-from shapecast.reference import DeltaRule, ReferenceConfig
+from shapecast.reference import ReferenceConfig, nearest
 from shapecast.synthetic import (
     ERROR_NAMES,
     SHAPE_FUNCTIONS,
@@ -401,10 +401,10 @@ class TestConsistencyExperiment:
         assert built == [] and staged == []
 
     def test_one_delta_threshold_per_replication_and_length(self, monkeypatch):
-        # the lab's δ is the predictor's default rule, δ = min, taken once per cell
-        dists, threshold = [], DeltaRule.threshold
-        monkeypatch.setattr(DeltaRule, "threshold",
-                            lambda rule, near: dists.append(near) or threshold(rule, near))
+        # the lab's δ is the predictor's, δ = min, taken once per cell
+        dists = []
+        monkeypatch.setattr(synthetic, "nearest",
+                            lambda near: dists.append(near) or nearest(near))
         run = consistency_experiment(SyntheticSpec(GRID, 1, seed=0), [32, 45, 64], 3)
         assert len(dists) == 9
         assert [len(near) for near in dists] == [len(near) for near in dists[:3]] * 3
