@@ -48,7 +48,7 @@ METHODS = {
         predict_persistence(prior, meta.group)
     ),
     "conditional-kernel": lambda prior, meta, forecast, cfg: (
-        predict_conditional_kernel(prior, cfg.kernel, cfg.shape_distance)
+        predict_conditional_kernel(prior, cfg.kernel, cfg.distance)
     ),
 }
 # the methods that read the kernel bandwidth, so only they need it selected

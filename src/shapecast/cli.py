@@ -20,7 +20,7 @@ import numpy as np
 
 from .backtest import BANDWIDTH_METHODS, backtest, check_methods
 from .backtest import emit_day_curves, emit_report
-from .calendars import DayGroup, annotate_calendar, parse_date_lines, parse_holiday_file
+from .calendars import annotate_calendar, parse_date_lines, parse_holiday_file
 from .errors import ShapecastError
 from .history import HistoryWindow, history_jsonl_text, read_history_jsonl
 from .ingest import (
@@ -37,7 +37,7 @@ from .predictor import (
     prediction_to_json,
     select_bandwidth,
 )
-from .reference import DEFAULT_N_L, ReferenceConfig
+from .reference import ReferenceConfig
 from .segments import DistanceKind, TimeGrid
 from .synthetic import SyntheticSpec, consistency_experiment, experiment_csv
 
@@ -109,18 +109,22 @@ def parse_bandwidth(text: str) -> str | float:
         ) from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be a positive integer")
+def _int_at_least(text: str, least: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # not an integer: the range's message too
+        value = least - 1
+    if value < least:
+        raise ValueError(f"must be a {what} integer")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be a nonnegative integer")
-    return value
+    return _int_at_least(text, 0, "nonnegative")
 
 
 def _nonnegative_float(text: str) -> float:
@@ -157,9 +161,9 @@ def _length_list(text: str) -> list[int]:
 # where flag names the argparse dest that overrides the key, or None: the table
 # `build_predictor_config` reads and `_load_ini` refuses any other key by
 INI_KEYS = {
-    ("reference", "n_l_g1"): (_positive_int, DEFAULT_N_L[DayGroup.G1], None),
-    ("reference", "n_l_default"): (_positive_int, DEFAULT_N_L[DayGroup.G2], None),
-    ("distance", "kind"): (DistanceKind, PredictorConfig.shape_distance, "distance"),
+    ("reference", "n_l_g1"): (_positive_int, ReferenceConfig.n_l_g1, None),
+    ("reference", "n_l_default"): (_positive_int, ReferenceConfig.n_l_default, None),
+    ("distance", "kind"): (DistanceKind, PredictorConfig.distance, "distance"),
     ("kernel", "kind"): (KernelKind, KernelSpec.kind, "kernel"),
     ("kernel", "bandwidth"): (parse_bandwidth, "auto", "bandwidth"),
 }
@@ -185,19 +189,15 @@ def build_predictor_config(args, cv_history: HistoryWindow | None) -> PredictorC
         if flag is not None and getattr(args, flag) is not None:
             value = getattr(args, flag)
         settings[section, key] = value
-    n_l_by_group = dict.fromkeys(DayGroup, settings["reference", "n_l_default"])
-    n_l_by_group[DayGroup.G1] = settings["reference", "n_l_g1"]
     bandwidth = settings["kernel", "bandwidth"]
     cfg = PredictorConfig(
-        reference=ReferenceConfig(
-            n_L_by_group=n_l_by_group,
-            temp_distance=settings["distance", "kind"],
-        ),
+        reference=ReferenceConfig(settings["reference", "n_l_g1"],
+                                  settings["reference", "n_l_default"]),
         kernel=KernelSpec(
             kind=settings["kernel", "kind"],
             bandwidth=KernelSpec.bandwidth if bandwidth == "auto" else bandwidth,
         ),
-        shape_distance=settings["distance", "kind"],
+        distance=settings["distance", "kind"],
     )
     if bandwidth == "auto" and cv_history is not None:
         h, _ = select_bandwidth(cv_history, cfg)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import numbers
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 
@@ -50,7 +50,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", KernelKind(self.kind))
-        if not 0 < self.bandwidth < np.inf:
+        h = self.bandwidth
+        if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < np.inf:
             raise ShapecastError("bandwidth must be positive and finite")
 
 
@@ -58,10 +59,10 @@ class KernelSpec:
 class PredictorConfig:
     reference: ReferenceConfig = field(default_factory=ReferenceConfig)
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    shape_distance: DistanceKind = DistanceKind.EUCLIDEAN
+    distance: DistanceKind = DistanceKind.EUCLIDEAN  # compares temperatures and shapes
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape_distance", DistanceKind(self.shape_distance))
+        object.__setattr__(self, "distance", DistanceKind(self.distance))
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,8 @@ def _stage(
         raise InsufficientHistoryError("cannot predict from an empty history")
     candidates = candidate_set(history, group, cfg.reference)
     shapes = history.shapes
-    reference = select_reference(history, candidates, temp_forecast, cfg.reference)
-    dists = distances(shapes, reference.reference, cfg.shape_distance)
+    reference = select_reference(history, candidates, temp_forecast, cfg.distance)
+    dists = distances(shapes, reference.reference, cfg.distance)
     weights, dead = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
     return reference, weights, read_only(predict_shape(shapes, weights)), dead
 
@@ -246,7 +247,7 @@ def select_bandwidth(
     smaller bandwidth. One `_stage` per day weighs and combines the whole
     grid; the results equal one `predict_day` per (h, day).
     """
-    h_grid = default_bandwidth_grid(history, cfg.shape_distance)
+    h_grid = default_bandwidth_grid(history, cfg.distance)
     validation_days = min(CV_DAYS, max(1, len(history) - CV_MIN_TRAIN))
     if len(history) <= validation_days + 1:
         raise InsufficientHistoryError(
@@ -283,13 +284,11 @@ def prediction_to_dict(pred: Prediction, include_weights: bool = False) -> dict:
 
 
 def config_snapshot(cfg) -> dict:
-    """Plain-JSON form of a config: dataclass fields, Enum values, mappings."""
+    """Plain-JSON form of a config: dataclass fields and Enum values."""
     if is_dataclass(cfg):
         return {f.name: config_snapshot(getattr(cfg, f.name)) for f in fields(cfg)}
     if isinstance(cfg, Enum):
         return cfg.value
-    if isinstance(cfg, Mapping):
-        return {config_snapshot(k): config_snapshot(v) for k, v in cfg.items()}
     return cfg
 
 

@@ -1,20 +1,19 @@
 """Candidate-day selection and construction of the reference segment.
 
-The reference segment, the expected-shape proxy for the target day, averages
-the shapes of the recent same-group days nearest the forecast in
-temperature. Temperatures are compared on the points the forecast observes
-(its non-NaN points) only; a candidate missing one is dropped, and the result
-lists it. `nearest` alone sets the closeness threshold δ, for the predictor
-and the Monte Carlo lab: δ is the smallest temperature distance, so the
-chosen set C* is the nearest day plus any exact ties. The threshold has no
-setting.
+The candidates are the target group's days among the last n_L: `n_l_g1` for
+G1 (Mon/Tue/Thu/Fri), `n_l_default` for every other group. The reference
+segment, the expected-shape proxy for the target day, averages the shapes of
+those nearest the forecast in temperature under the predictor's one metric,
+compared on the forecast's non-NaN points only; a candidate missing one is
+dropped, and the result lists it. `nearest` alone sets the threshold δ, for
+the predictor and the Monte Carlo lab: the smallest temperature distance, so
+C* is the nearest day plus any exact ties. The threshold has no setting.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,31 +30,20 @@ def nearest(dists: np.ndarray) -> tuple[float, np.ndarray]:
     return delta, dists <= delta
 
 
-DEFAULT_N_L = MappingProxyType(
-    {
-        DayGroup.G1: 14,
-        DayGroup.G2: 28,
-        DayGroup.G3: 28,
-        DayGroup.G4: 28,
-        DayGroup.HOLIDAY: 28,
-    }
-)
-
-
 @dataclass(frozen=True)
 class ReferenceConfig:
-    n_L_by_group: dict = field(default_factory=lambda: dict(DEFAULT_N_L))
-    temp_distance: DistanceKind = DistanceKind.EUCLIDEAN
+    n_l_g1: int = 14
+    n_l_default: int = 28
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "temp_distance", DistanceKind(self.temp_distance))
-        n_l = {DayGroup(g): whole(n, "n_L") for g, n in self.n_L_by_group.items()}
-        if any(n < 1 for n in n_l.values()):
-            raise ShapecastError("n_L values must be >= 1")
-        object.__setattr__(self, "n_L_by_group", MappingProxyType(n_l))
+        for name in ("n_l_g1", "n_l_default"):
+            n_l = whole(getattr(self, name), "n_L")
+            if n_l < 1:
+                raise ShapecastError("n_L values must be >= 1")
+            object.__setattr__(self, name, n_l)
 
     def n_L(self, group: DayGroup) -> int:
-        return self.n_L_by_group.get(group, DEFAULT_N_L[group])
+        return self.n_l_g1 if group is DayGroup.G1 else self.n_l_default
 
 
 @dataclass(frozen=True)
@@ -73,15 +61,13 @@ def candidate_set(
     """Row indices of the `group` days among the last n_L days, oldest first.
 
     A holiday with fewer than two such days widens the pool with the G4 days
-    of the lookback (holidays behave most like Sundays).
+    of its lookback (holidays behave most like Sundays).
     """
     code = GROUPS.index(group)
-    n_l = cfg.n_L(group)
-    start = max(len(history) - n_l, 0)
-    rows = start + np.flatnonzero(history.group[start:] == code)
+    start = max(len(history) - cfg.n_L(group), 0)
+    pool = history.group[start:]
+    rows = start + np.flatnonzero(pool == code)
     if group is DayGroup.HOLIDAY and len(rows) < 2:
-        start = max(len(history) - max(n_l, cfg.n_L(DayGroup.G4)), 0)
-        pool = history.group[start:]
         rows = start + np.flatnonzero((pool == code) | (pool == GROUPS.index(DayGroup.G4)))
     if not len(rows):
         raise EmptyCandidateError(f"no usable candidate for group {group.value}")
@@ -92,9 +78,9 @@ def select_reference(
     history: HistoryWindow,
     candidates: np.ndarray,
     temp_forecast: TemperatureSegment,
-    cfg: ReferenceConfig,
+    kind: DistanceKind = DistanceKind.EUCLIDEAN,
 ) -> ReferenceResult:
-    """Pick the candidate rows nearest the forecast's temperature; average their shapes."""
+    """The candidates nearest the forecast's temperature under `kind`, and their mean shape."""
     if temp_forecast.grid != history.grid:
         raise GridMismatchError("the forecast's grid is not the history's")
     candidates = np.asarray(candidates, dtype=int)
@@ -108,7 +94,7 @@ def select_reference(
         raise MissingTemperatureError(
             "every candidate lacks temperature data on the comparison mask"
         )
-    dists = distances(temps[observed], temp_forecast.values[points], cfg.temp_distance)
+    dists = distances(temps[observed], temp_forecast.values[points], kind)
     delta, near = nearest(dists)
     chosen = usable[near]
     return ReferenceResult(

@@ -72,10 +72,10 @@ def raw_stage(history, group, forecast, cfg, bandwidth):
     weights, combined loads, `_kernel_weights`'s dead mask).
     """
     candidates = candidate_set(history, group, cfg.reference)
-    result = select_reference(history, candidates, forecast, cfg.reference)
+    result = select_reference(history, candidates, forecast, cfg.distance)
     rows = [history.dates.index(date) for date in result.c_star]
     reference = replace(result, reference=read_only(history.loads[rows].mean(axis=0)))
-    dists = distances(history.loads, reference.reference, cfg.shape_distance)
+    dists = distances(history.loads, reference.reference, cfg.distance)
     weights, dead = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
     return reference, weights, read_only(predict_shape(history.loads, weights)), dead
 

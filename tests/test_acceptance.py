@@ -26,7 +26,7 @@ from shapecast.predictor import (
     predict_day,
     predict_shape,
 )
-from shapecast.reference import DEFAULT_N_L, ReferenceConfig
+from shapecast.reference import ReferenceConfig
 from shapecast.segments import TemperatureSegment, TimeGrid, distances
 from shapecast.synthetic import SyntheticSpec, consistency_experiment, generate
 from test_predictor import brute_force_ssp, full_mask_forecast
@@ -70,7 +70,7 @@ def test_01_oracle_equivalence():
                 continue  # short history without the target's group; redraw
             expected = brute_force_ssp(
                 history, target.group, list(forecast_values),
-                list(range(P)), DEFAULT_N_L[target.group], "gaussian", h,
+                list(range(P)), ReferenceConfig().n_L(target.group), "gaussian", h,
             )
             np.testing.assert_allclose(pred.shape, expected, atol=1e-12)
             checked += 1
@@ -103,7 +103,7 @@ def test_03_noiseless_exact_recovery():
         grid = TimeGrid.equidistant(24)
         L = 200
         cfg = PredictorConfig(
-            reference=ReferenceConfig(n_L_by_group={g: L for g in DayGroup}),
+            reference=ReferenceConfig(L, L),
             kernel=KernelSpec(KernelKind.EPANECHNIKOV, 1e-6),
         )
         for rep in range(20):

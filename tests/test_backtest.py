@@ -22,7 +22,6 @@ from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow
 from shapecast.metrics import score_day
 from shapecast.predictor import KernelSpec, PredictorConfig, select_bandwidth
-from shapecast.reference import ReferenceConfig
 from shapecast.segments import DistanceKind, TemperatureSegment, TimeGrid
 
 MONDAY = dt.date(2010, 6, 7)
@@ -245,8 +244,7 @@ def seed_backtest(history, dates, methods, cfg):
 BACKTEST_CONFIGS = {
     "default": PredictorConfig(kernel=KernelSpec(bandwidth=0.3)),
     "mean-absolute": PredictorConfig(
-        reference=ReferenceConfig(temp_distance=DistanceKind("mean-absolute")),
-        kernel=KernelSpec(bandwidth=0.3), shape_distance=DistanceKind("mean-absolute"),
+        kernel=KernelSpec(bandwidth=0.3), distance=DistanceKind("mean-absolute"),
     ),
 }
 

@@ -12,8 +12,6 @@ from shapecast import synthetic
 from shapecast.cli import INI_KEYS, main
 from shapecast.history import HistoryWindow, history_jsonl_text, read_history_jsonl
 from shapecast.predictor import KernelSpec, PredictorConfig, config_snapshot
-from shapecast.calendars import DayGroup
-from shapecast.reference import ReferenceConfig
 from shapecast.segments import TimeGrid
 
 GRID = TimeGrid.equidistant(24)
@@ -174,6 +172,13 @@ class TestIngest:
         assert "cannot read" in capsys.readouterr().err
 
 
+# the whole message of a bad config value whose parser's own text would differ
+BAD_INI_MESSAGES = {
+    "n_l_g1 = 2.5": "error: config [reference] n_l_g1 = '2.5': must be a positive integer\n",
+    "n_l_g1 = x": "error: config [reference] n_l_g1 = 'x': must be a positive integer\n",
+}
+
+
 class TestPredict:
     def test_prediction_json_to_stdout(self, raw_files, history_file, capsys):
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
@@ -273,13 +278,12 @@ class TestPredict:
         ])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        # the distance sets both metrics, and the config records no other key
-        assert doc["config"] == config_snapshot(PredictorConfig(
-            reference=ReferenceConfig({**dict.fromkeys(DayGroup, 7), DayGroup.G1: 5},
-                                      temp_distance="mean-absolute"),
-            kernel=KernelSpec("epanechnikov", 0.5),
-            shape_distance="mean-absolute",
-        ))
+        # the config records each INI key's value and nothing else
+        assert doc["config"] == {
+            "reference": {"n_l_g1": 5, "n_l_default": 7},
+            "kernel": {"kind": "epanechnikov", "bandwidth": 0.5},
+            "distance": "mean-absolute",
+        }
         # the target is a Wednesday: a 7-day lookback holds one Wednesday
         assert doc["reference_dates"] == [(START + dt.timedelta(days=DAYS - 8)).isoformat()]
 
@@ -340,6 +344,8 @@ class TestPredict:
         ("kernel", "bandwidth = inf"),
         ("kernel", "kind = triangular"),
         ("reference", "n_l_g1 = two"),
+        ("reference", "n_l_g1 = 2.5"),
+        ("reference", "n_l_g1 = x"),
         ("reference", "n_l_default = 0"),
         ("reference", "n_l_default = 2.5"),
         ("reference", "n_l_g1 = -3"),
@@ -365,7 +371,10 @@ class TestPredict:
         ])
         assert code == 2
         key = line.split(" = ")[0]
-        assert f"config [{section}] {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config [{section}] {key}" in err
+        if line in BAD_INI_MESSAGES:
+            assert err == BAD_INI_MESSAGES[line]
 
     @pytest.mark.parametrize("section, line, flag", [
         ("kernel", "bandwidth = abc", "--bandwidth=0.3"),
@@ -691,9 +700,7 @@ class TestBacktest:
 # under --bandwidth 0.3
 FLAG_OVERRIDES = {
     ("distance", "kind"): ("max-absolute", "mean-absolute", PredictorConfig(
-        reference=ReferenceConfig(temp_distance="mean-absolute"),
-        kernel=KernelSpec(bandwidth=0.3),
-        shape_distance="mean-absolute",
+        kernel=KernelSpec(bandwidth=0.3), distance="mean-absolute",
     )),
     ("kernel", "kind"): ("epanechnikov", "uniform",
                          PredictorConfig(kernel=KernelSpec(kind="uniform", bandwidth=0.3))),
@@ -823,6 +830,16 @@ class TestConfig:
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert report["config"] == config_snapshot(expected)
+
+    def test_config_leaves_are_the_ini_keys(self):
+        leaves = {}  # a top-level value is its section's `kind`
+        for section, value in config_snapshot(PredictorConfig()).items():
+            for key, leaf in value.items() if isinstance(value, dict) else [("kind", value)]:
+                leaves[section, key] = leaf
+        assert sorted(leaves) == sorted(INI_KEYS)
+        # each default is the library's, but for the bandwidth, whose 'auto' CV selects
+        defaults = {row: config_snapshot(default) for row, (_, default, _) in INI_KEYS.items()}
+        assert defaults == {**leaves, ("kernel", "bandwidth"): "auto"}
 
     def test_defaults_are_the_librarys(self, raw_files, history_file, capsys):
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()

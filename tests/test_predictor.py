@@ -31,7 +31,7 @@ from shapecast.predictor import (
     prediction_to_dict,
     select_bandwidth,
 )
-from shapecast.reference import DEFAULT_N_L, ReferenceConfig, select_reference
+from shapecast.reference import ReferenceConfig, select_reference
 from shapecast.segments import (
     DistanceKind,
     TemperatureSegment,
@@ -100,9 +100,11 @@ class TestComputeWeights:
         w, _ = _kernel_weights(distances(shapes, ref), KernelKind.GAUSSIAN, 1e9)
         assert np.max(np.abs(w - 0.1)) < 1e-6
 
-    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    # a bool, or anything not a real number, is no bandwidth either
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf,
+                                   True, False, np.True_, "0.3", None, [0.3], 1j])
     def test_bandwidth_must_be_positive_and_finite(self, h):
-        with pytest.raises(ShapecastError, match="bandwidth must be positive and finite"):
+        with pytest.raises(ShapecastError, match="^bandwidth must be positive and finite$"):
             KernelSpec(KernelKind.GAUSSIAN, h)
 
     def test_tiny_bandwidth_concentrates_on_nearest(self):
@@ -330,7 +332,7 @@ class TestPredictDay:
             assert weights.max() < 0.99
             expected = brute_force_ssp(
                 history, target.group, list(forecast_values),
-                list(range(P)), DEFAULT_N_L[target.group], "gaussian", h, unit="loads",
+                list(range(P)), ReferenceConfig().n_L(target.group), "gaussian", h, unit="loads",
             )
             np.testing.assert_allclose(shape, expected, atol=1e-12)
             checked += 1
@@ -377,8 +379,8 @@ class TestPredictDay:
         assert len(d["scaled"]) == 4
         assert "weights" not in d
         assert "kernel" in d["config"]
-        assert d["config"]["shape_distance"] == "euclidean"
-        assert d["config"]["reference"]["temp_distance"] == "euclidean"
+        assert d["config"]["distance"] == "euclidean"
+        assert d["config"]["reference"] == {"n_l_g1": 14, "n_l_default": 28}
         d2 = prediction_to_dict(pred, include_weights=True)
         assert len(d2["weights"]) == len(history)
 
@@ -395,14 +397,14 @@ def test_forecast_off_the_history_grid_refused(grid4, grid):
     with pytest.raises(GridMismatchError, match=message):
         predict_day(history, target, forecast)
     with pytest.raises(GridMismatchError, match=message):
-        select_reference(history, np.arange(len(history)), forecast, ReferenceConfig())
+        select_reference(history, np.arange(len(history)), forecast)
 
 
-def test_shape_distance_coerced_and_checked():
-    cfg = PredictorConfig(shape_distance="mean-absolute")
-    assert cfg.shape_distance is DistanceKind.MEAN_ABSOLUTE
+def test_distance_coerced_and_checked():
+    cfg = PredictorConfig(distance="mean-absolute")
+    assert cfg.distance is DistanceKind.MEAN_ABSOLUTE
     with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
-        PredictorConfig(shape_distance="bogus")
+        PredictorConfig(distance="bogus")
 
 
 def next_day(history):
@@ -596,18 +598,9 @@ CV_CONFIGS = {
     "gaussian-pooled": PredictorConfig(),
     "epanechnikov-pooled": PredictorConfig(kernel=KernelSpec(KernelKind.EPANECHNIKOV)),
     "uniform-pooled": PredictorConfig(kernel=KernelSpec(KernelKind.UNIFORM)),
-    "mean-absolute": PredictorConfig(
-        reference=ReferenceConfig(temp_distance=DistanceKind("mean-absolute")),
-        shape_distance=DistanceKind("mean-absolute"),
-    ),
-    "mean-absolute-pooled": PredictorConfig(
-        reference=ReferenceConfig(temp_distance=DistanceKind("mean-absolute")),
-        shape_distance=DistanceKind("mean-absolute"),
-    ),
-    "max-absolute-pooled": PredictorConfig(shape_distance=DistanceKind("max-absolute")),
-    "max-absolute-temperature-pooled": PredictorConfig(
-        reference=ReferenceConfig(temp_distance=DistanceKind("max-absolute")),
-    ),
+    "mean-absolute": PredictorConfig(distance=DistanceKind("mean-absolute")),
+    "mean-absolute-pooled": PredictorConfig(distance=DistanceKind("mean-absolute")),
+    "max-absolute-pooled": PredictorConfig(distance=DistanceKind("max-absolute")),
 }
 
 
@@ -618,7 +611,7 @@ class TestSelectBandwidthOracle:
         # 46 days: a 15-day validation window
         build = pooled_history if name.endswith("-pooled") else random_history
         history = build(grid24, np.random.default_rng(53), 46)
-        h_grid = sorted([*default_bandwidth_grid(history, cfg.shape_distance), 1e-9, 3.0])
+        h_grid = sorted([*default_bandwidth_grid(history, cfg.distance), 1e-9, 3.0])
         use_grid(monkeypatch, h_grid)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -639,12 +632,18 @@ class TestSelectBandwidthOracle:
         if name.endswith("-pooled"):
             assert fallbacks(seen_new) > 0
 
-    # a one-day lookback: a Monday after a Sunday, or a Wednesday after a
-    # Tuesday, has no candidate, and CV fails as soon as it meets one
+    # a one-day lookback: a Monday after a Sunday, or a Wednesday, Saturday or
+    # Sunday after another group's day, has no candidate, and CV fails as soon
+    # as it meets one. A one-day n_l_default reaches every group but G1, so the
+    # first validation day outside G1 ends CV
     @pytest.mark.parametrize("group", [DayGroup.G1, DayGroup.G2])
     def test_no_candidate_error_matches(self, grid24, monkeypatch, group):
-        cfg = PredictorConfig(reference=ReferenceConfig(n_L_by_group={group: 1}))
+        field = "n_l_g1" if group is DayGroup.G1 else "n_l_default"
+        cfg = PredictorConfig(reference=ReferenceConfig(**{field: 1}))
         history = random_history(grid24, np.random.default_rng(53), 46)
+        if group is not DayGroup.G1:
+            group = next(g for g in (history.meta(i).group for i in range(31, 46))
+                         if g is not DayGroup.G1)
         use_grid(monkeypatch, [0.3, 1.0])
         with pytest.raises(EmptyCandidateError) as seed_err:
             seed_select_bandwidth(history, cfg, [0.3, 1.0], validation_days=15)

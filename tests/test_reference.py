@@ -33,31 +33,27 @@ def standard_history(grid, days, rng=None):
 
 
 def lookback(n_L):
-    return ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup})
+    return ReferenceConfig(n_l_g1=n_L, n_l_default=n_L)
 
 
-def test_temp_distance_coerced_and_checked():
-    cfg = ReferenceConfig(temp_distance="max-absolute")
-    assert cfg.temp_distance is DistanceKind.MAX_ABSOLUTE
-    with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
-        ReferenceConfig(temp_distance="bogus")
-
-
+@pytest.mark.parametrize("field", ["n_l_g1", "n_l_default"])
 @pytest.mark.parametrize("n_L", [0, -3])
-def test_n_L_below_one_refused(n_L):
+def test_n_L_below_one_refused(field, n_L):
     with pytest.raises(ShapecastError, match="^n_L values must be >= 1$"):
-        ReferenceConfig(n_L_by_group={"G1": n_L})
+        ReferenceConfig(**{field: n_L})
 
 
+@pytest.mark.parametrize("field", ["n_l_g1", "n_l_default"])
 @pytest.mark.parametrize("n_L", [2.5, 3.0, np.float64(3.0), True, np.True_, "3", None], ids=repr)
-def test_n_L_that_is_not_whole_refused(n_L):
+def test_n_L_that_is_not_whole_refused(field, n_L):
     with pytest.raises(ShapecastError, match=f"^n_L {re.escape(repr(n_L))} is not a whole number$"):
-        ReferenceConfig(n_L_by_group={"G1": n_L})
+        ReferenceConfig(**{field: n_L})
 
 
 def test_n_L_held_as_int():
-    cfg = ReferenceConfig(n_L_by_group={"G1": np.int64(3)})
-    assert cfg.n_L(DayGroup.G1) == 3 and type(cfg.n_L(DayGroup.G1)) is int
+    cfg = ReferenceConfig(n_l_g1=np.int64(3), n_l_default=np.int64(5))
+    assert [cfg.n_L(g) for g in DayGroup] == [3, 5, 5, 5, 5]
+    assert all(type(cfg.n_L(g)) is int for g in DayGroup)
 
 
 @pytest.mark.parametrize("dists, c_star", [
@@ -114,6 +110,9 @@ class TestCandidateSet:
         rows = candidate_set(window, DayGroup.HOLIDAY, lookback(14))
         # one holiday in the lookback is fewer than two: Sundays join it
         assert rows.tolist() == [9, 13, 20]
+        # the widened pool keeps the holiday's lookback, G1's plays no part
+        held = candidate_set(window, DayGroup.HOLIDAY, ReferenceConfig(n_l_g1=1, n_l_default=14))
+        assert held.tolist() == rows.tolist()
 
     def test_window_limits_lookback(self, grid4):
         history = standard_history(grid4, 28)
@@ -130,15 +129,14 @@ def shape_of(load):
     return load / load.max()
 
 
-def select(window, forecast, cfg):
+def select(window, forecast):
     """`select_reference` over every row of `window`."""
-    return select_reference(window, np.arange(len(window)), forecast, cfg)
+    return select_reference(window, np.arange(len(window)), forecast)
 
 
 class TestSelectReference:
     def setup_method(self):
         self.grid = TimeGrid.equidistant(4)
-        self.cfg = ReferenceConfig()
 
     def window(self, *days):
         """Consecutive days from MONDAY, each a (load, temp) pair; temp None: unobserved."""
@@ -156,7 +154,7 @@ class TestSelectReference:
     def test_single_candidate_is_its_shape(self):
         window = self.window(([100.0, 200.0, 400.0, 300.0], [20.0] * 4))
         forecast = temp_segment(self.grid, [21.0] * 4)
-        result = select(window, forecast, self.cfg)
+        result = select(window, forecast)
         np.testing.assert_array_equal(result.reference, [0.25, 0.5, 1.0, 0.75])
         assert result.c_star == (window.dates[0],)
 
@@ -165,7 +163,7 @@ class TestSelectReference:
                              ([400.0, 400.0, 400.0, 400.0], [25.0] * 4))
         near, far = window.dates
         forecast = temp_segment(self.grid, [19.5] * 4)
-        result = select(window, forecast, self.cfg)
+        result = select(window, forecast)
         assert result.c_star == (near,)
         np.testing.assert_array_equal(result.reference, shape_of(window.loads[0]))
         assert result.temp_distances[near] == pytest.approx(1.0)
@@ -175,7 +173,7 @@ class TestSelectReference:
         window = self.window(([100.0, 200.0, 400.0, 300.0], [18.0] * 4),
                              ([400.0, 200.0, 100.0, 300.0], [22.0] * 4))
         forecast = temp_segment(self.grid, [20.0] * 4)
-        result = select(window, forecast, self.cfg)
+        result = select(window, forecast)
         assert set(result.c_star) == set(window.dates)
         expected = (shape_of(window.loads[0]) + shape_of(window.loads[1])) / 2
         np.testing.assert_array_equal(result.reference, expected)
@@ -184,7 +182,7 @@ class TestSelectReference:
         rng = np.random.default_rng(5)
         window = self.random_window(rng, 6)
         forecast = temp_segment(self.grid, 15.0 + 10.0 * rng.random(4))
-        result = select(window, forecast, self.cfg)
+        result = select(window, forecast)
         nearest = min(result.temp_distances, key=result.temp_distances.get)
         assert result.c_star == (nearest,)
         assert result.delta == result.temp_distances[nearest]
@@ -195,7 +193,7 @@ class TestSelectReference:
         rng = np.random.default_rng(9)
         pool = 15.0 + 10.0 * rng.random((2, 4))
         window = self.window(*((100.0 + 300.0 * rng.random(4), pool[i % 2]) for i in range(8)))
-        result = select(window, temp_segment(self.grid, pool[1]), self.cfg)
+        result = select(window, temp_segment(self.grid, pool[1]))
         assert result.c_star == window.dates[1::2]
         shapes = np.array([shape_of(load) for load in window.loads])
         assert np.all(result.reference >= shapes[1::2].min(axis=0) - 1e-12)
@@ -211,17 +209,17 @@ class TestSelectReference:
                 for i, dev in enumerate(deviations)
             ))
             forecast = temp_segment(self.grid, forecast_vals)
-            result = select(window, forecast, self.cfg)
+            result = select(window, forecast)
             assert result.c_star == select(
-                window, temp_segment(self.grid, forecast_vals), self.cfg
+                window, temp_segment(self.grid, forecast_vals)
             ).c_star
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
         window = self.random_window(rng, 6)
         forecast = temp_segment(self.grid, [20.0] * 4)
-        r1 = select(window, forecast, self.cfg)
-        r2 = select(window, forecast, self.cfg)
+        r1 = select(window, forecast)
+        r2 = select(window, forecast)
         assert r1.c_star == r2.c_star
         np.testing.assert_array_equal(r1.reference, r2.reference)
 
@@ -230,7 +228,7 @@ class TestSelectReference:
         forecast = temp_segment(self.grid, [19.0] * 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = select(window, forecast, self.cfg)
+            result = select(window, forecast)
         assert result.dropped == (window.dates[1],)
         assert result.c_star == (window.dates[0],)
         assert list(result.temp_distances) == [window.dates[0]]
@@ -239,13 +237,13 @@ class TestSelectReference:
         window = self.window(([200.0] * 4, None))
         forecast = temp_segment(self.grid, [19.0] * 4)
         with pytest.raises(MissingTemperatureError):
-            select(window, forecast, self.cfg)
+            select(window, forecast)
 
     def test_distance_restricted_to_forecast_mask(self):
         # candidate differs wildly off-mask; only masked points count
         window = self.window(([100.0] * 4, [20.0, 999.0, 20.0, -50.0]))
         forecast = temp_segment(self.grid, [20.0, np.nan, 20.0, np.nan])
-        result = select(window, forecast, self.cfg)
+        result = select(window, forecast)
         assert result.temp_distances[window.dates[0]] == 0.0
 
     def test_only_the_candidate_rows_count(self):
@@ -255,7 +253,7 @@ class TestSelectReference:
             ([100.0, 100.0, 200.0, 100.0], [25.0] * 4),
         )
         forecast = temp_segment(self.grid, [20.0] * 4)
-        result = select_reference(window, np.array([1, 2]), forecast, self.cfg)
+        result = select_reference(window, np.array([1, 2]), forecast)
         assert result.c_star == (window.dates[2],)
         assert list(result.temp_distances) == [window.dates[1], window.dates[2]]
 
@@ -263,10 +261,10 @@ class TestSelectReference:
         forecast = temp_segment(self.grid, [20.0] * 4)
         window = self.window()
         with pytest.raises(EmptyCandidateError):
-            select_reference(window, np.array([], dtype=int), forecast, self.cfg)
+            select_reference(window, np.array([], dtype=int), forecast)
 
 
-def per_candidate_reference(dates, loads, temps, forecast, cfg):
+def per_candidate_reference(dates, loads, temps, forecast, kind):
     """Reference selection one candidate row at a time, as a flat loop.
 
     The candidates enter as their dates, load rows and temperature rows (all
@@ -275,7 +273,7 @@ def per_candidate_reference(dates, loads, temps, forecast, cfg):
     """
     mask = np.flatnonzero(~np.isnan(forecast.values))
     usable = [k for k, temp in enumerate(temps) if not np.isnan(temp[mask]).any()]
-    dists = {dates[k]: distance(temps[k][mask], forecast.values[mask], cfg.temp_distance)
+    dists = {dates[k]: distance(temps[k][mask], forecast.values[mask], kind)
              for k in usable}
     delta = min(dists.values())
     chosen = [k for k in usable if dists[dates[k]] == delta]
@@ -297,13 +295,12 @@ def test_rows_match_per_candidate_loop(kind, pool):
     temps[::9] = np.nan  # days without temperature
     history = make_history(grid, MONDAY, loads, temps)
     every_third = np.isin(np.arange(24), range(1, 24, 3))
-    cfg = ReferenceConfig(temp_distance=kind)
     sizes = [size for forecast_points in (None, every_third)
-             for size in check_against_loop(history, cfg, rng, forecast_points)]
+             for size in check_against_loop(history, kind, rng, forecast_points)]
     assert (max(sizes) > 1) == bool(pool)
 
 
-def check_against_loop(history, cfg, rng, forecast_points=None):
+def check_against_loop(history, kind, rng, forecast_points=None):
     """Each checked C*'s size; `forecast_points`, if given, leave the forecast NaN off them."""
     sizes = []
     for forecast_values in 5.0 + 25.0 * rng.random((8, 24)):
@@ -313,16 +310,16 @@ def check_against_loop(history, cfg, rng, forecast_points=None):
         forecast = temp_segment(history.grid, forecast_values)
         for group in DayGroup:
             try:
-                rows = candidate_set(history, group, cfg)
+                rows = candidate_set(history, group, ReferenceConfig())
             except EmptyCandidateError:
                 continue
             try:
-                got = select_reference(history, rows, forecast, cfg)
+                got = select_reference(history, rows, forecast, kind)
             except MissingTemperatureError:
                 continue
             reference, c_star, dists = per_candidate_reference(
                 [history.dates[i] for i in rows], history.loads[rows],
-                history.temps[rows], forecast, cfg)
+                history.temps[rows], forecast, kind)
             assert got.reference.tobytes() == reference.tobytes()
             assert got.c_star == c_star
             assert got.temp_distances == dists

@@ -470,7 +470,7 @@ def per_row_experiment_csv(template, lengths, replications, h_coef):
             n_L = default_n_L_schedule(L)
             kernel = KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef))
         cfg = PredictorConfig(
-            reference=ReferenceConfig(n_L_by_group={g: n_L for g in DayGroup}),
+            reference=ReferenceConfig(n_L, n_L),
             kernel=kernel,
         )
         configs.append((L, n_L, cfg))
