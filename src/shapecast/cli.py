@@ -103,48 +103,48 @@ def parse_bandwidth(text: str) -> str | float:
         return text
     try:
         return _positive_float(text)
-    except ValueError:
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"bandwidth must be 'auto' or a positive number, got {text!r}"
         ) from None
 
 
-def _int_at_least(text: str, least: int, what: str) -> int:
+def _parsed(text: str, parse, what: str, ok=lambda value: True):
+    """`parse(text)` where `ok` holds of it, else an `ArgumentTypeError` "must be
+    `what`", the one error whose own text argparse prints."""
     try:
-        value = int(text)
-    except ValueError:  # not an integer: the range's message too
-        value = least - 1
-    if value < least:
-        raise ValueError(f"must be a {what} integer")
+        value = parse(text)
+    except ValueError:  # a text that does not parse gets the range's message too
+        value = None
+    if value is None or not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {what}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "positive")
+    return _parsed(text, int, "a positive integer", lambda v: v >= 1)
 
 
 def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0, "nonnegative")
+    return _parsed(text, int, "a nonnegative integer", lambda v: v >= 0)
 
 
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < np.inf:  # NaN fails too
-        raise ValueError("must be a nonnegative finite number")
-    return value
+def _nonnegative_float(text: str) -> float:  # NaN fails too
+    return _parsed(text, float, "a nonnegative finite number", lambda v: 0 <= v < np.inf)
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < np.inf:  # NaN fails too
-        raise ValueError("must be a positive finite number")
-    return value
+def _positive_float(text: str) -> float:  # NaN fails too
+    return _parsed(text, float, "a positive finite number", lambda v: 0 < v < np.inf)
+
+
+def _iso_date(text: str) -> dt.date:
+    return _parsed(text, dt.date.fromisoformat, "an ISO date, YYYY-MM-DD")
 
 
 def _points_per_day(text: str) -> int:
     """A grid size that divides the day: the --points-per-day flag."""
     try:
-        return TimeGrid.equidistant(int(text)).points_per_day
+        return TimeGrid.equidistant(_parsed(text, int, "an integer")).points_per_day
     except ShapecastError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -153,7 +153,7 @@ def _length_list(text: str) -> list[int]:
     """Comma list of positive integers, at least one: the --lengths flag."""
     lengths = [_positive_int(x) for x in text.split(",") if x.strip()]
     if not lengths:
-        raise ValueError("need at least one length")
+        raise argparse.ArgumentTypeError("need at least one length")
     return lengths
 
 
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict one day")
     p_predict.add_argument("--history", required=True)
-    p_predict.add_argument("--date", required=True, type=dt.date.fromisoformat)
+    p_predict.add_argument("--date", required=True, type=_iso_date)
     p_predict.add_argument("--temp-forecast", required=True)
     p_predict.add_argument("--next-day-max", type=_positive_float)
     p_predict.add_argument("--holidays")

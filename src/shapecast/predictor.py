@@ -30,7 +30,6 @@ from .segments import DistanceKind, TemperatureSegment, TimeGrid, distances, rea
 class KernelKind(str, Enum):
     GAUSSIAN = "gaussian"
     EPANECHNIKOV = "epanechnikov"
-    UNIFORM = "uniform"
 
 
 def kernel_value(u: np.ndarray, kind: KernelKind) -> np.ndarray:
@@ -38,9 +37,7 @@ def kernel_value(u: np.ndarray, kind: KernelKind) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if kind is KernelKind.GAUSSIAN:
         return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-    if kind is KernelKind.EPANECHNIKOV:
-        return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-    return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
 @dataclass(frozen=True)
@@ -53,6 +50,7 @@ class KernelSpec:
         h = self.bandwidth
         if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < np.inf:
             raise ShapecastError("bandwidth must be positive and finite")
+        object.__setattr__(self, "bandwidth", float(h))  # json cannot write np.int64 or np.float32
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_02_weight_simplex_and_convex_hull():
             P = int(rng.integers(2, 48))
             shapes = 1e-3 + rng.random((L, P))
             ref = rng.random(P)
-            spec = KernelSpec(kinds[int(rng.integers(3))], 10 ** rng.uniform(-2, 2))
+            spec = KernelSpec(kinds[int(rng.integers(len(kinds)))], 10 ** rng.uniform(-2, 2))
             w, _ = _kernel_weights(distances(shapes, ref), spec.kind, spec.bandwidth)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12

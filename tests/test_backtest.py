@@ -18,10 +18,17 @@ from shapecast.backtest import (
     emit_report,
     summarize,
 )
+from shapecast.calendars import annotate_calendar
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow
 from shapecast.metrics import score_day
-from shapecast.predictor import KernelSpec, PredictorConfig, select_bandwidth
+from shapecast.predictor import (
+    KernelSpec,
+    PredictorConfig,
+    predict_day,
+    prediction_to_json,
+    select_bandwidth,
+)
 from shapecast.segments import DistanceKind, TemperatureSegment, TimeGrid
 
 MONDAY = dt.date(2010, 6, 7)
@@ -387,6 +394,20 @@ class TestReportSerialization:
         assert set(doc["summary"]) == set(ALL_METHODS)
         assert "kernel" in doc["config"]
         assert len(doc["scores"]) == 9
+
+    # a numpy bandwidth, which `json` cannot write, is stored as a Python float
+    @pytest.mark.parametrize("h, written", [(np.int64(2), 2.0), (np.float32(0.5), 0.5)])
+    def test_numpy_bandwidth_written_as_float(self, grid4, h, written):
+        import json
+
+        cfg = PredictorConfig(kernel=KernelSpec(bandwidth=h))
+        history = backtest_history(grid4)
+        report = backtest(history, list(history.dates[-3:]), ["ssp"], cfg)
+        target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
+        pred = predict_day(history, target, TemperatureSegment(grid4, [20.0] * 4), cfg=cfg)
+        for text in emit_report(report, "json"), prediction_to_json(pred):
+            bandwidth = json.loads(text)["config"]["kernel"]["bandwidth"]
+            assert type(bandwidth) is float and bandwidth == written
 
     def test_unknown_format(self, grid4):
         with pytest.raises(ShapecastError, match="format"):

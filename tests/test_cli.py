@@ -378,7 +378,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("section, line, flag", [
         ("kernel", "bandwidth = abc", "--bandwidth=0.3"),
-        ("kernel", "kind = bogus", "--kernel=uniform"),
+        ("kernel", "kind = bogus", "--kernel=epanechnikov"),
         ("distance", "kind = cosine", "--distance=euclidean"),
     ])
     def test_bad_ini_value_under_its_flag_is_usage_error(self, raw_files, history_file,
@@ -399,7 +399,7 @@ class TestPredict:
     def test_unknown_ini_section_is_usage_error(self, raw_files, history_file, tmp_path,
                                                 capsys):
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[kernel]\nkind = uniform\n[weights]\n")
+        ini.write_text("[kernel]\nkind = epanechnikov\n[weights]\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
@@ -426,6 +426,23 @@ class TestPredict:
         assert capsys.readouterr().err == (
             f"error: config [reference] {key}: unknown key; "
             "[reference] takes n_l_g1, n_l_default\n")
+
+    # the uniform kernel is gone: the flag and the file refuse it
+    def test_removed_kernel_is_unknown(self, raw_files, history_file, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[kernel]\nkind = uniform\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        argv = ["predict", "--history", str(history_file), "--date", date,
+                "--temp-forecast", str(raw_files / "forecast.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kernel", "uniform"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --kernel: invalid choice: 'uniform' "
+            "(choose from 'gaussian', 'epanechnikov')\n")
+        assert main([*argv, "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config [kernel] kind = 'uniform': 'uniform' is not a valid KernelKind\n")
 
     def test_tiny_bandwidth_predicts(self, raw_files, history_file, capsys):
         # u = d / h overflows to inf, where the kernel is 0: no RuntimeWarning
@@ -695,15 +712,15 @@ class TestBacktest:
         assert capsys.readouterr().err == f"error: cannot write {out_dir}: File exists\n"
 
 
-# each INI_KEYS row that a flag overrides: a valid file value, a different valid
-# flag value (neither is the default), and the config the flag's value gives
+# each INI_KEYS row that a flag overrides: a valid file value other than the
+# default, a different valid flag value, and the config the flag's value gives
 # under --bandwidth 0.3
 FLAG_OVERRIDES = {
     ("distance", "kind"): ("max-absolute", "mean-absolute", PredictorConfig(
         kernel=KernelSpec(bandwidth=0.3), distance="mean-absolute",
     )),
-    ("kernel", "kind"): ("epanechnikov", "uniform",
-                         PredictorConfig(kernel=KernelSpec(kind="uniform", bandwidth=0.3))),
+    ("kernel", "kind"): ("epanechnikov", "gaussian",
+                         PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
     ("kernel", "bandwidth"): ("0.5", "0.3", PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
 }
 
@@ -1048,6 +1065,31 @@ class TestParser:
             main([arg.format(**paths) for arg in argv])
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+    # a value a flag's parser refuses is worded by the parser, never by its name
+    @pytest.mark.parametrize("argv, message", [
+        (["backtest", "--history", "{history}", "--out-dir", "{out}", "--sample", "2.5"],
+         "must be a positive integer"),
+        (["ingest", "--load", "{load}", "--out", "{out}", "--max-gap", "-1"],
+         "must be a nonnegative integer"),
+        (["simulate", "--sigma", "-1"], "must be a nonnegative finite number"),
+        (["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+          "--date", "2010-05-19", "--next-day-max", "x"], "must be a positive finite number"),
+        (["simulate", "--lengths", "2.5"], "must be a positive integer"),
+        (["predict", "--history", "{history}", "--temp-forecast", "{forecast}",
+          "--date", "2007-13-02"], "must be an ISO date, YYYY-MM-DD"),
+        (["simulate", "--points-per-day", "x"], "must be an integer"),
+    ])
+    def test_bad_flag_value_names_its_range(self, raw_files, history_file, tmp_path,
+                                            argv, message, capsys):
+        paths = dict(history=history_file, forecast=raw_files / "forecast.csv",
+                     load=raw_files / "load.csv", out=tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument {argv[-2]}: {message}\n")
+        assert "invalid _" not in err
 
     @pytest.mark.parametrize("command", [
         ["ingest", "--load", "{load}", "--out", "{out}"],
