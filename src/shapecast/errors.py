@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and its whole-number check."""
+"""Exception hierarchy shared across the package, and its whole- and real-number checks."""
 
+import math
+import numbers
 import operator
 
 
@@ -34,3 +36,16 @@ def whole(value, name: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ShapecastError(f"{name} {value} is below {least}")
     return operator.index(value)
+
+
+def finite(value, name: str, positive: bool = True) -> float:
+    """`value` as a float, finite and above 0 (or, if not `positive`, at least 0); a bool,
+    a non-real or a number beyond the floats raises "`name` must be positive and finite"."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        x = math.nan
+    if isinstance(value, bool) or not (0 < x < math.inf or x == 0 and not positive):
+        sign = "positive" if positive else "nonnegative"
+        raise ShapecastError(f"{name} must be {sign} and finite")
+    return x

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import numbers
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -20,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .calendars import CalendarMeta, DayGroup
-from .errors import InsufficientHistoryError, ShapecastError
+from .errors import InsufficientHistoryError, ShapecastError, finite
 from .history import HistoryWindow
 from .metrics import score_day
 from .reference import ReferenceConfig, ReferenceResult, candidate_set, select_reference
@@ -47,10 +46,7 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", KernelKind(self.kind))
-        h = self.bandwidth
-        if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < np.inf:
-            raise ShapecastError("bandwidth must be positive and finite")
-        object.__setattr__(self, "bandwidth", float(h))  # json cannot write np.int64 or np.float32
+        object.__setattr__(self, "bandwidth", finite(self.bandwidth, "bandwidth"))  # for json
 
 
 @dataclass(frozen=True)
@@ -152,8 +148,7 @@ def predict_day(
     cfg: PredictorConfig = PredictorConfig(),
 ) -> Prediction:
     """Full pipeline: candidates -> reference -> weights -> shape (-> megawatts)."""
-    if next_day_max is not None and not 0 < next_day_max < np.inf:
-        raise ShapecastError("next_day_max must be positive and finite")
+    next_day_max = None if next_day_max is None else finite(next_day_max, "next_day_max")
     reference, weights, shape, dead = _stage(
         history, target.group, temp_forecast, cfg, cfg.kernel.bandwidth
     )

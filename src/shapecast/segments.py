@@ -126,21 +126,6 @@ class TemperatureSegment:
 class DistanceKind(str, Enum):
     EUCLIDEAN = "euclidean"
     MEAN_ABSOLUTE = "mean-absolute"
-    MAX_ABSOLUTE = "max-absolute"
-
-
-def _reduce(diff: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """Metric of each difference vector along the last axis.
-
-    `diff` is squared, or taken `abs` of, in place: it must be a fresh array
-    that the caller drops.
-    """
-    if kind is DistanceKind.EUCLIDEAN:
-        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1))
-    np.abs(diff, out=diff)
-    if kind is DistanceKind.MEAN_ABSOLUTE:
-        return np.mean(diff, axis=-1)
-    return np.max(diff, axis=-1)
 
 
 def distances(M, v, kind: DistanceKind = DistanceKind.EUCLIDEAN) -> np.ndarray:
@@ -157,4 +142,7 @@ def distances(M, v, kind: DistanceKind = DistanceKind.EUCLIDEAN) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=float)
     if v.shape not in ((M.shape[1],), M.shape):
         raise GridMismatchError(f"cannot pair shape {v.shape} with matrix {M.shape}")
-    return _reduce(M - v, DistanceKind(kind))
+    diff = M - v  # fresh, so it is squared, or taken `abs` of, in place
+    if DistanceKind(kind) is DistanceKind.EUCLIDEAN:
+        return np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1))
+    return np.mean(np.abs(diff, out=diff), axis=-1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calendars import GROUPS, DayGroup, group_codes
-from .errors import ShapecastError, whole
+from .errors import ShapecastError, finite, whole
 from .history import HistoryWindow, _refuse_bad_day
 from .predictor import KernelKind, KernelSpec, _kernel_weights, _report, predict_shape
 from .reference import nearest
@@ -68,8 +68,8 @@ class SyntheticSpec:
         object.__setattr__(self, "length", whole(self.length, "length", 1))
         if self.length > (dt.date.max - self.start).days + 1:
             raise ShapecastError(f"length {self.length} from {self.start} runs past {dt.date.max}")
-        if not (0 <= self.noise_sigma < math.inf and 0 <= self.jitter_sigma < math.inf):  # NaN too
-            raise ShapecastError("sigmas must be nonnegative and finite")
+        for name in ("noise_sigma", "jitter_sigma"):
+            object.__setattr__(self, name, finite(getattr(self, name), "sigmas", False))
         if self.profile_mode not in ("random", "cycle"):
             raise ShapecastError("profile_mode must be 'random' or 'cycle'")
 
@@ -169,10 +169,11 @@ def consistency_experiment(
         raise ShapecastError("need at least one length")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ShapecastError("lengths must be strictly increasing")
+    h_coef = finite(h_coef, "bandwidth")
     if template.noise_sigma == 0:
         template = replace(template, jitter_sigma=0.0, profile_mode="cycle")
         n_Ls, kernels = lengths, [KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)] * len(lengths)
-    else:  # a bad h_coef fails here, before any candidate is looked for
+    else:
         n_Ls = [default_n_L_schedule(L) for L in lengths]
         kernels = [KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef)) for L in lengths]
     T = lengths[-1]

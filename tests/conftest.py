@@ -51,9 +51,7 @@ def out_of_place(diff, kind):
     """The metric of each difference vector along the last axis, on fresh arrays."""
     if kind is DistanceKind.EUCLIDEAN:
         return np.sqrt(np.sum(diff * diff, axis=-1))
-    if kind is DistanceKind.MEAN_ABSOLUTE:
-        return np.mean(np.abs(diff), axis=-1)
-    return np.max(np.abs(diff), axis=-1)
+    return np.mean(np.abs(diff), axis=-1)
 
 
 def distance(a, b, kind=DistanceKind.EUCLIDEAN) -> float:

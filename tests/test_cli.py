@@ -427,22 +427,27 @@ class TestPredict:
             f"error: config [reference] {key}: unknown key; "
             "[reference] takes n_l_g1, n_l_default\n")
 
-    # the uniform kernel is gone: the flag and the file refuse it
-    def test_removed_kernel_is_unknown(self, raw_files, history_file, tmp_path, capsys):
+    # a removed value is unknown to the flag and to the file alike, which
+    # share the setting's name
+    @pytest.mark.parametrize("setting, value, enum, choices", [
+        ("kernel", "uniform", "KernelKind", "'gaussian', 'epanechnikov'"),
+        ("distance", "max-absolute", "DistanceKind", "'euclidean', 'mean-absolute'"),
+    ], ids=["uniform", "max-absolute"])
+    def test_removed_value_is_unknown(self, raw_files, history_file, tmp_path, capsys,
+                                      setting, value, enum, choices):
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[kernel]\nkind = uniform\n")
+        ini.write_text(f"[{setting}]\nkind = {value}\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         argv = ["predict", "--history", str(history_file), "--date", date,
                 "--temp-forecast", str(raw_files / "forecast.csv")]
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--kernel", "uniform"])
+            main([*argv, f"--{setting}", value])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(
-            "argument --kernel: invalid choice: 'uniform' "
-            "(choose from 'gaussian', 'epanechnikov')\n")
+            f"argument --{setting}: invalid choice: '{value}' (choose from {choices})\n")
         assert main([*argv, "--config", str(ini)]) == 2
         assert capsys.readouterr().err == (
-            "error: config [kernel] kind = 'uniform': 'uniform' is not a valid KernelKind\n")
+            f"error: config [{setting}] kind = '{value}': '{value}' is not a valid {enum}\n")
 
     def test_tiny_bandwidth_predicts(self, raw_files, history_file, capsys):
         # u = d / h overflows to inf, where the kernel is 0: no RuntimeWarning
@@ -716,9 +721,8 @@ class TestBacktest:
 # default, a different valid flag value, and the config the flag's value gives
 # under --bandwidth 0.3
 FLAG_OVERRIDES = {
-    ("distance", "kind"): ("max-absolute", "mean-absolute", PredictorConfig(
-        kernel=KernelSpec(bandwidth=0.3), distance="mean-absolute",
-    )),
+    ("distance", "kind"): ("mean-absolute", "euclidean",
+                           PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
     ("kernel", "kind"): ("epanechnikov", "gaussian",
                          PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
     ("kernel", "bandwidth"): ("0.5", "0.3", PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),

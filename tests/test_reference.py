@@ -282,8 +282,8 @@ def per_candidate_reference(dates, loads, temps, forecast, kind):
 
 
 @pytest.mark.parametrize("kind", list(DistanceKind))
-# distinct temperatures make C* the argmin; a pool of three rows makes ties
-@pytest.mark.parametrize("pool", [None, 3], ids=["argmin", "ties"])
+# distinct temperatures make C* the argmin; a pool of two or three rows makes ties
+@pytest.mark.parametrize("pool", [None, 2, 3], ids=["argmin", "pairs", "ties"])
 def test_rows_match_per_candidate_loop(kind, pool):
     grid = TimeGrid.equidistant(24)
     rng = np.random.default_rng(3)

@@ -91,8 +91,10 @@ class TestDistance:
     def test_mean_absolute(self):
         assert one_row([0.0, 0.0], [3.0, 4.0], DistanceKind.MEAN_ABSOLUTE) == pytest.approx(3.5)
 
-    def test_max_absolute(self):
-        assert one_row([0.0, 0.0], [3.0, 4.0], "max-absolute") == 4.0
+    def test_max_absolute_is_gone(self):
+        assert [kind.value for kind in DistanceKind] == ["euclidean", "mean-absolute"]
+        with pytest.raises(ValueError, match="'max-absolute' is not a valid DistanceKind"):
+            one_row([0.0, 0.0], [3.0, 4.0], "max-absolute")
 
     def test_unknown_kind_refused(self):
         with pytest.raises(ValueError, match="'bogus' is not a valid DistanceKind"):
@@ -136,8 +138,10 @@ class TestDistances:
     # L x 96 cases are a backtest's 3- and 10-year prefixes
     @pytest.mark.parametrize("kind", list(DistanceKind))
     @pytest.mark.parametrize("subset", [None, (0,), (1, 5, 6), tuple(range(0, 96, 3))])
-    @pytest.mark.parametrize("P, L", [(7, 40), (24, 40), (96, 40), (96, 1095), (96, 3650)],
-                             ids=["7", "24", "96", "96x1095", "96x3650"])
+    # 48 points are a half-hourly grid; one row is a history's first candidate
+    @pytest.mark.parametrize("P, L", [(7, 40), (24, 40), (48, 40), (96, 1), (96, 40),
+                                      (96, 1095), (96, 3650)],
+                             ids=["7", "24", "48", "96x1", "96", "96x1095", "96x3650"])
     def test_rows_equal_distance_bit_for_bit(self, kind, subset, P, L):
         rng = np.random.default_rng(P)
         points = [i for i in subset if i < P] if subset else list(range(P))

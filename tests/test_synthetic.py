@@ -250,7 +250,11 @@ class TestGenerate:
                                         dict(jitter_sigma=math.nan),
                                         dict(jitter_sigma=-1.0),
                                         dict(noise_sigma=math.inf),
-                                        dict(jitter_sigma=math.inf)])
+                                        dict(jitter_sigma=math.inf),
+                                        dict(noise_sigma=10**400),
+                                        dict(jitter_sigma=10**400),
+                                        dict(noise_sigma=True),
+                                        dict(noise_sigma="1")])
     def test_nan_negative_or_infinite_sigma_rejected(self, sigmas):
         with pytest.raises(ShapecastError, match="sigmas must be nonnegative"):
             SyntheticSpec(GRID, 10, **sigmas)
@@ -417,7 +421,8 @@ class TestConsistencyExperiment:
             consistency_experiment(SyntheticSpec(GRID, 1, seed=0, **sigmas), [32, 64], 2)
         assert drawn_seeds == []
 
-    @pytest.mark.parametrize("h_coef", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("h_coef", [0.0, -1.0, math.nan, math.inf,
+                                        pytest.param(10**400, id="10**400")])
     def test_bad_h_coef_refused_before_any_path(self, drawn_seeds, h_coef):
         template = SyntheticSpec(GRID, 1, seed=0)
         with pytest.raises(ShapecastError, match="^bandwidth must be positive and finite$"):
