@@ -12,7 +12,7 @@ import numpy as np
 from .calendars import GROUPS, DayGroup
 from .errors import EmptyCandidateError, InsufficientHistoryError
 from .history import HistoryWindow
-from .predictor import KernelSpec, _kernel_weights, _report, predict_shape
+from .predictor import KernelKind, KernelSpec, _kernel_weights, _report, predict_shape
 from .segments import DistanceKind, distances, read_only
 
 
@@ -36,7 +36,7 @@ def conditional_kernel_weights(
         raise InsufficientHistoryError("conditional kernel needs at least 2 days")
     weights = np.zeros(shapes.shape[0])
     dists = distances(shapes[:-1], shapes[-1], dist)
-    weights[1:], dead = _kernel_weights(dists, kernel.kind, kernel.bandwidth)
+    weights[1:], dead = _kernel_weights(dists, KernelKind.GAUSSIAN, kernel.bandwidth)
     _report((), dead)
     return weights
 

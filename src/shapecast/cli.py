@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import datetime as dt
 import os
 import sys
@@ -30,7 +29,6 @@ from .ingest import (
     segmentize,
 )
 from .predictor import (
-    KernelKind,
     KernelSpec,
     PredictorConfig,
     predict_day,
@@ -164,7 +162,6 @@ INI_KEYS = {
     ("reference", "n_l_g1"): (_positive_int, ReferenceConfig.n_l_g1, None),
     ("reference", "n_l_default"): (_positive_int, ReferenceConfig.n_l_default, None),
     ("distance", "kind"): (DistanceKind, PredictorConfig.distance, "distance"),
-    ("kernel", "kind"): (KernelKind, KernelSpec.kind, "kernel"),
     ("kernel", "bandwidth"): (parse_bandwidth, "auto", "bandwidth"),
 }
 
@@ -193,15 +190,12 @@ def build_predictor_config(args, cv_history: HistoryWindow | None) -> PredictorC
     cfg = PredictorConfig(
         reference=ReferenceConfig(settings["reference", "n_l_g1"],
                                   settings["reference", "n_l_default"]),
-        kernel=KernelSpec(
-            kind=settings["kernel", "kind"],
-            bandwidth=KernelSpec.bandwidth if bandwidth == "auto" else bandwidth,
-        ),
+        kernel=KernelSpec(KernelSpec.bandwidth if bandwidth == "auto" else bandwidth),
         distance=settings["distance", "kind"],
     )
     if bandwidth == "auto" and cv_history is not None:
         h, _ = select_bandwidth(cv_history, cfg)
-        cfg = replace(cfg, kernel=replace(cfg.kernel, bandwidth=h))
+        cfg = replace(cfg, kernel=KernelSpec(h))
     return cfg
 
 
@@ -338,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cfg_flags(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--kernel", choices=[k.value for k in KernelKind])
         p.add_argument(
             "--bandwidth", type=parse_bandwidth, help="positive number or 'auto'"
         )
@@ -387,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ShapecastError, csv.Error) as exc:
+    except ShapecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

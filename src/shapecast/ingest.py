@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .errors import IngestError
+from .errors import IngestError, whole
 from .history import HistoryWindow, Quality
 from .segments import TEMPERATURE_LIMIT_C, TemperatureSegment, TimeGrid
 
@@ -66,15 +66,16 @@ def _rows(text: str, header: list[str], name: str = "file"):
 
     Blank lines are skipped, and a row is numbered by the line it starts on.
     Every other row must have one field per header column; the rows end before
-    the first that does not, and `error` is what reading it raised, or None.
-    The caller raises it after the rows before it: errors come in line order.
+    the first that does not, and `error` is what reading it raised, as an
+    `IngestError` naming its line, or None. The caller raises it after the
+    rows before it: errors come in line order.
     """
     if not text:
         raise IngestError(f"empty {name}, expected a header row")
     reader = csv.reader(io.StringIO(text))
-    _header(next(reader), header)
-    linenos, rows, error, width = [], [], None, len(header)
+    linenos, rows, error, width, start = [], [], None, len(header), 1
     try:
+        _header(next(reader), header)
         start = reader.line_num + 1
         for row in reader:
             lineno, start = start, reader.line_num + 1
@@ -86,7 +87,7 @@ def _rows(text: str, header: list[str], name: str = "file"):
             linenos.append(lineno)
             rows.append(row)
     except csv.Error as exc:
-        error = exc
+        error = IngestError(f"line {start}: {exc}")
     return linenos, [list(col) for col in zip(*rows)] or [[] for _ in header], error
 
 
@@ -335,8 +336,10 @@ def segmentize(
     whose gaps exceed `max_gap` consecutive grid points, are rejected and
     listed in the report; everything else becomes a complete or gap-filled
     record. A kept day's temperature is NaN at the grid minutes not read that
-    day; temperature readings on other days or off the grid are ignored.
+    day; temperature readings on other days or off the grid are ignored. A
+    `max_gap` that is no whole number of at least 0, a bool included, raises.
     """
+    max_gap = whole(max_gap, "max_gap", 0)
     days, minutes, values = _by_minute(records)
     temp_days, temp_minutes, temp_values = (_by_minute(temps) if temps
                                             else (np.zeros(0, dtype=np.int64),) * 3)
@@ -344,8 +347,8 @@ def segmentize(
     slot = np.full(24 * 60, -1)
     slot[grid.minutes] = np.arange(P)
     ordinals, starts, counts = np.unique(days, return_index=True, return_counts=True)
-    # a day read at exactly the grid minutes is its row as read; max_gap < 0 rejects it
-    keep = (counts == P) & (np.add.reduceat(slot[minutes] >= 0, starts) == P) & (max_gap >= 0)
+    # a day read at exactly the grid minutes is its row as read
+    keep = (counts == P) & (np.add.reduceat(slot[minutes] >= 0, starts) == P)
     complete, report = keep.copy(), GapReport()
     rows = np.empty((len(ordinals), P))
     rows[keep] = values[np.repeat(keep, counts)].reshape(-1, P)

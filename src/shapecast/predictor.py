@@ -41,11 +41,9 @@ def kernel_value(u: np.ndarray, kind: KernelKind) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    kind: KernelKind = KernelKind.GAUSSIAN
-    bandwidth: float = 1.0
+    bandwidth: float = 1.0  # of the predictor's Gaussian kernel
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", KernelKind(self.kind))
         object.__setattr__(self, "bandwidth", finite(self.bandwidth, "bandwidth"))  # for json
 
 
@@ -76,8 +74,8 @@ def _kernel_weights(dists: np.ndarray, kind: KernelKind,
 
     Returns (weights, dead). A float `bandwidth` gives weights (L,), an (H, 1)
     column of them (H, L) whose row r is the float call's at bandwidth r. A
-    dead row, without mass (compact kernel, tiny bandwidth), falls back to the
-    nearest shape.
+    dead row, without mass (every Gaussian mass underflows, or no shape lies
+    within a compact kernel's reach), falls back to the nearest shape.
     """
     with np.errstate(over="ignore"):  # an overflowed u is inf, where every kernel is 0
         mass = kernel_value(dists / bandwidth, kind)
@@ -136,7 +134,7 @@ def _stage(
     shapes = history.shapes
     reference = select_reference(history, candidates, temp_forecast, cfg.distance)
     dists = distances(shapes, reference.reference, cfg.distance)
-    weights, dead = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
+    weights, dead = _kernel_weights(dists, KernelKind.GAUSSIAN, bandwidth)
     return reference, weights, read_only(predict_shape(shapes, weights)), dead
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .calendars import GROUPS, DayGroup, group_codes
 from .errors import ShapecastError, finite, whole
 from .history import HistoryWindow, _refuse_bad_day
-from .predictor import KernelKind, KernelSpec, _kernel_weights, _report, predict_shape
+from .predictor import KernelKind, _kernel_weights, _report, predict_shape
 from .reference import nearest
 from .segments import TimeGrid, distances
 
@@ -172,10 +172,10 @@ def consistency_experiment(
     h_coef = finite(h_coef, "bandwidth")
     if template.noise_sigma == 0:
         template = replace(template, jitter_sigma=0.0, profile_mode="cycle")
-        n_Ls, kernels = lengths, [KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)] * len(lengths)
+        n_Ls, kind, hs = lengths, KernelKind.EPANECHNIKOV, [1e-6] * len(lengths)
     else:
-        n_Ls = [default_n_L_schedule(L) for L in lengths]
-        kernels = [KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef)) for L in lengths]
+        n_Ls, kind = [default_n_L_schedule(L) for L in lengths], KernelKind.GAUSSIAN
+        hs = [finite(default_h_schedule(L, h_coef), "bandwidth") for L in lengths]
     T = lengths[-1]
     path = replace(template, length=T + 1, start=template.start + dt.timedelta(days=(-T) % 7))
     _, codes, draws = _paths(path, [(*template.seed, rep) for rep in range(replications)])
@@ -190,18 +190,17 @@ def consistency_experiment(
     for rep, (loads, temps, clean) in enumerate(draws):
         _refuse_bad_day(loads, temps)
         temp_dists = distances(temps[:T], temps[T])  # to the target's realized temperature
-        for k, (L, kernel, rows) in enumerate(zip(lengths, kernels, candidates)):
+        for k, (L, h, rows) in enumerate(zip(lengths, hs, candidates)):
             # the reference averages the candidates nearest in temperature
             chosen = rows[nearest(temp_dists[rows])[1]]
             ref, prior = loads[chosen].mean(axis=0), loads[T - L:T]
             # the model lives on the raw scale, so the lab weighs raw loads
-            weights, dead = _kernel_weights(distances(prior, ref), kernel.kind, kernel.bandwidth)
+            weights, dead = _kernel_weights(distances(prior, ref), kind, h)
             _report((), dead, stacklevel=2)
             predicted = predict_shape(prior, weights)
             errors[k, rep] = distances([predicted, ref, predicted], [clean[T], clean[T], ref])
             c_star_size[k, rep] = len(chosen)
-    h = tuple(kernel.bandwidth for kernel in kernels)
-    return Experiment(tuple(lengths), h, tuple(n_Ls), errors, c_star_size)
+    return Experiment(tuple(lengths), tuple(hs), tuple(n_Ls), errors, c_star_size)
 
 
 def experiment_csv(run: Experiment) -> str:

@@ -60,13 +60,14 @@ def distance(a, b, kind=DistanceKind.EUCLIDEAN) -> float:
     return float(out_of_place(diff, DistanceKind(kind)))
 
 
-def raw_stage(history, group, forecast, cfg, bandwidth):
+def raw_stage(history, group, forecast, cfg, kind, bandwidth):
     """The predictor's pipeline on the raw loads, the Monte Carlo lab's oracle.
 
     Candidates -> reference -> distance row -> weights -> combined curve, all
     of them over `history.loads` where `predict_day` takes the shapes: the
     reference is the mean of the loads over the rows of C*, which keeps the
-    candidates' order. Returns (the `ReferenceResult` holding that mean,
+    candidates' order, and `kind` at `bandwidth` weighs, as the lab's own
+    kernel does. Returns (the `ReferenceResult` holding that mean,
     weights, combined loads, `_kernel_weights`'s dead mask).
     """
     candidates = candidate_set(history, group, cfg.reference)
@@ -74,7 +75,7 @@ def raw_stage(history, group, forecast, cfg, bandwidth):
     rows = [history.dates.index(date) for date in result.c_star]
     reference = replace(result, reference=read_only(history.loads[rows].mean(axis=0)))
     dists = distances(history.loads, reference.reference, cfg.distance)
-    weights, dead = _kernel_weights(dists, cfg.kernel.kind, bandwidth)
+    weights, dead = _kernel_weights(dists, kind, bandwidth)
     return reference, weights, read_only(predict_shape(history.loads, weights)), dead
 
 

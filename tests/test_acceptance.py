@@ -60,7 +60,7 @@ def test_01_oracle_equivalence():
             target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
             forecast_values = 5.0 + 30.0 * rng.random(P)
             h = float(10 ** rng.uniform(-1, 0.5))
-            cfg = PredictorConfig(kernel=KernelSpec(KernelKind.GAUSSIAN, h))
+            cfg = PredictorConfig(kernel=KernelSpec(h))
             try:
                 pred = predict_day(
                     history, target, full_mask_forecast(grid, forecast_values),
@@ -70,7 +70,7 @@ def test_01_oracle_equivalence():
                 continue  # short history without the target's group; redraw
             expected = brute_force_ssp(
                 history, target.group, list(forecast_values),
-                list(range(P)), ReferenceConfig().n_L(target.group), "gaussian", h,
+                list(range(P)), ReferenceConfig().n_L(target.group), h,
             )
             np.testing.assert_allclose(pred.shape, expected, atol=1e-12)
             checked += 1
@@ -87,8 +87,8 @@ def test_02_weight_simplex_and_convex_hull():
             P = int(rng.integers(2, 48))
             shapes = 1e-3 + rng.random((L, P))
             ref = rng.random(P)
-            spec = KernelSpec(kinds[int(rng.integers(len(kinds)))], 10 ** rng.uniform(-2, 2))
-            w, _ = _kernel_weights(distances(shapes, ref), spec.kind, spec.bandwidth)
+            kind, h = kinds[int(rng.integers(len(kinds)))], 10 ** rng.uniform(-2, 2)
+            w, _ = _kernel_weights(distances(shapes, ref), kind, h)
             assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-12
             pred = predict_shape(shapes, w)
@@ -102,10 +102,7 @@ def test_03_noiseless_exact_recovery():
     with criterion("3 noiseless exact recovery"):
         grid = TimeGrid.equidistant(24)
         L = 200
-        cfg = PredictorConfig(
-            reference=ReferenceConfig(L, L),
-            kernel=KernelSpec(KernelKind.EPANECHNIKOV, 1e-6),
-        )
+        cfg = PredictorConfig(reference=ReferenceConfig(L, L))
         for rep in range(20):
             spec = SyntheticSpec(
                 grid, L + 1, noise_sigma=0.0, jitter_sigma=0.0,
@@ -119,8 +116,9 @@ def test_03_noiseless_exact_recovery():
             truth = clean[L]
             forecast = TemperatureSegment(grid, window.temps[L])
             # the model lives on the raw scale: weigh and combine the raw loads
+            # with the lab's exact-recovery kernel, Epanechnikov at h = 1e-6
             _, _, predicted, _ = raw_stage(history, window.meta(L).group, forecast, cfg,
-                                           cfg.kernel.bandwidth)
+                                           KernelKind.EPANECHNIKOV, 1e-6)
             rmae = float(np.mean(np.abs(predicted - truth) / truth))
             assert rmae <= 1e-10
 
@@ -161,7 +159,7 @@ def test_06_beats_baselines():
     with criterion("6 comparative behavior"):
         grid = TimeGrid.equidistant(24)
         L = 160
-        cfg = PredictorConfig(kernel=KernelSpec(KernelKind.GAUSSIAN, 0.3))
+        cfg = PredictorConfig(kernel=KernelSpec(0.3))
         methods = ["ssp", "persistence", "conditional-kernel"]
         ssp_wins = 0
         reps = 20

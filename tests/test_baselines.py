@@ -13,7 +13,7 @@ from shapecast.baselines import (
 from shapecast.calendars import GROUPS, DayGroup
 from shapecast.errors import EmptyCandidateError, InsufficientHistoryError, ShapecastError
 from shapecast.history import HistoryWindow
-from shapecast.predictor import KernelKind, KernelSpec
+from shapecast.predictor import KernelSpec
 
 MONDAY = dt.date(2010, 6, 7)
 
@@ -87,7 +87,7 @@ class TestConditionalKernelWeights:
     def test_first_day_gets_zero_weight(self):
         rng = np.random.default_rng(3)
         shapes = rng.random((6, 4))
-        w = conditional_kernel_weights(shapes, KernelSpec(KernelKind.GAUSSIAN, 0.5))
+        w = conditional_kernel_weights(shapes, KernelSpec(0.5))
         assert w[0] == 0.0
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= 0)
@@ -101,7 +101,7 @@ class TestConditionalKernelWeights:
             [0.2, 0.3, 1.0, 0.2],   # predecessor far from last
             last,
         ])
-        w = conditional_kernel_weights(shapes, KernelSpec(KernelKind.GAUSSIAN, 0.3))
+        w = conditional_kernel_weights(shapes, KernelSpec(0.3))
         assert w[1] == max(w)
         assert w[1] > w[2]
 
@@ -114,12 +114,11 @@ class TestConditionalKernelWeights:
         w = conditional_kernel_weights(shapes, KernelSpec())
         np.testing.assert_array_equal(w, [0.0, 1.0])
 
-    def test_compact_kernel_zero_mass_falls_back(self):
+    def test_underflowing_kernel_falls_back(self):
+        # at h = 1e-9 every Gaussian mass underflows to 0
         shapes = np.array([[0.0, 0.0], [1.0, 1.0], [0.3, 0.3]])
         with pytest.warns(UserWarning, match="nearest"):
-            w = conditional_kernel_weights(
-                shapes, KernelSpec(KernelKind.EPANECHNIKOV, 1e-9)
-            )
+            w = conditional_kernel_weights(shapes, KernelSpec(1e-9))
         assert w.sum() == 1.0
         assert w[0] == 0.0
 
@@ -135,7 +134,7 @@ class TestConditionalKernelPredict:
     def test_convex_combination_of_history(self, grid4):
         history = random_history(grid4, np.random.default_rng(5), 10)
         pred = predict_conditional_kernel(
-            history, KernelSpec(KernelKind.GAUSSIAN, 0.4)
+            history, KernelSpec(0.4)
         )
         shapes = history.shapes
         assert np.all(pred >= shapes.min(axis=0) - 1e-12)
@@ -144,7 +143,7 @@ class TestConditionalKernelPredict:
     def test_oracle_small_case(self, grid4):
         history = random_history(grid4, np.random.default_rng(7), 5)
         h = 0.6
-        pred = predict_conditional_kernel(history, KernelSpec(KernelKind.GAUSSIAN, h))
+        pred = predict_conditional_kernel(history, KernelSpec(h))
         shapes = history.shapes
         last = shapes[-1]
         mass = [0.0]

@@ -267,7 +267,7 @@ class TestPredict:
 
     def test_ini_config_applies(self, raw_files, history_file, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[kernel]\nkind = epanechnikov\nbandwidth = 0.5\n"
+        ini.write_text("[kernel]\nbandwidth = 0.5\n"
                        "[distance]\nkind = mean-absolute\n"
                        "[reference]\nn_l_g1 = 5\nn_l_default = 7\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
@@ -281,7 +281,7 @@ class TestPredict:
         # the config records each INI key's value and nothing else
         assert doc["config"] == {
             "reference": {"n_l_g1": 5, "n_l_default": 7},
-            "kernel": {"kind": "epanechnikov", "bandwidth": 0.5},
+            "kernel": {"bandwidth": 0.5},
             "distance": "mean-absolute",
         }
         # the target is a Wednesday: a 7-day lookback holds one Wednesday
@@ -378,7 +378,6 @@ class TestPredict:
 
     @pytest.mark.parametrize("section, line, flag", [
         ("kernel", "bandwidth = abc", "--bandwidth=0.3"),
-        ("kernel", "kind = bogus", "--kernel=epanechnikov"),
         ("distance", "kind = cosine", "--distance=euclidean"),
     ])
     def test_bad_ini_value_under_its_flag_is_usage_error(self, raw_files, history_file,
@@ -399,7 +398,7 @@ class TestPredict:
     def test_unknown_ini_section_is_usage_error(self, raw_files, history_file, tmp_path,
                                                 capsys):
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[kernel]\nkind = epanechnikov\n[weights]\n")
+        ini.write_text("[kernel]\nbandwidth = 0.5\n[weights]\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
@@ -430,9 +429,8 @@ class TestPredict:
     # a removed value is unknown to the flag and to the file alike, which
     # share the setting's name
     @pytest.mark.parametrize("setting, value, enum, choices", [
-        ("kernel", "uniform", "KernelKind", "'gaussian', 'epanechnikov'"),
         ("distance", "max-absolute", "DistanceKind", "'euclidean', 'mean-absolute'"),
-    ], ids=["uniform", "max-absolute"])
+    ], ids=["max-absolute"])
     def test_removed_value_is_unknown(self, raw_files, history_file, tmp_path, capsys,
                                       setting, value, enum, choices):
         ini = tmp_path / "cfg.ini"
@@ -449,6 +447,25 @@ class TestPredict:
         assert capsys.readouterr().err == (
             f"error: config [{setting}] kind = '{value}': '{value}' is not a valid {enum}\n")
 
+    # the predictor weighs with the Gaussian alone: the kernel has no flag and
+    # no file key, whatever kind either names
+    @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov", "uniform"])
+    def test_removed_kernel_kind_is_unknown(self, raw_files, history_file, tmp_path, capsys,
+                                            kind):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[kernel]\nkind = {kind}\n")
+        date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
+        argv = ["predict", "--history", str(history_file), "--date", date,
+                "--temp-forecast", str(raw_files / "forecast.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kernel", kind])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: --kernel {kind}\n")
+        assert main([*argv, "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config [kernel] kind: unknown key; [kernel] takes bandwidth\n")
+
     def test_tiny_bandwidth_predicts(self, raw_files, history_file, capsys):
         # u = d / h overflows to inf, where the kernel is 0: no RuntimeWarning
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
@@ -459,9 +476,10 @@ class TestPredict:
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["shape"]) == 24
 
-    def test_compact_kernel_tiny_bandwidth_falls_back(self, raw_files, history_file,
-                                                      tmp_path, capsys):
-        # on pooled temperatures the reference matches no history shape exactly
+    def test_underflowing_bandwidth_falls_back(self, raw_files, history_file, tmp_path,
+                                               capsys):
+        # on pooled temperatures the reference matches no history shape exactly,
+        # so at h = 1e-300 every Gaussian mass underflows
         pooled = tmp_path / "pooled.jsonl"
         pooled.write_text(pooled_text(history_file.read_text()))
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
@@ -469,7 +487,7 @@ class TestPredict:
             code = main([
                 "predict", "--history", str(pooled), "--date", date,
                 "--temp-forecast", str(raw_files / "forecast.csv"),
-                "--kernel", "epanechnikov", "--bandwidth", "1e-300",
+                "--bandwidth", "1e-300",
             ])
         assert code == 0
         assert max(json.loads(capsys.readouterr().out)["shape"]) == 1.0
@@ -499,7 +517,8 @@ class TestPredict:
             "--temp-forecast", str(forecast), "--bandwidth", "0.3",
         ])
         assert code == 1
-        assert "field larger than field limit" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: field larger than field limit (")
 
     def test_bad_history_line_is_domain_error(self, raw_files, history_file, tmp_path,
                                               capsys):
@@ -723,8 +742,6 @@ class TestBacktest:
 FLAG_OVERRIDES = {
     ("distance", "kind"): ("mean-absolute", "euclidean",
                            PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
-    ("kernel", "kind"): ("epanechnikov", "gaussian",
-                         PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
     ("kernel", "bandwidth"): ("0.5", "0.3", PredictorConfig(kernel=KernelSpec(bandwidth=0.3))),
 }
 
@@ -752,9 +769,8 @@ class TestWarningsOnStderr:
         # on pooled temperatures the reference matches no history shape exactly
         (root / "pooled.jsonl").write_text(pooled_text("\n".join(lines)))
         (root / "wide.ini").write_text("[reference]\nn_l_g1 = 60\nn_l_default = 60\n")
-        (root / "compact.ini").write_text(
-            "[reference]\nn_l_g1 = 60\nn_l_default = 60\n"
-            "[kernel]\nkind = epanechnikov\nbandwidth = 1e-300\n"
+        (root / "tiny.ini").write_text(
+            "[reference]\nn_l_g1 = 60\nn_l_default = 60\n[kernel]\nbandwidth = 1e-300\n"
         )
         (root / "dates.txt").write_text(
             "".join(f"{START + dt.timedelta(days=d)}\n" for d in range(70, 80))
@@ -789,10 +805,10 @@ class TestWarningsOnStderr:
         ("predict", "history.jsonl", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
         ("backtest", "history.jsonl", "wide.ini", ["--bandwidth", "auto"], NO_TEMPERATURE, 0),
         # the target, a Wednesday, is the one G2 day predicted
-        ("predict", "pooled.jsonl", "compact.ini", [], [], 1),
+        ("predict", "pooled.jsonl", "tiny.ini", [], [], 1),
         # without CV, 2010-03-13 is older than each prediction's lookback; one
         # fallback line comes from the `ssp` method, one from `conditional-kernel`
-        ("backtest", "pooled.jsonl", "compact.ini", ["--methods", "ssp,conditional-kernel"],
+        ("backtest", "pooled.jsonl", "tiny.ini", ["--methods", "ssp,conditional-kernel"],
          NO_TEMPERATURE[1:], 2),
     ])
     def test_each_warning_once_per_place(self, gappy, raw_files, tmp_path, command, history,
@@ -875,9 +891,9 @@ class TestConfig:
     def test_file_with_two_faults_names_the_first_in_table_order(self, raw_files, history_file,
                                                                  tmp_path, capsys):
         # the values are parsed in the key table's order, not the file's: the
-        # bad [reference] lookback is named before the bad [kernel] kind
+        # bad [reference] lookback is named before the bad [kernel] bandwidth
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[kernel]\nkind = bogus\n[reference]\nn_l_g1 = 0\n")
+        ini.write_text("[kernel]\nbandwidth = bogus\n[reference]\nn_l_g1 = 0\n")
         date = (START + dt.timedelta(days=DAYS - 1)).isoformat()
         code = main([
             "predict", "--history", str(history_file), "--date", date,
@@ -930,6 +946,13 @@ class TestSimulate:
         ])
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+
+    def test_underflowing_bandwidth_is_a_domain_error(self, capsys):
+        # the lab checks each length's bandwidth: 5e-324 * 64 ** -0.2 rounds to 0
+        code = main(["simulate", "--h-coef", "5e-324", "--lengths", "64",
+                     "--replications", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bandwidth must be positive and finite\n"
 
     @pytest.mark.parametrize("flag", ["--sigma", "--jitter"])
     def test_huge_sigma_is_refused_by_the_window(self, flag, capsys):
@@ -1119,7 +1142,7 @@ class TestNonUtf8Input:
     def test_names_the_file_and_exits_2(self, raw_files, history_file, tmp_path,
                                         kind, capsys):
         config = tmp_path / "good.ini"
-        config.write_text("[kernel]\nkind = gaussian\n")
+        config.write_text("[kernel]\nbandwidth = 0.3\n")
         files = dict(
             history=history_file, load=raw_files / "load.csv",
             temps=raw_files / "temps.csv", forecast=raw_files / "forecast.csv",

@@ -1,18 +1,22 @@
 """Fuzzed input files through `cli.main`: every run ends in exit code 0, 1 or 2.
 
 Each example starts from a small valid set of inputs for `predict` (history,
-temperature forecast, holiday file, INI config) or for `backtest` (history,
-dates file, INI config) and damages one of them: a field of a JSON record set
-to an arbitrary JSON value, one load or temperature value of a record set to
-a JSON leaf (null, NaN, an infinity, a huge integer, ...), an INI key set to
-arbitrary text, a line replaced, dropped or truncated, a character swapped, a
-stray non-UTF-8 byte, or the whole file replaced by noise. Whatever the
-damage, `main` must return an exit code and let no exception escape. The
-`simulate` flags are fuzzed the same way, with lengths kept small so that
-every example stays cheap.
+temperature forecast, holiday file, INI config), for `backtest` (history,
+dates file, INI config) or for `ingest` (load, temperature and holiday files)
+and damages one of them: a field of a JSON record set to an arbitrary JSON
+value, one load or temperature value of a record set to a JSON leaf (null,
+NaN, an infinity, a huge integer, ...), an INI key set to arbitrary text, a
+clock hour of a load or temperature file repeated (as on a fall-back day,
+naive or with UTC offsets) or missing (as on a spring-forward day), a field
+past the csv module's size limit, a line replaced, dropped or truncated, a
+character swapped, a stray non-UTF-8 byte, or the whole file replaced by
+noise. Whatever the damage, `main` must return an exit code and let no
+exception escape. The `simulate` flags are fuzzed the same way, with lengths
+kept small so that every example stays cheap.
 """
 
 import contextlib
+import csv
 import datetime as dt
 import io
 import json
@@ -20,7 +24,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_history
 from shapecast.cli import INI_KEYS, main
@@ -32,11 +37,13 @@ START = dt.date(2010, 3, 1)
 DAYS = 40
 TARGET = START + dt.timedelta(days=DAYS)
 BACKTEST_DATES = [START + dt.timedelta(days=d) for d in (34, 36, 39)]
+# the raw files `ingest` reads span a few days from START, a holiday
+INGEST_DAYS = 3
 
 
 INI = {
     "reference": {"n_l_g1": "10", "n_l_default": "21"},
-    "kernel": {"kind": "gaussian", "bandwidth": "auto"},
+    "kernel": {"bandwidth": "auto"},
     "distance": {"kind": "euclidean"},
 }
 
@@ -46,6 +53,14 @@ def _ini_text(sections) -> str:
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
         for name, values in sections.items()
     )
+
+
+def _series_text(column: str, values: np.ndarray) -> str:
+    """A `timestamp,<column>` CSV of hourly readings from START, one day a row of `values`."""
+    start = dt.datetime.combine(START, dt.time())
+    return f"timestamp,{column}\n" + "".join(
+        f"{(start + dt.timedelta(hours=h)).isoformat(timespec='minutes')},{v:.3f}\n"
+        for h, v in enumerate(values.ravel().tolist()))
 
 
 def _valid_inputs() -> dict[str, str]:
@@ -63,12 +78,16 @@ def _valid_inputs() -> dict[str, str]:
         "config.ini": _ini_text(INI),
         "dates.txt": "# backtest days\n"
         + "".join(f"{d.isoformat()}\n" for d in BACKTEST_DATES),
+        "load.csv": _series_text("load_mw", loads[:INGEST_DAYS]),
+        "temps.csv": _series_text("temp_c", temps[:INGEST_DAYS]),
     }
 
 
 VALID = _valid_inputs()
 PREDICT_FILES = ["config.ini", "forecast.csv", "history.jsonl", "holidays.txt"]
 BACKTEST_FILES = ["config.ini", "dates.txt", "history.jsonl"]
+INGEST_FILES = ["holidays.txt", "load.csv", "temps.csv"]
+SERIES_DAMAGE = ["repeat", "skip", "huge"]
 
 text = st.text(st.characters(exclude_categories=("Cs",)), max_size=40)
 # floats include NaN and the infinities, which json.dumps writes as literals
@@ -89,12 +108,32 @@ def _line_replaced(content: str, i: int, replacement: list[str]) -> str:
     return "\n".join(lines[:i] + replacement + lines[i + 1:]) + "\n"
 
 
+def _repeated_hour(content: str, i: int, value: str | None, offsets: bool) -> str:
+    """Reading i % rows repeated with `value` (its own if None): a fall-back hour.
+
+    With `offsets` the two readings carry the summer and the winter UTC offset.
+    """
+    lines = content.splitlines()
+    i = 1 + i % (len(lines) - 1)
+    stamp, own = lines[i].split(",")
+    first, second = (f"{stamp}+03:00", f"{stamp}+02:00") if offsets else (stamp, stamp)
+    return _line_replaced(content, i, [f"{first},{own}", f"{second},{value or own}"])
+
+
+def _huge_field(content: str, i: int) -> str:
+    """The last field of line i % lines, the header included, past csv's size limit."""
+    lines = content.splitlines()
+    head = lines[i % len(lines)].rsplit(",", 1)[0]
+    return _line_replaced(content, i, [f"{head},{'1' * (csv.field_size_limit() + 1)}"])
+
+
 @st.composite
 def damaged(draw, name: str, kind: str | None = None) -> bytes:
     """The valid `name` file with one kind of damage (drawn if not given)."""
     content = VALID[name]
     kinds = ["line", "drop", "truncate", "char", "byte", "noise"]
-    kinds += {"history.jsonl": ["json", "element"], "config.ini": ["ini"]}.get(name, [])
+    kinds += {"history.jsonl": ["json", "element"], "config.ini": ["ini"],
+              "load.csv": SERIES_DAMAGE, "temps.csv": SERIES_DAMAGE}.get(name, [])
     kind = kind or draw(st.sampled_from(kinds))
     i = draw(st.integers(0, 10_000))
     if kind == "noise":
@@ -118,6 +157,13 @@ def damaged(draw, name: str, kind: str | None = None) -> bytes:
         key = draw(st.sampled_from(["mode", *sorted({k for _, k in INI_KEYS})]))
         sections[section][key] = draw(text.map(lambda s: " ".join(s.splitlines())))
         content = _ini_text(sections)
+    elif kind == "repeat":
+        value = draw(st.none() | st.floats(0.0, 1e3).map(repr))
+        content = _repeated_hour(content, i, value, draw(st.booleans()))
+    elif kind == "skip":  # a reading, never the header, missing: a spring-forward hour
+        content = _line_replaced(content, 1 + i % (len(content.splitlines()) - 1), [])
+    elif kind == "huge":
+        content = _huge_field(content, i)
     elif kind == "line":
         content = _line_replaced(content, i, [draw(text)])
     elif kind == "drop":
@@ -155,6 +201,15 @@ def _backtest(root: Path) -> int:
     ])
 
 
+def _ingest(root: Path) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):  # the gap report
+        return main([
+            "ingest", "--load", str(root / "load.csv"), "--temps", str(root / "temps.csv"),
+            "--holidays", str(root / "holidays.txt"), "--points-per-day", "24",
+            "--out", str(root / "ingested.jsonl"),
+        ])
+
+
 def _run(files: dict[str, bytes], command=_predict) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -185,6 +240,37 @@ def test_valid_inputs_predict():
 def test_valid_inputs_backtest():
     files = {name: content.encode() for name, content in VALID.items()}
     assert _run(files, _backtest) == 0
+
+
+def test_valid_inputs_ingest():
+    files = {name: content.encode() for name, content in VALID.items()}
+    assert _run(files, _ingest) == 0
+
+
+@pytest.mark.parametrize("name", ["load.csv", "temps.csv"])
+@pytest.mark.parametrize("line", [1, 2])
+def test_field_past_the_csv_limit_names_its_line(name, line, capsys):
+    # on the header line too, which is read before any row
+    files = _files_with((name, _huge_field(VALID[name], line - 1).encode()))
+    assert _run(files, _ingest) == 1
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"error: line {line}: field larger than field limit ({limit})\n")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_damaged_case(INGEST_FILES))
+# whatever the draws: a non-UTF-8 holiday file, a fall-back hour repeated with
+# its own value, naive, and with another, under two UTC offsets, and a
+# spring-forward hour missing
+@example(("holidays.txt", b"\xff" + VALID["holidays.txt"].encode()))
+@example(("load.csv", _repeated_hour(VALID["load.csv"], 3, None, False).encode()))
+@example(("temps.csv", _repeated_hour(VALID["temps.csv"], 3, "7.5", True).encode()))
+@example(("load.csv", _line_replaced(VALID["load.csv"], 4, []).encode()))
+def test_damaged_ingest_input_exits_cleanly(case):
+    """The raw files span `INGEST_DAYS` days only, to keep the suite fast: what
+    ingest costs per day of span is not what this checks."""
+    assert _run(_files_with(case), _ingest) in (0, 1, 2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

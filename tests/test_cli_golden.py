@@ -26,8 +26,8 @@ TARGET = START + dt.timedelta(days=DAYS)
 BACKTEST_ROWS = (70, 75, 88, 95)
 
 PREDICT_SHA256 = {
-    "0.3": "e11c2938f6a9b2a5cefcfb1869db016954afdcac3e6e723ffc98537e7002eb4b",
-    "auto": "a228985a814dec279c18cf5d74394f14c469fc8929f62040045592e5af2eafd7",
+    "0.3": "a52c22f6fbcfd0a1a1de6347ae3c62a5bdb6562e43111705e2c5705e8978c714",
+    "auto": "cdc00583f53bf52328ba8ebeb08ef2184fe7f2dc9d3528433e02c95c6ab39e4a",
 }
 BACKTEST_SHA256 = {
     "days/2010-05-10.csv": "665ad64adfc50a9bb3761753400b70b25a9aa2ef2a43206dea45750fa33a7d97",
@@ -35,7 +35,7 @@ BACKTEST_SHA256 = {
     "days/2010-05-28.csv": "14ee653a77355e99d0b28d5a8b534a1e46550d4c38fd40225f3a30efcc6f1a8d",
     "days/2010-06-04.csv": "7cce0f33d080ae1b6e348c909f78a4829953ce6bdd40ec5ac23ed94e1b225a89",
     "report.csv": "777414508fe0902efa290219bf1430969bfae0774984c97c9dd73ade603253dd",
-    "report.json": "3943396c5832ea7b3c3fcfb7df295766db084d602017db8ff9ccc83bfdb03b23",
+    "report.json": "bee4f858fb755b1f727f8fc8014fed6561009933a45e6ff040570e85061eed56",
 }
 
 

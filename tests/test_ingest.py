@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from shapecast import ingest
 from shapecast.calendars import annotate_calendar
 from shapecast.cli import main
-from shapecast.errors import IngestError
+from shapecast.errors import IngestError, ShapecastError
 from shapecast.history import Quality, history_jsonl_text
 from shapecast.ingest import (
     _by_minute,
@@ -134,10 +135,17 @@ class TestSegmentize:
         assert len(window) == 0
         assert report.rejected_dates == [self.date]
 
-    def test_negative_max_gap_rejects_even_a_complete_day(self):
-        window, report = segmentize(self.parse_day(range(1, 25)), self.grid, max_gap=-1)
-        assert len(window) == 0
-        assert report.rejected_dates == [self.date]
+    # a complete day is no judge of a bad max_gap: it is refused on entry
+    @pytest.mark.parametrize("max_gap, message", [
+        (-1, "max_gap -1 is below 0"),
+        (1.5, "max_gap 1.5 is not a whole number"),
+        (True, "max_gap True is not a whole number"),
+        ("4", "max_gap '4' is not a whole number"),
+        (None, "max_gap None is not a whole number"),
+    ])
+    def test_bad_max_gap_refused(self, max_gap, message):
+        with pytest.raises(ShapecastError, match=f"^{re.escape(message)}$"):
+            segmentize(self.parse_day(range(1, 25)), self.grid, max_gap=max_gap)
 
     def test_duplicate_conflicting_values(self):
         rows = day_rows(self.date, [1.0] * 24, self.grid)
@@ -542,6 +550,10 @@ def run_ingest(tmp_path, capsys, load, temps=None):
     return code, capsys.readouterr().err
 
 
+# csv.reader's message for a field past its limit, as a pattern
+LIMIT = re.escape(f"field larger than field limit ({csv.field_size_limit()})")
+
+
 class TestErrorPrecedence:
     """Parse errors come before duplicates, load before temps, whatever the day."""
 
@@ -576,10 +588,23 @@ class TestErrorPrecedence:
 
     def test_csv_error_after_the_rows_before_it(self):
         huge = "1" * (csv.field_size_limit() + 1)
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(IngestError, match=f"^line 2: {LIMIT}$"):
             parse_load_file(f"timestamp,load_mw\n2010-06-07T00:00,{huge}\n")
         with pytest.raises(IngestError, match="^line 2: bad timestamp 'noon'$"):
             parse_load_file(f"timestamp,load_mw\nnoon,1\n2010-06-07T00:00,{huge}\n")
+
+    def test_csv_error_names_its_first_line(self):
+        # the header line, which is read before any row; then a row after one
+        # quoted over lines 2 and 3 and a blank line 4
+        huge = "1" * (csv.field_size_limit() + 1)
+        with pytest.raises(IngestError, match=f"^line 1: {LIMIT}$"):
+            parse_load_file(f"timestamp{huge},load_mw\n2010-06-07T00:00,1\n")
+        with pytest.raises(IngestError, match=f"^line 5: {LIMIT}$"):
+            parse_load_file('timestamp,load_mw\n2010-06-07T00:00,"1\n"\n\n'
+                            f'2010-06-07T01:00,"{huge}\n"\n')
+        with pytest.raises(IngestError, match=f"^line 2: {LIMIT}$"):
+            parse_temperature_forecast(f"date,t0800,t1200,t1600,t2000\n2010-06-07,{huge},1,2,3\n",
+                                       TimeGrid.equidistant(24))
 
 
 class TestDuplicates:
@@ -648,20 +673,25 @@ class TestStampsBeyondTheMinute:
 
 def oracle_rows(text, header, name="file"):
     reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        found = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise IngestError(f"empty {name}, expected a header row") from None
-    if found != header:
-        raise IngestError(f"bad header {found!r}, expected {header}")
-    start = reader.line_num + 1
-    for row in reader:
-        lineno, start = start, reader.line_num + 1
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise IngestError(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-        yield lineno, row
+        try:
+            found = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise IngestError(f"empty {name}, expected a header row") from None
+        if found != header:
+            raise IngestError(f"bad header {found!r}, expected {header}")
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise IngestError(
+                    f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+            yield lineno, row
+    except csv.Error as exc:  # named by the first line of the row it could not read
+        raise IngestError(f"line {start}: {exc}") from None
 
 
 def oracle_parse(text, column, limit=math.inf, signed=True):
@@ -711,7 +741,7 @@ def outcome(call):
     """(result, None), or (None, (error type, message))."""
     try:
         return call(), None
-    except (IngestError, csv.Error) as exc:
+    except IngestError as exc:
         return None, (type(exc), str(exc))
 
 

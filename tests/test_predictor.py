@@ -107,7 +107,7 @@ class TestComputeWeights:
                                    pytest.param(10**400, id="10**400")])
     def test_bandwidth_must_be_positive_and_finite(self, h):
         with pytest.raises(ShapecastError, match="^bandwidth must be positive and finite$"):
-            KernelSpec(KernelKind.GAUSSIAN, h)
+            KernelSpec(h)
 
     def test_tiny_bandwidth_concentrates_on_nearest(self):
         shapes = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
@@ -223,7 +223,7 @@ def full_mask_forecast(grid, values):
 
 
 def brute_force_ssp(history, target_group, forecast_values, forecast_mask,
-                    n_L, kind, h, unit="shapes"):
+                    n_L, h, unit="shapes"):
     """Flat single-function re-implementation, pure Python floats throughout.
 
     The history enters as its column rows, turned into Python lists first.
@@ -231,18 +231,14 @@ def brute_force_ssp(history, target_group, forecast_values, forecast_mask,
     the raw load itself under `unit="loads"`.
     Candidates: same-group days among the last n_L. Reference: the candidate
     (plus exact ties) with minimal euclidean temperature distance on the
-    forecast mask, curves averaged. Weights: normalized kernel of euclidean
-    curve distance over the whole history. Prediction: the weighted sum.
+    forecast mask, curves averaged. Weights: normalized Gaussian kernel of
+    euclidean curve distance over the whole history. Prediction: the weighted sum.
     """
     def eucl(a, b, idx):
         return math.sqrt(sum((a[i] - b[i]) ** 2 for i in idx))
 
     def kern(u):
-        if kind == "gaussian":
-            return math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
-        if kind == "epanechnikov":
-            return 0.75 * (1 - u * u) if abs(u) <= 1 else 0.0
-        return 0.5 if abs(u) <= 1 else 0.0
+        return math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
 
     loads, temps = history.loads.tolist(), history.temps.tolist()
     groups = [GROUPS[g] for g in history.group.tolist()]
@@ -301,12 +297,12 @@ class TestPredictDay:
         history = random_history(grid, rng, 10)
         target = annotate_calendar(history.dates[-1] + dt.timedelta(days=1))
         forecast_values = 5.0 + 30.0 * rng.random(8)
-        cfg = PredictorConfig(kernel=KernelSpec(KernelKind.GAUSSIAN, 0.7))
+        cfg = PredictorConfig(kernel=KernelSpec(0.7))
         pred = predict_day(history, target, full_mask_forecast(grid, forecast_values),
                            cfg=cfg)
         expected = brute_force_ssp(
             history, target.group, list(forecast_values),
-            list(range(8)), 28, "gaussian", 0.7,
+            list(range(8)), 28, 0.7,
         )
         np.testing.assert_allclose(pred.shape, expected, atol=1e-12)
 
@@ -325,16 +321,16 @@ class TestPredictDay:
             i, j = np.triu_indices(L, 1)
             median = float(np.median(distances(history.loads[i], history.loads[j])))
             h = median * float(10 ** rng.uniform(-0.5, 0.5))
-            try:  # the default kernel is Gaussian
+            try:
                 _, weights, shape, _ = raw_stage(
                     history, target.group, full_mask_forecast(history.grid, forecast_values),
-                    PredictorConfig(), h)
+                    PredictorConfig(), KernelKind.GAUSSIAN, h)
             except EmptyCandidateError:
                 continue  # short history without the target's group; redraw
             assert weights.max() < 0.99
             expected = brute_force_ssp(
                 history, target.group, list(forecast_values),
-                list(range(P)), ReferenceConfig().n_L(target.group), "gaussian", h, unit="loads",
+                list(range(P)), ReferenceConfig().n_L(target.group), h, unit="loads",
             )
             np.testing.assert_allclose(shape, expected, atol=1e-12)
             checked += 1
@@ -424,7 +420,8 @@ def raw_reference(history):
     """The reference segment the lab's raw-load oracle builds for the next day."""
     target, forecast = next_day(history)
     cfg = PredictorConfig()
-    reference, *_ = raw_stage(history, target.group, forecast, cfg, cfg.kernel.bandwidth)
+    reference, *_ = raw_stage(history, target.group, forecast, cfg, KernelKind.GAUSSIAN,
+                              cfg.kernel.bandwidth)
     return reference.reference
 
 
@@ -595,12 +592,10 @@ def seed_default_bandwidth_grid(history, dist):
 
 
 # a "-pooled" config runs on `pooled_history`, where the reference is no history
-# row and a compact kernel at a tiny bandwidth leaves every shape massless
+# row and every Gaussian mass underflows at the tiny bandwidth 1e-9
 CV_CONFIGS = {
     "gaussian": PredictorConfig(),
     "gaussian-pooled": PredictorConfig(),
-    "epanechnikov": PredictorConfig(kernel=KernelSpec(KernelKind.EPANECHNIKOV)),
-    "epanechnikov-pooled": PredictorConfig(kernel=KernelSpec(KernelKind.EPANECHNIKOV)),
     "mean-absolute": PredictorConfig(distance=DistanceKind("mean-absolute")),
     "mean-absolute-pooled": PredictorConfig(distance=DistanceKind("mean-absolute")),
 }
@@ -674,13 +669,13 @@ class TestSelectBandwidthOracle:
 
 
 def test_fallback_warns_once_per_validation_day(grid24, monkeypatch):
-    # three massless bandwidths on every one of the 15 validation days
-    cfg = PredictorConfig(kernel=KernelSpec(KernelKind.EPANECHNIKOV))
+    # three massless bandwidths, where every Gaussian mass underflows, on every
+    # one of the 15 validation days
     history = pooled_history(grid24, np.random.default_rng(53), 46)
     use_grid(monkeypatch, [1e-9, 2e-9, 1e-8, 5.0, 10.0])
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        select_bandwidth(history, cfg)
+        select_bandwidth(history, PredictorConfig())
     assert [str(w.message) for w in seen] == [
         "no segment within bandwidth; falling back to the nearest segment"
     ] * 15
@@ -688,11 +683,11 @@ def test_fallback_warns_once_per_validation_day(grid24, monkeypatch):
 
 
 def test_conditional_kernel_fallback_names_its_call_line(grid4):
-    # a compact kernel at a tiny bandwidth leaves no mass on any predecessor
+    # at a tiny bandwidth every predecessor's Gaussian mass underflows
     history = random_history(grid4, np.random.default_rng(5), 10)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        predict_conditional_kernel(history, KernelSpec(KernelKind.EPANECHNIKOV, 1e-9))
+        predict_conditional_kernel(history, KernelSpec(1e-9))
     # the warning names the line in `predict_conditional_kernel` that weighs
     lines, start = inspect.getsourcelines(baselines.predict_conditional_kernel)
     call = start + next(k for k, line in enumerate(lines) if "conditional_kernel_weights(" in line)

@@ -14,7 +14,7 @@ from shapecast import predictor, synthetic
 from shapecast.calendars import GROUPS, DayGroup, annotate_calendar, group_codes
 from shapecast.errors import ShapecastError
 from shapecast.history import HistoryWindow, Quality
-from shapecast.predictor import KernelKind, KernelSpec, PredictorConfig
+from shapecast.predictor import KernelKind, PredictorConfig
 from shapecast.reference import ReferenceConfig, nearest
 from shapecast.synthetic import (
     ERROR_NAMES,
@@ -421,8 +421,9 @@ class TestConsistencyExperiment:
             consistency_experiment(SyntheticSpec(GRID, 1, seed=0, **sigmas), [32, 64], 2)
         assert drawn_seeds == []
 
+    # 5e-324 is a positive coefficient, but each length's bandwidth rounds to 0
     @pytest.mark.parametrize("h_coef", [0.0, -1.0, math.nan, math.inf,
-                                        pytest.param(10**400, id="10**400")])
+                                        pytest.param(10**400, id="10**400"), 5e-324])
     def test_bad_h_coef_refused_before_any_path(self, drawn_seeds, h_coef):
         template = SyntheticSpec(GRID, 1, seed=0)
         with pytest.raises(ShapecastError, match="^bandwidth must be positive and finite$"):
@@ -470,23 +471,19 @@ def per_row_experiment_csv(template, lengths, replications, h_coef):
     configs = []
     for L in lengths:
         if noiseless:
-            n_L, kernel = L, KernelSpec(KernelKind.EPANECHNIKOV, 1e-6)
+            n_L, kind, h = L, KernelKind.EPANECHNIKOV, 1e-6
         else:
-            n_L = default_n_L_schedule(L)
-            kernel = KernelSpec(KernelKind.GAUSSIAN, default_h_schedule(L, h_coef))
-        cfg = PredictorConfig(
-            reference=ReferenceConfig(n_L, n_L),
-            kernel=kernel,
-        )
-        configs.append((L, n_L, cfg))
+            n_L, kind = default_n_L_schedule(L), KernelKind.GAUSSIAN
+            h = default_h_schedule(L, h_coef)
+        configs.append((L, n_L, PredictorConfig(reference=ReferenceConfig(n_L, n_L)), kind, h))
     rows = []
     for rep in range(replications):
         window, clean = generate(replace(path, seed=(*template.seed, rep)))
         forecast = TemperatureSegment(path.grid, window.temps[T])
-        for L, n_L, cfg in configs:
+        for L, n_L, cfg, kind, h in configs:
             prior = window.span(T - L, T)
             reference, _, predicted, _ = raw_stage(prior, window.meta(T).group, forecast, cfg,
-                                                   cfg.kernel.bandwidth)
+                                                   kind, h)
             ref_values = reference.reference
             rows.append(ExperimentRow(
                 L=L,
@@ -494,7 +491,7 @@ def per_row_experiment_csv(template, lengths, replications, h_coef):
                 err_pred=distance(predicted, clean[T]),
                 err_ref=distance(ref_values, clean[T]),
                 err_pred_ref=distance(predicted, ref_values),
-                h=cfg.kernel.bandwidth,
+                h=h,
                 n_L=n_L,
                 c_star_size=len(reference.c_star),
             ))
