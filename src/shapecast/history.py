@@ -1,5 +1,12 @@
 """The history as day-by-day columns, daily-record views, and JSON-lines persistence.
 
+The reader takes the file a line at a time, never its whole text or a list
+of its lines. It fills the load and temperature columns in blocks that grow
+as lines arrive and joins them once into the window's own arrays, so reading
+a history takes about its own size in memory. It decodes each line itself,
+counting bytes, so a file that is not UTF-8 fails as such before any error
+in its lines, at its whole-file byte offset, even from a pipe.
+
 One check, `_read_record`, reads a decoded record line, and two decoders feed
 it: orjson first, then, for a line orjson refuses or whose reading fails the
 check, the stdlib's `json.loads`, whose value or error stands. So `NaN`, `1e400`
@@ -302,46 +309,107 @@ def _read_record(d, P: int, load: np.ndarray, temp: np.ndarray) -> tuple:
         return date, holiday, Quality(q)
 
 
-def read_history_jsonl(path) -> HistoryWindow:
-    """The window a history file holds; every error names `path:line`."""
-    with open(path, encoding="utf-8") as fh:
-        # universal newlines turn `\r\n` and `\r` into `\n`, the one break splitting
-        # records: JSON allows U+2028 and the like raw inside a string
-        lines = fh.read().split("\n")
-    linenos = [n for n, ln in enumerate(lines, 1) if ln.strip()]
-    if not linenos:
+def _filled(blocks: list, k: int) -> tuple:
+    """The load and temperature rows read: every block's, but the last one's first `k`."""
+    return tuple(np.concatenate([*whole, last[:k]]) for *whole, last in zip(*blocks))
+
+
+def _read_days(path, lines, P: int, linenos: list) -> tuple:
+    """Each record line's (date, holiday flag, quality), then the load and temperature columns.
+
+    `lines` yields each nonblank line's number and text; `linenos` gets each record's.
+    The blocks the columns are read into are freed when this returns, before a
+    window is built from them.
+    """
+    days = []
+    # each new block is as long as all before it; the columns are joined once at the end
+    blocks = [(np.zeros((0, P)), np.zeros((0, P)))]
+    k = 0  # rows filled in the last block
+    for lineno, text in lines:
+        loads, temps = blocks[-1]
+        if k == len(loads):
+            # a row not yet filled is zero load, no temperature: nothing to refuse
+            size = max(64, len(days))
+            loads, temps = np.zeros((size, P)), np.full((size, P), np.nan)
+            blocks.append((loads, temps))
+            k = 0
+        linenos.append(lineno)
+        try:
+            # a BOM is the stdlib path's error, and orjson must not see a deep line
+            if text.startswith("\ufeff") or _too_deep_for_orjson(text):
+                raise ValueError
+            days.append(_read_record(orjson.loads(text), P, loads[k], temps[k]))
+        except _REPORTED:
+            # the stdlib decoder reads the line again, and its values or error stand
+            try:
+                with _located(path, lineno):
+                    record = json.loads(text, parse_constant=_refuse_constant)
+                    days.append(_read_record(record, P, loads[k], temps[k]))
+            except IngestError:
+                # a bad value on this line or an earlier one comes first
+                _refuse_bad_day(*_filled(blocks, k + 1))
+                raise
+        k += 1
+    return days, *_filled(blocks, k)
+
+
+def _text_lines(fh):
+    """Each nonblank line of the binary file `fh` as UTF-8 text without its end, with its number.
+
+    As universal newlines read them, `\r\n` and a lone `\r` end a line as `\n`
+    does: JSON allows U+2028 and the like raw inside a string, and they end none.
+    A byte that is not UTF-8 raises the whole file's `UnicodeDecodeError`, at its
+    offset from the file's first byte, also when `fh` is a pipe.
+    """
+    lineno = offset = 0
+    # a piece ends at b"\n", which no UTF-8 character holds, so decoding each one
+    # with its b"\n" finds the whole file's first error, with its reason
+    for raw in fh:
+        try:
+            text = str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            exc.start, exc.end = exc.start + offset, exc.end + offset
+            exc.object = bytes(offset) + raw  # `str(exc)` names the byte at `start`
+            raise
+        offset += len(raw)
+        if "\r" in text:  # str.split scans a character at a time: only here is it needed
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+        else:
+            lines = (text.removesuffix("\n"),)
+        for line in lines:
+            lineno += 1
+            if line.strip():
+                yield lineno, line
+
+
+def _read_window(path, lines) -> HistoryWindow:
+    """The window that `lines` (nonblank lines, numbered) hold; every error names `path:line`."""
+    lineno, text = next(lines, (None, None))
+    if lineno is None:
         raise ShapecastError(f"{path}: empty history file")
-    with _located(path, linenos[0]):
-        header = json.loads(lines[linenos[0] - 1])
+    with _located(path, lineno):
+        header = json.loads(text)
         if not isinstance(header, dict) or "grid" not in header:
             raise ShapecastError("missing grid header line")
         grid = TimeGrid(tuple(header["grid"]))
-    linenos = linenos[1:]
-    P = grid.points_per_day
-    days = []  # each line's (date, holiday flag, quality)
-    # a row not yet filled is zero load, no temperature: nothing to refuse
-    loads, temps = np.zeros((len(linenos), P)), np.full((len(linenos), P), np.nan)
+    linenos = []  # each record's line number
     try:
-        for k, lineno in enumerate(linenos):
-            text = lines[lineno - 1]
-            try:
-                # a BOM is the stdlib path's error, and orjson must not see a deep line
-                if text.startswith("\ufeff") or _too_deep_for_orjson(text):
-                    raise ValueError
-                days.append(_read_record(orjson.loads(text), P, loads[k], temps[k]))
-            except _REPORTED:
-                # the stdlib decoder reads the line again, and its values or error stand
-                try:
-                    with _located(path, lineno):
-                        record = json.loads(text, parse_constant=_refuse_constant)
-                        days.append(_read_record(record, P, loads[k], temps[k]))
-                except IngestError:
-                    # a bad value on this line (row k) or an earlier one comes first
-                    _refuse_bad_day(loads[:k + 1], temps[:k + 1])
-                    raise
+        days, loads, temps = _read_days(path, lines, grid.points_per_day, linenos)
         dates, holidays, quality = zip(*days) if days else ((), (), ())
         return HistoryWindow(grid, dates, loads, temps, holidays, quality)
     except ShapecastError as exc:  # a day the window refuses is named by its line
         if not hasattr(exc, "row"):
             raise
         raise IngestError(f"{path}:{linenos[exc.row]}: {exc}") from None
+
+
+def read_history_jsonl(path) -> HistoryWindow:
+    """The window a history file holds; every error names `path:line`."""
+    with open(path, "rb") as fh:
+        lines = _text_lines(fh)
+        try:
+            return _read_window(path, lines)
+        except ShapecastError:
+            for _ in lines:  # a file that is not UTF-8 fails as such before any line does
+                pass
+            raise

@@ -35,7 +35,10 @@ def kernel_value(u: np.ndarray, kind: KernelKind) -> np.ndarray:
     """Evaluate the kernel density at scaled distances u >= 0."""
     u = np.asarray(u, dtype=float)
     if kind is KernelKind.GAUSSIAN:
-        return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+        a = -0.5 * u * u
+        # exp is exactly +0.0 below -745.1332 and slow there; a NaN is still computed
+        mass = np.exp(a, out=np.zeros_like(a), where=~(a <= -746.0))
+        return mass / np.sqrt(2.0 * np.pi)
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 

@@ -1166,3 +1166,26 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert f"{bad} is not UTF-8 text" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["predict", "backtest"])
+    def test_history_fails_as_non_utf8_first_at_its_file_offset(self, raw_files, tmp_path,
+                                                                command, capsys):
+        # line 3 is truncated JSON, and a stray byte lies past byte 8,192, where a
+        # text file's first chunk ends: the file is refused as non-UTF-8, at the byte
+        window, _ = synthetic.generate(synthetic.SyntheticSpec(TimeGrid.equidistant(96), 20))
+        lines = history_jsonl_text(window).encode().split(b"\n")
+        lines[2] = lines[2][:len(lines[2]) // 2]
+        data = b"\n".join(lines)
+        at = len(b"\n".join(lines[:4])) + 100
+        data = data[:at] + b"\xff" + data[at:]
+        assert at > 8192 and at > len(b"\n".join(lines[:3]))
+        bad = tmp_path / "history.jsonl"
+        bad.write_bytes(data)
+        if command == "predict":
+            argv = ["predict", "--history", bad, "--date", "2007-01-15",
+                    "--temp-forecast", raw_files / "forecast.csv", "--bandwidth", "0.3"]
+        else:
+            argv = ["backtest", "--history", bad, "--out-dir", tmp_path / "bt"]
+        assert main([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad} is not UTF-8 text (invalid start byte at byte {at})\n")

@@ -2,6 +2,8 @@ import datetime as dt
 import decimal
 import json
 import math
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -250,6 +252,24 @@ class TestJsonlRoundtrip:
         back = read_history_jsonl(path)
         assert back.meta(0).group.value == "HOLIDAY"
 
+    def test_reading_needs_about_the_file_size_in_memory(self, tmp_path):
+        # the reader holds one line at a time and fills growing column blocks,
+        # joined once: neither the whole text nor a list of its lines exists
+        rng = np.random.default_rng(2000)
+        window = make_history(TimeGrid.equidistant(96), dt.date(2000, 1, 3),
+                              rng.uniform(100, 900, (2000, 96)), rng.uniform(-5, 35, (2000, 96)))
+        path = tmp_path / "history.jsonl"
+        write_history(path, window)
+        tracemalloc.start()
+        try:
+            back = read_history_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        assert back.loads.tobytes() == window.loads.tobytes()
+        assert back.temps.tobytes() == window.temps.tobytes()
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('{"date": "2010-01-01"}\n')
@@ -388,6 +408,25 @@ class TestJsonlErrors:
         with pytest.raises(ShapecastError) as exc:
             read_history_jsonl(back)
         assert str(exc.value) == f"{back}:6: load values must be nonnegative"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_non_utf8_pipe_fails_at_its_stream_offset(self):
+        # a pipe cannot be read again, so the offset is counted as lines are read:
+        # the error is the whole stream's, though a bad line 3 comes before it
+        data = "\n".join([HEADER, RECORD, NEXT[:30], *[NEXT] * 200]).encode()[:12_000]
+        data = data[:9000] + b"\xff" + data[9000:]
+        with pytest.raises(UnicodeDecodeError) as whole:
+            str(data, "utf-8")
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            with pytest.raises(UnicodeDecodeError) as exc:
+                read_history_jsonl(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert (exc.value.start, exc.value.reason) == (9000, whole.value.reason)
+        assert exc.value.end == whole.value.end and str(exc.value) == str(whole.value)
 
     def test_orjson_reads_every_good_line(self, tmp_path, monkeypatch):
         seen, loads = [], orjson.loads

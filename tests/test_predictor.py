@@ -743,3 +743,14 @@ def test_kernel_shapes():
     assert kernel_value(0.0, KernelKind.GAUSSIAN) == pytest.approx(0.3989422804)
     assert kernel_value(1.5, KernelKind.EPANECHNIKOV) == 0.0
     assert kernel_value(0.5, KernelKind.EPANECHNIKOV) == pytest.approx(0.5625)
+
+
+def test_gaussian_skips_only_exponentials_that_are_zero():
+    # exp(-u^2 / 2) is exactly +0.0 once u^2 / 2 passes 745.1332, and a NaN is
+    # still computed: the skipped exponentials change no byte of the plain formula
+    u = np.concatenate([np.linspace(0.0, 60.0, 600_001),
+                        [38.6, math.sqrt(2 * 745.1332), np.inf, np.nan]])
+    plain = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+    assert kernel_value(u, KernelKind.GAUSSIAN).tobytes() == plain.tobytes()
+    # the range holds subnormal weights, which stay, zeros and a NaN
+    assert 0 < plain[u == 38.0][0] < 1e-308 and plain[-2] == 0 and np.isnan(plain[-1])
